@@ -1,6 +1,8 @@
 //! Set-associative cache model with LRU replacement and write-back,
 //! write-allocate semantics.
 
+use std::ops::Range;
+
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
@@ -116,6 +118,48 @@ struct Line {
     last_use: u64,
 }
 
+/// The configuration plus the shift/mask form of its (power-of-two)
+/// geometry, computed once so a lookup does no division.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    config: CacheConfig,
+    /// `log2(block_bytes)`.
+    block_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
+    /// `sets - 1`.
+    set_mask: u64,
+}
+
+impl Geometry {
+    fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
+        Self {
+            config,
+            block_shift: config.block_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
+        }
+    }
+
+    /// Where the ways of `addr`'s set sit in the flat line array, and the
+    /// tag to look for there.
+    fn locate(&self, addr: u64) -> (Range<usize>, u64) {
+        let block = addr >> self.block_shift;
+        let base = (block & self.set_mask) as usize * self.config.associativity;
+        (
+            base..base + self.config.associativity,
+            block >> self.set_shift,
+        )
+    }
+
+    /// Block-aligned address of the line with `tag` in the set at `ways`.
+    fn block_addr(&self, ways: &Range<usize>, tag: u64) -> u64 {
+        let set = (ways.start / self.config.associativity) as u64;
+        ((tag << self.set_shift) | set) << self.block_shift
+    }
+}
+
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
 ///
 /// # Examples
@@ -130,8 +174,9 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
-    config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    geometry: Geometry,
+    /// Every line, set-major: set `s` owns `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
 }
@@ -146,21 +191,15 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         // simlint: allow(panic) documented constructor contract: config must validate
         config.validate().expect("invalid cache configuration");
-        let sets = config.sets() as usize;
+        let empty = Line {
+            tag: 0,
+            valid: false,
+            dirty: false,
+            last_use: 0,
+        };
         Self {
-            config,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        last_use: 0
-                    };
-                    config.associativity
-                ];
-                sets
-            ],
+            geometry: Geometry::new(config),
+            lines: vec![empty; config.sets() as usize * config.associativity],
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -169,7 +208,7 @@ impl Cache {
     /// The configuration in effect.
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
-        &self.config
+        &self.geometry.config
     }
 
     /// Event counters.
@@ -178,39 +217,46 @@ impl Cache {
         &self.stats
     }
 
-    fn index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.config.block_bytes;
-        let set = (block % self.config.sets()) as usize;
-        let tag = block / self.config.sets();
-        (set, tag)
-    }
-
     /// Whether the block containing `addr` is resident (no state change).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.index_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        let (ways, tag) = self.geometry.locate(addr);
+        self.lines[ways].iter().any(|l| l.valid && l.tag == tag)
+    }
+
+    /// Performs the load or store only if the block containing `addr` is
+    /// resident, and reports whether it was. A miss changes nothing — not
+    /// even the LRU clock — so the caller can replay it later through
+    /// [`Cache::access`] with the exact effect it would have had here.
+    pub fn access_if_resident(&mut self, addr: u64, is_write: bool) -> bool {
+        let (ways, tag) = self.geometry.locate(addr);
+        let Some(line) = self.lines[ways]
+            .iter_mut()
+            .find(|l| l.valid && l.tag == tag)
+        else {
+            return false;
+        };
+        self.tick += 1;
+        line.last_use = self.tick;
+        line.dirty |= is_write;
+        self.stats.hits += 1;
+        true
     }
 
     /// Performs a load (`is_write == false`) or store (`is_write == true`) to
     /// `addr`, allocating the block on a miss and returning any dirty block
     /// evicted in the process.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
-        self.tick += 1;
-        let (set, tag) = self.index_and_tag(addr);
-        let sets_count = self.config.sets();
-        let block_bytes = self.config.block_bytes;
-        let lines = &mut self.sets[set];
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = self.tick;
-            line.dirty |= is_write;
-            self.stats.hits += 1;
+        if self.access_if_resident(addr, is_write) {
             return CacheAccess {
                 hit: true,
                 writeback: None,
             };
         }
+        self.tick += 1;
         self.stats.misses += 1;
+        let (ways, tag) = self.geometry.locate(addr);
+        let lines = &mut self.lines[ways.clone()];
         // Choose a victim: an invalid way if possible, else the LRU way.
         let victim_idx = lines.iter().position(|l| !l.valid).unwrap_or_else(|| {
             lines
@@ -221,19 +267,19 @@ impl Cache {
                 // simlint: allow(panic) CacheConfig::validate rejects zero associativity
                 .expect("associativity is non-zero")
         });
-        let victim = lines[victim_idx];
-        let writeback = if victim.valid && victim.dirty {
+        let victim = std::mem::replace(
+            &mut lines[victim_idx],
+            Line {
+                tag,
+                valid: true,
+                dirty: is_write,
+                last_use: self.tick,
+            },
+        );
+        let writeback = (victim.valid && victim.dirty).then(|| {
             self.stats.writebacks += 1;
-            Some((victim.tag * sets_count + set as u64) * block_bytes)
-        } else {
-            None
-        };
-        lines[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            last_use: self.tick,
-        };
+            self.geometry.block_addr(&ways, victim.tag)
+        });
         CacheAccess {
             hit: false,
             writeback,
@@ -244,13 +290,11 @@ impl Cache {
     /// and the LRU clock (checkpoint support). Geometry is config-derived
     /// and not serialized.
     pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        for set in &self.sets {
-            for line in set {
-                w.u64(line.tag);
-                w.bool(line.valid);
-                w.bool(line.dirty);
-                w.u64(line.last_use);
-            }
+        for line in &self.lines {
+            w.u64(line.tag);
+            w.bool(line.valid);
+            w.bool(line.dirty);
+            w.u64(line.last_use);
         }
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
@@ -269,13 +313,11 @@ impl Cache {
         &mut self,
         r: &mut cloudmc_snap::SnapReader<'_>,
     ) -> Result<(), cloudmc_snap::SnapError> {
-        for set in &mut self.sets {
-            for line in set {
-                line.tag = r.u64()?;
-                line.valid = r.bool()?;
-                line.dirty = r.bool()?;
-                line.last_use = r.u64()?;
-            }
+        for line in &mut self.lines {
+            line.tag = r.u64()?;
+            line.valid = r.bool()?;
+            line.dirty = r.bool()?;
+            line.last_use = r.u64()?;
         }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
@@ -287,8 +329,8 @@ impl Cache {
     /// Invalidates the block containing `addr`, returning `true` if the block
     /// was present and dirty (i.e. a writeback is required).
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.index_and_tag(addr);
-        for line in &mut self.sets[set] {
+        let (ways, tag) = self.geometry.locate(addr);
+        for line in &mut self.lines[ways] {
             if line.valid && line.tag == tag {
                 line.valid = false;
                 return std::mem::take(&mut line.dirty);
@@ -412,5 +454,114 @@ mod tests {
         }
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-9);
         assert_eq!(c.stats().accesses(), 16);
+    }
+
+    /// What a fixed pseudo-random access stream does to a cache: the
+    /// counters, a running hash over every access's (hit, write-back
+    /// address) outcome, the first victim write-backs as (access index,
+    /// address), and — read off afterwards by pushing fresh blocks through
+    /// set 0 — the order in which that set's residents fall out of LRU.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Recording {
+        stats: (u64, u64, u64),
+        outcome_hash: u64,
+        first_writebacks: Vec<(usize, u64)>,
+        set0_eviction_order: Vec<u64>,
+    }
+
+    fn record(config: CacheConfig, accesses: usize, span_blocks: u64) -> Recording {
+        let mut cache = Cache::new(config);
+        let mut lcg = 0x9E37_79B9_7F4A_7C15u64;
+        let mut outcome_hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut first_writebacks = Vec::new();
+        for i in 0..accesses {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let addr = ((lcg >> 33) % span_blocks) * config.block_bytes + (lcg >> 20) % 64;
+            let outcome = cache.access(addr, (lcg >> 12) % 10 < 4);
+            for word in [
+                u64::from(outcome.hit),
+                outcome.writeback.unwrap_or(u64::MAX),
+            ] {
+                outcome_hash = (outcome_hash ^ word).wrapping_mul(0x0100_0000_01b3);
+            }
+            if let Some(victim) = outcome.writeback {
+                if first_writebacks.len() < 6 {
+                    first_writebacks.push((i, victim));
+                }
+            }
+        }
+        let stats = *cache.stats();
+        // Blocks `k * sets` all map to set 0; the stream touched those below
+        // `span_blocks`, the fresh ones start above it.
+        let set_stride = config.sets() * config.block_bytes;
+        let mut residents: Vec<u64> = (0..span_blocks * config.block_bytes / set_stride)
+            .map(|k| k * set_stride)
+            .filter(|&a| cache.contains(a))
+            .collect();
+        let mut set0_eviction_order = Vec::new();
+        let mut fresh = span_blocks * config.block_bytes;
+        while !residents.is_empty() {
+            cache.access(fresh, false);
+            fresh += set_stride;
+            residents.retain(|&a| {
+                let still = cache.contains(a);
+                if !still {
+                    set0_eviction_order.push(a);
+                }
+                still
+            });
+        }
+        Recording {
+            stats: (stats.hits, stats.misses, stats.writebacks),
+            outcome_hash,
+            first_writebacks,
+            set0_eviction_order,
+        }
+    }
+
+    /// The flat line array must replace victims, order LRU and rebuild
+    /// write-back addresses exactly as the nested `Vec<Vec<Line>>` layout
+    /// did: both recordings below were taken from that layout.
+    #[test]
+    fn flat_layout_matches_recorded_nested_layout_sequence() {
+        assert_eq!(
+            record(CacheConfig::l1_baseline(), 6_000, 2_048),
+            Recording {
+                stats: (0x54d, 0x1223, 0x775),
+                outcome_hash: 0x1446_d217_c4b8_e751,
+                first_writebacks: vec![
+                    (0x41, 0x1c7c0),
+                    (0x68, 0x1c400),
+                    (0x86, 0xc7c0),
+                    (0x8b, 0x87c0),
+                    (0xaa, 0x7b00),
+                    (0xba, 0xeb40),
+                ],
+                set0_eviction_order: vec![0x18000, 0x10000],
+            },
+            "2-way L1 geometry"
+        );
+        assert_eq!(
+            record(CacheConfig::l2_bank_baseline(), 60_000, 40_960),
+            Recording {
+                stats: (0x4e60, 0x9c00, 0x2ca8),
+                outcome_hash: 0x078e_6ad0_b7be_c355,
+                first_writebacks: vec![
+                    (0x24bf, 0x12ed00),
+                    (0x274a, 0x1014c0),
+                    (0x2804, 0xf0480),
+                    (0x2c53, 0xa2400),
+                    (0x2c68, 0x9ed00),
+                    (0x2dcb, 0x193f40),
+                ],
+                set0_eviction_order: vec![
+                    0x1f0000, 0x160000, 0xf0000, 0x1d0000, 0x190000, 0x50000, 0x150000, 0x120000,
+                    0x70000, 0x40000, 0x180000, 0x30000, 0x1c0000, 0x230000, 0x140000, 0x260000,
+                ],
+            },
+            "16-way L2 bank geometry"
+        );
     }
 }

@@ -61,6 +61,40 @@ pub struct CoreRequest {
     pub write: bool,
 }
 
+/// Everything one [`InOrderCore::tick`] sends down the hierarchy: at most
+/// the dirty victim's write-back and the missing block's refill, held
+/// inline. Iterates in that order (the order the L2 must see them in).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoreRequests {
+    /// Write-back of the dirty block the access evicted from the L1.
+    pub writeback: Option<CoreRequest>,
+    /// Refill of the block the access missed on.
+    pub refill: Option<CoreRequest>,
+}
+
+impl CoreRequests {
+    /// Number of requests (0–2).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        usize::from(self.writeback.is_some()) + usize::from(self.refill.is_some())
+    }
+
+    /// Whether the tick sent nothing downstream.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl IntoIterator for CoreRequests {
+    type Item = CoreRequest;
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<CoreRequest>, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        [self.writeback, self.refill].into_iter().flatten()
+    }
+}
+
 /// Static configuration of one core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
@@ -136,6 +170,10 @@ pub struct InOrderCore {
     block_bytes: u64,
     pending_compute: u32,
     stall: Option<Stall>,
+    /// The op [`InOrderCore::run_ahead`] fetched but must not execute
+    /// privately (it misses the L1); the next [`InOrderCore::tick`] executes
+    /// it instead of pulling from the stream.
+    deferred: Option<MemOp>,
     stats: CoreStats,
 }
 
@@ -161,6 +199,7 @@ impl InOrderCore {
             block_bytes: config.l1d.block_bytes,
             pending_compute: 0,
             stall: None,
+            deferred: None,
             stats: CoreStats::default(),
         }
     }
@@ -219,30 +258,32 @@ impl InOrderCore {
         addr & !(self.block_bytes - 1)
     }
 
-    /// Handles a memory operation. Returns downstream requests.
-    fn execute_mem(&mut self, op: MemOp, out: &mut Vec<CoreRequest>) {
-        let is_ifetch = op.kind == OpKind::Ifetch;
-        let is_store = op.kind == OpKind::Store;
-        // Check for structural stall before touching cache state so that the
-        // operation can be retried unchanged once an MSHR frees up.
-        let would_hit = if is_ifetch {
-            self.l1i.contains(op.addr)
-        } else {
-            self.l1d.contains(op.addr)
-        };
-        if !would_hit && self.mshr.is_full() && !self.mshr.contains(op.addr) {
-            self.stall = Some(Stall::MshrFull(op));
-            return;
-        }
-        let cache = if is_ifetch {
+    fn l1_for(&mut self, kind: OpKind) -> &mut Cache {
+        if kind == OpKind::Ifetch {
             &mut self.l1i
         } else {
             &mut self.l1d
-        };
-        let access = cache.access(op.addr, is_store);
+        }
+    }
+
+    /// Handles a memory operation. Returns downstream requests.
+    fn execute_mem(&mut self, op: MemOp) -> CoreRequests {
+        let is_ifetch = op.kind == OpKind::Ifetch;
+        let is_store = op.kind == OpKind::Store;
+        let mut out = CoreRequests::default();
+        // Check for structural stall before touching cache state so that the
+        // operation can be retried unchanged once an MSHR frees up.
+        if self.mshr.is_full()
+            && !self.mshr.contains(op.addr)
+            && !self.l1_for(op.kind).contains(op.addr)
+        {
+            self.stall = Some(Stall::MshrFull(op));
+            return out;
+        }
+        let access = self.l1_for(op.kind).access(op.addr, is_store);
         if let Some(victim) = access.writeback {
             self.stats.l1_writebacks += 1;
-            out.push(CoreRequest {
+            out.writeback = Some(CoreRequest {
                 core: self.id,
                 tenant: self.tenant,
                 addr: victim,
@@ -253,13 +294,13 @@ impl InOrderCore {
             if !is_ifetch {
                 self.stats.committed += 1;
             }
-            return;
+            return out;
         }
         // Miss: try to allocate an MSHR and send the refill downstream.
         match self.mshr.allocate(op.addr) {
             MshrOutcome::Allocated => {
                 self.stats.l1_demand_misses += 1;
-                out.push(CoreRequest {
+                out.refill = Some(CoreRequest {
                     core: self.id,
                     tenant: self.tenant,
                     addr: self.block(op.addr),
@@ -279,44 +320,106 @@ impl InOrderCore {
                 commits_on_fill: !is_ifetch,
             });
         }
+        out
     }
 
     /// Advances the core by one CPU cycle. `next_op` is called at most once,
     /// when the core needs the next instruction-stream slot. Returns the
-    /// requests (refills and write-backs) to inject into the next level.
-    pub fn tick(&mut self, next_op: &mut dyn FnMut() -> CoreOp) -> Vec<CoreRequest> {
+    /// requests (refill and write-back) to inject into the next level.
+    pub fn tick(&mut self, next_op: &mut dyn FnMut() -> CoreOp) -> CoreRequests {
         self.stats.cycles += 1;
-        let mut out = Vec::new();
         match self.stall {
             Some(Stall::Miss { .. }) => {
                 self.stats.stall_cycles += 1;
-                return out;
+                return CoreRequests::default();
             }
             Some(Stall::MshrFull(op)) => {
                 if self.mshr.is_full() {
                     self.stats.stall_cycles += 1;
-                    return out;
+                    return CoreRequests::default();
                 }
                 self.stall = None;
-                self.execute_mem(op, &mut out);
-                return out;
+                return self.execute_mem(op);
             }
             None => {}
         }
         if self.pending_compute > 0 {
             self.pending_compute -= 1;
             self.stats.committed += 1;
-            return out;
+            return CoreRequests::default();
         }
-        match next_op() {
+        let op = match self.deferred.take() {
+            Some(op) => CoreOp::Mem(op),
+            None => next_op(),
+        };
+        match op {
             CoreOp::Compute(n) => {
-                let n = n.max(1);
-                self.stats.committed += 1;
-                self.pending_compute = n - 1;
+                self.start_compute(n);
+                CoreRequests::default()
             }
-            CoreOp::Mem(op) => self.execute_mem(op, &mut out),
+            CoreOp::Mem(op) => self.execute_mem(op),
         }
-        out
+    }
+
+    /// Commits the head of an `n`-instruction compute burst and buffers the
+    /// rest.
+    fn start_compute(&mut self, n: u32) {
+        self.stats.committed += 1;
+        self.pending_compute = n.max(1) - 1;
+    }
+
+    /// Runs the core ahead of the rest of the system for up to `budget`
+    /// cycles and returns how many it ran, each with exactly the effect of
+    /// one [`InOrderCore::tick`].
+    ///
+    /// This is sound because the work between two L1 misses is private to
+    /// the core: compute instructions and L1 hits touch only the stream
+    /// behind `next_op`, the L1s and the core's own counters, send nothing
+    /// downstream, and neither read the MSHR file nor can be affected by a
+    /// fill ([`InOrderCore::fill`] only completes an MSHR entry and clears a
+    /// blocking-miss stall, and L1 hit/miss depends on the core's own access
+    /// sequence alone because blocks are allocated at miss time). So the
+    /// run stops early only at an op that misses its L1: that op is kept
+    /// back un-executed — no cache or counter has seen it — and the next
+    /// `tick` executes it in place of a stream pull, which lets the caller
+    /// schedule that tick at the op's exact cycle. A stalled core runs zero
+    /// cycles.
+    pub fn run_ahead(&mut self, budget: u64, mut next_op: impl FnMut() -> CoreOp) -> u64 {
+        if self.stall.is_some() || self.deferred.is_some() {
+            return 0;
+        }
+        let mut ran = 0;
+        while ran < budget {
+            if self.pending_compute > 0 {
+                let burst = u64::from(self.pending_compute).min(budget - ran);
+                self.skip_cycles(burst);
+                ran += burst;
+                continue;
+            }
+            match next_op() {
+                CoreOp::Compute(n) => self.start_compute(n),
+                CoreOp::Mem(op) => {
+                    let is_store = op.kind == OpKind::Store;
+                    if !self.l1_for(op.kind).access_if_resident(op.addr, is_store) {
+                        self.deferred = Some(op);
+                        break;
+                    }
+                    if op.kind != OpKind::Ifetch {
+                        self.stats.committed += 1;
+                    }
+                }
+            }
+            self.stats.cycles += 1;
+            ran += 1;
+        }
+        ran
+    }
+
+    /// Whether [`InOrderCore::run_ahead`] left an op for the next tick to
+    /// execute.
+    #[must_use]
+    pub fn has_deferred_op(&self) -> bool {
+        self.deferred.is_some()
     }
 
     /// How many upcoming cycles this core is *provably deterministic* for —
@@ -392,7 +495,12 @@ impl InOrderCore {
     /// compute buffer, the stall condition and the counters (checkpoint
     /// support). Identity and geometry are config-derived and not
     /// serialized.
+    ///
+    /// An op deferred by [`InOrderCore::run_ahead`] is not part of the
+    /// format: the caller must not checkpoint a core that holds one
+    /// ([`InOrderCore::has_deferred_op`]).
     pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
+        debug_assert!(self.deferred.is_none(), "checkpoint of a deferred op");
         w.section("core");
         self.l1i.save_state(w);
         self.l1d.save_state(w);
@@ -438,6 +546,7 @@ impl InOrderCore {
         r: &mut cloudmc_snap::SnapReader<'_>,
     ) -> Result<(), cloudmc_snap::SnapError> {
         r.section("core")?;
+        self.deferred = None;
         self.l1i.load_state(r)?;
         self.l1d.load_state(r)?;
         self.mshr.load_state(r)?;
@@ -543,8 +652,9 @@ mod tests {
         let mut src = move || first.take().unwrap_or(CoreOp::Compute(1));
         let reqs = core.tick(&mut src);
         assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].addr, 0x1000);
-        assert!(!reqs[0].write);
+        let refill = reqs.refill.unwrap();
+        assert_eq!(refill.addr, 0x1000);
+        assert!(!refill.write);
         assert!(core.is_stalled());
         // Stalled cycles commit nothing.
         for _ in 0..5 {
@@ -583,7 +693,7 @@ mod tests {
         // Retry succeeds next cycle.
         let reqs = core.tick(&mut src);
         assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].addr, 0x3000);
+        assert_eq!(reqs.refill.unwrap().addr, 0x3000);
         assert_eq!(core.committed(), 3);
     }
 
@@ -599,7 +709,7 @@ mod tests {
         let mut src = move || first.take().unwrap_or(CoreOp::Compute(1));
         let reqs = core.tick(&mut src);
         assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].tenant, 2);
+        assert_eq!(reqs.refill.unwrap().tenant, 2);
         // The default binding is tenant 0.
         assert_eq!(tiny_core().tenant(), 0);
     }
@@ -700,6 +810,104 @@ mod tests {
         skipped.skip_cycles(40);
         assert_eq!(ticked.stats(), skipped.stats());
         assert_eq!(skipped.runway(), Some(59));
+    }
+
+    /// Running ahead must be indistinguishable from ticking: same counters,
+    /// same L1 state, same stream position — and it must stop *before* the
+    /// first op that misses an L1, leaving that op for the next tick.
+    #[test]
+    fn run_ahead_matches_ticking_and_stops_before_the_first_miss() {
+        let mem = |kind, addr| {
+            CoreOp::Mem(MemOp {
+                kind,
+                addr,
+                overlappable: true,
+            })
+        };
+        // Warm one data and one code block, then: bursts, hits on both L1s
+        // (a store hit dirties the block), and finally a would-miss store
+        // whose victim is that dirty block (set stride is 256 bytes).
+        let warm = [mem(OpKind::Load, 0x040), mem(OpKind::Ifetch, 0x8000)];
+        let ops = [
+            CoreOp::Compute(7),
+            mem(OpKind::Store, 0x048),
+            mem(OpKind::Ifetch, 0x8010),
+            CoreOp::Compute(1),
+            mem(OpKind::Load, 0x140),
+            mem(OpKind::Load, 0x17f),
+            CoreOp::Compute(30),
+            mem(OpKind::Store, 0x240),
+            CoreOp::Compute(5),
+        ];
+        let make = || {
+            let mut core = tiny_core();
+            let mut it = warm.into_iter();
+            for _ in 0..warm.len() {
+                for req in core.tick(&mut || it.next().unwrap()) {
+                    core.fill(req.addr);
+                }
+            }
+            core
+        };
+        let observe = |core: &InOrderCore| (*core.stats(), *core.l1i_stats(), *core.l1d_stats());
+
+        // 0x140 misses the L1-D, so the first run stops right before it.
+        let mut ahead = make();
+        let mut pulled = 0usize;
+        let mut source = || {
+            pulled += 1;
+            ops[pulled - 1]
+        };
+        let ran = ahead.run_ahead(u64::MAX, &mut source);
+        assert_eq!(ran, 7 + 1 + 1 + 1);
+        assert!(ahead.has_deferred_op());
+        assert_eq!(
+            ahead.run_ahead(u64::MAX, &mut source),
+            0,
+            "nothing past a deferred op"
+        );
+
+        let mut ticked = make();
+        let mut ticked_pulled = 0usize;
+        let mut ticked_source = || {
+            ticked_pulled += 1;
+            ops[ticked_pulled - 1]
+        };
+        for _ in 0..ran {
+            assert!(ticked.tick(&mut ticked_source).is_empty());
+        }
+        assert_eq!(observe(&ahead), observe(&ticked));
+        assert_eq!(ahead.l1d_stats().misses, 1, "only the warm-up miss so far");
+
+        // The next tick executes the deferred op (no stream pull) exactly as
+        // the ticked core executes the same op off its stream.
+        let deferred = ahead.tick(&mut source);
+        assert_eq!(deferred, ticked.tick(&mut ticked_source));
+        assert_eq!(deferred.refill.unwrap().addr, 0x140);
+        assert!(!ahead.has_deferred_op());
+        assert_eq!(observe(&ahead), observe(&ticked));
+
+        // A budget bounds the run mid-burst; the remainder is ordinary runway.
+        assert_eq!(ahead.run_ahead(10, &mut source), 10);
+        for _ in 0..10 {
+            ticked.tick(&mut ticked_source);
+        }
+        assert_eq!(observe(&ahead), observe(&ticked));
+        assert_eq!(ahead.runway(), Some(21));
+
+        // The dirty-victim miss is deferred too, write-back and all.
+        assert_eq!(ahead.run_ahead(u64::MAX, &mut source), 21);
+        for _ in 0..21 {
+            ticked.tick(&mut ticked_source);
+        }
+        assert_eq!(observe(&ahead), observe(&ticked));
+        assert_eq!(ahead.stats().l1_writebacks, 0);
+        let evicting = ahead.tick(&mut source);
+        assert_eq!(evicting, ticked.tick(&mut ticked_source));
+        assert_eq!(evicting.writeback.unwrap().addr, 0x040);
+        assert_eq!(evicting.refill.unwrap().addr, 0x240);
+        assert_eq!(observe(&ahead), observe(&ticked));
+        assert_eq!(pulled, ticked_pulled, "stream positions agree");
     }
 
     #[test]

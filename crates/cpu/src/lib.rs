@@ -30,7 +30,7 @@ pub mod hierarchy;
 pub mod mshr;
 
 pub use crate::core::{
-    CoreConfig, CoreOp, CoreRequest, CoreStats, InOrderCore, MemOp, OpKind, TenantId,
+    CoreConfig, CoreOp, CoreRequest, CoreRequests, CoreStats, InOrderCore, MemOp, OpKind, TenantId,
 };
 pub use cache::{Cache, CacheAccess, CacheConfig, CacheStats};
 pub use hierarchy::{L2Config, L2Outcome, SharedL2};

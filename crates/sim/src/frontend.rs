@@ -6,17 +6,48 @@
 //! [`Tick::tick`] call moves every core by one CPU cycle (with
 //! [`Frontend::skip_cycles`] bulk-skipping provably eventless windows), routes
 //! the L1 refills and write-backs they produce through the shared L2, and
-//! injects this cycle's DMA traffic. The lazy mode lets each core fall behind
-//! the kernel clock individually: every core carries its own position and its
-//! next *action* cycle (the next cycle its tick consumes an op rather than
-//! just burning runway), [`Frontend::advance_to`] catches up exactly the due
-//! cores, and [`Frontend::fill_at`] catches a blocked core up to the fill's
-//! delivery cycle on demand. Both modes report whatever must leave the chip
-//! as [`FrontendEvent`]s for the kernel to hand to the memory
-//! [`backend`](crate::backend), and both consume ops in the same global
-//! (cycle, core) order, so they produce bit-identical streams. The frontend
-//! never sees DRAM cycles — the clock-ratio bookkeeping
-//! (`DRAM_CYCLES_PER_5_CPU_CYCLES`) lives entirely in
+//! injects this cycle's DMA traffic. It is the reference the lazy mode is
+//! tested against.
+//!
+//! The lazy mode (the event kernel's) lets each core sit at its own position
+//! relative to the kernel clock, behind it or ahead of it, and only ever
+//! *schedules* the cycles on which a core does something another component
+//! can observe ([`Frontend::next_action_cycle`]). It rests on one fact: a
+//! core's work between two L1 misses is **core-private**. Compute gaps and
+//! L1 hits touch only the core's own workload-stream RNG, its L1-I/L1-D and
+//! its own counters; they send nothing to the L2, never read the MSHR file,
+//! and no fill can change them (a fill only completes an MSHR entry and
+//! clears a blocking-miss stall, and because the L1s allocate at miss time,
+//! hit-or-miss is a function of the core's own access sequence alone). So
+//! when [`Frontend::advance_to`] has ticked a due core, it keeps running
+//! *that core* in a tight loop — **run-ahead** — committing compute gaps in
+//! bulk and L1 hits one probe each, until one of two things stops it:
+//!
+//! * **It fetches an op that misses its L1.** A miss is the one thing that
+//!   is not private: the MSHR-full check depends on which fills have arrived,
+//!   the L2 access and its LRU state are shared with every other core, and
+//!   the resulting [`FrontendEvent`] must reach the backend in the eager
+//!   mode's global (cycle, core) order. The op is therefore deferred
+//!   un-executed and the core's next action is scheduled at the op's exact
+//!   cycle, where the ordinary per-cycle tick executes it.
+//! * **It reaches the caller's `limit`** — the end of the current
+//!   `run_cycles` call or the next telemetry sample boundary, whichever is
+//!   sooner. No core's position ever exceeds it, so every counter read at
+//!   those points (`sync_to`, samples, snapshots, `SimStats`) is exactly what
+//!   per-cycle ticking gives, and a deferred op (whose cycle is below the
+//!   limit) is always executed before control returns to the caller.
+//!
+//! [`Frontend::fill_at`] delivers a fill to a core that is behind the clock
+//! by catching it up first, and to one that ran ahead as is. With a trace
+//! attached the limit collapses to the current cycle, i.e. no run-ahead: a
+//! capture file's record order is the global op-consumption order, and
+//! reading ahead on replay would buffer every other core's records without
+//! bound. Both modes report whatever must leave the chip as
+//! [`FrontendEvent`]s for the kernel to hand to the memory
+//! [`backend`](crate::backend), and both execute every L1 miss and DMA beat
+//! at the same (cycle, core) position, so they produce bit-identical event
+//! streams and counters. The frontend never sees DRAM cycles — the
+//! clock-ratio bookkeeping (`DRAM_CYCLES_PER_5_CPU_CYCLES`) lives entirely in
 //! [`kernel::ClockCrossing`](crate::kernel::ClockCrossing).
 //!
 //! Returning data to a core goes the other way: the kernel calls
@@ -155,10 +186,12 @@ pub struct Frontend {
     rng: StdRng,
     /// One injector per tenant with a non-zero DMA rate, in tenant order.
     dma: Vec<DmaInjector>,
-    /// Lazy mode: per-core next unsimulated CPU cycle.
+    /// Lazy mode: per-core next unsimulated CPU cycle (behind the kernel
+    /// clock for a sleeping core, ahead of it for one that ran ahead).
     positions: Vec<u64>,
-    /// Lazy mode: per-core next action cycle (`u64::MAX` = blocked on
-    /// memory, nothing to do until a fill arrives).
+    /// Lazy mode: per-core next action cycle — the next cycle the core must
+    /// be ticked at (`u64::MAX` = blocked on memory, nothing to do until a
+    /// fill arrives).
     next_action: Vec<u64>,
     /// Lazy mode: the DMA accumulators have accrued cycles `0..dma_pos`.
     dma_pos: u64,
@@ -365,7 +398,10 @@ impl Frontend {
 
     /// Why this frontend cannot be checkpointed, if it cannot: attached
     /// trace streams hold open file handles and cursors the snapshot format
-    /// does not capture. `None` means snapshotting is supported.
+    /// does not capture, and neither is an op a core deferred while running
+    /// ahead (every `run_cycles` call executes those before it returns, so
+    /// one can only be seen from inside a call). `None` means snapshotting
+    /// is supported.
     #[must_use]
     pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
         if self.replay.is_some() {
@@ -373,6 +409,9 @@ impl Frontend {
         }
         if self.record.is_some() {
             return Some("trace capture sink");
+        }
+        if self.cores.iter().any(InOrderCore::has_deferred_op) {
+            return Some("a core holding a deferred run-ahead op");
         }
         None
     }
@@ -558,11 +597,12 @@ impl Frontend {
     // --- Lazy per-core drive mode (the event kernel's frontend API) ---
     //
     // The eager mode above advances every core in lockstep. The lazy mode
-    // instead tracks, per core, the next cycle its tick would do real work
+    // instead tracks, per core, the next cycle it must be ticked at
     // (`next_action`) and how far the core has actually been simulated
-    // (`positions`); cores a fill cannot reach sleep indefinitely instead of
-    // being ticked every cycle. The two modes must not be mixed on one
-    // `Frontend`: eager calls do not maintain the lazy cursors.
+    // (`positions`): cores a fill cannot reach sleep indefinitely, cores with
+    // private work run ahead (see the module docs). The two modes must not
+    // be mixed on one `Frontend`: eager calls do not maintain the lazy
+    // cursors.
 
     /// Recomputes `next_action` for one core from its runway, anchored at
     /// `from` (the core's position).
@@ -588,34 +628,57 @@ impl Frontend {
         next
     }
 
-    /// Lazy mode: runs every core whose action cycle is `now` (in ascending
-    /// core order, preserving the eager mode's (cycle, core) op-consumption
-    /// order) and accrues the DMA injectors through `now`, firing due beats.
-    /// The caller must not jump past an action or beat cycle
-    /// ([`Frontend::next_action_cycle`] reports the earliest one).
-    pub fn advance_to(&mut self, now: u64, events: &mut Vec<FrontendEvent>) {
+    /// Lazy mode: ticks every core whose action cycle is `now` (in ascending
+    /// core order, preserving the eager mode's (cycle, core) order of L2
+    /// accesses and events), lets each of them run ahead through its private
+    /// work up to `limit` (exclusive; see the module docs), and accrues the
+    /// DMA injectors through `now`, firing due beats. The caller must not
+    /// jump past an action or beat cycle ([`Frontend::next_action_cycle`]
+    /// reports the earliest one) and must execute every cycle below `limit`
+    /// before it reads any counter.
+    pub fn advance_to(&mut self, now: u64, limit: u64, events: &mut Vec<FrontendEvent>) {
+        debug_assert!(limit > now, "run-ahead limit {limit} not past {now}");
+        // Trace taps see ops in global consumption order: no run-ahead.
+        let limit = if self.replay.is_some() || self.record.is_some() {
+            now + 1
+        } else {
+            limit
+        };
         for core in 0..self.cores.len() {
-            while self.next_action[core] <= now {
-                let at = self.next_action[core];
-                debug_assert!(at == now, "core {core} action at {at} missed by {now}");
-                let gap = at - self.positions[core];
-                if gap > 0 {
-                    self.cores[core].skip_cycles(gap);
-                }
-                self.tick_core(core, events);
-                self.positions[core] = at + 1;
-                self.reschedule(core, at + 1);
+            if self.next_action[core] > now {
+                continue;
             }
+            debug_assert!(
+                self.next_action[core] == now,
+                "core {core} action at {} missed by {now}",
+                self.next_action[core]
+            );
+            let gap = now - self.positions[core];
+            if gap > 0 {
+                self.cores[core].skip_cycles(gap);
+            }
+            self.tick_core(core, events);
+            let stream = self.streams.stream_mut(core);
+            let budget = limit.saturating_sub(now + 1);
+            let position = now + 1 + self.cores[core].run_ahead(budget, || stream.next_op());
+            self.positions[core] = position;
+            self.reschedule(core, position);
         }
         self.advance_dma(now + 1, events);
     }
 
     /// Lazy mode: delivers a block to a core at `now` (memory fill or delayed
-    /// L2 hit), catching the core up to `now` first. The skipped window is
-    /// eventless by construction: the core has been blocked (or coasting on
-    /// runway past `now`) since its position.
+    /// L2 hit). A core behind `now` is caught up first; the skipped window
+    /// is eventless by construction, since the core has been blocked (or
+    /// coasting on runway past `now`) since its position. A core that ran
+    /// ahead of `now` just takes the fill: it is not blocked, and nothing it
+    /// did since `now` read the MSHR entry the fill completes.
     pub fn fill_at(&mut self, core: usize, addr: u64, now: u64) {
-        debug_assert!(self.positions[core] <= now, "fill for a core past {now}");
+        if self.positions[core] > now {
+            debug_assert!(!self.cores[core].is_stalled(), "stalled core ran ahead");
+            self.cores[core].fill(addr);
+            return;
+        }
         let gap = now - self.positions[core];
         if gap > 0 {
             self.cores[core].skip_cycles(gap);
@@ -894,6 +957,80 @@ mod tests {
         for core in 0..ticked.core_count() {
             assert_eq!(ticked.core_stats(core), jumped.core_stats(core));
         }
+    }
+
+    /// The lazy mode — cores sleeping behind the clock or running ahead of
+    /// it, misses deferred to their exact cycle, fills landing on cores that
+    /// already ran past them — must produce the eager mode's event stream
+    /// and counters, and must refuse to be checkpointed while a core still
+    /// holds a deferred op.
+    #[test]
+    fn lazy_run_ahead_matches_eager_ticking() {
+        let make = || {
+            let mut fe = frontend(Workload::WebFrontend);
+            fe.prewarm();
+            fe
+        };
+        let horizon_cycles = 30_000u64;
+        let wants_fill = |e: &FrontendEvent| match *e {
+            FrontendEvent::Read { core, addr, .. } | FrontendEvent::L2Hit { core, addr, .. } => {
+                Some((core, addr))
+            }
+            _ => None,
+        };
+
+        // Eager reference: every refill is delivered before the next cycle.
+        let mut eager = make();
+        let mut eager_events = Vec::new();
+        for cycle in 0..horizon_cycles {
+            let before = eager_events.len();
+            eager.tick(cycle, &mut eager_events);
+            for (core, addr) in eager_events[before..].iter().filter_map(wants_fill) {
+                eager.fill(core, addr);
+            }
+        }
+
+        let mut lazy = make();
+        let mut lazy_events = Vec::new();
+        let mut fills: Vec<(usize, u64)> = Vec::new();
+        let mut deferred_seen = false;
+        let mut cycle = 0u64;
+        while cycle < horizon_cycles {
+            for (core, addr) in fills.drain(..) {
+                lazy.fill_at(core, addr, cycle);
+            }
+            let before = lazy_events.len();
+            lazy.advance_to(cycle, horizon_cycles, &mut lazy_events);
+            fills.extend(lazy_events[before..].iter().filter_map(wants_fill));
+            if lazy.snapshot_unsupported_reason().is_some() {
+                deferred_seen = true;
+                assert_eq!(
+                    lazy.snapshot_unsupported_reason(),
+                    Some("a core holding a deferred run-ahead op")
+                );
+            }
+            // Jump like the event kernel does, unless a fill is due.
+            cycle = if fills.is_empty() {
+                lazy.next_action_cycle().min(horizon_cycles)
+            } else {
+                cycle + 1
+            };
+        }
+        // The eager loop delivered its last cycle's refills too.
+        for (core, addr) in fills.drain(..) {
+            lazy.fill_at(core, addr, horizon_cycles);
+        }
+        lazy.sync_to(horizon_cycles);
+
+        assert!(deferred_seen, "no core ever deferred a miss");
+        assert_eq!(lazy.snapshot_unsupported_reason(), None);
+        assert_eq!(eager_events, lazy_events, "event streams must match");
+        for core in 0..eager.core_count() {
+            assert_eq!(eager.core_stats(core), lazy.core_stats(core));
+            assert_eq!(eager.l1i_stats(core), lazy.l1i_stats(core));
+            assert_eq!(eager.l1d_stats(core), lazy.l1d_stats(core));
+        }
+        assert_eq!(eager.l2_stats(), lazy.l2_stats());
     }
 
     /// Recording a run and replaying the trace drives the cores through the

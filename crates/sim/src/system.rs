@@ -412,7 +412,7 @@ impl System {
                 if done.request.kind.is_read() {
                     if let Some(read) = self.outstanding_reads.remove(&done.request.id) {
                         // Data returns through the crossbar to the waiting core.
-                        let due = now_cpu + u64::from(self.cfg.l2.crossbar_latency as u32);
+                        let due = now_cpu + self.cfg.l2.crossbar_latency;
                         self.fills.push(due, read.core, read.addr);
                     }
                 }
@@ -432,9 +432,10 @@ impl System {
     /// The phase order within the cycle is identical (fills, frontend,
     /// accrued DRAM ticks) — only the *driving* differs: blocked cores are
     /// caught up on demand ([`Frontend::fill_at`] /
-    /// [`Frontend::advance_to`]) instead of ticked, and only due backend
+    /// [`Frontend::advance_to`]) instead of ticked, due cores run ahead
+    /// through their private work up to `limit`, and only due backend
     /// shards run a full controller tick ([`Backend::tick_event`]).
-    fn step_event(&mut self) {
+    fn step_event(&mut self, limit: u64) {
         let now_cpu = self.clock.cpu_cycle();
         let t0 = self.prof_start();
 
@@ -447,7 +448,7 @@ impl System {
         // 2. Run exactly the cores whose action cycle is now, plus due DMA.
         let mut events = std::mem::take(&mut self.frontend_events);
         events.clear();
-        self.frontend.advance_to(now_cpu, &mut events);
+        self.frontend.advance_to(now_cpu, limit, &mut events);
         for event in events.drain(..) {
             self.dispatch(event);
         }
@@ -464,7 +465,7 @@ impl System {
             for done in completions.drain(..) {
                 if done.request.kind.is_read() {
                     if let Some(read) = self.outstanding_reads.remove(&done.request.id) {
-                        let due = now_cpu + u64::from(self.cfg.l2.crossbar_latency as u32);
+                        let due = now_cpu + self.cfg.l2.crossbar_latency;
                         self.fills.push(due, read.core, read.addr);
                     }
                 }
@@ -484,8 +485,9 @@ impl System {
     /// action or DMA beat, earliest due backend shard mapped through the
     /// clock crossing) is consulted once per iteration, the clocks jump
     /// straight to the soonest one, and exactly that cycle is executed.
-    /// Cores are left lazily behind the kernel clock throughout and synced
-    /// once at `end`.
+    /// Cores sit lazily behind the kernel clock or run privately ahead of
+    /// it — never past `end` or the next sample boundary, the two points
+    /// where their counters are read — and are aligned once at `end`.
     fn run_event_driven(&mut self, end: u64) {
         while self.clock.cpu_cycle() < end {
             let now = self.clock.cpu_cycle();
@@ -524,7 +526,7 @@ impl System {
                 self.clock.fast_forward(cycles);
                 self.prof_cycles(0, cycles);
             } else {
-                self.step_event();
+                self.step_event(end.min(self.next_sample_boundary()));
             }
         }
         // The loop invariant guarantees no action below `end` is pending, so

@@ -108,6 +108,13 @@ pub struct KernelProfile {
     /// Host time for the whole run loop (phases plus glue).
     pub total_nanos: u64,
     /// CPU cycles simulated by stepping individual cycles.
+    ///
+    /// The stepped/jumped split describes how the *host* drove the clock,
+    /// not the simulated machine (it is not part of `SimStats`). Under the
+    /// event kernel a cycle is stepped only when some layer has
+    /// system-visible work on it; since cores run their private work
+    /// (compute gaps, L1 hits) ahead of the clock, dense streams that used
+    /// to step almost every cycle now jump most of them.
     pub stepped_cpu_cycles: u64,
     /// CPU cycles advanced in bulk by horizon/event jumps.
     pub jumped_cpu_cycles: u64,

@@ -204,10 +204,12 @@ impl CoreStream {
         self.instructions_planned
     }
 
+    /// Length of a high-intensity phase in instructions.
+    const HOT_PHASE_INSTR: u64 = 6_000;
+    /// Length of one hot + quiet cycle of the phase schedule in instructions.
+    const PHASE_PERIOD_INSTR: u64 = 24_000;
     /// Fraction of instructions spent in the high-intensity phase.
-    const HOT_PHASE_FRACTION: f64 = 0.25;
-    /// Mean length of a high-intensity phase in instructions.
-    const HOT_PHASE_MEAN_INSTR: f64 = 6_000.0;
+    const HOT_PHASE_FRACTION: f64 = Self::HOT_PHASE_INSTR as f64 / Self::PHASE_PERIOD_INSTR as f64;
 
     /// Intensity multiplier of the current phase. The time-weighted mean over
     /// hot and quiet phases is 1.0, so the long-run MPKI matches the spec.
@@ -232,9 +234,7 @@ impl CoreStream {
     /// hit all cores at once. This is what creates the transient memory
     /// contention under which the scheduling algorithms differ.
     fn scheduled_phase(&self) -> bool {
-        let period = Self::HOT_PHASE_MEAN_INSTR / Self::HOT_PHASE_FRACTION;
-        let position = self.instructions_planned as f64 % period;
-        position < Self::HOT_PHASE_MEAN_INSTR
+        self.instructions_planned % Self::PHASE_PERIOD_INSTR < Self::HOT_PHASE_INSTR
     }
 
     /// Mean instructions between off-chip data *events* (a burst counts as

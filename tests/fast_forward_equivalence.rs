@@ -12,7 +12,7 @@
 use cloudmc::memctrl::{
     FaultConfig, PagePolicyKind, PowerPolicyKind, QosPolicyKind, SchedulerKind, UncorrectablePolicy,
 };
-use cloudmc::sim::{run_system, SimStats, SystemConfig};
+use cloudmc::sim::{run_system, SimStats, Simulator, SystemConfig};
 use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
 
 fn small(workload: Workload, seed: u64) -> SystemConfig {
@@ -299,5 +299,83 @@ fn conservation_holds_under_fast_forward() {
         let sent = system.memory_reads_sent() + system.memory_writes_sent();
         let completed = system.controller_stats().completed();
         assert_eq!(sent, completed + system.requests_in_flight());
+    }
+}
+
+/// The event kernel lets cores run ahead of the clock, but never past the
+/// end of a `run_cycles` call or a telemetry sample boundary. So however a
+/// run is cut into calls — one call, or irregular chunks down to a single
+/// cycle, with a sample interval that divides none of them — every per-core
+/// counter must equal the naive kernel's at every chunk boundary, and the
+/// statistics of the window that follows must be bit-identical.
+#[test]
+fn chunked_event_runs_match_the_naive_kernel_at_every_boundary() {
+    const CHUNKS: [u64; 14] = [
+        1, 3, 997, 2, 1, 5_000, 1, 64, 12_345, 7, 1_013, 2_026, 18_000, 539,
+    ];
+    let total: u64 = CHUNKS.iter().sum();
+    let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
+        .and(TenantSpec::batch(Workload::TpchQ6, 8));
+    for (base, label) in [
+        (SystemConfig::baseline(Workload::WebSearch), "baseline"),
+        (SystemConfig::mixed(mix), "tenant mix"),
+    ] {
+        for sample_interval in [0u64, 1_013] {
+            let label = format!("{label}, sample interval {sample_interval}");
+            let mut cfg = base.clone();
+            cfg.seed = 4;
+            cfg.warmup_cpu_cycles = total;
+            cfg.measure_cpu_cycles = 30_000;
+            cfg.telemetry.sample_interval = sample_interval;
+            let mut naive_cfg = cfg.clone();
+            naive_cfg.fast_forward = false;
+            let mut naive = Simulator::new(naive_cfg).expect("valid config");
+            let mut chunked = Simulator::new(cfg.clone()).expect("valid config");
+            let mut single = Simulator::new(cfg).expect("valid config");
+
+            let assert_cores_equal = |a: &Simulator, b: &Simulator, at: u64| {
+                let (a, b) = (a.system(), b.system());
+                assert_eq!(a.cpu_cycle(), at);
+                assert_eq!(b.cpu_cycle(), at);
+                assert_eq!(
+                    a.committed_per_core(),
+                    b.committed_per_core(),
+                    "{label}: committed instructions differ at cycle {at}"
+                );
+                for core in 0..a.committed_per_core().len() {
+                    assert_eq!(
+                        a.core_stats(core),
+                        b.core_stats(core),
+                        "{label}: core {core} counters differ at cycle {at}"
+                    );
+                }
+                assert_eq!(
+                    a.telemetry_series(),
+                    b.telemetry_series(),
+                    "{label}: sampled series differ at cycle {at}"
+                );
+            };
+            let mut at = 0;
+            for chunk in CHUNKS {
+                naive.system_mut().run_cycles(chunk);
+                chunked.system_mut().run_cycles(chunk);
+                at += chunk;
+                assert_cores_equal(&chunked, &naive, at);
+            }
+            single.run_warmup();
+            assert_cores_equal(&single, &naive, total);
+
+            let reference = naive.run_measurement().expect("naive run");
+            assert_eq!(
+                chunked.run_measurement().expect("chunked run"),
+                reference,
+                "{label}: chunked event run diverged"
+            );
+            assert_eq!(
+                single.run_measurement().expect("single-call run"),
+                reference,
+                "{label}: single-call event run diverged"
+            );
+        }
     }
 }

@@ -86,6 +86,39 @@ fn every_kernel_resumes_bit_identically() {
     }
 }
 
+/// The event kernel's cores run ahead of the clock inside a `run_cycles`
+/// call but are all aligned — no deferred op, no position past the clock —
+/// whenever one returns. So a run handed from image to image after each of
+/// 64 consecutive odd-length calls (1 to 601 cycles) must end exactly where
+/// the uninterrupted run does.
+#[test]
+fn snapshots_after_many_odd_chunks_resume_bit_identically() {
+    let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
+        .and(TenantSpec::batch(Workload::TpchQ6, 8));
+    let mut mixed = SystemConfig::mixed(mix);
+    mixed.seed = 5;
+    for (mut cfg, label) in [(small(Workload::WebSearch, 9), "baseline"), (mixed, "mix")] {
+        cfg.warmup_cpu_cycles = 25_000;
+        cfg.measure_cpu_cycles = 40_000;
+        let reference = uninterrupted(&cfg);
+        let mut sim = Simulator::new(cfg.clone()).expect("valid config");
+        for i in 0..64u64 {
+            sim.system_mut().run_cycles((i * 53 % 301) * 2 + 1);
+            let image = sim.system().snapshot().expect("snapshot supported");
+            sim = Simulator::from_snapshot(cfg.clone(), &image).expect("restore");
+            let again = sim.system().snapshot().expect("re-snapshot");
+            assert_eq!(image, again, "{label}: chunk {i}: restore → snapshot");
+        }
+        let at = sim.system().cpu_cycle();
+        sim.system_mut().run_cycles(cfg.warmup_cpu_cycles - at);
+        assert_eq!(
+            sim.run_measurement().expect("resumed run"),
+            reference,
+            "{label}: run handed through 64 snapshots diverged"
+        );
+    }
+}
+
 /// Acceptance criterion: bit-identity for 1, 2 and 4 worker threads on a
 /// sharded backend, where the threaded event path actually engages.
 #[test]
