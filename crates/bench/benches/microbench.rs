@@ -14,7 +14,7 @@ use cloudmc_memctrl::{
     key_bank, key_rank, AccessKind, AddressMapping, FrFcfs, McConfig, MemoryController,
     MemoryRequest, RequestQueue, SchedContext, SchedulerImpl, SchedulerKind,
 };
-use cloudmc_sim::{run_system, EventQueue, SystemConfig};
+use cloudmc_sim::{run_system, EventQueue, Simulator, SystemConfig};
 use cloudmc_workloads::{CoreStream, Workload};
 
 fn bench_dram_channel(c: &mut Criterion) {
@@ -145,12 +145,12 @@ fn bench_system_baseline(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance benchmark of the event-horizon fast-forward: simulated
-/// CPU cycles per second on an idle-heavy (2% intensity) stream versus the
-/// dense TPC-H Q6 scan, each with the fast-forward on and off. The idle
-/// point is where skipping dead cycles pays (the differential test pins the
-/// results to be bit-identical); the dense point guards against the horizon
-/// scan slowing the busy path down.
+/// The acceptance benchmark of the event kernel: simulated CPU cycles per
+/// second on an idle-heavy (2% intensity) stream versus the dense TPC-H Q6
+/// scan, each under the event kernel and the per-cycle reference loop. The
+/// idle point is where skipping dead cycles pays (the differential test pins
+/// the results to be bit-identical); the dense point guards against the
+/// event bookkeeping slowing the busy path down.
 fn bench_fast_forward(c: &mut Criterion) {
     let scale = Scale {
         warmup_cpu_cycles: 5_000,
@@ -160,23 +160,22 @@ fn bench_fast_forward(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("system/fast_forward_50k_cycles");
     group.sample_size(10);
-    for (label, mut cfg) in [
-        ("idle_heavy_naive", idle_heavy_config(&scale)),
-        ("idle_heavy_horizon", idle_heavy_config(&scale)),
+    for (label, cfg) in [
+        ("idle_heavy_reference", idle_heavy_config(&scale)),
         ("idle_heavy_event", idle_heavy_config(&scale)),
-        ("tpch_q6_naive", dense_config(&scale)),
-        ("tpch_q6_horizon", dense_config(&scale)),
+        ("tpch_q6_reference", dense_config(&scale)),
         ("tpch_q6_event", dense_config(&scale)),
     ] {
-        cfg.fast_forward = !label.ends_with("naive");
-        cfg.event_driven = label.ends_with("event");
+        let reference = label.ends_with("reference");
         group.bench_function(label, |b| {
             b.iter(|| {
-                black_box(
-                    run_system(black_box(cfg.clone()))
-                        .unwrap()
-                        .user_instructions,
-                )
+                let cfg = black_box(cfg.clone());
+                let sim = if reference {
+                    Simulator::reference(cfg)
+                } else {
+                    Simulator::new(cfg)
+                };
+                black_box(sim.unwrap().run().user_instructions)
             });
         });
     }

@@ -13,11 +13,11 @@
 //!   sched         figs 1-7 in one sweep
 //!   pages         figs 9-11 in one sweep
 //!   channels      figs 12-14 + table 4 in one sweep
-//!   fastforward   simulator throughput under each kernel drive mode
-//!                 (naive / horizon / event-driven / event-driven with
-//!                 worker threads); writes BENCH_fastforward.json and
-//!                 fails if the event kernel slows any dense stream below
-//!                 the naive loop
+//!   fastforward   simulator throughput of the event kernel vs the
+//!                 per-cycle reference loop (the test oracle), asserted
+//!                 bit-identical; writes BENCH_fastforward.json and fails
+//!                 if the event kernel slows any dense stream below the
+//!                 reference loop
 //!   energy        DRAM energy sweep: 5 schedulers x 4 page policies x
 //!                 4 power policies on idle-heavy + dense workloads;
 //!                 writes BENCH_energy.json
@@ -53,7 +53,8 @@
 //!   --measure <cycles>    override measurement CPU cycles
 //!   --warmup <cycles>     override warm-up CPU cycles
 //!   --seed <n>            workload seed (default 1)
-//!   --threads <n>         worker threads
+//!   --threads <n>         worker threads across runs (one cell per
+//!                         thread; a single run is always one thread)
 //!   --csv <dir>           also write each table as CSV into <dir>
 //!   --git-describe <s>    version string for the report meta block
 //!                         (or set REPRO_GIT_DESCRIBE)
@@ -244,7 +245,7 @@ fn main() -> ExitCode {
         for p in report.points.iter().filter(|p| p.name != "idle_heavy") {
             if p.speedup() < 1.0 {
                 eprintln!(
-                    "error: dense stream `{}` regressed: event kernel ran at {:.2}x the naive loop",
+                    "error: dense stream `{}` regressed: event kernel ran at {:.2}x the reference loop",
                     p.name,
                     p.speedup()
                 );

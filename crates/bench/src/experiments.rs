@@ -28,7 +28,9 @@ pub struct Scale {
     pub measure_cpu_cycles: u64,
     /// Workload generation seed.
     pub seed: u64,
-    /// Worker threads for the sweep.
+    /// Worker threads across runs: every experiment hands whole
+    /// configurations (cells) to this many threads. It is the only thread
+    /// knob there is — a single simulation always runs on one thread.
     pub threads: usize,
 }
 

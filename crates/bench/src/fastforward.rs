@@ -1,19 +1,17 @@
-//! Fast-forward performance tracking: simulated-CPU-cycles-per-second under
-//! each of the kernel's drive modes — the naive per-cycle loop, the horizon
-//! recompute-and-jump loop, the event-driven kernel, and the event-driven
-//! kernel with backend worker threads — on an idle-heavy stream, two dense
-//! streams, and a sharded dense stream (the only point where the worker pool
-//! actually engages; the single-shard points keep the threaded column as an
-//! honest overhead check).
+//! Fast-forward performance tracking: simulated-CPU-cycles-per-second of
+//! the event kernel against the per-cycle reference loop
+//! (`Simulator::reference`, the test oracle) on an idle-heavy stream, two
+//! dense streams, and a sharded dense stream.
 //!
 //! The `repro fastforward` experiment serializes the result as
 //! `BENCH_fastforward.json` so the performance trajectory of the simulator
-//! itself is tracked alongside the paper's figures; every mode is asserted
-//! bit-identical to the naive loop as a side effect of measuring it.
+//! itself is tracked alongside the paper's figures; the event kernel is
+//! asserted bit-identical to the reference loop as a side effect of
+//! measuring it.
 
 use std::time::Instant;
 
-use cloudmc_sim::{run_system, SimStats, SystemConfig};
+use cloudmc_sim::{SimStats, Simulator, SystemConfig};
 use cloudmc_workloads::Workload;
 
 use crate::experiments::{baseline_config, Scale};
@@ -40,7 +38,7 @@ pub fn dense_config(scale: &Scale) -> SystemConfig {
     baseline_config(Workload::TpchQ6, scale)
 }
 
-/// Throughput of one configuration under one kernel mode.
+/// Throughput of one configuration under one driver.
 #[derive(Debug, Clone, Copy)]
 pub struct Throughput {
     /// Simulated CPU cycles per wall-clock second.
@@ -49,45 +47,24 @@ pub struct Throughput {
     pub wall_seconds: f64,
 }
 
-/// Worker threads used for the threaded column of every benchmark point.
-pub const BENCH_THREADS: usize = 2;
-
-/// One benchmark point: the same workload under every kernel drive mode.
+/// One benchmark point: the same workload under both drivers.
 #[derive(Debug, Clone)]
 pub struct FastForwardPoint {
     /// Point name (`idle_heavy`, `tpch_q6`, ...).
     pub name: &'static str,
     /// Total simulated CPU cycles per run.
     pub simulated_cpu_cycles: u64,
-    /// Naive per-cycle loop (`fast_forward` off).
-    pub naive: Throughput,
-    /// Horizon recompute-and-jump loop (`fast_forward` on, `event_driven`
-    /// off).
-    pub horizon: Throughput,
-    /// Event-driven kernel, sequential backend.
+    /// The per-cycle reference loop.
+    pub reference: Throughput,
+    /// The event kernel.
     pub event: Throughput,
-    /// Event-driven kernel with [`BENCH_THREADS`] backend worker threads
-    /// (only distinct from `event` on multi-shard points).
-    pub event_threaded: Throughput,
 }
 
 impl FastForwardPoint {
-    /// Headline speedup: the event-driven kernel over the naive loop.
+    /// Headline speedup: the event kernel over the reference loop.
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        self.event.cycles_per_sec / self.naive.cycles_per_sec
-    }
-
-    /// The horizon loop's speedup over the naive loop (the PR-2 kernel).
-    #[must_use]
-    pub fn horizon_speedup(&self) -> f64 {
-        self.horizon.cycles_per_sec / self.naive.cycles_per_sec
-    }
-
-    /// The threaded event kernel's speedup over the naive loop.
-    #[must_use]
-    pub fn threaded_speedup(&self) -> f64 {
-        self.event_threaded.cycles_per_sec / self.naive.cycles_per_sec
+        self.event.cycles_per_sec / self.reference.cycles_per_sec
     }
 }
 
@@ -98,10 +75,10 @@ pub struct FastForwardReport {
     pub points: Vec<FastForwardPoint>,
 }
 
-fn timed_run(cfg: SystemConfig) -> (SimStats, Throughput) {
-    let total = cfg.total_cpu_cycles();
+fn timed_run(sim: Simulator) -> (SimStats, Throughput) {
+    let total = sim.system().config().total_cpu_cycles();
     let start = Instant::now();
-    let stats = run_system(cfg).expect("valid benchmark configuration");
+    let stats = sim.run();
     let wall = start.elapsed().as_secs_f64().max(1e-9);
     (
         stats,
@@ -113,43 +90,22 @@ fn timed_run(cfg: SystemConfig) -> (SimStats, Throughput) {
 }
 
 fn measure_point(name: &'static str, cfg: SystemConfig) -> FastForwardPoint {
-    let mut naive_cfg = cfg.clone();
-    naive_cfg.fast_forward = false;
-    let mut horizon_cfg = cfg.clone();
-    horizon_cfg.fast_forward = true;
-    horizon_cfg.event_driven = false;
-    let mut event_cfg = cfg.clone();
-    event_cfg.fast_forward = true;
-    event_cfg.event_driven = true;
-    event_cfg.threads = 1;
-    let mut threaded_cfg = event_cfg.clone();
-    threaded_cfg.threads = BENCH_THREADS;
+    let event_sim = || Simulator::new(cfg.clone()).expect("valid benchmark configuration");
     // Warm the instruction/data caches of the *host* with one throwaway run,
-    // then time each mode, pinning every mode to the naive results.
-    let _ = timed_run(event_cfg.clone());
-    let (event_stats, event) = timed_run(event_cfg);
-    let (horizon_stats, horizon) = timed_run(horizon_cfg);
-    let (threaded_stats, event_threaded) = timed_run(threaded_cfg);
-    let (naive_stats, naive) = timed_run(naive_cfg);
+    // then time each driver, pinning the event kernel to the reference.
+    let _ = timed_run(event_sim());
+    let (event_stats, event) = timed_run(event_sim());
+    let (reference_stats, reference) =
+        timed_run(Simulator::reference(cfg.clone()).expect("valid benchmark configuration"));
     assert_eq!(
-        event_stats, naive_stats,
-        "{name}: the event kernel must stay bit-identical to the naive loop"
-    );
-    assert_eq!(
-        horizon_stats, naive_stats,
-        "{name}: the horizon loop must stay bit-identical to the naive loop"
-    );
-    assert_eq!(
-        threaded_stats, naive_stats,
-        "{name}: worker threads must stay bit-identical to the naive loop"
+        event_stats, reference_stats,
+        "{name}: the event kernel must stay bit-identical to the reference loop"
     );
     FastForwardPoint {
         name,
         simulated_cpu_cycles: cfg.total_cpu_cycles(),
-        naive,
-        horizon,
+        reference,
         event,
-        event_threaded,
     }
 }
 
@@ -159,8 +115,7 @@ pub fn scale_out_config(scale: &Scale) -> SystemConfig {
     baseline_config(Workload::WebSearch, scale)
 }
 
-/// The dense scan on a four-shard backend: the one point where the threaded
-/// column exercises the worker pool (single-shard backends never fan out).
+/// The dense scan on a four-shard backend.
 #[must_use]
 pub fn sharded_dense_config(scale: &Scale) -> SystemConfig {
     let mut cfg = dense_config(scale);
@@ -187,25 +142,17 @@ impl FastForwardReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"benchmark\": \"event_driven_fast_forward\",\n");
         out.push_str("  \"unit\": \"simulated_cpu_cycles_per_second\",\n");
-        out.push_str(&format!(
-            "  \"threads\": {BENCH_THREADS},\n  \"points\": [\n"
-        ));
+        out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"simulated_cpu_cycles\": {}, \
-                 \"naive_cycles_per_sec\": {:.0}, \"horizon_cycles_per_sec\": {:.0}, \
-                 \"event_cycles_per_sec\": {:.0}, \"event_threads_cycles_per_sec\": {:.0}, \
-                 \"horizon_speedup\": {:.3}, \"speedup\": {:.3}, \
-                 \"threaded_speedup\": {:.3}}}{}\n",
+                 \"reference_cycles_per_sec\": {:.0}, \"event_cycles_per_sec\": {:.0}, \
+                 \"speedup\": {:.3}}}{}\n",
                 p.name,
                 p.simulated_cpu_cycles,
-                p.naive.cycles_per_sec,
-                p.horizon.cycles_per_sec,
+                p.reference.cycles_per_sec,
                 p.event.cycles_per_sec,
-                p.event_threaded.cycles_per_sec,
-                p.horizon_speedup(),
                 p.speedup(),
-                p.threaded_speedup(),
                 if i + 1 == self.points.len() { "" } else { "," }
             ));
         }
@@ -216,18 +163,16 @@ impl FastForwardReport {
     /// Human-readable summary for the terminal.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "fast-forward throughput (simulated CPU cycles / second; threaded = {BENCH_THREADS} workers)\n\
-             point             naive        horizon          event   event+threads   speedup\n",
+        let mut out = String::from(
+            "fast-forward throughput (simulated CPU cycles / second)\n\
+             point            reference          event   speedup\n",
         );
         for p in &self.points {
             out.push_str(&format!(
-                "{:<15} {:>10.0}   {:>12.0}   {:>12.0}   {:>13.0}   {:>6.2}x\n",
+                "{:<15} {:>10.0}   {:>12.0}   {:>6.2}x\n",
                 p.name,
-                p.naive.cycles_per_sec,
-                p.horizon.cycles_per_sec,
+                p.reference.cycles_per_sec,
                 p.event.cycles_per_sec,
-                p.event_threaded.cycles_per_sec,
                 p.speedup()
             ));
         }
@@ -254,14 +199,13 @@ mod tests {
         assert!(json.contains("\"web_search\""));
         assert!(json.contains("\"tpch_q6\""));
         assert!(json.contains("\"tpch_q6_4shards\""));
-        assert!(json.contains("event_threads_cycles_per_sec"));
-        assert!(json.contains("speedup"));
+        assert!(json.contains("reference_cycles_per_sec"));
+        assert!(json.contains("event_cycles_per_sec"));
+        assert!(json.contains("\"speedup\""));
         assert!(report.to_text().contains("speedup"));
         for p in &report.points {
-            assert!(p.naive.wall_seconds > 0.0);
-            assert!(p.horizon.cycles_per_sec > 0.0);
+            assert!(p.reference.wall_seconds > 0.0);
             assert!(p.event.cycles_per_sec > 0.0);
-            assert!(p.event_threaded.cycles_per_sec > 0.0);
         }
     }
 }

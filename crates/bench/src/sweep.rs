@@ -214,16 +214,14 @@ impl Cell {
 }
 
 /// The system configuration of one cell group: baseline hardware, the
-/// group's scheduler, one worker thread (parallelism lives at the cell
-/// level), and a measurement window equal to the warm-up window (see the
-/// module docs for why).
+/// group's scheduler, and a measurement window equal to the warm-up window
+/// (see the module docs for why).
 fn cell_config(workload: Workload, scheduler: SchedulerKind, scale: &Scale) -> SystemConfig {
     let mut cfg = SystemConfig::baseline(workload);
     cfg.mc.scheduler = scheduler;
     cfg.warmup_cpu_cycles = scale.warmup_cpu_cycles;
     cfg.measure_cpu_cycles = scale.warmup_cpu_cycles;
     cfg.seed = scale.seed;
-    cfg.threads = 1;
     cfg
 }
 

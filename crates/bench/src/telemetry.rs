@@ -113,7 +113,7 @@ fn timed_layer(cfg: &SystemConfig) -> LayerRun {
         let run = LayerRun {
             series_samples: sim.system().telemetry_series().len(),
             spans: sim.system().telemetry_spans().len(),
-            profile: sim.system_mut().kernel_profile(),
+            profile: sim.system().kernel_profile(),
             stats,
             wall_seconds,
         };
@@ -239,11 +239,10 @@ impl TelemetryReport {
         if let Some(p) = &self.profile {
             out.push_str(&format!(
                 "kernel profile (all layers on): frontend {:.1}% backend {:.1}% \
-                 event-queue {:.1}% barrier {:.1}%; {} cycles stepped, {} jumped\n",
+                 event-queue {:.1}%; {} cycles stepped, {} jumped\n",
                 p.fraction(cloudmc_telemetry::KernelPhase::Frontend) * 100.0,
                 p.fraction(cloudmc_telemetry::KernelPhase::Backend) * 100.0,
                 p.fraction(cloudmc_telemetry::KernelPhase::EventQueue) * 100.0,
-                p.fraction(cloudmc_telemetry::KernelPhase::Barrier) * 100.0,
                 p.stepped_cpu_cycles,
                 p.jumped_cpu_cycles,
             ));

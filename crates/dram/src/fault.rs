@@ -17,8 +17,7 @@
 //! Everything is a pure function of the configured seed and the observable
 //! simulation state (request id, retry attempt, location, closed-form power
 //! residency). There is **no stateful RNG stream**, so injection decisions
-//! are bit-identical whether the kernel ticks every cycle or fast-forwards,
-//! and for any worker-thread count.
+//! are bit-identical whether the kernel ticks every cycle or fast-forwards.
 //!
 //! The model keeps a conservation ledger: every fault it ever materializes
 //! is `injected`, and at all times `injected = corrected + uncorrectable +
@@ -343,7 +342,7 @@ impl FaultModel {
     ///
     /// Deterministic: the outcome is a pure function of the seed and the
     /// arguments, so replaying the same simulation reproduces the same
-    /// faults regardless of kernel mode or thread count.
+    /// faults regardless of how the kernel drives the clock.
     pub fn classify_read(
         &mut self,
         id: u64,

@@ -37,7 +37,6 @@ use cloudmc_memctrl::{
 
 use crate::config::SystemConfig;
 use crate::kernel::Tick;
-use crate::pool::{ShardJob, WorkerPool};
 
 /// Retry bucket key: requests queue per shard, per channel, per direction,
 /// because controller admission is decided exactly at that granularity.
@@ -47,35 +46,24 @@ type RetryKey = (usize, usize, AccessKind);
 /// One or more memory-controller shards selected by block-address
 /// interleaving, plus the retry buckets for back-pressured requests.
 ///
-/// The controllers live in `Option` slots so the threaded event path can
-/// check a due shard out to a `WorkerPool` worker *by value* and reinsert
-/// it when the tick's barrier completes; outside that window every slot is
-/// `Some`. `next_due` caches, per shard, a DRAM cycle before which the shard
+/// `next_due` caches, per shard, a DRAM cycle before which the shard
 /// provably has nothing to do — bounds may undershoot (a stale-past bound
 /// just means "due now") but never overshoot: ticks refresh the bound from
 /// the controller's own timing walk, and `submit`/retry admission pull it
-/// back to the admission cycle.
+/// back to the admission cycle. Only [`Backend::tick_event`] maintains the
+/// bounds; the every-shard [`Tick::tick`] neither reads nor refreshes them,
+/// so the two must not be mixed on one backend.
 #[derive(Debug)]
 pub struct Backend {
-    shards: Vec<Option<MemoryController>>,
+    shards: Vec<MemoryController>,
     next_due: Vec<DramCycles>,
-    // simlint: allow(snapshot-coverage) runtime thread pool, rebuilt from config; not serializable state
-    pool: Option<WorkerPool>,
     retry: BTreeMap<RetryKey, VecDeque<MemoryRequest>>,
     // simlint: allow(snapshot-coverage) derived: sum of retry bucket lengths, recomputed on load
     retry_len: usize,
-    /// Kernel self-profiler flag: when set, wall-clock time spent blocked on
-    /// the worker-pool barrier is accumulated in `barrier_nanos`. Off by
-    /// default so the threaded tick path takes no `Instant::now` calls.
-    // simlint: allow(snapshot-coverage) host profiling flag, config-derived
-    profile: bool,
-    // simlint: allow(snapshot-coverage) host wall-clock accounting, never simulated state
-    barrier_nanos: u64,
 }
 
 impl Backend {
-    /// Builds `cfg.num_channels` controller shards from `cfg.effective_mc()`,
-    /// plus a `WorkerPool` when `cfg.threads > 1`.
+    /// Builds `cfg.num_channels` controller shards from `cfg.effective_mc()`.
     ///
     /// # Errors
     ///
@@ -90,47 +78,22 @@ impl Backend {
                 // seed every shard would plant stuck/hard rows at identical
                 // coordinates and flip the same transient bits, which is not
                 // how independent DIMMs fail. The per-shard offset is a pure
-                // function of the shard index, so determinism (and the
-                // threaded/sequential bit-identity) is preserved.
+                // function of the shard index, so determinism is preserved.
                 let mut shard_cfg = mc_cfg;
                 if let Some(fault) = shard_cfg.fault_model.as_mut() {
                     fault.seed = fault
                         .seed
                         .wrapping_add((shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 }
-                MemoryController::new(shard_cfg).map(Some)
+                MemoryController::new(shard_cfg)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        // More workers than shards would never all be busy at once.
-        let pool = (cfg.threads > 1).then(|| WorkerPool::new(cfg.threads.min(num_shards)));
         Ok(Self {
             shards,
             next_due: vec![0; num_shards],
-            pool,
             retry: BTreeMap::new(),
             retry_len: 0,
-            profile: cfg.telemetry.profile_kernel,
-            barrier_nanos: 0,
         })
-    }
-
-    /// One shard's controller. Slots are only ever empty while a threaded
-    /// tick is in flight, which never escapes a single `tick_event` call.
-    fn mc(&self, shard: usize) -> &MemoryController {
-        // simlint: allow(panic) slots are only empty inside tick_event_threaded
-        self.shards[shard].as_ref().expect("shard checked in")
-    }
-
-    fn mc_mut(&mut self, shard: usize) -> &mut MemoryController {
-        // simlint: allow(panic) slots are only empty inside tick_event_threaded
-        self.shards[shard].as_mut().expect("shard checked in")
-    }
-
-    fn shards_iter(&self) -> impl Iterator<Item = &MemoryController> {
-        self.shards
-            .iter()
-            // simlint: allow(panic) slots are only empty inside tick_event_threaded
-            .map(|slot| slot.as_ref().expect("shard checked in"))
     }
 
     /// Number of controller shards.
@@ -142,7 +105,8 @@ impl Backend {
     /// Total DRAM channels across all shards.
     #[must_use]
     pub fn total_channels(&self) -> usize {
-        self.shards_iter()
+        self.shards
+            .iter()
             .map(MemoryController::channel_count)
             .sum()
     }
@@ -154,7 +118,7 @@ impl Backend {
     /// Panics if `shard` is out of range.
     #[must_use]
     pub fn shard(&self, shard: usize) -> &MemoryController {
-        self.mc(shard)
+        &self.shards[shard]
     }
 
     /// The shard serving `addr`: cache blocks interleave across shards.
@@ -191,7 +155,7 @@ impl Backend {
         // internally anyway — so only pay for an extra decode off the fast
         // path (a backlog exists, or the controller just rejected).
         if self.retry_len > 0 {
-            let channel = self.mc(shard).decode(request.addr).channel;
+            let channel = self.shards[shard].decode(request.addr).channel;
             let key = (shard, channel, request.kind);
             // FIFO per bucket: never overtake an already-waiting request for
             // the same queue.
@@ -201,8 +165,8 @@ impl Backend {
                 return;
             }
         }
-        if let Err(rejected) = self.mc_mut(shard).enqueue(request, now) {
-            let channel = self.mc(shard).decode(rejected.addr).channel;
+        if let Err(rejected) = self.shards[shard].enqueue(request, now) {
+            let channel = self.shards[shard].decode(rejected.addr).channel;
             self.retry
                 .entry((shard, channel, rejected.kind))
                 .or_default()
@@ -224,8 +188,7 @@ impl Backend {
             ..
         } = self;
         for ((shard, _channel, kind), queue) in retry.iter_mut() {
-            // simlint: allow(panic) slots are only empty inside tick_event_threaded
-            let mc = shards[*shard].as_mut().expect("shard checked in");
+            let mc = &mut shards[*shard];
             while let Some(&head) = queue.front() {
                 if !mc.can_accept(head.addr, *kind) {
                     break;
@@ -243,7 +206,7 @@ impl Backend {
     /// Requests queued or in flight inside the controllers.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.shards_iter().map(MemoryController::pending).sum()
+        self.shards.iter().map(MemoryController::pending).sum()
     }
 
     /// Requests waiting in retry buckets for controller queue space.
@@ -258,7 +221,7 @@ impl Backend {
     #[must_use]
     pub fn pending_per_tenant(&self) -> [u64; MAX_TENANTS] {
         let mut out = [0u64; MAX_TENANTS];
-        for shard in self.shards_iter() {
+        for shard in &self.shards {
             for (slot, v) in out.iter_mut().zip(shard.pending_per_tenant()) {
                 *slot += v;
             }
@@ -274,8 +237,8 @@ impl Backend {
     /// Controller statistics merged across all shards.
     #[must_use]
     pub fn stats(&self) -> McStats {
-        let mut total = McStats::new(self.mc(0).config().num_cores);
-        for shard in self.shards_iter() {
+        let mut total = McStats::new(self.shards[0].config().num_cores);
+        for shard in &self.shards {
             total.merge(&shard.stats());
         }
         total
@@ -286,7 +249,7 @@ impl Backend {
     #[must_use]
     pub fn fault_ledger(&self) -> FaultLedger {
         let mut total = FaultLedger::default();
-        for shard in self.shards_iter() {
+        for shard in &self.shards {
             total.merge(&shard.fault_ledger());
         }
         total
@@ -296,7 +259,7 @@ impl Backend {
     /// shard, if one occurred (lowest shard index wins for determinism).
     #[must_use]
     pub fn fault_error(&self) -> Option<&str> {
-        self.shards_iter().find_map(MemoryController::fault_error)
+        self.shards.iter().find_map(MemoryController::fault_error)
     }
 
     /// Retired-row counts per rank, concatenated shard-major then
@@ -304,32 +267,17 @@ impl Backend {
     #[must_use]
     pub fn rows_retired_per_rank(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        for shard in self.shards_iter() {
+        for shard in &self.shards {
             out.extend(shard.rows_retired_per_rank());
         }
         out
     }
 
-    /// The next DRAM cycle at or after `now` at which any shard can possibly
-    /// do work, derived from each controller's timing/queue state. While a
-    /// retry backlog exists the backend must be ticked every cycle (admission
-    /// is retried per tick), so `now` is returned. `u64::MAX` means the whole
-    /// backend is quiescent.
-    #[must_use]
-    pub fn next_ready_dram_cycle(&self, now: DramCycles) -> DramCycles {
-        if self.retry_len > 0 {
-            return now;
-        }
-        self.shards_iter()
-            .map(|shard| shard.next_ready_dram_cycle(now))
-            .min()
-            .unwrap_or(DramCycles::MAX)
-    }
-
     /// The earliest DRAM cycle at or after `now` at which any shard may have
     /// work, read from the cached per-shard bounds — O(shards) arithmetic,
-    /// no controller timing walk. A retry backlog forces every-tick service
-    /// exactly like [`Backend::next_ready_dram_cycle`].
+    /// no controller timing walk. While a retry backlog exists the backend
+    /// must be ticked every cycle (admission is retried per tick), so `now`
+    /// is returned. `u64::MAX` means the whole backend is quiescent.
     #[must_use]
     pub fn cached_next_due(&self, now: DramCycles) -> DramCycles {
         if self.retry_len > 0 {
@@ -347,95 +295,36 @@ impl Backend {
     /// every shard (bulk queue-occupancy sampling; see
     /// [`MemoryController::skip_dram_cycles`]).
     pub fn skip_dram_cycles(&mut self, cycles: u64) {
-        for slot in &mut self.shards {
-            slot.as_mut()
-                // simlint: allow(panic) slots are only empty inside tick_event_threaded
-                .expect("shard checked in")
-                .skip_dram_cycles(cycles);
+        for shard in &mut self.shards {
+            shard.skip_dram_cycles(cycles);
         }
     }
 
     /// Event-driven DRAM tick: only shards whose cached bound says they are
     /// due run the full controller tick; the rest account the cycle as a
-    /// skip (keeping queue-occupancy sample counts identical to the naive
-    /// every-shard tick). A due shard's bound is refreshed from the tick's
-    /// outcome by `bound_after_tick`.
-    ///
-    /// With a worker pool and more than one due shard, due ticks run on the
-    /// pool and merge in shard order — completions, stats and bounds are
-    /// bit-identical to the sequential path for any thread count.
+    /// skip (keeping queue-occupancy sample counts identical to the
+    /// every-shard [`Tick::tick`]). A due shard's bound is refreshed from
+    /// the tick's outcome by `bound_after_tick`.
     pub fn tick_event(&mut self, now: DramCycles, events: &mut Vec<CompletedRequest>) {
         self.drain_retries(now);
-        let due = self.next_due.iter().filter(|&&d| d <= now).count();
-        if due > 1 && self.pool.is_some() {
-            self.tick_event_threaded(now, events);
-        } else {
-            for shard in 0..self.shards.len() {
-                if self.next_due[shard] <= now {
-                    // simlint: allow(panic) slots are only empty inside tick_event_threaded
-                    let mc = self.shards[shard].as_mut().expect("shard checked in");
-                    let worked = mc.tick(now, events);
-                    self.next_due[shard] = bound_after_tick(mc, worked, now);
-                } else {
-                    self.mc_mut(shard).skip_dram_cycles(1);
-                }
-            }
-        }
-    }
-
-    /// The threaded half of [`Backend::tick_event`]: check due controllers
-    /// out to the pool, barrier on all results, reinsert in shard order.
-    fn tick_event_threaded(&mut self, now: DramCycles, events: &mut Vec<CompletedRequest>) {
-        // simlint: allow(panic) tick_event dispatches here only when a pool exists
-        let pool = self.pool.as_ref().expect("pool checked by caller");
-        let mut dispatched = 0usize;
-        for shard in 0..self.shards.len() {
-            if self.next_due[shard] <= now {
-                // simlint: allow(panic) slots are refilled before tick_event_threaded returns
-                let mc = self.shards[shard].take().expect("shard checked in");
-                pool.dispatch(ShardJob { shard, mc, now });
-                dispatched += 1;
+        for (mc, due) in self.shards.iter_mut().zip(&mut self.next_due) {
+            if *due <= now {
+                let worked = mc.tick(now, events);
+                *due = bound_after_tick(mc, worked, now);
             } else {
-                self.shards[shard]
-                    .as_mut()
-                    // simlint: allow(panic) slots are refilled before tick_event_threaded returns
-                    .expect("shard checked in")
-                    .skip_dram_cycles(1);
+                mc.skip_dram_cycles(1);
             }
         }
-        // Deterministic barrier: every checked-out controller must come home
-        // before the DRAM tick (and with it the 2:5 clock-crossing step)
-        // completes. Completions merge in ascending shard order — exactly
-        // the sequential service order.
-        // simlint: allow(wall-clock) profile-gated: measures host time only, never sim state
-        let barrier_start = self.profile.then(std::time::Instant::now);
-        let mut results: Vec<_> = (0..dispatched).map(|_| pool.collect()).collect();
-        if let Some(start) = barrier_start {
-            self.barrier_nanos += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
-        results.sort_unstable_by_key(|r| r.shard);
-        for result in results {
-            self.next_due[result.shard] = result.next_due;
-            self.shards[result.shard] = Some(result.mc);
-            events.extend(result.done);
-        }
-    }
-
-    /// Wall-clock nanoseconds spent blocked on the worker-pool barrier since
-    /// the last call, resetting the accumulator. Always 0 unless the kernel
-    /// self-profiler is enabled in the telemetry configuration.
-    pub(crate) fn take_barrier_nanos(&mut self) -> u64 {
-        std::mem::take(&mut self.barrier_nanos)
     }
 
     /// Why this backend cannot be checkpointed, if it cannot: any shard
     /// using dynamically dispatched (boxed) scheduler or policy plugins has
     /// state the snapshot format cannot see. `None` means snapshotting is
-    /// supported. The worker pool is not a blocker — it holds no
-    /// architectural state and is rebuilt from the configuration on restore.
+    /// supported.
     #[must_use]
     pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
-        self.shards_iter()
+        self.shards
+            .iter()
             .find_map(MemoryController::snapshot_unsupported_reason)
     }
 
@@ -446,7 +335,7 @@ impl Backend {
     pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
         w.section("backend");
         w.usize(self.shards.len());
-        for shard in self.shards_iter() {
+        for shard in &self.shards {
             shard.save_state(w);
         }
         w.u64_slice(&self.next_due);
@@ -490,9 +379,8 @@ impl Backend {
         if count != self.shards.len() {
             return Err(r.bad_value(format!("{count} shards, expected {}", self.shards.len())));
         }
-        for slot in &mut self.shards {
-            // simlint: allow(panic) slots are only empty inside tick_event_threaded
-            slot.as_mut().expect("shard checked in").load_state(r)?;
+        for shard in &mut self.shards {
+            shard.load_state(r)?;
         }
         let bounds = r.bounded_len(8)?;
         if bounds != self.next_due.len() {
@@ -513,7 +401,7 @@ impl Backend {
                 return Err(r.bad_value(format!("retry bucket shard {shard} out of range")));
             }
             let channel = r.usize()?;
-            let channels = self.mc(shard).channel_count();
+            let channels = self.shards[shard].channel_count();
             if channel >= channels {
                 return Err(r.bad_value(format!("retry bucket channel {channel} out of range")));
             }
@@ -566,7 +454,7 @@ impl Backend {
     #[must_use]
     pub fn device_totals(&self) -> ChannelStats {
         let mut total = ChannelStats::default();
-        for shard in self.shards_iter() {
+        for shard in &self.shards {
             for ch in 0..shard.channel_count() {
                 total.merge(shard.channel_device_stats(ch));
             }
@@ -580,7 +468,7 @@ impl Backend {
     #[must_use]
     pub fn device_totals_at(&self, now: DramCycles) -> ChannelStats {
         let mut total = ChannelStats::default();
-        for shard in self.shards_iter() {
+        for shard in &self.shards {
             for ch in 0..shard.channel_count() {
                 total.merge(&shard.channel_device_stats_at(ch, now));
             }
@@ -592,17 +480,14 @@ impl Backend {
 /// A shard's next-due bound after an executed tick at `now`.
 ///
 /// A shard with queued or in-flight requests is simply polled again next
-/// tick, like the naive loop: its fences (bus turnaround, tRCD, a transfer
+/// tick, like the reference loop: its fences (bus turnaround, tRCD, a transfer
 /// in flight) are a handful of DRAM cycles, and the full
 /// [`MemoryController::next_ready_dram_cycle`] walk — every inflight entry,
 /// every rank's refresh state, every queued request's earliest legal command,
 /// plus scheduler/page/power timers — costs more than the no-op ticks it
 /// would skip. Only a *drained* shard takes the walk, where the bound is a
 /// refresh or policy-timer horizon hundreds of cycles out and skipping pays.
-/// Both the sequential and the worker-pool tick path use this one function,
-/// so the tick/skip pattern (and with it every queue-occupancy sample) is
-/// identical for any thread count.
-pub(crate) fn bound_after_tick(mc: &MemoryController, worked: bool, now: DramCycles) -> DramCycles {
+fn bound_after_tick(mc: &MemoryController, worked: bool, now: DramCycles) -> DramCycles {
     if worked || mc.pending() > 0 {
         now + 1
     } else {
@@ -617,9 +502,8 @@ impl Tick for Backend {
     /// reporting the requests whose data completed this cycle.
     fn tick(&mut self, now: u64, events: &mut Vec<CompletedRequest>) {
         self.drain_retries(now);
-        for slot in &mut self.shards {
-            // simlint: allow(panic) slots are only empty inside tick_event_threaded
-            slot.as_mut().expect("shard checked in").tick(now, events);
+        for shard in &mut self.shards {
+            shard.tick(now, events);
         }
     }
 }

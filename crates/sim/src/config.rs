@@ -73,35 +73,6 @@ pub struct SystemConfig {
     /// ranking quanta elapse within the (reduced-scale) measurement window,
     /// preserving the algorithm's behaviour at laptop scale.
     pub scale_scheduler_time_constants: bool,
-    /// Event-horizon fast-forward: let the kernel jump over cycles every
-    /// layer has proven eventless (cores burning compute bursts or stalled,
-    /// controllers waiting out timing fences or refresh intervals) instead of
-    /// ticking through them one by one.
-    ///
-    /// The jump is bit-identical by construction — the final statistics match
-    /// the naive cycle loop exactly for every seed (enforced by
-    /// `tests/fast_forward_equivalence.rs`) — so this defaults to `true`;
-    /// the knob exists to make that equivalence testable and to aid
-    /// debugging of the horizon computation itself.
-    pub fast_forward: bool,
-    /// Event-driven kernel: instead of recomputing a global event horizon
-    /// and stepping through dense stretches, every layer posts its next
-    /// actionable cycle once (core runway wakes, fill deliveries, per-shard
-    /// DRAM readiness bounds, DMA beats) and is only re-evaluated when that
-    /// cycle arrives or a dependency invalidates the bound. Bit-identical to
-    /// both the naive loop and the horizon loop (enforced by
-    /// `tests/fast_forward_equivalence.rs`); defaults to `true`. Only
-    /// consulted when [`SystemConfig::fast_forward`] is set — with
-    /// `fast_forward` off the kernel polls every cycle regardless.
-    pub event_driven: bool,
-    /// Worker threads for the backend shards. With more than one thread, the
-    /// due DRAM ticks of the block-interleaved shards (which share no state)
-    /// run on a persistent worker pool, with a deterministic barrier at the
-    /// 2:5 clock-crossing boundary and completions joined in shard order —
-    /// `SimStats` is bit-identical for any thread count. Only pays off with
-    /// several shards (`num_channels`) on several physical cores; defaults
-    /// to 1 (fully sequential, no pool).
-    pub threads: usize,
     /// Telemetry layers for this run: interval time-series sampling, span
     /// tracing, and the kernel self-profiler. Defaults to everything off,
     /// which is guaranteed free on the tick path and leaves `SimStats`
@@ -133,9 +104,6 @@ impl SystemConfig {
             measure_cpu_cycles: 1_000_000,
             functional_warmup: true,
             scale_scheduler_time_constants: true,
-            fast_forward: true,
-            event_driven: true,
-            threads: 1,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -245,15 +213,6 @@ impl SystemConfig {
         }
         if self.measure_cpu_cycles == 0 {
             return Err("measure_cpu_cycles must be non-zero".to_owned());
-        }
-        if self.threads == 0 {
-            return Err("threads must be non-zero".to_owned());
-        }
-        if self.threads > 64 {
-            return Err(format!(
-                "threads ({}) is unreasonably large (max 64)",
-                self.threads
-            ));
         }
         self.telemetry.validate()?;
         if let (WorkloadSource::Trace(replay), Some(record)) = (&self.source, &self.trace_record) {

@@ -3,11 +3,10 @@
 //!
 //! The frontend owns everything clocked by the 2 GHz core clock and supports
 //! two drive modes. The eager mode advances every core together: each
-//! [`Tick::tick`] call moves every core by one CPU cycle (with
-//! [`Frontend::skip_cycles`] bulk-skipping provably eventless windows), routes
-//! the L1 refills and write-backs they produce through the shared L2, and
-//! injects this cycle's DMA traffic. It is the reference the lazy mode is
-//! tested against.
+//! [`Tick::tick`] call moves every core by one CPU cycle, routes the L1
+//! refills and write-backs they produce through the shared L2, and injects
+//! this cycle's DMA traffic. It is the reference the lazy mode is tested
+//! against.
 //!
 //! The lazy mode (the event kernel's) lets each core sit at its own position
 //! relative to the kernel clock, behind it or ahead of it, and only ever
@@ -125,7 +124,7 @@ pub enum FrontendEvent {
 /// Fixed-point scale of the DMA-rate accumulator: one DMA event per
 /// `DMA_FP_ONE` accumulated units. Integer arithmetic makes accumulating
 /// `n` cycles at once exactly equal to accumulating `n` times — the property
-/// the kernel's fast-forward relies on (f64 addition is not associative).
+/// the event kernel's jumps rely on (f64 addition is not associative).
 const DMA_FP_ONE: u64 = 1 << 32;
 
 /// One tenant's DMA/IO engine: a fixed-point rate accumulator plus the
@@ -549,51 +548,6 @@ impl Frontend {
         }
     }
 
-    /// The earliest CPU cycle at or after `now` at which a frontend tick can
-    /// possibly do more than bulk counter updates: a core consuming its
-    /// instruction stream or retrying a structural stall, or a DMA beat
-    /// firing for any tenant. `u64::MAX` means every core is blocked on
-    /// memory and no DMA is configured — the frontend is fully event-driven
-    /// until a fill arrives.
-    ///
-    /// `now` is the cycle about to be executed; returning `now` means "tick
-    /// normally, nothing can be skipped".
-    #[must_use]
-    pub fn next_event_cycle(&self, now: u64) -> u64 {
-        let mut next = u64::MAX;
-        for core in &self.cores {
-            match core.runway() {
-                None => return now,
-                Some(u64::MAX) => {}
-                Some(runway) => next = next.min(now.saturating_add(runway)),
-            }
-        }
-        // The tick at `now + j` accrues `j + 1` rate increments; the first
-        // one reaching DMA_FP_ONE fires.
-        for inj in &self.dma {
-            let fire_in = (DMA_FP_ONE - inj.acc_fp - 1) / inj.rate_fp;
-            next = next.min(now.saturating_add(fire_in));
-        }
-        next
-    }
-
-    /// Advances the frontend by `cycles` CPU cycles in bulk: every core
-    /// consumes runway or stalls, and DMA credit accrues without reaching a
-    /// beat. Exactly equivalent to `cycles` ticks, valid only for windows
-    /// ending at or before [`Frontend::next_event_cycle`].
-    pub fn skip_cycles(&mut self, cycles: u64) {
-        for core in &mut self.cores {
-            core.skip_cycles(cycles);
-        }
-        for inj in &mut self.dma {
-            inj.acc_fp += inj.rate_fp * cycles;
-            debug_assert!(
-                inj.acc_fp < DMA_FP_ONE,
-                "skip of {cycles} cycles crossed a DMA beat"
-            );
-        }
-    }
-
     // --- Lazy per-core drive mode (the event kernel's frontend API) ---
     //
     // The eager mode above advances every core in lockstep. The lazy mode
@@ -900,63 +854,6 @@ mod tests {
             warm_reads < cold_reads,
             "prewarmed frontend should miss less ({warm_reads} vs {cold_reads})"
         );
-    }
-
-    /// Skipping up to the reported event horizon and then ticking must
-    /// produce the same events and the same state as ticking every cycle —
-    /// including the DMA accumulator, which is why it is fixed-point.
-    #[test]
-    fn skip_to_horizon_matches_per_cycle_ticking() {
-        let make = || {
-            let mut fe = frontend(Workload::WebFrontend);
-            fe.prewarm();
-            fe
-        };
-        let mut ticked = make();
-        let mut jumped = make();
-        let mut ticked_events = Vec::new();
-        let mut jumped_events = Vec::new();
-        let horizon_cycles = 30_000u64;
-
-        let mut cycle = 0u64;
-        while cycle < horizon_cycles {
-            let before = ticked_events.len();
-            ticked.tick(cycle, &mut ticked_events);
-            for e in &ticked_events[before..] {
-                if let FrontendEvent::Read { core, addr, .. }
-                | FrontendEvent::L2Hit { core, addr, .. } = *e
-                {
-                    ticked.fill(core, addr);
-                }
-            }
-            cycle += 1;
-        }
-
-        let mut cycle = 0u64;
-        while cycle < horizon_cycles {
-            let next = jumped.next_event_cycle(cycle).min(horizon_cycles);
-            if next > cycle {
-                jumped.skip_cycles(next - cycle);
-                cycle = next;
-                continue;
-            }
-            let before = jumped_events.len();
-            jumped.tick(cycle, &mut jumped_events);
-            for e in &jumped_events[before..] {
-                if let FrontendEvent::Read { core, addr, .. }
-                | FrontendEvent::L2Hit { core, addr, .. } = *e
-                {
-                    jumped.fill(core, addr);
-                }
-            }
-            cycle += 1;
-        }
-
-        assert_eq!(ticked_events, jumped_events, "event streams must match");
-        assert_eq!(ticked.committed_per_core(), jumped.committed_per_core());
-        for core in 0..ticked.core_count() {
-            assert_eq!(ticked.core_stats(core), jumped.core_stats(core));
-        }
     }
 
     /// The lazy mode — cores sleeping behind the clock or running ahead of

@@ -39,15 +39,16 @@
 //! A cycle-accurate model spends most of its wall-clock on cycles where
 //! nothing happens — and, on dense streams, most of the remaining wall-clock
 //! *re-polling* layers that already know their next deadline. The kernel
-//! therefore runs (when `SystemConfig::event_driven` is set) a time-ordered
-//! loop in which every layer posts its next actionable cycle once and is
-//! only re-evaluated when that cycle arrives or an upstream dependency
-//! invalidates the posted bound:
+//! therefore runs one time-ordered loop (`System::run_cycles`) in which
+//! every layer posts its next actionable cycle once and is only re-evaluated
+//! when that cycle arrives or an upstream dependency invalidates the posted
+//! bound:
 //!
 //! * each core keeps a *runway* (`InOrderCore::runway`) — how many cycles it
 //!   can burn without new decisions — and the frontend advances cores
 //!   lazily, catching each one up in closed form only when its posted wake
-//!   cycle (or an arriving fill) makes it act;
+//!   cycle (or an arriving fill) makes it act, and letting it run ahead
+//!   through core-private work (see the [`frontend`](crate::frontend) docs);
 //! * the fill queue is consulted via [`FillQueue::next_due_cycle`] — the
 //!   head of the calendar queue;
 //! * the backend caches, per shard, the next DRAM tick at which the shard
@@ -56,28 +57,32 @@
 //!   scheduler time boundaries and page-policy proposals), recomputed only
 //!   after a tick that did no work and invalidated by request submission.
 //!
-//! `System::run_cycles` takes the minimum over these posted cycles, converts
+//! The loop takes the minimum over these posted cycles, converts
 //! DRAM-domain deadlines to CPU cycles through
 //! [`ClockCrossing::cpu_cycle_of_dram_tick`], and jumps straight there with
 //! [`ClockCrossing::fast_forward`] — which advances both clocks and the
 //! fractional 2:5 phase accumulator exactly as per-cycle stepping would.
+//! Skipped cycles apply their only side effects (core cycle counters,
+//! controller queue-occupancy samples) in closed form.
+//!
+//! This is the only way a system built by `System::new` advances, and it
+//! runs on one thread: there is no kernel or thread knob on
+//! `SystemConfig`. Parallelism lives across runs
+//! ([`run_all_with_threads`](crate::runner::run_all_with_threads), `repro
+//! sweep`), where cells share nothing.
+//!
+//! # The reference loop
+//!
 //! Every layer guarantees its bound never overshoots, so the event-driven
-//! run is *bit-identical* to the naive polling loop (the `fast_forward` /
-//! `event_driven` config knobs and `tests/fast_forward_equivalence.rs` hold
-//! it to that). Skipped cycles apply their only side effects (core cycle
-//! counters, controller queue-occupancy samples) in closed form. The older
-//! event-horizon mode (`fast_forward` without `event_driven`) keeps the
-//! PR-2 recompute-and-jump loop as a bisection aid.
-//!
-//! # Threaded backend shards
-//!
-//! Block-interleaved backend shards share no state, so with
-//! `SystemConfig::threads > 1` their due DRAM ticks run on worker threads.
-//! Determinism is preserved by construction: the barrier sits at the 2:5
-//! clock-crossing boundary (workers only run ticks the sequential loop would
-//! run before the next CPU-side interaction), and per-shard completions are
-//! joined in (tick, shard) order — exactly the order the sequential loop
-//! produces — so `SimStats` is bit-identical for any thread count.
+//! run is *bit-identical* to ticking every component on every cycle. That
+//! per-cycle loop — [`Tick::tick`] on the frontend each CPU cycle and on the
+//! backend each owed DRAM cycle — is kept as the oracle the guarantee is
+//! tested against (`tests/fast_forward_equivalence.rs` and the other
+//! equivalence suites compare full `SimStats`), reached only through
+//! `System::reference` / `Simulator::reference`. A system is bound to one
+//! driver at construction: the reference loop does not maintain the event
+//! kernel's cursors, so the two cannot be mixed, and a reference-driven
+//! system refuses to snapshot.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -26,7 +26,6 @@ pub mod config;
 pub mod error;
 pub mod frontend;
 pub mod kernel;
-pub(crate) mod pool;
 pub mod runner;
 pub mod snapshot;
 pub mod stats;

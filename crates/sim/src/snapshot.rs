@@ -7,12 +7,12 @@
 //! RNG streams, DMA credit, controller queues, scheduler/page/power policy
 //! state, DRAM bank timing and power states, the fault-injection ledger, and
 //! all statistics counters — but none of the state that is a pure function of
-//! the configuration (geometries, timing tables, worker pools). Restoring
+//! the configuration (geometries, timing tables). Restoring
 //! therefore means: build a fresh [`System`] from the configuration, then
 //! overlay the saved mutable state. The restored system continues
 //! *bit-identically* to the original: running it to the end of the
 //! measurement produces exactly the [`SimStats`](crate::SimStats) the
-//! uninterrupted run would have produced, on any kernel and thread count.
+//! uninterrupted run would have produced.
 //!
 //! The wire format (little-endian throughout) is a versioned envelope from
 //! the `cloudmc-snap` crate:

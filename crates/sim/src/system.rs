@@ -133,15 +133,39 @@ pub struct System {
     /// Cached `cfg.telemetry.profile_kernel` so the hot loops can skip
     /// `Instant::now` without chasing the telemetry pointer.
     profile: bool,
+    /// Driven by the per-cycle reference loop instead of the event kernel.
+    /// Fixed at construction ([`System::reference`]): the two drivers keep
+    /// different bookkeeping (the reference loop never maintains the lazy
+    /// frontend cursors or the backend's cached shard bounds), so a system
+    /// is bound to one of them for life.
+    reference: bool,
 }
 
 impl System {
-    /// Builds the system described by `cfg`.
+    /// Builds the system described by `cfg`, driven by the event kernel.
     ///
     /// # Errors
     ///
     /// Returns a description of the problem if the configuration is invalid.
     pub fn new(cfg: SystemConfig) -> Result<Self, String> {
+        Self::build(cfg, false)
+    }
+
+    /// Builds the system described by `cfg`, driven by the per-cycle
+    /// reference loop: every CPU cycle ticks every core and every owed DRAM
+    /// cycle ticks every shard, nothing is ever skipped. It is the oracle
+    /// the equivalence tests (and `repro fastforward`) hold the event kernel
+    /// bit-identical to, several times slower, and cannot be checkpointed
+    /// ([`System::snapshot`] is a typed error).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the problem if the configuration is invalid.
+    pub fn reference(cfg: SystemConfig) -> Result<Self, String> {
+        Self::build(cfg, true)
+    }
+
+    fn build(cfg: SystemConfig, reference: bool) -> Result<Self, String> {
         cfg.validate()?;
         let backend = Backend::new(&cfg)?;
         let mut frontend = Frontend::new(&cfg)?;
@@ -163,6 +187,7 @@ impl System {
             completions: Vec::new(),
             telemetry: None,
             profile: cfg.telemetry.profile_kernel,
+            reference,
             cfg,
         };
         if system.cfg.telemetry.is_active() {
@@ -381,8 +406,11 @@ impl System {
         }
     }
 
-    /// Advances the whole system by one CPU cycle.
-    pub fn step(&mut self) {
+    /// Advances the whole system by one CPU cycle: the body of the per-cycle
+    /// reference loop. Private because it drives the eager frontend and the
+    /// every-shard backend tick, which do not maintain the event kernel's
+    /// cursors — only [`System::reference`] systems may run it.
+    fn step(&mut self) {
         let now_cpu = self.clock.cpu_cycle();
         let t0 = self.prof_start();
 
@@ -495,7 +523,7 @@ impl System {
                 // Every cycle below the boundary is executed (loop
                 // invariant), so aligning the lazy cores here is pure
                 // counter bookkeeping and the sampled counters read exactly
-                // as the per-cycle kernels' would at this cycle.
+                // as the reference loop's would at this cycle.
                 self.frontend.sync_to(now);
                 self.take_sample();
                 continue;
@@ -515,7 +543,7 @@ impl System {
             self.prof_add(KernelPhase::EventQueue, t0);
             if target > now {
                 // Every cycle in [now, target) is provably eventless. Apply
-                // the closed-form side effects the naive loop would have
+                // the closed-form side effects the reference loop would have
                 // produced — DRAM queue samples and both clocks; the lazy
                 // frontend needs nothing, its cores catch up on demand.
                 let cycles = target - now;
@@ -534,157 +562,58 @@ impl System {
         // bookkeeping.
         self.frontend.sync_to(end);
         // A boundary landing exactly on `end` samples here, after the final
-        // sync — the same cycle the per-step kernels sample it on.
+        // sync — the same cycle the reference loop samples it on.
         self.maybe_sample();
     }
 
-    /// The earliest CPU cycle at or after the current one at which *any*
-    /// layer can possibly act: a core consuming its stream or a DMA beat
-    /// (frontend), a fill reaching its core (fill queue), or a DRAM-domain
-    /// event (backend), mapped into the CPU domain through the clock
-    /// crossing. Every cycle strictly before the returned one is provably a
-    /// no-op apart from linear counter updates.
-    fn next_event_cycle(&self) -> u64 {
-        let now = self.clock.cpu_cycle();
-        // Cheapest veto first: in dense phases a fill is due almost every
-        // cycle, and the heap peek is O(1) while the frontend check scans
-        // every core.
-        let fills = self.fills.next_due_cycle().unwrap_or(u64::MAX);
-        if fills <= now {
-            return now;
-        }
-        let frontend = self.frontend.next_event_cycle(now);
-        if frontend <= now {
-            return now;
-        }
-        let near = frontend.min(fills);
-        // DRAM-domain events can only occur when a DRAM tick runs; the next
-        // tick's CPU cycle is therefore a free conservative stand-in for the
-        // backend, exact whenever the CPU-side horizon is nearer than it.
-        let next_tick_cpu = self.clock.cpu_cycle_of_dram_tick(self.clock.dram_cycle());
-        if near <= next_tick_cpu {
-            return near;
-        }
-        // Consult the exact timing-derived backend horizon only when the
-        // CPU side leaves room to skip past whole DRAM ticks. While the
-        // backend is busy, demand the window be worth the scan; a quiescent
-        // backend's scan is cheap (empty queues: refresh + policy only).
-        const BACKEND_SCAN_THRESHOLD: u64 = 8;
-        let busy = self.backend.pending() + self.backend.retry_backlog() > 0;
-        if busy && near - now < BACKEND_SCAN_THRESHOLD {
-            return near.min(next_tick_cpu);
-        }
-        let backend_dram = self.backend.next_ready_dram_cycle(self.clock.dram_cycle());
-        near.min(self.clock.cpu_cycle_of_dram_tick(backend_dram))
-    }
-
-    /// Jumps the whole system forward by `cycles` CPU cycles the event
-    /// horizon has proven eventless, applying the per-cycle side effects
-    /// (core cycle/stall/commit counters, DMA credit, controller queue
-    /// samples, both clocks) in closed form.
-    fn fast_forward(&mut self, cycles: u64) {
-        self.frontend.skip_cycles(cycles);
-        let dram_ticks = self.clock.dram_ticks_within(cycles);
-        if dram_ticks > 0 {
-            self.backend.skip_dram_cycles(dram_ticks);
-        }
-        self.clock.fast_forward(cycles);
-        self.prof_cycles(0, cycles);
-    }
-
-    /// Runs `cycles` CPU cycles.
-    ///
-    /// With [`SystemConfig::fast_forward`] enabled (the default), the run is
-    /// driven by the event kernel ([`SystemConfig::event_driven`], the
-    /// default) or by the older horizon recompute-and-jump loop (kept as a
-    /// bisection aid); either way stretches of cycles no layer can act in
-    /// are jumped over instead of ticked through, and the result is
-    /// bit-identical to the naive per-cycle loop.
+    /// Runs `cycles` CPU cycles on the driver the system was built with: the
+    /// event kernel ([`System::new`]), which jumps over every stretch of
+    /// cycles no layer can act in, or the per-cycle reference loop
+    /// ([`System::reference`]). The two are bit-identical in every statistic
+    /// (`tests/fast_forward_equivalence.rs` holds them to that).
     pub fn run_cycles(&mut self, cycles: u64) {
         let t0 = self.prof_start();
-        self.run_cycles_inner(cycles);
+        if self.reference {
+            self.run_reference(cycles);
+        } else {
+            self.run_event_driven(self.clock.cpu_cycle().saturating_add(cycles));
+        }
         if let Some(start) = t0 {
-            let barrier = self.backend.take_barrier_nanos();
             let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             if let Some(p) = self.profiler_mut() {
                 p.record_total(nanos);
-                if barrier > 0 {
-                    p.record(KernelPhase::Barrier, barrier);
-                }
             }
         }
     }
 
-    /// The body of [`System::run_cycles`], separated so the profiler can
-    /// wrap the whole run in one wall-clock measurement.
-    fn run_cycles_inner(&mut self, cycles: u64) {
-        let end = self.clock.cpu_cycle().saturating_add(cycles);
-        if !self.cfg.fast_forward {
-            if self.telemetry.is_some() {
-                for _ in 0..cycles {
-                    self.step();
-                    self.maybe_sample();
-                }
-            } else {
-                for _ in 0..cycles {
-                    self.step();
-                }
-            }
-            return;
-        }
-        if self.cfg.event_driven {
-            self.run_event_driven(end);
-            return;
-        }
-        // Adaptive pacing of the horizon checks: a failed check costs a
-        // frontend scan, so consecutive failures back off exponentially
-        // (capped) and just step; a skip shorter than a handful of cycles
-        // costs more than the stalled-core steps it replaces, so it is
-        // declined. Skipping fewer cycles than possible is always
-        // bit-identical — this trades a few forfeited skip cycles at phase
-        // boundaries for near-zero overhead in dense phases.
-        const MIN_PROFITABLE_SKIP: u64 = 2;
-        let mut miss_streak: u32 = 0;
-        while self.clock.cpu_cycle() < end {
-            let now = self.clock.cpu_cycle();
-            let t0 = self.prof_start();
-            // Clamping the horizon to the next sample boundary keeps jumps
-            // from overshooting it; the post-step/post-jump checks then see
-            // the boundary on its exact cycle.
-            let horizon = self
-                .next_event_cycle()
-                .min(end)
-                .min(self.next_sample_boundary());
-            self.prof_add(KernelPhase::EventQueue, t0);
-            let remaining = end - now;
-            if horizon - now >= MIN_PROFITABLE_SKIP.min(remaining) && horizon > now {
-                self.fast_forward(horizon - now);
-                self.maybe_sample();
-                miss_streak = 0;
-            } else {
+    /// The per-cycle reference loop: the test oracle, not a production
+    /// path. Steps every cycle and checks the sample boundary after each.
+    fn run_reference(&mut self, cycles: u64) {
+        if self.telemetry.is_some() {
+            for _ in 0..cycles {
                 self.step();
                 self.maybe_sample();
-                // A horizon of exactly `now + 1` is the dense steady state:
-                // something acts *every* cycle, so recomputing the horizon is
-                // pure overhead — let the backoff grow further (64 steps per
-                // recheck vs 8) before looking again.
-                let cap: u32 = if horizon == now + 1 { 6 } else { 3 };
-                let backoff = 1u64 << miss_streak.min(cap);
-                miss_streak = miss_streak.saturating_add(1);
-                for _ in 0..backoff.min(end - self.clock.cpu_cycle()) {
-                    self.step();
-                    self.maybe_sample();
-                }
+            }
+        } else {
+            for _ in 0..cycles {
+                self.step();
             }
         }
     }
 
     /// Why this system cannot be checkpointed right now, if it cannot:
     /// attached trace taps, dynamically dispatched (boxed) plugins, or an
-    /// active telemetry sink hold state the snapshot format cannot capture.
-    /// `None` means [`System::snapshot`] will succeed.
+    /// active telemetry sink hold state the snapshot format cannot capture,
+    /// and a [`System::reference`] system never maintains part of what the
+    /// image carries. `None` means [`System::snapshot`] will succeed.
     #[must_use]
     pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
+        if self.reference {
+            // The image carries the lazy frontend cursors and the cached
+            // shard bounds, which only the event kernel maintains; a restore
+            // (always event-driven) would trust the stale values.
+            return Some("the per-cycle reference driver");
+        }
         if self.telemetry.is_some() {
             // Sample cursors, pending spans and profiler accumulators are
             // deliberately outside the snapshot format; a restored replica
@@ -704,8 +633,9 @@ impl System {
     /// # Errors
     ///
     /// Returns [`SimError::Snapshot`] if the system holds state the format
-    /// cannot capture: a trace replay source or capture sink, or a boxed
-    /// scheduler/page/power plugin.
+    /// cannot capture: a trace replay source or capture sink, a boxed
+    /// scheduler/page/power plugin, or an active telemetry sink — or if it
+    /// is driven by the reference loop ([`System::reference`]).
     pub fn snapshot(&self) -> Result<Snapshot, SimError> {
         if let Some(reason) = self.snapshot_unsupported_reason() {
             return Err(SimError::Snapshot(format!(
@@ -737,8 +667,7 @@ impl System {
 
     /// Builds a fresh system from `cfg` and overlays the mutable state saved
     /// in `snapshot`. The restored system continues bit-identically to the
-    /// one that produced the image — same statistics, same event order — on
-    /// any kernel and thread count permitted by `cfg`.
+    /// one that produced the image — same statistics, same event order.
     ///
     /// # Errors
     ///
@@ -844,7 +773,7 @@ impl System {
     /// boundary. The caller guarantees the system sits exactly at the
     /// boundary cycle with every layer caught up (the event kernel syncs its
     /// lazy frontend first), so the windowed counters read identically under
-    /// every kernel and thread count.
+    /// the event kernel and the reference loop.
     fn take_sample(&mut self) {
         let cur = self.counter_baseline();
         // Per the `TelemetrySample` contract the share vector is empty in
@@ -1028,17 +957,11 @@ impl System {
     }
 
     /// The finished kernel self-profile up to the current cycle, or `None`
-    /// when the profiler layer is off. Folds in worker-pool barrier time the
-    /// backend accumulated since the last call.
-    pub fn kernel_profile(&mut self) -> Option<KernelProfile> {
-        let barrier = self.backend.take_barrier_nanos();
-        let cpu = self.clock.cpu_cycle();
-        let dram = self.clock.dram_cycle();
-        let p = self.profiler_mut()?;
-        if barrier > 0 {
-            p.record(KernelPhase::Barrier, barrier);
-        }
-        Some(p.finish(cpu, dram))
+    /// when the profiler layer is off.
+    #[must_use]
+    pub fn kernel_profile(&self) -> Option<KernelProfile> {
+        let profiler = self.telemetry.as_deref()?.profiler.as_ref()?;
+        Some(profiler.finish(self.clock.cpu_cycle(), self.clock.dram_cycle()))
     }
 
     /// Writes the configured telemetry output files (time series and span
@@ -1337,6 +1260,19 @@ impl Simulator {
     pub fn new(cfg: SystemConfig) -> Result<Self, SimError> {
         Ok(Self {
             system: System::new(cfg).map_err(SimError::Config)?,
+        })
+    }
+
+    /// Builds the simulator for `cfg` on the per-cycle reference loop
+    /// instead of the event kernel: the test oracle, see
+    /// [`System::reference`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Config`] if the configuration is invalid.
+    pub fn reference(cfg: SystemConfig) -> Result<Self, SimError> {
+        Ok(Self {
+            system: System::reference(cfg).map_err(SimError::Config)?,
         })
     }
 

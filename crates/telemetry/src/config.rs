@@ -33,8 +33,8 @@ pub struct TelemetryConfig {
     pub series_path: Option<PathBuf>,
     /// Span-trace sampling period in request ids; `0` disables tracing.
     /// A request is traced when `id % span_sample_every == 0`, which is
-    /// deterministic across kernels and thread counts because ids are
-    /// minted in arrival order.
+    /// deterministic across kernels because ids are minted in arrival
+    /// order.
     pub span_sample_every: u64,
     /// Optional JSON-lines file sampled spans are written to when the run
     /// finishes (one [`SpanRecord`](crate::SpanRecord) per line).

@@ -17,7 +17,7 @@
 //! Everything here is deterministic: histograms merge associatively and
 //! commutatively, samples and spans carry only values derived from simulator
 //! counters, and all JSON encoding is hand-rolled with stable key order so
-//! byte-for-byte comparison across kernels and thread counts is meaningful.
+//! byte-for-byte comparison across kernels and hosts is meaningful.
 
 #![forbid(unsafe_code)]
 

@@ -6,16 +6,11 @@ pub enum KernelPhase {
     /// CPU-core frontend work: instruction-stream ticks, lazy-frontend
     /// advances, and fill delivery.
     Frontend,
-    /// Memory-controller backend work: DRAM-clock ticks across all shards
-    /// (includes the clock-crossing barrier, reported separately too).
+    /// Memory-controller backend work: DRAM-clock ticks across all shards.
     Backend,
-    /// Event-queue / horizon maintenance: computing the next event bound
-    /// and applying bulk jumps.
+    /// Event-queue maintenance: computing the next event bound and applying
+    /// bulk jumps.
     EventQueue,
-    /// Time the backend spent waiting on the sharded worker-pool
-    /// clock-crossing barrier (a subset of [`Backend`](Self::Backend)
-    /// time; zero in single-threaded runs).
-    Barrier,
 }
 
 /// Accumulating side of the kernel self-profiler.
@@ -31,7 +26,6 @@ pub struct KernelProfiler {
     frontend_nanos: u64,
     backend_nanos: u64,
     event_queue_nanos: u64,
-    barrier_nanos: u64,
     total_nanos: u64,
     stepped_cpu_cycles: u64,
     jumped_cpu_cycles: u64,
@@ -50,7 +44,6 @@ impl KernelProfiler {
             KernelPhase::Frontend => self.frontend_nanos += nanos,
             KernelPhase::Backend => self.backend_nanos += nanos,
             KernelPhase::EventQueue => self.event_queue_nanos += nanos,
-            KernelPhase::Barrier => self.barrier_nanos += nanos,
         }
     }
 
@@ -65,7 +58,7 @@ impl KernelProfiler {
         self.stepped_cpu_cycles += cycles;
     }
 
-    /// Accounts CPU cycles skipped in bulk by a horizon or event-queue jump.
+    /// Accounts CPU cycles skipped in bulk by an event-queue jump.
     pub fn record_jumped_cycles(&mut self, cycles: u64) {
         self.jumped_cpu_cycles += cycles;
     }
@@ -73,16 +66,13 @@ impl KernelProfiler {
     /// Freezes the accumulated accounting into a report.
     ///
     /// `cpu_cycles` and `dram_cycles` are the run's final simulated clock
-    /// readings; `barrier_nanos` measured outside this profiler (e.g. by
-    /// the backend worker pool) can be folded in beforehand via
-    /// [`record`](Self::record).
+    /// readings.
     #[must_use]
     pub fn finish(&self, cpu_cycles: u64, dram_cycles: u64) -> KernelProfile {
         KernelProfile {
             frontend_nanos: self.frontend_nanos,
             backend_nanos: self.backend_nanos,
             event_queue_nanos: self.event_queue_nanos,
-            barrier_nanos: self.barrier_nanos,
             total_nanos: self.total_nanos,
             stepped_cpu_cycles: self.stepped_cpu_cycles,
             jumped_cpu_cycles: self.jumped_cpu_cycles,
@@ -102,9 +92,6 @@ pub struct KernelProfile {
     pub backend_nanos: u64,
     /// Host time computing event bounds and applying jumps.
     pub event_queue_nanos: u64,
-    /// Host time waiting on the worker-pool clock-crossing barrier (subset
-    /// of `backend_nanos`).
-    pub barrier_nanos: u64,
     /// Host time for the whole run loop (phases plus glue).
     pub total_nanos: u64,
     /// CPU cycles simulated by stepping individual cycles.
@@ -116,7 +103,7 @@ pub struct KernelProfile {
     /// (compute gaps, L1 hits) ahead of the clock, dense streams that used
     /// to step almost every cycle now jump most of them.
     pub stepped_cpu_cycles: u64,
-    /// CPU cycles advanced in bulk by horizon/event jumps.
+    /// CPU cycles advanced in bulk by event-kernel jumps.
     pub jumped_cpu_cycles: u64,
     /// Final simulated CPU-clock reading.
     pub cpu_cycles: u64,
@@ -136,7 +123,6 @@ impl KernelProfile {
             KernelPhase::Frontend => self.frontend_nanos,
             KernelPhase::Backend => self.backend_nanos,
             KernelPhase::EventQueue => self.event_queue_nanos,
-            KernelPhase::Barrier => self.barrier_nanos,
         };
         nanos as f64 / self.total_nanos as f64
     }
@@ -157,15 +143,13 @@ impl KernelProfile {
         format!(
             concat!(
                 "{{\"frontend_nanos\":{},\"backend_nanos\":{},",
-                "\"event_queue_nanos\":{},\"barrier_nanos\":{},",
-                "\"total_nanos\":{},\"stepped_cpu_cycles\":{},",
-                "\"jumped_cpu_cycles\":{},\"cpu_cycles\":{},",
-                "\"dram_cycles\":{}}}"
+                "\"event_queue_nanos\":{},\"total_nanos\":{},",
+                "\"stepped_cpu_cycles\":{},\"jumped_cpu_cycles\":{},",
+                "\"cpu_cycles\":{},\"dram_cycles\":{}}}"
             ),
             self.frontend_nanos,
             self.backend_nanos,
             self.event_queue_nanos,
-            self.barrier_nanos,
             self.total_nanos,
             self.stepped_cpu_cycles,
             self.jumped_cpu_cycles,
@@ -186,7 +170,6 @@ mod tests {
         p.record(KernelPhase::Frontend, 50);
         p.record(KernelPhase::Backend, 200);
         p.record(KernelPhase::EventQueue, 25);
-        p.record(KernelPhase::Barrier, 10);
         p.record_total(400);
         p.record_stepped_cycles(800);
         p.record_jumped_cycles(200);
@@ -194,11 +177,21 @@ mod tests {
         assert_eq!(profile.frontend_nanos, 150);
         assert_eq!(profile.backend_nanos, 200);
         assert_eq!(profile.event_queue_nanos, 25);
-        assert_eq!(profile.barrier_nanos, 10);
         assert_eq!(profile.stepped_cpu_cycles + profile.jumped_cpu_cycles, 1000);
         assert_eq!(profile.cpu_cycles, 1000);
         assert_eq!(profile.dram_cycles, 400);
         assert!((profile.fraction(KernelPhase::Backend) - 0.5).abs() < 1e-12);
+        // The three phases partition the attributed time: their shares sum
+        // to it, the rest of the total is unattributed glue.
+        let attributed: f64 = [
+            KernelPhase::Frontend,
+            KernelPhase::Backend,
+            KernelPhase::EventQueue,
+        ]
+        .iter()
+        .map(|&phase| profile.fraction(phase))
+        .sum();
+        assert!((attributed - 375.0 / 400.0).abs() < 1e-12);
         assert!((profile.cycles_per_host_micro() - 2500.0).abs() < 1e-9);
     }
 
@@ -216,7 +209,6 @@ mod tests {
             "frontend_nanos",
             "backend_nanos",
             "event_queue_nanos",
-            "barrier_nanos",
             "total_nanos",
             "stepped_cpu_cycles",
             "jumped_cpu_cycles",

@@ -8,7 +8,7 @@ use crate::jsonl;
 /// at `cycle` (deltas or window averages, never cumulative totals), so a
 /// series plots directly as a trajectory. Samples are taken at every
 /// multiple of the configured interval, on exact CPU-cycle boundaries under
-/// all three simulation kernels and any thread count, which makes two
+/// both the event kernel and the per-cycle reference loop, which makes two
 /// series from equivalent runs comparable element by element.
 ///
 /// Serialized as one compact JSON object per line via

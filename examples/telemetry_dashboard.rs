@@ -117,13 +117,12 @@ fn main() -> Result<(), String> {
         );
     }
 
-    if let Some(profile) = sim.system_mut().kernel_profile() {
+    if let Some(profile) = sim.system().kernel_profile() {
         println!("\n== kernel self-profile ==");
         for (name, phase) in [
             ("frontend", KernelPhase::Frontend),
             ("backend", KernelPhase::Backend),
             ("event queue", KernelPhase::EventQueue),
-            ("barrier", KernelPhase::Barrier),
         ] {
             let fraction = profile.fraction(phase);
             println!(

@@ -2,7 +2,7 @@
 //! qualitative behaviours the paper's evaluation is built on.
 
 use cloudmc::memctrl::{PagePolicyKind, SchedulerKind};
-use cloudmc::sim::{run_system, SimStats, SystemConfig};
+use cloudmc::sim::{run_system, SimStats, Simulator, SystemConfig};
 use cloudmc::workloads::{Category, Workload};
 
 fn small(workload: Workload) -> SystemConfig {
@@ -131,17 +131,18 @@ fn web_frontend_runs_with_eight_cores_and_dma_traffic() {
 /// The zero-rate boundary of `WorkloadSpec::with_intensity(0.0)`: the spec
 /// validates cleanly and the whole stack tolerates per-core streams that
 /// (essentially) never emit memory ops — the frontend keeps committing
-/// compute, the backend idles, and the run terminates normally with and
-/// without the fast-forward (its best case: the event horizon spans almost
-/// the entire run).
+/// compute, the backend idles, and the run terminates normally on the event
+/// kernel (its best case: one jump spans almost the entire run) and on the
+/// reference loop.
 #[test]
 fn zero_intensity_spec_runs_end_to_end() {
-    for fast_forward in [true, false] {
-        let mut cfg = small(Workload::WebSearch);
-        cfg.workload = cfg.workload.with_intensity(0.0);
-        cfg.fast_forward = fast_forward;
-        cfg.validate().expect("zero-rate spec must validate");
-        let stats = run(cfg);
+    let mut cfg = small(Workload::WebSearch);
+    cfg.workload = cfg.workload.with_intensity(0.0);
+    cfg.validate().expect("zero-rate spec must validate");
+    let reference = Simulator::reference(cfg.clone())
+        .expect("valid config")
+        .run();
+    for stats in [run(cfg), reference] {
         // Nearly every cycle commits a compute instruction on every core:
         // the only stalls possible come from the (rare) residual data events
         // of the 1e-3-MPKI generator floor.

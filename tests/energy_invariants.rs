@@ -1,9 +1,9 @@
 //! Invariants of the energy subsystem at full-system level:
 //!
 //! 1. **Fast-forward transparency** — `SimStats` energy totals (and every
-//!    other field) are bit-identical with the event-horizon fast-forward on
-//!    and off, across all 5 schedulers x all 7 page policies with power
-//!    management active.
+//!    other field) are bit-identical between the event kernel and the
+//!    per-cycle reference loop, across all 5 schedulers x all 7 page
+//!    policies with power management active.
 //! 2. **Conservation** — power-state residency cycles sum to the elapsed
 //!    rank-cycles of the measurement window.
 //! 3. **Monotone accrual** — energy read at successive observation points
@@ -13,7 +13,7 @@
 
 use cloudmc::dram::EnergyModel;
 use cloudmc::memctrl::{PagePolicyKind, PowerPolicyKind, SchedulerKind};
-use cloudmc::sim::{run_system, System, SystemConfig};
+use cloudmc::sim::{run_system, Simulator, System, SystemConfig};
 use cloudmc::workloads::Workload;
 
 fn idle_config(seed: u64) -> SystemConfig {
@@ -25,8 +25,8 @@ fn idle_config(seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Acceptance criterion: energy totals bit-identical between fast-forward on
-/// and off for every scheduler and every page policy (power-down enabled so
+/// Acceptance criterion: energy totals bit-identical between the event kernel
+/// and the reference loop for every scheduler and page policy (power-down on so
 /// the power-state machinery is actually in the loop).
 #[test]
 fn energy_is_bit_identical_across_all_schedulers_and_page_policies() {
@@ -45,19 +45,17 @@ fn energy_is_bit_identical_across_all_schedulers_and_page_policies() {
             cfg.mc.scheduler = scheduler;
             cfg.mc.page_policy = page;
             cfg.mc.power_policy = PowerPolicyKind::IdleTimer;
-            cfg.fast_forward = true;
             let fast = run_system(cfg.clone()).unwrap();
-            cfg.fast_forward = false;
-            let naive = run_system(cfg).unwrap();
+            let reference = Simulator::reference(cfg).unwrap().run();
             assert_eq!(
                 fast.dram_energy_mj.to_bits(),
-                naive.dram_energy_mj.to_bits(),
+                reference.dram_energy_mj.to_bits(),
                 "{}/{page}: energy diverged under fast-forward",
                 scheduler.label()
             );
             assert_eq!(
                 fast,
-                naive,
+                reference,
                 "{}/{page}: stats diverged under fast-forward",
                 scheduler.label()
             );

@@ -1,9 +1,8 @@
-//! The accelerated kernels must be invisible: the naive per-cycle loop, the
-//! horizon recompute-and-jump loop (`fast_forward` without `event_driven`)
-//! and the event-driven kernel (the default) — the latter with any worker
-//! thread count — must all produce *bit-identical* statistics: every
-//! counter, every latency sum, every per-core vector, every float — for any
-//! workload, seed, scheduler, page policy and shard count.
+//! The event kernel must be invisible: it and the per-cycle reference loop
+//! (`Simulator::reference`, kept only as this oracle) must produce
+//! *bit-identical* statistics: every counter, every latency sum, every
+//! per-core vector, every float — for any workload, seed, scheduler, page
+//! policy and shard count.
 //!
 //! These tests are the contract that lets the kernel skip idle cycles at all:
 //! any layer whose "next event" bound overshoots by even one cycle shows up
@@ -23,42 +22,22 @@ fn small(workload: Workload, seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Runs `cfg` under every kernel — naive polling, horizon jumping, and the
-/// event kernel (plus 2- and 4-thread worker pools when the backend has more
-/// than one shard, where the threaded path actually engages) — and demands
-/// byte-identical results from all of them.
-fn assert_equivalent(mut cfg: SystemConfig, label: &str) -> SimStats {
-    cfg.fast_forward = false;
-    let naive = run_system(cfg.clone()).expect("valid config");
-    cfg.fast_forward = true;
-    cfg.event_driven = false;
-    let horizon = run_system(cfg.clone()).expect("valid config");
+/// Runs `cfg` on the reference loop and on the event kernel and demands
+/// byte-identical results.
+fn assert_equivalent(cfg: SystemConfig, label: &str) -> SimStats {
+    let reference = Simulator::reference(cfg.clone())
+        .expect("valid config")
+        .run();
+    let event = run_system(cfg).expect("valid config");
     assert_eq!(
-        horizon, naive,
-        "{label}: horizon loop diverged from the naive cycle loop"
-    );
-    cfg.event_driven = true;
-    cfg.threads = 1;
-    let event = run_system(cfg.clone()).expect("valid config");
-    assert_eq!(
-        event, naive,
-        "{label}: event kernel diverged from the naive cycle loop"
+        event, reference,
+        "{label}: event kernel diverged from the reference loop"
     );
     assert_eq!(
         format!("{event:?}"),
-        format!("{naive:?}"),
+        format!("{reference:?}"),
         "{label}: debug renderings must be byte-identical"
     );
-    if cfg.num_channels > 1 {
-        for threads in [2usize, 4] {
-            cfg.threads = threads;
-            let threaded = run_system(cfg.clone()).expect("valid config");
-            assert_eq!(
-                threaded, naive,
-                "{label}: event kernel with {threads} worker threads diverged"
-            );
-        }
-    }
     event
 }
 
@@ -80,17 +59,16 @@ fn baseline_stats_are_bit_identical_across_seeds() {
     }
 }
 
-/// The horizon must respect every scheduler's private clockwork (ATLAS
-/// quanta, PAR-BS batches, the RL learner's decision stream).
+/// The event kernel must respect every scheduler's private clockwork
+/// (ATLAS quanta, PAR-BS batches, the RL learner's decision stream).
 #[test]
 fn every_scheduler_is_bit_identical() {
     for scheduler in SchedulerKind::paper_set() {
         let mut cfg = small(Workload::WebSearch, 3);
         cfg.mc.scheduler = scheduler;
         assert_equivalent(cfg, scheduler.label());
-        // Two-shard variant: `assert_equivalent` adds 2- and 4-thread runs
-        // for multi-shard backends, so this covers the threaded event path
-        // under every scheduler's private clockwork.
+        // Two-shard variant: per-shard due bounds under every scheduler's
+        // private clockwork.
         let mut sharded = small(Workload::WebSearch, 3);
         sharded.mc.scheduler = scheduler;
         sharded.num_channels = 2;
@@ -98,8 +76,8 @@ fn every_scheduler_is_bit_identical() {
     }
 }
 
-/// The horizon must respect every page policy — including the idle-timer
-/// policy, whose proposals flip purely with the passage of time.
+/// The event kernel must respect every page policy — including the
+/// idle-timer policy, whose proposals flip purely with the passage of time.
 #[test]
 fn every_page_policy_is_bit_identical() {
     for policy in [
@@ -117,7 +95,7 @@ fn every_page_policy_is_bit_identical() {
     }
 }
 
-/// The horizon must respect the power subsystem's clockwork: idle-timer
+/// The event kernel must respect the power subsystem's clockwork: idle-timer
 /// power-down entries, deepening transitions, self-refresh, wake-on-demand
 /// and wake-for-refresh are all time- or event-driven, and the energy
 /// accounting (state residency in closed form) must come out bit-identical.
@@ -164,9 +142,9 @@ fn power_down_is_bit_identical_across_schedulers() {
 /// A latency-critical + batch tenant mix: every `*_per_tenant` statistic
 /// (instructions, completions, latency sums, bandwidth shares, queue
 /// occupancies — `SimStats` equality covers them all) must be bit-identical
-/// with the fast-forward on and off, under every scheduler and QoS policy.
-/// The QoS arbiter preempts the command slot and rolls its partition epochs
-/// in catch-up style, so this is where an overshooting horizon would show.
+/// under both drivers, for every scheduler and QoS policy. The QoS arbiter
+/// preempts the command slot and rolls its partition epochs in catch-up
+/// style, so this is where an overshooting bound would show.
 #[test]
 fn tenant_mixes_and_qos_policies_are_bit_identical() {
     let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
@@ -200,7 +178,7 @@ fn tenant_mixes_and_qos_policies_are_bit_identical() {
         cfg.mc.qos.policy = qos;
         assert_equivalent(cfg, &format!("dma-mix/{qos}"));
     }
-    // A sharded tenant mix: the threaded event path under QoS accounting.
+    // A sharded tenant mix: per-shard due bounds under QoS accounting.
     let mut sharded_mix = SystemConfig::mixed(mix);
     sharded_mix.warmup_cpu_cycles = 10_000;
     sharded_mix.measure_cpu_cycles = 60_000;
@@ -208,49 +186,29 @@ fn tenant_mixes_and_qos_policies_are_bit_identical() {
     assert_equivalent(sharded_mix, "mix/2 shards");
 }
 
-/// Sharded backends and multi-channel controllers fast-forward identically.
+/// Sharded backends and multi-channel controllers fast-forward identically:
+/// only due shards tick, the rest account the cycle as a skip, and the
+/// result must equal the reference loop's every-shard tick.
 #[test]
 fn sharded_and_multichannel_backends_are_bit_identical() {
-    let mut sharded = small(Workload::TpchQ6, 11);
-    sharded.num_channels = 2;
-    assert_equivalent(sharded, "2 shards");
+    for seed in [11u64, 13] {
+        for shards in [2usize, 4] {
+            let mut sharded = small(Workload::TpchQ6, seed);
+            sharded.num_channels = shards;
+            assert_equivalent(sharded, &format!("{shards} shards, seed {seed}"));
+        }
+    }
 
     let mut multichannel = small(Workload::TpchQ6, 11);
     multichannel.mc.dram.channels = 2;
     assert_equivalent(multichannel, "2 channels");
 }
 
-/// The worker pool must be invisible: identical `SimStats` for 1, 2 and 4
-/// worker threads across seeds on a four-shard backend, where every DRAM
-/// tick fans due shards out to the pool and joins them at the clock-crossing
-/// barrier.
-#[test]
-fn thread_count_never_changes_results() {
-    for seed in [1u64, 13] {
-        let mut cfg = small(Workload::TpchQ6, seed);
-        cfg.num_channels = 4;
-        cfg.event_driven = true;
-        let mut baseline: Option<SimStats> = None;
-        for threads in [1usize, 2, 4] {
-            cfg.threads = threads;
-            let stats = run_system(cfg.clone()).expect("valid config");
-            match &baseline {
-                None => baseline = Some(stats),
-                Some(b) => assert_eq!(
-                    &stats, b,
-                    "seed {seed}: {threads} worker threads changed the results"
-                ),
-            }
-        }
-    }
-}
-
 /// The reliability subsystem rides the same clockwork: with fault
 /// injection, patrol scrub, bounded demand retries and poison-and-continue
-/// all active, every kernel (and the threaded pool, on the sharded variant)
-/// must still produce bit-identical statistics. Scrub emission and retry
-/// release are timed events, so an overshooting `next_ready` bound in the
-/// fault layer shows up here as a diverging counter.
+/// all active, the event kernel must still match the reference loop. Scrub
+/// emission and retry release are timed events, so an overshooting
+/// `next_ready` bound in the fault layer shows up here as a diverging counter.
 #[test]
 fn fault_injection_and_scrub_are_bit_identical() {
     let fault = |seed: u64| {
@@ -276,15 +234,16 @@ fn fault_injection_and_scrub_are_bit_identical() {
         );
         assert!(stats.scrub_reads_issued > 0);
     }
-    // Sharded + power-managed variant: per-shard fault seeds, scrub across
-    // two controllers and residency-scaled fault rates under the threaded
-    // event path (`assert_equivalent` adds 2- and 4-thread runs here).
-    let mut sharded = small(Workload::WebSearch, 7);
-    sharded.num_channels = 2;
-    sharded.mc.power_policy = PowerPolicyKind::IdleTimer;
-    sharded.mc.fault_model = Some(fault(7));
-    let stats = assert_equivalent(sharded, "fault/2 shards/idle-timer");
-    assert!(stats.faults_injected > 0);
+    // Sharded + power-managed variants: per-shard fault seeds, scrub across
+    // two and four controllers and residency-scaled fault rates.
+    for shards in [2usize, 4] {
+        let mut sharded = small(Workload::WebSearch, 7);
+        sharded.num_channels = shards;
+        sharded.mc.power_policy = PowerPolicyKind::IdleTimer;
+        sharded.mc.fault_model = Some(fault(7));
+        let stats = assert_equivalent(sharded, &format!("fault/{shards} shards/idle-timer"));
+        assert!(stats.faults_injected > 0);
+    }
 }
 
 /// Request conservation holds at arbitrary observation points mid-run, even
@@ -306,7 +265,7 @@ fn conservation_holds_under_fast_forward() {
 /// end of a `run_cycles` call or a telemetry sample boundary. So however a
 /// run is cut into calls — one call, or irregular chunks down to a single
 /// cycle, with a sample interval that divides none of them — every per-core
-/// counter must equal the naive kernel's at every chunk boundary, and the
+/// counter must equal the reference loop's at every chunk boundary, and the
 /// statistics of the window that follows must be bit-identical.
 #[test]
 fn chunked_event_runs_match_the_naive_kernel_at_every_boundary() {
@@ -327,9 +286,7 @@ fn chunked_event_runs_match_the_naive_kernel_at_every_boundary() {
             cfg.warmup_cpu_cycles = total;
             cfg.measure_cpu_cycles = 30_000;
             cfg.telemetry.sample_interval = sample_interval;
-            let mut naive_cfg = cfg.clone();
-            naive_cfg.fast_forward = false;
-            let mut naive = Simulator::new(naive_cfg).expect("valid config");
+            let mut oracle = Simulator::reference(cfg.clone()).expect("valid config");
             let mut chunked = Simulator::new(cfg.clone()).expect("valid config");
             let mut single = Simulator::new(cfg).expect("valid config");
 
@@ -357,15 +314,15 @@ fn chunked_event_runs_match_the_naive_kernel_at_every_boundary() {
             };
             let mut at = 0;
             for chunk in CHUNKS {
-                naive.system_mut().run_cycles(chunk);
+                oracle.system_mut().run_cycles(chunk);
                 chunked.system_mut().run_cycles(chunk);
                 at += chunk;
-                assert_cores_equal(&chunked, &naive, at);
+                assert_cores_equal(&chunked, &oracle, at);
             }
             single.run_warmup();
-            assert_cores_equal(&single, &naive, total);
+            assert_cores_equal(&single, &oracle, total);
 
-            let reference = naive.run_measurement().expect("naive run");
+            let reference = oracle.run_measurement().expect("reference run");
             assert_eq!(
                 chunked.run_measurement().expect("chunked run"),
                 reference,

@@ -68,9 +68,9 @@ fn fault_injection_is_seed_deterministic() {
 }
 
 /// With `fault_model: None` the subsystem is invisible: every reliability
-/// counter is zero and the statistics are bit-identical across the naive,
-/// horizon and event kernels, thread counts and schedulers — the same
-/// contract the kernels themselves are held to.
+/// counter is zero and the statistics are bit-identical between the
+/// reference loop and the event kernel across schedulers — the same contract
+/// the kernel itself is held to.
 #[test]
 fn disabled_fault_model_is_invisible_and_kernel_invariant() {
     for scheduler in [SchedulerKind::FrFcfs, SchedulerKind::FcfsBanks] {
@@ -79,32 +79,25 @@ fn disabled_fault_model_is_invisible_and_kernel_invariant() {
         cfg.num_channels = 2;
         assert!(cfg.mc.fault_model.is_none());
 
-        cfg.fast_forward = false;
-        let naive = run_system(cfg.clone()).expect("valid config");
-        cfg.fast_forward = true;
-        cfg.event_driven = false;
-        let horizon = run_system(cfg.clone()).expect("valid config");
-        assert_eq!(horizon, naive, "{scheduler:?}: horizon diverged");
-        cfg.event_driven = true;
-        for threads in [1usize, 2] {
-            cfg.threads = threads;
-            let event = run_system(cfg.clone()).expect("valid config");
-            assert_eq!(event, naive, "{scheduler:?}/{threads} threads diverged");
-        }
+        let reference = Simulator::reference(cfg.clone())
+            .expect("valid config")
+            .run();
+        let event = run_system(cfg).expect("valid config");
+        assert_eq!(event, reference, "{scheduler:?}: event kernel diverged");
 
-        assert_eq!(naive.ecc_corrected, 0);
-        assert_eq!(naive.ecc_detected_uncorrectable, 0);
-        assert_eq!(naive.ecc_miscorrects, 0);
-        assert_eq!(naive.demand_retries, 0);
-        assert_eq!(naive.scrub_reads_issued, 0);
-        assert_eq!(naive.scrub_reads_completed, 0);
-        assert_eq!(naive.rows_retired, 0);
-        assert_eq!(naive.lines_poisoned, 0);
-        assert_eq!(naive.poisoned_reads, 0);
-        assert_eq!(naive.faults_injected, 0);
-        assert_eq!(naive.faults_latent, 0);
-        assert!(naive.rows_retired_per_rank.iter().all(|&n| n == 0));
-        assert_eq!(naive.retired_capacity_bytes, 0);
+        assert_eq!(reference.ecc_corrected, 0);
+        assert_eq!(reference.ecc_detected_uncorrectable, 0);
+        assert_eq!(reference.ecc_miscorrects, 0);
+        assert_eq!(reference.demand_retries, 0);
+        assert_eq!(reference.scrub_reads_issued, 0);
+        assert_eq!(reference.scrub_reads_completed, 0);
+        assert_eq!(reference.rows_retired, 0);
+        assert_eq!(reference.lines_poisoned, 0);
+        assert_eq!(reference.poisoned_reads, 0);
+        assert_eq!(reference.faults_injected, 0);
+        assert_eq!(reference.faults_latent, 0);
+        assert!(reference.rows_retired_per_rank.iter().all(|&n| n == 0));
+        assert_eq!(reference.retired_capacity_bytes, 0);
     }
 }
 
@@ -166,8 +159,8 @@ fn poison_and_continue_completes_with_accounting() {
 
 /// Patrol scrubbing emits real read traffic through the controller queues
 /// (visible in device read counts) and its rate follows the configured
-/// interval; fault-enabled runs stay bit-identical across kernels, threads
-/// and power policies while it runs.
+/// interval; fault-enabled runs stay bit-identical between the reference
+/// loop and the event kernel under every power policy while it runs.
 #[test]
 fn scrub_traffic_is_real_and_fault_runs_stay_kernel_invariant() {
     let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
@@ -181,29 +174,22 @@ fn scrub_traffic_is_real_and_fault_runs_stay_kernel_invariant() {
         cfg.mc.power_policy = power;
         cfg.mc.fault_model = Some(noisy_fault(5));
 
-        cfg.fast_forward = false;
-        let naive = run_system(cfg.clone()).expect("valid config");
-        cfg.fast_forward = true;
-        cfg.event_driven = false;
-        let horizon = run_system(cfg.clone()).expect("valid config");
-        assert_eq!(horizon, naive, "{power}: horizon diverged under faults");
-        cfg.event_driven = true;
-        for threads in [1usize, 2] {
-            cfg.threads = threads;
-            let event = run_system(cfg.clone()).expect("valid config");
-            assert_eq!(
-                event, naive,
-                "{power}: event kernel ({threads} threads) diverged under faults"
-            );
-        }
+        let reference = Simulator::reference(cfg.clone())
+            .expect("valid config")
+            .run();
+        let event = run_system(cfg).expect("valid config");
+        assert_eq!(
+            event, reference,
+            "{power}: event kernel diverged under faults"
+        );
 
-        assert!(naive.scrub_reads_issued > 0, "{power}: scrubber idle");
-        assert!(naive.scrub_reads_completed > 0);
+        assert!(reference.scrub_reads_issued > 0, "{power}: scrubber idle");
+        assert!(reference.scrub_reads_completed > 0);
         assert!(
-            naive.scrub_reads_completed <= naive.scrub_reads_issued,
+            reference.scrub_reads_completed <= reference.scrub_reads_issued,
             "{power}: completed more scrubs than issued"
         );
-        assert!(naive.faults_injected > 0);
+        assert!(reference.faults_injected > 0);
     }
 }
 

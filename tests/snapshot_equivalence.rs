@@ -1,10 +1,11 @@
 //! The checkpoint layer must be invisible: snapshot a system at cycle `C`,
 //! restore the image onto a freshly built system, run to the end of the
 //! measurement — and every statistic must be *bit-identical* to the
-//! uninterrupted run. Exercised across all three kernels (naive polling,
-//! horizon jumping, event-driven), worker thread counts, a mixed
+//! uninterrupted run — of the event kernel and of the per-cycle reference
+//! loop. Exercised on single- and four-shard backends, a mixed
 //! latency-critical/batch tenancy, and a fault-injection configuration with
-//! patrol scrub and row retirement active.
+//! patrol scrub and row retirement active. Only event-driven systems can be
+//! checkpointed: a reference-driven one refuses with a typed error.
 //!
 //! These tests are the contract that lets the sweep orchestrator warm up
 //! once and fork every measured replicate from the warm image: any mutable
@@ -70,20 +71,59 @@ fn assert_restartable(cfg: SystemConfig, label: &str) -> SimStats {
     reference
 }
 
-/// Acceptance criterion: bit-identity across all three kernels.
+/// Acceptance criterion: a resumed event-kernel run equals the uninterrupted
+/// run of both kernels, on a single-shard and a four-shard backend (the
+/// image carries every shard's controller and cached due bound).
 #[test]
 fn every_kernel_resumes_bit_identically() {
-    for (fast_forward, event_driven, kernel) in [
-        (false, false, "naive"),
-        (true, false, "horizon"),
-        (true, true, "event"),
+    let mut sharded = small(Workload::TpchQ6, 11);
+    sharded.num_channels = 4;
+    for (cfg, label) in [
+        (small(Workload::DataServing, 7), "1 shard"),
+        (sharded, "4 shards"),
     ] {
-        let mut cfg = small(Workload::DataServing, 7);
-        cfg.fast_forward = fast_forward;
-        cfg.event_driven = event_driven;
-        let stats = assert_restartable(cfg, kernel);
-        assert!(stats.user_instructions > 0, "{kernel} must commit work");
+        let stats = assert_restartable(cfg.clone(), label);
+        assert!(stats.user_instructions > 0, "{label} must commit work");
+        let mut oracle = Simulator::reference(cfg).expect("valid config");
+        oracle.run_warmup();
+        assert_eq!(
+            oracle.run_measurement().expect("reference run"),
+            stats,
+            "{label}: reference loop diverged from the resumed event run"
+        );
     }
+}
+
+/// A reference-driven system never maintains the lazy frontend cursors or
+/// the cached shard bounds the image carries, and a restore (always
+/// event-driven) would trust them: running 1 000 cycles per-cycle and then
+/// 19 000 on the event kernel's bookkeeping does not end where 20 000
+/// event-driven cycles do. So the reference driver refuses to be
+/// checkpointed — a typed error, before any byte is written.
+#[test]
+fn reference_driven_system_refuses_to_snapshot() {
+    let mut sim = Simulator::reference(small(Workload::WebSearch, 2)).expect("valid config");
+    for cycles in [0u64, 1_000] {
+        sim.system_mut().run_cycles(cycles);
+        assert_eq!(
+            sim.system().snapshot_unsupported_reason(),
+            Some("the per-cycle reference driver")
+        );
+        match sim.system().snapshot() {
+            Err(SimError::Snapshot(msg)) => assert!(
+                msg.contains("the per-cycle reference driver"),
+                "unexpected reason: {msg}"
+            ),
+            other => panic!("expected SimError::Snapshot, got {other:?}"),
+        }
+    }
+    // The same configuration on the event kernel checkpoints fine.
+    let mut event = Simulator::new(small(Workload::WebSearch, 2)).expect("valid config");
+    event.system_mut().run_cycles(1_000);
+    event
+        .system()
+        .snapshot()
+        .expect("event-driven system snapshots");
 }
 
 /// The event kernel's cores run ahead of the clock inside a `run_cycles`
@@ -116,23 +156,6 @@ fn snapshots_after_many_odd_chunks_resume_bit_identically() {
             reference,
             "{label}: run handed through 64 snapshots diverged"
         );
-    }
-}
-
-/// Acceptance criterion: bit-identity for 1, 2 and 4 worker threads on a
-/// sharded backend, where the threaded event path actually engages.
-#[test]
-fn every_thread_count_resumes_bit_identically() {
-    let mut baseline: Option<SimStats> = None;
-    for threads in [1usize, 2, 4] {
-        let mut cfg = small(Workload::TpchQ6, 11);
-        cfg.num_channels = 4;
-        cfg.threads = threads;
-        let stats = assert_restartable(cfg, &format!("{threads} threads"));
-        match &baseline {
-            None => baseline = Some(stats),
-            Some(b) => assert_eq!(&stats, b, "{threads} threads changed the results"),
-        }
     }
 }
 

@@ -6,10 +6,9 @@
 //!    layer still leaves `SimStats` bit-identical (observation must not
 //!    perturb the simulation).
 //! 2. **On ⇒ reproducible.** The interval time series and the sampled span
-//!    trace are element-for-element identical across all three kernels
-//!    (naive polling, horizon jumping, event-driven) and worker thread
-//!    counts, for any seed — because samples land on exact cycle boundaries
-//!    and span ids are minted in arrival order.
+//!    trace are element-for-element identical between the event kernel and
+//!    the per-cycle reference loop, for any seed — because samples land on
+//!    exact cycle boundaries and span ids are minted in arrival order.
 
 use cloudmc::memctrl::SchedulerKind;
 use cloudmc::sim::{SimStats, Simulator, SystemConfig};
@@ -36,9 +35,10 @@ fn with_telemetry(mut cfg: SystemConfig) -> SystemConfig {
     cfg
 }
 
-/// Runs `cfg` to completion and returns the stats plus collected telemetry.
-fn run_telemetry(cfg: &SystemConfig) -> (SimStats, Vec<TelemetrySample>, Vec<SpanRecord>) {
-    let mut sim = Simulator::new(cfg.clone()).expect("valid config");
+type Observed = (SimStats, Vec<TelemetrySample>, Vec<SpanRecord>);
+
+/// Runs `sim` to completion and returns the stats plus collected telemetry.
+fn observe(mut sim: Simulator) -> Observed {
     sim.run_warmup();
     let stats = sim.run_measurement().expect("measurement");
     (
@@ -48,31 +48,21 @@ fn run_telemetry(cfg: &SystemConfig) -> (SimStats, Vec<TelemetrySample>, Vec<Spa
     )
 }
 
-/// Runs `cfg` under every kernel — naive, horizon, and the event kernel with
-/// 1, 2 and 4 worker threads — and demands identical stats, series and spans.
-fn assert_telemetry_equivalent(
-    mut cfg: SystemConfig,
-    label: &str,
-) -> (SimStats, Vec<TelemetrySample>, Vec<SpanRecord>) {
-    cfg.fast_forward = false;
-    let naive = run_telemetry(&cfg);
-    cfg.fast_forward = true;
-    cfg.event_driven = false;
-    let horizon = run_telemetry(&cfg);
+/// Runs `cfg` on the event kernel.
+fn run_telemetry(cfg: &SystemConfig) -> Observed {
+    observe(Simulator::new(cfg.clone()).expect("valid config"))
+}
+
+/// Runs `cfg` on the reference loop and on the event kernel and demands
+/// identical stats, series and spans.
+fn assert_telemetry_equivalent(cfg: SystemConfig, label: &str) -> Observed {
+    let reference = observe(Simulator::reference(cfg.clone()).expect("valid config"));
+    let event = run_telemetry(&cfg);
     assert_eq!(
-        horizon, naive,
-        "{label}: horizon kernel diverged from the naive loop"
+        event, reference,
+        "{label}: event kernel diverged from the reference loop"
     );
-    cfg.event_driven = true;
-    for threads in [1usize, 2, 4] {
-        cfg.threads = threads;
-        let event = run_telemetry(&cfg);
-        assert_eq!(
-            event, naive,
-            "{label}: event kernel with {threads} worker threads diverged"
-        );
-    }
-    naive
+    reference
 }
 
 /// Invariant 1, both directions: the default config and an explicit
@@ -112,8 +102,9 @@ fn telemetry_never_perturbs_stats() {
     }
 }
 
-/// Invariant 2 on single-tenant streams: identical series and spans across
-/// kernels, thread counts and seeds, with exact-cycle sample boundaries.
+/// Invariant 2 on single-tenant streams: identical series and spans under
+/// the reference loop and the event kernel for several seeds, with
+/// exact-cycle sample boundaries.
 #[test]
 fn series_and_spans_are_identical_across_kernels_and_threads() {
     for workload in [Workload::TpchQ6, Workload::WebFrontend] {
@@ -145,10 +136,9 @@ fn series_and_spans_are_identical_across_kernels_and_threads() {
     }
 }
 
-/// Invariant 2 where it is hardest: a sharded backend (the worker pool
-/// actually engages at 2 and 4 threads), a latency-critical/batch tenant
-/// mix, and a non-FCFS scheduler. Per-tenant bandwidth shares must agree
-/// across every kernel too.
+/// Invariant 2 where it is hardest: a sharded backend, a
+/// latency-critical/batch tenant mix, and a non-FCFS scheduler. Per-tenant
+/// bandwidth shares must agree across both kernels too.
 #[test]
 fn sharded_tenant_mix_series_are_identical() {
     let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))

@@ -2,16 +2,16 @@
 //! (`SystemConfig::trace_record`) and replaying the resulting trace
 //! (`WorkloadSource::Trace`) must reproduce *bit-identical* `SimStats` —
 //! every counter, every latency sum, every per-tenant vector, every float —
-//! with the event-horizon fast-forward on and off.
+//! under the event kernel and under the per-cycle reference loop.
 //!
 //! This is the contract that makes traces a sound experiment medium: any
 //! divergence between the generated op stream and its text round trip, any
-//! replay-side reordering, or any horizon bug specific to trace-fed cores
+//! replay-side reordering, or any event-kernel bug specific to trace-fed cores
 //! shows up here as a diverging field.
 
 use std::path::PathBuf;
 
-use cloudmc::sim::{run_system, SimStats, SystemConfig, WorkloadSource};
+use cloudmc::sim::{run_system, SimStats, Simulator, SystemConfig, WorkloadSource};
 use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
 
 /// A collision-free scratch path for one test's trace file.
@@ -37,21 +37,27 @@ fn small_mix(seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Records `cfg`, then replays the trace with the fast-forward on and off,
-/// demanding byte-identical statistics each time.
+/// Records `cfg`, then replays the trace on the event kernel and on the
+/// reference loop, demanding byte-identical statistics each time.
 fn assert_record_replay_equivalent(cfg: &SystemConfig, name: &str) -> SimStats {
     let path = temp_trace(name);
     let mut record_cfg = cfg.clone();
     record_cfg.trace_record = Some(path.clone());
     let recorded = run_system(record_cfg).expect("record run");
-    for fast_forward in [true, false] {
-        let mut replay_cfg = cfg.clone();
-        replay_cfg.source = WorkloadSource::Trace(path.clone());
-        replay_cfg.fast_forward = fast_forward;
-        let replayed = run_system(replay_cfg).expect("replay run");
+    let mut replay_cfg = cfg.clone();
+    replay_cfg.source = WorkloadSource::Trace(path.clone());
+    for (kernel, replayed) in [
+        ("event", run_system(replay_cfg.clone()).expect("replay run")),
+        (
+            "reference",
+            Simulator::reference(replay_cfg)
+                .expect("valid config")
+                .run(),
+        ),
+    ] {
         assert_eq!(
             recorded, replayed,
-            "{name}: replay (fast_forward={fast_forward}) diverged from the recording"
+            "{name}: {kernel} replay diverged from the recording"
         );
         assert_eq!(
             format!("{recorded:?}"),
@@ -94,7 +100,8 @@ fn multi_tenant_mix_record_replay_bit_identical() {
 }
 
 /// Capture is observation only: recording must not perturb the run, and the
-/// captured file must not depend on whether the kernel fast-forwarded.
+/// captured file must not depend on which driver (event kernel or reference
+/// loop) ran it.
 #[test]
 fn recording_is_pure_observation_and_fast_forward_invariant() {
     let cfg = small(Workload::WebSearch, 11);
@@ -109,8 +116,7 @@ fn recording_is_pure_observation_and_fast_forward_invariant() {
     let path_naive = temp_trace("record_ff_off");
     let mut naive = cfg.clone();
     naive.trace_record = Some(path_naive.clone());
-    naive.fast_forward = false;
-    let recorded_naive = run_system(naive).unwrap();
+    let recorded_naive = Simulator::reference(naive).expect("valid config").run();
     assert_eq!(plain, recorded_naive);
 
     let bytes_fast = std::fs::read(&path_fast).unwrap();
@@ -118,7 +124,7 @@ fn recording_is_pure_observation_and_fast_forward_invariant() {
     assert!(!bytes_fast.is_empty());
     assert_eq!(
         bytes_fast, bytes_naive,
-        "captured traces must be byte-identical with fast-forward on and off"
+        "captured traces must be byte-identical under both drivers"
     );
     std::fs::remove_file(&path_fast).ok();
     std::fs::remove_file(&path_naive).ok();
