@@ -83,10 +83,8 @@ fn bench_scheduler_tick(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dispatch cost of the per-cycle scheduler consultation: the devirtualized
-/// `SchedulerImpl::FrFcfs` fast path against the same algorithm behind
-/// `Box<dyn Scheduler>` (how every scheduler was called before the enum
-/// dispatch was introduced).
+/// Cost of the per-cycle scheduler consultation through the enum-dispatched
+/// `SchedulerImpl` the controller holds.
 fn bench_scheduler_dispatch(c: &mut Criterion) {
     let cfg = DramConfig::baseline();
     let channel = DramChannel::new(&cfg);
@@ -104,27 +102,20 @@ fn bench_scheduler_dispatch(c: &mut Criterion) {
             .unwrap();
     }
     let mut group = c.benchmark_group("scheduler/dispatch_pick_16_pending");
-    for (label, mut sched) in [
-        ("enum_frfcfs", SchedulerImpl::FrFcfs(FrFcfs::new())),
-        (
-            "boxed_frfcfs",
-            SchedulerImpl::Boxed(Box::new(FrFcfs::new())),
-        ),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let ctx = SchedContext {
-                    now: 0,
-                    channel: &channel,
-                    read_q: &read_q,
-                    write_q: &write_q,
-                    write_mode: false,
-                    num_cores: 16,
-                };
-                black_box(sched.pick(black_box(&ctx)))
-            });
+    let mut sched = SchedulerImpl::FrFcfs(FrFcfs::new());
+    group.bench_function("enum_frfcfs", |b| {
+        b.iter(|| {
+            let ctx = SchedContext {
+                now: 0,
+                channel: &channel,
+                read_q: &read_q,
+                write_q: &write_q,
+                write_mode: false,
+                num_cores: 16,
+            };
+            black_box(sched.pick(black_box(&ctx)))
         });
-    }
+    });
     group.finish();
 }
 

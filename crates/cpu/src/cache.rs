@@ -3,6 +3,8 @@
 
 use std::ops::Range;
 
+use cloudmc_snap::snap_fields;
+
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
@@ -173,7 +175,6 @@ impl Geometry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     geometry: Geometry,
     /// Every line, set-major: set `s` owns `lines[s * ways..(s + 1) * ways]`.
     lines: Vec<Line>,
@@ -286,46 +287,6 @@ impl Cache {
         }
     }
 
-    /// Serializes the cache's mutable state — every line plus the counters
-    /// and the LRU clock (checkpoint support). Geometry is config-derived
-    /// and not serialized.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        for line in &self.lines {
-            w.u64(line.tag);
-            w.bool(line.valid);
-            w.bool(line.dirty);
-            w.u64(line.last_use);
-        }
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.writebacks);
-        w.u64(self.tick);
-    }
-
-    /// Restores the cache's mutable state from a checkpoint. The cache must
-    /// have been built with the same geometry as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or an
-    /// impossible flag byte.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        for line in &mut self.lines {
-            line.tag = r.u64()?;
-            line.valid = r.bool()?;
-            line.dirty = r.bool()?;
-            line.last_use = r.u64()?;
-        }
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.writebacks = r.u64()?;
-        self.tick = r.u64()?;
-        Ok(())
-    }
-
     /// Invalidates the block containing `addr`, returning `true` if the block
     /// was present and dirty (i.e. a writeback is required).
     pub fn invalidate(&mut self, addr: u64) -> bool {
@@ -337,6 +298,27 @@ impl Cache {
             }
         }
         false
+    }
+}
+
+snap_fields! {
+    Line {
+        saved: { tag, valid, dirty, last_use },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    CacheStats {
+        saved: { hits, misses, writebacks },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    Cache {
+        saved: { lines: fixed, stats, tick },
+        skipped: { geometry: "config-derived" },
     }
 }
 

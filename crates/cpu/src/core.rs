@@ -7,13 +7,18 @@
 //! number of outstanding misses (the workload's memory-level parallelism) and
 //! dirty write-backs.
 
+use cloudmc_snap::{
+    load_new, snap_fields, snap_unit_enum, Snap, SnapError, SnapReader, SnapWriter,
+};
+
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::mshr::{Mshr, MshrOutcome};
 
 /// The kind of a memory operation executed by a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Data load.
+    #[default]
     Load,
     /// Data store.
     Store,
@@ -22,7 +27,7 @@ pub enum OpKind {
 }
 
 /// One memory operation of the instruction stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct MemOp {
     /// Operation kind.
     pub kind: OpKind,
@@ -159,14 +164,11 @@ enum Stall {
 /// [`InOrderCore::fill`].
 #[derive(Debug)]
 pub struct InOrderCore {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     id: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     tenant: TenantId,
     l1i: Cache,
     l1d: Cache,
     mshr: Mshr,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     block_bytes: u64,
     pending_compute: u32,
     stall: Option<Stall>,
@@ -491,92 +493,11 @@ impl InOrderCore {
         self.mshr.outstanding()
     }
 
-    /// Serializes the core's mutable state: both L1s, the MSHR file, the
-    /// compute buffer, the stall condition and the counters (checkpoint
-    /// support). Identity and geometry are config-derived and not
-    /// serialized.
-    ///
     /// An op deferred by [`InOrderCore::run_ahead`] is not part of the
-    /// format: the caller must not checkpoint a core that holds one
-    /// ([`InOrderCore::has_deferred_op`]).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        debug_assert!(self.deferred.is_none(), "checkpoint of a deferred op");
-        w.section("core");
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.mshr.save_state(w);
-        w.u32(self.pending_compute);
-        match self.stall {
-            None => w.u8(0),
-            Some(Stall::Miss {
-                block,
-                commits_on_fill,
-            }) => {
-                w.u8(1);
-                w.u64(block);
-                w.bool(commits_on_fill);
-            }
-            Some(Stall::MshrFull(op)) => {
-                w.u8(2);
-                w.u8(match op.kind {
-                    OpKind::Load => 0,
-                    OpKind::Store => 1,
-                    OpKind::Ifetch => 2,
-                });
-                w.u64(op.addr);
-                w.bool(op.overlappable);
-            }
-        }
-        w.u64(self.stats.committed);
-        w.u64(self.stats.stall_cycles);
-        w.u64(self.stats.cycles);
-        w.u64(self.stats.l1_demand_misses);
-        w.u64(self.stats.l1_writebacks);
-    }
-
-    /// Restores the core's mutable state from a checkpoint. The core must
-    /// have been built with the same configuration as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or
-    /// impossible discriminants.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("core")?;
+    /// image (the caller must not checkpoint a core that holds one, see
+    /// [`InOrderCore::has_deferred_op`]), so a restored core holds none.
+    fn clear_deferred(&mut self, _r: &SnapReader<'_>) -> Result<(), SnapError> {
         self.deferred = None;
-        self.l1i.load_state(r)?;
-        self.l1d.load_state(r)?;
-        self.mshr.load_state(r)?;
-        self.pending_compute = r.u32()?;
-        self.stall = match r.u8()? {
-            0 => None,
-            1 => Some(Stall::Miss {
-                block: r.u64()?,
-                commits_on_fill: r.bool()?,
-            }),
-            2 => {
-                let kind = match r.u8()? {
-                    0 => OpKind::Load,
-                    1 => OpKind::Store,
-                    2 => OpKind::Ifetch,
-                    other => return Err(r.bad_value(format!("op kind discriminant {other}"))),
-                };
-                Some(Stall::MshrFull(MemOp {
-                    kind,
-                    addr: r.u64()?,
-                    overlappable: r.bool()?,
-                }))
-            }
-            other => return Err(r.bad_value(format!("stall discriminant {other}"))),
-        };
-        self.stats.committed = r.u64()?;
-        self.stats.stall_cycles = r.u64()?;
-        self.stats.cycles = r.u64()?;
-        self.stats.l1_demand_misses = r.u64()?;
-        self.stats.l1_writebacks = r.u64()?;
         Ok(())
     }
 
@@ -591,6 +512,80 @@ impl InOrderCore {
         } else {
             self.l1d.access(addr, false);
         }
+    }
+}
+
+snap_unit_enum!(OpKind {
+    Load = 0,
+    Store = 1,
+    Ifetch = 2
+});
+
+snap_fields! {
+    MemOp {
+        saved: { kind, addr, overlappable },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    CoreStats {
+        saved: { committed, stall_cycles, cycles, l1_demand_misses, l1_writebacks },
+        skipped: {},
+    }
+}
+
+/// Blank value a decoder overwrites.
+impl Default for Stall {
+    fn default() -> Self {
+        Self::MshrFull(MemOp::default())
+    }
+}
+
+impl Snap for Stall {
+    const MIN_BYTES: usize = 1;
+
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Self::Miss {
+                block,
+                commits_on_fill,
+            } => {
+                w.u8(0);
+                block.save(w);
+                commits_on_fill.save(w);
+            }
+            Self::MshrFull(op) => {
+                w.u8(1);
+                op.save(w);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match r.u8()? {
+            0 => Self::Miss {
+                block: r.u64()?,
+                commits_on_fill: r.bool()?,
+            },
+            1 => Self::MshrFull(load_new(r)?),
+            other => return Err(r.bad_value(format!("stall discriminant {other}"))),
+        };
+        Ok(())
+    }
+}
+
+snap_fields! {
+    InOrderCore {
+        section: "core",
+        saved: { l1i, l1d, mshr, pending_compute, stall, stats },
+        skipped: {
+            id: "config-derived",
+            tenant: "config-derived",
+            block_bytes: "config-derived",
+            deferred: "snapshot() refuses a core holding one; cleared by clear_deferred",
+        },
+        after_load: Self::clear_deferred,
     }
 }
 

@@ -92,7 +92,6 @@ pub struct L2Outcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedL2 {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     config: L2Config,
     banks: Vec<Cache>,
 }
@@ -181,31 +180,13 @@ impl SharedL2 {
     pub fn bank_stats(&self, bank: usize) -> &CacheStats {
         self.banks[bank].stats()
     }
+}
 
-    /// Serializes every bank's mutable state (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("shared-l2");
-        for bank in &self.banks {
-            bank.save_state(w);
-        }
-    }
-
-    /// Restores every bank's mutable state from a checkpoint. The L2 must
-    /// have been built with the same configuration as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or
-    /// impossible values.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("shared-l2")?;
-        for bank in &mut self.banks {
-            bank.load_state(r)?;
-        }
-        Ok(())
+cloudmc_snap::snap_fields! {
+    SharedL2 {
+        section: "shared-l2",
+        saved: { banks: fixed },
+        skipped: { config: "config-derived" },
     }
 }
 

@@ -1,6 +1,8 @@
 //! Miss Status Holding Registers: track outstanding cache misses and merge
 //! secondary misses to the same block.
 
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
+
 /// Result of registering a miss with the MSHR file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
@@ -29,9 +31,7 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     capacity: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     block_bytes: u64,
     /// (block address, merged requester count)
     entries: Vec<(u64, u32)>,
@@ -101,38 +101,14 @@ impl Mshr {
         MshrOutcome::Allocated
     }
 
-    /// Serializes the MSHR file's entries (checkpoint support). Capacity and
-    /// block size are config-derived and not serialized.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.usize(self.entries.len());
-        for &(block, waiters) in &self.entries {
-            w.u64(block);
-            w.u32(waiters);
-        }
-    }
-
-    /// Restores the MSHR file's entries from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or an entry
-    /// count exceeding the configured capacity.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        let count = r.usize()?;
-        if count > self.capacity {
+    /// Restored entries must fit the configured capacity.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if self.entries.len() > self.capacity {
             return Err(r.bad_value(format!(
-                "{count} MSHR entries exceed capacity {}",
+                "{} MSHR entries exceed capacity {}",
+                self.entries.len(),
                 self.capacity
             )));
-        }
-        self.entries.clear();
-        for _ in 0..count {
-            let block = r.u64()?;
-            let waiters = r.u32()?;
-            self.entries.push((block, waiters));
         }
         Ok(())
     }
@@ -147,6 +123,17 @@ impl Mshr {
         } else {
             0
         }
+    }
+}
+
+snap_fields! {
+    Mshr {
+        saved: { entries },
+        skipped: {
+            capacity: "config-derived",
+            block_bytes: "config-derived",
+        },
+        after_load: Self::check_restored,
     }
 }
 

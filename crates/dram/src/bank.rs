@@ -1,5 +1,7 @@
 //! Per-bank state machine and timing bookkeeping.
 
+use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
+
 use crate::timing::{DramCycles, TimingParams};
 
 /// The row-buffer state of a bank.
@@ -232,52 +234,49 @@ impl Bank {
         self.next_write = self.next_write.max(cycle);
         self.next_precharge = self.next_precharge.max(cycle);
     }
-
-    /// Serializes the bank's mutable state (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        match self.state {
-            BankState::Idle => w.u8(0),
-            BankState::Active { row } => {
-                w.u8(1);
-                w.u64(row);
-            }
-        }
-        w.u64(self.next_activate);
-        w.u64(self.next_read);
-        w.u64(self.next_write);
-        w.u64(self.next_precharge);
-        w.u64(self.accesses_since_activate);
-        w.u64(self.activations);
-    }
-
-    /// Restores the bank's mutable state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or an
-    /// impossible state discriminant.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        self.state = match r.u8()? {
-            0 => BankState::Idle,
-            1 => BankState::Active { row: r.u64()? },
-            other => return Err(r.bad_value(format!("bank state discriminant {other}"))),
-        };
-        self.next_activate = r.u64()?;
-        self.next_read = r.u64()?;
-        self.next_write = r.u64()?;
-        self.next_precharge = r.u64()?;
-        self.accesses_since_activate = r.u64()?;
-        self.activations = r.u64()?;
-        Ok(())
-    }
 }
 
 impl Default for Bank {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Snap for BankState {
+    const MIN_BYTES: usize = 1;
+
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Self::Idle => w.u8(0),
+            Self::Active { row } => {
+                w.u8(1);
+                row.save(w);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match r.u8()? {
+            0 => Self::Idle,
+            1 => Self::Active { row: r.u64()? },
+            other => return Err(r.bad_value(format!("bank state discriminant {other}"))),
+        };
+        Ok(())
+    }
+}
+
+snap_fields! {
+    Bank {
+        saved: {
+            state,
+            next_activate,
+            next_read,
+            next_write,
+            next_precharge,
+            accesses_since_activate,
+            activations,
+        },
+        skipped: {},
     }
 }
 

@@ -6,14 +6,18 @@
 //! rank-level (tRRD/tFAW/tWTR via [`crate::rank::Rank`]) and channel-level
 //! (command-bus occupancy, data-bus occupancy, read/write turnaround, tRTRS).
 
+use cloudmc_snap::{snap_fields, snap_unit_enum, SnapError, SnapReader};
+
+use crate::bank::Bank;
 use crate::command::{Command, CommandKind, IssueOutcome};
 use crate::config::{DramConfig, Location};
 use crate::rank::{PowerDownMode, PowerState, Rank};
 use crate::timing::{DramCycles, TimingParams};
 
 /// Direction of the last data burst on the channel's data bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum BusDirection {
+    #[default]
     Read,
     Write,
 }
@@ -108,50 +112,6 @@ impl ChannelStats {
         self.power_wakes += other.power_wakes;
     }
 
-    /// Serializes every counter (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.u64(self.activates);
-        w.u64(self.precharges);
-        w.u64(self.reads);
-        w.u64(self.writes);
-        w.u64(self.refreshes);
-        w.u64(self.data_bus_busy_cycles);
-        w.u64(self.active_standby_cycles);
-        w.u64(self.precharge_standby_cycles);
-        w.u64(self.power_down_fast_cycles);
-        w.u64(self.power_down_slow_cycles);
-        w.u64(self.self_refresh_cycles);
-        w.u64(self.power_down_entries);
-        w.u64(self.self_refresh_entries);
-        w.u64(self.power_wakes);
-    }
-
-    /// Restores every counter from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        self.activates = r.u64()?;
-        self.precharges = r.u64()?;
-        self.reads = r.u64()?;
-        self.writes = r.u64()?;
-        self.refreshes = r.u64()?;
-        self.data_bus_busy_cycles = r.u64()?;
-        self.active_standby_cycles = r.u64()?;
-        self.precharge_standby_cycles = r.u64()?;
-        self.power_down_fast_cycles = r.u64()?;
-        self.power_down_slow_cycles = r.u64()?;
-        self.self_refresh_cycles = r.u64()?;
-        self.power_down_entries = r.u64()?;
-        self.self_refresh_entries = r.u64()?;
-        self.power_wakes = r.u64()?;
-        Ok(())
-    }
-
     /// Field-wise `self - start`: the counters accumulated over a
     /// measurement window whose beginning was snapshotted as `start`.
     ///
@@ -201,15 +161,10 @@ impl ChannelStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DramChannel {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     timing: TimingParams,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     banks_per_rank: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     rows_per_bank: u64,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     columns_per_row: u64,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     refresh_enabled: bool,
     ranks: Vec<Rank>,
     /// Cycle at which the data bus becomes free after the last burst.
@@ -346,76 +301,37 @@ impl DramChannel {
         }
     }
 
-    /// Serializes the channel's mutable state: every rank, the data-bus
-    /// bookkeeping and the event counters (checkpoint support). Geometry and
-    /// timing are config-derived and not serialized.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("dram-channel");
-        for rank in &self.ranks {
-            rank.save_state(w);
-        }
-        w.u64(self.bus_free_at);
-        match self.last_burst_rank {
-            None => w.u8(0),
-            Some(rank) => {
-                w.u8(1);
-                w.usize(rank);
-            }
-        }
-        w.u8(match self.last_burst_direction {
-            None => 0,
-            Some(BusDirection::Read) => 1,
-            Some(BusDirection::Write) => 2,
-        });
-        match self.last_cmd_cycle {
-            None => w.u8(0),
-            Some(cycle) => {
-                w.u8(1);
-                w.u64(cycle);
-            }
-        }
-        self.stats.save_state(w);
+    /// Whether `loc` addresses a cell of this channel — the non-panicking
+    /// form of the bounds every command is asserted against, for callers
+    /// validating locations that arrive from outside (a snapshot image).
+    #[must_use]
+    pub fn contains(&self, loc: &Location) -> bool {
+        loc.rank < self.ranks.len()
+            && loc.bank < self.banks_per_rank
+            && loc.row < self.rows_per_bank
+            && loc.column < self.columns_per_row
     }
 
-    /// Restores the channel's mutable state from a checkpoint. The channel
-    /// must have been built from the same configuration as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or
-    /// impossible values.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("dram-channel")?;
-        for rank in &mut self.ranks {
-            rank.load_state(r)?;
+    /// A restored last-burst rank must exist and every open row must lie
+    /// inside the bank: both are turned back into command locations.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if let Some(rank) = self
+            .last_burst_rank
+            .filter(|&rank| rank >= self.ranks.len())
+        {
+            return Err(r.bad_value(format!("last burst rank {rank} out of range")));
         }
-        self.bus_free_at = r.u64()?;
-        self.last_burst_rank = match r.u8()? {
-            0 => None,
-            1 => {
-                let rank = r.usize()?;
-                if rank >= self.ranks.len() {
-                    return Err(r.bad_value(format!("last burst rank {rank} out of range")));
-                }
-                Some(rank)
-            }
-            other => return Err(r.bad_value(format!("option tag {other}"))),
-        };
-        self.last_burst_direction = match r.u8()? {
-            0 => None,
-            1 => Some(BusDirection::Read),
-            2 => Some(BusDirection::Write),
-            other => return Err(r.bad_value(format!("bus direction discriminant {other}"))),
-        };
-        self.last_cmd_cycle = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            other => return Err(r.bad_value(format!("option tag {other}"))),
-        };
-        self.stats.load_state(r)?;
+        let mut open_rows = self
+            .ranks
+            .iter()
+            .flat_map(Rank::banks)
+            .filter_map(Bank::open_row);
+        if let Some(row) = open_rows.find(|&row| row >= self.rows_per_bank) {
+            return Err(r.bad_value(format!(
+                "open row {row} out of range ({} rows per bank)",
+                self.rows_per_bank
+            )));
+        }
         Ok(())
     }
 
@@ -728,6 +644,55 @@ impl DramChannel {
         // state (residency accrues in closed form at this transition point).
         self.ranks[rank_idx].update_standby(now);
         outcome
+    }
+}
+
+snap_unit_enum!(BusDirection {
+    Read = 0,
+    Write = 1
+});
+
+snap_fields! {
+    ChannelStats {
+        saved: {
+            activates,
+            precharges,
+            reads,
+            writes,
+            refreshes,
+            data_bus_busy_cycles,
+            active_standby_cycles,
+            precharge_standby_cycles,
+            power_down_fast_cycles,
+            power_down_slow_cycles,
+            self_refresh_cycles,
+            power_down_entries,
+            self_refresh_entries,
+            power_wakes,
+        },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    DramChannel {
+        section: "dram-channel",
+        saved: {
+            ranks: fixed,
+            bus_free_at,
+            last_burst_rank,
+            last_burst_direction,
+            last_cmd_cycle,
+            stats,
+        },
+        skipped: {
+            timing: "config-derived",
+            banks_per_rank: "config-derived",
+            rows_per_bank: "config-derived",
+            columns_per_row: "config-derived",
+            refresh_enabled: "config-derived",
+        },
+        after_load: Self::check_restored,
     }
 }
 

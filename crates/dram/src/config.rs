@@ -131,7 +131,7 @@ impl Default for DramConfig {
 ///
 /// The channel index itself is resolved by the memory controller's address
 /// mapping before the request reaches the device model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Location {
     /// Rank index within the channel.
     pub rank: usize,
@@ -159,6 +159,15 @@ impl Location {
     #[must_use]
     pub fn flat_bank(&self, banks_per_rank: usize) -> usize {
         self.rank * banks_per_rank + self.bank
+    }
+}
+
+// A bare location does not know the channel geometry: whoever owns a restored
+// one bounds it with `DramChannel::contains`.
+cloudmc_snap::snap_fields! {
+    Location {
+        saved: { rank, bank, row, column },
+        skipped: {},
     }
 }
 

@@ -27,6 +27,8 @@
 
 use std::collections::BTreeSet;
 
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
+
 use crate::rank::PowerResidency;
 use crate::timing::DramCycles;
 
@@ -225,13 +227,10 @@ type RowKey = (usize, usize, u64);
 /// [`FaultModel::classify_read`] and reacts to the returned [`ReadFault`].
 #[derive(Debug, Clone)]
 pub struct FaultModel {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     cfg: FaultConfig,
     /// Planted always-correctable (stuck-at single bit) rows.
-    // simlint: allow(snapshot-coverage) deterministically re-planted from the seeded fault config
     stuck: BTreeSet<RowKey>,
     /// Planted always-uncorrectable (multi-bit hard) rows.
-    // simlint: allow(snapshot-coverage) deterministically re-planted from the seeded fault config
     hard: BTreeSet<RowKey>,
     /// Planted rows already surfaced by at least one read.
     discovered: BTreeSet<RowKey>,
@@ -424,52 +423,38 @@ impl FaultModel {
         self.ledger.latent
     }
 
-    /// Serializes the model's mutable state: the discovered-site set and the
-    /// conservation ledger (checkpoint support). The planted stuck/hard sets
-    /// are a pure function of the configuration and are rebuilt by
-    /// [`FaultModel::new`], not serialized.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("fault-model");
-        w.usize(self.discovered.len());
-        for &(rank, bank, row) in &self.discovered {
-            w.usize(rank);
-            w.usize(bank);
-            w.u64(row);
+    /// Every restored discovered site must be planted in this configuration.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if let Some(key) = self
+            .discovered
+            .iter()
+            .find(|key| !self.stuck.contains(key) && !self.hard.contains(key))
+        {
+            return Err(r.bad_value(format!(
+                "discovered site {key:?} is not planted in this configuration"
+            )));
         }
-        w.u64(self.ledger.injected);
-        w.u64(self.ledger.corrected);
-        w.u64(self.ledger.uncorrectable);
-        w.u64(self.ledger.latent);
-    }
-
-    /// Restores the model's mutable state from a checkpoint. The model must
-    /// have been built with the same configuration as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or a
-    /// discovered site that is not planted in this configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("fault-model")?;
-        let count = r.bounded_len(24)?;
-        self.discovered.clear();
-        for _ in 0..count {
-            let key = (r.usize()?, r.usize()?, r.u64()?);
-            if !self.stuck.contains(&key) && !self.hard.contains(&key) {
-                return Err(r.bad_value(format!(
-                    "discovered site {key:?} is not planted in this configuration"
-                )));
-            }
-            self.discovered.insert(key);
-        }
-        self.ledger.injected = r.u64()?;
-        self.ledger.corrected = r.u64()?;
-        self.ledger.uncorrectable = r.u64()?;
-        self.ledger.latent = r.u64()?;
         Ok(())
+    }
+}
+
+snap_fields! {
+    FaultLedger {
+        saved: { injected, corrected, uncorrectable, latent },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    FaultModel {
+        section: "fault-model",
+        saved: { discovered, ledger },
+        skipped: {
+            cfg: "config-derived",
+            stuck: "deterministically re-planted from the seeded fault config",
+            hard: "deterministically re-planted from the seeded fault config",
+        },
+        after_load: Self::check_restored,
     }
 }
 

@@ -5,6 +5,8 @@
 
 use std::collections::VecDeque;
 
+use cloudmc_snap::{snap_fields, snap_unit_enum, SnapError, SnapReader};
+
 use crate::bank::Bank;
 use crate::timing::{DramCycles, TimingParams};
 
@@ -534,91 +536,61 @@ impl Rank {
         ready
     }
 
-    /// Serializes the rank's mutable state — every bank plus the rank-level
-    /// timing fences, refresh schedule and power-state machine (checkpoint
-    /// support). The bank count is config-derived and not serialized.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        for bank in &self.banks {
-            bank.save_state(w);
+    /// The tFAW window never holds more than four ACTIVATEs.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if self.act_window.len() > 4 {
+            return Err(r.bad_value(format!(
+                "tFAW window length {} exceeds 4",
+                self.act_window.len()
+            )));
         }
-        w.usize(self.act_window.len());
-        for &cycle in &self.act_window {
-            w.u64(cycle);
-        }
-        w.u64(self.next_act);
-        w.u64(self.next_read);
-        w.u64(self.next_write);
-        w.u64(self.next_refresh_due);
-        w.u64(self.next_ref);
-        w.u64(self.refreshes);
-        w.u8(match self.power {
-            PowerState::ActiveStandby => 0,
-            PowerState::PrechargeStandby => 1,
-            PowerState::PowerDownFast => 2,
-            PowerState::PowerDownSlow => 3,
-            PowerState::SelfRefresh => 4,
-        });
-        w.u64(self.power_since);
-        w.u64(self.residency.active_standby);
-        w.u64(self.residency.precharge_standby);
-        w.u64(self.residency.power_down_fast);
-        w.u64(self.residency.power_down_slow);
-        w.u64(self.residency.self_refresh);
-        w.u64(self.quiet_at);
-        w.u64(self.cke_ok_at);
-        w.u64(self.power_down_entries);
-        w.u64(self.self_refresh_entries);
-        w.u64(self.power_wakes);
-    }
-
-    /// Restores the rank's mutable state from a checkpoint. The rank must
-    /// have been built with the same bank count as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or
-    /// impossible values (bad discriminants, oversized tFAW window).
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        for bank in &mut self.banks {
-            bank.load_state(r)?;
-        }
-        let window = r.usize()?;
-        if window > 4 {
-            return Err(r.bad_value(format!("tFAW window length {window} exceeds 4")));
-        }
-        self.act_window.clear();
-        for _ in 0..window {
-            self.act_window.push_back(r.u64()?);
-        }
-        self.next_act = r.u64()?;
-        self.next_read = r.u64()?;
-        self.next_write = r.u64()?;
-        self.next_refresh_due = r.u64()?;
-        self.next_ref = r.u64()?;
-        self.refreshes = r.u64()?;
-        self.power = match r.u8()? {
-            0 => PowerState::ActiveStandby,
-            1 => PowerState::PrechargeStandby,
-            2 => PowerState::PowerDownFast,
-            3 => PowerState::PowerDownSlow,
-            4 => PowerState::SelfRefresh,
-            other => return Err(r.bad_value(format!("power state discriminant {other}"))),
-        };
-        self.power_since = r.u64()?;
-        self.residency.active_standby = r.u64()?;
-        self.residency.precharge_standby = r.u64()?;
-        self.residency.power_down_fast = r.u64()?;
-        self.residency.power_down_slow = r.u64()?;
-        self.residency.self_refresh = r.u64()?;
-        self.quiet_at = r.u64()?;
-        self.cke_ok_at = r.u64()?;
-        self.power_down_entries = r.u64()?;
-        self.self_refresh_entries = r.u64()?;
-        self.power_wakes = r.u64()?;
         Ok(())
+    }
+}
+
+snap_unit_enum!(PowerState {
+    ActiveStandby = 0,
+    PrechargeStandby = 1,
+    PowerDownFast = 2,
+    PowerDownSlow = 3,
+    SelfRefresh = 4,
+});
+
+snap_fields! {
+    PowerResidency {
+        saved: {
+            active_standby,
+            precharge_standby,
+            power_down_fast,
+            power_down_slow,
+            self_refresh,
+        },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    Rank {
+        saved: {
+            banks: fixed,
+            act_window,
+            next_act,
+            next_read,
+            next_write,
+            next_refresh_due,
+            next_ref,
+            refreshes,
+            power,
+            power_since,
+            residency,
+            quiet_at,
+            cke_ok_at,
+            power_down_entries,
+            self_refresh_entries,
+            power_wakes,
+        },
+        skipped: {},
+        after_load: Self::check_restored,
     }
 }
 

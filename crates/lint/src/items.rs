@@ -1,10 +1,8 @@
-//! Structural views over the token stream: function spans, struct
-//! definitions, and inherent-impl method bodies.
+//! Structural views over the token stream: function spans.
 //!
 //! These are deliberately shallow — no expression parsing, no type
 //! resolution — but they give the rules exactly the shape they need:
-//! "which tokens form the body of `fn merge`", "which fields does
-//! `struct McStats` declare", "where is `save_state` inside `impl McStats`".
+//! "which tokens form the body of `fn merge`".
 
 use crate::lexer::{Tok, TokKind};
 
@@ -21,19 +19,6 @@ pub struct FnSpan {
     pub ret: std::ops::Range<usize>,
     /// Token range of the body, exclusive of the outer braces.
     pub body: std::ops::Range<usize>,
-}
-
-/// One `struct` definition with named fields.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Struct name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Declared field names with the line each is declared on.
-    pub fields: Vec<(String, u32)>,
-    /// Whether the definition sits inside `#[cfg(test)]` code.
-    pub in_test: bool,
 }
 
 /// Index of the matching close delimiter for the open delimiter at `open`.
@@ -101,134 +86,6 @@ pub fn functions(tokens: &[Tok]) -> Vec<FnSpan> {
     out
 }
 
-/// Finds every named-field `struct` definition.
-#[must_use]
-pub fn structs(tokens: &[Tok]) -> Vec<StructDef> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_ident("struct")
-            && tokens.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            let name = tokens[i + 1].text.clone();
-            let line = tokens[i].line;
-            let in_test = tokens[i].in_test;
-            let mut j = i + 2;
-            if j < tokens.len() && tokens[j].is_punct('<') {
-                j = matching_close(tokens, j, '<', '>') + 1;
-            }
-            // Tuple structs (`(`) and unit structs (`;`) have no named
-            // fields to check.
-            if j < tokens.len() && tokens[j].is_punct('{') {
-                let close = matching_close(tokens, j, '{', '}');
-                let fields = field_names(&tokens[j + 1..close]);
-                out.push(StructDef {
-                    name,
-                    line,
-                    fields,
-                    in_test,
-                });
-                i = close + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Field names declared at the top level of a struct body: identifiers
-/// directly followed by a single `:` (not `::`), outside nested delimiters.
-fn field_names(body: &[Tok]) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0;
-    while i < body.len() {
-        let t = &body[i];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') || t.is_punct('>') {
-            depth -= 1;
-        } else if depth == 0
-            && t.kind == TokKind::Ident
-            && body.get(i + 1).is_some_and(|n| n.is_punct(':'))
-            && !body.get(i + 2).is_some_and(|n| n.is_punct(':'))
-            && !(i > 0 && body[i - 1].is_punct(':'))
-        {
-            out.push((t.text.clone(), t.line));
-            // Skip ahead to the comma that ends this field so type tokens
-            // (which may contain `ident:` inside fn pointers etc.) are not
-            // mistaken for further fields.
-            let mut d = 0i32;
-            i += 2;
-            while i < body.len() {
-                let u = &body[i];
-                if u.is_punct('(') || u.is_punct('[') || u.is_punct('<') {
-                    d += 1;
-                } else if u.is_punct(')') || u.is_punct(']') || u.is_punct('>') {
-                    d -= 1;
-                } else if u.is_punct(',') && d <= 0 {
-                    break;
-                }
-                i += 1;
-            }
-            continue;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Inherent (`impl Name { ... }`, no trait) impl blocks: returns
-/// `(struct_name, body_range)` for each.
-#[must_use]
-pub fn inherent_impls(tokens: &[Tok]) -> Vec<(String, std::ops::Range<usize>)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_ident("impl") {
-            let mut j = i + 1;
-            if j < tokens.len() && tokens[j].is_punct('<') {
-                j = matching_close(tokens, j, '<', '>') + 1;
-            }
-            if j < tokens.len() && tokens[j].kind == TokKind::Ident {
-                let name = tokens[j].text.clone();
-                let mut k = j + 1;
-                if k < tokens.len() && tokens[k].is_punct('<') {
-                    k = matching_close(tokens, k, '<', '>') + 1;
-                }
-                // `impl Trait for Type` is a trait impl — skip. `impl Name {`
-                // is inherent.
-                if k < tokens.len() && tokens[k].is_punct('{') {
-                    let close = matching_close(tokens, k, '{', '}');
-                    out.push((name, k + 1..close));
-                    i = k + 1; // descend: nested impls don't occur, but fns do
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Whether the token at `idx` is part of the field-access sequence
-/// `base . field` for the given base identifier set — used to collect
-/// `self.x` / `req.x` accesses.
-#[must_use]
-pub fn accessed_fields(body: &[Tok], base: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for i in 0..body.len() {
-        if body[i].is_ident(base)
-            && body.get(i + 1).is_some_and(|t| t.is_punct('.'))
-            && body.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            out.push(body[i + 2].text.clone());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,34 +98,5 @@ mod tests {
         let names: Vec<_> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
         assert!(fns[0].body.len() >= 3);
-    }
-
-    #[test]
-    fn struct_fields_are_extracted() {
-        let lexed = lex(
-            "pub struct S<T> { pub a: u64, b: Vec<HashMap<u64, u64>>, pub(crate) c: T }\n\
-             struct Unit;\nstruct Tup(u64);",
-        );
-        let defs = structs(&lexed.tokens);
-        assert_eq!(defs.len(), 1);
-        let fields: Vec<_> = defs[0].fields.iter().map(|(f, _)| f.as_str()).collect();
-        assert_eq!(fields, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn inherent_impl_bodies_are_found_and_trait_impls_skipped() {
-        let lexed = lex("impl Display for S { fn fmt(&self) {} }\n\
-             impl S { fn save_state(&self) { self.a; } }");
-        let impls = inherent_impls(&lexed.tokens);
-        assert_eq!(impls.len(), 1);
-        assert_eq!(impls[0].0, "S");
-    }
-
-    #[test]
-    fn field_accesses_are_collected() {
-        let lexed = lex("fn w(req: &R) { w.u64(req.id); w.u8(req.kind as u8); req.nested.deep; }");
-        let f = &functions(&lexed.tokens)[0];
-        let fields = accessed_fields(&lexed.tokens[f.body.clone()], "req");
-        assert_eq!(fields, vec!["id", "kind", "nested"]);
     }
 }

@@ -1,7 +1,9 @@
 //! `cloudmc-lint`: a dependency-free, workspace-aware static analyzer that
-//! turns the simulator's cross-cutting invariants — determinism, snapshot
-//! coverage, additive-only stats schema, no-panic library paths — into
-//! machine-checked lint rules.
+//! turns the simulator's cross-cutting invariants — determinism,
+//! additive-only stats schema, no-panic library paths — into machine-checked
+//! lint rules. (Snapshot coverage is not among them: `cloudmc_snap`'s
+//! `snap_fields!` makes a field missing from a struct's snapshot list a
+//! compile error.)
 //!
 //! The build environment is offline, so there is no `syn`: analysis is
 //! token-level (see [`lexer`]) with shallow structural views (see [`items`]).
@@ -16,7 +18,6 @@ pub mod items;
 pub mod lexer;
 pub mod rules;
 pub mod schema;
-pub mod snapcov;
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -40,11 +41,6 @@ pub const RULES: &[(&str, &str)] = &[
         "panic",
         "no unwrap()/expect()/panic!/unimplemented!/todo! in library-crate \
          non-test code without an annotated invariant",
-    ),
-    (
-        "snapshot-coverage",
-        "every field of a snapshot-serialized struct must be touched by both \
-         its save and load paths",
     ),
     (
         "stats-schema",
@@ -238,9 +234,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 }
 
 /// A candidate awaiting suppression processing: the index of the file it was
-/// found in, the hit itself, and any extra `(file idx, line)` points where a
-/// suppression comment may also cover it (cross-file rules).
-type PendingCandidate = (usize, Candidate, Vec<(usize, u32)>);
+/// found in and the hit itself.
+type PendingCandidate = (usize, Candidate);
 
 /// Runs every enabled rule and applies suppressions.
 pub fn analyze(config: &Config) -> Result<Report, String> {
@@ -267,13 +262,7 @@ pub fn analyze(config: &Config) -> Result<Report, String> {
         if config.on("io-access") {
             rules::io_access(&sf.crate_name, &sf.lexed, &mut local);
         }
-        cands.extend(local.into_iter().map(|c| (fi, c, Vec::new())));
-    }
-
-    if config.on("snapshot-coverage") {
-        for cc in snapcov::check(&files) {
-            cands.push((cc.file, cc.cand, cc.also_suppress));
-        }
+        cands.extend(local.into_iter().map(|c| (fi, c)));
     }
 
     if config.on("stats-schema") {
@@ -284,32 +273,28 @@ pub fn analyze(config: &Config) -> Result<Report, String> {
             let keys = schema::extract_keys(&files[fi].lexed);
             let schema_text = std::fs::read_to_string(config.root.join(schema::SCHEMA_FILE)).ok();
             for c in schema::check(&keys, schema_text.as_deref()) {
-                cands.push((fi, c, Vec::new()));
+                cands.push((fi, c));
             }
         }
     }
 
     let mut diagnostics = Vec::new();
     let mut suppressed = 0usize;
-    for (fi, cand, also) in cands {
+    for (fi, cand) in cands {
         // `no-unsafe` has no annotation escape.
         let suppression = if cand.rule == "no-unsafe" {
             None
         } else {
-            let mut points = vec![(fi, cand.line)];
-            points.extend(also);
-            points.into_iter().find_map(|(pfi, line)| {
-                files[pfi]
-                    .lexed
-                    .suppressions_covering(line)
-                    .find(|s| s.rule == cand.rule)
-                    .map(|s| (pfi, s.line, s.reason.clone()))
-            })
+            files[fi]
+                .lexed
+                .suppressions_covering(cand.line)
+                .find(|s| s.rule == cand.rule)
+                .map(|s| (s.line, s.reason.clone()))
         };
         match suppression {
-            Some((pfi, line, reason)) if reason.is_empty() => diagnostics.push(Diagnostic {
+            Some((line, reason)) if reason.is_empty() => diagnostics.push(Diagnostic {
                 rule: cand.rule.to_owned(),
-                file: files[pfi].rel_path.clone(),
+                file: files[fi].rel_path.clone(),
                 line,
                 message: format!(
                     "suppression for `{}` is missing its justification — write \

@@ -8,7 +8,7 @@ use cloudmc_dram::{
     ChannelStats, Command, DramChannel, DramConfig, DramCycles, FaultConfig, FaultLedger,
     FaultModel, Location, PowerDownMode, ReadFault, UncorrectablePolicy,
 };
-use cloudmc_snap::{SnapError, SnapReader, SnapWriter};
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::mapping::{AddressMapping, DecodedAddress};
 use crate::page::{PagePolicyImpl, PagePolicyKind, PolicyView};
@@ -129,7 +129,7 @@ impl Default for McConfig {
 
 /// A request whose column access has issued and whose data completes at a
 /// known cycle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct InFlight {
     completion: DramCycles,
     done: CompletedRequest,
@@ -144,20 +144,15 @@ struct InFlight {
 /// count.
 #[derive(Debug)]
 struct FaultState {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     cfg: FaultConfig,
     model: FaultModel,
     /// DRAM geometry for the patrol cursor.
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     ranks: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     banks_per_rank: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     rows_per_bank: u64,
     /// Corrected demand reads parked for a bounded-backoff retry:
     /// due cycle -> FIFO of (request, location, next attempt number).
     retry_pending: BTreeMap<DramCycles, VecDeque<(MemoryRequest, Location, u32)>>,
-    // simlint: allow(snapshot-coverage) derived: sum of retry_pending bucket lengths, recomputed on load
     retry_len: usize,
     /// Attempt number for demand reads currently re-enqueued as retries.
     attempts: BTreeMap<RequestId, u32>,
@@ -248,169 +243,18 @@ impl FaultState {
         false
     }
 
-    /// Serializes the reliability subsystem's mutable state (checkpoint
-    /// support). Geometry and configuration are config-derived; the ordered
-    /// collections serialize in their natural iteration order, which is
-    /// deterministic by construction.
-    fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("fault-state");
-        self.model.save_state(w);
-        w.usize(self.retry_pending.len());
-        for (&due, bucket) in &self.retry_pending {
-            w.u64(due);
-            w.usize(bucket.len());
-            for (request, location, attempt) in bucket {
-                crate::snapio::write_request(w, request);
-                crate::snapio::write_location(w, *location);
-                w.u32(*attempt);
-            }
-        }
-        w.usize(self.attempts.len());
-        for (&id, &attempt) in &self.attempts {
-            w.u64(id);
-            w.u32(attempt);
-        }
-        w.u64(self.next_scrub_at);
-        w.usize(self.scrub_cursor.0);
-        w.usize(self.scrub_cursor.1);
-        w.u64(self.scrub_cursor.2);
-        w.u64(self.scrub_seq);
-        w.usize(self.scrub_live);
-        w.usize(self.row_errors.len());
-        for (&(rank, bank, row), &count) in &self.row_errors {
-            w.usize(rank);
-            w.usize(bank);
-            w.u64(row);
-            w.u32(count);
-        }
-        w.usize(self.retired.len());
-        for &(rank, bank, row) in &self.retired {
-            w.usize(rank);
-            w.usize(bank);
-            w.u64(row);
-        }
-        w.u64_slice(&self.rows_retired_per_rank);
-        w.usize(self.poisoned.len());
-        for &(rank, bank, row, column) in &self.poisoned {
-            w.usize(rank);
-            w.usize(bank);
-            w.u64(row);
-            w.u64(column);
-        }
-        match &self.error {
-            None => w.u8(0),
-            Some(msg) => {
-                w.u8(1);
-                w.str(msg);
-            }
-        }
-    }
-
-    /// Restores the reliability subsystem's mutable state from a checkpoint.
-    fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("fault-state")?;
-        self.model.load_state(r)?;
-        let check_loc = |r: &SnapReader<'_>,
-                         rank: usize,
-                         bank: usize,
-                         row: u64,
-                         ranks: usize,
-                         banks: usize,
-                         rows: u64|
-         -> Result<(), cloudmc_snap::SnapError> {
-            if rank >= ranks || bank >= banks || row >= rows {
-                return Err(r.bad_value(format!(
-                    "coordinates ({rank}, {bank}, {row}) outside geometry \
-                     ({ranks} ranks, {banks} banks, {rows} rows)"
-                )));
-            }
-            Ok(())
-        };
-        let buckets = r.bounded_len(8)?;
-        self.retry_pending.clear();
-        self.retry_len = 0;
-        for _ in 0..buckets {
-            let due = r.u64()?;
-            let len = r.bounded_len(42)?;
-            let mut bucket = VecDeque::with_capacity(len);
-            for _ in 0..len {
-                let request = crate::snapio::read_request(r)?;
-                let location = crate::snapio::read_location(r)?;
-                let attempt = r.u32()?;
-                bucket.push_back((request, location, attempt));
-            }
-            self.retry_len += bucket.len();
-            if self.retry_pending.insert(due, bucket).is_some() {
-                return Err(r.bad_value(format!("duplicate retry bucket at cycle {due}")));
-            }
-        }
-        let count = r.bounded_len(12)?;
-        self.attempts.clear();
-        for _ in 0..count {
-            let id = r.u64()?;
-            let attempt = r.u32()?;
-            self.attempts.insert(id, attempt);
-        }
-        self.next_scrub_at = r.u64()?;
-        let rank = r.usize()?;
-        let bank = r.usize()?;
-        let row = r.u64()?;
-        check_loc(
-            r,
-            rank,
-            bank,
-            row,
-            self.ranks,
-            self.banks_per_rank,
-            self.rows_per_bank,
-        )?;
-        self.scrub_cursor = (rank, bank, row);
-        self.scrub_seq = r.u64()?;
-        self.scrub_live = r.usize()?;
-        let count = r.bounded_len(28)?;
-        self.row_errors.clear();
-        for _ in 0..count {
-            let rank = r.usize()?;
-            let bank = r.usize()?;
-            let row = r.u64()?;
-            let errors = r.u32()?;
-            self.row_errors.insert((rank, bank, row), errors);
-        }
-        let count = r.bounded_len(24)?;
-        self.retired.clear();
-        for _ in 0..count {
-            let rank = r.usize()?;
-            let bank = r.usize()?;
-            let row = r.u64()?;
-            self.retired.insert((rank, bank, row));
-        }
-        let count = r.bounded_len(8)?;
-        if count != self.rows_retired_per_rank.len() {
+    /// Recomputes the parked-retry count from the restored buckets and
+    /// rejects a patrol cursor outside the geometry.
+    fn finish_restore(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        self.retry_len = self.retry_pending.values().map(VecDeque::len).sum();
+        let (rank, bank, row) = self.scrub_cursor;
+        if rank >= self.ranks || bank >= self.banks_per_rank || row >= self.rows_per_bank {
             return Err(r.bad_value(format!(
-                "{count} per-rank retirement counters, expected {}",
-                self.rows_retired_per_rank.len()
+                "scrub cursor ({rank}, {bank}, {row}) outside geometry \
+                 ({} ranks, {} banks, {} rows)",
+                self.ranks, self.banks_per_rank, self.rows_per_bank
             )));
         }
-        for slot in &mut self.rows_retired_per_rank {
-            *slot = r.u64()?;
-        }
-        let count = r.bounded_len(32)?;
-        self.poisoned.clear();
-        for _ in 0..count {
-            let rank = r.usize()?;
-            let bank = r.usize()?;
-            let row = r.u64()?;
-            let column = r.u64()?;
-            self.poisoned.insert((rank, bank, row, column));
-        }
-        self.error = match r.u8()? {
-            0 => None,
-            1 => Some(r.str()?),
-            t => return Err(r.bad_value(format!("latched-error tag {t}"))),
-        };
         Ok(())
     }
 
@@ -434,7 +278,6 @@ impl FaultState {
 /// Controller state for one memory channel.
 #[derive(Debug)]
 struct ChannelController {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     index: usize,
     channel: DramChannel,
     read_q: RequestQueue,
@@ -452,11 +295,8 @@ struct ChannelController {
     /// conflict-induced precharge.
     activated_after_conflict: Vec<bool>,
     stats: McStats,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     write_drain_high: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     write_drain_low: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     num_cores: usize,
     /// Reliability subsystem; `None` keeps the controller bit-identical to a
     /// build without it (no extra work on any hot path).
@@ -498,83 +338,46 @@ impl ChannelController {
         }
     }
 
-    /// Serializes the channel's mutable state: device, queues, scheduler,
-    /// policies, arbiter, in-flight transfers, statistics and the optional
-    /// reliability subsystem (checkpoint support).
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.section("channel");
-        self.channel.save_state(w);
-        self.read_q.save_state(w);
-        self.write_q.save_state(w);
-        self.scheduler.save_state(w);
-        self.policy.save_state(w);
-        self.power_policy.save_state(w);
-        self.qos.save_state(w);
-        w.bool(self.write_mode);
-        w.usize(self.inflight.len());
-        for inflight in &self.inflight {
-            w.u64(inflight.completion);
-            crate::snapio::write_completed(w, &inflight.done);
-        }
-        for flags in [&self.conflict_pending, &self.activated_after_conflict] {
-            w.usize(flags.len());
-            for &flag in flags {
-                w.bool(flag);
+    /// Bounds every restored request record — queued, in flight or parked
+    /// for an ECC retry — against this channel's geometry and core count:
+    /// the device model asserts on a location outside the geometry, and the
+    /// per-core scheduler and statistics tables are indexed by the core.
+    /// The live-scrub counter must equal the scrub reads actually queued or
+    /// in flight, or the demand-pending accounting underflows.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        let queued = self
+            .read_q
+            .iter()
+            .chain(self.write_q.iter())
+            .map(|e| (&e.request, &e.location));
+        let inflight = self
+            .inflight
+            .iter()
+            .map(|i| (&i.done.request, &i.done.location));
+        let parked = self.fault.iter().flat_map(|f| {
+            f.retry_pending
+                .values()
+                .flatten()
+                .map(|(request, location, _)| (request, location))
+        });
+        let mut scrubs = 0;
+        for (request, location) in queued.chain(inflight).chain(parked) {
+            request.check_core(r, self.num_cores)?;
+            if !self.channel.contains(location) {
+                return Err(r.bad_value(format!(
+                    "request {} at {location:?} outside the channel geometry",
+                    request.id
+                )));
             }
+            scrubs += usize::from(is_scrub_id(request.id));
         }
-        self.stats.save_state(w);
-        match &self.fault {
-            None => w.u8(0),
-            Some(f) => {
-                w.u8(1);
-                f.save_state(w);
-            }
+        let scrub_live = self.fault.as_ref().map_or(0, |f| f.scrub_live);
+        if scrubs != scrub_live {
+            return Err(r.bad_value(format!(
+                "{scrub_live} live scrub reads recorded, {scrubs} queued or in flight"
+            )));
         }
-    }
-
-    /// Restores the channel's mutable state from a checkpoint. The channel
-    /// must have been built from the same configuration as the saved one.
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("channel")?;
-        self.channel.load_state(r)?;
-        self.read_q.load_state(r)?;
-        self.write_q.load_state(r)?;
-        self.scheduler.load_state(r)?;
-        self.policy.load_state(r)?;
-        self.power_policy.load_state(r)?;
-        self.qos.load_state(r)?;
-        self.write_mode = r.bool()?;
-        let count = r.bounded_len(50)?;
-        self.inflight.clear();
-        for _ in 0..count {
-            let completion = r.u64()?;
-            let done = crate::snapio::read_completed(r)?;
-            self.inflight.push(InFlight { completion, done });
-        }
-        for flags in [
-            &mut self.conflict_pending,
-            &mut self.activated_after_conflict,
-        ] {
-            let count = r.bounded_len(1)?;
-            if count != flags.len() {
-                return Err(
-                    r.bad_value(format!("{count} per-bank flags, expected {}", flags.len()))
-                );
-            }
-            for flag in flags.iter_mut() {
-                *flag = r.bool()?;
-            }
-        }
-        self.stats.load_state(r)?;
-        match (r.u8()?, self.fault.as_deref_mut()) {
-            (0, None) => Ok(()),
-            (1, Some(f)) => f.load_state(r),
-            (0, Some(_)) => Err(r.bad_value("snapshot lacks the configured fault model state")),
-            (1, None) => {
-                Err(r.bad_value("snapshot carries fault model state but none is configured"))
-            }
-            (t, _) => Err(r.bad_value(format!("fault-state tag {t}"))),
-        }
+        Ok(())
     }
 
     /// Demand requests queued, in flight or parked for retry. Patrol-scrub
@@ -1387,7 +1190,6 @@ impl ChannelController {
 /// ```
 #[derive(Debug)]
 pub struct MemoryController {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     cfg: McConfig,
     channels: Vec<ChannelController>,
 }
@@ -1576,59 +1378,6 @@ impl MemoryController {
             .find_map(|c| c.fault.as_ref().and_then(|f| f.error.as_deref()))
     }
 
-    /// Why this controller cannot be checkpointed, if it cannot: any channel
-    /// using a dynamically dispatched (boxed) scheduler or policy is opaque
-    /// to the snapshot machinery. `None` means snapshotting is supported.
-    #[must_use]
-    pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
-        for channel in &self.channels {
-            if !channel.scheduler.snapshot_supported() {
-                return Some("dynamically dispatched (boxed) scheduler");
-            }
-            if !channel.policy.snapshot_supported() {
-                return Some("dynamically dispatched (boxed) page policy");
-            }
-            if !channel.power_policy.snapshot_supported() {
-                return Some("dynamically dispatched (boxed) power policy");
-            }
-        }
-        None
-    }
-
-    /// Serializes the mutable state of every channel in index order
-    /// (checkpoint support). Callers must gate on
-    /// [`MemoryController::snapshot_unsupported_reason`] first.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("memctrl");
-        w.usize(self.channels.len());
-        for channel in &self.channels {
-            channel.save_state(w);
-        }
-    }
-
-    /// Restores the mutable state of every channel from a checkpoint. The
-    /// controller must have been built from the same configuration as the
-    /// saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation, impossible
-    /// values, or a channel count mismatch.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("memctrl")?;
-        let count = r.usize()?;
-        if count != self.channels.len() {
-            return Err(r.bad_value(format!(
-                "{count} channels, expected {}",
-                self.channels.len()
-            )));
-        }
-        for channel in &mut self.channels {
-            channel.load_state(r)?;
-        }
-        Ok(())
-    }
-
     /// Rows retired per rank, flattened channel-major (channel 0 rank 0,
     /// channel 0 rank 1, ..., channel 1 rank 0, ...). All zeros when no
     /// fault model is configured.
@@ -1643,6 +1392,77 @@ impl MemoryController {
             }
         }
         out
+    }
+}
+
+snap_fields! {
+    InFlight {
+        saved: { completion, done },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    FaultState {
+        section: "fault-state",
+        saved: {
+            model,
+            retry_pending,
+            attempts,
+            next_scrub_at,
+            scrub_cursor,
+            scrub_seq,
+            scrub_live,
+            row_errors,
+            retired,
+            rows_retired_per_rank: fixed,
+            poisoned,
+            error,
+        },
+        skipped: {
+            cfg: "config-derived",
+            ranks: "config-derived",
+            banks_per_rank: "config-derived",
+            rows_per_bank: "config-derived",
+            retry_len: "derived: sum of retry_pending bucket lengths; rebuilt by finish_restore",
+        },
+        after_load: Self::finish_restore,
+    }
+}
+
+snap_fields! {
+    ChannelController {
+        section: "channel",
+        saved: {
+            channel,
+            read_q,
+            write_q,
+            scheduler,
+            policy,
+            power_policy,
+            qos,
+            write_mode,
+            inflight,
+            conflict_pending: fixed,
+            activated_after_conflict: fixed,
+            stats,
+            fault: fixed,
+        },
+        skipped: {
+            index: "config-derived",
+            write_drain_high: "config-derived",
+            write_drain_low: "config-derived",
+            num_cores: "config-derived",
+        },
+        after_load: Self::check_restored,
+    }
+}
+
+snap_fields! {
+    MemoryController {
+        section: "memctrl",
+        saved: { channels: fixed },
+        skipped: { cfg: "config-derived" },
     }
 }
 

@@ -45,7 +45,6 @@ pub mod qos;
 pub mod queue;
 pub mod request;
 pub mod sched;
-mod snapio;
 pub mod stats;
 
 pub use cloudmc_dram::{FaultConfig, FaultLedger, FaultModel, ReadFault, UncorrectablePolicy};

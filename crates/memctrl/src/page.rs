@@ -14,6 +14,7 @@
 //! per-bank idle-timer policy ([`TimerPolicy`], an extension).
 
 use cloudmc_dram::{DramChannel, DramCycles, Location};
+use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::queue::{bank_row_key, key_bank, key_rank, RequestQueue};
 
@@ -222,20 +223,6 @@ impl PagePolicyKind {
         ]
     }
 
-    /// Instantiates the policy for a channel with `ranks` x `banks` banks.
-    #[must_use]
-    pub fn build(self, ranks: usize, banks: usize) -> Box<dyn PagePolicy> {
-        match self {
-            Self::Open => Box::new(OpenPage),
-            Self::Close => Box::new(ClosePage),
-            Self::OpenAdaptive => Box::new(OpenAdaptive),
-            Self::CloseAdaptive => Box::new(CloseAdaptive),
-            Self::Rbpp => Box::new(Rbpp::new(ranks, banks, 4)),
-            Self::Abpp => Box::new(Abpp::new(ranks, banks, 16)),
-            Self::Timer => Box::new(TimerPolicy::new(ranks, banks, 100)),
-        }
-    }
-
     /// Instantiates the policy as a devirtualized [`PagePolicyImpl`] — the
     /// form the controller keeps on its per-tick hot path.
     #[must_use]
@@ -256,8 +243,7 @@ impl PagePolicyKind {
 /// so the controller's per-tick consultations (auto-precharge on each column
 /// command, precharge proposals on each no-issue tick, next-wake during
 /// horizon walks) compile to a jump table over inlined bodies instead of
-/// virtual calls through a `Box<dyn PagePolicy>`. The `Boxed` escape hatch
-/// keeps external `PagePolicy` implementations usable.
+/// virtual calls.
 #[derive(Debug)]
 pub enum PagePolicyImpl {
     /// [`OpenPage`].
@@ -274,8 +260,6 @@ pub enum PagePolicyImpl {
     Abpp(Abpp),
     /// [`TimerPolicy`].
     Timer(TimerPolicy),
-    /// Any other [`PagePolicy`] implementation, dynamically dispatched.
-    Boxed(Box<dyn PagePolicy>),
 }
 
 /// Applies `$body` to the concrete policy in every variant.
@@ -289,7 +273,6 @@ macro_rules! for_each_policy {
             PagePolicyImpl::Rbpp($p) => $body,
             PagePolicyImpl::Abpp($p) => $body,
             PagePolicyImpl::Timer($p) => $body,
-            PagePolicyImpl::Boxed($p) => $body,
         }
     };
 }
@@ -338,57 +321,33 @@ impl PagePolicyImpl {
     pub fn on_row_closed(&mut self, rank: usize, bank: usize, row: u64, accesses: u64) {
         for_each_policy!(self, p => p.on_row_closed(rank, bank, row, accesses));
     }
-
-    /// Whether this policy's state can be checkpointed. External
-    /// [`PagePolicyImpl::Boxed`] implementations are opaque to the snapshot
-    /// machinery; callers must gate on this before saving.
-    #[must_use]
-    pub fn snapshot_supported(&self) -> bool {
-        !matches!(self, Self::Boxed(_))
-    }
-
-    /// Serializes the policy's mutable state (checkpoint support). The
-    /// static policies are stateless and contribute no bytes; `Boxed`
-    /// policies must be gated out via [`Self::snapshot_supported`].
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        match self {
-            Self::Open(_)
-            | Self::Close(_)
-            | Self::OpenAdaptive(_)
-            | Self::CloseAdaptive(_)
-            | Self::Boxed(_) => {}
-            Self::Rbpp(p) => p.predictor.save_state(w),
-            Self::Abpp(p) => p.predictor.save_state(w),
-            Self::Timer(p) => p.save_state(w),
-        }
-    }
-
-    /// Restores the policy's mutable state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or state
-    /// inconsistent with the configured geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        match self {
-            Self::Open(_)
-            | Self::Close(_)
-            | Self::OpenAdaptive(_)
-            | Self::CloseAdaptive(_)
-            | Self::Boxed(_) => Ok(()),
-            Self::Rbpp(p) => p.predictor.load_state(r),
-            Self::Abpp(p) => p.predictor.load_state(r),
-            Self::Timer(p) => p.load_state(r),
-        }
-    }
 }
 
-impl From<Box<dyn PagePolicy>> for PagePolicyImpl {
-    fn from(policy: Box<dyn PagePolicy>) -> Self {
-        Self::Boxed(policy)
+impl Snap for PagePolicyImpl {
+    const MIN_BYTES: usize = 0;
+
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Self::Open(OpenPage)
+            | Self::Close(ClosePage)
+            | Self::OpenAdaptive(OpenAdaptive)
+            | Self::CloseAdaptive(CloseAdaptive) => {}
+            Self::Rbpp(p) => p.save(w),
+            Self::Abpp(p) => p.save(w),
+            Self::Timer(p) => p.save(w),
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match self {
+            Self::Open(OpenPage)
+            | Self::Close(ClosePage)
+            | Self::OpenAdaptive(OpenAdaptive)
+            | Self::CloseAdaptive(CloseAdaptive) => Ok(()),
+            Self::Rbpp(p) => p.load(r),
+            Self::Abpp(p) => p.load(r),
+            Self::Timer(p) => p.load(r),
+        }
     }
 }
 
@@ -529,7 +488,7 @@ impl PagePolicy for CloseAdaptive {
 
 /// One predictor entry: a row and the number of hits it received during its
 /// previous activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RowHistory {
     row: u64,
     hits: u64,
@@ -557,14 +516,10 @@ struct CurrentActivation {
 /// records every row. Rows without a prediction stay open until a conflict.
 #[derive(Debug, Clone)]
 struct HistoryPredictor {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     name: &'static str,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     banks_per_rank: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     entries_per_bank: usize,
     /// `true` for RBPP: only rows with >= 1 hit are recorded.
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     record_only_hit_rows: bool,
     tables: Vec<Vec<RowHistory>>,
     current: Vec<CurrentActivation>,
@@ -670,80 +625,47 @@ impl HistoryPredictor {
         self.record(rank, bank, row, hits);
     }
 
-    /// Serializes the predictor's mutable state (checkpoint support).
-    fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.u64(self.stamp);
-        w.usize(self.current.len());
-        for cur in &self.current {
-            w.u64(cur.row);
-            w.bool(cur.open);
-            w.u64(cur.accesses);
-            match cur.predicted {
-                None => w.u8(0),
-                Some(target) => {
-                    w.u8(1);
-                    w.u64(target);
-                }
-            }
-        }
-        w.usize(self.tables.len());
-        for table in &self.tables {
-            w.usize(table.len());
-            for e in table {
-                w.u64(e.row);
-                w.u64(e.hits);
-                w.u64(e.stamp);
-            }
-        }
-    }
-
-    /// Restores the predictor's mutable state from a checkpoint.
-    fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        self.stamp = r.u64()?;
-        let count = r.bounded_len(18)?;
-        if count != self.current.len() {
+    /// No restored per-bank table may exceed its configured capacity.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if let Some(table) = self
+            .tables
+            .iter()
+            .find(|table| table.len() > self.entries_per_bank)
+        {
             return Err(r.bad_value(format!(
-                "{count} activation trackers, expected {}",
-                self.current.len()
+                "{} history entries exceed per-bank capacity {}",
+                table.len(),
+                self.entries_per_bank
             )));
-        }
-        for cur in &mut self.current {
-            cur.row = r.u64()?;
-            cur.open = r.bool()?;
-            cur.accesses = r.u64()?;
-            cur.predicted = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                t => return Err(r.bad_value(format!("prediction tag {t}"))),
-            };
-        }
-        let count = r.bounded_len(8)?;
-        if count != self.tables.len() {
-            return Err(r.bad_value(format!(
-                "{count} history tables, expected {}",
-                self.tables.len()
-            )));
-        }
-        for table in &mut self.tables {
-            let len = r.bounded_len(24)?;
-            if len > self.entries_per_bank {
-                return Err(r.bad_value(format!(
-                    "{len} history entries exceed per-bank capacity {}",
-                    self.entries_per_bank
-                )));
-            }
-            table.clear();
-            for _ in 0..len {
-                let row = r.u64()?;
-                let hits = r.u64()?;
-                let stamp = r.u64()?;
-                table.push(RowHistory { row, hits, stamp });
-            }
         }
         Ok(())
+    }
+}
+
+snap_fields! {
+    RowHistory {
+        saved: { row, hits, stamp },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    CurrentActivation {
+        saved: { row, open, accesses, predicted },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    HistoryPredictor {
+        saved: { stamp, current: fixed, tables: fixed },
+        skipped: {
+            name: "config-derived",
+            banks_per_rank: "config-derived",
+            entries_per_bank: "config-derived",
+            record_only_hit_rows: "config-derived",
+        },
+        after_load: Self::check_restored,
     }
 }
 
@@ -828,13 +750,25 @@ macro_rules! impl_predictive_policy {
 impl_predictive_policy!(Rbpp);
 impl_predictive_policy!(Abpp);
 
+snap_fields! {
+    Rbpp {
+        saved: { predictor },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    Abpp {
+        saved: { predictor },
+        skipped: {},
+    }
+}
+
 /// Idle-timer policy: close a row after it has been idle for a fixed number
 /// of DRAM cycles. This predates RBPP/ABPP; included as an extension.
 #[derive(Debug, Clone)]
 pub struct TimerPolicy {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     banks_per_rank: usize,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     timeout: DramCycles,
     last_access: Vec<DramCycles>,
 }
@@ -853,28 +787,15 @@ impl TimerPolicy {
     fn idx(&self, rank: usize, bank: usize) -> usize {
         rank * self.banks_per_rank + bank
     }
+}
 
-    /// Serializes the per-bank idle timers (checkpoint support).
-    fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.u64_slice(&self.last_access);
-    }
-
-    /// Restores the per-bank idle timers from a checkpoint.
-    fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        let count = r.bounded_len(8)?;
-        if count != self.last_access.len() {
-            return Err(r.bad_value(format!(
-                "{count} idle timers, expected {}",
-                self.last_access.len()
-            )));
-        }
-        for slot in &mut self.last_access {
-            *slot = r.u64()?;
-        }
-        Ok(())
+snap_fields! {
+    TimerPolicy {
+        saved: { last_access: fixed },
+        skipped: {
+            banks_per_rank: "config-derived",
+            timeout: "config-derived",
+        },
     }
 }
 
@@ -1158,7 +1079,7 @@ mod tests {
             PagePolicyKind::Abpp,
             PagePolicyKind::Timer,
         ] {
-            let p = kind.build(2, 8);
+            let p = kind.build_impl(2, 8);
             assert!(!p.name().is_empty());
             let parsed: PagePolicyKind = kind.to_string().parse().unwrap();
             assert_eq!(parsed, kind);

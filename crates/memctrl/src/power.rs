@@ -16,6 +16,7 @@
 //! through [`PowerPolicy::next_wake`].
 
 use cloudmc_dram::{DramCycles, PowerDownMode, PowerState};
+use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::page::PolicyView;
 
@@ -98,16 +99,6 @@ impl PowerPolicyKind {
         ]
     }
 
-    /// Instantiates the policy for a channel with `ranks` ranks.
-    #[must_use]
-    pub fn build(self, ranks: usize) -> Box<dyn PowerPolicy> {
-        match self {
-            Self::None => Box::new(NoPowerManagement),
-            // simlint: allow(panic) timeout_policy is Some for every non-None kind, matched above
-            other => Box::new(other.timeout_policy(ranks).expect("non-none kind")),
-        }
-    }
-
     /// Instantiates the policy as a devirtualized [`PowerPolicyImpl`] — the
     /// form the controller keeps on its per-tick hot path.
     #[must_use]
@@ -146,16 +137,13 @@ impl PowerPolicyKind {
 /// Enum-dispatched power policy: the built-in policies as concrete variants
 /// (all three timeout flavours share [`TimeoutPowerDown`]), so the
 /// controller's per-tick consultations compile to direct calls instead of
-/// virtual dispatch through a `Box<dyn PowerPolicy>`. The `Boxed` escape
-/// hatch keeps external implementations usable.
+/// virtual dispatch.
 #[derive(Debug)]
 pub enum PowerPolicyImpl {
     /// [`NoPowerManagement`] — `propose` is a constant `None`.
     None(NoPowerManagement),
     /// [`TimeoutPowerDown`] (immediate / idle-timer / power-aware).
     Timeout(TimeoutPowerDown),
-    /// Any other [`PowerPolicy`] implementation, dynamically dispatched.
-    Boxed(Box<dyn PowerPolicy>),
 }
 
 impl PowerPolicyImpl {
@@ -165,7 +153,6 @@ impl PowerPolicyImpl {
         match self {
             Self::None(p) => p.name(),
             Self::Timeout(p) => p.name(),
-            Self::Boxed(p) => p.name(),
         }
     }
 
@@ -176,7 +163,6 @@ impl PowerPolicyImpl {
         match self {
             Self::None(_) => None,
             Self::Timeout(p) => p.propose(view),
-            Self::Boxed(p) => p.propose(view),
         }
     }
 
@@ -187,7 +173,6 @@ impl PowerPolicyImpl {
         match self {
             Self::None(_) => None,
             Self::Timeout(p) => p.next_wake(view),
-            Self::Boxed(p) => p.next_wake(view),
         }
     }
 
@@ -197,7 +182,6 @@ impl PowerPolicyImpl {
         match self {
             Self::None(_) => {}
             Self::Timeout(p) => p.on_activity(rank, now),
-            Self::Boxed(p) => p.on_activity(rank, now),
         }
     }
 
@@ -207,55 +191,23 @@ impl PowerPolicyImpl {
     pub fn is_inert(&self) -> bool {
         matches!(self, Self::None(_))
     }
-
-    /// Whether this policy's state can be checkpointed. External
-    /// [`PowerPolicyImpl::Boxed`] implementations are opaque to the snapshot
-    /// machinery; callers must gate on this before saving.
-    #[must_use]
-    pub fn snapshot_supported(&self) -> bool {
-        !matches!(self, Self::Boxed(_))
-    }
-
-    /// Serializes the policy's mutable state (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        match self {
-            Self::None(_) | Self::Boxed(_) => {}
-            Self::Timeout(p) => w.u64_slice(&p.last_activity),
-        }
-    }
-
-    /// Restores the policy's mutable state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or a timer
-    /// vector that does not match the configured rank count.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        match self {
-            Self::None(_) | Self::Boxed(_) => Ok(()),
-            Self::Timeout(p) => {
-                let count = r.bounded_len(8)?;
-                if count != p.last_activity.len() {
-                    return Err(r.bad_value(format!(
-                        "{count} activity timers, expected {}",
-                        p.last_activity.len()
-                    )));
-                }
-                for slot in &mut p.last_activity {
-                    *slot = r.u64()?;
-                }
-                Ok(())
-            }
-        }
-    }
 }
 
-impl From<Box<dyn PowerPolicy>> for PowerPolicyImpl {
-    fn from(policy: Box<dyn PowerPolicy>) -> Self {
-        Self::Boxed(policy)
+impl Snap for PowerPolicyImpl {
+    const MIN_BYTES: usize = 0;
+
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Self::None(NoPowerManagement) => {}
+            Self::Timeout(p) => p.save(w),
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match self {
+            Self::None(NoPowerManagement) => Ok(()),
+            Self::Timeout(p) => p.load(r),
+        }
     }
 }
 
@@ -461,6 +413,17 @@ impl PowerPolicy for TimeoutPowerDown {
     }
 }
 
+snap_fields! {
+    TimeoutPowerDown {
+        saved: { last_activity: fixed },
+        skipped: {
+            name: "config-derived",
+            timeouts: "config-derived",
+            precharge_after: "config-derived",
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,7 +466,7 @@ mod tests {
     #[test]
     fn immediate_powers_down_quiescent_ranks_at_once() {
         let (ch, rq, wq) = fixture();
-        let p = PowerPolicyKind::Immediate.build(2);
+        let p = PowerPolicyKind::Immediate.build_impl(2);
         assert_eq!(
             p.propose(&view(0, &ch, &rq, &wq)),
             Some(PowerAction::PowerDown {
@@ -623,7 +586,7 @@ mod tests {
     #[test]
     fn kinds_build_parse_and_roundtrip() {
         for kind in PowerPolicyKind::all() {
-            let p = kind.build(2);
+            let p = kind.build_impl(2);
             assert!(!p.name().is_empty());
             let parsed: PowerPolicyKind = kind.to_string().parse().unwrap();
             assert_eq!(parsed, kind);

@@ -33,6 +33,7 @@
 //! commands issue — which never happens inside a skipped window.
 
 use cloudmc_dram::DramCycles;
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::request::{TenantId, MAX_TENANTS};
 use crate::sched::{first_ready, SchedContext, SchedDecision};
@@ -160,7 +161,6 @@ impl Default for QosConfig {
 /// accounting.
 #[derive(Debug)]
 pub struct QosArbiter {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     cfg: QosConfig,
     /// Column accesses (one cache-block transfer each) issued per tenant
     /// since the epoch started.
@@ -188,39 +188,16 @@ impl QosArbiter {
         &self.cfg
     }
 
-    /// Serializes the arbiter's mutable accounting state (checkpoint
-    /// support). The configuration is config-derived and not serialized.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.u64_slice(&self.served);
-        w.u64(self.total_served);
-        w.u64(self.epoch_start);
-    }
-
-    /// Restores the arbiter's mutable accounting state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or a served
-    /// array inconsistent with its cached sum.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        let count = r.bounded_len(8)?;
-        if count != MAX_TENANTS {
-            return Err(r.bad_value(format!("{count} tenant slots, expected {MAX_TENANTS}")));
-        }
-        let mut served = [0u64; MAX_TENANTS];
-        for slot in &mut served {
-            *slot = r.u64()?;
-        }
-        let total_served = r.u64()?;
-        if served.iter().sum::<u64>() != total_served {
+    /// The restored per-tenant counts must add up to their cached sum.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if self
+            .served
+            .iter()
+            .try_fold(0u64, |sum, &s| sum.checked_add(s))
+            != Some(self.total_served)
+        {
             return Err(r.bad_value("served totals do not sum to total_served"));
         }
-        self.served = served;
-        self.total_served = total_served;
-        self.epoch_start = r.u64()?;
         Ok(())
     }
 
@@ -321,6 +298,14 @@ impl QosArbiter {
             }
         }
         None
+    }
+}
+
+snap_fields! {
+    QosArbiter {
+        saved: { served, total_served, epoch_start },
+        skipped: { cfg: "config-derived" },
+        after_load: Self::check_restored,
     }
 }
 

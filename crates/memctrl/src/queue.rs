@@ -1,11 +1,12 @@
 //! Pending-request queues of the memory controller.
 
 use cloudmc_dram::{DramCycles, Location};
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::request::{MemoryRequest, RequestId, TenantId, MAX_TENANTS};
 
 /// A request waiting in the controller together with its decoded coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueEntry {
     /// The pending request.
     pub request: MemoryRequest,
@@ -75,13 +76,10 @@ pub struct RequestQueue {
     entries: Vec<QueueEntry>,
     /// Packed (rank, bank, row) of each entry; `keys[i]` describes
     /// `entries[i]`.
-    // simlint: allow(snapshot-coverage) derived id index, rebuilt from the entries by load_state
     keys: Vec<u64>,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     capacity: usize,
     /// Pending entries per tenant, maintained incrementally so per-tenant
     /// occupancy sampling is O(tenants), not O(queue).
-    // simlint: allow(snapshot-coverage) derived occupancy counters, rebuilt by load_state
     tenant_len: [usize; MAX_TENANTS],
 }
 
@@ -153,45 +151,29 @@ impl RequestQueue {
         Ok(())
     }
 
-    /// Serializes the pending entries in arrival order (checkpoint support).
-    /// The capacity is config-derived and not serialized; the packed key
-    /// column and per-tenant lengths are rebuilt on load.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.usize(self.entries.len());
-        for entry in &self.entries {
-            crate::snapio::write_request(w, &entry.request);
-            crate::snapio::write_location(w, entry.location);
-            w.u64(entry.enqueued_at);
-        }
-    }
-
-    /// Restores the pending entries from a checkpoint, rebuilding the derived
-    /// key column and tenant occupancy counters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation, an invalid
-    /// entry, or an entry count exceeding the configured capacity.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        let count = r.bounded_len(42)?;
-        if count > self.capacity {
+    /// Rebuilds the packed key column and the per-tenant occupancy counters
+    /// from restored entries, rejecting more entries than the configured
+    /// capacity and coordinates the key packing cannot hold.
+    fn reindex(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if self.entries.len() > self.capacity {
             return Err(r.bad_value(format!(
-                "{count} queued entries exceed capacity {}",
+                "{} queued entries exceed capacity {}",
+                self.entries.len(),
                 self.capacity
             )));
         }
-        self.entries.clear();
         self.keys.clear();
         self.tenant_len = [0; MAX_TENANTS];
-        for _ in 0..count {
-            let request = crate::snapio::read_request(r)?;
-            let location = crate::snapio::read_location(r)?;
-            let enqueued_at = r.u64()?;
-            // Cannot fail: `count` was checked against the capacity above.
-            let _ = self.push(request, location, enqueued_at);
+        for entry in &self.entries {
+            let loc = entry.location;
+            if loc.rank >= 1 << 8 || loc.bank >= 1 << 8 || loc.row > KEY_ROW_MASK {
+                return Err(r.bad_value(format!(
+                    "request {} at {loc:?} does not fit a packed bank/row key",
+                    entry.request.id
+                )));
+            }
+            self.keys.push(bank_row_key(loc.rank, loc.bank, loc.row));
+            self.tenant_len[entry.request.tenant.min(MAX_TENANTS - 1)] += 1;
         }
         Ok(())
     }
@@ -299,6 +281,25 @@ impl<'a> IntoIterator for &'a RequestQueue {
 
     fn into_iter(self) -> Self::IntoIter {
         self.entries.iter()
+    }
+}
+
+snap_fields! {
+    QueueEntry {
+        saved: { request, location, enqueued_at },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    RequestQueue {
+        saved: { entries },
+        skipped: {
+            keys: "derived from the entries; rebuilt by reindex",
+            capacity: "config-derived",
+            tenant_len: "derived from the entries; rebuilt by reindex",
+        },
+        after_load: Self::reindex,
     }
 }
 

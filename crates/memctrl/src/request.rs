@@ -1,11 +1,13 @@
 //! Memory requests as seen by the memory controller.
 
 use cloudmc_dram::{DramCycles, Location};
+use cloudmc_snap::{snap_fields, snap_unit_enum, SnapError, SnapReader};
 
 /// Direction of a memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessKind {
     /// A read (load miss, instruction fetch miss, or DMA read).
+    #[default]
     Read,
     /// A write (dirty write-back or DMA write).
     Write,
@@ -45,7 +47,7 @@ pub const MAX_TENANTS: usize = 4;
 /// assert_eq!(req.core, 3);
 /// assert_eq!(req.tenant, 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct MemoryRequest {
     /// Unique identifier assigned by the requester.
     pub id: RequestId,
@@ -113,12 +115,42 @@ impl MemoryRequest {
         self.tenant = tenant.min(MAX_TENANTS - 1);
         self
     }
+
+    /// A restored request must respect the [`MemoryRequest::with_tenant`]
+    /// clamp. The core index is bounded by whoever owns the request (it
+    /// alone knows the core count, see [`MemoryRequest::check_core`]).
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if self.tenant >= MAX_TENANTS {
+            return Err(r.bad_value(format!(
+                "tenant {} >= MAX_TENANTS {MAX_TENANTS}",
+                self.tenant
+            )));
+        }
+        Ok(())
+    }
+
+    /// Rejects a restored request whose core index is outside `num_cores`:
+    /// per-core scheduler and statistics tables are indexed by it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::BadValue`] naming the offending index.
+    pub fn check_core(&self, r: &SnapReader<'_>, num_cores: usize) -> Result<(), SnapError> {
+        if self.core >= num_cores {
+            return Err(r.bad_value(format!(
+                "request {} names core {} of {num_cores}",
+                self.id, self.core
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Row-buffer outcome of a serviced request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RowBufferOutcome {
     /// The target row was already open when the request was first scheduled.
+    #[default]
     Hit,
     /// The bank was idle; only an ACTIVATE was needed.
     Miss,
@@ -127,7 +159,7 @@ pub enum RowBufferOutcome {
 }
 
 /// A request that finished service, with timing information.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompletedRequest {
     /// The original request.
     pub request: MemoryRequest,
@@ -160,6 +192,32 @@ impl CompletedRequest {
     #[must_use]
     pub fn queue_delay(&self) -> DramCycles {
         self.issue.saturating_sub(self.request.arrival)
+    }
+}
+
+snap_unit_enum!(AccessKind {
+    Read = 0,
+    Write = 1
+});
+
+snap_unit_enum!(RowBufferOutcome {
+    Hit = 0,
+    Miss = 1,
+    Conflict = 2
+});
+
+snap_fields! {
+    MemoryRequest {
+        saved: { id, kind, addr, core, tenant, arrival, dma },
+        skipped: {},
+        after_load: Self::check_restored,
+    }
+}
+
+snap_fields! {
+    CompletedRequest {
+        saved: { request, channel, location, issue, completion, outcome, retries },
+        skipped: {},
     }
 }
 

@@ -2,6 +2,7 @@
 //! (Kim et al., HPCA 2010).
 
 use cloudmc_dram::DramCycles;
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::queue::QueueEntry;
 use crate::request::{CompletedRequest, RowBufferOutcome};
@@ -51,9 +52,7 @@ impl AtlasConfig {
 /// smoothed attained service.
 #[derive(Debug)]
 pub struct Atlas {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     cfg: AtlasConfig,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     num_cores: usize,
     /// Long-term (smoothed) attained service per core.
     total_service: Vec<f64>,
@@ -98,59 +97,14 @@ impl Atlas {
         self.total_service.get(core).copied().unwrap_or(0.0)
     }
 
-    /// Serializes the scheduler's mutable state (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.f64_slice(&self.total_service);
-        w.f64_slice(&self.quantum_service);
-        w.usize(self.core_rank.len());
-        for &rank in &self.core_rank {
-            w.usize(rank);
-        }
-        w.u64(self.quantum_end);
-        w.u64(self.quanta_elapsed);
-    }
-
-    /// Restores the scheduler's mutable state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or a vector
-    /// length that does not match the configured core count.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        for (name, vec) in [
-            ("total_service", &mut self.total_service),
-            ("quantum_service", &mut self.quantum_service),
-        ] {
-            let count = r.bounded_len(8)?;
-            if count != vec.len() {
-                return Err(r.bad_value(format!("{count} {name} entries, expected {}", vec.len())));
-            }
-            for slot in vec.iter_mut() {
-                *slot = r.f64()?;
-            }
-        }
-        let count = r.bounded_len(8)?;
-        if count != self.core_rank.len() {
+    /// Every restored priority position must name one of the cores.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if let Some(rank) = self.core_rank.iter().find(|&&rank| rank >= self.num_cores) {
             return Err(r.bad_value(format!(
-                "{count} core ranks, expected {}",
-                self.core_rank.len()
+                "core rank {rank} out of range for {} cores",
+                self.num_cores
             )));
         }
-        for slot in &mut self.core_rank {
-            let rank = r.usize()?;
-            if rank >= self.num_cores {
-                return Err(r.bad_value(format!(
-                    "core rank {rank} out of range for {} cores",
-                    self.num_cores
-                )));
-            }
-            *slot = rank;
-        }
-        self.quantum_end = r.u64()?;
-        self.quanta_elapsed = r.u64()?;
         Ok(())
     }
 
@@ -239,6 +193,23 @@ impl Scheduler for Atlas {
                 .then(a.request.id.cmp(&b.request.id))
         });
         first_ready(entries, ctx)
+    }
+}
+
+snap_fields! {
+    Atlas {
+        saved: {
+            total_service: fixed,
+            quantum_service: fixed,
+            core_rank: fixed,
+            quantum_end,
+            quanta_elapsed,
+        },
+        skipped: {
+            cfg: "config-derived",
+            num_cores: "config-derived",
+        },
+        after_load: Self::check_restored,
     }
 }
 

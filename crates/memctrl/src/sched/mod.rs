@@ -18,6 +18,7 @@ pub mod parbs;
 pub mod rl;
 
 use cloudmc_dram::{Command, DramChannel, DramCycles};
+use cloudmc_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::queue::{QueueEntry, RequestQueue};
 use crate::request::{AccessKind, CompletedRequest, RequestId};
@@ -225,14 +226,12 @@ pub trait Scheduler: std::fmt::Debug + Send {
     }
 }
 
-/// A scheduler instance behind static-or-dynamic dispatch.
+/// A scheduler instance behind static dispatch.
 ///
 /// The controller consults its scheduler once per DRAM cycle per channel, so
-/// dispatch sits on the hottest path of the whole simulator. Every built-in
-/// algorithm is a concrete variant — `pick`/`on_cycle`/`next_event_cycle`
-/// compile to a jump table over inlined bodies rather than virtual calls —
-/// and the `Boxed` escape hatch keeps external [`Scheduler`] implementations
-/// usable.
+/// dispatch sits on the hottest path of the whole simulator. Every algorithm
+/// is a concrete variant — `pick`/`on_cycle`/`next_event_cycle` compile to a
+/// jump table over inlined bodies rather than virtual calls.
 #[derive(Debug)]
 pub enum SchedulerImpl {
     /// Strict first-come-first-served, statically dispatched.
@@ -247,8 +246,6 @@ pub enum SchedulerImpl {
     Atlas(Atlas),
     /// The reinforcement-learning scheduler, statically dispatched.
     Rl(RlScheduler),
-    /// Any other algorithm, dynamically dispatched.
-    Boxed(Box<dyn Scheduler>),
 }
 
 /// Applies `$body` to the concrete scheduler in every variant.
@@ -261,7 +258,6 @@ macro_rules! for_each_scheduler {
             SchedulerImpl::ParBs($s) => $body,
             SchedulerImpl::Atlas($s) => $body,
             SchedulerImpl::Rl($s) => $body,
-            SchedulerImpl::Boxed($s) => $body,
         }
     };
 }
@@ -312,42 +308,26 @@ impl SchedulerImpl {
     pub fn manages_write_drain(&self) -> bool {
         for_each_scheduler!(self, s => s.manages_write_drain())
     }
+}
 
-    /// Whether this scheduler's state can be checkpointed. External
-    /// [`SchedulerImpl::Boxed`] implementations are opaque to the snapshot
-    /// machinery; callers must gate on this before saving.
-    #[must_use]
-    pub fn snapshot_supported(&self) -> bool {
-        !matches!(self, Self::Boxed(_))
-    }
+impl Snap for SchedulerImpl {
+    const MIN_BYTES: usize = 0;
 
-    /// Serializes the scheduler's mutable state (checkpoint support). The
-    /// FCFS family is stateless and contributes no bytes; `Boxed` schedulers
-    /// must be gated out via [`Self::snapshot_supported`] beforehand.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
+    fn save(&self, w: &mut SnapWriter) {
         match self {
-            Self::Fcfs(_) | Self::FcfsBanks(_) | Self::FrFcfs(_) | Self::Boxed(_) => {}
-            Self::ParBs(s) => s.save_state(w),
-            Self::Atlas(s) => s.save_state(w),
-            Self::Rl(s) => s.save_state(w),
+            Self::Fcfs(Fcfs) | Self::FcfsBanks(FcfsBanks) | Self::FrFcfs(FrFcfs) => {}
+            Self::ParBs(s) => s.save(w),
+            Self::Atlas(s) => s.save(w),
+            Self::Rl(s) => s.save(w),
         }
     }
 
-    /// Restores the scheduler's mutable state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or state
-    /// inconsistent with the configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         match self {
-            Self::Fcfs(_) | Self::FcfsBanks(_) | Self::FrFcfs(_) | Self::Boxed(_) => Ok(()),
-            Self::ParBs(s) => s.load_state(r),
-            Self::Atlas(s) => s.load_state(r),
-            Self::Rl(s) => s.load_state(r),
+            Self::Fcfs(Fcfs) | Self::FcfsBanks(FcfsBanks) | Self::FrFcfs(FrFcfs) => Ok(()),
+            Self::ParBs(s) => s.load(r),
+            Self::Atlas(s) => s.load(r),
+            Self::Rl(s) => s.load(r),
         }
     }
 }
@@ -395,19 +375,6 @@ impl SchedulerKind {
             Self::ParBs(cfg) => SchedulerImpl::ParBs(ParBs::new(cfg, num_cores)),
             Self::Atlas(cfg) => SchedulerImpl::Atlas(Atlas::new(cfg, num_cores)),
             Self::Rl(cfg) => SchedulerImpl::Rl(RlScheduler::new(cfg)),
-        }
-    }
-
-    /// Instantiates the scheduler for a controller with `num_cores` cores.
-    #[must_use]
-    pub fn build(self, num_cores: usize) -> Box<dyn Scheduler> {
-        match self {
-            Self::Fcfs => Box::new(Fcfs::new()),
-            Self::FcfsBanks => Box::new(FcfsBanks::new()),
-            Self::FrFcfs => Box::new(FrFcfs::new()),
-            Self::ParBs(cfg) => Box::new(ParBs::new(cfg, num_cores)),
-            Self::Atlas(cfg) => Box::new(Atlas::new(cfg, num_cores)),
-            Self::Rl(cfg) => Box::new(RlScheduler::new(cfg)),
         }
     }
 
@@ -598,7 +565,7 @@ mod tests {
     #[test]
     fn scheduler_kind_labels_and_parsing() {
         for kind in SchedulerKind::paper_set() {
-            let mut s = kind.build(16);
+            let mut s = kind.build_impl(16);
             assert!(!s.name().is_empty());
             let (ch, rq, wq) = fixture();
             let ctx = SchedContext {

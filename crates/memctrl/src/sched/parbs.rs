@@ -2,6 +2,8 @@
 
 use std::collections::HashSet;
 
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
+
 use crate::queue::QueueEntry;
 use crate::request::{CompletedRequest, RequestId};
 use crate::sched::{first_ready, SchedContext, SchedDecision, Scheduler};
@@ -24,9 +26,7 @@ impl Default for ParBsConfig {
 /// shortest-job-first to minimize average stall time.
 #[derive(Debug)]
 pub struct ParBs {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     cfg: ParBsConfig,
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     num_cores: usize,
     marked: HashSet<RequestId>,
     /// `core_rank[c]` is the priority position of core `c` in the current
@@ -60,52 +60,14 @@ impl ParBs {
         self.marked.contains(&id)
     }
 
-    /// Serializes the scheduler's mutable state (checkpoint support). The
-    /// marked set is dumped in sorted order so identical states produce
-    /// byte-identical snapshots.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        let marked = cloudmc_snap::det::sorted_items(&self.marked);
-        w.u64_slice(&marked);
-        w.usize(self.core_rank.len());
-        for &rank in &self.core_rank {
-            w.usize(rank);
-        }
-        w.u64(self.batches_formed);
-    }
-
-    /// Restores the scheduler's mutable state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or a rank
-    /// vector that does not match the configured core count.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        let count = r.bounded_len(8)?;
-        self.marked.clear();
-        for _ in 0..count {
-            self.marked.insert(r.u64()?);
-        }
-        let count = r.bounded_len(8)?;
-        if count != self.core_rank.len() {
+    /// Every restored priority position must name one of the cores.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if let Some(rank) = self.core_rank.iter().find(|&&rank| rank >= self.num_cores) {
             return Err(r.bad_value(format!(
-                "{count} core ranks, expected {}",
-                self.core_rank.len()
+                "core rank {rank} out of range for {} cores",
+                self.num_cores
             )));
         }
-        for slot in &mut self.core_rank {
-            let rank = r.usize()?;
-            if rank >= self.num_cores {
-                return Err(r.bad_value(format!(
-                    "core rank {rank} out of range for {} cores",
-                    self.num_cores
-                )));
-            }
-            *slot = rank;
-        }
-        self.batches_formed = r.u64()?;
         Ok(())
     }
 
@@ -198,6 +160,17 @@ impl Scheduler for ParBs {
 
     fn on_complete(&mut self, done: &CompletedRequest) {
         self.marked.remove(&done.request.id);
+    }
+}
+
+snap_fields! {
+    ParBs {
+        saved: { marked, core_rank: fixed, batches_formed },
+        skipped: {
+            cfg: "config-derived",
+            num_cores: "config-derived",
+        },
+        after_load: Self::check_restored,
     }
 }
 

@@ -12,6 +12,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,7 +69,6 @@ struct Features {
 /// Self-optimizing RL memory scheduler.
 #[derive(Debug)]
 pub struct RlScheduler {
-    // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
     cfg: RlConfig,
     tables: Vec<Vec<f64>>,
     rng: StdRng,
@@ -111,97 +111,36 @@ impl RlScheduler {
         self.exploratory_decisions
     }
 
-    /// Serializes the scheduler's mutable state — Q-tables, RNG stream,
-    /// pending SARSA update, decision counters (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.usize(self.tables.len());
-        for table in &self.tables {
-            w.f64_slice(table);
-        }
-        w.u64_slice(&self.rng.state());
-        match &self.prev {
-            None => w.u8(0),
-            Some((indices, q_prev, reward)) => {
-                w.u8(1);
-                w.usize(indices.len());
-                for &i in indices {
-                    w.usize(i);
-                }
-                w.f64(*q_prev);
-                w.f64(*reward);
-            }
-        }
-        w.u64(self.decisions);
-        w.u64(self.exploratory_decisions);
-    }
-
-    /// Restores the scheduler's mutable state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or table
-    /// shapes and indices inconsistent with the configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        let tables = r.bounded_len(8)?;
-        if tables != self.cfg.num_tables {
+    /// Restored Q-tables and the pending SARSA update must have the shape
+    /// the configuration fixes, and every pending index must address a table
+    /// entry.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if let Some(table) = self
+            .tables
+            .iter()
+            .find(|table| table.len() != self.cfg.table_size)
+        {
             return Err(r.bad_value(format!(
-                "{tables} Q-tables, expected {}",
-                self.cfg.num_tables
+                "{} Q-table entries, expected {}",
+                table.len(),
+                self.cfg.table_size
             )));
         }
-        for table in &mut self.tables {
-            let entries = r.bounded_len(8)?;
-            if entries != self.cfg.table_size {
+        if let Some((indices, _, _)) = &self.prev {
+            if indices.len() != self.cfg.num_tables {
                 return Err(r.bad_value(format!(
-                    "{entries} Q-table entries, expected {}",
+                    "{} pending indices, expected {}",
+                    indices.len(),
+                    self.cfg.num_tables
+                )));
+            }
+            if let Some(i) = indices.iter().find(|&&i| i >= self.cfg.table_size) {
+                return Err(r.bad_value(format!(
+                    "pending index {i} out of range for table size {}",
                     self.cfg.table_size
                 )));
             }
-            for slot in table.iter_mut() {
-                *slot = r.f64()?;
-            }
         }
-        let state_len = r.bounded_len(8)?;
-        if state_len != 4 {
-            return Err(r.bad_value(format!("{state_len} RNG state words, expected 4")));
-        }
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.u64()?;
-        }
-        self.rng.set_state(state);
-        self.prev = match r.u8()? {
-            0 => None,
-            1 => {
-                let count = r.bounded_len(8)?;
-                if count != self.cfg.num_tables {
-                    return Err(r.bad_value(format!(
-                        "{count} pending indices, expected {}",
-                        self.cfg.num_tables
-                    )));
-                }
-                let mut indices = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let i = r.usize()?;
-                    if i >= self.cfg.table_size {
-                        return Err(r.bad_value(format!(
-                            "pending index {i} out of range for table size {}",
-                            self.cfg.table_size
-                        )));
-                    }
-                    indices.push(i);
-                }
-                let q_prev = r.f64()?;
-                let reward = r.f64()?;
-                Some((indices, q_prev, reward))
-            }
-            t => return Err(r.bad_value(format!("pending-update tag {t}"))),
-        };
-        self.decisions = r.u64()?;
-        self.exploratory_decisions = r.u64()?;
         Ok(())
     }
 
@@ -390,6 +329,20 @@ impl Scheduler for RlScheduler {
         self.prev = Some((indices, q, Self::reward_of(&decision)));
         self.decisions += 1;
         Some(decision)
+    }
+}
+
+snap_fields! {
+    RlScheduler {
+        saved: {
+            tables: fixed,
+            rng: via(StdRng::state, StdRng::set_state),
+            prev,
+            decisions,
+            exploratory_decisions,
+        },
+        skipped: { cfg: "config-derived" },
+        after_load: Self::check_restored,
     }
 }
 

@@ -1,7 +1,7 @@
 //! Statistics collected by the memory controller.
 
 use cloudmc_dram::DramCycles;
-use cloudmc_telemetry::{LatencyHistogram, HIST_BUCKETS};
+use cloudmc_telemetry::LatencyHistogram;
 
 use crate::request::{CompletedRequest, RowBufferOutcome, TenantId, MAX_TENANTS};
 
@@ -124,140 +124,6 @@ impl McStats {
             reads_per_core: vec![0; cores],
             ..Self::default()
         }
-    }
-
-    /// Serializes every counter in declaration order (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.u64(self.reads_completed);
-        w.u64(self.writes_completed);
-        w.u64(self.total_read_latency);
-        w.u64(self.total_write_latency);
-        w.u64(self.row_hits);
-        w.u64(self.row_misses);
-        w.u64(self.row_conflicts);
-        w.u64_slice(&self.activation_reuse);
-        w.u64(self.queue_samples);
-        w.u64(self.read_queue_occupancy_sum);
-        w.u64(self.write_queue_occupancy_sum);
-        w.u64_slice(&self.completed_per_core);
-        w.u64_slice(&self.read_latency_per_core);
-        w.u64_slice(&self.reads_per_core);
-        w.u64(self.power_downs);
-        w.u64(self.self_refreshes);
-        w.u64(self.power_wakes);
-        w.u64(self.power_precharges);
-        w.u64_slice(&self.reads_completed_per_tenant);
-        w.u64_slice(&self.writes_completed_per_tenant);
-        w.u64_slice(&self.read_latency_per_tenant);
-        w.u64_slice(&self.row_hits_per_tenant);
-        w.u64_slice(&self.row_misses_per_tenant);
-        w.u64_slice(&self.row_conflicts_per_tenant);
-        w.u64_slice(&self.read_queue_occupancy_per_tenant);
-        w.u64(self.ecc_corrected);
-        w.u64(self.ecc_detected_uncorrectable);
-        w.u64(self.ecc_miscorrects);
-        w.u64(self.demand_retries);
-        w.u64(self.scrub_reads_issued);
-        w.u64(self.scrub_reads_completed);
-        w.u64(self.scrub_corrected);
-        w.u64(self.scrub_uncorrectable);
-        w.u64(self.rows_retired);
-        w.u64(self.lines_poisoned);
-        w.u64(self.poisoned_reads);
-        save_hist(w, &self.read_latency_hist);
-        for h in &self.read_latency_hist_per_tenant {
-            save_hist(w, h);
-        }
-        w.usize(self.read_latency_hist_per_channel.len());
-        for h in &self.read_latency_hist_per_channel {
-            save_hist(w, h);
-        }
-    }
-
-    /// Restores every counter from a checkpoint written by
-    /// [`McStats::save_state`]; vector lengths must match the current shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or a length
-    /// mismatch against the configured core count or bucket count.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        fn read_vec(
-            r: &mut cloudmc_snap::SnapReader<'_>,
-            name: &str,
-            vec: &mut [u64],
-        ) -> Result<(), cloudmc_snap::SnapError> {
-            let count = r.bounded_len(8)?;
-            if count != vec.len() {
-                return Err(r.bad_value(format!("{count} {name} entries, expected {}", vec.len())));
-            }
-            for slot in vec.iter_mut() {
-                *slot = r.u64()?;
-            }
-            Ok(())
-        }
-        self.reads_completed = r.u64()?;
-        self.writes_completed = r.u64()?;
-        self.total_read_latency = r.u64()?;
-        self.total_write_latency = r.u64()?;
-        self.row_hits = r.u64()?;
-        self.row_misses = r.u64()?;
-        self.row_conflicts = r.u64()?;
-        read_vec(r, "activation-reuse", &mut self.activation_reuse)?;
-        self.queue_samples = r.u64()?;
-        self.read_queue_occupancy_sum = r.u64()?;
-        self.write_queue_occupancy_sum = r.u64()?;
-        read_vec(r, "completed-per-core", &mut self.completed_per_core)?;
-        read_vec(r, "read-latency-per-core", &mut self.read_latency_per_core)?;
-        read_vec(r, "reads-per-core", &mut self.reads_per_core)?;
-        self.power_downs = r.u64()?;
-        self.self_refreshes = r.u64()?;
-        self.power_wakes = r.u64()?;
-        self.power_precharges = r.u64()?;
-        read_vec(r, "reads-per-tenant", &mut self.reads_completed_per_tenant)?;
-        read_vec(
-            r,
-            "writes-per-tenant",
-            &mut self.writes_completed_per_tenant,
-        )?;
-        read_vec(r, "latency-per-tenant", &mut self.read_latency_per_tenant)?;
-        read_vec(r, "hits-per-tenant", &mut self.row_hits_per_tenant)?;
-        read_vec(r, "misses-per-tenant", &mut self.row_misses_per_tenant)?;
-        read_vec(
-            r,
-            "conflicts-per-tenant",
-            &mut self.row_conflicts_per_tenant,
-        )?;
-        read_vec(
-            r,
-            "occupancy-per-tenant",
-            &mut self.read_queue_occupancy_per_tenant,
-        )?;
-        self.ecc_corrected = r.u64()?;
-        self.ecc_detected_uncorrectable = r.u64()?;
-        self.ecc_miscorrects = r.u64()?;
-        self.demand_retries = r.u64()?;
-        self.scrub_reads_issued = r.u64()?;
-        self.scrub_reads_completed = r.u64()?;
-        self.scrub_corrected = r.u64()?;
-        self.scrub_uncorrectable = r.u64()?;
-        self.rows_retired = r.u64()?;
-        self.lines_poisoned = r.u64()?;
-        self.poisoned_reads = r.u64()?;
-        self.read_latency_hist = load_hist(r, "read-latency")?;
-        for h in self.read_latency_hist_per_tenant.iter_mut() {
-            *h = load_hist(r, "tenant-read-latency")?;
-        }
-        let channels = r.bounded_len(8 * (HIST_BUCKETS + 3))?;
-        self.read_latency_hist_per_channel.clear();
-        for _ in 0..channels {
-            self.read_latency_hist_per_channel
-                .push(load_hist(r, "channel-read-latency")?);
-        }
-        Ok(())
     }
 
     /// Records a completed request.
@@ -558,36 +424,52 @@ impl McStats {
     }
 }
 
-/// Serializes one histogram (bucket counts, count, sum, raw max).
-fn save_hist(w: &mut cloudmc_snap::SnapWriter, h: &LatencyHistogram) {
-    w.u64_slice(h.bucket_counts());
-    w.u64(h.count());
-    w.u64(h.sum());
-    w.u64(h.max().unwrap_or(0));
-}
-
-/// Restores one histogram written by [`save_hist`], rejecting shape or
-/// consistency violations as typed snapshot errors.
-fn load_hist(
-    r: &mut cloudmc_snap::SnapReader<'_>,
-    name: &str,
-) -> Result<LatencyHistogram, cloudmc_snap::SnapError> {
-    let len = r.bounded_len(8)?;
-    if len != HIST_BUCKETS {
-        return Err(r.bad_value(format!(
-            "{len} {name} histogram buckets, expected {HIST_BUCKETS}"
-        )));
-    }
-    let mut counts = [0u64; HIST_BUCKETS];
-    for slot in counts.iter_mut() {
-        *slot = r.u64()?;
-    }
-    let count = r.u64()?;
-    let sum = r.u64()?;
-    let max = r.u64()?;
-    match LatencyHistogram::from_parts(counts, count, sum, max) {
-        Some(h) => Ok(h),
-        None => Err(r.bad_value(format!("inconsistent {name} histogram counts"))),
+// The per-core vectors and the reuse histogram are shaped by the config; the
+// per-channel histogram list grows by merging, so it is saved as it is.
+cloudmc_snap::snap_fields! {
+    McStats {
+        saved: {
+            reads_completed,
+            writes_completed,
+            total_read_latency,
+            total_write_latency,
+            row_hits,
+            row_misses,
+            row_conflicts,
+            activation_reuse: fixed,
+            queue_samples,
+            read_queue_occupancy_sum,
+            write_queue_occupancy_sum,
+            completed_per_core: fixed,
+            read_latency_per_core: fixed,
+            reads_per_core: fixed,
+            power_downs,
+            self_refreshes,
+            power_wakes,
+            power_precharges,
+            reads_completed_per_tenant,
+            writes_completed_per_tenant,
+            read_latency_per_tenant,
+            row_hits_per_tenant,
+            row_misses_per_tenant,
+            row_conflicts_per_tenant,
+            read_queue_occupancy_per_tenant,
+            ecc_corrected,
+            ecc_detected_uncorrectable,
+            ecc_miscorrects,
+            demand_retries,
+            scrub_reads_issued,
+            scrub_reads_completed,
+            scrub_corrected,
+            scrub_uncorrectable,
+            rows_retired,
+            lines_poisoned,
+            poisoned_reads,
+            read_latency_hist,
+            read_latency_hist_per_tenant,
+            read_latency_hist_per_channel,
+        },
+        skipped: {},
     }
 }
 

@@ -35,6 +35,8 @@ use cloudmc_memctrl::{
     AccessKind, CompletedRequest, McStats, MemoryController, MemoryRequest, MAX_TENANTS,
 };
 
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
+
 use crate::config::SystemConfig;
 use crate::kernel::Tick;
 
@@ -58,7 +60,6 @@ pub struct Backend {
     shards: Vec<MemoryController>,
     next_due: Vec<DramCycles>,
     retry: BTreeMap<RetryKey, VecDeque<MemoryRequest>>,
-    // simlint: allow(snapshot-coverage) derived: sum of retry bucket lengths, recomputed on load
     retry_len: usize,
 }
 
@@ -317,133 +318,20 @@ impl Backend {
         }
     }
 
-    /// Why this backend cannot be checkpointed, if it cannot: any shard
-    /// using dynamically dispatched (boxed) scheduler or policy plugins has
-    /// state the snapshot format cannot see. `None` means snapshotting is
-    /// supported.
-    #[must_use]
-    pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
-        self.shards
-            .iter()
-            .find_map(MemoryController::snapshot_unsupported_reason)
-    }
-
-    /// Serializes the backend's mutable state: every controller shard in
-    /// index order, the cached per-shard readiness bounds, and the retry
-    /// buckets (checkpoint support). Callers must gate on
-    /// [`Backend::snapshot_unsupported_reason`] first.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("backend");
-        w.usize(self.shards.len());
-        for shard in &self.shards {
-            shard.save_state(w);
-        }
-        w.u64_slice(&self.next_due);
-        w.usize(self.retry.len());
-        for (&(shard, channel, kind), queue) in &self.retry {
-            w.usize(shard);
-            w.usize(channel);
-            w.u8(match kind {
-                AccessKind::Read => 0,
-                AccessKind::Write => 1,
-            });
-            w.usize(queue.len());
-            for req in queue {
-                w.u64(req.id);
-                w.u8(match req.kind {
-                    AccessKind::Read => 0,
-                    AccessKind::Write => 1,
-                });
-                w.u64(req.addr);
-                w.usize(req.core);
-                w.usize(req.tenant);
-                w.u64(req.arrival);
-                w.bool(req.dma);
-            }
-        }
-    }
-
-    /// Restores the backend's mutable state from a checkpoint. The backend
-    /// must have been built from the same configuration as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation, impossible
-    /// values, or shapes that do not match the configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("backend")?;
-        let count = r.usize()?;
-        if count != self.shards.len() {
-            return Err(r.bad_value(format!("{count} shards, expected {}", self.shards.len())));
-        }
-        for shard in &mut self.shards {
-            shard.load_state(r)?;
-        }
-        let bounds = r.bounded_len(8)?;
-        if bounds != self.next_due.len() {
-            return Err(r.bad_value(format!(
-                "{bounds} shard bounds, expected {}",
-                self.next_due.len()
-            )));
-        }
-        for slot in &mut self.next_due {
-            *slot = r.u64()?;
-        }
-        self.retry.clear();
-        self.retry_len = 0;
-        let buckets = r.bounded_len(16)?;
-        for _ in 0..buckets {
-            let shard = r.usize()?;
-            if shard >= self.shards.len() {
+    /// Recomputes the parked-request count from the restored retry buckets
+    /// and rejects a bucket keyed by a shard or channel that does not exist,
+    /// or a parked request naming a core the controllers have no slot for.
+    fn finish_restore(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        self.retry_len = self.retry.values().map(VecDeque::len).sum();
+        for (&(shard, channel, _), queue) in &self.retry {
+            let Some(mc) = self.shards.get(shard) else {
                 return Err(r.bad_value(format!("retry bucket shard {shard} out of range")));
-            }
-            let channel = r.usize()?;
-            let channels = self.shards[shard].channel_count();
-            if channel >= channels {
+            };
+            if channel >= mc.channel_count() {
                 return Err(r.bad_value(format!("retry bucket channel {channel} out of range")));
             }
-            let kind = match r.u8()? {
-                0 => AccessKind::Read,
-                1 => AccessKind::Write,
-                other => {
-                    return Err(r.bad_value(format!("retry bucket access kind {other}")));
-                }
-            };
-            let len = r.bounded_len(30)?;
-            let mut queue = VecDeque::with_capacity(len);
-            for _ in 0..len {
-                let id = r.u64()?;
-                let req_kind = match r.u8()? {
-                    0 => AccessKind::Read,
-                    1 => AccessKind::Write,
-                    other => return Err(r.bad_value(format!("request access kind {other}"))),
-                };
-                let addr = r.u64()?;
-                let core = r.usize()?;
-                let tenant = r.usize()?;
-                if tenant >= MAX_TENANTS {
-                    return Err(r.bad_value(format!("request tenant {tenant} out of range")));
-                }
-                let arrival = r.u64()?;
-                let dma = r.bool()?;
-                queue.push_back(MemoryRequest {
-                    id,
-                    kind: req_kind,
-                    addr,
-                    core,
-                    tenant,
-                    arrival,
-                    dma,
-                });
-            }
-            self.retry_len += queue.len();
-            if self.retry.insert((shard, channel, kind), queue).is_some() {
-                return Err(r.bad_value(format!(
-                    "duplicate retry bucket (shard {shard}, channel {channel})"
-                )));
+            for request in queue {
+                request.check_core(r, mc.config().num_cores)?;
             }
         }
         Ok(())
@@ -505,6 +393,17 @@ impl Tick for Backend {
         for shard in &mut self.shards {
             shard.tick(now, events);
         }
+    }
+}
+
+snap_fields! {
+    Backend {
+        section: "backend",
+        saved: { shards: fixed, next_due: fixed, retry },
+        skipped: {
+            retry_len: "derived: sum of retry bucket lengths; rebuilt by finish_restore",
+        },
+        after_load: Self::finish_restore,
     }
 }
 

@@ -26,7 +26,7 @@ pub enum SimError {
     /// or corrupted (the message names the failing section and byte offset),
     /// the snapshot was taken under a different configuration (fingerprint
     /// mismatch), or the system holds state the format cannot capture (trace
-    /// taps, boxed plugins, an active telemetry sink).
+    /// taps, an active telemetry sink, the reference driver).
     Snapshot(String),
     /// Writing a telemetry output file (time series or span trace) failed;
     /// the in-memory series and spans are still intact but the on-disk

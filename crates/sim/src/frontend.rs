@@ -70,6 +70,8 @@ use cloudmc_workloads::{
     TenantId, TraceRecord, TraceStream, TraceWriter, WorkloadSource, WorkloadStreams,
 };
 
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
+
 use crate::config::SystemConfig;
 use crate::kernel::Tick;
 
@@ -166,20 +168,16 @@ pub struct Frontend {
     /// Trace replay supply; when set, cores consume it instead of `streams`
     /// (which is still built — the address layout it derives from the mix
     /// drives [`Frontend::prewarm`]).
-    // simlint: allow(snapshot-coverage) trace I/O handle; snapshot() refuses systems holding one
     replay: Option<TraceStream>,
     /// Trace capture sink; every op any core consumes is appended.
-    // simlint: allow(snapshot-coverage) trace I/O handle; snapshot() refuses systems holding one
     record: Option<TraceWriter<BufWriter<File>>>,
     /// First error the capture sink produced; recording stops at that point
     /// and the error surfaces from [`Frontend::finish_trace`].
-    // simlint: allow(snapshot-coverage) latched trace-I/O error, meaningless across a restore
     record_error: Option<String>,
     /// First error the replay trace produced (I/O, parse, or a core index
     /// beyond the bound count); the affected cores idle on the exhaustion
     /// filler from then on and the error surfaces from
     /// [`Frontend::finish_trace`].
-    // simlint: allow(snapshot-coverage) latched trace-I/O error, meaningless across a restore
     replay_error: Option<String>,
     l2: SharedL2,
     rng: StdRng,
@@ -400,7 +398,7 @@ impl Frontend {
     /// does not capture, and neither is an op a core deferred while running
     /// ahead (every `run_cycles` call executes those before it returns, so
     /// one can only be seen from inside a call). `None` means snapshotting
-    /// is supported.
+    /// is supported; the `Snap` impl assumes it was consulted first.
     #[must_use]
     pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
         if self.replay.is_some() {
@@ -415,83 +413,20 @@ impl Frontend {
         None
     }
 
-    /// Serializes the frontend's mutable state: cores, workload streams,
-    /// shared L2, RNG stream, DMA injectors and the lazy-mode cursors
-    /// (checkpoint support). Callers must gate on
-    /// [`Frontend::snapshot_unsupported_reason`] first.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("frontend");
-        w.usize(self.cores.len());
-        for core in &self.cores {
-            core.save_state(w);
-        }
-        self.streams.save_state(w);
-        self.l2.save_state(w);
-        w.u64_slice(&self.rng.state());
-        w.usize(self.dma.len());
-        for inj in &self.dma {
-            w.u64(inj.acc_fp);
-            w.u64(inj.cursor);
-        }
-        w.u64_slice(&self.positions);
-        w.u64_slice(&self.next_action);
-        w.u64(self.dma_pos);
-    }
-
-    /// Restores the frontend's mutable state from a checkpoint. The frontend
-    /// must have been built from the same configuration as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation, impossible
-    /// values, or shapes that do not match the configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("frontend")?;
-        let count = r.usize()?;
-        if count != self.cores.len() {
-            return Err(r.bad_value(format!("{count} cores, expected {}", self.cores.len())));
-        }
-        for core in &mut self.cores {
-            core.load_state(r)?;
-        }
-        self.streams.load_state(r)?;
-        self.l2.load_state(r)?;
-        let words = r.bounded_len(8)?;
-        if words != 4 {
-            return Err(r.bad_value(format!("{words} RNG state words, expected 4")));
-        }
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.u64()?;
-        }
-        self.rng.set_state(state);
-        let count = r.bounded_len(16)?;
-        if count != self.dma.len() {
+    /// Completes a restore at kernel clock `now`. An image is only ever
+    /// taken between `run_cycles` calls, where [`Frontend::sync_to`] has
+    /// aligned every core and the DMA accumulators to the clock — so those
+    /// cursors are not in the image and are set here — and no core action
+    /// below the clock is pending, which a restored `next_action` must
+    /// respect or the kernel would skip it.
+    pub(crate) fn resume_at(&mut self, now: u64, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        self.positions.fill(now);
+        self.dma_pos = now;
+        if let Some(action) = self.next_action.iter().find(|&&action| action < now) {
             return Err(r.bad_value(format!(
-                "{count} DMA injectors, expected {}",
-                self.dma.len()
+                "core action at cycle {action} already missed at {now}"
             )));
         }
-        for inj in &mut self.dma {
-            inj.acc_fp = r.u64()?;
-            inj.cursor = r.u64()?;
-        }
-        for (name, vec) in [
-            ("core positions", &mut self.positions),
-            ("core action cycles", &mut self.next_action),
-        ] {
-            let count = r.bounded_len(8)?;
-            if count != vec.len() {
-                return Err(r.bad_value(format!("{count} {name}, expected {}", vec.len())));
-            }
-            for slot in vec.iter_mut() {
-                *slot = r.u64()?;
-            }
-        }
-        self.dma_pos = r.u64()?;
         Ok(())
     }
 
@@ -801,6 +736,55 @@ impl Frontend {
                 events,
             );
         }
+    }
+}
+
+impl DmaInjector {
+    /// Less than one beat of credit is ever carried between cycles; more
+    /// would fire a burst of beats the run never accrued.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if self.acc_fp >= DMA_FP_ONE {
+            return Err(r.bad_value(format!(
+                "DMA credit {} is a whole beat or more",
+                self.acc_fp
+            )));
+        }
+        Ok(())
+    }
+}
+
+snap_fields! {
+    DmaInjector {
+        saved: { acc_fp, cursor },
+        skipped: {
+            tenant: "config-derived",
+            core_lo: "config-derived",
+            core_len: "config-derived",
+            rate_fp: "config-derived",
+        },
+        after_load: Self::check_restored,
+    }
+}
+
+snap_fields! {
+    Frontend {
+        section: "frontend",
+        saved: {
+            cores: fixed,
+            streams,
+            l2,
+            rng: via(StdRng::state, StdRng::set_state),
+            dma: fixed,
+            next_action: fixed,
+        },
+        skipped: {
+            positions: "equal to the kernel clock between run_cycles calls; set by resume_at",
+            dma_pos: "equal to the kernel clock between run_cycles calls; set by resume_at",
+            replay: "trace I/O handle; snapshot() refuses systems holding one",
+            record: "trace I/O handle; snapshot() refuses systems holding one",
+            record_error: "latched trace-I/O error, meaningless across a restore",
+            replay_error: "latched trace-I/O error, meaningless across a restore",
+        },
     }
 }
 

@@ -86,6 +86,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use cloudmc_snap::{load_new, snap_fields, Snap, SnapError, SnapReader, SnapWriter};
+
 use crate::config::DRAM_CYCLES_PER_5_CPU_CYCLES;
 
 /// A component advanced cycle by cycle in its own clock domain.
@@ -172,33 +174,11 @@ impl ClockCrossing {
         self.cpu_cycle += cpu_cycles;
     }
 
-    /// Serializes both clocks and the fractional phase accumulator
-    /// (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("clock");
-        w.u64(self.cpu_cycle);
-        w.u64(self.dram_cycle);
-        w.u64(self.acc);
-    }
-
-    /// Restores both clocks and the phase accumulator from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or an
-    /// accumulator outside the 2:5 phase range.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("clock")?;
-        self.cpu_cycle = r.u64()?;
-        self.dram_cycle = r.u64()?;
-        let acc = r.u64()?;
-        if acc >= 5 {
-            return Err(r.bad_value(format!("phase accumulator {acc} outside 0..5")));
+    /// The restored phase accumulator must lie in the 2:5 phase range.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if self.acc >= 5 {
+            return Err(r.bad_value(format!("phase accumulator {} outside 0..5", self.acc)));
         }
-        self.acc = acc;
         Ok(())
     }
 
@@ -431,62 +411,88 @@ impl FillQueue {
         self.queue.is_empty()
     }
 
-    /// Serializes the queue structurally — window base plus every pending
-    /// fill as `(cycle, core, addr)` in pop order (checkpoint support). The
-    /// restored queue clamps and migrates identically because the base is
-    /// preserved and pushes replay in the saved order.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("fill-queue");
-        w.u64(self.queue.base);
-        w.usize(self.queue.len());
+    /// Every undelivered `(core, addr)`, in no particular order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &(usize, u64)> {
+        let queue = &self.queue;
+        queue.ring.iter().chain(queue.overflow.values()).flatten()
+    }
+}
+
+snap_fields! {
+    ClockCrossing {
+        section: "clock",
+        saved: { cpu_cycle, dram_cycle, acc },
+        skipped: {},
+        after_load: Self::check_restored,
+    }
+}
+
+/// Structural image: the window base plus every pending event as
+/// `(cycle, item)` in pop order. A restore replays the pushes onto an empty
+/// queue at the saved base, so it clamps and migrates identically.
+impl<T: Snap + Default> Snap for EventQueue<T> {
+    const MIN_BYTES: usize = 16;
+
+    fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            ring,
+            occupied: _,
+            base,
+            ring_len,
+            overflow,
+            overflow_len,
+        } = self;
+        base.save(w);
+        w.usize(ring_len + overflow_len);
         // Ring buckets in cycle order from the base, then overflow buckets
-        // (whose keys all lie beyond the ring window) in key order — exactly
-        // the order the queue would pop them.
-        for offset in 0..EVENT_RING_SPAN {
-            let cycle = self.queue.base + offset;
-            let idx = (cycle % EVENT_RING_SPAN) as usize;
-            for &(core, addr) in &self.queue.ring[idx] {
-                w.u64(cycle);
-                w.usize(core);
-                w.u64(addr);
-            }
-        }
-        for (&cycle, bucket) in &self.queue.overflow {
-            for &(core, addr) in bucket {
-                w.u64(cycle);
-                w.usize(core);
-                w.u64(addr);
+        // (whose keys all lie beyond the ring window) in key order.
+        let ring_buckets = (0..EVENT_RING_SPAN).map(|offset| {
+            let cycle = base + offset;
+            (cycle, &ring[(cycle % EVENT_RING_SPAN) as usize])
+        });
+        let overflow_buckets = overflow.iter().map(|(&cycle, bucket)| (cycle, bucket));
+        for (cycle, bucket) in ring_buckets.chain(overflow_buckets) {
+            for item in bucket {
+                cycle.save(w);
+                item.save(w);
             }
         }
     }
 
-    /// Restores the queue from a checkpoint written by
-    /// [`FillQueue::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or an event
-    /// scheduled before the window base.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("fill-queue")?;
-        let base = r.u64()?;
-        let count = r.bounded_len(24)?;
-        let mut queue = EventQueue::new();
-        queue.base = base;
-        for _ in 0..count {
-            let cycle = r.u64()?;
-            if cycle < base {
-                return Err(r.bad_value(format!("fill at cycle {cycle} before base {base}")));
-            }
-            let core = r.usize()?;
-            let addr = r.u64()?;
-            queue.push(cycle, (core, addr));
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Self {
+            ring,
+            occupied,
+            base,
+            ring_len,
+            overflow,
+            overflow_len,
+        } = self;
+        ring.iter_mut().for_each(VecDeque::clear);
+        overflow.clear();
+        (*occupied, *ring_len, *overflow_len) = (0, 0, 0);
+        base.load(r)?;
+        if *base > u64::MAX - EVENT_RING_SPAN {
+            return Err(r.bad_value(format!("window base {base} leaves no room for the ring")));
         }
-        self.queue = queue;
+        for _ in 0..r.bounded_len(8 + T::MIN_BYTES)? {
+            let (cycle, item): (u64, T) = load_new(r)?;
+            if cycle < self.base {
+                return Err(
+                    r.bad_value(format!("event at cycle {cycle} before base {}", self.base))
+                );
+            }
+            self.push(cycle, item);
+        }
         Ok(())
+    }
+}
+
+snap_fields! {
+    FillQueue {
+        section: "fill-queue",
+        saved: { queue },
+        skipped: {},
     }
 }
 

@@ -9,9 +9,17 @@
 //! all statistics counters — but none of the state that is a pure function of
 //! the configuration (geometries, timing tables). Restoring
 //! therefore means: build a fresh [`System`] from the configuration, then
-//! overlay the saved mutable state. The restored system continues
-//! *bit-identically* to the original: running it to the end of the
-//! measurement produces exactly the [`SimStats`](crate::SimStats) the
+//! overlay the saved mutable state. Which fields are which is declared once
+//! per type, next to the struct, in [`cloudmc_snap::snap_fields!`]: the saved
+//! fields in wire order and the skipped ones each with its reason; the
+//! generated [`cloudmc_snap::Snap`] impl destructures the struct
+//! exhaustively, so a new field that is in neither list does not compile.
+//! Loads are in place and validate what they read — discriminants, lengths
+//! against the configured shapes, and every index, DRAM coordinate and core
+//! number against the geometry of the system receiving it — so a damaged
+//! image is a typed error, not a panic some cycles later. The restored
+//! system continues *bit-identically* to the original: running it to the end
+//! of the measurement produces exactly the [`SimStats`](crate::SimStats) the
 //! uninterrupted run would have produced.
 //!
 //! The wire format (little-endian throughout) is a versioned envelope from
@@ -30,9 +38,9 @@
 //! across format versions.
 //!
 //! Systems with attached trace taps ([`WorkloadSource::Trace`] replay or
-//! [`SystemConfig::trace_record`] capture) or dynamically dispatched (boxed)
-//! scheduler/policy plugins cannot be snapshotted; both are reported as
-//! typed errors, never silently dropped state.
+//! [`SystemConfig::trace_record`] capture), an active telemetry sink or the
+//! reference driver cannot be snapshotted; each is reported as a typed
+//! error, never silently dropped state.
 //!
 //! [`System`]: crate::System
 //! [`SystemConfig`]: crate::SystemConfig

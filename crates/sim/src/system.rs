@@ -13,6 +13,7 @@ use std::time::Instant;
 use cloudmc_memctrl::{
     AccessKind, CompletedRequest, McStats, MemoryRequest, RequestId, RowBufferOutcome, MAX_TENANTS,
 };
+use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader};
 use cloudmc_telemetry::{
     KernelPhase, KernelProfile, KernelProfiler, SpanAccess, SpanOutcome, SpanRecord,
     TelemetrySample,
@@ -27,7 +28,7 @@ use crate::snapshot::{config_fingerprint, Snapshot};
 use crate::stats::SimStats;
 
 /// A read that left the chip and has not returned yet.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct OutstandingRead {
     core: usize,
     addr: u64,
@@ -602,10 +603,10 @@ impl System {
     }
 
     /// Why this system cannot be checkpointed right now, if it cannot:
-    /// attached trace taps, dynamically dispatched (boxed) plugins, or an
-    /// active telemetry sink hold state the snapshot format cannot capture,
-    /// and a [`System::reference`] system never maintains part of what the
-    /// image carries. `None` means [`System::snapshot`] will succeed.
+    /// attached trace taps, a deferred run-ahead op or an active telemetry
+    /// sink hold state the snapshot format does not capture, and a
+    /// [`System::reference`] system never maintains part of what the image
+    /// carries. `None` means [`System::snapshot`] will succeed.
     #[must_use]
     pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
         if self.reference {
@@ -620,9 +621,7 @@ impl System {
             // would silently produce a truncated series otherwise.
             return Some("an active telemetry sink");
         }
-        self.frontend
-            .snapshot_unsupported_reason()
-            .or_else(|| self.backend.snapshot_unsupported_reason())
+        self.frontend.snapshot_unsupported_reason()
     }
 
     /// Captures the system's complete mutable state as an opaque,
@@ -633,9 +632,9 @@ impl System {
     /// # Errors
     ///
     /// Returns [`SimError::Snapshot`] if the system holds state the format
-    /// cannot capture: a trace replay source or capture sink, a boxed
-    /// scheduler/page/power plugin, or an active telemetry sink — or if it
-    /// is driven by the reference loop ([`System::reference`]).
+    /// cannot capture: a trace replay source or capture sink, or an active
+    /// telemetry sink — or if it is driven by the reference loop
+    /// ([`System::reference`]).
     pub fn snapshot(&self) -> Result<Snapshot, SimError> {
         if let Some(reason) = self.snapshot_unsupported_reason() {
             return Err(SimError::Snapshot(format!(
@@ -643,25 +642,7 @@ impl System {
             )));
         }
         let mut w = cloudmc_snap::SnapWriter::new(config_fingerprint(&self.cfg));
-        w.section("system");
-        self.clock.save_state(&mut w);
-        self.fills.save_state(&mut w);
-        w.u64(self.next_request_id);
-        // The map is hash-ordered; dump sorted by request id so identical
-        // states always produce identical bytes.
-        let reads = cloudmc_snap::det::sorted_entries(&self.outstanding_reads);
-        w.usize(reads.len());
-        for (id, read) in reads {
-            w.u64(id);
-            w.usize(read.core);
-            w.u64(read.addr);
-        }
-        w.u64(self.mem_reads_sent);
-        w.u64(self.mem_writes_sent);
-        w.u64_slice(&self.mem_sent_per_tenant);
-        w.u64_slice(&self.reads_by_region);
-        self.frontend.save_state(&mut w);
-        self.backend.save_state(&mut w);
+        self.save(&mut w);
         Ok(Snapshot::from_bytes(w.finish()))
     }
 
@@ -690,59 +671,36 @@ impl System {
         Ok(system)
     }
 
-    /// The body of [`System::restore`]: parses the image and overlays every
-    /// section onto `self`, keeping the typed `SnapError` for the caller to
-    /// wrap.
-    fn load_snapshot(
-        &mut self,
-        bytes: &[u8],
-        fingerprint: u64,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        let mut r = cloudmc_snap::SnapReader::new(bytes, fingerprint)?;
-        r.section("system")?;
-        self.clock.load_state(&mut r)?;
-        self.fills.load_state(&mut r)?;
-        self.next_request_id = r.u64()?;
-        let count = r.bounded_len(24)?;
-        self.outstanding_reads.clear();
-        for _ in 0..count {
-            let id = r.u64()?;
-            let core = r.usize()?;
-            let addr = r.u64()?;
-            if id >= self.next_request_id {
-                return Err(r.bad_value(format!(
-                    "outstanding read id {id} not below next request id {}",
-                    self.next_request_id
-                )));
-            }
-            if self
-                .outstanding_reads
-                .insert(id, OutstandingRead { core, addr })
-                .is_some()
-            {
-                return Err(r.bad_value(format!("duplicate outstanding read id {id}")));
-            }
-        }
-        self.mem_reads_sent = r.u64()?;
-        self.mem_writes_sent = r.u64()?;
-        for (name, slice) in [
-            (
-                "per-tenant send counters",
-                &mut self.mem_sent_per_tenant[..],
-            ),
-            ("region read counters", &mut self.reads_by_region[..]),
-        ] {
-            let len = r.bounded_len(8)?;
-            if len != slice.len() {
-                return Err(r.bad_value(format!("{len} {name}, expected {}", slice.len())));
-            }
-            for slot in slice.iter_mut() {
-                *slot = r.u64()?;
-            }
-        }
-        self.frontend.load_state(&mut r)?;
-        self.backend.load_state(&mut r)?;
+    /// The body of [`System::restore`]: parses the image and overlays it onto
+    /// `self`, keeping the typed `SnapError` for the caller to wrap.
+    fn load_snapshot(&mut self, bytes: &[u8], fingerprint: u64) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(bytes, fingerprint)?;
+        self.load(&mut r)?;
         r.finish()
+    }
+
+    /// Aligns the frontend's lazy cursors to the restored clock and
+    /// cross-checks the kernel state: every outstanding read was issued (its
+    /// id is below the next one) and every read or fill on its way back
+    /// names a core that exists.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        self.frontend.resume_at(self.clock.cpu_cycle(), r)?;
+        let cores = self.frontend.core_count();
+        let reads = cloudmc_snap::det::sorted_entries(&self.outstanding_reads);
+        if let Some((id, _)) = reads.iter().find(|(id, _)| *id >= self.next_request_id) {
+            return Err(r.bad_value(format!(
+                "outstanding read id {id} not below next request id {}",
+                self.next_request_id
+            )));
+        }
+        let mut returning = reads
+            .iter()
+            .map(|(_, read)| read.core)
+            .chain(self.fills.pending().map(|&(core, _)| core));
+        if let Some(core) = returning.find(|&core| core >= cores) {
+            return Err(r.bad_value(format!("data on its way back to core {core} of {cores}")));
+        }
+        Ok(())
     }
 
     /// Re-seeds the stochastic inputs (workload streams and DMA RNG) as if
@@ -1382,6 +1340,40 @@ impl Simulator {
 /// fail-stop uncorrectable memory error was latched.
 pub fn run_system(cfg: SystemConfig) -> Result<SimStats, String> {
     Ok(Simulator::new(cfg)?.try_run()?)
+}
+
+snap_fields! {
+    OutstandingRead {
+        saved: { core, addr },
+        skipped: {},
+    }
+}
+
+snap_fields! {
+    System {
+        section: "system",
+        saved: {
+            clock,
+            fills,
+            next_request_id,
+            outstanding_reads,
+            mem_reads_sent,
+            mem_writes_sent,
+            mem_sent_per_tenant,
+            reads_by_region,
+            frontend,
+            backend,
+        },
+        skipped: {
+            cfg: "the configuration itself; the image carries its fingerprint",
+            frontend_events: "scratch buffer, empty between run_cycles calls",
+            completions: "scratch buffer, empty between run_cycles calls",
+            telemetry: "snapshot() refuses a system with an active telemetry sink",
+            profile: "config-derived",
+            reference: "snapshot() refuses a reference-driven system; restore builds an event-driven one",
+        },
+        after_load: Self::check_restored,
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! interleaved with *section markers* — length-prefixed ASCII names written
 //! by [`SnapWriter::section`] and validated by [`SnapReader::section`]. A
 //! reader that drifts out of phase with the writer (version skew, a buggy
-//! `load_state`) fails on the next marker with a typed
+//! hand-written [`Snap::load`]) fails on the next marker with a typed
 //! [`SnapError::SectionMismatch`] naming the byte offset, instead of
 //! silently misparsing unrelated state.
 //!
@@ -27,13 +27,23 @@
 //! a single body byte is interpreted, so every failure mode maps to a typed
 //! [`SnapError`] — never a panic.
 //!
-//! Simulator components implement inherent `save_state(&self, &mut
-//! SnapWriter)` / `load_state(&mut self, &mut SnapReader)` pairs in their own
-//! crates, so private fields stay private and this crate stays dependency-free.
+//! What goes into the body is declared once per type through the [`Snap`]
+//! trait. This crate implements it for the primitives and the std container
+//! shapes; a component struct lists its fields once in [`snap_fields!`] —
+//! the saved ones in wire order, the skipped ones each with the reason — in
+//! its own crate, so private fields stay private and this crate stays
+//! dependency-free. The generated impl destructures the struct exhaustively,
+//! which makes `rustc` the coverage checker: a field that is neither saved
+//! nor skipped does not compile. The few impls written by hand (enums with
+//! payloads, queues that serialize structurally) open with the same
+//! exhaustive pattern.
 
 #![forbid(unsafe_code)]
 
 pub mod det;
+mod snap;
+
+pub use snap::{load_new, min_bytes_of, Snap};
 
 use std::fmt;
 
@@ -41,7 +51,11 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"CMCSNAP1";
 
 /// Current snapshot format version. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// Version 3: every sequence carries a length prefix (fixed-shape ones are
+/// checked against the receiver), `Option` is a tag byte plus payload, and
+/// payload-carrying enums nest inside it instead of sharing its tag.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Byte tag that introduces a section marker in the body stream.
 const SECTION_TAG: u8 = 0xA5;
@@ -228,22 +242,6 @@ impl SnapWriter {
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a length-prefixed slice of `u64`s.
-    pub fn u64_slice(&mut self, values: &[u64]) {
-        self.usize(values.len());
-        for &v in values {
-            self.u64(v);
-        }
-    }
-
-    /// Writes a length-prefixed slice of `f64`s (bit-exact).
-    pub fn f64_slice(&mut self, values: &[f64]) {
-        self.usize(values.len());
-        for &v in values {
-            self.f64(v);
-        }
     }
 
     /// Body bytes written so far (diagnostics / size accounting).
@@ -499,30 +497,8 @@ impl<'a> SnapReader<'a> {
         Ok(len)
     }
 
-    /// Reads a length-prefixed `Vec<u64>`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] / [`SnapError::BadValue`] as for the
-    /// underlying primitives.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapError> {
-        let len = self.bounded_len(8)?;
-        (0..len).map(|_| self.u64()).collect()
-    }
-
-    /// Reads a length-prefixed `Vec<f64>` (bit-exact).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] / [`SnapError::BadValue`] as for the
-    /// underlying primitives.
-    pub fn f64_vec(&mut self) -> Result<Vec<f64>, SnapError> {
-        let len = self.bounded_len(8)?;
-        (0..len).map(|_| self.f64()).collect()
-    }
-
     /// Builds a [`SnapError::BadValue`] at the current cursor position —
-    /// for `load_state` implementations rejecting impossible decoded values
+    /// for [`Snap::load`] implementations rejecting impossible decoded values
     /// (enum discriminants out of range, inconsistent lengths).
     #[must_use]
     pub fn bad_value(&self, what: impl Into<String>) -> SnapError {
@@ -562,7 +538,7 @@ mod tests {
         w.bool(true);
         w.section("beta");
         w.str("hello");
-        w.u64_slice(&[7, 8, 9]);
+        w.u32(7);
         w.finish()
     }
 
@@ -576,7 +552,7 @@ mod tests {
         assert!(r.bool().unwrap());
         r.section("beta").unwrap();
         assert_eq!(r.str().unwrap(), "hello");
-        assert_eq!(r.u64_vec().unwrap(), vec![7, 8, 9]);
+        assert_eq!(r.u32().unwrap(), 7);
         r.finish().unwrap();
     }
 

@@ -248,6 +248,27 @@ impl LatencyHistogram {
     }
 }
 
+impl LatencyHistogram {
+    /// A restored histogram must satisfy [`LatencyHistogram::from_parts`].
+    fn check_restored(
+        &mut self,
+        r: &cloudmc_snap::SnapReader<'_>,
+    ) -> Result<(), cloudmc_snap::SnapError> {
+        match Self::from_parts(self.counts, self.count, self.sum, self.max) {
+            Some(_) => Ok(()),
+            None => Err(r.bad_value("histogram count differs from its bucket total")),
+        }
+    }
+}
+
+cloudmc_snap::snap_fields! {
+    LatencyHistogram {
+        saved: { counts, count, sum, max },
+        skipped: {},
+        after_load: Self::check_restored,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use cloudmc_cpu::{CoreOp, MemOp, OpKind};
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::mix::{MixSpec, TenantId};
 use crate::spec::{Workload, WorkloadSpec};
@@ -394,60 +395,11 @@ impl CoreStream {
         }
     }
 
-    /// Serializes the stream's mutable state — RNG, pending burst, phase
-    /// machine and event countdowns (checkpoint support). The spec, core
-    /// placement and layout are config-derived and not serialized.
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        for word in self.rng.state() {
-            w.u64(word);
+    /// A row burst never exceeds one DRAM row's worth of blocks.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        if self.burst.len() as u64 > ROW_BYTES / BLOCK_BYTES {
+            return Err(r.bad_value(format!("burst length {} exceeds one row", self.burst.len())));
         }
-        w.usize(self.burst.len());
-        for &addr in &self.burst {
-            w.u64(addr);
-        }
-        w.u64(self.ifetch_cursor);
-        w.bool(self.phase_hot);
-        w.u64(self.until_data);
-        w.u64(self.until_ifetch);
-        w.u64(self.until_hot);
-        w.u64(self.instructions_planned);
-        w.u64(self.data_events);
-        w.u64(self.data_accesses);
-    }
-
-    /// Restores the stream's mutable state from a checkpoint. The stream must
-    /// have been built with the same spec and placement as the saved one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or an
-    /// impossible burst length.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.u64()?;
-        }
-        self.rng.set_state(state);
-        let burst_len = r.bounded_len(8)?;
-        // A row burst never exceeds one DRAM row's worth of blocks.
-        if burst_len as u64 > ROW_BYTES / BLOCK_BYTES {
-            return Err(r.bad_value(format!("burst length {burst_len} exceeds one row")));
-        }
-        self.burst.clear();
-        for _ in 0..burst_len {
-            self.burst.push_back(r.u64()?);
-        }
-        self.ifetch_cursor = r.u64()?;
-        self.phase_hot = r.bool()?;
-        self.until_data = r.u64()?;
-        self.until_ifetch = r.u64()?;
-        self.until_hot = r.u64()?;
-        self.instructions_planned = r.u64()?;
-        self.data_events = r.u64()?;
-        self.data_accesses = r.u64()?;
         Ok(())
     }
 
@@ -617,38 +569,45 @@ impl WorkloadStreams {
         self.mix.tenants().map(|t| t.workload.dma_per_kcycle).sum()
     }
 
-    /// Serializes every core stream's mutable state (checkpoint support).
-    pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        w.section("workload-streams");
-        for stream in &self.streams {
-            stream.save_state(w);
-        }
-    }
-
-    /// Restores every core stream's mutable state from a checkpoint. The
-    /// streams must have been built from the same mix as the saved ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cloudmc_snap::SnapError`] on truncation or
-    /// impossible values.
-    pub fn load_state(
-        &mut self,
-        r: &mut cloudmc_snap::SnapReader<'_>,
-    ) -> Result<(), cloudmc_snap::SnapError> {
-        r.section("workload-streams")?;
-        for stream in &mut self.streams {
-            stream.load_state(r)?;
-        }
-        Ok(())
-    }
-
     /// Re-seeds every core stream's RNG mid-run (per-replicate divergence
     /// when a sweep forks measured cells off a shared warm checkpoint).
     pub fn reseed(&mut self, seed: u64) {
         for stream in &mut self.streams {
             stream.reseed(seed);
         }
+    }
+}
+
+snap_fields! {
+    CoreStream {
+        saved: {
+            rng: via(StdRng::state, StdRng::set_state),
+            burst,
+            ifetch_cursor,
+            phase_hot,
+            until_data,
+            until_ifetch,
+            until_hot,
+            instructions_planned,
+            data_events,
+            data_accesses,
+        },
+        skipped: {
+            spec: "config-derived",
+            core: "config-derived",
+            layout_core: "config-derived",
+            code_offset: "config-derived",
+            layout: "config-derived",
+        },
+        after_load: Self::check_restored,
+    }
+}
+
+snap_fields! {
+    WorkloadStreams {
+        section: "workload-streams",
+        saved: { streams: fixed },
+        skipped: { mix: "config-derived" },
     }
 }
 
