@@ -1,7 +1,7 @@
 //! Fast-forward performance tracking: simulated-CPU-cycles-per-second of
 //! the event kernel against the per-cycle reference loop
 //! (`Simulator::reference`, the test oracle) on an idle-heavy stream, two
-//! dense streams, and a sharded dense stream.
+//! dense streams, and a four-channel dense stream.
 //!
 //! The `repro fastforward` experiment serializes the result as
 //! `BENCH_fastforward.json` so the performance trajectory of the simulator
@@ -115,9 +115,9 @@ pub fn scale_out_config(scale: &Scale) -> SystemConfig {
     baseline_config(Workload::WebSearch, scale)
 }
 
-/// The dense scan on a four-shard backend.
+/// The dense scan on a four-channel backend.
 #[must_use]
-pub fn sharded_dense_config(scale: &Scale) -> SystemConfig {
+pub fn four_channel_dense_config(scale: &Scale) -> SystemConfig {
     let mut cfg = dense_config(scale);
     cfg.num_channels = 4;
     cfg
@@ -131,7 +131,7 @@ pub fn fastforward_report(scale: &Scale) -> FastForwardReport {
             measure_point("idle_heavy", idle_heavy_config(scale)),
             measure_point("web_search", scale_out_config(scale)),
             measure_point("tpch_q6", dense_config(scale)),
-            measure_point("tpch_q6_4shards", sharded_dense_config(scale)),
+            measure_point("tpch_q6_4ch", four_channel_dense_config(scale)),
         ],
     }
 }
@@ -198,7 +198,7 @@ mod tests {
         assert!(json.contains("\"idle_heavy\""));
         assert!(json.contains("\"web_search\""));
         assert!(json.contains("\"tpch_q6\""));
-        assert!(json.contains("\"tpch_q6_4shards\""));
+        assert!(json.contains("\"tpch_q6_4ch\""));
         assert!(json.contains("reference_cycles_per_sec"));
         assert!(json.contains("event_cycles_per_sec"));
         assert!(json.contains("\"speedup\""));

@@ -25,8 +25,8 @@ pub mod trace;
 pub use cli::{parse, Options, Parsed, EXPERIMENTS, HELP};
 pub use energy::{energy_study, EnergyPoint, EnergyReport};
 pub use fastforward::{
-    dense_config, fastforward_report, idle_heavy_config, scale_out_config, sharded_dense_config,
-    FastForwardPoint, FastForwardReport,
+    dense_config, fastforward_report, four_channel_dense_config, idle_heavy_config,
+    scale_out_config, FastForwardPoint, FastForwardReport,
 };
 pub use meta::{with_meta, RunMeta, GIT_DESCRIBE_ENV};
 pub use qos::{paper_mixes, qos_study, QosPoint, QosReport};

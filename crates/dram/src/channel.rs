@@ -94,7 +94,7 @@ impl ChannelStats {
     }
 
     /// Adds every counter of `other` into `self` (aggregation across
-    /// channels or shards).
+    /// channels).
     pub fn merge(&mut self, other: &ChannelStats) {
         self.activates += other.activates;
         self.precharges += other.precharges;

@@ -40,6 +40,11 @@ pub struct DramConfig {
 }
 
 impl DramConfig {
+    /// Largest channel count that validates. One controller state is built
+    /// per channel, so the count must be bounded before anything is sized
+    /// from it.
+    pub const MAX_CHANNELS: usize = 64;
+
     /// The paper's baseline single-channel configuration (Table 2).
     #[must_use]
     pub fn baseline() -> Self {
@@ -94,7 +99,8 @@ impl DramConfig {
     ///
     /// Returns a description of the problem if any dimension is zero, any
     /// dimension is not a power of two (required by the bit-sliced address
-    /// mapping), or the timing parameters are inconsistent.
+    /// mapping), there are more than [`DramConfig::MAX_CHANNELS`] channels,
+    /// or the timing parameters are inconsistent.
     pub fn validate(&self) -> Result<(), String> {
         fn pow2(name: &str, v: u64) -> Result<(), String> {
             if v == 0 {
@@ -106,6 +112,13 @@ impl DramConfig {
             Ok(())
         }
         pow2("channels", self.channels as u64)?;
+        if self.channels > Self::MAX_CHANNELS {
+            return Err(format!(
+                "channels ({}) is unreasonably large (max {})",
+                self.channels,
+                Self::MAX_CHANNELS
+            ));
+        }
         pow2("ranks_per_channel", self.ranks_per_channel as u64)?;
         pow2("banks_per_rank", self.banks_per_rank as u64)?;
         pow2("rows_per_bank", self.rows_per_bank)?;
@@ -206,6 +219,17 @@ mod tests {
         let mut cfg = DramConfig::baseline();
         cfg.banks_per_rank = 6;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_the_channel_count() {
+        for channels in [0usize, 3, 65, 128, 1 << 40] {
+            let err = DramConfig::with_channels(channels).validate().unwrap_err();
+            assert!(err.contains("channels"), "{channels}: {err}");
+        }
+        DramConfig::with_channels(DramConfig::MAX_CHANNELS)
+            .validate()
+            .unwrap();
     }
 
     #[test]

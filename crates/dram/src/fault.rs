@@ -43,7 +43,9 @@ pub enum UncorrectablePolicy {
     PoisonAndContinue,
 }
 
-/// Configuration of the fault-injection model (per controller shard).
+/// Configuration of the fault-injection model. The controller gives every
+/// channel its own injector with a seed derived from [`FaultConfig::seed`]
+/// and the channel index, so channels fail independently.
 ///
 /// All rates are integers (fixed point or per-mille) so the configuration is
 /// `Copy`, hashable and float-free — injection arithmetic stays exact.
@@ -207,8 +209,7 @@ pub struct FaultLedger {
 }
 
 impl FaultLedger {
-    /// Adds another ledger into this one (aggregation across channels or
-    /// shards).
+    /// Adds another ledger into this one (aggregation across channels).
     pub fn merge(&mut self, other: &FaultLedger) {
         self.injected += other.injected;
         self.corrected += other.corrected;
@@ -248,15 +249,10 @@ fn splitmix64(mut z: u64) -> u64 {
 
 impl FaultModel {
     /// Builds the injector for one channel of the given geometry, planting
-    /// the configured stuck/hard rows at seed-derived locations.
+    /// the configured stuck/hard rows at seed-derived locations. The caller
+    /// hands each channel a config whose seed is already its own.
     #[must_use]
-    pub fn new(
-        cfg: FaultConfig,
-        channel: usize,
-        ranks: usize,
-        banks_per_rank: usize,
-        rows_per_bank: u64,
-    ) -> Self {
+    pub fn new(cfg: FaultConfig, ranks: usize, banks_per_rank: usize, rows_per_bank: u64) -> Self {
         let mut stuck = BTreeSet::new();
         let mut hard = BTreeSet::new();
         let plant = |set: &mut BTreeSet<RowKey>, tag: u64, count: u32| {
@@ -265,11 +261,7 @@ impl FaultModel {
                 let mut salt = 0u64;
                 while planted < count {
                     let h = splitmix64(
-                        cfg.seed
-                            ^ tag.wrapping_mul(0x5183_9A0B)
-                            ^ ((channel as u64) << 48)
-                            ^ ((rank as u64) << 40)
-                            ^ salt,
+                        cfg.seed ^ tag.wrapping_mul(0x5183_9A0B) ^ ((rank as u64) << 40) ^ salt,
                     );
                     let bank = (h as usize) % banks_per_rank;
                     let row = (h >> 32) % rows_per_bank;
@@ -478,7 +470,7 @@ mod tests {
 
     #[test]
     fn zero_rate_and_no_planted_rows_never_fault() {
-        let mut m = FaultModel::new(cfg_with_rate(0), 0, 2, 8, 1 << 18);
+        let mut m = FaultModel::new(cfg_with_rate(0), 2, 8, 1 << 18);
         for id in 0..10_000u64 {
             let f = m.classify_read(id, 0, 0, 0, id % 128, &active_residency(1_000_000));
             assert_eq!(f, ReadFault::None);
@@ -488,7 +480,7 @@ mod tests {
 
     #[test]
     fn high_rate_injects_and_ledger_conserves() {
-        let mut m = FaultModel::new(cfg_with_rate(100_000), 0, 2, 8, 1 << 18);
+        let mut m = FaultModel::new(cfg_with_rate(100_000), 2, 8, 1 << 18);
         let res = active_residency(50_000);
         let mut corrected = 0u64;
         let mut uncorrectable = 0u64;
@@ -512,7 +504,7 @@ mod tests {
 
     #[test]
     fn classification_is_a_pure_function_of_the_inputs() {
-        let mk = || FaultModel::new(cfg_with_rate(50_000), 0, 2, 8, 1 << 18);
+        let mk = || FaultModel::new(cfg_with_rate(50_000), 2, 8, 1 << 18);
         let mut a = mk();
         let mut b = mk();
         let res = active_residency(123_456);
@@ -527,7 +519,7 @@ mod tests {
 
     #[test]
     fn retry_attempt_rerolls_the_outcome() {
-        let mut m = FaultModel::new(cfg_with_rate(500_000), 0, 2, 8, 1 << 18);
+        let mut m = FaultModel::new(cfg_with_rate(500_000), 2, 8, 1 << 18);
         let res = active_residency(10_000);
         // Find an id that faults on attempt 0, then check some attempt
         // clears it — a transient must not be sticky across retries.
@@ -551,8 +543,8 @@ mod tests {
     #[test]
     fn residency_weighting_raises_the_self_refresh_rate() {
         let cfg = cfg_with_rate(10_000);
-        let mut active = FaultModel::new(cfg, 0, 2, 8, 1 << 18);
-        let mut retention = FaultModel::new(cfg, 0, 2, 8, 1 << 18);
+        let mut active = FaultModel::new(cfg, 2, 8, 1 << 18);
+        let mut retention = FaultModel::new(cfg, 2, 8, 1 << 18);
         let res_active = active_residency(1_000_000);
         let res_sleep = PowerResidency {
             self_refresh: 1_000_000,
@@ -582,7 +574,7 @@ mod tests {
             transient_rate_fp: 0,
             ..FaultConfig::baseline()
         };
-        let mut m = FaultModel::new(cfg, 0, 2, 8, 1 << 18);
+        let mut m = FaultModel::new(cfg, 2, 8, 1 << 18);
         let ledger = m.ledger();
         assert_eq!(ledger.injected, 10); // (3 stuck + 2 hard) x 2 ranks
         assert_eq!(ledger.latent, 10);

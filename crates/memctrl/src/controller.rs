@@ -179,10 +179,17 @@ struct FaultState {
 }
 
 impl FaultState {
-    fn new(cfg: FaultConfig, channel: usize, dram: &DramConfig) -> Self {
+    fn new(mut cfg: FaultConfig, channel: usize, dram: &DramConfig) -> Self {
+        // Decorrelate the channels: with a shared seed every channel would
+        // plant stuck/hard rows at identical coordinates and flip the same
+        // transient bits, which is not how independent DIMMs fail. The
+        // offset is a pure function of the channel index, so runs stay
+        // deterministic.
+        cfg.seed = cfg
+            .seed
+            .wrapping_add((channel as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let model = FaultModel::new(
             cfg,
-            channel,
             dram.ranks_per_channel,
             dram.banks_per_rank,
             dram.rows_per_bank,
@@ -301,6 +308,14 @@ struct ChannelController {
     /// Reliability subsystem; `None` keeps the controller bit-identical to a
     /// build without it (no extra work on any hot path).
     fault: Option<Box<FaultState>>,
+    /// A DRAM cycle before which this channel provably has nothing to do.
+    /// The bound may undershoot (a stale-past value just means "due now")
+    /// but never overshoot: [`Self::tick_due`] refreshes it from the
+    /// channel's own timing walk and [`Self::enqueue`] pulls it back to the
+    /// arrival cycle. The every-channel [`MemoryController::tick`] neither
+    /// reads nor refreshes it, so one controller is driven by one of the two
+    /// for life.
+    next_due: DramCycles,
 }
 
 impl ChannelController {
@@ -328,6 +343,7 @@ impl ChannelController {
             fault: cfg
                 .fault_model
                 .map(|fc| Box::new(FaultState::new(fc, index, &cfg.dram))),
+            next_due: 0,
         }
     }
 
@@ -429,6 +445,8 @@ impl ChannelController {
             AccessKind::Write => &mut self.write_q,
         };
         queue.push(request, location, now)?;
+        // New work: the channel may have something to do this very cycle.
+        self.next_due = self.next_due.min(now);
         let entry = *match request.kind {
             AccessKind::Read => self.read_q.get(request.id),
             AccessKind::Write => self.write_q.get(request.id),
@@ -634,9 +652,9 @@ impl ChannelController {
     /// reuses the buffer, keeping the per-cycle hot path allocation-free).
     ///
     /// Returns `true` if the cycle did observable work (retired a transfer,
-    /// issued a command, or applied a power action) — the event kernel uses
-    /// the report to decide whether its cached readiness bound for the
-    /// channel must be recomputed or can simply advance one cycle.
+    /// issued a command, or applied a power action) — [`Self::tick_due`]
+    /// uses the report to decide whether the channel's readiness bound must
+    /// be recomputed or can simply advance one cycle.
     fn tick(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> bool {
         // 0. Reliability pre-work (no-op unless a fault model is configured):
         // release demand retries whose backoff elapsed and emit patrol-scrub
@@ -793,9 +811,9 @@ impl ChannelController {
             Some(f) if now >= f.next_scrub_at && !self.read_q.is_full() => {
                 let (rank, bank, row) = f.scrub_cursor;
                 let location = Location::new(rank, bank, row, 0);
-                // The channel index keeps scrub ids globally unique even
-                // though each channel numbers its own patrol sequence.
-                let id = SCRUB_ID_BIT | ((self.index as u64) << 40) | f.scrub_seq;
+                // Scrub reads never leave their channel, so its own patrol
+                // sequence is all the id has to distinguish.
+                let id = SCRUB_ID_BIT | f.scrub_seq;
                 let request = MemoryRequest::new(id, AccessKind::Read, 0, 0, now);
                 f.scrub_seq += 1;
                 f.scrub_live += 1;
@@ -1035,6 +1053,32 @@ impl ChannelController {
             .sample_tenant_reads_n(&self.read_q.tenant_lens(), cycles);
     }
 
+    /// Event-driven tick: runs [`Self::tick`] only if the channel is due at
+    /// `now` and otherwise accounts the cycle as a skip, keeping the
+    /// queue-occupancy sample counts identical to ticking every cycle.
+    ///
+    /// A channel with queued or in-flight requests is simply polled again
+    /// next cycle: its fences (bus turnaround, tRCD, a transfer in flight)
+    /// are a handful of DRAM cycles, and the full
+    /// [`Self::next_ready_dram_cycle`] walk — every inflight entry, every
+    /// rank's refresh state, every queued request's earliest legal command,
+    /// plus scheduler/page/power timers — costs more than the no-op ticks it
+    /// would skip. Only a *drained* channel takes the walk, where the bound
+    /// is a refresh or policy-timer horizon hundreds of cycles out and
+    /// skipping pays.
+    fn tick_due(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) {
+        if self.next_due > now {
+            self.skip_cycles(1);
+            return;
+        }
+        let worked = self.tick(now, finished);
+        self.next_due = if worked || self.pending() > 0 {
+            now + 1
+        } else {
+            self.next_ready_dram_cycle(now + 1).max(now + 1)
+        };
+    }
+
     /// Earliest cycle of its current progress command for one queued entry,
     /// assuming the device state stays frozen (see
     /// [`cloudmc_dram::DramChannel::earliest_legal`]). Mirrors the
@@ -1267,15 +1311,16 @@ impl MemoryController {
     }
 
     /// Advances every channel by one DRAM cycle, appending requests completed
-    /// this cycle across all channels to `done`.
+    /// this cycle across all channels to `done`: the per-cycle reference
+    /// drive. It does not maintain the due bounds [`Self::tick_due`] works
+    /// from, so the two must not be mixed on one controller.
     ///
     /// Takes the completion buffer as a parameter (matching the simulation
     /// kernel's `Tick` contract) so the caller reuses one allocation for the
     /// whole run instead of the controller returning a fresh `Vec` per cycle.
     ///
     /// Returns `true` if any channel did observable work this cycle (retired
-    /// a transfer, issued a command, or applied a power action); the event
-    /// kernel uses the report to maintain its cached readiness bound.
+    /// a transfer, issued a command, or applied a power action).
     pub fn tick(&mut self, now: DramCycles, done: &mut Vec<CompletedRequest>) -> bool {
         let mut worked = false;
         for channel in &mut self.channels {
@@ -1284,17 +1329,28 @@ impl MemoryController {
         worked
     }
 
-    /// The next DRAM cycle at or after `now` at which any channel can
-    /// possibly do work (retire, refresh, serve a pending request, hit a
-    /// scheduler boundary, or close a row), derived from the bank/rank/bus
-    /// timing state and the pending queues. `u64::MAX` means the controller
-    /// is fully quiescent; the kernel may fast-forward to the returned cycle
-    /// and remain bit-identical to ticking every cycle.
+    /// Event-driven DRAM cycle: only channels whose due bound has been
+    /// reached run their tick; the rest account the cycle as a skip.
+    /// Bit-identical to [`Self::tick`] on every statistic, because a
+    /// channel's bound never overshoots its next eventful cycle.
+    pub fn tick_due(&mut self, now: DramCycles, done: &mut Vec<CompletedRequest>) {
+        for channel in &mut self.channels {
+            channel.tick_due(now, done);
+        }
+    }
+
+    /// The earliest DRAM cycle at which any channel may have work under
+    /// [`Self::tick_due`] (retire, refresh, serve a pending request, hit a
+    /// scheduler, policy or reliability timer): a lower bound that is never
+    /// late. `u64::MAX` means the controller is fully quiescent; the kernel
+    /// may jump to the returned cycle — accounting the jumped cycles with
+    /// [`Self::skip_dram_cycles`] — and remain bit-identical to ticking every
+    /// cycle.
     #[must_use]
-    pub fn next_ready_dram_cycle(&self, now: DramCycles) -> DramCycles {
+    pub fn next_due(&self) -> DramCycles {
         self.channels
             .iter()
-            .map(|c| c.next_ready_dram_cycle(now))
+            .map(|c| c.next_due)
             .min()
             .unwrap_or(DramCycles::MAX)
     }
@@ -1447,6 +1503,7 @@ snap_fields! {
             activated_after_conflict: fixed,
             stats,
             fault: fixed,
+            next_due,
         },
         skipped: {
             index: "config-derived",
@@ -1722,9 +1779,104 @@ mod tests {
         );
     }
 
+    /// Two geometries for the jump-equivalence tests below: the baseline
+    /// single channel, and two channels under a mapping that keeps every
+    /// address those tests submit (bit 13 clear) on channel 0 — one channel
+    /// busy, one drained with only its refresh, power and scrub timers
+    /// running, which is the case the per-channel due bound exists for.
+    fn jump_geometries(cfg: McConfig) -> [(McConfig, &'static str); 2] {
+        let mut two = cfg;
+        two.dram.channels = 2;
+        two.mapping = AddressMapping::RoRaBaChCo;
+        [(cfg, "1 channel"), (two, "2 channels")]
+    }
+
+    /// The readiness bounds must never overshoot: drives three controllers
+    /// built from `cfg` through the same `arrivals` (cycle of wave `i`, handed
+    /// to `submit` with the wave number) for `horizon` cycles — one ticking
+    /// every cycle, one ticking every channel but jumping straight to the
+    /// earliest cycle the raw timing walk announces, one on the event
+    /// kernel's `tick_due`/`next_due` — and demands identical completions,
+    /// statistics, per-channel device counters (power-state residency
+    /// included) and fault ledgers. Returns the per-cycle controller for
+    /// test-specific checks.
+    fn assert_jumps_match_naive(
+        cfg: McConfig,
+        horizon: DramCycles,
+        arrivals: &[DramCycles],
+        submit: impl Fn(&mut MemoryController, DramCycles, u64),
+        label: &str,
+    ) -> MemoryController {
+        // `advance` ticks cycle `c` and returns the next cycle worth visiting.
+        let drive = |advance: &dyn Fn(
+            &mut MemoryController,
+            DramCycles,
+            &mut Vec<CompletedRequest>,
+        ) -> DramCycles| {
+            let mut mc = MemoryController::new(cfg).unwrap();
+            let mut done = Vec::new();
+            let mut waves = arrivals.iter().copied().enumerate().peekable();
+            let mut c = 0;
+            while c < horizon {
+                while let Some((wave, _)) = waves.next_if(|&(_, at)| at == c) {
+                    submit(&mut mc, c, wave as u64);
+                }
+                let mut next = advance(&mut mc, c, &mut done).max(c + 1).min(horizon);
+                if let Some(&(_, at)) = waves.peek() {
+                    next = next.min(at);
+                }
+                if next > c + 1 {
+                    mc.skip_dram_cycles(next - c - 1);
+                }
+                c = next;
+            }
+            (mc, done)
+        };
+        let (naive, naive_done) = drive(&|mc, c, done| {
+            mc.tick(c, done);
+            c + 1
+        });
+        let (walked, walked_done) = drive(&|mc, c, done| {
+            mc.tick(c, done);
+            let bounds = mc.channels.iter().map(|ch| ch.next_ready_dram_cycle(c));
+            bounds.min().unwrap_or(DramCycles::MAX)
+        });
+        let (due, due_done) = drive(&|mc, c, done| {
+            mc.tick_due(c, done);
+            mc.next_due()
+        });
+        for (jumpy, jumpy_done, how) in [
+            (&walked, &walked_done, "timing walk"),
+            (&due, &due_done, "due bounds"),
+        ] {
+            assert_eq!(
+                &naive_done, jumpy_done,
+                "{label}: completions diverged jumping by {how}"
+            );
+            assert_eq!(
+                naive.stats(),
+                jumpy.stats(),
+                "{label}: stats diverged jumping by {how}"
+            );
+            for ch in 0..naive.channel_count() {
+                assert_eq!(
+                    naive.channel_device_stats_at(ch, horizon),
+                    jumpy.channel_device_stats_at(ch, horizon),
+                    "{label}: channel {ch} device counters diverged jumping by {how}"
+                );
+            }
+            assert_eq!(
+                naive.fault_ledger(),
+                jumpy.fault_ledger(),
+                "{label}: fault ledgers diverged jumping by {how}"
+            );
+        }
+        naive
+    }
+
     /// The jump-equivalence property must hold with the QoS arbiter claiming
     /// slots: its preemptions only ever reorder within the candidate set the
-    /// event-horizon bound already covers.
+    /// readiness bound already covers.
     #[test]
     fn next_ready_never_skips_a_qos_event() {
         use crate::qos::QosPolicyKind;
@@ -1735,49 +1887,19 @@ mod tests {
                 cfg.qos = two_tenant_qos(qos);
                 // A small epoch so boundaries land inside idle gaps too.
                 cfg.qos.epoch = 512;
-                let mut naive = MemoryController::new(cfg).unwrap();
-                let mut jumpy = MemoryController::new(cfg).unwrap();
                 let horizon = cfg.dram.timing.t_refi * 3;
                 let arrivals: Vec<u64> = (0..6u64).map(|i| i * (horizon / 7)).collect();
-                let mut naive_done = Vec::new();
-                let mut next_arrival = 0usize;
-                for c in 0..horizon {
-                    while next_arrival < arrivals.len() && arrivals[next_arrival] == c {
-                        submit_two_tenants(&mut naive, c, next_arrival as u64);
-                        next_arrival += 1;
-                    }
-                    naive.tick(c, &mut naive_done);
+                for (cfg, geometry) in jump_geometries(cfg) {
+                    assert_jumps_match_naive(
+                        cfg,
+                        horizon,
+                        &arrivals,
+                        |mc, at, wave| {
+                            submit_two_tenants(mc, at, wave);
+                        },
+                        &format!("{}/{qos}/{geometry}", sched.label()),
+                    );
                 }
-                let mut jumpy_done = Vec::new();
-                let mut next_arrival = 0usize;
-                let mut c = 0u64;
-                while c < horizon {
-                    while next_arrival < arrivals.len() && arrivals[next_arrival] == c {
-                        submit_two_tenants(&mut jumpy, c, next_arrival as u64);
-                        next_arrival += 1;
-                    }
-                    jumpy.tick(c, &mut jumpy_done);
-                    let mut next = jumpy.next_ready_dram_cycle(c).max(c + 1).min(horizon);
-                    if next_arrival < arrivals.len() {
-                        next = next.min(arrivals[next_arrival]);
-                    }
-                    if next > c + 1 {
-                        jumpy.skip_dram_cycles(next - c - 1);
-                    }
-                    c = next;
-                }
-                assert_eq!(
-                    naive_done.len(),
-                    jumpy_done.len(),
-                    "{}/{qos}: completion counts diverged",
-                    sched.label()
-                );
-                assert_eq!(
-                    naive.stats(),
-                    jumpy.stats(),
-                    "{}/{qos}: stats diverged",
-                    sched.label()
-                );
             }
         }
     }
@@ -1810,10 +1932,8 @@ mod tests {
         assert!(mc.channel_device_stats(0).refreshes >= 2);
     }
 
-    /// `next_ready_dram_cycle` must never overshoot: ticking every cycle and
-    /// jumping straight to each announced cycle must produce identical
-    /// completions, identical stats and identical device state for every
-    /// scheduler/policy combination.
+    /// Jumping must be invisible for every scheduler/policy combination on
+    /// a burst that arrives at cycle 0 and then drains.
     #[test]
     fn next_ready_never_skips_an_eventful_cycle() {
         for sched in SchedulerKind::paper_set() {
@@ -1825,55 +1945,37 @@ mod tests {
                 let mut cfg = McConfig::baseline();
                 cfg.scheduler = sched;
                 cfg.page_policy = policy;
-                let mut naive = MemoryController::new(cfg).unwrap();
-                let mut jumpy = MemoryController::new(cfg).unwrap();
-                let submit = |mc: &mut MemoryController| {
-                    for i in 0..12u64 {
-                        mc.enqueue(
-                            MemoryRequest::new(
-                                i,
-                                AccessKind::Read,
-                                (i % 5) * 0x2_0000 + i * 64,
-                                0,
-                                0,
-                            ),
-                            0,
-                        )
-                        .unwrap();
-                    }
-                };
-                submit(&mut naive);
-                submit(&mut jumpy);
                 let horizon = cfg.dram.timing.t_refi * 3;
-                let mut naive_done = Vec::new();
-                for c in 0..horizon {
-                    naive.tick(c, &mut naive_done);
-                }
-                let mut jumpy_done = Vec::new();
-                let mut c = 0u64;
-                while c < horizon {
-                    jumpy.tick(c, &mut jumpy_done);
-                    let next = jumpy.next_ready_dram_cycle(c).max(c + 1).min(horizon);
-                    if next > c + 1 {
-                        jumpy.skip_dram_cycles(next - c - 1);
+                for (cfg, geometry) in jump_geometries(cfg) {
+                    let naive = assert_jumps_match_naive(
+                        cfg,
+                        horizon,
+                        &[0],
+                        |mc, at, _| {
+                            for i in 0..12u64 {
+                                mc.enqueue(
+                                    MemoryRequest::new(
+                                        i,
+                                        AccessKind::Read,
+                                        (i % 5) * 0x2_0000 + i * 64,
+                                        0,
+                                        at,
+                                    ),
+                                    at,
+                                )
+                                .unwrap();
+                            }
+                        },
+                        &format!("{sched:?}/{policy}/{geometry}"),
+                    );
+                    // Every read landed on channel 0; any further channel
+                    // only ever refreshed.
+                    assert_eq!(naive.channel_device_stats(0).reads, 12);
+                    for ch in 1..naive.channel_count() {
+                        assert_eq!(naive.channel_device_stats(ch).reads, 0);
+                        assert!(naive.channel_device_stats(ch).refreshes >= 2);
                     }
-                    c = next;
                 }
-                assert_eq!(
-                    naive_done.len(),
-                    jumpy_done.len(),
-                    "{sched:?}/{policy}: completion counts diverged"
-                );
-                assert_eq!(
-                    naive.stats(),
-                    jumpy.stats(),
-                    "{sched:?}/{policy}: stats diverged"
-                );
-                assert_eq!(
-                    naive.channel_device_stats(0),
-                    jumpy.channel_device_stats(0),
-                    "{sched:?}/{policy}: device counters diverged"
-                );
             }
         }
     }
@@ -1888,72 +1990,36 @@ mod tests {
                 let mut cfg = McConfig::baseline();
                 cfg.page_policy = policy;
                 cfg.power_policy = power;
-                let mut naive = MemoryController::new(cfg).unwrap();
-                let mut jumpy = MemoryController::new(cfg).unwrap();
                 // Sparse arrivals leave long gaps for power-down entries,
                 // deepening transitions and refresh wakes.
-                let submit = |mc: &mut MemoryController, at: u64, i: u64| {
-                    mc.enqueue(
-                        MemoryRequest::new(
-                            i,
-                            AccessKind::Read,
-                            (i % 3) * 0x40_0000 + i * 64,
-                            0,
-                            at,
-                        ),
-                        at,
-                    )
-                    .unwrap();
-                };
                 let horizon = cfg.dram.timing.t_refi * 4;
                 let arrivals: Vec<u64> = (0..8u64).map(|i| i * (horizon / 9)).collect();
-                let mut naive_done = Vec::new();
-                let mut next_arrival = 0usize;
-                for c in 0..horizon {
-                    while next_arrival < arrivals.len() && arrivals[next_arrival] == c {
-                        submit(&mut naive, c, next_arrival as u64);
-                        next_arrival += 1;
-                    }
-                    naive.tick(c, &mut naive_done);
-                }
-                let mut jumpy_done = Vec::new();
-                let mut next_arrival = 0usize;
-                let mut c = 0u64;
-                while c < horizon {
-                    while next_arrival < arrivals.len() && arrivals[next_arrival] == c {
-                        submit(&mut jumpy, c, next_arrival as u64);
-                        next_arrival += 1;
-                    }
-                    jumpy.tick(c, &mut jumpy_done);
-                    let mut next = jumpy.next_ready_dram_cycle(c).max(c + 1).min(horizon);
-                    if next_arrival < arrivals.len() {
-                        next = next.min(arrivals[next_arrival]);
-                    }
-                    if next > c + 1 {
-                        jumpy.skip_dram_cycles(next - c - 1);
-                    }
-                    c = next;
-                }
-                assert_eq!(
-                    naive_done.len(),
-                    jumpy_done.len(),
-                    "{power}/{policy}: completion counts diverged"
-                );
-                assert_eq!(
-                    naive.stats(),
-                    jumpy.stats(),
-                    "{power}/{policy}: stats diverged"
-                );
-                assert_eq!(
-                    naive.channel_device_stats(0),
-                    jumpy.channel_device_stats(0),
-                    "{power}/{policy}: device counters diverged"
-                );
-                if power != PowerPolicyKind::None {
-                    assert!(
-                        naive.stats().power_downs + naive.stats().self_refreshes > 0,
-                        "{power}/{policy}: power policy never acted"
+                for (cfg, geometry) in jump_geometries(cfg) {
+                    let naive = assert_jumps_match_naive(
+                        cfg,
+                        horizon,
+                        &arrivals,
+                        |mc, at, i| {
+                            mc.enqueue(
+                                MemoryRequest::new(
+                                    i,
+                                    AccessKind::Read,
+                                    (i % 3) * 0x40_0000 + i * 64,
+                                    0,
+                                    at,
+                                ),
+                                at,
+                            )
+                            .unwrap();
+                        },
+                        &format!("{power}/{policy}/{geometry}"),
                     );
+                    if power != PowerPolicyKind::None {
+                        assert!(
+                            naive.stats().power_downs + naive.stats().self_refreshes > 0,
+                            "{power}/{policy}/{geometry}: power policy never acted"
+                        );
+                    }
                 }
             }
         }
@@ -2035,13 +2101,21 @@ mod tests {
 
     #[test]
     fn quiescent_controller_reports_refresh_as_next_event() {
-        let mc = MemoryController::new(McConfig::baseline()).unwrap();
+        let mut mc = MemoryController::new(McConfig::baseline()).unwrap();
         let due = McConfig::baseline().dram.timing.t_refi;
-        assert_eq!(mc.next_ready_dram_cycle(0), due);
+        assert_eq!(mc.next_due(), 0, "a fresh controller is due at once");
+        mc.tick_due(0, &mut Vec::new());
+        assert_eq!(mc.next_due(), due);
         let mut cfg = McConfig::baseline();
         cfg.dram.refresh_enabled = false;
-        let quiet = MemoryController::new(cfg).unwrap();
-        assert_eq!(quiet.next_ready_dram_cycle(0), u64::MAX);
+        let mut quiet = MemoryController::new(cfg).unwrap();
+        quiet.tick_due(0, &mut Vec::new());
+        assert_eq!(quiet.next_due(), u64::MAX);
+        // An arrival pulls the bound back to its cycle.
+        quiet
+            .enqueue(MemoryRequest::new(1, AccessKind::Read, 0, 0, 7), 7)
+            .unwrap();
+        assert_eq!(quiet.next_due(), 7);
     }
 
     #[test]
@@ -2248,59 +2322,21 @@ mod tests {
             fault.scrub_interval = 700;
             fault.retry_backoff = 16;
             cfg.fault_model = Some(fault);
-            let mut naive = MemoryController::new(cfg).unwrap();
-            let mut jumpy = MemoryController::new(cfg).unwrap();
             let horizon = cfg.dram.timing.t_refi * 3;
             let arrivals: Vec<u64> = (0..6u64).map(|i| i * (horizon / 7)).collect();
-            let mut naive_done = Vec::new();
-            let mut next_arrival = 0usize;
-            for c in 0..horizon {
-                while next_arrival < arrivals.len() && arrivals[next_arrival] == c {
-                    submit_two_tenants(&mut naive, c, next_arrival as u64);
-                    next_arrival += 1;
-                }
-                naive.tick(c, &mut naive_done);
+            for (cfg, geometry) in jump_geometries(cfg) {
+                let naive = assert_jumps_match_naive(
+                    cfg,
+                    horizon,
+                    &arrivals,
+                    |mc, at, wave| {
+                        submit_two_tenants(mc, at, wave);
+                    },
+                    &format!("{}/{geometry}", sched.label()),
+                );
+                assert!(naive.stats().demand_retries > 0, "retries must fire");
+                assert!(naive.stats().scrub_reads_completed > 0);
             }
-            let mut jumpy_done = Vec::new();
-            let mut next_arrival = 0usize;
-            let mut c = 0u64;
-            while c < horizon {
-                while next_arrival < arrivals.len() && arrivals[next_arrival] == c {
-                    submit_two_tenants(&mut jumpy, c, next_arrival as u64);
-                    next_arrival += 1;
-                }
-                let worked = jumpy.tick(c, &mut jumpy_done);
-                let mut next = if worked || jumpy.pending() > 0 {
-                    c + 1
-                } else {
-                    jumpy.next_ready_dram_cycle(c).max(c + 1).min(horizon)
-                };
-                if next_arrival < arrivals.len() {
-                    next = next.min(arrivals[next_arrival]);
-                }
-                if next > c + 1 {
-                    jumpy.skip_dram_cycles(next - c - 1);
-                }
-                c = next;
-            }
-            assert_eq!(
-                naive_done.len(),
-                jumpy_done.len(),
-                "{}: completion counts diverged",
-                sched.label()
-            );
-            assert_eq!(
-                naive.stats(),
-                jumpy.stats(),
-                "{}: stats diverged",
-                sched.label()
-            );
-            assert_eq!(
-                naive.fault_ledger(),
-                jumpy.fault_ledger(),
-                "{}: fault ledgers diverged",
-                sched.label()
-            );
         }
     }
 

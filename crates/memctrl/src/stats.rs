@@ -103,10 +103,9 @@ pub struct McStats {
     /// Per-channel read-latency histograms, populated only on *aggregated*
     /// blocks: a single channel's block keeps this empty, and
     /// [`McStats::merge`] appends each merged leaf's overall histogram in
-    /// merge order. Channels merge in index order within a controller and
-    /// controllers merge in shard order, so the global vector is ordered
-    /// shard-major, channel-minor — the same deterministic convention as
-    /// the reliability subsystem's per-rank vectors.
+    /// merge order. The controller merges its channels in index order, so
+    /// the vector is indexed by channel — the same deterministic convention
+    /// as the reliability subsystem's per-rank vectors.
     pub read_latency_hist_per_channel: Vec<LatencyHistogram>,
 }
 
@@ -412,8 +411,8 @@ impl McStats {
         // Per-channel resolution is assembled at merge time: a leaf block
         // (one channel, empty per-channel vector) contributes its overall
         // histogram as one entry; an already-aggregated block contributes
-        // its entries in order. Merging channels in index order and shards
-        // in shard order thus yields the global shard-major ordering.
+        // its entries in order. Merging channels in index order thus yields
+        // a vector indexed by channel.
         if other.read_latency_hist_per_channel.is_empty() {
             self.read_latency_hist_per_channel
                 .push(other.read_latency_hist.clone());
@@ -605,15 +604,14 @@ mod tests {
         ch0.record_completion(&completed(AccessKind::Read, 0, RowBufferOutcome::Hit, 10));
         let mut ch1 = McStats::new(1);
         ch1.record_completion(&completed(AccessKind::Read, 0, RowBufferOutcome::Hit, 500));
-        let mut shard_a = McStats::new(1);
-        shard_a.merge(&ch0);
-        shard_a.merge(&ch1);
-        assert_eq!(shard_a.read_latency_hist_per_channel.len(), 2);
-        assert_eq!(shard_a.read_latency_hist_per_channel[0].max(), Some(10));
-        assert_eq!(shard_a.read_latency_hist_per_channel[1].max(), Some(500));
+        let mut pair = McStats::new(1);
+        pair.merge(&ch0);
+        pair.merge(&ch1);
+        assert_eq!(pair.read_latency_hist_per_channel.len(), 2);
+        assert_eq!(pair.read_latency_hist_per_channel[0].max(), Some(10));
+        assert_eq!(pair.read_latency_hist_per_channel[1].max(), Some(500));
 
-        // Merging an aggregated block concatenates its entries after ours:
-        // shard-order merging yields shard-major, channel-minor ordering.
+        // Merging an aggregated block concatenates its entries after ours.
         let mut ch2 = McStats::new(1);
         ch2.record_completion(&completed(
             AccessKind::Read,
@@ -621,11 +619,11 @@ mod tests {
             RowBufferOutcome::Miss,
             9000,
         ));
-        let mut shard_b = McStats::new(1);
-        shard_b.merge(&ch2);
+        let mut single = McStats::new(1);
+        single.merge(&ch2);
         let mut global = McStats::new(1);
-        global.merge(&shard_a);
-        global.merge(&shard_b);
+        global.merge(&pair);
+        global.merge(&single);
         let maxes: Vec<_> = global
             .read_latency_hist_per_channel
             .iter()

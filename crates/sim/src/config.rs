@@ -48,16 +48,21 @@ pub struct SystemConfig {
     pub core: CoreConfig,
     /// Shared L2 configuration.
     pub l2: L2Config,
-    /// Memory controller and DRAM configuration (per backend shard).
+    /// Memory controller and DRAM configuration. `mc.dram.channels` is
+    /// multiplied by [`SystemConfig::num_channels`] before the controller is
+    /// built; every other field is used as written (QoS tenant metadata and
+    /// the ATLAS quantum are derived, see [`SystemConfig::effective_mc`]).
     pub mc: McConfig,
     /// DRAM energy parameters (per-event charges and per-state background
     /// powers); pick the preset matching `mc.dram.timing`.
     pub energy: EnergyParams,
-    /// Number of independent memory-controller shards in the backend.
-    ///
-    /// Cache blocks interleave across shards by block address, so the total
-    /// channel count of the system is `num_channels * mc.dram.channels`.
-    /// The default of 1 reproduces the seed single-controller system.
+    /// Channel-count multiplier: the one memory controller is built with
+    /// `num_channels * mc.dram.channels` channels, placed in the address by
+    /// `mc.mapping` like any other channel bits (the default `RoRaBaCoCh`
+    /// interleaves consecutive cache blocks across them). The product must
+    /// be a power of two no larger than
+    /// [`DramConfig::MAX_CHANNELS`](cloudmc_dram::DramConfig::MAX_CHANNELS).
+    /// The default of 1 leaves `mc.dram.channels` as written.
     pub num_channels: usize,
     /// Random seed for workload generation and DMA injection.
     pub seed: u64,
@@ -151,7 +156,8 @@ impl SystemConfig {
         cpu_cycles * DRAM_CYCLES_PER_5_CPU_CYCLES / 5
     }
 
-    /// The effective memory-controller configuration: scheduler time
+    /// The effective memory-controller configuration: the channel count
+    /// multiplied by [`SystemConfig::num_channels`], scheduler time
     /// constants scaled to the run length when requested, and the QoS
     /// layer's tenant metadata (count, latency-criticality, bandwidth
     /// weights defaulting to core counts) derived from the mix. Callers only
@@ -159,6 +165,9 @@ impl SystemConfig {
     #[must_use]
     pub fn effective_mc(&self) -> McConfig {
         let mut mc = self.mc;
+        // Saturating: an overflowing product is not a power of two, so
+        // validation rejects it like any other bad channel count.
+        mc.dram.channels = mc.dram.channels.saturating_mul(self.num_channels);
         mc.num_cores = self.core_count();
         let tenancy = self.tenancy();
         mc.qos.tenants = tenancy.tenant_count();
@@ -200,17 +209,9 @@ impl SystemConfig {
         }
         self.l2.validate()?;
         // Validate the controller configuration as it will actually be
-        // built, with the tenant metadata filled in from the mix.
+        // built: the tenant metadata filled in from the mix, and the one
+        // channel-count rule applied to `num_channels * mc.dram.channels`.
         self.effective_mc().validate()?;
-        if self.num_channels == 0 {
-            return Err("num_channels must be non-zero".to_owned());
-        }
-        if self.num_channels > 64 {
-            return Err(format!(
-                "num_channels ({}) is unreasonably large (max 64)",
-                self.num_channels
-            ));
-        }
         if self.measure_cpu_cycles == 0 {
             return Err("measure_cpu_cycles must be non-zero".to_owned());
         }
@@ -337,11 +338,28 @@ mod tests {
     fn validate_bounds_channel_count() {
         let mut cfg = SystemConfig::baseline(Workload::WebSearch);
         assert_eq!(cfg.num_channels, 1);
-        cfg.num_channels = 0;
-        assert!(cfg.validate().is_err());
-        cfg.num_channels = 65;
-        assert!(cfg.validate().is_err());
+        // One rule on the product, whichever knob carries it: a typed error,
+        // never a capacity overflow or a 2^40-element allocation.
+        for num_channels in [0usize, 3, 65, 128, usize::MAX] {
+            cfg.num_channels = num_channels;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                err.contains("channels"),
+                "num_channels {num_channels}: {err}"
+            );
+            assert!(crate::System::new(cfg.clone()).is_err());
+        }
+        cfg.num_channels = 1;
+        cfg.mc.dram.channels = 1 << 40;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("channels"), "{err}");
+        assert!(crate::System::new(cfg.clone()).is_err());
+        cfg.mc.dram.channels = 16;
+        cfg.num_channels = 8;
+        assert!(cfg.validate().is_err(), "the bound is on the product");
         cfg.num_channels = 4;
         cfg.validate().unwrap();
+        assert_eq!(cfg.effective_mc().dram.channels, 64);
+        assert_eq!(cfg.mc.dram.channels, 16, "the written config is untouched");
     }
 }

@@ -31,8 +31,8 @@
 //! [`FillQueue`] — cache blocks on their way back up to a core (L2 hits
 //! after their access latency, memory fills after the crossbar) — is a thin
 //! typed wrapper over an [`EventQueue`]. Requests moving *down* that were
-//! rejected by a full controller queue wait in per-(shard, channel, kind)
-//! retry buckets owned by the [`backend`](crate::backend).
+//! rejected by a full controller queue wait in per-(channel, kind) retry
+//! buckets owned by the [`backend`](crate::backend).
 //!
 //! # Event-driven execution
 //!
@@ -51,11 +51,13 @@
 //!   through core-private work (see the [`frontend`](crate::frontend) docs);
 //! * the fill queue is consulted via [`FillQueue::next_due_cycle`] — the
 //!   head of the calendar queue;
-//! * the backend caches, per shard, the next DRAM tick at which the shard
-//!   can possibly act (`MemoryController::next_ready_dram_cycle`, derived
+//! * the memory controller caches, per channel, the next DRAM tick at which
+//!   the channel can possibly act (`MemoryController::next_due`, derived
 //!   from bank/rank/bus timing state, pending queues, refresh schedules,
-//!   scheduler time boundaries and page-policy proposals), recomputed only
-//!   after a tick that did no work and invalidated by request submission.
+//!   scheduler time boundaries and page/power-policy proposals), recomputed
+//!   only after a tick that left the channel drained and pulled back by
+//!   request arrival; a channel that is not due is skipped even on a DRAM
+//!   tick where another one runs.
 //!
 //! The loop takes the minimum over these posted cycles, converts
 //! DRAM-domain deadlines to CPU cycles through

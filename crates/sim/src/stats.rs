@@ -137,8 +137,9 @@ pub struct SimStats {
     pub faults_uncorrectable: u64,
     /// Whole-run fault-ledger total: planted faults not yet discovered.
     pub faults_latent: u64,
-    /// Retired-row counts per rank at the end of the run, shard-major then
-    /// channel-major. All zeros when no fault model is configured.
+    /// Retired-row counts per rank at the end of the run, channel-major
+    /// (channel 0 rank 0, channel 0 rank 1, ..., channel 1 rank 0, ...). All
+    /// zeros when no fault model is configured.
     pub rows_retired_per_rank: Vec<u64>,
     /// Memory capacity lost to row retirement by the end of the run, in
     /// bytes (retired rows × row size).

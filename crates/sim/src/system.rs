@@ -5,7 +5,7 @@
 //! [`FillQueue`] of data on its way back to cores, and the hash-indexed map
 //! of outstanding off-chip reads — and advances the two clock domains through
 //! [`ClockCrossing`]. All component behaviour lives in the frontend (cores,
-//! caches, workload streams, DMA) and the backend (controller shards, DRAM).
+//! caches, workload streams, DMA) and the backend (memory controller, DRAM).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -65,10 +65,6 @@ struct TelemetryState {
     series: Vec<TelemetrySample>,
     /// Span-trace sampling period (request ids); 0 when tracing is off.
     span_every: u64,
-    /// Backend shard of each sampled request still in flight, keyed by
-    /// request id (the shard index is erased by address localization, so it
-    /// is captured at dispatch).
-    pending_spans: HashMap<RequestId, usize>,
     spans: Vec<SpanRecord>,
     profiler: Option<KernelProfiler>,
 }
@@ -85,7 +81,6 @@ impl TelemetryState {
             last,
             series: Vec::new(),
             span_every: cfg.span_sample_every,
-            pending_spans: HashMap::new(),
             spans: Vec::new(),
             profiler: cfg.profile_kernel.then(KernelProfiler::default),
         }
@@ -137,8 +132,8 @@ pub struct System {
     /// Driven by the per-cycle reference loop instead of the event kernel.
     /// Fixed at construction ([`System::reference`]): the two drivers keep
     /// different bookkeeping (the reference loop never maintains the lazy
-    /// frontend cursors or the backend's cached shard bounds), so a system
-    /// is bound to one of them for life.
+    /// frontend cursors or the controller's per-channel due bounds), so a
+    /// system is bound to one of them for life.
     reference: bool,
 }
 
@@ -154,7 +149,7 @@ impl System {
 
     /// Builds the system described by `cfg`, driven by the per-cycle
     /// reference loop: every CPU cycle ticks every core and every owed DRAM
-    /// cycle ticks every shard, nothing is ever skipped. It is the oracle
+    /// cycle ticks every channel, nothing is ever skipped. It is the oracle
     /// the equivalence tests (and `repro fastforward`) hold the event kernel
     /// bit-identical to, several times slower, and cannot be checkpointed
     /// ([`System::snapshot`] is a typed error).
@@ -279,13 +274,13 @@ impl System {
     }
 
     /// Controller statistics accumulated since reset, merged over all
-    /// backend shards.
+    /// channels.
     #[must_use]
     pub fn controller_stats(&self) -> McStats {
         self.backend.stats()
     }
 
-    /// The memory backend (shard routing, per-shard controllers).
+    /// The memory backend (the controller and its back-pressure buckets).
     #[must_use]
     pub fn backend(&self) -> &Backend {
         &self.backend
@@ -369,7 +364,6 @@ impl System {
                 self.reads_by_region[Self::region_of(addr)] += 1;
                 self.outstanding_reads
                     .insert(id, OutstandingRead { core, addr });
-                self.note_span_start(id, addr);
                 self.backend.submit(
                     MemoryRequest::new(id, AccessKind::Read, addr, core, now_dram)
                         .with_tenant(tenant),
@@ -390,14 +384,12 @@ impl System {
                 } else {
                     MemoryRequest::new(id, AccessKind::Write, addr, core, now_dram)
                 };
-                self.note_span_start(id, addr);
                 self.backend.submit(request.with_tenant(tenant), now_dram);
             }
             FrontendEvent::DmaRead { core, tenant, addr } => {
                 let id = self.alloc_request_id();
                 self.mem_reads_sent += 1;
                 self.mem_sent_per_tenant[tenant.min(MAX_TENANTS - 1)] += 1;
-                self.note_span_start(id, addr);
                 self.backend.submit(
                     MemoryRequest::dma(id, AccessKind::Read, addr, core, now_dram)
                         .with_tenant(tenant),
@@ -409,7 +401,7 @@ impl System {
 
     /// Advances the whole system by one CPU cycle: the body of the per-cycle
     /// reference loop. Private because it drives the eager frontend and the
-    /// every-shard backend tick, which do not maintain the event kernel's
+    /// every-channel backend tick, which do not maintain the event kernel's
     /// cursors — only [`System::reference`] systems may run it.
     fn step(&mut self) {
         let now_cpu = self.clock.cpu_cycle();
@@ -462,8 +454,8 @@ impl System {
     /// accrued DRAM ticks) — only the *driving* differs: blocked cores are
     /// caught up on demand ([`Frontend::fill_at`] /
     /// [`Frontend::advance_to`]) instead of ticked, due cores run ahead
-    /// through their private work up to `limit`, and only due backend
-    /// shards run a full controller tick ([`Backend::tick_event`]).
+    /// through their private work up to `limit`, and only due channels run
+    /// a full controller tick ([`Backend::tick_event`]).
     fn step_event(&mut self, limit: u64) {
         let now_cpu = self.clock.cpu_cycle();
         let t0 = self.prof_start();
@@ -511,7 +503,7 @@ impl System {
 
     /// Runs the system to CPU cycle `end` on the event kernel: every layer's
     /// posted next-actionable cycle (earliest fill delivery, earliest core
-    /// action or DMA beat, earliest due backend shard mapped through the
+    /// action or DMA beat, earliest due memory channel mapped through the
     /// clock crossing) is consulted once per iteration, the clocks jump
     /// straight to the soonest one, and exactly that cycle is executed.
     /// Cores sit lazily behind the kernel clock or run privately ahead of
@@ -610,8 +602,8 @@ impl System {
     #[must_use]
     pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
         if self.reference {
-            // The image carries the lazy frontend cursors and the cached
-            // shard bounds, which only the event kernel maintains; a restore
+            // The image carries the lazy frontend cursors and the per-channel
+            // due bounds, which only the event kernel maintains; a restore
             // (always event-driven) would trust the stale values.
             return Some("the per-cycle reference driver");
         }
@@ -820,30 +812,16 @@ impl System {
         t.next_sample = t.next_sample.saturating_add(t.interval.max(1));
     }
 
-    /// Starts a sampled request span at dispatch, remembering the backend
-    /// shard (address localization erases it, so the completion record alone
-    /// cannot name the global channel).
-    fn note_span_start(&mut self, id: RequestId, addr: u64) {
-        if self.telemetry.is_none() {
-            return;
-        }
-        let shard = self.backend.route(addr);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            if t.span_every > 0 && id.is_multiple_of(t.span_every) {
-                t.pending_spans.insert(id, shard);
-            }
-        }
-    }
-
-    /// Completes a sampled request span from its backend completion record.
+    /// Records the span of a sampled request from its backend completion
+    /// record. Sampling is by request id, so the reference loop and the
+    /// event kernel trace the same requests.
     fn note_span_completion(&mut self, done: &CompletedRequest) {
-        let channels_per_shard = self.cfg.mc.dram.channels;
         let Some(t) = self.telemetry.as_deref_mut() else {
             return;
         };
-        let Some(shard) = t.pending_spans.remove(&done.request.id) else {
+        if t.span_every == 0 || !done.request.id.is_multiple_of(t.span_every) {
             return;
-        };
+        }
         t.spans.push(SpanRecord {
             id: done.request.id,
             access: if done.request.kind.is_read() {
@@ -853,7 +831,7 @@ impl System {
             },
             core: done.request.core,
             tenant: done.request.tenant,
-            channel: shard * channels_per_shard + done.channel,
+            channel: done.channel,
             enqueue: done.request.arrival,
             issue: done.issue,
             completion: done.completion,
@@ -1503,12 +1481,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_reports_total_channels() {
-        for shards in [1usize, 2, 4] {
+    fn reports_total_channels() {
+        // Either knob, or both: the controller has the product.
+        for (num_channels, per_controller) in [(1usize, 1usize), (2, 1), (4, 1), (1, 2), (2, 2)] {
             let mut cfg = small(Workload::TpchQ6);
-            cfg.num_channels = shards;
-            let stats = run_system(cfg.clone()).unwrap();
-            assert_eq!(stats.channels, shards * cfg.mc.dram.channels);
+            cfg.num_channels = num_channels;
+            cfg.mc.dram.channels = per_controller;
+            let stats = run_system(cfg).unwrap();
+            assert_eq!(stats.channels, num_channels * per_controller);
             assert!(stats.user_ipc() > 0.1);
             assert!(stats.reads_completed > 0);
         }

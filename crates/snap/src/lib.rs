@@ -55,7 +55,10 @@ pub const MAGIC: [u8; 8] = *b"CMCSNAP1";
 /// Version 3: every sequence carries a length prefix (fixed-shape ones are
 /// checked against the receiver), `Option` is a tag byte plus payload, and
 /// payload-carrying enums nest inside it instead of sharing its tag.
-pub const FORMAT_VERSION: u32 = 3;
+///
+/// Version 4: the backend section holds one controller and retry buckets
+/// keyed `(channel, kind)`; each channel section ends with its due bound.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Byte tag that introduces a section marker in the body stream.
 const SECTION_TAG: u8 = 0xA5;

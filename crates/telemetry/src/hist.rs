@@ -11,9 +11,9 @@ pub const HIST_BUCKETS: usize = 65;
 /// latencies in practice).
 ///
 /// The histogram is *mergeable*: [`merge`](Self::merge) is associative and
-/// commutative, so per-channel histograms can be combined across shards in
-/// any grouping and still produce identical aggregates — the property the
-/// simulator's deterministic shard-order merges rely on. It is also
+/// commutative, so per-channel histograms can be combined in any grouping
+/// and still produce identical aggregates — the property the simulator's
+/// deterministic channel-order merges rely on. It is also
 /// *subtractable*: [`delta`](Self::delta) recovers the histogram of a
 /// measurement window from two cumulative observations.
 ///

@@ -6,7 +6,7 @@ pub enum KernelPhase {
     /// CPU-core frontend work: instruction-stream ticks, lazy-frontend
     /// advances, and fill delivery.
     Frontend,
-    /// Memory-controller backend work: DRAM-clock ticks across all shards.
+    /// Memory-controller backend work: DRAM-clock ticks across all channels.
     Backend,
     /// Event-queue maintenance: computing the next event bound and applying
     /// bulk jumps.

@@ -82,7 +82,8 @@ pub struct SpanRecord {
     pub core: usize,
     /// Tenant the request is attributed to.
     pub tenant: usize,
-    /// Global channel index (across all controller shards).
+    /// Memory channel that served the request (the controller's channel
+    /// index under the configured address mapping).
     pub channel: usize,
     /// Cycle the request entered the controller queues.
     pub enqueue: u64,

@@ -1,11 +1,10 @@
-//! Multi-channel study (Section 4.3 of the paper), in two parts:
+//! Multi-channel study (Section 4.3 and Table 4 of the paper): 1, 2 and 4
+//! memory channels crossed with the four address-mapping schemes, reporting
+//! the best mapping per channel count.
 //!
-//! 1. A backend-shard sweep: 1, 2 and 4 independent memory controllers
-//!    (`SystemConfig::num_channels`) serving block-interleaved traffic. On a
-//!    bandwidth-bound workload the average read latency must fall (or at
-//!    least not rise) with every added channel — the example asserts it.
-//! 2. The paper's Table 4 view: per-controller channel count crossed with all
-//!    four address mapping schemes, reporting the best mapping per count.
+//! On a bandwidth-bound workload the average read latency under the baseline
+//! mapping must fall (or at least not rise) with every added channel — the
+//! example asserts it.
 //!
 //! Run with (workload acronym optional, defaults to TPC-H Q6):
 //! ```text
@@ -16,25 +15,10 @@ use cloudmc::memctrl::AddressMapping;
 use cloudmc::sim::{run_system, SimStats, SystemConfig};
 use cloudmc::workloads::{Category, Workload};
 
-fn scaled(workload: Workload) -> SystemConfig {
+fn run(workload: Workload, channels: usize, mapping: AddressMapping) -> Result<SimStats, String> {
     let mut config = SystemConfig::baseline(workload);
     config.warmup_cpu_cycles = 80_000;
     config.measure_cpu_cycles = 300_000;
-    config
-}
-
-fn run_shards(workload: Workload, num_channels: usize) -> Result<SimStats, String> {
-    let mut config = scaled(workload);
-    config.num_channels = num_channels;
-    run_system(config)
-}
-
-fn run_mapping(
-    workload: Workload,
-    channels: usize,
-    mapping: AddressMapping,
-) -> Result<SimStats, String> {
-    let mut config = scaled(workload);
     config.mc.dram.channels = channels;
     config.mc.mapping = mapping;
     run_system(config)
@@ -47,67 +31,65 @@ fn main() -> Result<(), String> {
         .parse()?;
     println!("workload: {workload}\n");
 
-    println!("— backend shards (SystemConfig::num_channels) —");
+    let baseline_mapping = AddressMapping::RoRaBaCoCh;
+    let mut single: Option<SimStats> = None;
     let mut latencies = Vec::new();
-    for num_channels in [1usize, 2, 4] {
-        let stats = run_shards(workload, num_channels)?;
-        println!(
-            "{num_channels} channel(s): IPC {:.3}, avg read latency {:.1} DRAM cycles ({:.1} ns), \
-             BW util {:.1}%",
-            stats.user_ipc(),
-            stats.avg_read_latency_dram,
-            stats.avg_read_latency_ns,
-            stats.bandwidth_utilization * 100.0
-        );
-        latencies.push(stats.avg_read_latency_dram);
-    }
-    let monotone = latencies.windows(2).all(|w| w[1] <= w[0]);
-    if workload.category() == Category::DecisionSupport {
-        // Bandwidth-bound workloads must get faster with every added channel.
-        assert!(
-            monotone,
-            "average read latency must be monotonically non-increasing over 1/2/4 channels \
-             on the bandwidth-bound workload, got {latencies:?}"
-        );
-        println!("latency is monotonically non-increasing: {latencies:?}\n");
-    } else if monotone {
-        println!("latency is monotonically non-increasing: {latencies:?}\n");
-    } else {
-        // Latency-bound workloads barely queue, so interleaving can cost a
-        // cycle or two of row locality — the paper's Section 4.3 observation.
-        println!("latency is not monotone (workload is not bandwidth-bound): {latencies:?}\n");
-    }
-
-    println!("— per-controller channels x address mapping (Table 4) —");
-    let baseline = run_mapping(workload, 1, AddressMapping::RoRaBaCoCh)?;
-    println!(
-        "1 channel  ({}): IPC {:.3}, latency {:.1} ns, hit {:.1}%",
-        baseline.mapping,
-        baseline.user_ipc(),
-        baseline.avg_read_latency_ns,
-        baseline.row_buffer_hit_rate * 100.0
-    );
-    for channels in [2usize, 4] {
+    for channels in [1usize, 2, 4] {
+        // With one channel there are no channel bits to place: the four
+        // schemes decode identically, so one run stands for all of them.
+        let mappings = if channels == 1 {
+            &[baseline_mapping][..]
+        } else {
+            &AddressMapping::all()[..]
+        };
         let mut best: Option<SimStats> = None;
-        for mapping in AddressMapping::all() {
-            let stats = run_mapping(workload, channels, mapping)?;
+        for &mapping in mappings {
+            let stats = run(workload, channels, mapping)?;
+            println!(
+                "{channels} channel(s), {mapping}: IPC {:.3}, avg read latency {:.1} DRAM cycles \
+                 ({:.1} ns), hit {:.1}%, BW util {:.1}%",
+                stats.user_ipc(),
+                stats.avg_read_latency_dram,
+                stats.avg_read_latency_ns,
+                stats.row_buffer_hit_rate * 100.0,
+                stats.bandwidth_utilization * 100.0
+            );
+            if mapping == baseline_mapping {
+                latencies.push(stats.avg_read_latency_dram);
+            }
             if best
                 .as_ref()
-                .map(|b| stats.user_ipc() > b.user_ipc())
-                .unwrap_or(true)
+                .is_none_or(|b| stats.user_ipc() > b.user_ipc())
             {
                 best = Some(stats);
             }
         }
         let best = best.expect("at least one mapping evaluated");
+        let single = single.get_or_insert_with(|| best.clone());
         println!(
-            "{} channels (best: {}): IPC {:.3} ({:+.1}% vs 1ch), latency {:.1} ns, hit {:.1}%",
-            channels,
+            "  best: {} ({:+.1}% IPC vs 1 channel)\n",
             best.mapping,
-            best.user_ipc(),
-            (best.normalized_ipc(&baseline) - 1.0) * 100.0,
-            best.avg_read_latency_ns,
-            best.row_buffer_hit_rate * 100.0
+            (best.normalized_ipc(single) - 1.0) * 100.0
+        );
+    }
+
+    let monotone = latencies.windows(2).all(|w| w[1] <= w[0]);
+    if workload.category() == Category::DecisionSupport {
+        // Bandwidth-bound workloads must get faster with every added channel.
+        assert!(
+            monotone,
+            "average read latency under {baseline_mapping} must be monotonically non-increasing \
+             over 1/2/4 channels on the bandwidth-bound workload, got {latencies:?}"
+        );
+        println!("{baseline_mapping} latency is monotonically non-increasing: {latencies:?}");
+    } else if monotone {
+        println!("{baseline_mapping} latency is monotonically non-increasing: {latencies:?}");
+    } else {
+        // Latency-bound workloads barely queue, so interleaving can cost a
+        // cycle or two of row locality — the paper's Section 4.3 observation.
+        println!(
+            "{baseline_mapping} latency is not monotone (workload is not bandwidth-bound): \
+             {latencies:?}"
         );
     }
     println!(

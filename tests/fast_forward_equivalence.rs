@@ -2,14 +2,15 @@
 //! (`Simulator::reference`, kept only as this oracle) must produce
 //! *bit-identical* statistics: every counter, every latency sum, every
 //! per-core vector, every float — for any workload, seed, scheduler, page
-//! policy and shard count.
+//! policy and channel count.
 //!
 //! These tests are the contract that lets the kernel skip idle cycles at all:
 //! any layer whose "next event" bound overshoots by even one cycle shows up
 //! here as a diverging field.
 
 use cloudmc::memctrl::{
-    FaultConfig, PagePolicyKind, PowerPolicyKind, QosPolicyKind, SchedulerKind, UncorrectablePolicy,
+    AddressMapping, FaultConfig, PagePolicyKind, PowerPolicyKind, QosPolicyKind, SchedulerKind,
+    UncorrectablePolicy,
 };
 use cloudmc::sim::{run_system, SimStats, Simulator, SystemConfig};
 use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
@@ -67,12 +68,12 @@ fn every_scheduler_is_bit_identical() {
         let mut cfg = small(Workload::WebSearch, 3);
         cfg.mc.scheduler = scheduler;
         assert_equivalent(cfg, scheduler.label());
-        // Two-shard variant: per-shard due bounds under every scheduler's
-        // private clockwork.
-        let mut sharded = small(Workload::WebSearch, 3);
-        sharded.mc.scheduler = scheduler;
-        sharded.num_channels = 2;
-        assert_equivalent(sharded, &format!("{}/2 shards", scheduler.label()));
+        // Two-channel variant: per-channel due bounds under every
+        // scheduler's private clockwork.
+        let mut two = small(Workload::WebSearch, 3);
+        two.mc.scheduler = scheduler;
+        two.num_channels = 2;
+        assert_equivalent(two, &format!("{}/2 channels", scheduler.label()));
     }
 }
 
@@ -178,30 +179,72 @@ fn tenant_mixes_and_qos_policies_are_bit_identical() {
         cfg.mc.qos.policy = qos;
         assert_equivalent(cfg, &format!("dma-mix/{qos}"));
     }
-    // A sharded tenant mix: per-shard due bounds under QoS accounting.
-    let mut sharded_mix = SystemConfig::mixed(mix);
-    sharded_mix.warmup_cpu_cycles = 10_000;
-    sharded_mix.measure_cpu_cycles = 60_000;
-    sharded_mix.num_channels = 2;
-    assert_equivalent(sharded_mix, "mix/2 shards");
+    // A two-channel tenant mix: per-channel due bounds under QoS accounting.
+    let mut two_channel_mix = SystemConfig::mixed(mix);
+    two_channel_mix.warmup_cpu_cycles = 10_000;
+    two_channel_mix.measure_cpu_cycles = 60_000;
+    two_channel_mix.num_channels = 2;
+    assert_equivalent(two_channel_mix, "mix/2 channels");
 }
 
-/// Sharded backends and multi-channel controllers fast-forward identically:
-/// only due shards tick, the rest account the cycle as a skip, and the
-/// result must equal the reference loop's every-shard tick.
+/// Multi-channel controllers fast-forward identically: only due channels
+/// tick, the rest account the cycle as a skip, and the result must equal the
+/// reference loop's every-channel tick.
 #[test]
-fn sharded_and_multichannel_backends_are_bit_identical() {
+fn multichannel_backends_are_bit_identical() {
     for seed in [11u64, 13] {
-        for shards in [2usize, 4] {
-            let mut sharded = small(Workload::TpchQ6, seed);
-            sharded.num_channels = shards;
-            assert_equivalent(sharded, &format!("{shards} shards, seed {seed}"));
+        for channels in [2usize, 4] {
+            let mut cfg = small(Workload::TpchQ6, seed);
+            cfg.num_channels = channels;
+            assert_equivalent(cfg, &format!("{channels} channels, seed {seed}"));
         }
     }
+}
 
-    let mut multichannel = small(Workload::TpchQ6, 11);
-    multichannel.mc.dram.channels = 2;
-    assert_equivalent(multichannel, "2 channels");
+/// `num_channels` is not a second way to have channels: it multiplies the
+/// controller's own channel count, so `num_channels = n` and
+/// `mc.dram.channels = n` are the same system — same interleaving under any
+/// mapping, same per-channel fault seeds — down to the last statistic.
+#[test]
+fn num_channels_is_the_controllers_channel_count() {
+    let run = |cfg: SystemConfig| run_system(cfg).expect("valid config");
+    let mut fault = FaultConfig::baseline();
+    fault.seed = 3;
+    fault.transient_rate_fp = FaultConfig::rate_per_million_reads(20_000);
+    fault.scrub_interval = 300;
+    fault.stuck_rows_per_rank = 2;
+    fault.retire_threshold = 2;
+    fault.on_uncorrectable = UncorrectablePolicy::PoisonAndContinue;
+    for n in [2usize, 4] {
+        let mut base = small(Workload::TpchQ6, 3);
+        base.mc.power_policy = PowerPolicyKind::IdleTimer;
+        base.mc.fault_model = Some(fault);
+        let mut by_knob = base.clone();
+        by_knob.num_channels = n;
+        let mut by_controller = base;
+        by_controller.mc.dram.channels = n;
+        let stats = run(by_knob);
+        assert_eq!(stats, run(by_controller), "{n} channels with faults");
+        assert_eq!(stats.channels, n);
+        assert!(stats.faults_injected > 0 && stats.demand_retries > 0);
+        assert!(stats.scrub_reads_issued > 0);
+    }
+    // The configured mapping places the channel bits, whichever knob asked
+    // for them: a row-preserving scheme is not block-interleaved underneath.
+    let mut by_knob = small(Workload::TpchQ6, 3);
+    by_knob.mc.mapping = AddressMapping::RoChRaBaCo;
+    let mut by_controller = by_knob.clone();
+    by_knob.num_channels = 2;
+    by_controller.mc.dram.channels = 2;
+    let stats = run(by_knob);
+    assert_eq!(stats, run(by_controller), "2 channels under RoChRaBaCo");
+    let mut interleaved = small(Workload::TpchQ6, 3);
+    interleaved.num_channels = 2;
+    assert_ne!(
+        stats.reads_completed,
+        run(interleaved).reads_completed,
+        "the mapping must matter"
+    );
 }
 
 /// The reliability subsystem rides the same clockwork: with fault
@@ -234,14 +277,14 @@ fn fault_injection_and_scrub_are_bit_identical() {
         );
         assert!(stats.scrub_reads_issued > 0);
     }
-    // Sharded + power-managed variants: per-shard fault seeds, scrub across
-    // two and four controllers and residency-scaled fault rates.
-    for shards in [2usize, 4] {
-        let mut sharded = small(Workload::WebSearch, 7);
-        sharded.num_channels = shards;
-        sharded.mc.power_policy = PowerPolicyKind::IdleTimer;
-        sharded.mc.fault_model = Some(fault(7));
-        let stats = assert_equivalent(sharded, &format!("fault/{shards} shards/idle-timer"));
+    // Multi-channel + power-managed variants: per-channel fault seeds, scrub
+    // across two and four channels and residency-scaled fault rates.
+    for channels in [2usize, 4] {
+        let mut cfg = small(Workload::WebSearch, 7);
+        cfg.num_channels = channels;
+        cfg.mc.power_policy = PowerPolicyKind::IdleTimer;
+        cfg.mc.fault_model = Some(fault(7));
+        let stats = assert_equivalent(cfg, &format!("fault/{channels} channels/idle-timer"));
         assert!(stats.faults_injected > 0);
     }
 }

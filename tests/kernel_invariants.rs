@@ -1,5 +1,5 @@
 //! Invariants of the kernel/frontend/backend decomposition: determinism of a
-//! fixed seed and conservation of requests across the sharded backend.
+//! fixed seed and conservation of requests across the multi-channel backend.
 
 use cloudmc::sim::{run_system, System, SystemConfig};
 use cloudmc::workloads::Workload;
@@ -32,7 +32,7 @@ fn identical_seeds_produce_byte_identical_stats() {
     }
 }
 
-/// Determinism holds for the sharded backend too.
+/// Determinism holds for the multi-channel backend too.
 #[test]
 fn sharded_runs_are_deterministic() {
     let mut cfg = small(Workload::TpchQ6);
@@ -44,7 +44,7 @@ fn sharded_runs_are_deterministic() {
 
 /// Every request the frontend sends is either completed by the backend or
 /// still in flight (controller queues, DRAM, or retry buckets) — nothing is
-/// lost or double-counted, at any observation point, for any shard count.
+/// lost or double-counted, at any observation point, for any channel count.
 #[test]
 fn requests_are_conserved_across_shard_counts() {
     for num_channels in [1usize, 2, 4] {
@@ -60,7 +60,7 @@ fn requests_are_conserved_across_shard_counts() {
             assert_eq!(
                 sent,
                 completed + in_flight,
-                "{num_channels} shards, chunk {chunk}: {sent} sent vs {completed} completed + {in_flight} in flight"
+                "{num_channels} channels, chunk {chunk}: {sent} sent vs {completed} completed + {in_flight} in flight"
             );
             assert!(
                 completed >= total_completed_seen,
@@ -70,13 +70,13 @@ fn requests_are_conserved_across_shard_counts() {
         }
         assert!(
             total_completed_seen > 100,
-            "{num_channels} shards: the bandwidth-bound workload must complete real work"
+            "{num_channels} channels: the bandwidth-bound workload must complete real work"
         );
     }
 }
 
-/// With the default single shard the refactored system matches the seed
-/// system's observable behaviour on the reference workload.
+/// With the default single channel the system matches the seed system's
+/// observable behaviour on the reference workload.
 #[test]
 fn single_shard_matches_seed_behaviour() {
     let stats = run_system(small(Workload::DataServing)).unwrap();

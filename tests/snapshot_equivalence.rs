@@ -2,7 +2,7 @@
 //! restore the image onto a freshly built system, run to the end of the
 //! measurement — and every statistic must be *bit-identical* to the
 //! uninterrupted run — of the event kernel and of the per-cycle reference
-//! loop. Exercised on single- and four-shard backends, a mixed
+//! loop. Exercised on single- and four-channel backends, a mixed
 //! latency-critical/batch tenancy, and a fault-injection configuration with
 //! patrol scrub and row retirement active. Only event-driven systems can be
 //! checkpointed: a reference-driven one refuses with a typed error.
@@ -72,15 +72,15 @@ fn assert_restartable(cfg: SystemConfig, label: &str) -> SimStats {
 }
 
 /// Acceptance criterion: a resumed event-kernel run equals the uninterrupted
-/// run of both kernels, on a single-shard and a four-shard backend (the
-/// image carries every shard's controller and cached due bound).
+/// run of both kernels, on a single-channel and a four-channel backend (the
+/// image carries every channel's controller state and cached due bound).
 #[test]
 fn every_kernel_resumes_bit_identically() {
-    let mut sharded = small(Workload::TpchQ6, 11);
-    sharded.num_channels = 4;
+    let mut four = small(Workload::TpchQ6, 11);
+    four.num_channels = 4;
     for (cfg, label) in [
-        (small(Workload::DataServing, 7), "1 shard"),
-        (sharded, "4 shards"),
+        (small(Workload::DataServing, 7), "1 channel"),
+        (four, "4 channels"),
     ] {
         let stats = assert_restartable(cfg.clone(), label);
         assert!(stats.user_instructions > 0, "{label} must commit work");
@@ -95,7 +95,7 @@ fn every_kernel_resumes_bit_identically() {
 }
 
 /// A reference-driven system never maintains the lazy frontend cursors or
-/// the cached shard bounds the image carries, and a restore (always
+/// the per-channel due bounds the image carries, and a restore (always
 /// event-driven) would trust them: running 1 000 cycles per-cycle and then
 /// 19 000 on the event kernel's bookkeeping does not end where 20 000
 /// event-driven cycles do. So the reference driver refuses to be
