@@ -6,8 +6,10 @@
 //! timed, and they document how to regenerate each figure (the full-scale
 //! version is `repro <figN>`).
 
-// Criterion's group macros expand to undocumented functions.
-#![allow(missing_docs)]
+#![expect(
+    missing_docs,
+    reason = "criterion's group macros expand to undocumented functions"
+)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -2,8 +2,10 @@
 //! address decoding, scheduler decision making, cache accesses and workload
 //! generation.
 
-// Criterion's group macros expand to undocumented functions.
-#![allow(missing_docs)]
+#![expect(
+    missing_docs,
+    reason = "criterion's group macros expand to undocumented functions"
+)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -43,10 +43,7 @@
 //!                 replicates from the image across worker threads, and
 //!                 demand bit-identity with serial + parallel cold runs;
 //!                 resumable via --resume-dir; writes BENCH_sweep.json
-//!   lint          run the simlint static analyzer over the workspace
-//!                 (same checks as `simlint --deny all`); fails on any
-//!                 violation
-//!   all           everything above except sweep and lint
+//!   all           everything above except sweep
 //!
 //! options:
 //!   --quick | --full      run length preset (default: standard)
@@ -138,46 +135,11 @@ fn main() -> ExitCode {
     let meta = RunMeta::collect(&scale_label, git_describe.as_deref());
     let exp = experiment.as_str();
     let wants = |names: &[&str]| names.contains(&exp);
-    if !wants(&["lint"]) {
-        eprintln!(
-            "# running `{}` (warmup {} + measure {} CPU cycles per point, seed {}, {} threads)",
-            experiment,
-            scale.warmup_cpu_cycles,
-            scale.measure_cpu_cycles,
-            scale.seed,
-            scale.threads
-        );
-    }
+    eprintln!(
+        "# running `{}` (warmup {} + measure {} CPU cycles per point, seed {}, {} threads)",
+        experiment, scale.warmup_cpu_cycles, scale.measure_cpu_cycles, scale.seed, scale.threads
+    );
 
-    if wants(&["lint"]) {
-        let root = std::env::current_dir()
-            .ok()
-            .and_then(|d| cloudmc_lint::find_workspace_root(&d));
-        let Some(root) = root else {
-            eprintln!("error: lint: no [workspace] Cargo.toml above the current directory");
-            return ExitCode::FAILURE;
-        };
-        match cloudmc_lint::analyze(&cloudmc_lint::Config::all_rules(root)) {
-            Ok(report) => {
-                for d in &report.diagnostics {
-                    println!("{d}");
-                }
-                println!(
-                    "simlint: {} file(s) scanned, {} violation(s), {} suppressed",
-                    report.files_scanned,
-                    report.diagnostics.len(),
-                    report.suppressed
-                );
-                if !report.diagnostics.is_empty() {
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: lint failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     if wants(&["config", "all"]) {
         println!("{}", config_report());
     }

@@ -549,7 +549,6 @@ fn load_cached(dir: &Path, cell: &Cell) -> Option<CellRecord> {
 /// on the worker pool, writing each to the resume directory as it finishes.
 /// Returns `(records_in_grid_order, timing)` or, when `max_new_cells` capped
 /// the pass, `Err` describing the early stop.
-#[allow(clippy::type_complexity)]
 fn forked_pass(
     cells: &[Cell],
     opts: &SweepOptions,

@@ -242,18 +242,3 @@ fn trace_report_carries_meta_block() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn lint_smoke_passes_on_the_clean_workspace() {
-    let out = repro().arg("lint").output().expect("spawn repro binary");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "`repro lint` must pass on the clean tree; stdout:\n{stdout}\nstderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        stdout.contains("0 violation(s)"),
-        "summary line expected: {stdout}"
-    );
-}

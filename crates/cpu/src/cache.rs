@@ -190,7 +190,10 @@ impl Cache {
     /// Panics if the configuration does not validate.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        // simlint: allow(panic) documented constructor contract: config must validate
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: config must validate"
+        )]
         config.validate().expect("invalid cache configuration");
         let empty = Line {
             tag: 0,
@@ -259,13 +262,16 @@ impl Cache {
         let (ways, tag) = self.geometry.locate(addr);
         let lines = &mut self.lines[ways.clone()];
         // Choose a victim: an invalid way if possible, else the LRU way.
+        #[expect(
+            clippy::expect_used,
+            reason = "CacheConfig::validate rejects zero associativity"
+        )]
         let victim_idx = lines.iter().position(|l| !l.valid).unwrap_or_else(|| {
             lines
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, l)| l.last_use)
                 .map(|(i, _)| i)
-                // simlint: allow(panic) CacheConfig::validate rejects zero associativity
                 .expect("associativity is non-zero")
         });
         let victim = std::mem::replace(

@@ -104,7 +104,10 @@ impl SharedL2 {
     /// Panics if the configuration does not validate.
     #[must_use]
     pub fn new(config: L2Config) -> Self {
-        // simlint: allow(panic) documented constructor contract: config must validate
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: config must validate"
+        )]
         config.validate().expect("invalid L2 configuration");
         Self {
             config,

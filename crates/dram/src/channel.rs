@@ -184,9 +184,12 @@ impl DramChannel {
     /// Panics if `config` does not validate.
     #[must_use]
     pub fn new(config: &DramConfig) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: config must validate"
+        )]
         config
             .validate()
-            // simlint: allow(panic) documented constructor contract: config must validate
             .expect("invalid DRAM configuration passed to DramChannel::new");
         Self {
             timing: config.timing,

@@ -311,6 +311,10 @@ impl FaultModel {
     /// transient rate scaled by the average per-state weight of the rank's
     /// lifetime so far. Pure integer arithmetic, exact under fast-forward
     /// because [`PowerResidency`] is closed-form.
+    #[expect(
+        clippy::expect_used,
+        reason = "value clamped to u64::MAX on the previous line"
+    )]
     fn transient_threshold_fp(&self, residency: &PowerResidency) -> u64 {
         let total = residency.total();
         if total == 0 || self.cfg.transient_rate_fp == 0 {
@@ -323,7 +327,6 @@ impl FaultModel {
             + u128::from(residency.power_down_slow) * u128::from(self.cfg.weight_pd_slow)
             + u128::from(residency.self_refresh) * u128::from(self.cfg.weight_self_refresh);
         let fp = u128::from(self.cfg.transient_rate_fp) * weighted / u128::from(total);
-        // simlint: allow(panic) value clamped to u64::MAX on the previous line
         u64::try_from(fp.min(u128::from(u64::MAX))).expect("clamped above")
     }
 

@@ -510,8 +510,11 @@ impl Rank {
             PowerState::PowerDownFast => t.t_xp,
             PowerState::PowerDownSlow => t.t_xpdll,
             PowerState::SelfRefresh => t.t_xs,
+            #[expect(
+                clippy::panic,
+                reason = "controller state machine never wakes an awake rank"
+            )]
             PowerState::ActiveStandby | PowerState::PrechargeStandby => {
-                // simlint: allow(panic) controller state machine never wakes an awake rank
                 panic!("wake at {now} on a rank that is not powered down")
             }
         };

@@ -447,11 +447,14 @@ impl ChannelController {
         queue.push(request, location, now)?;
         // New work: the channel may have something to do this very cycle.
         self.next_due = self.next_due.min(now);
+        #[expect(
+            clippy::expect_used,
+            reason = "lookup of the entry pushed two lines above"
+        )]
         let entry = *match request.kind {
             AccessKind::Read => self.read_q.get(request.id),
             AccessKind::Write => self.write_q.get(request.id),
         }
-        // simlint: allow(panic) lookup of the entry pushed two lines above
         .expect("entry just pushed");
         self.scheduler.on_enqueue(&entry);
         // Demand arrival wakes a powered-down rank immediately: the exit
@@ -581,11 +584,14 @@ impl ChannelController {
                     };
                     self.policy.auto_precharge(&view, &loc)
                 };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "scheduler only returns ids it was shown from the queues"
+                )]
                 let entry = self
                     .read_q
                     .remove(id)
                     .or_else(|| self.write_q.remove(id))
-                    // simlint: allow(panic) scheduler only returns ids it was shown from the queues
                     .expect("scheduled request must be queued");
                 // Every data transfer is charged to its tenant, whether the
                 // scheduler or the QoS arbiter picked it — the partition

@@ -320,10 +320,10 @@ impl Scheduler for RlScheduler {
                 .map(|(i, _)| i)
                 .unwrap_or(0)
         };
+        #[expect(clippy::expect_used, reason = "chosen is sampled modulo scored.len()")]
         let (indices, q, decision) = scored
             .into_iter()
             .nth(chosen)
-            // simlint: allow(panic) chosen is sampled modulo scored.len()
             .expect("chosen index in range");
         self.learn(q);
         self.prev = Some((indices, q, Self::reward_of(&decision)));

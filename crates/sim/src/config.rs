@@ -173,7 +173,10 @@ impl SystemConfig {
         mc.qos.tenants = tenancy.tenant_count();
         for (t, tenant) in tenancy.tenants().enumerate() {
             mc.qos.latency_critical[t] = tenant.latency_critical;
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a simulable core count is far below u32::MAX"
+            )]
             {
                 mc.qos.share[t] = tenant.cores() as u32;
             }

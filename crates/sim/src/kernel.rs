@@ -327,7 +327,10 @@ impl<T> EventQueue<T> {
             if cycle - self.base >= EVENT_RING_SPAN {
                 break;
             }
-            // simlint: allow(panic) key returned by first_key_value two lines up
+            #[expect(
+                clippy::expect_used,
+                reason = "key returned by first_key_value two lines up"
+            )]
             let bucket = self.overflow.remove(&cycle).expect("first key exists");
             self.overflow_len -= bucket.len();
             self.ring_len += bucket.len();
@@ -357,9 +360,12 @@ impl<T> EventQueue<T> {
         self.base = cycle;
         self.migrate();
         let idx = (cycle % EVENT_RING_SPAN) as usize;
+        #[expect(
+            clippy::expect_used,
+            reason = "occupied bitmap guarantees a pending event at idx"
+        )]
         let item = self.ring[idx]
             .pop_front()
-            // simlint: allow(panic) occupied bitmap guarantees a pending event at idx
             .expect("first pending bucket is non-empty");
         self.ring_len -= 1;
         if self.ring[idx].is_empty() {

@@ -20,6 +20,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unimplemented,
+    clippy::todo
+)]
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 pub mod backend;
 pub mod config;

@@ -32,6 +32,10 @@ pub fn default_threads() -> usize {
 /// Runs every configuration on at most `threads` worker threads, returning
 /// results in input order.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "poisoned result slot means a worker panicked; propagate"
+)]
 pub fn run_all_with_threads(
     configs: &[SystemConfig],
     threads: usize,
@@ -52,7 +56,6 @@ pub fn run_all_with_threads(
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(cfg) = configs.get(i) else { break };
                 let result = run_system(cfg.clone());
-                // simlint: allow(panic) poisoned mutex means a sibling panicked; propagate
                 *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
@@ -61,7 +64,6 @@ pub fn run_all_with_threads(
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                // simlint: allow(panic) poisoned mutex means a worker panicked; propagate
                 .expect("result slot poisoned")
                 .unwrap_or_else(|| Err("worker thread dropped the run".to_owned()))
         })

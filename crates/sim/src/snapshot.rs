@@ -100,9 +100,12 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns [`SimError::Snapshot`] if the file cannot be written.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "caller-directed persistence API, typed error path"
+    )]
     pub fn write_to_file(&self, path: impl AsRef<Path>) -> Result<(), SimError> {
         let path = path.as_ref();
-        // simlint: allow(io-access) caller-directed persistence API, typed error path
         std::fs::write(path, &self.bytes)
             .map_err(|e| SimError::Snapshot(format!("writing {}: {e}", path.display())))
     }
@@ -114,7 +117,10 @@ impl Snapshot {
     /// Returns [`SimError::Snapshot`] if the file cannot be read.
     pub fn read_from_file(path: impl AsRef<Path>) -> Result<Self, SimError> {
         let path = path.as_ref();
-        // simlint: allow(io-access) caller-directed persistence API, typed error path
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "caller-directed persistence API, typed error path"
+        )]
         let bytes = std::fs::read(path)
             .map_err(|e| SimError::Snapshot(format!("reading {}: {e}", path.display())))?;
         Ok(Self { bytes })

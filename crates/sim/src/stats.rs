@@ -563,6 +563,58 @@ mod tests {
         assert_eq!(json.matches("\"scheduler\"").count(), 1);
     }
 
+    /// Top-level keys of a JSON object, in emission order: a string at
+    /// nesting depth 1 that is followed by `:`.
+    fn top_level_keys(json: &str) -> Vec<&str> {
+        let bytes = json.as_bytes();
+        let (mut keys, mut depth, mut i) = (Vec::new(), 0usize, 0usize);
+        while i < bytes.len() {
+            match bytes[i] {
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth -= 1,
+                b'"' => {
+                    let start = i + 1;
+                    i = start;
+                    while bytes[i] != b'"' {
+                        i += if bytes[i] == b'\\' { 2 } else { 1 };
+                    }
+                    if depth == 1 && bytes.get(i + 1) == Some(&b':') {
+                        keys.push(&json[start..i]);
+                    }
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        keys
+    }
+
+    /// `stats_schema.txt` is the additive-only contract on the JSON keys
+    /// downstream `BENCH_*.json` consumers parse; it must list exactly the
+    /// keys `to_json` emits.
+    #[test]
+    fn json_keys_match_stats_schema_txt() {
+        let json = stats(100, 10).to_json();
+        let mut emitted = top_level_keys(&json);
+        emitted.sort_unstable();
+        let mut listed: Vec<&str> = include_str!("../../../stats_schema.txt")
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
+        listed.sort_unstable();
+        let missing: Vec<_> = listed.iter().filter(|k| !emitted.contains(k)).collect();
+        let unlisted: Vec<_> = emitted.iter().filter(|k| !listed.contains(k)).collect();
+        assert!(
+            emitted == listed,
+            "SimStats::to_json and stats_schema.txt disagree.\n\
+             listed but no longer emitted (a breaking removal/rename): {missing:?}\n\
+             emitted but not listed (add them to stats_schema.txt): {unlisted:?}\n\
+             the emitted keys, sorted, to paste below the header comment:\n{}",
+            emitted.join("\n")
+        );
+    }
+
     #[test]
     fn tenant_ipc_partitions_the_aggregate() {
         let s = stats(4000, 1000);

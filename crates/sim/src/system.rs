@@ -846,8 +846,11 @@ impl System {
 
     /// Starts a wall-clock phase measurement; `None` when profiling is off,
     /// so hot loops pay a single boolean test.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "profile-gated: measures host time only, never sim state"
+    )]
     fn prof_start(&self) -> Option<Instant> {
-        // simlint: allow(wall-clock) profile-gated: measures host time only, never sim state
         self.profile.then(Instant::now)
     }
 
@@ -1289,7 +1292,10 @@ impl Simulator {
     pub fn run(self) -> SimStats {
         match self.try_run() {
             Ok(stats) => stats,
-            // simlint: allow(panic) documented: run() panics, try_run() is the typed path
+            #[expect(
+                clippy::panic,
+                reason = "documented: run() panics, try_run() is the typed path"
+            )]
             Err(err) => panic!("simulation failed: {err}"),
         }
     }

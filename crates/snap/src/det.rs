@@ -3,8 +3,13 @@
 //! `HashMap`/`HashSet` iteration order is unspecified and varies across
 //! builds, platforms and hasher seeds, so it must never feed snapshot bytes,
 //! stats export or event order. This module is the *designated* sorted
-//! helper: `simlint`'s `hash-iter` rule forbids direct hash iteration in the
-//! simulation crates and points here instead.
+//! helper: `clippy.toml` disallows direct hash iteration in the library
+//! crates and points here instead.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "designated helper: every iteration below is sorted before it is returned"
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;

@@ -39,6 +39,14 @@
 //! exhaustive pattern.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unimplemented,
+    clippy::todo
+)]
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 pub mod det;
 mod snap;
@@ -309,19 +317,28 @@ impl<'a> SnapReader<'a> {
         if data[..8] != MAGIC {
             return Err(SnapError::BadMagic);
         }
-        // simlint: allow(panic) fixed-width slice of a length-checked buffer
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed-width slice of a length-checked buffer"
+        )]
         let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
         if version != FORMAT_VERSION {
             return Err(SnapError::UnsupportedVersion(version));
         }
         let body_end = data.len() - 8;
-        // simlint: allow(panic) fixed-width slice of a length-checked buffer
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed-width slice of a length-checked buffer"
+        )]
         let stored = u64::from_le_bytes(data[body_end..].try_into().expect("8 bytes"));
         let computed = fnv1a(&data[..body_end]);
         if stored != computed {
             return Err(SnapError::ChecksumMismatch { computed, stored });
         }
-        // simlint: allow(panic) fixed-width slice of a length-checked buffer
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed-width slice of a length-checked buffer"
+        )]
         let found = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
         if found != expected_fingerprint {
             return Err(SnapError::FingerprintMismatch {
@@ -398,8 +415,8 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] when the body ends first.
+    #[expect(clippy::expect_used, reason = "take(4) yields exactly four bytes")]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        // simlint: allow(panic) take(4) yields exactly four bytes
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
@@ -408,8 +425,8 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] when the body ends first.
+    #[expect(clippy::expect_used, reason = "take(8) yields exactly eight bytes")]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        // simlint: allow(panic) take(8) yields exactly eight bytes
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 

@@ -20,6 +20,15 @@
 //! byte-for-byte comparison across kernels and hosts is meaningful.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unimplemented,
+    clippy::todo
+)]
+// No `clippy::disallowed_methods` pair, unlike the other library crates: this
+// crate owns the file sinks and the host-time profiler.
 
 mod config;
 mod hist;

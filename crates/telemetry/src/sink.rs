@@ -1,8 +1,8 @@
 //! File sinks for telemetry output.
 //!
-//! The simulation crates never touch the filesystem (`simlint` rule
-//! `io-access`): anything that turns telemetry records into files lives
-//! here, behind a typed `io::Result`.
+//! The simulation crates never touch the filesystem (`clippy.toml`
+//! disallows `std::fs` there): anything that turns telemetry records into
+//! files lives here, behind a typed `io::Result`.
 
 use std::io::Write as _;
 use std::path::Path;

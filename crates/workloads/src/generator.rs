@@ -124,7 +124,10 @@ impl CoreStream {
         code_offset: u64,
         seed: u64,
     ) -> Self {
-        // simlint: allow(panic) documented constructor contract: spec must validate
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: spec must validate"
+        )]
         spec.validate().expect("invalid workload spec");
         assert!(
             core < spec.cores,
@@ -495,7 +498,10 @@ impl WorkloadStreams {
     /// Panics if the mix does not validate.
     #[must_use]
     pub fn from_mix(mix: MixSpec, seed: u64) -> Self {
-        // simlint: allow(panic) documented constructor contract: mix must validate
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: mix must validate"
+        )]
         mix.validate().expect("invalid workload mix");
         let mut streams = Vec::with_capacity(mix.total_cores());
         let mut layout_core = 0usize;

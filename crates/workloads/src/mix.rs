@@ -112,11 +112,14 @@ impl MixSpec {
     /// Panics if the mix already holds [`MAX_TENANTS`] tenants.
     #[must_use]
     pub fn and(mut self, tenant: TenantSpec) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented builder contract: capacity is MAX_TENANTS"
+        )]
         let slot = self
             .tenants
             .iter()
             .position(Option::is_none)
-            // simlint: allow(panic) documented builder contract: capacity is MAX_TENANTS
             .unwrap_or_else(|| panic!("a mix holds at most {MAX_TENANTS} tenants"));
         self.tenants[slot] = Some(tenant);
         self
@@ -134,8 +137,11 @@ impl MixSpec {
     ///
     /// Panics if `t` is out of range.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented accessor contract: t must be in range"
+    )]
     pub fn tenant(&self, t: TenantId) -> &TenantSpec {
-        // simlint: allow(panic) documented accessor contract: t must be in range
         self.tenants[t].as_ref().expect("tenant index out of range")
     }
 
@@ -167,6 +173,10 @@ impl MixSpec {
     ///
     /// Panics if `core` is beyond the mix's total core count.
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented accessor contract: core must be in range"
+    )]
     pub fn tenant_of_core(&self, core: usize) -> TenantId {
         let mut lo = 0;
         for (t, tenant) in self.tenants().enumerate() {
@@ -175,7 +185,6 @@ impl MixSpec {
                 return t;
             }
         }
-        // simlint: allow(panic) documented accessor contract: core must be in range
         panic!("core {core} beyond the mix's {lo} cores");
     }
 

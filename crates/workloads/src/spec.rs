@@ -40,7 +40,6 @@ impl std::fmt::Display for Category {
 
 /// The twelve workloads of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(clippy::upper_case_acronyms)]
 pub enum Workload {
     /// Data Serving (Cassandra NoSQL store).
     DataServing,

@@ -296,6 +296,10 @@ impl TraceStream {
     ///
     /// Panics if `cores` is zero.
     pub fn open(path: &Path, cores: usize) -> io::Result<Self> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "trace replay opens a caller-named file by design"
+        )]
         let file = File::open(path).map_err(|e| {
             io::Error::new(
                 e.kind(),

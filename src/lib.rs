@@ -1,5 +1,13 @@
 //! cloudmc umbrella crate: re-exports the full public API.
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unimplemented,
+    clippy::todo
+)]
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 pub use cloudmc_cpu as cpu;
 pub use cloudmc_dram as dram;
