@@ -5,7 +5,8 @@
 //! series the paper reports. Absolute numbers differ from the paper (the
 //! substrate is a reduced-scale simulator, not the authors' Simics/GEMS
 //! testbed), but the *shape* — which policy wins, by roughly what factor —
-//! is the reproduction target; EXPERIMENTS.md records both.
+//! is the reproduction target; the README's "Reproducing the paper" section
+//! records both.
 
 use cloudmc_memctrl::{
     AddressMapping, AtlasConfig, McConfig, PagePolicyKind, ParBsConfig, RlConfig, SchedulerKind,

@@ -60,8 +60,8 @@ impl RunMeta {
              \"git_describe\": \"{}\", \"scale\": \"{}\"}}",
             self.host_nproc,
             self.cargo_profile,
-            self.git_describe.replace('\\', "\\\\").replace('"', "\\\""),
-            self.scale.replace('\\', "\\\\").replace('"', "\\\"")
+            cloudmc_sim::json_escape(&self.git_describe),
+            cloudmc_sim::json_escape(&self.scale)
         )
     }
 }
@@ -131,5 +131,10 @@ mod tests {
         let mut meta = RunMeta::collect("quick", Some("v1"));
         meta.git_describe = "weird\"tag".to_owned();
         assert!(meta.to_json().contains("weird\\\"tag"));
+        // A describe string read from a file keeps its trailing newline.
+        meta.git_describe = "v1\n".to_owned();
+        let json = meta.to_json();
+        assert!(json.contains("\"git_describe\": \"v1\\n\""), "{json}");
+        assert!(json.bytes().all(|b| b >= 0x20));
     }
 }

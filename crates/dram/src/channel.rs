@@ -6,7 +6,7 @@
 //! rank-level (tRRD/tFAW/tWTR via [`crate::rank::Rank`]) and channel-level
 //! (command-bus occupancy, data-bus occupancy, read/write turnaround, tRTRS).
 
-use cloudmc_snap::{snap_fields, snap_unit_enum, SnapError, SnapReader};
+use cloudmc_snap::{counter_fields, snap_fields, snap_unit_enum, SnapError, SnapReader};
 
 use crate::bank::Bank;
 use crate::command::{Command, CommandKind, IssueOutcome};
@@ -93,50 +93,23 @@ impl ChannelStats {
         self.power_down_fast_cycles + self.power_down_slow_cycles + self.self_refresh_cycles
     }
 
-    /// Adds every counter of `other` into `self` (aggregation across
-    /// channels).
-    pub fn merge(&mut self, other: &ChannelStats) {
-        self.activates += other.activates;
-        self.precharges += other.precharges;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.refreshes += other.refreshes;
-        self.data_bus_busy_cycles += other.data_bus_busy_cycles;
-        self.active_standby_cycles += other.active_standby_cycles;
-        self.precharge_standby_cycles += other.precharge_standby_cycles;
-        self.power_down_fast_cycles += other.power_down_fast_cycles;
-        self.power_down_slow_cycles += other.power_down_slow_cycles;
-        self.self_refresh_cycles += other.self_refresh_cycles;
-        self.power_down_entries += other.power_down_entries;
-        self.self_refresh_entries += other.self_refresh_entries;
-        self.power_wakes += other.power_wakes;
+    /// Fraction of the accounted rank-cycles spent in any CKE-low state
+    /// (0.0–1.0).
+    #[must_use]
+    pub fn power_down_fraction(&self) -> f64 {
+        self.residency_share(self.powered_down_cycles())
     }
 
-    /// Field-wise `self - start`: the counters accumulated over a
-    /// measurement window whose beginning was snapshotted as `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if any counter of `start` exceeds the
-    /// corresponding counter of `self` (counters are monotone).
+    /// Fraction of the accounted rank-cycles spent in self-refresh (0.0–1.0).
     #[must_use]
-    pub fn delta(&self, start: &ChannelStats) -> ChannelStats {
-        ChannelStats {
-            activates: self.activates - start.activates,
-            precharges: self.precharges - start.precharges,
-            reads: self.reads - start.reads,
-            writes: self.writes - start.writes,
-            refreshes: self.refreshes - start.refreshes,
-            data_bus_busy_cycles: self.data_bus_busy_cycles - start.data_bus_busy_cycles,
-            active_standby_cycles: self.active_standby_cycles - start.active_standby_cycles,
-            precharge_standby_cycles: self.precharge_standby_cycles
-                - start.precharge_standby_cycles,
-            power_down_fast_cycles: self.power_down_fast_cycles - start.power_down_fast_cycles,
-            power_down_slow_cycles: self.power_down_slow_cycles - start.power_down_slow_cycles,
-            self_refresh_cycles: self.self_refresh_cycles - start.self_refresh_cycles,
-            power_down_entries: self.power_down_entries - start.power_down_entries,
-            self_refresh_entries: self.self_refresh_entries - start.self_refresh_entries,
-            power_wakes: self.power_wakes - start.power_wakes,
+    pub fn self_refresh_fraction(&self) -> f64 {
+        self.residency_share(self.self_refresh_cycles)
+    }
+
+    fn residency_share(&self, cycles: u64) -> f64 {
+        match self.state_residency_cycles() {
+            0 => 0.0,
+            total => cycles as f64 / total as f64,
         }
     }
 }
@@ -655,25 +628,23 @@ snap_unit_enum!(BusDirection {
     Write = 1
 });
 
-snap_fields! {
+// The one field list: snapshot image, cross-channel `merge`, window `delta`.
+counter_fields! {
     ChannelStats {
-        saved: {
-            activates,
-            precharges,
-            reads,
-            writes,
-            refreshes,
-            data_bus_busy_cycles,
-            active_standby_cycles,
-            precharge_standby_cycles,
-            power_down_fast_cycles,
-            power_down_slow_cycles,
-            self_refresh_cycles,
-            power_down_entries,
-            self_refresh_entries,
-            power_wakes,
-        },
-        skipped: {},
+        activates,
+        precharges,
+        reads,
+        writes,
+        refreshes,
+        data_bus_busy_cycles,
+        active_standby_cycles,
+        precharge_standby_cycles,
+        power_down_fast_cycles,
+        power_down_slow_cycles,
+        self_refresh_cycles,
+        power_down_entries,
+        self_refresh_entries,
+        power_wakes,
     }
 }
 

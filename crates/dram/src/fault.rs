@@ -27,7 +27,7 @@
 
 use std::collections::BTreeSet;
 
-use cloudmc_snap::{snap_fields, SnapError, SnapReader};
+use cloudmc_snap::{counter_fields, snap_fields, SnapError, SnapReader};
 
 use crate::rank::PowerResidency;
 use crate::timing::DramCycles;
@@ -206,16 +206,6 @@ pub struct FaultLedger {
     pub uncorrectable: u64,
     /// Planted sites not yet touched by any read (demand or scrub).
     pub latent: u64,
-}
-
-impl FaultLedger {
-    /// Adds another ledger into this one (aggregation across channels).
-    pub fn merge(&mut self, other: &FaultLedger) {
-        self.injected += other.injected;
-        self.corrected += other.corrected;
-        self.uncorrectable += other.uncorrectable;
-        self.latent += other.latent;
-    }
 }
 
 /// A faulty-row key within one channel: `(rank, bank, row)`.
@@ -433,12 +423,12 @@ impl FaultModel {
     }
 }
 
-snap_fields! {
-    FaultLedger {
-        saved: { injected, corrected, uncorrectable, latent },
-        skipped: {},
-    }
-}
+counter_fields!(FaultLedger {
+    injected,
+    corrected,
+    uncorrectable,
+    latent
+});
 
 snap_fields! {
     FaultModel {

@@ -336,7 +336,7 @@ impl ChannelController {
             inflight: Vec::new(),
             conflict_pending: vec![false; total_banks],
             activated_after_conflict: vec![false; total_banks],
-            stats: McStats::new(cfg.num_cores),
+            stats: McStats::new(),
             write_drain_high: cfg.write_drain_high,
             write_drain_low: cfg.write_drain_low,
             num_cores: cfg.num_cores,
@@ -1373,7 +1373,7 @@ impl MemoryController {
     /// Aggregated controller statistics across channels.
     #[must_use]
     pub fn stats(&self) -> McStats {
-        let mut total = McStats::new(self.cfg.num_cores);
+        let mut total = McStats::new();
         for channel in &self.channels {
             total.merge(&channel.stats);
         }

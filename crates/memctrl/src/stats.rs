@@ -19,8 +19,6 @@ pub struct McStats {
     pub writes_completed: u64,
     /// Sum of read latencies (arrival to data return), DRAM cycles.
     pub total_read_latency: DramCycles,
-    /// Sum of write latencies (arrival to burst completion), DRAM cycles.
-    pub total_write_latency: DramCycles,
     /// Requests that hit an already-open row.
     pub row_hits: u64,
     /// Requests that found the bank precharged (row miss / empty).
@@ -38,12 +36,6 @@ pub struct McStats {
     pub read_queue_occupancy_sum: u64,
     /// Sum of write-queue occupancies over all samples and channels.
     pub write_queue_occupancy_sum: u64,
-    /// Completed requests per core (fairness analysis).
-    pub completed_per_core: Vec<u64>,
-    /// Sum of read latencies per core (fairness analysis).
-    pub read_latency_per_core: Vec<DramCycles>,
-    /// Reads completed per core.
-    pub reads_per_core: Vec<u64>,
     /// Power-down actions taken by the power policy (fast/slow entries,
     /// including deepening transitions).
     pub power_downs: u64,
@@ -97,30 +89,17 @@ pub struct McStats {
     /// Log2-bucket histogram of demand-read latencies (arrival to data
     /// return, DRAM cycles) across every channel this block covers.
     pub read_latency_hist: LatencyHistogram,
-    /// Per-tenant demand-read latency histograms (index = tenant id; unused
-    /// slots stay empty).
-    pub read_latency_hist_per_tenant: [LatencyHistogram; MAX_TENANTS],
-    /// Per-channel read-latency histograms, populated only on *aggregated*
-    /// blocks: a single channel's block keeps this empty, and
-    /// [`McStats::merge`] appends each merged leaf's overall histogram in
-    /// merge order. The controller merges its channels in index order, so
-    /// the vector is indexed by channel — the same deterministic convention
-    /// as the reliability subsystem's per-rank vectors.
-    pub read_latency_hist_per_channel: Vec<LatencyHistogram>,
 }
 
 /// Number of buckets kept in the activation-reuse histogram.
 pub const ACTIVATION_REUSE_BUCKETS: usize = 33;
 
 impl McStats {
-    /// Creates zeroed statistics for `cores` cores.
+    /// Creates zeroed statistics.
     #[must_use]
-    pub fn new(cores: usize) -> Self {
+    pub fn new() -> Self {
         Self {
             activation_reuse: vec![0; ACTIVATION_REUSE_BUCKETS],
-            completed_per_core: vec![0; cores],
-            read_latency_per_core: vec![0; cores],
-            reads_per_core: vec![0; cores],
             ..Self::default()
         }
     }
@@ -143,24 +122,14 @@ impl McStats {
                 self.row_conflicts_per_tenant[tenant] += 1;
             }
         }
-        let core = done.request.core;
-        if core < self.completed_per_core.len() {
-            self.completed_per_core[core] += 1;
-        }
         if done.request.kind.is_read() {
             self.reads_completed += 1;
             self.total_read_latency += latency;
             self.read_latency_hist.record(latency);
             self.reads_completed_per_tenant[tenant] += 1;
             self.read_latency_per_tenant[tenant] += latency;
-            self.read_latency_hist_per_tenant[tenant].record(latency);
-            if core < self.reads_per_core.len() {
-                self.reads_per_core[core] += 1;
-                self.read_latency_per_core[core] += latency;
-            }
         } else {
             self.writes_completed += 1;
-            self.total_write_latency += latency;
             self.writes_completed_per_tenant[tenant] += 1;
         }
     }
@@ -218,17 +187,6 @@ impl McStats {
         }
     }
 
-    /// Average latency over reads and writes in DRAM cycles.
-    #[must_use]
-    pub fn avg_latency(&self) -> f64 {
-        let n = self.completed();
-        if n == 0 {
-            0.0
-        } else {
-            (self.total_read_latency + self.total_write_latency) as f64 / n as f64
-        }
-    }
-
     /// Row-buffer hit rate over all serviced requests (0.0–1.0).
     #[must_use]
     pub fn row_buffer_hit_rate(&self) -> f64 {
@@ -268,18 +226,6 @@ impl McStats {
             0.0
         } else {
             self.write_queue_occupancy_sum as f64 / self.queue_samples as f64
-        }
-    }
-
-    /// Average read latency observed by one core, in DRAM cycles.
-    #[must_use]
-    pub fn avg_read_latency_for_core(&self, core: usize) -> f64 {
-        match (
-            self.reads_per_core.get(core),
-            self.read_latency_per_core.get(core),
-        ) {
-            (Some(&n), Some(&sum)) if n > 0 => sum as f64 / n as f64,
-            _ => 0.0,
         }
     }
 
@@ -338,137 +284,45 @@ impl McStats {
         }
         self.read_queue_occupancy_per_tenant[tenant] as f64 / self.queue_samples as f64
     }
-
-    /// Merges another statistics block into this one (used to aggregate
-    /// multiple channels or simulation samples).
-    pub fn merge(&mut self, other: &Self) {
-        self.reads_completed += other.reads_completed;
-        self.writes_completed += other.writes_completed;
-        self.total_read_latency += other.total_read_latency;
-        self.total_write_latency += other.total_write_latency;
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
-        self.row_conflicts += other.row_conflicts;
-        if self.activation_reuse.len() < other.activation_reuse.len() {
-            self.activation_reuse
-                .resize(other.activation_reuse.len(), 0);
-        }
-        for (i, v) in other.activation_reuse.iter().enumerate() {
-            self.activation_reuse[i] += v;
-        }
-        self.queue_samples += other.queue_samples;
-        self.read_queue_occupancy_sum += other.read_queue_occupancy_sum;
-        self.write_queue_occupancy_sum += other.write_queue_occupancy_sum;
-        if self.completed_per_core.len() < other.completed_per_core.len() {
-            self.completed_per_core
-                .resize(other.completed_per_core.len(), 0);
-            self.read_latency_per_core
-                .resize(other.completed_per_core.len(), 0);
-            self.reads_per_core
-                .resize(other.completed_per_core.len(), 0);
-        }
-        for (i, v) in other.completed_per_core.iter().enumerate() {
-            self.completed_per_core[i] += v;
-        }
-        for (i, v) in other.read_latency_per_core.iter().enumerate() {
-            self.read_latency_per_core[i] += v;
-        }
-        for (i, v) in other.reads_per_core.iter().enumerate() {
-            self.reads_per_core[i] += v;
-        }
-        self.power_downs += other.power_downs;
-        self.self_refreshes += other.self_refreshes;
-        self.power_wakes += other.power_wakes;
-        self.power_precharges += other.power_precharges;
-        for t in 0..MAX_TENANTS {
-            self.reads_completed_per_tenant[t] += other.reads_completed_per_tenant[t];
-            self.writes_completed_per_tenant[t] += other.writes_completed_per_tenant[t];
-            self.read_latency_per_tenant[t] += other.read_latency_per_tenant[t];
-            self.row_hits_per_tenant[t] += other.row_hits_per_tenant[t];
-            self.row_misses_per_tenant[t] += other.row_misses_per_tenant[t];
-            self.row_conflicts_per_tenant[t] += other.row_conflicts_per_tenant[t];
-            self.read_queue_occupancy_per_tenant[t] += other.read_queue_occupancy_per_tenant[t];
-        }
-        self.ecc_corrected += other.ecc_corrected;
-        self.ecc_detected_uncorrectable += other.ecc_detected_uncorrectable;
-        self.ecc_miscorrects += other.ecc_miscorrects;
-        self.demand_retries += other.demand_retries;
-        self.scrub_reads_issued += other.scrub_reads_issued;
-        self.scrub_reads_completed += other.scrub_reads_completed;
-        self.scrub_corrected += other.scrub_corrected;
-        self.scrub_uncorrectable += other.scrub_uncorrectable;
-        self.rows_retired += other.rows_retired;
-        self.lines_poisoned += other.lines_poisoned;
-        self.poisoned_reads += other.poisoned_reads;
-        self.read_latency_hist.merge(&other.read_latency_hist);
-        for (mine, theirs) in self
-            .read_latency_hist_per_tenant
-            .iter_mut()
-            .zip(other.read_latency_hist_per_tenant.iter())
-        {
-            mine.merge(theirs);
-        }
-        // Per-channel resolution is assembled at merge time: a leaf block
-        // (one channel, empty per-channel vector) contributes its overall
-        // histogram as one entry; an already-aggregated block contributes
-        // its entries in order. Merging channels in index order thus yields
-        // a vector indexed by channel.
-        if other.read_latency_hist_per_channel.is_empty() {
-            self.read_latency_hist_per_channel
-                .push(other.read_latency_hist.clone());
-        } else {
-            self.read_latency_hist_per_channel
-                .extend(other.read_latency_hist_per_channel.iter().cloned());
-        }
-    }
 }
 
-// The per-core vectors and the reuse histogram are shaped by the config; the
-// per-channel histogram list grows by merging, so it is saved as it is.
-cloudmc_snap::snap_fields! {
+// The one field list: snapshot image, cross-channel `merge`, window `delta`.
+// The reuse histogram's bucket count is fixed, so its stored length is checked.
+cloudmc_snap::counter_fields! {
     McStats {
-        saved: {
-            reads_completed,
-            writes_completed,
-            total_read_latency,
-            total_write_latency,
-            row_hits,
-            row_misses,
-            row_conflicts,
-            activation_reuse: fixed,
-            queue_samples,
-            read_queue_occupancy_sum,
-            write_queue_occupancy_sum,
-            completed_per_core: fixed,
-            read_latency_per_core: fixed,
-            reads_per_core: fixed,
-            power_downs,
-            self_refreshes,
-            power_wakes,
-            power_precharges,
-            reads_completed_per_tenant,
-            writes_completed_per_tenant,
-            read_latency_per_tenant,
-            row_hits_per_tenant,
-            row_misses_per_tenant,
-            row_conflicts_per_tenant,
-            read_queue_occupancy_per_tenant,
-            ecc_corrected,
-            ecc_detected_uncorrectable,
-            ecc_miscorrects,
-            demand_retries,
-            scrub_reads_issued,
-            scrub_reads_completed,
-            scrub_corrected,
-            scrub_uncorrectable,
-            rows_retired,
-            lines_poisoned,
-            poisoned_reads,
-            read_latency_hist,
-            read_latency_hist_per_tenant,
-            read_latency_hist_per_channel,
-        },
-        skipped: {},
+        reads_completed,
+        writes_completed,
+        total_read_latency,
+        row_hits,
+        row_misses,
+        row_conflicts,
+        activation_reuse: fixed,
+        queue_samples,
+        read_queue_occupancy_sum,
+        write_queue_occupancy_sum,
+        power_downs,
+        self_refreshes,
+        power_wakes,
+        power_precharges,
+        reads_completed_per_tenant,
+        writes_completed_per_tenant,
+        read_latency_per_tenant,
+        row_hits_per_tenant,
+        row_misses_per_tenant,
+        row_conflicts_per_tenant,
+        read_queue_occupancy_per_tenant,
+        ecc_corrected,
+        ecc_detected_uncorrectable,
+        ecc_miscorrects,
+        demand_retries,
+        scrub_reads_issued,
+        scrub_reads_completed,
+        scrub_corrected,
+        scrub_uncorrectable,
+        rows_retired,
+        lines_poisoned,
+        poisoned_reads,
+        read_latency_hist,
     }
 }
 
@@ -476,7 +330,10 @@ cloudmc_snap::snap_fields! {
 mod tests {
     use super::*;
     use crate::request::{AccessKind, MemoryRequest};
-    use cloudmc_dram::Location;
+    use cloudmc_dram::{ChannelStats, FaultLedger, Location};
+    use cloudmc_snap::Counter;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn completed(
         kind: AccessKind,
@@ -497,7 +354,7 @@ mod tests {
 
     #[test]
     fn record_completion_updates_latency_and_hits() {
-        let mut s = McStats::new(4);
+        let mut s = McStats::new();
         s.record_completion(&completed(AccessKind::Read, 1, RowBufferOutcome::Hit, 30));
         s.record_completion(&completed(
             AccessKind::Read,
@@ -509,16 +366,12 @@ mod tests {
         assert_eq!(s.reads_completed, 2);
         assert_eq!(s.writes_completed, 1);
         assert!((s.avg_read_latency() - 60.0).abs() < 1e-9);
-        assert!((s.avg_latency() - 60.0).abs() < 1e-9);
         assert!((s.row_buffer_hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-        assert_eq!(s.completed_per_core[1], 2);
-        assert!((s.avg_read_latency_for_core(1) - 60.0).abs() < 1e-9);
-        assert_eq!(s.avg_read_latency_for_core(3), 0.0);
     }
 
     #[test]
     fn activation_histogram_and_single_access_fraction() {
-        let mut s = McStats::new(1);
+        let mut s = McStats::new();
         s.record_activation_closed(1);
         s.record_activation_closed(1);
         s.record_activation_closed(1);
@@ -531,7 +384,7 @@ mod tests {
 
     #[test]
     fn queue_sampling_averages() {
-        let mut s = McStats::new(1);
+        let mut s = McStats::new();
         s.sample_queues(4, 10);
         s.sample_queues(6, 30);
         assert!((s.avg_read_queue_len() - 5.0).abs() < 1e-9);
@@ -540,7 +393,7 @@ mod tests {
 
     #[test]
     fn empty_stats_return_zeroes() {
-        let s = McStats::new(2);
+        let s = McStats::new();
         assert_eq!(s.avg_read_latency(), 0.0);
         assert_eq!(s.row_buffer_hit_rate(), 0.0);
         assert_eq!(s.avg_read_queue_len(), 0.0);
@@ -549,7 +402,7 @@ mod tests {
 
     #[test]
     fn per_tenant_completion_accounting() {
-        let mut s = McStats::new(4);
+        let mut s = McStats::new();
         let mut hit = completed(AccessKind::Read, 0, RowBufferOutcome::Hit, 40);
         hit.request.tenant = 0;
         let mut conflict = completed(AccessKind::Read, 1, RowBufferOutcome::Conflict, 120);
@@ -574,7 +427,7 @@ mod tests {
 
     #[test]
     fn per_tenant_queue_sampling_shares_the_sample_count() {
-        let mut s = McStats::new(1);
+        let mut s = McStats::new();
         s.sample_queues_n(5, 0, 10);
         s.sample_tenant_reads_n(&[3, 2, 0, 0], 10);
         assert!((s.avg_read_queue_len_for_tenant(0) - 3.0).abs() < 1e-9);
@@ -584,59 +437,142 @@ mod tests {
 
     #[test]
     fn read_latencies_feed_the_histograms() {
-        let mut s = McStats::new(4);
+        let mut s = McStats::new();
         let mut read = completed(AccessKind::Read, 0, RowBufferOutcome::Hit, 30);
         read.request.tenant = 1;
         s.record_completion(&read);
         s.record_completion(&completed(AccessKind::Write, 0, RowBufferOutcome::Miss, 60));
-        // Only reads are recorded; writes leave every histogram untouched.
+        // Only reads are recorded; writes leave the histogram untouched.
         assert_eq!(s.read_latency_hist.count(), 1);
         assert_eq!(s.read_latency_hist.max(), Some(30));
-        assert_eq!(s.read_latency_hist_per_tenant[1].count(), 1);
-        assert!(s.read_latency_hist_per_tenant[0].is_empty());
-        // A leaf block never populates the per-channel vector itself.
-        assert!(s.read_latency_hist_per_channel.is_empty());
+    }
+
+    /// The contract every counter block must honour, whatever its fields:
+    /// merging `b` into `a` and reading the result since `a` gives back `b`,
+    /// and a block since itself is all-zero (`zero`). `same` is the
+    /// field-for-field comparison.
+    fn merge_then_delta_round_trips<T: Counter + Clone + std::fmt::Debug>(
+        mut generate: impl FnMut(&mut StdRng) -> T,
+        zero: &T,
+        same: impl Fn(&T, &T),
+    ) {
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..64 {
+            let (before, b) = (generate(&mut rng), generate(&mut rng));
+            let mut a = before.clone();
+            a.merge(&b);
+            same(&a.delta(&before), &b);
+            same(&a.delta(&a), zero);
+        }
+    }
+
+    fn count(rng: &mut StdRng) -> u64 {
+        rng.gen_range(0u64..1 << 40)
+    }
+
+    fn histogram(rng: &mut StdRng) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for _ in 0..rng.gen_range(0usize..40) {
+            h.record(1 << rng.gen_range(0u32..30));
+            h.record(count(rng));
+        }
+        h
+    }
+
+    /// Equal bucket for bucket; a window's maximum is only known to its
+    /// bucket's upper edge, so `max` may exceed the truth up to that bound.
+    fn same_histogram(window: &LatencyHistogram, truth: &LatencyHistogram) {
+        assert_eq!(window.bucket_counts(), truth.bucket_counts());
+        assert_eq!((window.count(), window.sum()), (truth.count(), truth.sum()));
+        let (got, want) = (window.max().unwrap_or(0), truth.max().unwrap_or(0));
+        let bound = LatencyHistogram::bucket_bounds(LatencyHistogram::bucket_index(want)).1;
+        assert!(want <= got && got <= bound, "{want} <= {got} <= {bound}");
     }
 
     #[test]
-    fn merge_concatenates_per_channel_histograms_in_merge_order() {
-        let mut ch0 = McStats::new(1);
-        ch0.record_completion(&completed(AccessKind::Read, 0, RowBufferOutcome::Hit, 10));
-        let mut ch1 = McStats::new(1);
-        ch1.record_completion(&completed(AccessKind::Read, 0, RowBufferOutcome::Hit, 500));
-        let mut pair = McStats::new(1);
-        pair.merge(&ch0);
-        pair.merge(&ch1);
-        assert_eq!(pair.read_latency_hist_per_channel.len(), 2);
-        assert_eq!(pair.read_latency_hist_per_channel[0].max(), Some(10));
-        assert_eq!(pair.read_latency_hist_per_channel[1].max(), Some(500));
-
-        // Merging an aggregated block concatenates its entries after ours.
-        let mut ch2 = McStats::new(1);
-        ch2.record_completion(&completed(
-            AccessKind::Read,
-            0,
-            RowBufferOutcome::Miss,
-            9000,
-        ));
-        let mut single = McStats::new(1);
-        single.merge(&ch2);
-        let mut global = McStats::new(1);
-        global.merge(&pair);
-        global.merge(&single);
-        let maxes: Vec<_> = global
-            .read_latency_hist_per_channel
-            .iter()
-            .map(|h| h.max())
-            .collect();
-        assert_eq!(maxes, vec![Some(10), Some(500), Some(9000)]);
-        assert_eq!(global.read_latency_hist.count(), 3);
+    fn every_counter_block_round_trips_through_merge_and_delta() {
+        merge_then_delta_round_trips(
+            |rng| ChannelStats {
+                activates: count(rng),
+                precharges: count(rng),
+                reads: count(rng),
+                writes: count(rng),
+                refreshes: count(rng),
+                data_bus_busy_cycles: count(rng),
+                active_standby_cycles: count(rng),
+                precharge_standby_cycles: count(rng),
+                power_down_fast_cycles: count(rng),
+                power_down_slow_cycles: count(rng),
+                self_refresh_cycles: count(rng),
+                power_down_entries: count(rng),
+                self_refresh_entries: count(rng),
+                power_wakes: count(rng),
+            },
+            &ChannelStats::default(),
+            |a, b| assert_eq!(a, b),
+        );
+        merge_then_delta_round_trips(
+            |rng| FaultLedger {
+                injected: count(rng),
+                corrected: count(rng),
+                uncorrectable: count(rng),
+                latent: count(rng),
+            },
+            &FaultLedger::default(),
+            |a, b| assert_eq!(a, b),
+        );
+        merge_then_delta_round_trips(histogram, &LatencyHistogram::new(), same_histogram);
+        let per_tenant = |rng: &mut StdRng| std::array::from_fn(|_| count(rng));
+        merge_then_delta_round_trips(
+            |rng| McStats {
+                reads_completed: count(rng),
+                writes_completed: count(rng),
+                total_read_latency: count(rng),
+                row_hits: count(rng),
+                row_misses: count(rng),
+                row_conflicts: count(rng),
+                activation_reuse: (0..ACTIVATION_REUSE_BUCKETS).map(|_| count(rng)).collect(),
+                queue_samples: count(rng),
+                read_queue_occupancy_sum: count(rng),
+                write_queue_occupancy_sum: count(rng),
+                power_downs: count(rng),
+                self_refreshes: count(rng),
+                power_wakes: count(rng),
+                power_precharges: count(rng),
+                reads_completed_per_tenant: per_tenant(rng),
+                writes_completed_per_tenant: per_tenant(rng),
+                read_latency_per_tenant: per_tenant(rng),
+                row_hits_per_tenant: per_tenant(rng),
+                row_misses_per_tenant: per_tenant(rng),
+                row_conflicts_per_tenant: per_tenant(rng),
+                read_queue_occupancy_per_tenant: per_tenant(rng),
+                ecc_corrected: count(rng),
+                ecc_detected_uncorrectable: count(rng),
+                ecc_miscorrects: count(rng),
+                demand_retries: count(rng),
+                scrub_reads_issued: count(rng),
+                scrub_reads_completed: count(rng),
+                scrub_corrected: count(rng),
+                scrub_uncorrectable: count(rng),
+                rows_retired: count(rng),
+                lines_poisoned: count(rng),
+                poisoned_reads: count(rng),
+                read_latency_hist: histogram(rng),
+            },
+            &McStats::new(),
+            |window, truth| {
+                same_histogram(&window.read_latency_hist, &truth.read_latency_hist);
+                let mut window = window.clone();
+                window.read_latency_hist = truth.read_latency_hist.clone();
+                assert_eq!(&window, truth);
+            },
+        );
     }
 
     #[test]
     fn merge_adds_counters() {
-        let mut a = McStats::new(2);
-        let mut b = McStats::new(2);
+        let mut a = McStats::new();
+        let mut b = McStats::new();
         a.record_completion(&completed(AccessKind::Read, 0, RowBufferOutcome::Hit, 10));
         b.record_completion(&completed(
             AccessKind::Read,
@@ -656,7 +592,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.reads_completed, 2);
         assert_eq!(a.row_conflicts, 1);
-        assert_eq!(a.completed_per_core[1], 1);
         assert_eq!(a.queue_samples, 1);
         assert_eq!(a.activation_reuse[1], 1);
         assert_eq!(a.ecc_corrected, 2);

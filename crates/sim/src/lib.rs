@@ -46,7 +46,7 @@ pub use frontend::{Frontend, FrontendEvent};
 pub use kernel::{ClockCrossing, EventQueue, FillQueue, Tick};
 pub use runner::{default_threads, run_all, run_all_with_threads};
 pub use snapshot::{config_fingerprint, Snapshot};
-pub use stats::{mean, SimStats};
+pub use stats::{json_escape, mean, SimStats};
 pub use system::{run_system, Simulator, System};
 
 // The workload-source selector is part of `SystemConfig`'s surface;

@@ -251,145 +251,129 @@ impl SimStats {
 
     /// Renders the statistics as one JSON object (hand-written: the build
     /// environment has no registry access, so no serde).
+    ///
+    /// The list below is the one place a key is named: the key is the field
+    /// name, and `Self` is destructured from the same list without a rest
+    /// pattern, so a new field does not compile until it is exported here.
+    /// `stats_schema.txt` (checked by a unit test) is the external statement
+    /// of the same list. Keys are emitted in the order they were introduced
+    /// — new ones are appended, so existing consumers of the `BENCH_*.json`
+    /// files keep parsing unchanged.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
+        // Value renderers the list names per field; numbers and booleans
+        // render through `Display`.
+        fn num(value: impl std::fmt::Display) -> String {
+            value.to_string()
         }
-        let per_core: Vec<String> = self
-            .instructions_per_core
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        fn join<T: std::fmt::Display>(values: &[T]) -> String {
-            values
-                .iter()
-                .map(T::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
+        fn str(value: &str) -> String {
+            format!("\"{}\"", json_escape(value))
         }
-        // Keys are strictly additive over earlier releases: existing
-        // consumers of the `BENCH_*.json` files keep parsing unchanged, the
-        // energy/power keys (and after them the tenancy/QoS keys) are
-        // appended at the end of the object.
-        let mut json = format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"scheduler\":\"{}\",\"page_policy\":\"{}\",",
-                "\"mapping\":\"{}\",\"channels\":{},\"cores\":{},\"cpu_cycles\":{},",
-                "\"dram_cycles\":{},\"user_instructions\":{},\"instructions_per_core\":[{}],",
-                "\"memory_reads_sent\":{},\"memory_writes_sent\":{},\"reads_completed\":{},",
-                "\"writes_completed\":{},\"avg_read_latency_dram\":{},\"avg_read_latency_ns\":{},",
-                "\"row_buffer_hit_rate\":{},\"single_access_activation_fraction\":{},",
-                "\"avg_read_queue_len\":{},\"avg_write_queue_len\":{},\"bandwidth_utilization\":{},",
-                "\"l2_mpki\":{},\"activations_per_kilo_instr\":{},\"dram_energy_mj\":{},",
-                "\"power_policy\":\"{}\",\"dram_background_energy_mj\":{},",
-                "\"avg_dram_power_mw\":{},\"energy_per_request_nj\":{},",
-                "\"power_down_fraction\":{},\"self_refresh_fraction\":{},",
-                "\"power_down_entries\":{},\"power_wakes\":{}"
-            ),
-            esc(&self.workload),
-            esc(&self.scheduler),
-            esc(&self.page_policy),
-            esc(&self.mapping),
-            self.channels,
-            self.cores,
-            self.cpu_cycles,
-            self.dram_cycles,
-            self.user_instructions,
-            per_core.join(","),
-            self.memory_reads_sent,
-            self.memory_writes_sent,
-            self.reads_completed,
-            self.writes_completed,
-            self.avg_read_latency_dram,
-            self.avg_read_latency_ns,
-            self.row_buffer_hit_rate,
-            self.single_access_activation_fraction,
-            self.avg_read_queue_len,
-            self.avg_write_queue_len,
-            self.bandwidth_utilization,
-            self.l2_mpki,
-            self.activations_per_kilo_instr,
-            self.dram_energy_mj,
-            esc(&self.power_policy),
-            self.dram_background_energy_mj,
-            self.avg_dram_power_mw,
-            self.energy_per_request_nj,
-            self.power_down_fraction,
-            self.self_refresh_fraction,
-            self.power_down_entries,
-            self.power_wakes,
-        );
-        let tenant_workloads: Vec<String> = self
-            .tenant_workloads
-            .iter()
-            .map(|w| format!("\"{}\"", esc(w)))
-            .collect();
-        json.push_str(&format!(
-            concat!(
-                ",\"qos_policy\":\"{}\",\"tenants\":{},\"tenant_workloads\":[{}],",
-                "\"tenant_cores\":[{}],\"tenant_latency_critical\":[{}],",
-                "\"instructions_per_tenant\":[{}],\"reads_completed_per_tenant\":[{}],",
-                "\"avg_read_latency_per_tenant\":[{}],\"bandwidth_share_per_tenant\":[{}],",
-                "\"row_hit_rate_per_tenant\":[{}],\"avg_read_queue_len_per_tenant\":[{}]"
-            ),
-            esc(&self.qos_policy),
-            self.tenants,
-            tenant_workloads.join(","),
-            join(&self.tenant_cores),
-            join(&self.tenant_latency_critical),
-            join(&self.instructions_per_tenant),
-            join(&self.reads_completed_per_tenant),
-            join(&self.avg_read_latency_per_tenant),
-            join(&self.bandwidth_share_per_tenant),
-            join(&self.row_hit_rate_per_tenant),
-            join(&self.avg_read_queue_len_per_tenant),
-        ));
-        // Reliability keys (third additive block, appended after the
-        // tenancy/QoS keys).
-        json.push_str(&format!(
-            concat!(
-                ",\"ecc_corrected\":{},\"ecc_detected_uncorrectable\":{},",
-                "\"ecc_miscorrects\":{},\"demand_retries\":{},",
-                "\"scrub_reads_issued\":{},\"scrub_reads_completed\":{},",
-                "\"scrub_corrected\":{},\"scrub_uncorrectable\":{},",
-                "\"rows_retired\":{},\"lines_poisoned\":{},\"poisoned_reads\":{},",
-                "\"faults_injected\":{},\"faults_corrected\":{},",
-                "\"faults_uncorrectable\":{},\"faults_latent\":{},",
-                "\"rows_retired_per_rank\":[{}],\"retired_capacity_bytes\":{}"
-            ),
-            self.ecc_corrected,
-            self.ecc_detected_uncorrectable,
-            self.ecc_miscorrects,
-            self.demand_retries,
-            self.scrub_reads_issued,
-            self.scrub_reads_completed,
-            self.scrub_corrected,
-            self.scrub_uncorrectable,
-            self.rows_retired,
-            self.lines_poisoned,
-            self.poisoned_reads,
-            self.faults_injected,
-            self.faults_corrected,
-            self.faults_uncorrectable,
-            self.faults_latent,
-            join(&self.rows_retired_per_rank),
-            self.retired_capacity_bytes,
-        ));
-        // Latency-percentile keys (fourth additive block, appended after the
-        // reliability keys).
-        json.push_str(&format!(
-            concat!(
-                ",\"read_latency_p50_dram\":{},\"read_latency_p95_dram\":{},",
-                "\"read_latency_p99_dram\":{},\"read_latency_max_dram\":{}}}"
-            ),
-            self.read_latency_p50_dram,
-            self.read_latency_p95_dram,
-            self.read_latency_p99_dram,
-            self.read_latency_max_dram,
-        ));
-        json
+        fn list<T: std::fmt::Display>(values: &[T]) -> String {
+            let items: Vec<String> = values.iter().map(T::to_string).collect();
+            format!("[{}]", items.join(","))
+        }
+        fn strs(values: &[String]) -> String {
+            let quoted: Vec<String> = values.iter().map(|v| str(v)).collect();
+            list(&quoted)
+        }
+        macro_rules! members {
+            ($($kind:ident $field:ident,)*) => {{
+                let Self { $($field,)* } = self;
+                let members = [$(format!("\"{}\":{}", stringify!($field), $kind($field)),)*];
+                format!("{{{}}}", members.join(","))
+            }};
+        }
+        members! {
+            str workload,
+            str scheduler,
+            str page_policy,
+            str mapping,
+            num channels,
+            num cores,
+            num cpu_cycles,
+            num dram_cycles,
+            num user_instructions,
+            list instructions_per_core,
+            num memory_reads_sent,
+            num memory_writes_sent,
+            num reads_completed,
+            num writes_completed,
+            num avg_read_latency_dram,
+            num avg_read_latency_ns,
+            num row_buffer_hit_rate,
+            num single_access_activation_fraction,
+            num avg_read_queue_len,
+            num avg_write_queue_len,
+            num bandwidth_utilization,
+            num l2_mpki,
+            num activations_per_kilo_instr,
+            num dram_energy_mj,
+            // Energy/power keys.
+            str power_policy,
+            num dram_background_energy_mj,
+            num avg_dram_power_mw,
+            num energy_per_request_nj,
+            num power_down_fraction,
+            num self_refresh_fraction,
+            num power_down_entries,
+            num power_wakes,
+            // Tenancy/QoS keys.
+            str qos_policy,
+            num tenants,
+            strs tenant_workloads,
+            list tenant_cores,
+            list tenant_latency_critical,
+            list instructions_per_tenant,
+            list reads_completed_per_tenant,
+            list avg_read_latency_per_tenant,
+            list bandwidth_share_per_tenant,
+            list row_hit_rate_per_tenant,
+            list avg_read_queue_len_per_tenant,
+            // Reliability keys.
+            num ecc_corrected,
+            num ecc_detected_uncorrectable,
+            num ecc_miscorrects,
+            num demand_retries,
+            num scrub_reads_issued,
+            num scrub_reads_completed,
+            num scrub_corrected,
+            num scrub_uncorrectable,
+            num rows_retired,
+            num lines_poisoned,
+            num poisoned_reads,
+            num faults_injected,
+            num faults_corrected,
+            num faults_uncorrectable,
+            num faults_latent,
+            list rows_retired_per_rank,
+            num retired_capacity_bytes,
+            // Latency-percentile keys.
+            num read_latency_p50_dram,
+            num read_latency_p95_dram,
+            num read_latency_p99_dram,
+            num read_latency_max_dram,
+        }
     }
+}
+
+/// Escapes `s` for the inside of a JSON string literal: `"`, `\` and the
+/// control characters below U+0020 — everything JSON forbids raw there.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Arithmetic mean of an iterator of values (0 when empty). Used when
@@ -514,53 +498,49 @@ mod tests {
         assert!((mean([1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
     }
 
+    /// The fixture's full output, byte for byte: pins key order, separators
+    /// and number rendering, which downstream `BENCH_*.json` parsers see.
     #[test]
     fn stats_serialize_to_json() {
-        let s = stats(100, 10);
-        let json = s.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"workload\":\"DS\""));
-        assert!(json.contains("\"cpu_cycles\":10"));
-        assert!(json.contains("\"instructions_per_core\":[25,25,25,25]"));
-        assert!(json.contains("\"row_buffer_hit_rate\":0.4"));
-        // Energy keys are additive (appended after the original key set).
-        assert!(json.contains("\"power_policy\":\"none\""));
-        assert!(json.contains("\"dram_background_energy_mj\":0.6"));
-        assert!(json.contains("\"power_down_fraction\":0"));
-        let energy_pos = json.find("\"dram_energy_mj\"").unwrap();
-        let added_pos = json.find("\"power_policy\"").unwrap();
-        assert!(
-            added_pos > energy_pos,
-            "new keys must come after the pre-existing ones"
+        let golden = concat!(
+            "{\"workload\":\"DS\",\"scheduler\":\"FR-FCFS\",\"page_policy\":\"open-adaptive\",",
+            "\"mapping\":\"RoRaBaCoCh\",\"channels\":1,\"cores\":4,\"cpu_cycles\":10,",
+            "\"dram_cycles\":4,\"user_instructions\":100,",
+            "\"instructions_per_core\":[25,25,25,25],\"memory_reads_sent\":100,",
+            "\"memory_writes_sent\":40,\"reads_completed\":100,\"writes_completed\":40,",
+            "\"avg_read_latency_dram\":80,\"avg_read_latency_ns\":100,",
+            "\"row_buffer_hit_rate\":0.4,\"single_access_activation_fraction\":0.85,",
+            "\"avg_read_queue_len\":2,\"avg_write_queue_len\":5,",
+            "\"bandwidth_utilization\":0.3,\"l2_mpki\":5,\"activations_per_kilo_instr\":3,",
+            "\"dram_energy_mj\":1,\"power_policy\":\"none\",",
+            "\"dram_background_energy_mj\":0.6,\"avg_dram_power_mw\":900,",
+            "\"energy_per_request_nj\":7,\"power_down_fraction\":0,",
+            "\"self_refresh_fraction\":0,\"power_down_entries\":0,\"power_wakes\":0,",
+            "\"qos_policy\":\"none\",\"tenants\":2,\"tenant_workloads\":[\"DS\",\"TPCH-Q6\"],",
+            "\"tenant_cores\":[2,2],\"tenant_latency_critical\":[true,false],",
+            "\"instructions_per_tenant\":[50,50],\"reads_completed_per_tenant\":[60,40],",
+            "\"avg_read_latency_per_tenant\":[70,95],",
+            "\"bandwidth_share_per_tenant\":[0.6,0.4],",
+            "\"row_hit_rate_per_tenant\":[0.5,0.3],",
+            "\"avg_read_queue_len_per_tenant\":[1,1],\"ecc_corrected\":3,",
+            "\"ecc_detected_uncorrectable\":1,\"ecc_miscorrects\":0,\"demand_retries\":2,",
+            "\"scrub_reads_issued\":50,\"scrub_reads_completed\":48,\"scrub_corrected\":4,",
+            "\"scrub_uncorrectable\":0,\"rows_retired\":1,\"lines_poisoned\":1,",
+            "\"poisoned_reads\":0,\"faults_injected\":9,\"faults_corrected\":7,",
+            "\"faults_uncorrectable\":2,\"faults_latent\":0,",
+            "\"rows_retired_per_rank\":[1,0],\"retired_capacity_bytes\":8192,",
+            "\"read_latency_p50_dram\":72,\"read_latency_p95_dram\":180,",
+            "\"read_latency_p99_dram\":240,\"read_latency_max_dram\":255}",
         );
-        // Tenancy/QoS keys are additive too (after the energy keys).
-        let qos_pos = json.find("\"qos_policy\"").unwrap();
-        assert!(qos_pos > added_pos);
-        assert!(json.contains("\"tenants\":2"));
-        assert!(json.contains("\"tenant_workloads\":[\"DS\",\"TPCH-Q6\"]"));
-        assert!(json.contains("\"tenant_latency_critical\":[true,false]"));
-        assert!(json.contains("\"reads_completed_per_tenant\":[60,40]"));
-        assert!(json.contains("\"bandwidth_share_per_tenant\":[0.6,0.4]"));
-        // Reliability keys are additive too (after the tenancy keys).
-        let ecc_pos = json.find("\"ecc_corrected\"").unwrap();
-        assert!(ecc_pos > qos_pos);
-        assert!(json.contains("\"ecc_corrected\":3"));
-        assert!(json.contains("\"demand_retries\":2"));
-        assert!(json.contains("\"scrub_reads_issued\":50"));
-        assert!(json.contains("\"faults_injected\":9"));
-        assert!(json.contains("\"rows_retired_per_rank\":[1,0]"));
-        assert!(json.contains("\"retired_capacity_bytes\":8192"));
-        // Latency-percentile keys are additive too (after the reliability
-        // keys).
-        let p50_pos = json.find("\"read_latency_p50_dram\"").unwrap();
-        assert!(p50_pos > ecc_pos);
-        assert!(json.contains("\"read_latency_p50_dram\":72"));
-        assert!(json.contains("\"read_latency_p95_dram\":180"));
-        assert!(json.contains("\"read_latency_p99_dram\":240"));
-        assert!(json.contains("\"read_latency_max_dram\":255"));
-        assert!(json.ends_with('}'));
-        // Every key appears exactly once.
-        assert_eq!(json.matches("\"scheduler\"").count(), 1);
+        assert_eq!(stats(100, 10).to_json(), golden);
+    }
+
+    #[test]
+    fn json_escape_leaves_no_raw_control_byte() {
+        let escaped = json_escape("a\"b\\c\n\t\u{1}");
+        assert_eq!(escaped, "a\\\"b\\\\c\\n\\t\\u0001");
+        assert!(escaped.bytes().all(|b| b >= 0x20));
+        assert_eq!(json_escape("TPCH-Q6 é"), "TPCH-Q6 é");
     }
 
     /// Top-level keys of a JSON object, in emission order: a string at

@@ -13,7 +13,7 @@ use std::time::Instant;
 use cloudmc_memctrl::{
     AccessKind, CompletedRequest, McStats, MemoryRequest, RequestId, RowBufferOutcome, MAX_TENANTS,
 };
-use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader};
+use cloudmc_snap::{snap_fields, Counter, Snap, SnapError, SnapReader};
 use cloudmc_telemetry::{
     KernelPhase, KernelProfile, KernelProfiler, SpanAccess, SpanOutcome, SpanRecord,
     TelemetrySample,
@@ -45,7 +45,7 @@ struct CounterBaseline {
     committed: Vec<u64>,
     mem_reads_sent: u64,
     mem_writes_sent: u64,
-    mc: Option<McStats>,
+    mc: McStats,
     device: cloudmc_dram::ChannelStats,
 }
 
@@ -735,8 +735,8 @@ impl System {
         let Some(t) = self.telemetry.as_deref_mut() else {
             return;
         };
-        let mc_end = cur.mc.clone().unwrap_or_default();
-        let mc_start = t.last.mc.clone().unwrap_or_default();
+        let mc = cur.mc.delta(&t.last.mc);
+        let device = cur.device.delta(&t.last.device);
         let cpu_cycles = cur.cpu_cycles - t.last.cpu_cycles;
         let committed = cur.committed.iter().sum::<u64>() - t.last.committed.iter().sum::<u64>();
         let ipc = if cpu_cycles == 0 {
@@ -744,68 +744,25 @@ impl System {
         } else {
             committed as f64 / cpu_cycles as f64
         };
-        let reads_completed = mc_end.reads_completed - mc_start.reads_completed;
-        let writes_completed = mc_end.writes_completed - mc_start.writes_completed;
-        let avg_read_latency = if reads_completed == 0 {
-            0.0
-        } else {
-            (mc_end.total_read_latency - mc_start.total_read_latency) as f64
-                / reads_completed as f64
-        };
-        let hits = mc_end.row_hits - mc_start.row_hits;
-        let outcomes = hits
-            + (mc_end.row_misses - mc_start.row_misses)
-            + (mc_end.row_conflicts - mc_start.row_conflicts);
-        let row_hit_rate = if outcomes == 0 {
-            0.0
-        } else {
-            hits as f64 / outcomes as f64
-        };
-        let queue_samples = mc_end.queue_samples - mc_start.queue_samples;
-        let avg_read_queue = if queue_samples == 0 {
-            0.0
-        } else {
-            (mc_end.read_queue_occupancy_sum - mc_start.read_queue_occupancy_sum) as f64
-                / queue_samples as f64
-        };
-        let completed = reads_completed + writes_completed;
-        let bandwidth_share = (0..tenants)
-            .map(|tn| {
-                if completed == 0 {
-                    0.0
-                } else {
-                    ((mc_end.reads_completed_per_tenant[tn]
-                        - mc_start.reads_completed_per_tenant[tn])
-                        + (mc_end.writes_completed_per_tenant[tn]
-                            - mc_start.writes_completed_per_tenant[tn])) as f64
-                        / completed as f64
-                }
-            })
-            .collect();
-        let device = cur.device.delta(&t.last.device);
-        let rank_cycles = device.state_residency_cycles();
-        let power_down_fraction = if rank_cycles == 0 {
-            0.0
-        } else {
-            device.powered_down_cycles() as f64 / rank_cycles as f64
-        };
-        let reliability_events = (mc_end.ecc_corrected - mc_start.ecc_corrected)
-            + (mc_end.ecc_detected_uncorrectable - mc_start.ecc_detected_uncorrectable)
-            + (mc_end.ecc_miscorrects - mc_start.ecc_miscorrects)
-            + (mc_end.scrub_corrected - mc_start.scrub_corrected)
-            + (mc_end.scrub_uncorrectable - mc_start.scrub_uncorrectable)
-            + (mc_end.rows_retired - mc_start.rows_retired)
-            + (mc_end.lines_poisoned - mc_start.lines_poisoned);
+        let reliability_events = mc.ecc_corrected
+            + mc.ecc_detected_uncorrectable
+            + mc.ecc_miscorrects
+            + mc.scrub_corrected
+            + mc.scrub_uncorrectable
+            + mc.rows_retired
+            + mc.lines_poisoned;
         t.series.push(TelemetrySample {
             cycle: cur.cpu_cycles,
             ipc,
-            reads_completed,
-            writes_completed,
-            avg_read_latency,
-            row_hit_rate,
-            avg_read_queue,
-            bandwidth_share,
-            power_down_fraction,
+            reads_completed: mc.reads_completed,
+            writes_completed: mc.writes_completed,
+            avg_read_latency: mc.avg_read_latency(),
+            row_hit_rate: mc.row_buffer_hit_rate(),
+            avg_read_queue: mc.avg_read_queue_len(),
+            bandwidth_share: (0..tenants)
+                .map(|tn| mc.bandwidth_share_for_tenant(tn))
+                .collect(),
+            power_down_fraction: device.power_down_fraction(),
             reliability_events,
         });
         t.last = cur;
@@ -936,7 +893,7 @@ impl System {
             committed: self.committed_per_core(),
             mem_reads_sent: self.mem_reads_sent,
             mem_writes_sent: self.mem_writes_sent,
-            mc: Some(self.backend.stats()),
+            mc: self.backend.stats(),
             device: self.backend.device_totals_at(self.clock.dram_cycle()),
         }
     }
@@ -945,113 +902,32 @@ impl System {
         let cfg = &self.cfg;
         let total_channels = self.backend.total_channels();
         let end = self.counter_baseline();
-        let mc_end = end.mc.clone().unwrap_or_default();
-        let mc_start = start.mc.clone().unwrap_or_default();
+        let mc = end.mc.delta(&start.mc);
+        let device = end.device.delta(&start.device);
         let cpu_cycles = end.cpu_cycles - start.cpu_cycles;
         let dram_cycles = end.dram_cycles - start.dram_cycles;
-        let instructions_per_core: Vec<u64> = end
-            .committed
-            .iter()
-            .zip(start.committed.iter().chain(std::iter::repeat(&0)))
-            .map(|(e, s)| e - s)
-            .collect();
+        let instructions_per_core = end.committed.delta(&start.committed);
         let user_instructions: u64 = instructions_per_core.iter().sum();
-        let reads_completed = mc_end.reads_completed - mc_start.reads_completed;
-        let writes_completed = mc_end.writes_completed - mc_start.writes_completed;
-        let read_latency_sum = mc_end.total_read_latency - mc_start.total_read_latency;
-        let avg_read_latency_dram = if reads_completed == 0 {
-            0.0
-        } else {
-            read_latency_sum as f64 / reads_completed as f64
-        };
-        let hits = mc_end.row_hits - mc_start.row_hits;
-        let misses = mc_end.row_misses - mc_start.row_misses;
-        let conflicts = mc_end.row_conflicts - mc_start.row_conflicts;
-        let total_outcomes = hits + misses + conflicts;
-        let row_buffer_hit_rate = if total_outcomes == 0 {
-            0.0
-        } else {
-            hits as f64 / total_outcomes as f64
-        };
-        let mut single = 0u64;
-        let mut activations_closed = 0u64;
-        for (i, (e, s)) in mc_end
-            .activation_reuse
-            .iter()
-            .zip(
-                mc_start
-                    .activation_reuse
-                    .iter()
-                    .chain(std::iter::repeat(&0)),
-            )
-            .enumerate()
-        {
-            let d = e - s;
-            activations_closed += d;
-            if i == 1 {
-                single = d;
-            }
-        }
-        let single_access_activation_fraction = if activations_closed == 0 {
-            0.0
-        } else {
-            single as f64 / activations_closed as f64
-        };
-        let queue_samples = mc_end.queue_samples - mc_start.queue_samples;
-        let avg_read_queue_len = if queue_samples == 0 {
-            0.0
-        } else {
-            (mc_end.read_queue_occupancy_sum - mc_start.read_queue_occupancy_sum) as f64
-                / queue_samples as f64
-        };
-        let avg_write_queue_len = if queue_samples == 0 {
-            0.0
-        } else {
-            (mc_end.write_queue_occupancy_sum - mc_start.write_queue_occupancy_sum) as f64
-                / queue_samples as f64
-        };
-        let bus_busy = end.device.data_bus_busy_cycles - start.device.data_bus_busy_cycles;
-        let bandwidth_utilization = if dram_cycles == 0 {
-            0.0
-        } else {
-            bus_busy as f64 / (dram_cycles * total_channels as u64) as f64
-        };
+        let avg_read_latency_dram = mc.avg_read_latency();
+        let bandwidth_utilization = device.bus_utilization(dram_cycles * total_channels as u64);
         let mem_reads_sent = end.mem_reads_sent - start.mem_reads_sent;
-        let mem_writes_sent = end.mem_writes_sent - start.mem_writes_sent;
-        let l2_mpki = if user_instructions == 0 {
-            0.0
-        } else {
-            mem_reads_sent as f64 * 1000.0 / user_instructions as f64
-        };
-        let activations = end.device.activates - start.device.activates;
-        let activations_per_kilo_instr = if user_instructions == 0 {
-            0.0
-        } else {
-            activations as f64 * 1000.0 / user_instructions as f64
+        let per_kilo_instr = |events: u64| {
+            if user_instructions == 0 {
+                0.0
+            } else {
+                events as f64 * 1000.0 / user_instructions as f64
+            }
         };
         // Energy (extension): events priced from the command-count deltas,
         // background from the power-state residency deltas — both exact and
         // bit-identical with fast-forward on or off.
-        let energy_model = cloudmc_dram::EnergyModel::new(cfg.energy);
-        let delta_channel_stats = end.device.delta(&start.device);
         let timing = cfg.mc.dram.timing;
-        let breakdown = energy_model.breakdown_from_residency(&delta_channel_stats, &timing);
-        let rank_cycles = delta_channel_stats.state_residency_cycles();
-        let power_down_fraction = if rank_cycles == 0 {
+        let breakdown =
+            cloudmc_dram::EnergyModel::new(cfg.energy).breakdown_from_residency(&device, &timing);
+        let energy_per_request_nj = if mc.completed() == 0 {
             0.0
         } else {
-            delta_channel_stats.powered_down_cycles() as f64 / rank_cycles as f64
-        };
-        let self_refresh_fraction = if rank_cycles == 0 {
-            0.0
-        } else {
-            delta_channel_stats.self_refresh_cycles as f64 / rank_cycles as f64
-        };
-        let completed = reads_completed + writes_completed;
-        let energy_per_request_nj = if completed == 0 {
-            0.0
-        } else {
-            breakdown.total_pj() * 1e-3 / completed as f64
+            breakdown.total_pj() * 1e-3 / mc.completed() as f64
         };
         // Per-tenant breakdown (tenancy extension): instructions partition by
         // core group, controller metrics come from the tenant-tagged deltas.
@@ -1061,46 +937,13 @@ impl System {
         for (core, n) in instructions_per_core.iter().enumerate() {
             instructions_per_tenant[tenancy.tenant_of_core(core)] += n;
         }
-        let mut reads_completed_per_tenant = vec![0u64; tenants];
-        let mut avg_read_latency_per_tenant = vec![0.0f64; tenants];
-        let mut bandwidth_share_per_tenant = vec![0.0f64; tenants];
-        let mut row_hit_rate_per_tenant = vec![0.0f64; tenants];
-        let mut avg_read_queue_len_per_tenant = vec![0.0f64; tenants];
-        for t in 0..tenants {
-            let reads_t =
-                mc_end.reads_completed_per_tenant[t] - mc_start.reads_completed_per_tenant[t];
-            let writes_t =
-                mc_end.writes_completed_per_tenant[t] - mc_start.writes_completed_per_tenant[t];
-            let latency_t = mc_end.read_latency_per_tenant[t] - mc_start.read_latency_per_tenant[t];
-            reads_completed_per_tenant[t] = reads_t;
-            if reads_t > 0 {
-                avg_read_latency_per_tenant[t] = latency_t as f64 / reads_t as f64;
-            }
-            if completed > 0 {
-                bandwidth_share_per_tenant[t] = (reads_t + writes_t) as f64 / completed as f64;
-            }
-            let hits_t = mc_end.row_hits_per_tenant[t] - mc_start.row_hits_per_tenant[t];
-            let outcomes_t = hits_t
-                + (mc_end.row_misses_per_tenant[t] - mc_start.row_misses_per_tenant[t])
-                + (mc_end.row_conflicts_per_tenant[t] - mc_start.row_conflicts_per_tenant[t]);
-            if outcomes_t > 0 {
-                row_hit_rate_per_tenant[t] = hits_t as f64 / outcomes_t as f64;
-            }
-            if queue_samples > 0 {
-                avg_read_queue_len_per_tenant[t] = (mc_end.read_queue_occupancy_per_tenant[t]
-                    - mc_start.read_queue_occupancy_per_tenant[t])
-                    as f64
-                    / queue_samples as f64;
-            }
-        }
+        let per_tenant = |metric: fn(&McStats, usize) -> f64| -> Vec<f64> {
+            (0..tenants).map(|t| metric(&mc, t)).collect()
+        };
         // Latency percentiles from the window's histogram delta: the log2
         // buckets subtract exactly, so this is the distribution of only the
         // reads completed inside the window.
-        let hist = mc_end.read_latency_hist.delta(&mc_start.read_latency_hist);
-        let read_latency_p50_dram = hist.p50().unwrap_or(0.0);
-        let read_latency_p95_dram = hist.p95().unwrap_or(0.0);
-        let read_latency_p99_dram = hist.p99().unwrap_or(0.0);
-        let read_latency_max_dram = hist.max().unwrap_or(0);
+        let hist = &mc.read_latency_hist;
         let ledger = self.backend.fault_ledger();
         let rows_retired_per_rank = self.backend.rows_retired_per_rank();
         let retired_capacity_bytes = rows_retired_per_rank
@@ -1120,26 +963,26 @@ impl System {
             user_instructions,
             instructions_per_core,
             memory_reads_sent: mem_reads_sent,
-            memory_writes_sent: mem_writes_sent,
-            reads_completed,
-            writes_completed,
+            memory_writes_sent: end.mem_writes_sent - start.mem_writes_sent,
+            reads_completed: mc.reads_completed,
+            writes_completed: mc.writes_completed,
             avg_read_latency_dram,
             avg_read_latency_ns: timing.cycles_to_ns(avg_read_latency_dram.round() as u64),
-            row_buffer_hit_rate,
-            single_access_activation_fraction,
-            avg_read_queue_len,
-            avg_write_queue_len,
+            row_buffer_hit_rate: mc.row_buffer_hit_rate(),
+            single_access_activation_fraction: mc.single_access_activation_fraction(),
+            avg_read_queue_len: mc.avg_read_queue_len(),
+            avg_write_queue_len: mc.avg_write_queue_len(),
             bandwidth_utilization,
-            l2_mpki,
-            activations_per_kilo_instr,
+            l2_mpki: per_kilo_instr(mem_reads_sent),
+            activations_per_kilo_instr: per_kilo_instr(device.activates),
             dram_energy_mj: breakdown.total_pj() * 1e-9,
             dram_background_energy_mj: breakdown.background_pj * 1e-9,
             avg_dram_power_mw: breakdown.average_power_mw(dram_cycles, &timing),
             energy_per_request_nj,
-            power_down_fraction,
-            self_refresh_fraction,
-            power_down_entries: delta_channel_stats.power_down_entries,
-            power_wakes: delta_channel_stats.power_wakes,
+            power_down_fraction: device.power_down_fraction(),
+            self_refresh_fraction: device.self_refresh_fraction(),
+            power_down_entries: device.power_down_entries,
+            power_wakes: device.power_wakes,
             qos_policy: cfg.mc.qos.policy.to_string(),
             tenants,
             tenant_workloads: (0..tenants)
@@ -1148,23 +991,22 @@ impl System {
             tenant_cores: tenancy.tenants().map(|t| t.cores()).collect(),
             tenant_latency_critical: tenancy.tenants().map(|t| t.latency_critical).collect(),
             instructions_per_tenant,
-            reads_completed_per_tenant,
-            avg_read_latency_per_tenant,
-            bandwidth_share_per_tenant,
-            row_hit_rate_per_tenant,
-            avg_read_queue_len_per_tenant,
-            ecc_corrected: mc_end.ecc_corrected - mc_start.ecc_corrected,
-            ecc_detected_uncorrectable: mc_end.ecc_detected_uncorrectable
-                - mc_start.ecc_detected_uncorrectable,
-            ecc_miscorrects: mc_end.ecc_miscorrects - mc_start.ecc_miscorrects,
-            demand_retries: mc_end.demand_retries - mc_start.demand_retries,
-            scrub_reads_issued: mc_end.scrub_reads_issued - mc_start.scrub_reads_issued,
-            scrub_reads_completed: mc_end.scrub_reads_completed - mc_start.scrub_reads_completed,
-            scrub_corrected: mc_end.scrub_corrected - mc_start.scrub_corrected,
-            scrub_uncorrectable: mc_end.scrub_uncorrectable - mc_start.scrub_uncorrectable,
-            rows_retired: mc_end.rows_retired - mc_start.rows_retired,
-            lines_poisoned: mc_end.lines_poisoned - mc_start.lines_poisoned,
-            poisoned_reads: mc_end.poisoned_reads - mc_start.poisoned_reads,
+            reads_completed_per_tenant: mc.reads_completed_per_tenant[..tenants].to_vec(),
+            avg_read_latency_per_tenant: per_tenant(McStats::avg_read_latency_for_tenant),
+            bandwidth_share_per_tenant: per_tenant(McStats::bandwidth_share_for_tenant),
+            row_hit_rate_per_tenant: per_tenant(McStats::row_hit_rate_for_tenant),
+            avg_read_queue_len_per_tenant: per_tenant(McStats::avg_read_queue_len_for_tenant),
+            ecc_corrected: mc.ecc_corrected,
+            ecc_detected_uncorrectable: mc.ecc_detected_uncorrectable,
+            ecc_miscorrects: mc.ecc_miscorrects,
+            demand_retries: mc.demand_retries,
+            scrub_reads_issued: mc.scrub_reads_issued,
+            scrub_reads_completed: mc.scrub_reads_completed,
+            scrub_corrected: mc.scrub_corrected,
+            scrub_uncorrectable: mc.scrub_uncorrectable,
+            rows_retired: mc.rows_retired,
+            lines_poisoned: mc.lines_poisoned,
+            poisoned_reads: mc.poisoned_reads,
             // Ledger totals are whole-run, not window deltas: `latent` moves
             // both ways (latent → corrected/uncorrectable on discovery), so
             // only the end-of-run ledger satisfies the conservation
@@ -1175,10 +1017,10 @@ impl System {
             faults_latent: ledger.latent,
             rows_retired_per_rank,
             retired_capacity_bytes,
-            read_latency_p50_dram,
-            read_latency_p95_dram,
-            read_latency_p99_dram,
-            read_latency_max_dram,
+            read_latency_p50_dram: hist.p50().unwrap_or(0.0),
+            read_latency_p95_dram: hist.p95().unwrap_or(0.0),
+            read_latency_p99_dram: hist.p99().unwrap_or(0.0),
+            read_latency_max_dram: hist.max().unwrap_or(0),
         }
     }
 }

@@ -37,6 +37,11 @@
 //! nor skipped does not compile. The few impls written by hand (enums with
 //! payloads, queues that serialize structurally) open with the same
 //! exhaustive pattern.
+//!
+//! A struct of statistics counters states its list through
+//! [`counter_fields!`] instead, which expands to the same [`Snap`] impl plus
+//! the struct's [`Counter`] impl — cross-channel `merge` and window `delta`
+//! — so the three can never disagree about which fields exist.
 
 #![forbid(unsafe_code)]
 #![warn(
@@ -48,9 +53,11 @@
 )]
 #![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
+mod counter;
 pub mod det;
 mod snap;
 
+pub use counter::Counter;
 pub use snap::{load_new, min_bytes_of, Snap};
 
 use std::fmt;
@@ -66,7 +73,11 @@ pub const MAGIC: [u8; 8] = *b"CMCSNAP1";
 ///
 /// Version 4: the backend section holds one controller and retry buckets
 /// keyed `(channel, kind)`; each channel section ends with its due bound.
-pub const FORMAT_VERSION: u32 = 4;
+///
+/// Version 5: the controller statistics block drops its six write-only
+/// fields (per-core vectors, write-latency sum, per-tenant and per-channel
+/// histograms).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Byte tag that introduces a section marker in the body stream.
 const SECTION_TAG: u8 = 0xA5;

@@ -261,6 +261,18 @@ impl LatencyHistogram {
     }
 }
 
+/// As a field of a counter block, a histogram adds and subtracts through its
+/// own [`merge`](LatencyHistogram::merge) / [`delta`](LatencyHistogram::delta).
+impl cloudmc_snap::Counter for LatencyHistogram {
+    fn merge(&mut self, other: &Self) {
+        LatencyHistogram::merge(self, other);
+    }
+
+    fn delta(&self, baseline: &Self) -> Self {
+        LatencyHistogram::delta(self, baseline)
+    }
+}
+
 cloudmc_snap::snap_fields! {
     LatencyHistogram {
         saved: { counts, count, sum, max },

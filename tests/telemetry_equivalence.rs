@@ -10,7 +10,7 @@
 //!    the per-cycle reference loop, for any seed — because samples land on
 //!    exact cycle boundaries and span ids are minted in arrival order.
 
-use cloudmc::memctrl::SchedulerKind;
+use cloudmc::memctrl::{PowerPolicyKind, SchedulerKind};
 use cloudmc::sim::{SimStats, Simulator, SystemConfig};
 use cloudmc::telemetry::{SpanRecord, TelemetryConfig, TelemetrySample};
 use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
@@ -170,6 +170,59 @@ fn sharded_tenant_mix_series_are_identical() {
         }
     }
     assert!(saw_traffic, "mix must complete requests in some window");
+}
+
+/// A sample is the same window arithmetic as `SimStats`: with no warm-up and
+/// one interval spanning the whole measurement, the single sample equals the
+/// run's statistics bit for bit, and with several intervals the per-window
+/// counts add up to them.
+#[test]
+fn one_full_window_sample_equals_simstats_bit_for_bit() {
+    let mut cfg = small(Workload::WebSearch, 9);
+    cfg.warmup_cpu_cycles = 0;
+    // Idle enough that ranks power down, so no compared ratio is a trivial 0.
+    cfg.workload = cfg.workload.with_intensity(0.02);
+    cfg.mc.power_policy = PowerPolicyKind::IdleTimer;
+    cfg.telemetry.sample_interval = cfg.measure_cpu_cycles;
+    let (stats, series, _) = run_telemetry(&cfg);
+    let [sample] = series.as_slice() else {
+        panic!("expected exactly one sample, got {}", series.len());
+    };
+    assert!(stats.reads_completed > 0 && stats.power_down_fraction > 0.0);
+    assert_eq!(sample.reads_completed, stats.reads_completed);
+    assert_eq!(sample.writes_completed, stats.writes_completed);
+    for (name, sampled, measured) in [
+        ("ipc", sample.ipc, stats.user_ipc()),
+        (
+            "avg_read_latency",
+            sample.avg_read_latency,
+            stats.avg_read_latency_dram,
+        ),
+        (
+            "row_hit_rate",
+            sample.row_hit_rate,
+            stats.row_buffer_hit_rate,
+        ),
+        (
+            "avg_read_queue",
+            sample.avg_read_queue,
+            stats.avg_read_queue_len,
+        ),
+        (
+            "power_down_fraction",
+            sample.power_down_fraction,
+            stats.power_down_fraction,
+        ),
+    ] {
+        assert_eq!(sampled.to_bits(), measured.to_bits(), "{name}");
+    }
+
+    cfg.telemetry.sample_interval = cfg.measure_cpu_cycles / 6;
+    let (split_stats, windows, _) = run_telemetry(&cfg);
+    assert_eq!(split_stats, stats);
+    assert_eq!(windows.len(), 6);
+    let reads: u64 = windows.iter().map(|w| w.reads_completed).sum();
+    assert_eq!(reads, stats.reads_completed);
 }
 
 /// The JSON-lines sinks round-trip: every series sample and span written at
