@@ -13,11 +13,11 @@
 //!   sched         figs 1-7 in one sweep
 //!   pages         figs 9-11 in one sweep
 //!   channels      figs 12-14 + table 4 in one sweep
-//!   fastforward   simulator throughput of the event kernel vs the
-//!                 per-cycle reference loop (the test oracle), asserted
-//!                 bit-identical; writes BENCH_fastforward.json and fails
-//!                 if the event kernel slows any dense stream below the
-//!                 reference loop
+//!   fastforward   smoke gate: the event kernel vs the per-cycle reference
+//!                 loop (the test oracle) on four points, asserted
+//!                 bit-identical; prints both throughputs and fails if the
+//!                 event kernel slows any dense stream below the reference
+//!                 loop (writes nothing)
 //!   energy        DRAM energy sweep: 5 schedulers x 4 page policies x
 //!                 4 power policies on idle-heavy + dense workloads;
 //!                 writes BENCH_energy.json
@@ -32,12 +32,6 @@
 //!                 with bit-identical stats asserted, plus the golden
 //!                 mini-trace check; writes BENCH_trace.json
 //!                 (--golden-regen rewrites tests/data/golden_mix.trace)
-//!   telemetry     observability overhead study: wall-clock cost of the
-//!                 interval time series, span tracing, and kernel
-//!                 self-profiler layers vs telemetry off on the dense
-//!                 TPC-H Q6 stream; writes BENCH_telemetry.json and, at
-//!                 standard scale and above, fails if the disabled hooks
-//!                 cost more than 2%
 //!   sweep         snapshot-forked experiment sweep: warm each
 //!                 (workload, scheduler) once, checkpoint it, fork the
 //!                 replicates from the image across worker threads, and
@@ -63,51 +57,54 @@
 //!                         (default BENCH_sweep_cells)
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use cloudmc_bench::{
     baseline_study, channel_study, config_report, energy_study, fastforward_report, figure1,
     figure10, figure11, figure12, figure13, figure14, figure2, figure3, figure4, figure5, figure6,
     figure7, figure8, figure9, page_policy_study, parse, qos_study, regenerate_golden_trace,
-    reliability_study, run_sweep, scheduler_study, telemetry_study, trace_study, with_meta,
-    Options, Parsed, RunMeta, Scale, SweepOutcome, Table, HELP,
+    reliability_study, run_sweep, scheduler_study, trace_study, with_meta, Options, Parsed,
+    RunMeta, SweepOutcome, Table, HELP,
 };
 
-fn emit(table: &Table, csv_dir: &Option<PathBuf>) {
-    println!("{}", table.to_text());
-    if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv output directory");
-        let name: String = table
-            .title
-            .chars()
-            .take_while(|c| *c != ':')
-            .filter(|c| c.is_ascii_alphanumeric())
-            .collect::<String>()
-            .to_lowercase();
-        let path = dir.join(format!("{name}.csv"));
-        std::fs::write(&path, table.to_csv()).expect("write csv");
-        eprintln!("wrote {}", path.display());
+/// Reports the outcome of writing `path` on stderr.
+///
+/// Returns `false` (after printing the contract diagnostic) when the write
+/// failed, so the caller can exit with a failure code instead of panicking;
+/// the computed table or report was already printed to stdout either way.
+#[must_use]
+fn wrote(path: &Path, outcome: std::io::Result<()>) -> bool {
+    match &outcome {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("error: cannot write {}: {e}", path.display()),
     }
+    outcome.is_ok()
+}
+
+/// Prints `table` and, with `--csv`, writes it into `csv_dir`.
+#[must_use]
+fn emit(table: &Table, csv_dir: &Option<PathBuf>) -> bool {
+    println!("{}", table.to_text());
+    let Some(dir) = csv_dir else {
+        return true;
+    };
+    let name: String = table
+        .title
+        .chars()
+        .take_while(|c| *c != ':')
+        .filter(|c| c.is_ascii_alphanumeric())
+        .collect::<String>()
+        .to_lowercase();
+    let path = dir.join(format!("{name}.csv"));
+    let outcome = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, table.to_csv()));
+    wrote(&path, outcome)
 }
 
 /// Writes a report's JSON with the provenance `meta` block spliced in.
-///
-/// Returns `false` (after printing the contract diagnostic) when the path is
-/// unwritable, so the caller can exit with a failure code instead of
-/// panicking; the computed report was already printed to stdout either way.
 #[must_use]
 fn write_report(path: &str, json: &str, meta: &RunMeta) -> bool {
-    match std::fs::write(path, with_meta(json, meta)) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            true
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {path}: {e}");
-            false
-        }
-    }
+    wrote(Path::new(path), std::fs::write(path, with_meta(json, meta)))
 }
 
 fn main() -> ExitCode {
@@ -157,14 +154,16 @@ fn main() -> ExitCode {
             ("fig7", figure7(&study)),
         ];
         for (name, table) in figures {
-            if wants(&[name, "sched", "all"]) {
-                emit(&table, &csv_dir);
+            if wants(&[name, "sched", "all"]) && !emit(&table, &csv_dir) {
+                return ExitCode::FAILURE;
             }
         }
     }
     if wants(&["fig8", "all"]) {
         let baseline = baseline_study(&scale);
-        emit(&figure8(&baseline), &csv_dir);
+        if !emit(&figure8(&baseline), &csv_dir) {
+            return ExitCode::FAILURE;
+        }
     }
     if wants(&["pages", "all", "fig9", "fig10", "fig11"]) {
         let study = page_policy_study(&scale);
@@ -174,8 +173,8 @@ fn main() -> ExitCode {
             ("fig11", figure11(&study)),
         ];
         for (name, table) in figures {
-            if wants(&[name, "pages", "all"]) {
-                emit(&table, &csv_dir);
+            if wants(&[name, "pages", "all"]) && !emit(&table, &csv_dir) {
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -187,8 +186,8 @@ fn main() -> ExitCode {
             ("fig14", figure14(&study)),
         ];
         for (name, table) in figures {
-            if wants(&[name, "channels", "all"]) {
-                emit(&table, &csv_dir);
+            if wants(&[name, "channels", "all"]) && !emit(&table, &csv_dir) {
+                return ExitCode::FAILURE;
             }
         }
         if wants(&["table4", "channels", "all"]) {
@@ -198,9 +197,6 @@ fn main() -> ExitCode {
     if wants(&["fastforward", "all"]) {
         let report = fastforward_report(&scale);
         println!("{}", report.to_text());
-        if !write_report("BENCH_fastforward.json", &report.to_json(), &meta) {
-            return ExitCode::FAILURE;
-        }
         // Regression gate (run as a CI smoke step): on dense streams the
         // event kernel has no idle cycles to skip, so any speedup below 1.0
         // means its bookkeeping is taxing the busy path.
@@ -265,27 +261,6 @@ fn main() -> ExitCode {
         println!("{}", report.to_text());
         if !write_report("BENCH_trace.json", &report.to_json(), &meta) {
             return ExitCode::FAILURE;
-        }
-    }
-    if wants(&["telemetry", "all"]) {
-        let report = telemetry_study(&scale);
-        println!("{}", report.to_text());
-        if !write_report("BENCH_telemetry.json", &report.to_json(), &meta) {
-            return ExitCode::FAILURE;
-        }
-        // Regression gate (run as a CI smoke step): with everything off the
-        // telemetry hooks must be invisible. Only enforced at standard scale
-        // and above — quick runs are too short to measure 2% reliably.
-        if scale.measure_cpu_cycles >= Scale::standard().measure_cpu_cycles {
-            if let Some(off) = report.point("off") {
-                if off.overhead_vs_off > 0.02 {
-                    eprintln!(
-                        "error: telemetry-off overhead {:.2}% exceeds the 2% budget",
-                        off.overhead_vs_off * 100.0
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
         }
     }
     if wants(&["sweep"]) {

@@ -14,7 +14,7 @@ use crate::sweep::SweepOptions;
 
 /// Usage string printed by `--help` and after any parse error.
 pub const HELP: &str = "usage: repro \
-<config|fig1..fig14|table4|sched|pages|channels|fastforward|energy|qos|reliability|trace|telemetry|sweep|all> \
+<config|fig1..fig14|table4|sched|pages|channels|fastforward|energy|qos|reliability|trace|sweep|all> \
 [--quick|--full] [--measure N] [--warmup N] [--seed N] [--threads N] [--csv DIR] \
 [--golden-regen] [--git-describe STR] \
 [--replicates N] [--workloads N] [--schedulers N] [--max-cells N] [--resume-dir DIR]";
@@ -32,7 +32,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "qos",
     "reliability",
     "trace",
-    "telemetry",
     "sweep",
     "fig1",
     "fig2",

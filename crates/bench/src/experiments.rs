@@ -36,7 +36,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Very small runs for smoke tests and Criterion benches.
+    /// Very small runs for smoke tests.
     #[must_use]
     pub fn quick() -> Self {
         Self {

@@ -5,8 +5,7 @@
 //!
 //! The [`experiments`] module contains one study per section of the paper's
 //! evaluation (scheduling, page management, multi-channel) and one builder
-//! per figure/table; the `repro` binary drives them from the command line and
-//! the Criterion benches in `benches/` exercise reduced-scale versions.
+//! per figure/table; the `repro` binary drives them from the command line.
 
 #![forbid(unsafe_code)]
 
@@ -19,14 +18,12 @@ pub mod qos;
 pub mod reliability;
 pub mod report;
 pub mod sweep;
-pub mod telemetry;
 pub mod trace;
 
 pub use cli::{parse, Options, Parsed, EXPERIMENTS, HELP};
 pub use energy::{energy_study, EnergyPoint, EnergyReport};
 pub use fastforward::{
-    dense_config, fastforward_report, four_channel_dense_config, idle_heavy_config,
-    scale_out_config, FastForwardPoint, FastForwardReport,
+    dense_config, fastforward_report, idle_heavy_config, FastForwardPoint, FastForwardReport,
 };
 pub use meta::{with_meta, RunMeta, GIT_DESCRIBE_ENV};
 pub use qos::{paper_mixes, qos_study, QosPoint, QosReport};
@@ -37,10 +34,6 @@ pub use reliability::{
 pub use sweep::{
     run_sweep, CellRecord, GroupSummary, ModeTiming, SweepOptions, SweepOutcome, SweepReport,
     SWEEP_WORKLOADS,
-};
-pub use telemetry::{
-    telemetry_config, telemetry_layers, telemetry_study, TelemetryPoint, TelemetryReport,
-    TELEMETRY_REPEATS,
 };
 pub use trace::{
     golden_config, golden_trace_path, regenerate_golden_trace, trace_study, GoldenCheck,

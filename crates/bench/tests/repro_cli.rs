@@ -75,8 +75,8 @@ fn help_prints_usage_and_succeeds() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("usage: repro"), "stdout: {stdout}");
     assert!(stdout.contains("reliability"), "stdout: {stdout}");
-    assert!(stdout.contains("telemetry"), "stdout: {stdout}");
     assert!(stdout.contains("sweep"), "stdout: {stdout}");
+    assert!(!stdout.contains("telemetry"), "stdout: {stdout}");
     assert!(stdout.contains("--resume-dir"), "stdout: {stdout}");
 }
 
@@ -195,6 +195,37 @@ fn unwritable_report_path_fails_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("error: cannot write BENCH_trace.json"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "must fail via the typed diagnostic, not a panic: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--csv` into a directory that cannot be created gets the same contract:
+/// the table on stdout, the typed diagnostic naming the path, exit code 1.
+/// A regular file squatting on the directory name forces the error.
+#[test]
+fn unwritable_csv_dir_fails_cleanly() {
+    let dir = std::env::temp_dir().join("cloudmc_repro_cli_unwritable_csv");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let blocker = dir.join("csv");
+    std::fs::write(&blocker, "not a directory").expect("create blocking file");
+    let out = repro()
+        .args(["fig8", "--quick", "--warmup", "2000", "--measure", "8000"])
+        .arg("--csv")
+        .arg(&blocker)
+        .output()
+        .expect("spawn repro binary");
+    assert_eq!(out.status.code(), Some(1), "unwritable csv dir must exit 1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Figure 8"), "stdout: {stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: cannot write") && stderr.contains(&*blocker.to_string_lossy()),
         "stderr: {stderr}"
     );
     assert!(

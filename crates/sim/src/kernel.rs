@@ -14,19 +14,12 @@
 //!
 //! # The time-ordered event queue
 //!
-//! The kernel's scheduling primitive is [`EventQueue`], a calendar (bucket
-//! ring) queue: a circular array of per-cycle FIFO buckets covering a sliding
-//! window of upcoming cycles, with a `BTreeMap` overflow level for events
-//! beyond the window. Near-future events — the overwhelmingly common case:
-//! crossbar hops, L2 latencies, DRAM timing fences — cost `O(1)` to push and
-//! pop; far-future events (refresh intervals, power-down timeouts, scheduler
-//! quanta) pay one `BTreeMap` insert and migrate into the ring as the window
-//! slides over them. Events posted for the same cycle pop in insertion
-//! order, so delivery — and with it the whole simulation — is deterministic
-//! (`event_queue_ties_pop_fifo` and the model-based property test hold it to
-//! that). "Decrease-key" is done lazily, as in a timer wheel: post the new
-//! deadline and ignore the stale one when it fires, which is also how the
-//! kernel's cached layer bounds behave.
+//! [`EventQueue`] holds pending events sorted by due cycle. Events posted
+//! for the same cycle pop in insertion order, so delivery — and with it the
+//! whole simulation — is deterministic (`event_queue_ties_pop_fifo` and the
+//! model-based property test hold it to that). A push for a cycle the queue
+//! has already drained past clamps to the last popped cycle, so a late post
+//! fires immediately rather than being lost.
 //!
 //! [`FillQueue`] — cache blocks on their way back up to a core (L2 hits
 //! after their access latency, memory fills after the crossbar) — is a thin
@@ -50,7 +43,7 @@
 //!   cycle (or an arriving fill) makes it act, and letting it run ahead
 //!   through core-private work (see the [`frontend`](crate::frontend) docs);
 //! * the fill queue is consulted via [`FillQueue::next_due_cycle`] — the
-//!   head of the calendar queue;
+//!   head of the sorted queue;
 //! * the memory controller caches, per channel, the next DRAM tick at which
 //!   the channel can possibly act (`MemoryController::next_due`, derived
 //!   from bank/rank/bus timing state, pending queues, refresh schedules,
@@ -86,9 +79,9 @@
 //! kernel's cursors, so the two cannot be mixed, and a reference-driven
 //! system refuses to snapshot.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use cloudmc_snap::{load_new, snap_fields, Snap, SnapError, SnapReader, SnapWriter};
+use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::config::DRAM_CYCLES_PER_5_CPU_CYCLES;
 
@@ -209,44 +202,21 @@ impl ClockCrossing {
     }
 }
 
-/// Cycles the calendar ring covers ahead of its base before events spill to
-/// the overflow map. Fixed at 64 so bucket occupancy fits one `u64` bitmask
-/// (the earliest pending cycle is a rotate plus a trailing-zero count);
-/// sized to cover the kernel's near-future traffic (crossbar hops, cache
-/// latencies, DRAM timing fences) with headroom.
-const EVENT_RING_SPAN: u64 = 64;
-
-/// A time-ordered event queue: a calendar (bucket ring) queue with a sorted
-/// overflow level.
+/// A time-ordered event queue: a deque kept sorted by due cycle.
 ///
-/// A circular array of `EVENT_RING_SPAN` per-cycle FIFO buckets covers the
-/// window `[base, base + span)`; events beyond the window wait in a
-/// `BTreeMap` keyed by cycle and migrate into the ring as the window slides
-/// over their cycle. Pushes, pops and next-due queries of near-future events
-/// are `O(1)` — a one-word occupancy bitmask locates the earliest non-empty
-/// bucket without walking the ring. Events due the same cycle pop in
-/// insertion order — ties are FIFO, never arbitrary — which is what makes
-/// kernels built on this queue deterministic. Rescheduling ("decrease-key")
-/// is done lazily timer-wheel style: push the new deadline and disregard the
-/// stale event when it surfaces.
+/// Its traffic is cache fills posted a constant L2 or crossbar latency
+/// ahead of the clock, bounded by the cores' MSHRs, so a push lands at or
+/// near the back and the queue stays a few dozen entries long. Events due
+/// the same cycle pop in insertion order — ties are FIFO, never arbitrary —
+/// which is what makes kernels built on this queue deterministic.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// Per-cycle FIFO buckets; cycle `c` lives at `c % EVENT_RING_SPAN`
-    /// while `c - base < EVENT_RING_SPAN`.
-    ring: Vec<VecDeque<T>>,
-    /// Occupancy bitmask: bit `i` set iff `ring[i]` is non-empty.
-    occupied: u64,
-    /// Start of the ring's window. Only advances on pops, so it never
-    /// outruns the caller's clock: any push at or after the current cycle
-    /// lands at its exact position.
+    /// Pending `(cycle, item)` pairs in pop order: non-decreasing cycle,
+    /// insertion order within a cycle.
+    events: VecDeque<(u64, T)>,
+    /// Cycle of the last popped event; earlier pushes clamp to it. Only
+    /// advances on pops, so it never outruns the caller's clock.
     base: u64,
-    /// Events in the ring.
-    ring_len: usize,
-    /// Far-future events, migrated into the ring as `base` advances.
-    /// Invariant: every key is `>= base + EVENT_RING_SPAN`.
-    overflow: BTreeMap<u64, VecDeque<T>>,
-    /// Events in the overflow map.
-    overflow_len: usize,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -256,122 +226,55 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue with its window starting at cycle 0.
+    /// An empty queue that has drained nothing yet.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            ring: std::iter::repeat_with(VecDeque::new)
-                .take(EVENT_RING_SPAN as usize)
-                .collect(),
-            occupied: 0,
+            events: VecDeque::new(),
             base: 0,
-            ring_len: 0,
-            overflow: BTreeMap::new(),
-            overflow_len: 0,
         }
     }
 
     /// Total scheduled events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow_len
+        self.events.len()
     }
 
     /// Whether no event is scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.events.is_empty()
     }
 
-    /// Schedules `item` for cycle `due`. Cycles the queue has already
-    /// drained past clamp to the start of the window, so a late post fires
-    /// immediately rather than being lost.
+    /// Schedules `item` for cycle `due`, behind every event already due
+    /// then. Cycles the queue has already drained past clamp to the last
+    /// popped cycle, so a late post fires immediately rather than being
+    /// lost.
     pub fn push(&mut self, due: u64, item: T) {
         let due = due.max(self.base);
-        if due - self.base < EVENT_RING_SPAN {
-            let idx = (due % EVENT_RING_SPAN) as usize;
-            self.ring[idx].push_back(item);
-            self.occupied |= 1 << idx;
-            self.ring_len += 1;
+        // The longest delay in use (an L2 hit) is also the commonest push,
+        // and it is due after everything pending: append without searching.
+        if self.events.back().is_none_or(|&(cycle, _)| cycle <= due) {
+            self.events.push_back((due, item));
         } else {
-            self.overflow.entry(due).or_default().push_back(item);
-            self.overflow_len += 1;
+            let at = self.events.partition_point(|&(cycle, _)| cycle <= due);
+            self.events.insert(at, (due, item));
         }
     }
 
-    /// The earliest occupied cycle in the ring, located via the occupancy
-    /// bitmask in constant time.
-    fn first_ring_cycle(&self) -> Option<u64> {
-        if self.occupied == 0 {
-            return None;
-        }
-        let start = (self.base % EVENT_RING_SPAN) as u32;
-        let offset = u64::from(self.occupied.rotate_right(start).trailing_zeros());
-        Some(self.base + offset)
-    }
-
-    /// The cycle of the earliest scheduled event, if any. Ring events always
-    /// precede overflow events (overflow keys lie beyond the window).
+    /// The cycle of the earliest scheduled event, if any.
     #[must_use]
     pub fn next_due(&self) -> Option<u64> {
-        self.first_ring_cycle()
-            .or_else(|| self.overflow.keys().next().copied())
-    }
-
-    /// Pulls every overflow bucket now inside `[base, base + span)` into the
-    /// ring. Migration happens eagerly on every `base` advance, before any
-    /// new push can target the newly covered cycle, so same-cycle FIFO order
-    /// is preserved across the overflow boundary.
-    fn migrate(&mut self) {
-        while let Some((&cycle, _)) = self.overflow.first_key_value() {
-            if cycle - self.base >= EVENT_RING_SPAN {
-                break;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "key returned by first_key_value two lines up"
-            )]
-            let bucket = self.overflow.remove(&cycle).expect("first key exists");
-            self.overflow_len -= bucket.len();
-            self.ring_len += bucket.len();
-            let idx = (cycle % EVENT_RING_SPAN) as usize;
-            debug_assert!(
-                self.ring[idx].is_empty(),
-                "migrated into an occupied bucket"
-            );
-            self.ring[idx] = bucket;
-            self.occupied |= 1 << idx;
-        }
+        self.events.front().map(|&(cycle, _)| cycle)
     }
 
     /// Removes and returns the earliest event if it is due at or before
     /// `now`; same-cycle events come back in insertion order.
     pub fn pop_due(&mut self, now: u64) -> Option<T> {
-        let cycle = match self.first_ring_cycle() {
-            Some(cycle) => cycle,
-            None => *self.overflow.first_key_value()?.0,
-        };
-        if cycle > now {
-            return None;
-        }
-        // Slide the window up to the event being popped (cycle <= now, so
-        // the base never outruns the caller's clock) and migrate overflow
-        // buckets the window now covers.
+        let cycle = self.next_due().filter(|&cycle| cycle <= now)?;
         self.base = cycle;
-        self.migrate();
-        let idx = (cycle % EVENT_RING_SPAN) as usize;
-        #[expect(
-            clippy::expect_used,
-            reason = "occupied bitmap guarantees a pending event at idx"
-        )]
-        let item = self.ring[idx]
-            .pop_front()
-            .expect("first pending bucket is non-empty");
-        self.ring_len -= 1;
-        if self.ring[idx].is_empty() {
-            self.occupied &= !(1 << idx);
-        }
-        Some(item)
+        self.events.pop_front().map(|(_, item)| item)
     }
 }
 
@@ -421,8 +324,7 @@ impl FillQueue {
 
     /// Every undelivered `(core, addr)`, in no particular order.
     pub(crate) fn pending(&self) -> impl Iterator<Item = &(usize, u64)> {
-        let queue = &self.queue;
-        queue.ring.iter().chain(queue.overflow.values()).flatten()
+        self.queue.events.iter().map(|(_, item)| item)
     }
 }
 
@@ -435,62 +337,32 @@ snap_fields! {
     }
 }
 
-/// Structural image: the window base plus every pending event as
-/// `(cycle, item)` in pop order. A restore replays the pushes onto an empty
-/// queue at the saved base, so it clamps and migrates identically.
+/// Structural image: the clamp base, then every pending event as
+/// `(cycle, item)` in pop order — which is the storage order.
 impl<T: Snap + Default> Snap for EventQueue<T> {
     const MIN_BYTES: usize = 16;
 
     fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            ring,
-            occupied: _,
-            base,
-            ring_len,
-            overflow,
-            overflow_len,
-        } = self;
+        let Self { events, base } = self;
         base.save(w);
-        w.usize(ring_len + overflow_len);
-        // Ring buckets in cycle order from the base, then overflow buckets
-        // (whose keys all lie beyond the ring window) in key order.
-        let ring_buckets = (0..EVENT_RING_SPAN).map(|offset| {
-            let cycle = base + offset;
-            (cycle, &ring[(cycle % EVENT_RING_SPAN) as usize])
-        });
-        let overflow_buckets = overflow.iter().map(|(&cycle, bucket)| (cycle, bucket));
-        for (cycle, bucket) in ring_buckets.chain(overflow_buckets) {
-            for item in bucket {
-                cycle.save(w);
-                item.save(w);
-            }
-        }
+        events.save(w);
     }
 
+    /// Events are taken in the order stored and never re-sorted: an image
+    /// whose cycles step backwards (or start before the base) is one no
+    /// `save` produces.
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let Self {
-            ring,
-            occupied,
-            base,
-            ring_len,
-            overflow,
-            overflow_len,
-        } = self;
-        ring.iter_mut().for_each(VecDeque::clear);
-        overflow.clear();
-        (*occupied, *ring_len, *overflow_len) = (0, 0, 0);
+        let Self { events, base } = self;
         base.load(r)?;
-        if *base > u64::MAX - EVENT_RING_SPAN {
-            return Err(r.bad_value(format!("window base {base} leaves no room for the ring")));
-        }
-        for _ in 0..r.bounded_len(8 + T::MIN_BYTES)? {
-            let (cycle, item): (u64, T) = load_new(r)?;
-            if cycle < self.base {
-                return Err(
-                    r.bad_value(format!("event at cycle {cycle} before base {}", self.base))
-                );
+        events.load(r)?;
+        let mut floor = *base;
+        for &(cycle, _) in events.iter() {
+            if cycle < floor {
+                return Err(r.bad_value(format!(
+                    "event at cycle {cycle} stored after cycle {floor} (base {base})"
+                )));
             }
-            self.push(cycle, item);
+            floor = cycle;
         }
         Ok(())
     }
@@ -507,6 +379,14 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudmc_snap::load_new;
+    use std::collections::BTreeMap;
+
+    /// Window of the calendar ring this queue replaced: events `>= 64`
+    /// cycles past the base used to live in a separate overflow level. The
+    /// `ring` / `overflow` tests below are that design's edge cases, kept as
+    /// plain ordering tests at the same distances.
+    const OLD_RING_SPAN: u64 = 64;
 
     #[test]
     fn clock_ratio_is_exactly_two_dram_per_five_cpu() {
@@ -616,13 +496,11 @@ mod tests {
     #[test]
     fn event_queue_ties_pop_fifo() {
         let mut q = EventQueue::new();
-        // Same-cycle ties must pop in insertion order, including across the
-        // ring/overflow boundary: 0..4 go to the ring, the far batch to the
-        // overflow map, and both preserve per-cycle FIFO.
+        // Same-cycle ties must pop in insertion order, near and far.
         for i in 0..4u32 {
             q.push(7, i);
         }
-        let far = 7 + 3 * EVENT_RING_SPAN;
+        let far = 7 + 3 * OLD_RING_SPAN;
         for i in 10..14u32 {
             q.push(far, i);
         }
@@ -644,16 +522,16 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(50, "a");
         assert_eq!(q.pop_due(50), Some("a"));
-        // The window has drained past cycle 10; a late post must still fire.
+        // The queue has drained past cycle 10; a late post must still fire.
         q.push(10, "late");
         assert_eq!(q.next_due(), Some(50));
         assert_eq!(q.pop_due(50), Some("late"));
     }
 
     /// Model-based property test: against a reference `BTreeMap` of FIFO
-    /// buckets, the calendar queue must agree on every pop and every
-    /// next-due answer across a long pseudo-random mix of dense (near) and
-    /// sparse (far) schedules. Determinism of same-cycle ties falls out of
+    /// buckets, the queue must agree on every pop and every next-due answer
+    /// across a long pseudo-random mix of dense (near) and sparse (far)
+    /// schedules. Determinism of same-cycle ties falls out of
     /// the comparison: the model pops strictly in (cycle, insertion) order.
     #[test]
     fn event_queue_matches_reference_model() {
@@ -669,9 +547,8 @@ mod tests {
         };
         for op in 0..20_000u32 {
             match next(4) {
-                // Dense near-future push (in-ring) or sparse far push
-                // (overflow), tagged with the op index so FIFO violations
-                // are visible.
+                // Dense near-future push or sparse far push, tagged with
+                // the op index so FIFO violations are visible.
                 0 | 1 => {
                     let horizon = if next(8) == 0 { 1000 } else { 16 };
                     let due = now + next(horizon);
@@ -707,18 +584,17 @@ mod tests {
         assert!(q.len() == model.values().map(VecDeque::len).sum::<usize>());
     }
 
-    /// The exact ring edge: from any base, `base + EVENT_RING_SPAN - 1` is
-    /// the last in-ring cycle and `base + EVENT_RING_SPAN` is the first
-    /// overflow cycle — and both pop at their due cycles in order.
+    /// From any base, events `OLD_RING_SPAN - 1` and `OLD_RING_SPAN` cycles
+    /// ahead, pushed in reverse, both pop at their due cycles in order.
     #[test]
     fn event_queue_ring_edge_straddles_in_and_out_of_window() {
         for base in [0u64, 1, 63, 64, 65, 1000] {
             let mut q = EventQueue::new();
-            // Slide the window to `base` by popping an event there.
+            // Move the base by popping an event there.
             q.push(base, 0u32);
             assert_eq!(q.pop_due(base), Some(0));
-            let last_in = base + EVENT_RING_SPAN - 1;
-            let first_out = base + EVENT_RING_SPAN;
+            let last_in = base + OLD_RING_SPAN - 1;
+            let first_out = base + OLD_RING_SPAN;
             q.push(first_out, 2);
             q.push(last_in, 1);
             assert_eq!(q.len(), 2);
@@ -731,25 +607,23 @@ mod tests {
         }
     }
 
-    /// Events pushed past the window land in overflow and migrate into the
-    /// ring as the base slides over them, preserving FIFO order with events
-    /// pushed directly into the ring at the same cycle *after* migration.
+    /// Far events keep FIFO order with an event pushed at the same cycle
+    /// *after* the base has reached it.
     #[test]
     fn event_queue_overflow_promotes_across_window_slides() {
         let mut q = EventQueue::new();
-        // Far beyond the first window: multiple buckets, FIFO within each.
+        // Far ahead: several cycles, FIFO within each.
         q.push(200, 1u32);
         q.push(200, 2);
         q.push(300, 3);
         q.push(0, 0);
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop_due(0), Some(0));
-        // Nothing due while only overflow remains.
+        // Nothing due while only far events remain.
         assert_eq!(q.pop_due(199), None);
-        // Popping at 200 slides the window there and migrates the bucket.
+        // Popping at 200 moves the base there.
         assert_eq!(q.pop_due(250), Some(1));
-        // A ring push at the just-migrated cycle queues behind the migrated
-        // events (migration is eager on base advance, so order is total).
+        // A push at the base cycle queues behind the events already due then.
         q.push(200, 9);
         assert_eq!(q.pop_due(250), Some(2));
         assert_eq!(q.pop_due(250), Some(9));
@@ -758,14 +632,14 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Lazy decrease-key across the ring/overflow boundary: rescheduling an
-    /// overflow event to an earlier in-ring cycle delivers the new deadline
-    /// first, and the stale overflow entry surfaces later to be discarded.
+    /// Lazy decrease-key: rescheduling a far event to an earlier cycle by
+    /// pushing it again delivers the new deadline first, and the stale entry
+    /// surfaces later to be discarded.
     #[test]
     fn event_queue_decrease_key_across_ring_overflow_boundary() {
         let mut q = EventQueue::new();
-        // Original deadline far in the future (overflow), then the timer is
-        // "decreased" to an in-ring cycle by pushing the same token again.
+        // Original deadline far in the future, then the timer is "decreased"
+        // by pushing the same token again.
         q.push(500, 7u32);
         q.push(10, 7);
         assert_eq!(q.next_due(), Some(10));
@@ -778,10 +652,10 @@ mod tests {
         assert_eq!(q.pop_due(500), Some(7));
         assert!(q.is_empty());
 
-        // And the reverse direction: an in-ring deadline superseded by a
-        // farther one (increase-key) still pops the earlier copy first.
-        // (Fresh queue: the one above has slid its window past cycle 20,
-        // so a push there would clamp forward to the base.)
+        // And the reverse direction: a near deadline superseded by a farther
+        // one (increase-key) still pops the earlier copy first. (Fresh
+        // queue: the one above has drained past cycle 20, so a push there
+        // would clamp forward to the base.)
         let mut q = EventQueue::new();
         q.push(20, 3u32);
         q.push(400, 3);
@@ -789,5 +663,85 @@ mod tests {
         assert_eq!(q.next_due(), Some(400));
         assert_eq!(q.pop_due(400), Some(3));
         assert!(q.is_empty());
+    }
+
+    /// Ties, a clamped late push, an event exactly `OLD_RING_SPAN` ahead and
+    /// a far one: six pending fills behind base 16.
+    fn scripted_fill_queue() -> FillQueue {
+        let mut q = FillQueue::new();
+        q.push(20, 1, 0xA0);
+        q.push(16, 2, 0xB0);
+        q.push(20, 3, 0xC0);
+        q.push(1016, 4, 0xD0);
+        q.push(16, 5, 0xE0);
+        assert_eq!(q.pop_due(16), Some((2, 0xB0)));
+        q.push(3, 6, 0xF0);
+        q.push(16 + OLD_RING_SPAN, 7, 0x100);
+        q
+    }
+
+    fn sealed_image(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+        let mut w = SnapWriter::new(0);
+        save(&mut w);
+        w.finish()
+    }
+
+    /// The image format did not change with the queue's storage: these are
+    /// the bytes the calendar-ring implementation (commit `ae45039`) wrote
+    /// for the same script, and they restore to the same pop sequence.
+    #[test]
+    fn fill_queue_image_matches_bytes_of_the_calendar_ring() {
+        const GOLDEN: &str = "\
+            434d43534e415031050000000000000000000000a50a66696c6c2d7175657565\
+            1000000000000000060000000000000010000000000000000500000000000000\
+            e00000000000000010000000000000000600000000000000f000000000000000\
+            14000000000000000100000000000000a0000000000000001400000000000000\
+            0300000000000000c00000000000000050000000000000000700000000000000\
+            0001000000000000f8030000000000000400000000000000d000000000000000\
+            26088897e7d56c52";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let mut q = scripted_fill_queue();
+        assert_eq!(sealed_image(|w| q.save(w)), golden);
+
+        let mut restored = FillQueue::new();
+        let mut r = SnapReader::new(&golden, 0).unwrap();
+        restored.load(&mut r).unwrap();
+        r.finish().unwrap();
+        // The late push after a restore clamps to the restored base.
+        for fills in [&mut q, &mut restored] {
+            fills.push(0, 8, 0x110);
+        }
+        while let Some(fill) = q.pop_due(u64::MAX) {
+            assert_eq!(restored.pop_due(u64::MAX), Some(fill));
+        }
+        assert!(restored.is_empty());
+    }
+
+    /// A restore never re-sorts: an event stored behind a later one, or
+    /// before the base, is an image no `save` writes.
+    #[test]
+    fn event_queue_load_rejects_out_of_order_events() {
+        let load = |base: u64, events: &[(u64, u32)]| {
+            let image = sealed_image(|w| {
+                base.save(w);
+                events.to_vec().save(w);
+            });
+            let mut r = SnapReader::new(&image, 0).unwrap();
+            load_new::<EventQueue<u32>>(&mut r)
+        };
+        let mut q = load(5, &[(5, 0), (5, 1), (9, 2)]).unwrap();
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop_due(5), Some(0));
+        assert!(matches!(
+            load(5, &[(7, 0), (6, 1)]),
+            Err(SnapError::BadValue { .. })
+        ));
+        assert!(matches!(
+            load(5, &[(4, 0)]),
+            Err(SnapError::BadValue { .. })
+        ));
     }
 }

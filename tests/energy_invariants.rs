@@ -25,7 +25,7 @@ fn idle_config(seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Acceptance criterion: energy totals bit-identical between the event kernel
+/// Acceptance test: energy totals bit-identical between the event kernel
 /// and the reference loop for every scheduler and page policy (power-down on so
 /// the power-state machinery is actually in the loop).
 #[test]

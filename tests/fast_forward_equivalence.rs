@@ -42,7 +42,7 @@ fn assert_equivalent(cfg: SystemConfig, label: &str) -> SimStats {
     event
 }
 
-/// Acceptance criterion: identical stats on several seeded workloads under
+/// Acceptance test: identical stats on several seeded workloads under
 /// the baseline controller (FR-FCFS, open-adaptive).
 #[test]
 fn baseline_stats_are_bit_identical_across_seeds() {
@@ -301,6 +301,35 @@ fn conservation_holds_under_fast_forward() {
         let sent = system.memory_reads_sent() + system.memory_writes_sent();
         let completed = system.controller_stats().completed();
         assert_eq!(sent, completed + system.requests_in_flight());
+    }
+}
+
+/// Fill delays no shipped configuration uses: a 100-cycle L2 bank behind an
+/// 80-cycle crossbar returns L2 hits after 260 CPU cycles and memory fills
+/// after 80, so the fill queue holds events far ahead of the clock and grows
+/// well past its usual depth. Reference ≡ event, and a run resumed from a
+/// mid-warm-up snapshot (pending far fills in the image) ≡ uninterrupted.
+#[test]
+fn far_fill_delays_are_bit_identical_and_restartable() {
+    for workload in [Workload::WebSearch, Workload::TpchQ6] {
+        let mut cfg = small(workload, 3);
+        cfg.l2.bank_latency = 100;
+        cfg.l2.crossbar_latency = 80;
+        let label = format!("{workload:?} with 260/80-cycle fills");
+        let uninterrupted = assert_equivalent(cfg.clone(), &label);
+        assert!(uninterrupted.reads_completed > 0, "{label}: no traffic");
+
+        let cut = cfg.warmup_cpu_cycles / 2 + 1;
+        let mut first = Simulator::new(cfg.clone()).expect("valid config");
+        first.system_mut().run_cycles(cut);
+        let image = first.system().snapshot().expect("snapshot supported");
+        let mut resumed = Simulator::from_snapshot(cfg.clone(), &image).expect("restore");
+        resumed.system_mut().run_cycles(cfg.warmup_cpu_cycles - cut);
+        assert_eq!(
+            resumed.run_measurement().expect("resumed run"),
+            uninterrupted,
+            "{label}: run resumed from a cycle-{cut} snapshot diverged"
+        );
     }
 }
 

@@ -34,7 +34,7 @@ fn identical_seeds_produce_byte_identical_stats() {
 
 /// Determinism holds for the multi-channel backend too.
 #[test]
-fn sharded_runs_are_deterministic() {
+fn four_channel_runs_are_deterministic() {
     let mut cfg = small(Workload::TpchQ6);
     cfg.num_channels = 4;
     let a = run_system(cfg.clone()).unwrap();
@@ -46,7 +46,7 @@ fn sharded_runs_are_deterministic() {
 /// still in flight (controller queues, DRAM, or retry buckets) — nothing is
 /// lost or double-counted, at any observation point, for any channel count.
 #[test]
-fn requests_are_conserved_across_shard_counts() {
+fn requests_are_conserved_across_channel_counts() {
     for num_channels in [1usize, 2, 4] {
         let mut cfg = small(Workload::TpchQ6);
         cfg.num_channels = num_channels;
@@ -78,7 +78,7 @@ fn requests_are_conserved_across_shard_counts() {
 /// With the default single channel the system matches the seed system's
 /// observable behaviour on the reference workload.
 #[test]
-fn single_shard_matches_seed_behaviour() {
+fn single_channel_matches_seed_behaviour() {
     let stats = run_system(small(Workload::DataServing)).unwrap();
     assert_eq!(stats.channels, 1);
     assert_eq!(stats.cores, 16);

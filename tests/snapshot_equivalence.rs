@@ -71,7 +71,7 @@ fn assert_restartable(cfg: SystemConfig, label: &str) -> SimStats {
     reference
 }
 
-/// Acceptance criterion: a resumed event-kernel run equals the uninterrupted
+/// Acceptance test: a resumed event-kernel run equals the uninterrupted
 /// run of both kernels, on a single-channel and a four-channel backend (the
 /// image carries every channel's controller state and cached due bound).
 #[test]
@@ -159,7 +159,7 @@ fn snapshots_after_many_odd_chunks_resume_bit_identically() {
     }
 }
 
-/// Acceptance criterion: a latency-critical + batch tenant mix (with the
+/// Acceptance test: a latency-critical + batch tenant mix (with the
 /// DMA-driven web frontend so injector credit is in the image) resumes
 /// bit-identically, including every per-tenant statistic.
 #[test]
@@ -175,7 +175,7 @@ fn tenant_mix_resumes_bit_identically() {
     assert!(stats.instructions_per_tenant.iter().all(|&n| n > 0));
 }
 
-/// Acceptance criterion: a fault-enabled configuration — transient injection,
+/// Acceptance test: a fault-enabled configuration — transient injection,
 /// stuck rows, patrol scrub, demand retries, row retirement and poisoning all
 /// active — resumes bit-identically, ledger and all.
 #[test]

@@ -140,7 +140,7 @@ fn series_and_spans_are_identical_across_kernels_and_threads() {
 /// latency-critical/batch tenant mix, and a non-FCFS scheduler. Per-tenant
 /// bandwidth shares must agree across both kernels too.
 #[test]
-fn sharded_tenant_mix_series_are_identical() {
+fn two_channel_tenant_mix_series_are_identical() {
     let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
         .and(TenantSpec::batch(Workload::TpchQ6, 8));
     let mut cfg = SystemConfig::mixed(mix);

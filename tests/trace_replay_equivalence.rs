@@ -69,7 +69,7 @@ fn assert_record_replay_equivalent(cfg: &SystemConfig, name: &str) -> SimStats {
     recorded
 }
 
-/// Acceptance criterion: two solo workloads x two seeds, plus the DMA-driven
+/// Acceptance test: two solo workloads x two seeds, plus the DMA-driven
 /// Web Frontend whose injector traffic is regenerated (not traced) and must
 /// line up cycle for cycle.
 #[test]
@@ -87,7 +87,7 @@ fn solo_workloads_record_replay_bit_identical() {
     assert_record_replay_equivalent(&small(Workload::WebFrontend, 3), "WebFrontend_s3");
 }
 
-/// Acceptance criterion: a latency-critical + batch tenant mix replays with
+/// Acceptance test: a latency-critical + batch tenant mix replays with
 /// every per-tenant statistic intact, across two seeds.
 #[test]
 fn multi_tenant_mix_record_replay_bit_identical() {
