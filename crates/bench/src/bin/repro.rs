@@ -32,29 +32,27 @@
 //!                 with bit-identical stats asserted, plus the golden
 //!                 mini-trace check; writes BENCH_trace.json
 //!                 (--golden-regen rewrites tests/data/golden_mix.trace)
-//!   sweep         snapshot-forked experiment sweep: warm each
-//!                 (workload, scheduler) once, checkpoint it, fork the
-//!                 replicates from the image across worker threads, and
-//!                 demand bit-identity with serial + parallel cold runs;
-//!                 resumable via --resume-dir; writes BENCH_sweep.json
-//!   all           everything above except sweep
+//!   all           everything above
 //!
 //! options:
 //!   --quick | --full      run length preset (default: standard)
 //!   --measure <cycles>    override measurement CPU cycles
 //!   --warmup <cycles>     override warm-up CPU cycles
 //!   --seed <n>            workload seed (default 1)
-//!   --threads <n>         worker threads across runs (one cell per
+//!   --threads <n>         worker threads across runs (one configuration per
 //!                         thread; a single run is always one thread)
 //!   --csv <dir>           also write each table as CSV into <dir>
 //!   --git-describe <s>    version string for the report meta block
 //!                         (or set REPRO_GIT_DESCRIBE)
-//!   --replicates <n>      sweep: measured replicates per cell (default 3)
-//!   --workloads <n>       sweep: workloads in the grid (default 4)
-//!   --schedulers <n>      sweep: schedulers in the grid (default 5)
-//!   --max-cells <n>       sweep: stop after n fresh cells (resume later)
-//!   --resume-dir <dir>    sweep: cell cache directory
-//!                         (default BENCH_sweep_cells)
+//!   --replicates <n>      figure experiments: measured seeds per
+//!                         configuration, forked from one warm-up; tables
+//!                         print mean +/- 95% CI (default 1)
+//!   --resume-dir <dir>    keep every finished cell in <dir> and reuse it on
+//!                         the next run (default: nothing kept)
+//!   --max-cells <n>       stop after n freshly simulated cells, writing no
+//!                         report; rerun the same command to resume
+//!
+//! Progress (one line per finished configuration) goes to stderr.
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -64,30 +62,29 @@ use cloudmc_bench::{
     baseline_study, channel_study, config_report, energy_study, fastforward_report, figure1,
     figure10, figure11, figure12, figure13, figure14, figure2, figure3, figure4, figure5, figure6,
     figure7, figure8, figure9, page_policy_study, parse, qos_study, regenerate_golden_trace,
-    reliability_study, run_sweep, scheduler_study, trace_study, with_meta, Options, Parsed,
-    RunMeta, SweepOutcome, Table, HELP,
+    reliability_study, scheduler_study, trace_study, with_meta, Options, Parsed, RunMeta,
+    SweepError, Table, HELP,
 };
 
 /// Reports the outcome of writing `path` on stderr.
 ///
-/// Returns `false` (after printing the contract diagnostic) when the write
-/// failed, so the caller can exit with a failure code instead of panicking;
-/// the computed table or report was already printed to stdout either way.
-#[must_use]
-fn wrote(path: &Path, outcome: std::io::Result<()>) -> bool {
+/// Returns `Err(FAILURE)` (after printing the contract diagnostic) when the
+/// write failed, so the caller can exit with a failure code instead of
+/// panicking; the computed table or report was already printed to stdout
+/// either way.
+fn wrote(path: &Path, outcome: std::io::Result<()>) -> Result<(), ExitCode> {
     match &outcome {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("error: cannot write {}: {e}", path.display()),
     }
-    outcome.is_ok()
+    outcome.map_err(|_| ExitCode::FAILURE)
 }
 
 /// Prints `table` and, with `--csv`, writes it into `csv_dir`.
-#[must_use]
-fn emit(table: &Table, csv_dir: &Option<PathBuf>) -> bool {
+fn emit(table: &Table, csv_dir: &Option<PathBuf>) -> Result<(), ExitCode> {
     println!("{}", table.to_text());
     let Some(dir) = csv_dir else {
-        return true;
+        return Ok(());
     };
     let name: String = table
         .title
@@ -102,9 +99,24 @@ fn emit(table: &Table, csv_dir: &Option<PathBuf>) -> bool {
 }
 
 /// Writes a report's JSON with the provenance `meta` block spliced in.
-#[must_use]
-fn write_report(path: &str, json: &str, meta: &RunMeta) -> bool {
+fn write_report(path: &str, json: &str, meta: &RunMeta) -> Result<(), ExitCode> {
     wrote(Path::new(path), std::fs::write(path, with_meta(json, meta)))
+}
+
+/// A study's results, or how `repro` ends instead: a `--max-cells` stop
+/// prints the resume hint and succeeds, a failed configuration prints the
+/// error and fails. Either way nothing more is printed or written.
+fn finished<T>(experiment: &str, result: Result<T, SweepError>) -> Result<T, ExitCode> {
+    result.map_err(|e| match e {
+        SweepError::Stopped { .. } => {
+            eprintln!("{e}");
+            ExitCode::SUCCESS
+        }
+        SweepError::Failed { .. } => {
+            eprintln!("error: {experiment}: {e}");
+            ExitCode::FAILURE
+        }
+    })
 }
 
 fn main() -> ExitCode {
@@ -120,6 +132,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    match run(*opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+fn run(opts: Options) -> Result<(), ExitCode> {
     let Options {
         experiment,
         scale,
@@ -128,7 +147,7 @@ fn main() -> ExitCode {
         golden_regen,
         git_describe,
         sweep,
-    } = *opts;
+    } = opts;
     let meta = RunMeta::collect(&scale_label, git_describe.as_deref());
     let exp = experiment.as_str();
     let wants = |names: &[&str]| names.contains(&exp);
@@ -143,7 +162,7 @@ fn main() -> ExitCode {
     if wants(&[
         "sched", "all", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
     ]) {
-        let study = scheduler_study(&scale);
+        let study = finished(exp, scheduler_study(&scale, &sweep))?;
         let figures = [
             ("fig1", figure1(&study)),
             ("fig2", figure2(&study)),
@@ -154,40 +173,38 @@ fn main() -> ExitCode {
             ("fig7", figure7(&study)),
         ];
         for (name, table) in figures {
-            if wants(&[name, "sched", "all"]) && !emit(&table, &csv_dir) {
-                return ExitCode::FAILURE;
+            if wants(&[name, "sched", "all"]) {
+                emit(&table, &csv_dir)?;
             }
         }
     }
     if wants(&["fig8", "all"]) {
-        let baseline = baseline_study(&scale);
-        if !emit(&figure8(&baseline), &csv_dir) {
-            return ExitCode::FAILURE;
-        }
+        let baseline = finished(exp, baseline_study(&scale, &sweep))?;
+        emit(&figure8(&baseline), &csv_dir)?;
     }
     if wants(&["pages", "all", "fig9", "fig10", "fig11"]) {
-        let study = page_policy_study(&scale);
+        let study = finished(exp, page_policy_study(&scale, &sweep))?;
         let figures = [
             ("fig9", figure9(&study)),
             ("fig10", figure10(&study)),
             ("fig11", figure11(&study)),
         ];
         for (name, table) in figures {
-            if wants(&[name, "pages", "all"]) && !emit(&table, &csv_dir) {
-                return ExitCode::FAILURE;
+            if wants(&[name, "pages", "all"]) {
+                emit(&table, &csv_dir)?;
             }
         }
     }
     if wants(&["channels", "all", "fig12", "fig13", "fig14", "table4"]) {
-        let study = channel_study(&scale);
+        let study = finished(exp, channel_study(&scale, &sweep))?;
         let figures = [
             ("fig12", figure12(&study)),
             ("fig13", figure13(&study)),
             ("fig14", figure14(&study)),
         ];
         for (name, table) in figures {
-            if wants(&[name, "channels", "all"]) && !emit(&table, &csv_dir) {
-                return ExitCode::FAILURE;
+            if wants(&[name, "channels", "all"]) {
+                emit(&table, &csv_dir)?;
             }
         }
         if wants(&["table4", "channels", "all"]) {
@@ -207,30 +224,24 @@ fn main() -> ExitCode {
                     p.name,
                     p.speedup()
                 );
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         }
     }
     if wants(&["energy", "all"]) {
-        let report = energy_study(&scale);
+        let report = finished(exp, energy_study(&scale, &sweep))?;
         println!("{}", report.to_text());
-        if !write_report("BENCH_energy.json", &report.to_json(), &meta) {
-            return ExitCode::FAILURE;
-        }
+        write_report("BENCH_energy.json", &report.to_json(), &meta)?;
     }
     if wants(&["qos", "all"]) {
-        let report = qos_study(&scale);
+        let report = finished(exp, qos_study(&scale, &sweep))?;
         println!("{}", report.to_text());
-        if !write_report("BENCH_qos.json", &report.to_json(), &meta) {
-            return ExitCode::FAILURE;
-        }
+        write_report("BENCH_qos.json", &report.to_json(), &meta)?;
     }
     if wants(&["reliability", "all"]) {
-        let report = reliability_study(&scale);
+        let report = finished(exp, reliability_study(&scale, &sweep))?;
         println!("{}", report.to_text());
-        if !write_report("BENCH_reliability.json", &report.to_json(), &meta) {
-            return ExitCode::FAILURE;
-        }
+        write_report("BENCH_reliability.json", &report.to_json(), &meta)?;
         // Regression gate (run as a CI smoke step): the fault ledger must
         // balance on every point, and scrubbing must have produced real
         // traffic wherever it was enabled.
@@ -239,11 +250,11 @@ fn main() -> ExitCode {
                 == p.stats.faults_corrected + p.stats.faults_uncorrectable + p.stats.faults_latent;
             if !ledger_ok {
                 eprintln!("error: fault ledger out of balance at `{}`", p.label());
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
             if p.scrub_interval > 0 && p.stats.scrub_reads_completed == 0 {
                 eprintln!("error: scrubbing enabled but idle at `{}`", p.label());
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         }
     }
@@ -253,40 +264,13 @@ fn main() -> ExitCode {
                 Ok(path) => eprintln!("regenerated {}", path.display()),
                 Err(e) => {
                     eprintln!("error: golden trace regeneration failed: {e}");
-                    return ExitCode::FAILURE;
+                    return Err(ExitCode::FAILURE);
                 }
             }
         }
         let report = trace_study(&scale);
         println!("{}", report.to_text());
-        if !write_report("BENCH_trace.json", &report.to_json(), &meta) {
-            return ExitCode::FAILURE;
-        }
+        write_report("BENCH_trace.json", &report.to_json(), &meta)?;
     }
-    if wants(&["sweep"]) {
-        match run_sweep(&sweep, &scale) {
-            Ok(SweepOutcome::Complete(report)) => {
-                println!("{}", report.to_text());
-                if !write_report("BENCH_sweep.json", &report.to_json(), &meta) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            Ok(SweepOutcome::Stopped {
-                new_cells,
-                cached_cells,
-                remaining,
-            }) => {
-                eprintln!(
-                    "sweep stopped after {new_cells} new cells ({cached_cells} cached, \
-                     {remaining} remaining): rerun the same command to resume from {}",
-                    sweep.resume_dir.display()
-                );
-            }
-            Err(e) => {
-                eprintln!("error: sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -3,9 +3,9 @@
 //! Every experiment handler used to re-read the same flags out of a shared
 //! ad-hoc loop inside the binary; this module owns the full grammar — the
 //! experiment word, the run-length preset, the per-run overrides, and the
-//! sweep orchestrator's flags — so the binary and the tests exercise exactly
-//! one parser. Error strings are part of the CLI contract
-//! (`crates/bench/tests/repro_cli.rs` asserts them verbatim).
+//! executor's flags (replicates, resume directory, cell cap) — so the binary
+//! and the tests exercise exactly one parser. Error strings are part of the
+//! CLI contract (`crates/bench/tests/repro_cli.rs` asserts them verbatim).
 
 use std::path::PathBuf;
 
@@ -14,10 +14,9 @@ use crate::sweep::SweepOptions;
 
 /// Usage string printed by `--help` and after any parse error.
 pub const HELP: &str = "usage: repro \
-<config|fig1..fig14|table4|sched|pages|channels|fastforward|energy|qos|reliability|trace|sweep|all> \
+<config|fig1..fig14|table4|sched|pages|channels|fastforward|energy|qos|reliability|trace|all> \
 [--quick|--full] [--measure N] [--warmup N] [--seed N] [--threads N] [--csv DIR] \
-[--golden-regen] [--git-describe STR] \
-[--replicates N] [--workloads N] [--schedulers N] [--max-cells N] [--resume-dir DIR]";
+[--golden-regen] [--git-describe STR] [--replicates N] [--resume-dir DIR] [--max-cells N]";
 
 /// Every experiment word the binary accepts.
 pub const EXPERIMENTS: &[&str] = &[
@@ -32,7 +31,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "qos",
     "reliability",
     "trace",
-    "sweep",
     "fig1",
     "fig2",
     "fig3",
@@ -47,6 +45,17 @@ pub const EXPERIMENTS: &[&str] = &[
     "fig12",
     "fig13",
     "fig14",
+];
+
+/// The experiments that print no figure table, so take no `--replicates`
+/// (`all` runs its `BENCH_*.json` studies at one replicate).
+const NO_FIGURES: [&str; 6] = [
+    "config",
+    "fastforward",
+    "energy",
+    "qos",
+    "reliability",
+    "trace",
 ];
 
 /// The fully parsed command line.
@@ -65,7 +74,7 @@ pub struct Options {
     pub golden_regen: bool,
     /// Workspace `git describe` string for the report `meta` block.
     pub git_describe: Option<String>,
-    /// Sweep orchestrator settings (grid size, resume directory, cell cap).
+    /// Executor settings (replicates, resume directory, cell cap).
     pub sweep: SweepOptions,
 }
 
@@ -83,8 +92,8 @@ pub enum Parsed {
 /// # Errors
 ///
 /// Returns the diagnostic to print (the binary appends [`HELP`]): unknown
-/// experiments, unknown flags, flags missing their value, and unparseable
-/// values.
+/// experiments, unknown flags, flags missing their value, unparseable
+/// values, and executor flags the experiment cannot honour.
 pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
     let mut args = args.into_iter();
     // `repro --help` (no experiment) must print usage, not run "--help".
@@ -145,27 +154,21 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
                     return Err("--replicates must be at least 1".to_owned());
                 }
             }
-            "--workloads" => {
-                sweep.workloads = parse_value(&value("--workloads")?, "--workloads")?;
-                if sweep.workloads == 0 {
-                    return Err("--workloads must be at least 1".to_owned());
-                }
-            }
-            "--schedulers" => {
-                sweep.schedulers = parse_value(&value("--schedulers")?, "--schedulers")?;
-                if sweep.schedulers == 0 {
-                    return Err("--schedulers must be at least 1".to_owned());
-                }
-            }
             "--max-cells" => {
-                sweep.max_new_cells = Some(parse_value(&value("--max-cells")?, "--max-cells")?);
+                sweep.max_cells = Some(parse_value(&value("--max-cells")?, "--max-cells")?);
             }
-            "--resume-dir" => {
-                sweep.resume_dir = PathBuf::from(args.next().ok_or("--resume-dir needs a value")?);
-            }
+            "--resume-dir" => sweep.resume_dir = Some(PathBuf::from(value("--resume-dir")?)),
             "--help" | "-h" => return Ok(Parsed::Help),
             other => return Err(format!("unknown option `{other}` (try --help)")),
         }
+    }
+    if sweep.replicates > 1 && NO_FIGURES.contains(&experiment.as_str()) {
+        return Err(format!(
+            "--replicates applies only to experiments that print figure tables, not `{experiment}`"
+        ));
+    }
+    if sweep.max_cells.is_some() && sweep.resume_dir.is_none() {
+        return Err("--max-cells needs --resume-dir to resume from".to_owned());
     }
     let scale_label = if overridden {
         format!("{preset}+overrides")
@@ -244,18 +247,14 @@ mod tests {
     #[test]
     fn help_short_circuits_even_with_no_experiment() {
         assert!(matches!(run(&["--help"]), Ok(Parsed::Help)));
-        assert!(matches!(run(&["sweep", "-h"]), Ok(Parsed::Help)));
+        assert!(matches!(run(&["sched", "-h"]), Ok(Parsed::Help)));
     }
 
     #[test]
     fn sweep_flags_parse_and_validate() {
         let o = options(&[
-            "sweep",
+            "sched",
             "--replicates",
-            "2",
-            "--workloads",
-            "2",
-            "--schedulers",
             "2",
             "--max-cells",
             "3",
@@ -265,14 +264,24 @@ mod tests {
             "v0.2.0-g123",
         ]);
         assert_eq!(o.sweep.replicates, 2);
-        assert_eq!(o.sweep.workloads, 2);
-        assert_eq!(o.sweep.schedulers, 2);
-        assert_eq!(o.sweep.max_new_cells, Some(3));
-        assert_eq!(o.sweep.resume_dir, PathBuf::from("cells"));
+        assert_eq!(o.sweep.max_cells, Some(3));
+        assert_eq!(o.sweep.resume_dir, Some(PathBuf::from("cells")));
         assert_eq!(o.git_describe.as_deref(), Some("v0.2.0-g123"));
+        assert_eq!(options(&["energy"]).sweep, SweepOptions::default());
+        assert_eq!(options(&["all", "--replicates", "3"]).sweep.replicates, 3);
         assert_eq!(
-            run(&["sweep", "--replicates", "0"]).unwrap_err(),
+            run(&["sched", "--replicates", "0"]).unwrap_err(),
             "--replicates must be at least 1"
         );
+        assert_eq!(
+            run(&["energy", "--replicates", "2"]).unwrap_err(),
+            "--replicates applies only to experiments that print figure tables, not `energy`"
+        );
+        assert_eq!(
+            run(&["sched", "--max-cells", "3"]).unwrap_err(),
+            "--max-cells needs --resume-dir to resume from"
+        );
+        assert!(run(&["sweep"]).is_err(), "the sweep experiment is gone");
+        assert!(run(&["sched", "--workloads", "2"]).is_err());
     }
 }

@@ -11,10 +11,11 @@
 //! result as `BENCH_energy.json`.
 
 use cloudmc_memctrl::{PagePolicyKind, PowerPolicyKind};
-use cloudmc_sim::{mean, run_all_with_threads, SimStats, SystemConfig};
+use cloudmc_sim::{mean, SimStats, SystemConfig};
 
 use crate::experiments::{paper_schedulers, Scale};
 use crate::fastforward::{dense_config, idle_heavy_config};
+use crate::sweep::{run_each, SweepError, SweepOptions};
 
 /// One point of the sweep: a (workload, scheduler, page, power) combination.
 #[derive(Debug, Clone)]
@@ -41,36 +42,36 @@ fn workload_configs(scale: &Scale) -> [(&'static str, SystemConfig); 2] {
 }
 
 /// Runs the energy sweep: 2 workloads x 5 schedulers x 4 page policies x
-/// every power policy.
-#[must_use]
-pub fn energy_study(scale: &Scale) -> EnergyReport {
+/// every power policy, one seed per point.
+///
+/// # Errors
+///
+/// The executor's [`SweepError`]: a point that failed, or a `--max-cells`
+/// stop.
+pub fn energy_study(scale: &Scale, sweep: &SweepOptions) -> Result<EnergyReport, SweepError> {
     let schedulers = paper_schedulers();
-    let mut configs = Vec::new();
-    let mut labels = Vec::new();
+    let mut cells = Vec::new();
+    let mut workloads = Vec::new();
     for (workload, base) in workload_configs(scale) {
-        for (_, scheduler) in &schedulers {
+        for (label, scheduler) in &schedulers {
             for page in PagePolicyKind::paper_set() {
                 for power in PowerPolicyKind::all() {
                     let mut cfg = base.clone();
                     cfg.mc.scheduler = *scheduler;
                     cfg.mc.page_policy = page;
                     cfg.mc.power_policy = power;
-                    configs.push(cfg);
-                    labels.push(workload);
+                    cells.push((format!("{workload}/{label}/{page}/{power}"), cfg));
+                    workloads.push(workload);
                 }
             }
         }
     }
-    let results = run_all_with_threads(&configs, scale.threads);
-    let points = labels
+    let points = workloads
         .into_iter()
-        .zip(results)
-        .map(|(workload, result)| EnergyPoint {
-            workload,
-            stats: result.unwrap_or_else(|e| panic!("{workload}: {e}")),
-        })
+        .zip(run_each("energy", &cells, scale.threads, sweep)?)
+        .map(|(workload, stats)| EnergyPoint { workload, stats })
         .collect();
-    EnergyReport { points }
+    Ok(EnergyReport { points })
 }
 
 impl EnergyReport {
@@ -200,9 +201,9 @@ mod tests {
             warmup_cpu_cycles: 2_000,
             measure_cpu_cycles: 30_000,
             seed: 1,
-            threads: cloudmc_sim::default_threads(),
+            threads: crate::default_threads(),
         };
-        let report = energy_study(&scale);
+        let report = energy_study(&scale, &SweepOptions::default()).unwrap();
         // 2 workloads x 5 schedulers x 4 page policies x 4 power policies.
         assert_eq!(report.points.len(), 160);
         for power in ["immediate", "idle-timer", "power-aware"] {

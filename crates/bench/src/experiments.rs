@@ -1,20 +1,22 @@
 //! The experiment harness: one function per figure/table of the paper.
 //!
-//! Every experiment builds a set of [`SystemConfig`]s, runs them (in
-//! parallel) through the full-system simulator, and renders the same rows and
-//! series the paper reports. Absolute numbers differ from the paper (the
-//! substrate is a reduced-scale simulator, not the authors' Simics/GEMS
-//! testbed), but the *shape* — which policy wins, by roughly what factor —
-//! is the reproduction target; the README's "Reproducing the paper" section
+//! Every experiment builds a labelled list of [`SystemConfig`]s, runs it
+//! through the executor ([`run_sweep`]: in parallel, with `--replicates`
+//! seeds per configuration), and renders the same rows and series the paper
+//! reports. Absolute numbers differ from the paper (the substrate is a
+//! reduced-scale simulator, not the authors' Simics/GEMS testbed), but the
+//! *shape* — which policy wins, by roughly what factor — is the
+//! reproduction target; the README's "Reproducing the paper" section
 //! records both.
 
 use cloudmc_memctrl::{
     AddressMapping, AtlasConfig, McConfig, PagePolicyKind, ParBsConfig, RlConfig, SchedulerKind,
 };
-use cloudmc_sim::{run_all_with_threads, SimStats, SystemConfig};
+use cloudmc_sim::{mean, SimStats, SystemConfig};
 use cloudmc_workloads::{Category, Workload};
 
 use crate::report::{Table, TextTable};
+use crate::sweep::{mean_ci95, run_sweep, SweepError, SweepOptions};
 
 /// A named tweak applied to the baseline controller configuration of one
 /// experiment variant.
@@ -43,7 +45,7 @@ impl Scale {
             warmup_cpu_cycles: 20_000,
             measure_cpu_cycles: 120_000,
             seed: 1,
-            threads: cloudmc_sim::default_threads(),
+            threads: default_threads(),
         }
     }
 
@@ -55,7 +57,7 @@ impl Scale {
             warmup_cpu_cycles: 150_000,
             measure_cpu_cycles: 750_000,
             seed: 1,
-            threads: cloudmc_sim::default_threads(),
+            threads: default_threads(),
         }
     }
 
@@ -66,7 +68,7 @@ impl Scale {
             warmup_cpu_cycles: 400_000,
             measure_cpu_cycles: 3_000_000,
             seed: 1,
-            threads: cloudmc_sim::default_threads(),
+            threads: default_threads(),
         }
     }
 }
@@ -75,6 +77,16 @@ impl Default for Scale {
     fn default() -> Self {
         Self::standard()
     }
+}
+
+/// Worker threads when `--threads` is not given: the host's available
+/// parallelism, clamped to 1..=32.
+#[must_use]
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4)
+        .clamp(1, 32)
 }
 
 /// Baseline system configuration (Table 2) for one workload at one scale.
@@ -94,22 +106,19 @@ pub struct Matrix {
     pub workloads: Vec<Workload>,
     /// Configuration labels, one per column.
     pub columns: Vec<String>,
-    /// `results[workload][column]`.
-    pub results: Vec<Vec<SimStats>>,
+    /// `results[workload][column]`: one result per replicate, replicate 0
+    /// (the configured seed) first.
+    pub results: Vec<Vec<Vec<SimStats>>>,
 }
 
 impl Matrix {
-    /// The result for (`workload`, column index).
-    #[must_use]
-    pub fn get(&self, workload: Workload, column: usize) -> Option<&SimStats> {
-        let row = self.workloads.iter().position(|&w| w == workload)?;
-        self.results.get(row)?.get(column)
-    }
-
     /// Builds a figure-style table of `metric`, optionally normalizing each
     /// row to the value of `normalize_to` column, and appending the
     /// per-category average rows the paper shows (`Avg_SCO`, `Avg_TRS`,
-    /// `Avg_DSP`).
+    /// `Avg_DSP`). With several replicates each cell is the mean with its
+    /// 95% confidence half-width over the replicates, normalized within a
+    /// replicate: every column of replicate `r` ran under the same seed, so
+    /// the ratio is paired.
     #[must_use]
     pub fn metric_table(
         &self,
@@ -118,15 +127,55 @@ impl Matrix {
         metric: impl Fn(&SimStats) -> f64,
         normalize_to: Option<usize>,
     ) -> Table {
+        let replicates = self
+            .results
+            .first()
+            .and_then(|row| row.first())
+            .map_or(1, Vec::len);
+        let per_replicate: Vec<Vec<(String, Vec<f64>)>> = (0..replicates)
+            .map(|r| self.replicate_rows(r, &metric, normalize_to))
+            .collect();
         let mut table = Table::new(title, self.columns.clone());
-        table.note = note.to_owned();
+        table.note = match replicates {
+            1 => note.to_owned(),
+            n => format!("{note} Mean +/- 95% CI over {n} replicates."),
+        };
+        for (i, (label, _)) in per_replicate[0].iter().enumerate() {
+            let (means, ci95): (Vec<f64>, Vec<f64>) = (0..self.columns.len())
+                .map(|c| {
+                    mean_ci95(
+                        &per_replicate
+                            .iter()
+                            .map(|rows| rows[i].1[c])
+                            .collect::<Vec<_>>(),
+                    )
+                })
+                .unzip();
+            if replicates > 1 {
+                table.push_row_with_ci(label.clone(), means, ci95);
+            } else {
+                table.push_row(label.clone(), means);
+            }
+        }
+        table
+    }
+
+    /// The table rows of replicate `r` alone: one per workload, then the
+    /// category averages.
+    fn replicate_rows(
+        &self,
+        r: usize,
+        metric: impl Fn(&SimStats) -> f64,
+        normalize_to: Option<usize>,
+    ) -> Vec<(String, Vec<f64>)> {
+        let mut rows = Vec::new();
         let mut per_category: Vec<(Category, Vec<Vec<f64>>)> = vec![
             (Category::ScaleOut, Vec::new()),
             (Category::Transactional, Vec::new()),
             (Category::DecisionSupport, Vec::new()),
         ];
         for (row, workload) in self.workloads.iter().enumerate() {
-            let raw: Vec<f64> = self.results[row].iter().map(&metric).collect();
+            let raw: Vec<f64> = self.results[row].iter().map(|c| metric(&c[r])).collect();
             let values: Vec<f64> = match normalize_to {
                 Some(base) => {
                     let b = raw[base];
@@ -136,57 +185,53 @@ impl Matrix {
                 }
                 None => raw,
             };
-            for (cat, rows) in &mut per_category {
+            for (cat, cat_rows) in &mut per_category {
                 if workload.category() == *cat {
-                    rows.push(values.clone());
+                    cat_rows.push(values.clone());
                 }
             }
-            table.push_row(workload.acronym(), values);
+            rows.push((workload.acronym().to_owned(), values));
         }
-        for (cat, rows) in &per_category {
-            if rows.is_empty() {
+        for (cat, cat_rows) in &per_category {
+            if cat_rows.is_empty() {
                 continue;
             }
-            let cols = self.columns.len();
-            let avg: Vec<f64> = (0..cols)
-                .map(|c| rows.iter().map(|r| r[c]).sum::<f64>() / rows.len() as f64)
+            let avg: Vec<f64> = (0..self.columns.len())
+                .map(|c| cat_rows.iter().map(|r| r[c]).sum::<f64>() / cat_rows.len() as f64)
                 .collect();
-            table.push_row(format!("Avg_{}", cat.acronym()), avg);
+            rows.push((format!("Avg_{}", cat.acronym()), avg));
         }
-        table
+        rows
     }
 }
 
 /// Runs `workloads` x `variants`, where each variant customizes the baseline
 /// memory-controller configuration.
-fn run_matrix(workloads: &[Workload], variants: &[(String, McTweak)], scale: &Scale) -> Matrix {
-    let mut configs = Vec::with_capacity(workloads.len() * variants.len());
+fn run_matrix(
+    study: &str,
+    workloads: &[Workload],
+    variants: &[(String, McTweak)],
+    scale: &Scale,
+    sweep: &SweepOptions,
+) -> Result<Matrix, SweepError> {
+    let mut cells = Vec::with_capacity(workloads.len() * variants.len());
     for &w in workloads {
-        for (_, customize) in variants {
+        for (label, customize) in variants {
             let mut cfg = baseline_config(w, scale);
             customize(&mut cfg.mc);
-            configs.push(cfg);
+            cells.push((format!("{w}/{label}"), cfg));
         }
     }
-    let flat = run_all_with_threads(&configs, scale.threads);
-    let mut results = Vec::with_capacity(workloads.len());
-    let mut it = flat.into_iter();
-    for &w in workloads {
-        let mut row = Vec::with_capacity(variants.len());
-        for (label, _) in variants {
-            let stats = it
-                .next()
-                .expect("one result per configuration")
-                .unwrap_or_else(|e| panic!("{w} / {label}: {e}"));
-            row.push(stats);
-        }
-        results.push(row);
-    }
-    Matrix {
+    let mut flat = run_sweep(study, &cells, scale.threads, sweep)?.into_iter();
+    let results = workloads
+        .iter()
+        .map(|_| flat.by_ref().take(variants.len()).collect())
+        .collect();
+    Ok(Matrix {
         workloads: workloads.to_vec(),
         columns: variants.iter().map(|(l, _)| l.clone()).collect(),
         results,
-    }
+    })
 }
 
 /// The five schedulers of Figures 1-7 with Table 3 parameters.
@@ -209,8 +254,12 @@ pub fn paper_schedulers() -> Vec<(String, SchedulerKind)> {
 
 /// Runs the memory-scheduling study (Section 4.1): all 12 workloads under
 /// the 5 schedulers. Feeds Figures 1-7.
-#[must_use]
-pub fn scheduler_study(scale: &Scale) -> Matrix {
+///
+/// # Errors
+///
+/// The executor's [`SweepError`]: a configuration that failed, or a
+/// `--max-cells` stop.
+pub fn scheduler_study(scale: &Scale, sweep: &SweepOptions) -> Result<Matrix, SweepError> {
     let variants: Vec<(String, McTweak)> = paper_schedulers()
         .into_iter()
         .map(|(label, kind)| {
@@ -218,13 +267,16 @@ pub fn scheduler_study(scale: &Scale) -> Matrix {
             (label, f)
         })
         .collect();
-    run_matrix(&Workload::all(), &variants, scale)
+    run_matrix("sched", &Workload::all(), &variants, scale, sweep)
 }
 
 /// Runs the page-management study (Section 4.2): all 12 workloads under the
 /// four policies of Figures 9-11.
-#[must_use]
-pub fn page_policy_study(scale: &Scale) -> Matrix {
+///
+/// # Errors
+///
+/// As [`scheduler_study`].
+pub fn page_policy_study(scale: &Scale, sweep: &SweepOptions) -> Result<Matrix, SweepError> {
     let policies = [
         ("Open Adaptive", PagePolicyKind::OpenAdaptive),
         ("Close Adaptive", PagePolicyKind::CloseAdaptive),
@@ -238,61 +290,20 @@ pub fn page_policy_study(scale: &Scale) -> Matrix {
             (label.to_owned(), f)
         })
         .collect();
-    run_matrix(&Workload::all(), &variants, scale)
+    run_matrix("pages", &Workload::all(), &variants, scale, sweep)
 }
 
 /// Results of the multi-channel study (Section 4.3).
 #[derive(Debug, Clone)]
 pub struct ChannelStudy {
-    /// Per-workload: baseline 1-channel result.
-    pub one_channel: Matrix,
-    /// Per-workload best mapping and result for 2 channels.
-    pub two_channel: Vec<(Workload, AddressMapping, SimStats)>,
-    /// Per-workload best mapping and result for 4 channels.
-    pub four_channel: Vec<(Workload, AddressMapping, SimStats)>,
+    /// Per workload: 1 channel, then 2 and 4 channels under the mapping with
+    /// the best mean user IPC — the view the figure tables read.
+    pub matrix: Matrix,
+    /// Per workload, in `matrix` order: that best 2- and 4-channel mapping.
+    pub best_mappings: Vec<[AddressMapping; 2]>,
 }
 
 impl ChannelStudy {
-    fn best_for(
-        &self,
-        workload: Workload,
-        list: &[(Workload, AddressMapping, SimStats)],
-    ) -> SimStats {
-        list.iter()
-            .find(|(w, _, _)| *w == workload)
-            .map(|(_, _, s)| s.clone())
-            .expect("every workload present")
-    }
-
-    /// A matrix view (1/2/4 channels, best mapping per workload) suitable for
-    /// the figure tables.
-    #[must_use]
-    pub fn as_matrix(&self) -> Matrix {
-        let workloads = self.one_channel.workloads.clone();
-        let results = workloads
-            .iter()
-            .map(|&w| {
-                vec![
-                    self.one_channel
-                        .get(w, 0)
-                        .expect("baseline present")
-                        .clone(),
-                    self.best_for(w, &self.two_channel),
-                    self.best_for(w, &self.four_channel),
-                ]
-            })
-            .collect();
-        Matrix {
-            workloads,
-            columns: vec![
-                "1_channel".to_owned(),
-                "2_channel".to_owned(),
-                "4_channel".to_owned(),
-            ],
-            results,
-        }
-    }
-
     /// Table 4: the best-performing mapping scheme per workload.
     #[must_use]
     pub fn table4(&self) -> TextTable {
@@ -300,93 +311,74 @@ impl ChannelStudy {
             "Table 4: Best performing multi-channel mapping scheme per workload",
             vec!["2-channel".to_owned(), "4-channel".to_owned()],
         );
-        for &w in &self.one_channel.workloads {
-            let two = self
-                .two_channel
-                .iter()
-                .find(|(x, _, _)| *x == w)
-                .map(|(_, m, _)| m.to_string())
-                .unwrap_or_default();
-            let four = self
-                .four_channel
-                .iter()
-                .find(|(x, _, _)| *x == w)
-                .map(|(_, m, _)| m.to_string())
-                .unwrap_or_default();
-            table.push_row(w.acronym(), vec![two, four]);
+        for (w, mappings) in self.matrix.workloads.iter().zip(&self.best_mappings) {
+            table.push_row(w.acronym(), mappings.map(|m| m.to_string()).to_vec());
         }
         table
     }
 }
 
+/// The mapping whose replicates have the best mean user IPC (the first of
+/// equals), with those replicates.
+fn best_mapping(runs: &[Vec<SimStats>]) -> (AddressMapping, Vec<SimStats>) {
+    let ipc = |i: usize| mean(runs[i].iter().map(SimStats::user_ipc));
+    let best = (1..runs.len()).fold(0, |best, i| if ipc(i) > ipc(best) { i } else { best });
+    (AddressMapping::all()[best], runs[best].clone())
+}
+
 /// Runs the multi-channel study: every workload at 1, 2 and 4 channels, with
 /// all four address mappings evaluated at 2 and 4 channels and the best one
 /// (by user IPC) reported, as the paper does.
-#[must_use]
-pub fn channel_study(scale: &Scale) -> ChannelStudy {
+///
+/// # Errors
+///
+/// As [`scheduler_study`].
+pub fn channel_study(scale: &Scale, sweep: &SweepOptions) -> Result<ChannelStudy, SweepError> {
     let workloads = Workload::all();
-    // Flat config list: [1ch] + [2ch x 4 mappings] + [4ch x 4 mappings] per workload.
-    let mut configs = Vec::new();
+    let mappings = AddressMapping::all();
+    // Per workload: [1ch] + [2ch x 4 mappings] + [4ch x 4 mappings].
+    let mut cells = Vec::new();
     for &w in &workloads {
-        configs.push(baseline_config(w, scale));
+        cells.push((format!("{w}/1ch"), baseline_config(w, scale)));
         for channels in [2usize, 4] {
-            for mapping in AddressMapping::all() {
+            for mapping in mappings {
                 let mut cfg = baseline_config(w, scale);
                 cfg.mc.dram.channels = channels;
                 cfg.mc.mapping = mapping;
-                configs.push(cfg);
+                cells.push((format!("{w}/{channels}ch/{mapping}"), cfg));
             }
         }
     }
-    let flat = run_all_with_threads(&configs, scale.threads);
-    let mut it = flat.into_iter();
-    let mut one_rows = Vec::new();
-    let mut two_channel = Vec::new();
-    let mut four_channel = Vec::new();
-    for &w in &workloads {
-        let base = it.next().unwrap().unwrap_or_else(|e| panic!("{w}: {e}"));
-        one_rows.push(vec![base]);
-        for channels in [2usize, 4] {
-            let mut best: Option<(AddressMapping, SimStats)> = None;
-            for mapping in AddressMapping::all() {
-                let stats = it
-                    .next()
-                    .unwrap()
-                    .unwrap_or_else(|e| panic!("{w} {channels}ch {mapping}: {e}"));
-                let better = match &best {
-                    Some((_, b)) => stats.user_ipc() > b.user_ipc(),
-                    None => true,
-                };
-                if better {
-                    best = Some((mapping, stats));
-                }
-            }
-            let (mapping, stats) = best.expect("four mappings evaluated");
-            if channels == 2 {
-                two_channel.push((w, mapping, stats));
-            } else {
-                four_channel.push((w, mapping, stats));
-            }
-        }
+    let results = run_sweep("channels", &cells, scale.threads, sweep)?;
+    let mut rows = Vec::new();
+    let mut best_mappings = Vec::new();
+    for runs in results.chunks_exact(1 + 2 * mappings.len()) {
+        let (two, four) = runs[1..].split_at(mappings.len());
+        let ((two_mapping, two), (four_mapping, four)) = (best_mapping(two), best_mapping(four));
+        rows.push(vec![runs[0].clone(), two, four]);
+        best_mappings.push([two_mapping, four_mapping]);
     }
-    ChannelStudy {
-        one_channel: Matrix {
+    let columns = ["1_channel", "2_channel", "4_channel"].map(str::to_owned);
+    Ok(ChannelStudy {
+        matrix: Matrix {
             workloads: workloads.to_vec(),
-            columns: vec!["1_channel".to_owned()],
-            results: one_rows,
+            columns: columns.to_vec(),
+            results: rows,
         },
-        two_channel,
-        four_channel,
-    }
+        best_mappings,
+    })
 }
 
 /// Runs the baseline configuration for every workload (used for Figure 8 and
 /// the characterization table).
-#[must_use]
-pub fn baseline_study(scale: &Scale) -> Matrix {
+///
+/// # Errors
+///
+/// As [`scheduler_study`].
+pub fn baseline_study(scale: &Scale, sweep: &SweepOptions) -> Result<Matrix, SweepError> {
     let variants: Vec<(String, McTweak)> =
         vec![("baseline".to_owned(), Box::new(|_: &mut McConfig| {}))];
-    run_matrix(&Workload::all(), &variants, scale)
+    run_matrix("fig8", &Workload::all(), &variants, scale, sweep)
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +512,7 @@ pub fn figure11(study: &Matrix) -> Table {
 /// workload), normalized to one channel.
 #[must_use]
 pub fn figure12(study: &ChannelStudy) -> Table {
-    study.as_matrix().metric_table(
+    study.matrix.metric_table(
         "Figure 12: User IPC vs. memory channels (normalized to 1 channel)",
         "Paper shape: SCOW ~+1.7% at 4 channels, DSPW ~+19%; Web Frontend degrades.",
         SimStats::user_ipc,
@@ -532,7 +524,7 @@ pub fn figure12(study: &ChannelStudy) -> Table {
 /// normalized to one channel.
 #[must_use]
 pub fn figure13(study: &ChannelStudy) -> Table {
-    study.as_matrix().metric_table(
+    study.matrix.metric_table(
         "Figure 13: Row-buffer hit rate vs. memory channels (normalized to 1 channel)",
         "Paper shape: increases ~1.3x/1.6x (SCOW, TRSW) and ~1.7x/2.3x (DSPW) at 2/4 channels.",
         |s| s.row_buffer_hit_rate,
@@ -544,7 +536,7 @@ pub fn figure13(study: &ChannelStudy) -> Table {
 /// increases, normalized to one channel.
 #[must_use]
 pub fn figure14(study: &ChannelStudy) -> Table {
-    study.as_matrix().metric_table(
+    study.matrix.metric_table(
         "Figure 14: Memory access latency vs. memory channels (normalized to 1 channel)",
         "Paper shape: drops to ~0.8/0.7 for SCOW and ~0.64/0.47 for DSPW at 2/4 channels.",
         |s| s.avg_read_latency_dram,
@@ -611,7 +603,7 @@ mod tests {
             warmup_cpu_cycles: 2_000,
             measure_cpu_cycles: 15_000,
             seed: 1,
-            threads: cloudmc_sim::default_threads(),
+            threads: default_threads(),
         }
     }
 
@@ -633,14 +625,12 @@ mod tests {
                 }),
             ),
         ];
-        let matrix = run_matrix(
-            &[Workload::WebSearch, Workload::TpchQ6],
-            &variants,
-            &tiny_scale(),
-        );
+        let workloads = [Workload::WebSearch, Workload::TpchQ6];
+        let single = SweepOptions::default();
+        let matrix = run_matrix("test", &workloads, &variants, &tiny_scale(), &single).unwrap();
         assert_eq!(matrix.workloads.len(), 2);
         assert_eq!(matrix.columns, vec!["FR-FCFS", "FCFS_Banks"]);
-        assert!(matrix.get(Workload::WebSearch, 0).unwrap().user_ipc() > 0.0);
+        assert!(matrix.results[0][0][0].user_ipc() > 0.0);
         let table = matrix.metric_table("t", "", SimStats::user_ipc, Some(0));
         // Normalized baseline column is exactly 1.0 for workload rows.
         assert!((table.value("WS", "FR-FCFS").unwrap() - 1.0).abs() < 1e-9);
@@ -648,6 +638,28 @@ mod tests {
         assert!(table.value("Avg_SCO", "FR-FCFS").is_some());
         assert!(table.value("Avg_DSP", "FCFS_Banks").is_some());
         assert!(table.value("Avg_TRS", "FR-FCFS").is_none());
+        assert!(table.ci95.is_empty(), "one replicate carries no interval");
+
+        // Three replicates: replicate 0 is the single-seed run, and each
+        // replicate is normalized to its own FR-FCFS run, so that column is
+        // exactly 1 with no spread while the other carries one.
+        let three = SweepOptions {
+            replicates: 3,
+            ..single
+        };
+        let replicated = run_matrix("test", &workloads, &variants, &tiny_scale(), &three).unwrap();
+        assert_eq!(replicated.results[1][1][0], matrix.results[1][1][0]);
+        let table = replicated.metric_table("t", "", SimStats::user_ipc, Some(0));
+        assert_eq!(table.ci95.len(), table.rows.len());
+        assert_eq!(table.value("WS", "FR-FCFS"), Some(1.0));
+        assert_eq!(table.ci95[0][0], 0.0);
+        assert!(table.ci95[0][1] > 0.0);
+        assert!(table.to_text().contains(" +/- "));
+    }
+
+    #[test]
+    fn default_threads_is_positive() {
+        assert!(default_threads() >= 1);
     }
 
     #[test]
@@ -672,7 +684,14 @@ mod tests {
     fn figure_builders_render_from_small_matrices() {
         let variants: Vec<(String, McTweak)> =
             vec![("baseline".to_owned(), Box::new(|_: &mut McConfig| {}))];
-        let matrix = run_matrix(&[Workload::MediaStreaming], &variants, &tiny_scale());
+        let matrix = run_matrix(
+            "test",
+            &[Workload::MediaStreaming],
+            &variants,
+            &tiny_scale(),
+            &SweepOptions::default(),
+        )
+        .unwrap();
         let fig8 = figure8(&matrix);
         let value = fig8.value("MS", "baseline").unwrap();
         assert!((0.0..=100.0).contains(&value));

@@ -5,7 +5,9 @@
 //!
 //! The [`experiments`] module contains one study per section of the paper's
 //! evaluation (scheduling, page management, multi-channel) and one builder
-//! per figure/table; the `repro` binary drives them from the command line.
+//! per figure/table; every study runs its configurations through the one
+//! executor in [`sweep`], and the `repro` binary drives them from the
+//! command line.
 
 #![forbid(unsafe_code)]
 
@@ -31,18 +33,16 @@ pub use reliability::{
     power_policies, reliability_mix, reliability_study, sweep_fault_config, ReliabilityPoint,
     ReliabilityReport, FAULT_RATES_PER_MILLION, SCRUB_INTERVALS,
 };
-pub use sweep::{
-    run_sweep, CellRecord, GroupSummary, ModeTiming, SweepOptions, SweepOutcome, SweepReport,
-    SWEEP_WORKLOADS,
-};
+pub use sweep::{run_each, run_sweep, SweepError, SweepOptions};
 pub use trace::{
     golden_config, golden_trace_path, regenerate_golden_trace, trace_study, GoldenCheck,
     TracePoint, TraceReport,
 };
 
 pub use experiments::{
-    baseline_config, baseline_study, channel_study, config_report, figure1, figure10, figure11,
-    figure12, figure13, figure14, figure2, figure3, figure4, figure5, figure6, figure7, figure8,
-    figure9, page_policy_study, paper_schedulers, scheduler_study, ChannelStudy, Matrix, Scale,
+    baseline_config, baseline_study, channel_study, config_report, default_threads, figure1,
+    figure10, figure11, figure12, figure13, figure14, figure2, figure3, figure4, figure5, figure6,
+    figure7, figure8, figure9, page_policy_study, paper_schedulers, scheduler_study, ChannelStudy,
+    Matrix, Scale,
 };
 pub use report::{Table, TextTable};

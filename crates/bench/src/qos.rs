@@ -15,10 +15,11 @@
 //! `BENCH_qos.json`.
 
 use cloudmc_memctrl::QosPolicyKind;
-use cloudmc_sim::{mean, run_all_with_threads, SimStats, SystemConfig};
+use cloudmc_sim::{mean, SimStats, SystemConfig};
 use cloudmc_workloads::{MixSpec, TenantSpec, Workload, WorkloadSpec};
 
 use crate::experiments::{baseline_config, paper_schedulers, Scale};
+use crate::sweep::{run_each, SweepError, SweepOptions};
 
 /// The tenant mixes of the sweep as `(label, mix)` pairs: a latency-critical
 /// scale-out service paired with decision-support or transactional batch
@@ -138,9 +139,14 @@ fn mixed_config(mix: MixSpec, scale: &Scale) -> SystemConfig {
 }
 
 /// Runs the QoS sweep: every mix × 5 schedulers × every QoS policy, plus the
-/// alone-run baselines (one per mix tenant per scheduler).
-#[must_use]
-pub fn qos_study(scale: &Scale) -> QosReport {
+/// alone-run baselines (one per mix tenant per scheduler), one seed per
+/// point.
+///
+/// # Errors
+///
+/// The executor's [`SweepError`]: a point that failed, or a `--max-cells`
+/// stop.
+pub fn qos_study(scale: &Scale, sweep: &SweepOptions) -> Result<QosReport, SweepError> {
     let mixes = paper_mixes();
     let schedulers = paper_schedulers();
     // Alone baselines first: each tenant on its own core allocation with the
@@ -149,9 +155,9 @@ pub fn qos_study(scale: &Scale) -> QosReport {
     // workloads (Web Search appears twice), so baselines are deduplicated by
     // (scheduler, tenant spec).
     let mut alone_keys: Vec<(usize, WorkloadSpec)> = Vec::new();
-    let mut configs = Vec::new();
+    let mut cells = Vec::new();
     for (_, mix) in &mixes {
-        for (s, (_, scheduler)) in schedulers.iter().enumerate() {
+        for (s, (sched_label, scheduler)) in schedulers.iter().enumerate() {
             for tenant in mix.tenants() {
                 if alone_keys
                     .iter()
@@ -163,25 +169,23 @@ pub fn qos_study(scale: &Scale) -> QosReport {
                 let mut cfg = baseline_config(tenant.workload.workload, scale);
                 cfg.workload = tenant.workload;
                 cfg.mc.scheduler = *scheduler;
-                configs.push(cfg);
+                let label = format!("alone/{}/{sched_label}", tenant.workload.workload);
+                cells.push((label, cfg));
             }
         }
     }
-    let alone_count = configs.len();
-    for (_, mix) in &mixes {
-        for (_, scheduler) in &schedulers {
+    let alone_count = cells.len();
+    for (mix_label, mix) in &mixes {
+        for (sched_label, scheduler) in &schedulers {
             for qos in QosPolicyKind::all() {
                 let mut cfg = mixed_config(*mix, scale);
                 cfg.mc.scheduler = *scheduler;
                 cfg.mc.qos.policy = qos;
-                configs.push(cfg);
+                cells.push((format!("{mix_label}/{sched_label}/{qos}"), cfg));
             }
         }
     }
-    let mut results: Vec<SimStats> = run_all_with_threads(&configs, scale.threads)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("qos sweep point failed: {e}")))
-        .collect();
+    let mut results = run_each("qos", &cells, scale.threads, sweep)?;
     let shared = results.split_off(alone_count);
     let alone_results = results;
     let alone_ipc_of = |s: usize, spec: &WorkloadSpec| -> f64 {
@@ -224,7 +228,7 @@ pub fn qos_study(scale: &Scale) -> QosReport {
             }
         }
     }
-    QosReport { points }
+    Ok(QosReport { points })
 }
 
 impl QosReport {
@@ -335,9 +339,9 @@ mod tests {
             warmup_cpu_cycles: 4_000,
             measure_cpu_cycles: 40_000,
             seed: 1,
-            threads: cloudmc_sim::default_threads(),
+            threads: crate::default_threads(),
         };
-        let report = qos_study(&scale);
+        let report = qos_study(&scale, &SweepOptions::default()).unwrap();
         // 3 mixes x 5 schedulers x 3 QoS policies.
         assert_eq!(report.points.len(), 45);
         for p in &report.points {

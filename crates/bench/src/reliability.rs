@@ -23,10 +23,11 @@
 //! has to arbitrate.
 
 use cloudmc_memctrl::{FaultConfig, PowerPolicyKind, UncorrectablePolicy};
-use cloudmc_sim::{run_all_with_threads, SimStats, SystemConfig};
+use cloudmc_sim::{SimStats, SystemConfig};
 use cloudmc_workloads::{MixSpec, TenantSpec, Workload};
 
 use crate::experiments::Scale;
+use crate::sweep::{run_each, SweepError, SweepOptions};
 
 /// Transient-fault rates of the sweep, in expected flips per million
 /// active-state reads (scaled up by the fault model in low-power states).
@@ -130,32 +131,32 @@ fn mixed_config(scale: &Scale, power: PowerPolicyKind) -> SystemConfig {
 }
 
 /// Runs the reliability sweep: a fault-free baseline per power policy, then
-/// every fault rate × scrub interval × power policy with poison-and-continue.
+/// every fault rate × scrub interval × power policy with poison-and-continue,
+/// one seed per point.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any sweep point fails to run (invalid configuration — a harness
-/// bug, not a data condition; fail-stop is not part of this sweep).
-#[must_use]
-pub fn reliability_study(scale: &Scale) -> ReliabilityReport {
+/// The executor's [`SweepError`]: a point that failed, or a `--max-cells`
+/// stop.
+pub fn reliability_study(
+    scale: &Scale,
+    sweep: &SweepOptions,
+) -> Result<ReliabilityReport, SweepError> {
     let powers = power_policies();
-    let mut configs: Vec<SystemConfig> = powers
+    let mut cells: Vec<(String, SystemConfig)> = powers
         .iter()
-        .map(|&power| mixed_config(scale, power))
+        .map(|&power| (format!("clean/{power}"), mixed_config(scale, power)))
         .collect();
     for &rate in &FAULT_RATES_PER_MILLION {
         for &scrub in &SCRUB_INTERVALS {
             for &power in &powers {
                 let mut cfg = mixed_config(scale, power);
                 cfg.mc.fault_model = Some(sweep_fault_config(rate, scrub, scale.seed));
-                configs.push(cfg);
+                cells.push((format!("r{rate}/scrub{scrub}/{power}"), cfg));
             }
         }
     }
-    let mut results: Vec<SimStats> = run_all_with_threads(&configs, scale.threads)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("reliability sweep point failed: {e}")))
-        .collect();
+    let mut results = run_each("reliability", &cells, scale.threads, sweep)?;
     let faulty = results.split_off(powers.len());
     let baselines: Vec<ReliabilityPoint> = powers
         .iter()
@@ -191,7 +192,7 @@ pub fn reliability_study(scale: &Scale) -> ReliabilityReport {
             }
         }
     }
-    ReliabilityReport { baselines, points }
+    Ok(ReliabilityReport { baselines, points })
 }
 
 impl ReliabilityReport {
@@ -290,9 +291,9 @@ mod tests {
             warmup_cpu_cycles: 4_000,
             measure_cpu_cycles: 40_000,
             seed: 1,
-            threads: cloudmc_sim::default_threads(),
+            threads: crate::default_threads(),
         };
-        let report = reliability_study(&scale);
+        let report = reliability_study(&scale, &SweepOptions::default()).unwrap();
         assert_eq!(report.baselines.len(), 2);
         // 2 rates x 2 scrub intervals x 2 power policies.
         assert_eq!(report.points.len(), 8);

@@ -11,8 +11,12 @@ pub struct Table {
     pub title: String,
     /// Column headers (configuration labels).
     pub columns: Vec<String>,
-    /// Rows: (label, one value per column).
+    /// Rows: (label, one value per column; the mean when the table
+    /// aggregates replicates).
     pub rows: Vec<(String, Vec<f64>)>,
+    /// 95% confidence half-widths, one row per entry of `rows`, when the
+    /// table aggregates replicates; empty otherwise.
+    pub ci95: Vec<Vec<f64>>,
     /// Free-text note on how to read the table (expected shape, units).
     pub note: String,
 }
@@ -25,6 +29,7 @@ impl Table {
             title: title.into(),
             columns,
             rows: Vec::new(),
+            ci95: Vec::new(),
             note: String::new(),
         }
     }
@@ -43,6 +48,22 @@ impl Table {
         self.rows.push((label.into(), values));
     }
 
+    /// Appends one row of means with their 95% confidence half-widths (a
+    /// table takes this or [`Table::push_row`] for every row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either width differs from the number of columns.
+    pub fn push_row_with_ci(&mut self, label: impl Into<String>, means: Vec<f64>, ci95: Vec<f64>) {
+        assert_eq!(
+            ci95.len(),
+            self.columns.len(),
+            "row width must match column count"
+        );
+        self.push_row(label, means);
+        self.ci95.push(ci95);
+    }
+
     /// Looks up a value by row label and column label.
     #[must_use]
     pub fn value(&self, row: &str, column: &str) -> Option<f64> {
@@ -51,9 +72,23 @@ impl Table {
         row.1.get(col).copied()
     }
 
-    /// Renders the table as aligned plain text.
+    /// Renders the table as aligned plain text; a table of replicate means
+    /// prints each cell as `mean +/- ci95`.
     #[must_use]
     pub fn to_text(&self) -> String {
+        let cells: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, (_, values))| {
+                let ci = self.ci95.get(i);
+                let cell = |(c, v): (usize, &f64)| match ci {
+                    Some(ci) => format!("{v:.3} +/- {:.3}", ci[c]),
+                    None => format!("{v:.3}"),
+                };
+                values.iter().enumerate().map(cell).collect()
+            })
+            .collect();
         let label_width = self
             .rows
             .iter()
@@ -65,6 +100,7 @@ impl Table {
         let col_width = self
             .columns
             .iter()
+            .chain(cells.iter().flatten())
             .map(String::len)
             .max()
             .unwrap_or(8)
@@ -80,17 +116,18 @@ impl Table {
             let _ = write!(out, "{c:>col_width$}");
         }
         let _ = writeln!(out);
-        for (label, values) in &self.rows {
+        for ((label, _), row) in self.rows.iter().zip(&cells) {
             let _ = write!(out, "{label:<label_width$}");
-            for v in values {
-                let _ = write!(out, "{v:>col_width$.3}");
+            for cell in row {
+                let _ = write!(out, "{cell:>col_width$}");
             }
             let _ = writeln!(out);
         }
         out
     }
 
-    /// Renders the table as CSV (header row plus one line per row).
+    /// Renders the table as CSV (header row plus one line per row); a table
+    /// of replicate means writes the means.
     #[must_use]
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -209,6 +246,16 @@ mod tests {
         let row: Vec<&str> = lines.next().unwrap().split(',').collect();
         assert_eq!(row[0], "DS");
         assert!((row[1].parse::<f64>().unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn replicate_means_render_with_intervals() {
+        let mut t = Table::new("Figure X", vec!["A".to_owned()]);
+        t.push_row_with_ci("DS", vec![1.0], vec![0.25]);
+        let text = t.to_text();
+        assert!(text.contains("1.000 +/- 0.250"), "{text}");
+        assert_eq!(t.to_csv(), "workload,A\nDS,1.000000\n");
+        assert_eq!(t.value("DS", "A"), Some(1.0));
     }
 
     #[test]

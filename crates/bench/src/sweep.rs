@@ -1,506 +1,77 @@
-//! Fleet-scale experiment engine: a parallel, resumable sweep over a
-//! (workload × scheduler × replicate) grid, forked from warm checkpoints.
+//! The one experiment executor: every study hands it a labelled list of
+//! configurations and gets back, in the same order, each configuration's
+//! measured statistics — one [`SimStats`] per replicate.
 //!
-//! The classic way to run a grid is cold: every cell pays warm-up plus
-//! measurement. This orchestrator instead warms each (workload, scheduler)
-//! configuration *once*, snapshots the warm system
-//! ([`System::snapshot`](cloudmc_sim::System::snapshot)), and forks every
-//! measured replicate from the image — each replicate restores the warm
-//! state, re-seeds its stochastic inputs
-//! ([`System::reseed`](cloudmc_sim::System::reseed)) and runs only the
-//! measurement window. That is the SimFlex-style checkpoint-sampling
-//! methodology of the source paper, at fleet scale: replicates are
-//! embarrassingly parallel, and the warm-up cost is amortized `replicates`
-//! ways.
-//!
-//! Every `repro sweep` invocation runs the same grid three ways and demands
-//! bit-identical per-cell statistics from all of them — the sweep doubles as
-//! the snapshot round-trip gate:
-//!
-//! 1. **serial**: cold start per cell, one thread (the reference);
-//! 2. **parallel**: cold start per cell, worker threads;
-//! 3. **forked**: warm once per configuration, replicates restored from the
-//!    checkpoint image, worker threads.
-//!
-//! The forked pass is *resumable*: each finished cell is written to
-//! `--resume-dir` as one JSON file the moment it completes, and a re-run
-//! loads cached cells instead of recomputing them — a killed sweep continues
-//! where it stopped. (`--max-cells N` stops the forked pass after `N` fresh
-//! cells, which is how CI exercises the kill/resume path deterministically.)
-//!
-//! Each cell's measurement window equals the warm-up window: with
-//! checkpoint forking the measurement is the only per-replicate cost, and
-//! many short, re-seeded windows from one warm image is exactly how
-//! checkpoint sampling trades one long run for error bars. The report
-//! (`BENCH_sweep.json`) carries per-configuration means with 95% confidence
-//! intervals across replicates, plus cells/minute for all three modes.
+//! * **One replicate** is a cold [`Simulator::try_run`]: warm up, measure.
+//! * **R replicates** warm each configuration *once*, snapshot it, continue
+//!   the warm system as replicate 0 — bit-identical to the one-replicate
+//!   run — and fork replicates 1..R from the image, each re-seeded
+//!   ([`System::reseed`](cloudmc_sim::System::reseed)) with
+//!   [`replicate_seed`]: SimFlex-style checkpoint sampling, where a
+//!   replicate costs a measurement window, not a warm-up as well.
+//! * **Workers**: up to `threads` scoped workers claim configurations from
+//!   an atomic cursor; each runs its configuration's warm-up and every
+//!   measurement. Results keep input order, so the thread count never
+//!   changes an answer.
+//! * **Resume**: with a resume directory, each finished cell (one replicate
+//!   of one configuration) is written there at once as
+//!   [`SimStats::to_json`], in a file named by the configuration's
+//!   [`config_fingerprint`] (every field, windows and seed included), the
+//!   replicate and its seed. A re-run loads those cells instead of
+//!   simulating them; a file that does not parse is a miss, never data.
+//!   `max_cells` stops after that many fresh cells, chosen in input order
+//!   before anything runs, which is how CI exercises kill and resume.
+//!   Without a resume directory nothing is read or written.
+//! * **Progress** goes to stderr: a line per finished configuration and a
+//!   summary per study. Stdout is left to the tables.
 
-use std::fmt::Write as _;
+use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use cloudmc_memctrl::SchedulerKind;
-use cloudmc_sim::{SimStats, Simulator, Snapshot, SystemConfig};
-use cloudmc_workloads::Workload;
+use cloudmc_sim::{config_fingerprint, SimStats, Simulator, SystemConfig};
 
-use crate::experiments::Scale;
-
-/// The workload pool the sweep grid draws from (`--workloads N` takes the
-/// first `N`): two scale-out services, the dense decision-support scan and
-/// the streaming server — the paper's main behavioural classes.
-pub const SWEEP_WORKLOADS: [Workload; 4] = [
-    Workload::DataServing,
-    Workload::TpchQ6,
-    Workload::WebSearch,
-    Workload::MediaStreaming,
-];
-
-/// Sweep grid and orchestration settings (the `repro sweep` flags).
+/// How the executor runs a study: the `repro` flags `--replicates`,
+/// `--resume-dir` and `--max-cells` (`--threads` is
+/// [`Scale::threads`](crate::Scale::threads)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// Measured replicates per (workload, scheduler) cell group.
+    /// Measured replicates per configuration (at least 1).
     pub replicates: usize,
-    /// How many of [`SWEEP_WORKLOADS`] to sweep (prefix).
-    pub workloads: usize,
-    /// How many of [`SchedulerKind::paper_set`] to sweep (prefix).
-    pub schedulers: usize,
-    /// Stop the forked pass after this many freshly computed cells (CI's
-    /// deterministic stand-in for killing the sweep mid-flight).
-    pub max_new_cells: Option<usize>,
-    /// Directory holding one JSON file per finished forked cell.
-    pub resume_dir: PathBuf,
+    /// Directory holding one JSON file per finished cell; `None` reads and
+    /// writes nothing.
+    pub resume_dir: Option<PathBuf>,
+    /// Stop after this many freshly simulated cells.
+    pub max_cells: Option<usize>,
 }
 
 impl Default for SweepOptions {
     fn default() -> Self {
         Self {
-            replicates: 3,
-            workloads: SWEEP_WORKLOADS.len(),
-            schedulers: SchedulerKind::paper_set().len(),
-            max_new_cells: None,
-            resume_dir: PathBuf::from("BENCH_sweep_cells"),
+            replicates: 1,
+            resume_dir: None,
+            max_cells: None,
         }
     }
 }
 
-/// One measured cell: a (workload, scheduler, replicate) coordinate plus the
-/// statistics the report aggregates. Every field is bit-deterministic, so
-/// records computed serially, in parallel and forked from a checkpoint must
-/// compare equal — that comparison is the sweep's correctness gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellRecord {
-    /// Workload name (`Debug` rendering, e.g. `TpchQ6`).
-    pub workload: String,
-    /// Scheduler label (e.g. `FR-FCFS`).
-    pub scheduler: String,
-    /// Replicate index within the cell group.
-    pub replicate: usize,
-    /// The replicate's measurement seed.
-    pub seed: u64,
-    /// Committed user instructions in the measurement window.
-    pub user_instructions: u64,
-    /// Reads completed in the window.
-    pub reads_completed: u64,
-    /// Writes completed in the window.
-    pub writes_completed: u64,
-    /// Aggregate user IPC over the window.
-    pub user_ipc: f64,
-    /// Average read latency in DRAM cycles.
-    pub avg_read_latency_dram: f64,
-    /// Row-buffer hit rate.
-    pub row_buffer_hit_rate: f64,
-    /// Data-bus utilization.
-    pub bandwidth_utilization: f64,
-}
-
-impl CellRecord {
-    fn from_stats(cell: &Cell, stats: &SimStats) -> Self {
-        Self {
-            workload: cell.workload_name.clone(),
-            scheduler: cell.scheduler_label.to_owned(),
-            replicate: cell.replicate,
-            seed: cell.seed,
-            user_instructions: stats.user_instructions,
-            reads_completed: stats.reads_completed,
-            writes_completed: stats.writes_completed,
-            user_ipc: stats.user_ipc(),
-            avg_read_latency_dram: stats.avg_read_latency_dram,
-            row_buffer_hit_rate: stats.row_buffer_hit_rate,
-            bandwidth_utilization: stats.bandwidth_utilization,
-        }
-    }
-
-    /// One-line JSON object. Floats use the shortest round-trip rendering,
-    /// so identical statistics serialize to identical bytes.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workload\": \"{}\", \"scheduler\": \"{}\", \"replicate\": {}, \"seed\": {}, \
-             \"user_instructions\": {}, \"reads_completed\": {}, \"writes_completed\": {}, \
-             \"user_ipc\": {:?}, \"avg_read_latency_dram\": {:?}, \
-             \"row_buffer_hit_rate\": {:?}, \"bandwidth_utilization\": {:?}}}",
-            self.workload,
-            self.scheduler,
-            self.replicate,
-            self.seed,
-            self.user_instructions,
-            self.reads_completed,
-            self.writes_completed,
-            self.user_ipc,
-            self.avg_read_latency_dram,
-            self.row_buffer_hit_rate,
-            self.bandwidth_utilization,
-        )
-    }
-
-    /// Parses a record previously written by [`CellRecord::to_json`].
-    /// Returns `None` on any missing or malformed field — the caller treats
-    /// an unreadable cache entry as a cache miss, never as data.
-    #[must_use]
-    pub fn parse(json: &str) -> Option<Self> {
-        Some(Self {
-            workload: json_str(json, "workload")?,
-            scheduler: json_str(json, "scheduler")?,
-            replicate: json_num(json, "replicate")?,
-            seed: json_num(json, "seed")?,
-            user_instructions: json_num(json, "user_instructions")?,
-            reads_completed: json_num(json, "reads_completed")?,
-            writes_completed: json_num(json, "writes_completed")?,
-            user_ipc: json_num(json, "user_ipc")?,
-            avg_read_latency_dram: json_num(json, "avg_read_latency_dram")?,
-            row_buffer_hit_rate: json_num(json, "row_buffer_hit_rate")?,
-            bandwidth_utilization: json_num(json, "bandwidth_utilization")?,
-        })
-    }
-}
-
-/// Extracts the raw text of `"name": <value>` from a flat JSON object.
-fn json_raw<'a>(json: &'a str, name: &str) -> Option<&'a str> {
-    let key = format!("\"{name}\": ");
-    let start = json.find(&key)? + key.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
-fn json_str(json: &str, name: &str) -> Option<String> {
-    let raw = json_raw(json, name)?;
-    raw.strip_prefix('"')?.strip_suffix('"').map(str::to_owned)
-}
-
-fn json_num<T: std::str::FromStr>(json: &str, name: &str) -> Option<T> {
-    json_raw(json, name)?.parse().ok()
-}
-
-/// One grid coordinate with everything needed to run it.
-#[derive(Debug, Clone)]
-struct Cell {
-    workload: Workload,
-    workload_name: String,
-    scheduler: SchedulerKind,
-    scheduler_label: &'static str,
-    replicate: usize,
-    seed: u64,
-}
-
-impl Cell {
-    fn cache_file(&self) -> String {
-        format!(
-            "cell_{}_{}_r{}.json",
-            self.workload_name, self.scheduler_label, self.replicate
-        )
-    }
-}
-
-/// The system configuration of one cell group: baseline hardware, the
-/// group's scheduler, and a measurement window equal to the warm-up window
-/// (see the module docs for why).
-fn cell_config(workload: Workload, scheduler: SchedulerKind, scale: &Scale) -> SystemConfig {
-    let mut cfg = SystemConfig::baseline(workload);
-    cfg.mc.scheduler = scheduler;
-    cfg.warmup_cpu_cycles = scale.warmup_cpu_cycles;
-    cfg.measure_cpu_cycles = scale.warmup_cpu_cycles;
-    cfg.seed = scale.seed;
-    cfg
-}
-
-/// The measurement seed of replicate `replicate` under base seed `base`:
-/// any deterministic injection works, this one keeps neighbouring replicates
-/// far apart in seed space.
-fn replicate_seed(base: u64, replicate: usize) -> u64 {
-    base ^ (replicate as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Runs one cell cold: build, warm up, re-seed, measure.
-fn run_cell_cold(cell: &Cell, scale: &Scale) -> Result<CellRecord, String> {
-    let cfg = cell_config(cell.workload, cell.scheduler, scale);
-    let mut sim = Simulator::new(cfg).map_err(|e| e.to_string())?;
-    sim.run_warmup();
-    sim.system_mut().reseed(cell.seed);
-    let stats = sim.run_measurement().map_err(|e| e.to_string())?;
-    Ok(CellRecord::from_stats(cell, &stats))
-}
-
-/// Runs one cell forked from the group's warm image: restore, re-seed,
-/// measure.
-fn run_cell_forked(cell: &Cell, image: &Snapshot, scale: &Scale) -> Result<CellRecord, String> {
-    let cfg = cell_config(cell.workload, cell.scheduler, scale);
-    let mut sim = Simulator::from_snapshot(cfg, image).map_err(|e| e.to_string())?;
-    sim.system_mut().reseed(cell.seed);
-    let stats = sim.run_measurement().map_err(|e| e.to_string())?;
-    Ok(CellRecord::from_stats(cell, &stats))
-}
-
-/// Runs `jobs.len()` independent jobs on up to `threads` scoped workers,
-/// returning results in job order. Worker panics propagate on scope exit.
-fn on_workers<T: Send, F>(threads: usize, jobs: usize, run: F) -> Vec<T>
-where
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, jobs.max(1));
-    let next = Mutex::new(0usize);
-    let results = Mutex::new((0..jobs).map(|_| None).collect::<Vec<Option<T>>>());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = {
-                    let mut next = next.lock().expect("job counter poisoned");
-                    let job = *next;
-                    *next += 1;
-                    job
-                };
-                if job >= jobs {
-                    break;
-                }
-                let result = run(job);
-                results.lock().expect("result store poisoned")[job] = Some(result);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("result store poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect()
-}
-
-/// Per-(workload, scheduler) aggregate: mean and 95% confidence interval
-/// across the replicates (normal approximation, sample standard deviation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupSummary {
-    /// Workload name.
-    pub workload: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Replicates aggregated.
-    pub replicates: usize,
-    /// Mean user IPC across replicates.
-    pub ipc_mean: f64,
-    /// 95% confidence half-width of the IPC mean.
-    pub ipc_ci95: f64,
-    /// Mean read latency (DRAM cycles) across replicates.
-    pub latency_mean: f64,
-    /// 95% confidence half-width of the latency mean.
-    pub latency_ci95: f64,
-}
-
-fn mean_ci95(values: &[f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
-}
-
-/// Wall-clock accounting of one pass over the grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModeTiming {
-    /// Cells produced by this pass.
-    pub cells: usize,
-    /// Of those, cells loaded from the resume cache instead of computed.
-    pub from_cache: usize,
-    /// Wall-clock seconds for the pass.
-    pub elapsed_sec: f64,
-}
-
-impl ModeTiming {
-    /// Cells per minute of wall clock (the report's headline unit).
-    #[must_use]
-    pub fn cells_per_min(&self) -> f64 {
-        if self.elapsed_sec <= 0.0 {
-            return 0.0;
-        }
-        self.cells as f64 * 60.0 / self.elapsed_sec
-    }
-}
-
-/// The finished sweep: per-cell records (identical across modes — enforced),
-/// per-group aggregates, and the three modes' throughput.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// Workload names in the grid.
-    pub workloads: Vec<String>,
-    /// Scheduler labels in the grid.
-    pub schedulers: Vec<String>,
-    /// Replicates per cell group.
-    pub replicates: usize,
-    /// Warm-up (= per-cell measurement) window in CPU cycles.
-    pub window_cpu_cycles: u64,
-    /// Worker threads used by the parallel and forked passes.
-    pub threads: usize,
-    /// The per-cell records, grid order (workload-major, then scheduler,
-    /// then replicate).
-    pub cells: Vec<CellRecord>,
-    /// Per-(workload, scheduler) aggregates.
-    pub groups: Vec<GroupSummary>,
-    /// Serial cold-start pass timing.
-    pub serial: ModeTiming,
-    /// Parallel cold-start pass timing.
-    pub parallel: ModeTiming,
-    /// Checkpoint-forked pass timing.
-    pub forked: ModeTiming,
-}
-
-impl SweepReport {
-    /// Machine-readable JSON for `BENCH_sweep.json`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let quoted = |items: &[String]| {
-            items
-                .iter()
-                .map(|w| format!("\"{w}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("{\n  \"benchmark\": \"snapshot_forked_sweep\",\n");
-        let _ = writeln!(
-            out,
-            "  \"grid\": {{\"workloads\": [{}], \"schedulers\": [{}], \"replicates\": {}, \
-             \"window_cpu_cycles\": {}}},",
-            quoted(&self.workloads),
-            quoted(&self.schedulers),
-            self.replicates,
-            self.window_cpu_cycles,
-        );
-        out.push_str("  \"modes_bit_identical\": true,\n");
-        let _ = writeln!(
-            out,
-            "  \"throughput\": {{\"threads\": {}, \"cells\": {}, \
-             \"serial_cells_per_min\": {:.2}, \"parallel_cells_per_min\": {:.2}, \
-             \"forked_cells_per_min\": {:.2}, \"parallel_speedup\": {:.3}, \
-             \"forked_speedup\": {:.3}, \"forked_cells_from_cache\": {}}},",
-            self.threads,
-            self.cells.len(),
-            self.serial.cells_per_min(),
-            self.parallel.cells_per_min(),
-            self.forked.cells_per_min(),
-            self.parallel_speedup(),
-            self.forked_speedup(),
-            self.forked.from_cache,
-        );
-        out.push_str("  \"groups\": [\n");
-        for (i, g) in self.groups.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"replicates\": {}, \
-                 \"ipc_mean\": {:.4}, \"ipc_ci95\": {:.4}, \
-                 \"latency_mean\": {:.2}, \"latency_ci95\": {:.2}}}{}",
-                g.workload,
-                g.scheduler,
-                g.replicates,
-                g.ipc_mean,
-                g.ipc_ci95,
-                g.latency_mean,
-                g.latency_ci95,
-                if i + 1 == self.groups.len() { "" } else { "," }
-            );
-        }
-        out.push_str("  ],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {}{}",
-                c.to_json(),
-                if i + 1 == self.cells.len() { "" } else { "," }
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Human-readable summary for the terminal.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "snapshot-forked sweep: {} workloads x {} schedulers x {} replicates \
-             ({} cells, {}-cycle windows)\n\
-             workload         scheduler          ipc (mean +/- ci95)    read latency (dram)\n",
-            self.workloads.len(),
-            self.schedulers.len(),
-            self.replicates,
-            self.cells.len(),
-            self.window_cpu_cycles,
-        );
-        for g in &self.groups {
-            let _ = writeln!(
-                out,
-                "{:<16} {:<16} {:>8.3} +/- {:<8.3} {:>10.1} +/- {:.1}",
-                g.workload, g.scheduler, g.ipc_mean, g.ipc_ci95, g.latency_mean, g.latency_ci95
-            );
-        }
-        let _ = writeln!(
-            out,
-            "cells/minute: serial {:.2}, parallel {:.2} ({:.2}x), \
-             snapshot-forked {:.2} ({:.2}x, {} of {} cells from cache; {} threads)",
-            self.serial.cells_per_min(),
-            self.parallel.cells_per_min(),
-            self.parallel_speedup(),
-            self.forked.cells_per_min(),
-            self.forked_speedup(),
-            self.forked.from_cache,
-            self.cells.len(),
-            self.threads,
-        );
-        out
-    }
-
-    /// Parallel cold-start throughput relative to serial.
-    #[must_use]
-    pub fn parallel_speedup(&self) -> f64 {
-        safe_ratio(self.parallel.cells_per_min(), self.serial.cells_per_min())
-    }
-
-    /// Checkpoint-forked throughput relative to serial.
-    #[must_use]
-    pub fn forked_speedup(&self) -> f64 {
-        safe_ratio(self.forked.cells_per_min(), self.serial.cells_per_min())
-    }
-}
-
-fn safe_ratio(num: f64, den: f64) -> f64 {
-    if den <= 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
-/// How a sweep invocation ended.
-#[derive(Debug)]
-pub enum SweepOutcome {
-    /// All passes ran; the report is ready to write.
-    Complete(Box<SweepReport>),
-    /// `--max-cells` stopped the forked pass early; re-running the same
-    /// sweep resumes from the cells already in the resume directory.
+/// Why a study returned no results.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SweepError {
+    /// The first configuration, in input order, that failed to run or whose
+    /// finished cell could not be written to the resume directory.
+    Failed {
+        /// The configuration's label.
+        label: String,
+        /// What went wrong.
+        reason: String,
+    },
+    /// `max_cells` fresh cells were simulated and cells are still missing;
+    /// the same invocation resumes from the resume directory.
     Stopped {
-        /// Freshly computed cells before stopping.
+        /// Cells simulated by this invocation.
         new_cells: usize,
         /// Cells loaded from the resume directory.
         cached_cells: usize,
@@ -509,363 +80,444 @@ pub enum SweepOutcome {
     },
 }
 
-/// Builds the grid in report order (workload-major, scheduler, replicate).
-fn grid(opts: &SweepOptions, scale: &Scale) -> Vec<Cell> {
-    let workloads = &SWEEP_WORKLOADS[..opts.workloads.min(SWEEP_WORKLOADS.len())];
-    let paper = SchedulerKind::paper_set();
-    let schedulers = &paper[..opts.schedulers.min(paper.len())];
-    let mut cells = Vec::new();
-    for &workload in workloads {
-        for &scheduler in schedulers {
-            for replicate in 0..opts.replicates {
-                cells.push(Cell {
-                    workload,
-                    workload_name: format!("{workload:?}"),
-                    scheduler,
-                    scheduler_label: scheduler.label(),
-                    replicate,
-                    seed: replicate_seed(scale.seed, replicate),
-                });
-            }
+impl fmt::Display for SweepError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Failed { label, reason } => write!(f, "{label}: {reason}"),
+            Self::Stopped {
+                new_cells,
+                cached_cells,
+                remaining,
+            } => write!(
+                f,
+                "stopped after {new_cells} new cells ({cached_cells} cached, {remaining} \
+                 remaining): rerun the same command to resume"
+            ),
         }
     }
-    cells
 }
 
-/// Loads a cell's cached record if one exists and matches the cell's
-/// coordinates and seed exactly; anything else is a miss.
-fn load_cached(dir: &Path, cell: &Cell) -> Option<CellRecord> {
-    let text = std::fs::read_to_string(dir.join(cell.cache_file())).ok()?;
-    let record = CellRecord::parse(&text)?;
-    (record.workload == cell.workload_name
-        && record.scheduler == cell.scheduler_label
-        && record.replicate == cell.replicate
-        && record.seed == cell.seed)
-        .then_some(record)
+/// The measurement seed of replicate `replicate` of a configuration seeded
+/// `seed`: replicate 0 keeps the configured seed (it is the warm run
+/// continued), the others lie far apart in seed space.
+#[must_use]
+pub fn replicate_seed(seed: u64, replicate: usize) -> u64 {
+    seed ^ (replicate as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The forked pass: warm + snapshot each (workload, scheduler) group that
-/// still has missing cells, then measure all missing cells from the images
-/// on the worker pool, writing each to the resume directory as it finishes.
-/// Returns `(records_in_grid_order, timing)` or, when `max_new_cells` capped
-/// the pass, `Err` describing the early stop.
-fn forked_pass(
-    cells: &[Cell],
-    opts: &SweepOptions,
-    scale: &Scale,
-) -> Result<Result<(Vec<CellRecord>, ModeTiming), SweepOutcome>, String> {
-    let started = Instant::now();
-    std::fs::create_dir_all(&opts.resume_dir)
-        .map_err(|e| format!("creating {}: {e}", opts.resume_dir.display()))?;
-    let mut records: Vec<Option<CellRecord>> = Vec::with_capacity(cells.len());
-    let mut missing: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let cached = load_cached(&opts.resume_dir, cell);
-        if cached.is_none() {
-            missing.push(i);
-        }
-        records.push(cached);
-    }
-    let cached_cells = cells.len() - missing.len();
-    if let Some(cap) = opts.max_new_cells {
-        missing.truncate(cap);
-    }
-
-    // Warm and snapshot each group that still has work, in parallel.
-    let mut group_keys: Vec<(Workload, SchedulerKind)> = Vec::new();
-    for &i in &missing {
-        let key = (cells[i].workload, cells[i].scheduler);
-        if !group_keys.contains(&key) {
-            group_keys.push(key);
+/// Mean and 95% confidence half-width of `values` (Student's t on the
+/// sample standard deviation). One value is its own mean, exactly, with a
+/// half-width of 0.
+#[must_use]
+pub fn mean_ci95(values: &[f64]) -> (f64, f64) {
+    /// Two-sided 95% critical values of Student's t for 1..=30 degrees of
+    /// freedom; beyond that the normal 1.96.
+    const T95: [f64; 30] = [
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+        2.052, 2.048, 2.045, 2.042,
+    ];
+    match values {
+        [] => (0.0, 0.0),
+        [only] => (*only, 0.0),
+        _ => {
+            let n = values.len() as f64;
+            let mean = values.iter().sum::<f64>() / n;
+            let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            let t = T95.get(values.len() - 2).copied().unwrap_or(1.96);
+            (mean, t * (var / n).sqrt())
         }
     }
-    let images: Vec<Result<Snapshot, String>> =
-        on_workers(scale.threads, group_keys.len(), |job| {
-            let (workload, scheduler) = group_keys[job];
-            let cfg = cell_config(workload, scheduler, scale);
-            let mut sim = Simulator::new(cfg).map_err(|e| e.to_string())?;
-            sim.run_warmup();
-            sim.system().snapshot().map_err(|e| e.to_string())
-        });
-    let mut group_images = Vec::with_capacity(images.len());
-    for image in images {
-        group_images.push(image?);
-    }
-    let image_of = |cell: &Cell| {
-        let key = (cell.workload, cell.scheduler);
-        let at = group_keys.iter().position(|&k| k == key).expect("warmed");
-        &group_images[at]
-    };
-
-    // Measure the missing cells on the pool; persist each as it finishes.
-    let computed: Vec<Result<CellRecord, String>> =
-        on_workers(scale.threads, missing.len(), |job| {
-            let cell = &cells[missing[job]];
-            let record = run_cell_forked(cell, image_of(cell), scale)?;
-            let path = opts.resume_dir.join(cell.cache_file());
-            std::fs::write(&path, record.to_json())
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            Ok(record)
-        });
-    let new_cells = computed.len();
-    for (slot, record) in missing.iter().zip(computed) {
-        records[*slot] = Some(record?);
-    }
-
-    let timing = ModeTiming {
-        cells: cells.len(),
-        from_cache: cached_cells,
-        elapsed_sec: started.elapsed().as_secs_f64(),
-    };
-    if records.iter().any(Option::is_none) {
-        return Ok(Err(SweepOutcome::Stopped {
-            new_cells,
-            cached_cells,
-            remaining: records.iter().filter(|r| r.is_none()).count(),
-        }));
-    }
-    Ok(Ok((
-        records.into_iter().map(|r| r.expect("checked")).collect(),
-        timing,
-    )))
 }
 
-/// Runs the full sweep: forked (resumable) first, then the serial and
-/// parallel cold-start reference passes, then the bit-identity gate.
+/// Runs every configuration of `cells` with `opts.replicates` replicates on
+/// up to `threads` workers and returns each configuration's statistics,
+/// replicate 0 first, in input order. `study` names the summary line.
 ///
 /// # Errors
 ///
-/// Returns a description of the first configuration, I/O or simulation
-/// error, or of a bit-identity violation between the three modes (which
-/// would mean the snapshot layer is broken — the sweep refuses to report).
-pub fn run_sweep(opts: &SweepOptions, scale: &Scale) -> Result<SweepOutcome, String> {
-    let cells = grid(opts, scale);
-    if cells.is_empty() {
-        return Err("empty sweep grid".to_owned());
-    }
-
-    // Pass 1 (resumable, capped): checkpoint-forked.
-    let (forked_records, forked_timing) = match forked_pass(&cells, opts, scale)? {
-        Ok(done) => done,
-        Err(stopped) => return Ok(stopped),
-    };
-
-    // Pass 2: serial cold-start reference.
+/// [`SweepError::Failed`] for the first configuration (in input order) that
+/// failed, and [`SweepError::Stopped`] when `opts.max_cells` left cells
+/// missing.
+pub fn run_sweep(
+    study: &str,
+    cells: &[(String, SystemConfig)],
+    threads: usize,
+    opts: &SweepOptions,
+) -> Result<Vec<Vec<SimStats>>, SweepError> {
     let started = Instant::now();
-    let serial_records = {
-        let mut out = Vec::with_capacity(cells.len());
-        for cell in &cells {
-            out.push(run_cell_cold(cell, scale)?);
-        }
-        out
-    };
-    let serial_timing = ModeTiming {
-        cells: cells.len(),
-        from_cache: 0,
-        elapsed_sec: started.elapsed().as_secs_f64(),
-    };
-
-    // Pass 3: parallel cold-start.
-    let started = Instant::now();
-    let parallel_results: Vec<Result<CellRecord, String>> =
-        on_workers(scale.threads, cells.len(), |job| {
-            run_cell_cold(&cells[job], scale)
-        });
-    let mut parallel_records = Vec::with_capacity(cells.len());
-    for record in parallel_results {
-        parallel_records.push(record?);
-    }
-    let parallel_timing = ModeTiming {
-        cells: cells.len(),
-        from_cache: 0,
-        elapsed_sec: started.elapsed().as_secs_f64(),
-    };
-
-    // The snapshot round-trip gate: all three modes must agree bit-for-bit.
-    for (serial, (parallel, forked)) in serial_records
+    let replicates = opts.replicates.max(1);
+    let cache = opts.resume_dir.as_deref();
+    let mut results: Vec<Vec<Option<SimStats>>> = cells
         .iter()
-        .zip(parallel_records.iter().zip(forked_records.iter()))
-    {
-        if serial != parallel || serial != forked {
-            return Err(format!(
-                "modes diverged at cell ({}, {}, replicate {}): the parallel and \
-                 checkpoint-forked runs must be bit-identical to the serial reference",
-                serial.workload, serial.scheduler, serial.replicate
-            ));
+        .map(|(_, cfg)| {
+            (0..replicates)
+                .map(|r| cache.and_then(|dir| load_cached(&cache_path(dir, cfg, r))))
+                .collect()
+        })
+        .collect();
+    let cached_cells = results.iter().flatten().flatten().count();
+
+    let done = AtomicUsize::new(0);
+    let progress = |label: &str, what: &str| {
+        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+        eprintln!("[{n}/{}] {label} {what}", cells.len());
+    };
+    // The missing cells to simulate, in input order, up to the cap.
+    let mut budget = opts.max_cells.unwrap_or(usize::MAX);
+    let mut plan = Vec::new();
+    for (config, row) in results.iter().enumerate() {
+        let missing: Vec<usize> = (0..replicates).filter(|&r| row[r].is_none()).collect();
+        if missing.is_empty() {
+            progress(&cells[config].0, "cached");
+            continue;
+        }
+        let todo: Vec<usize> = missing.iter().copied().take(budget).collect();
+        budget -= todo.len();
+        if !todo.is_empty() {
+            let completes = todo.len() == missing.len();
+            plan.push((config, todo, completes));
         }
     }
 
-    // Aggregate per group, in grid order.
-    let mut groups = Vec::new();
-    for chunk in serial_records.chunks(opts.replicates) {
-        let ipcs: Vec<f64> = chunk.iter().map(|c| c.user_ipc).collect();
-        let lats: Vec<f64> = chunk.iter().map(|c| c.avg_read_latency_dram).collect();
-        let (ipc_mean, ipc_ci95) = mean_ci95(&ipcs);
-        let (latency_mean, latency_ci95) = mean_ci95(&lats);
-        groups.push(GroupSummary {
-            workload: chunk[0].workload.clone(),
-            scheduler: chunk[0].scheduler.clone(),
-            replicates: chunk.len(),
-            ipc_mean,
-            ipc_ci95,
-            latency_mean,
-            latency_ci95,
-        });
+    let outcomes = on_workers(threads, plan.len(), |job| {
+        let (config, todo, completes) = &plan[job];
+        let (label, cfg) = &cells[*config];
+        let start = Instant::now();
+        let keep = |r: usize, stats: &SimStats| match cache {
+            Some(dir) => store(&cache_path(dir, cfg, r), stats),
+            None => Ok(()),
+        };
+        let fresh = simulate(cfg, todo, keep).map_err(|reason| SweepError::Failed {
+            label: label.clone(),
+            reason,
+        })?;
+        if *completes {
+            progress(label, &format!("{:.2} s", start.elapsed().as_secs_f64()));
+        }
+        Ok(fresh)
+    });
+    let mut new_cells = 0;
+    for ((config, _, _), outcome) in plan.iter().zip(outcomes) {
+        // `None`: not claimed after an earlier job failed, and this loop
+        // returns that failure first.
+        let Some(outcome) = outcome else { continue };
+        for (r, stats) in outcome? {
+            results[*config][r] = Some(stats);
+            new_cells += 1;
+        }
     }
 
-    let workloads = SWEEP_WORKLOADS[..opts.workloads.min(SWEEP_WORKLOADS.len())]
-        .iter()
-        .map(|w| format!("{w:?}"))
-        .collect();
-    let paper = SchedulerKind::paper_set();
-    let schedulers = paper[..opts.schedulers.min(paper.len())]
-        .iter()
-        .map(|s| s.label().to_owned())
-        .collect();
-    Ok(SweepOutcome::Complete(Box::new(SweepReport {
-        workloads,
-        schedulers,
-        replicates: opts.replicates,
-        window_cpu_cycles: scale.warmup_cpu_cycles,
-        threads: scale.threads,
-        cells: serial_records,
-        groups,
-        serial: serial_timing,
-        parallel: parallel_timing,
-        forked: forked_timing,
-    })))
+    let remaining = results.iter().flatten().filter(|s| s.is_none()).count();
+    if remaining > 0 {
+        return Err(SweepError::Stopped {
+            new_cells,
+            cached_cells,
+            remaining,
+        });
+    }
+    eprintln!(
+        "# {study}: {} configurations x {replicates} replicates: {new_cells} cells simulated, \
+         {cached_cells} cached, {:.1} s",
+        cells.len(),
+        started.elapsed().as_secs_f64()
+    );
+    Ok(results
+        .into_iter()
+        .map(|row| row.into_iter().flatten().collect())
+        .collect())
+}
+
+/// [`run_sweep`] with one replicate per configuration, flattened: the
+/// single-seed points the `BENCH_*.json` studies report.
+///
+/// # Errors
+///
+/// Exactly those of [`run_sweep`].
+pub fn run_each(
+    study: &str,
+    cells: &[(String, SystemConfig)],
+    threads: usize,
+    opts: &SweepOptions,
+) -> Result<Vec<SimStats>, SweepError> {
+    let once = SweepOptions {
+        replicates: 1,
+        ..opts.clone()
+    };
+    Ok(run_sweep(study, cells, threads, &once)?
+        .into_iter()
+        .flatten()
+        .collect())
+}
+
+/// Simulates replicates `todo` (ascending) of `cfg`: warm up once, snapshot
+/// if any forked replicate is wanted, continue the warm system as replicate
+/// 0, then fork the rest from the image. Each finished cell goes through
+/// `keep` as soon as it completes.
+fn simulate(
+    cfg: &SystemConfig,
+    todo: &[usize],
+    keep: impl Fn(usize, &SimStats) -> Result<(), String>,
+) -> Result<Vec<(usize, SimStats)>, String> {
+    let mut done = Vec::with_capacity(todo.len());
+    let mut sim = Simulator::new(cfg.clone())?;
+    sim.run_warmup();
+    let continue_warm = todo.first() == Some(&0);
+    let forks = &todo[usize::from(continue_warm)..];
+    let image = (!forks.is_empty())
+        .then(|| sim.system().snapshot())
+        .transpose()?;
+    if continue_warm {
+        let stats = sim.run_measurement()?;
+        keep(0, &stats)?;
+        done.push((0, stats));
+    }
+    if let Some(image) = image {
+        for &r in forks {
+            let mut fork = Simulator::from_snapshot(cfg.clone(), &image)?;
+            fork.system_mut().reseed(replicate_seed(cfg.seed, r));
+            let stats = fork.run_measurement()?;
+            keep(r, &stats)?;
+            done.push((r, stats));
+        }
+    }
+    Ok(done)
+}
+
+/// The resume-cache file of replicate `replicate` of `cfg`.
+fn cache_path(dir: &Path, cfg: &SystemConfig, replicate: usize) -> PathBuf {
+    dir.join(format!(
+        "{:016x}-r{replicate}-{:016x}.json",
+        config_fingerprint(cfg),
+        replicate_seed(cfg.seed, replicate)
+    ))
+}
+
+/// A cached cell, if `path` holds one; a missing, truncated or garbled file
+/// is a miss.
+fn load_cached(path: &Path) -> Option<SimStats> {
+    SimStats::from_json(&std::fs::read_to_string(path).ok()?)
+}
+
+/// Writes one finished cell to the resume cache.
+fn store(path: &Path, stats: &SimStats) -> Result<(), String> {
+    path.parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, stats.to_json()))
+        .map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
+/// Runs `jobs` jobs on up to `threads` scoped workers, each claiming the
+/// next index from an atomic cursor, and returns every job's result in job
+/// order. Once a job fails no new job is claimed; every job claimed before
+/// it — all lower indices — still runs, so the first failure in job order is
+/// the same for any thread count, and `None` (never run) only follows it.
+fn on_workers<T: Send, E: Send>(
+    threads: usize,
+    jobs: usize,
+    run: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Vec<Option<Result<T, E>>> {
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.clamp(1, jobs.max(1)) {
+            scope.spawn(|| {
+                while !failed.load(Ordering::Relaxed) {
+                    let job = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(job) else { break };
+                    let result = run(job);
+                    failed.fetch_or(result.is_err(), Ordering::Relaxed);
+                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudmc_memctrl::SchedulerKind;
+    use cloudmc_workloads::Workload;
 
-    fn tiny_scale() -> Scale {
-        let mut scale = Scale::quick();
-        scale.warmup_cpu_cycles = 4_000;
-        scale.threads = 2;
-        scale
+    fn tiny(workload: Workload, seed: u64) -> SystemConfig {
+        let mut cfg = SystemConfig::baseline(workload);
+        cfg.warmup_cpu_cycles = 4_000;
+        cfg.measure_cpu_cycles = 8_000;
+        cfg.seed = seed;
+        cfg
     }
 
-    fn tiny_opts(dir: &str) -> SweepOptions {
+    fn cells() -> Vec<(String, SystemConfig)> {
+        let mut fcfs = tiny(Workload::DataServing, 2);
+        fcfs.mc.scheduler = SchedulerKind::FcfsBanks;
+        vec![
+            ("WS".to_owned(), tiny(Workload::WebSearch, 1)),
+            ("DS/FCFS_Banks".to_owned(), fcfs),
+            ("TPCH-Q6".to_owned(), tiny(Workload::TpchQ6, 3)),
+        ]
+    }
+
+    fn opts(replicates: usize, dir: Option<&Path>, cap: Option<usize>) -> SweepOptions {
+        let resume_dir = dir.map(Path::to_path_buf);
         SweepOptions {
-            replicates: 2,
-            workloads: 1,
-            schedulers: 2,
-            max_new_cells: None,
-            resume_dir: std::env::temp_dir().join(dir),
+            replicates,
+            resume_dir,
+            max_cells: cap,
+        }
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// One replicate is the cold run, and results keep the input order.
+    #[test]
+    fn results_come_back_in_input_order() {
+        let cells = cells();
+        let results = run_sweep("test", &cells, 3, &SweepOptions::default()).unwrap();
+        let workloads: Vec<&str> = results.iter().map(|r| r[0].workload.as_str()).collect();
+        assert_eq!(workloads, ["WS", "DS", "TPCH-Q6"]);
+        assert_eq!(results[1][0].scheduler, "FCFS_Banks");
+        let cold = Simulator::new(cells[2].1.clone())
+            .unwrap()
+            .try_run()
+            .unwrap();
+        assert_eq!(results[2], [cold]);
+    }
+
+    #[test]
+    fn parallel_matches_serial() {
+        let (cells, opts) = (cells(), opts(2, None, None));
+        assert_eq!(
+            run_sweep("test", &cells, 1, &opts),
+            run_sweep("test", &cells, 2, &opts)
+        );
+    }
+
+    /// Replicate 0 is the warm run continued, so it equals the one-replicate
+    /// run bit for bit; the forked replicates differ from it and each other.
+    #[test]
+    fn replicate_zero_is_the_single_replicate_run() {
+        let cells = cells();
+        let one = run_sweep("test", &cells, 2, &opts(1, None, None)).unwrap();
+        let three = run_sweep("test", &cells, 2, &opts(3, None, None)).unwrap();
+        for (single, replicated) in one.iter().zip(&three) {
+            assert_eq!(replicated.len(), 3);
+            assert_eq!(replicated[0], single[0]);
+            assert_ne!(replicated[1], replicated[0]);
+            assert_ne!(replicated[2], replicated[1]);
+        }
+    }
+
+    /// A `max_cells` stop persists what it simulated; the resumed run loads
+    /// it and finishes with exactly the uninterrupted result, and a third run
+    /// finds every cell cached.
+    #[test]
+    fn sweep_completes_resumes_and_gates_identity() {
+        let (cells, dir) = (cells(), scratch("cloudmc_sweep_test_resume"));
+        match run_sweep("test", &cells, 2, &opts(2, Some(&dir), Some(3))) {
+            Err(SweepError::Stopped {
+                new_cells: 3,
+                cached_cells: 0,
+                remaining: 3,
+            }) => {}
+            other => panic!("capped run must stop after 3 cells, got {other:?}"),
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+        let uninterrupted = run_sweep("test", &cells, 2, &opts(2, None, None)).unwrap();
+        let resumed = run_sweep("test", &cells, 2, &opts(2, Some(&dir), None)).unwrap();
+        assert_eq!(resumed, uninterrupted);
+        let cached = run_sweep("test", &cells, 2, &opts(2, Some(&dir), Some(0))).unwrap();
+        assert_eq!(cached, uninterrupted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A finished cell reads back from the cache exactly, from a file named
+    /// by the configuration fingerprint, the replicate and its seed.
+    #[test]
+    fn cell_records_round_trip_through_json() {
+        let dir = scratch("cloudmc_sweep_test_record");
+        let cfg = tiny(Workload::WebSearch, 1);
+        let stats = Simulator::new(cfg.clone()).unwrap().try_run().unwrap();
+        let path = cache_path(&dir, &cfg, 2);
+        let key = format!(
+            "{:016x}-r2-{:016x}.json",
+            config_fingerprint(&cfg),
+            replicate_seed(1, 2)
+        );
+        assert!(path.ends_with(key));
+        store(&path, &stats).unwrap();
+        assert_eq!(load_cached(&path), Some(stats));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cache written for one configuration is a miss for any other —
+    /// another measurement or warm-up window included — and a truncated or
+    /// garbled file is a miss, never data: the executor simulates the cell.
+    #[test]
+    fn stale_cache_entries_are_recomputed_not_trusted() {
+        let dir = scratch("cloudmc_sweep_test_stale");
+        let cfg = tiny(Workload::WebSearch, 1);
+        let truth = Simulator::new(cfg.clone()).unwrap().try_run().unwrap();
+        let path = cache_path(&dir, &cfg, 0);
+        store(&path, &truth).unwrap();
+        for tweak in [
+            |c: &mut SystemConfig| c.measure_cpu_cycles += 1,
+            |c: &mut SystemConfig| c.warmup_cpu_cycles = 2_000,
+            |c: &mut SystemConfig| c.seed = 9,
+        ] {
+            let mut other = cfg.clone();
+            tweak(&mut other);
+            assert_eq!(load_cached(&cache_path(&dir, &other, 0)), None);
+        }
+        let json = truth.to_json();
+        for bad in [&json[..json.len() - 1], &json[..json.len() / 2], "garbage"] {
+            std::fs::write(&path, bad).unwrap();
+            assert_eq!(load_cached(&path), None, "accepted {bad:?}");
+        }
+        let cells = [("WS".to_owned(), cfg)];
+        let rerun = run_sweep("test", &cells, 1, &opts(1, Some(&dir), None)).unwrap();
+        assert_eq!(rerun, [[truth]]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_cell_is_an_error_naming_its_label() {
+        let mut cells = cells();
+        cells[1].1.measure_cpu_cycles = 0;
+        match run_sweep("test", &cells, 2, &opts(2, None, None)) {
+            Err(SweepError::Failed { label, reason }) => {
+                assert_eq!(label, "DS/FCFS_Banks");
+                assert!(!reason.is_empty());
+            }
+            other => panic!("expected the failed cell, got {other:?}"),
         }
     }
 
     #[test]
-    fn cell_records_round_trip_through_json() {
-        let record = CellRecord {
-            workload: "TpchQ6".to_owned(),
-            scheduler: "FR-FCFS".to_owned(),
-            replicate: 2,
-            seed: 0xDEAD_BEEF,
-            user_instructions: 123_456,
-            reads_completed: 789,
-            writes_completed: 12,
-            user_ipc: 7.123_456_789_012,
-            avg_read_latency_dram: 61.25,
-            row_buffer_hit_rate: 0.812_345,
-            bandwidth_utilization: 0.25,
-        };
-        let parsed = CellRecord::parse(&record.to_json()).expect("round trip");
-        assert_eq!(parsed, record);
-        assert_eq!(CellRecord::parse("{\"workload\": \"x\"}"), None);
-        assert_eq!(CellRecord::parse("not json"), None);
-    }
-
-    #[test]
     fn replicate_seeds_are_distinct() {
-        let seeds: Vec<u64> = (0..16).map(|r| replicate_seed(1, r)).collect();
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len());
+        assert_eq!(replicate_seed(7, 0), 7, "replicate 0 keeps the seed");
+        let mut seeds: Vec<u64> = (0..16).map(|r| replicate_seed(1, r)).collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), 16);
     }
 
     #[test]
     fn mean_ci_matches_hand_computation() {
         let (mean, ci) = mean_ci95(&[1.0, 2.0, 3.0]);
         assert!((mean - 2.0).abs() < 1e-12);
-        // sd = 1, se = 1/sqrt(3), ci = 1.96 * se
-        assert!((ci - 1.96 / 3.0_f64.sqrt()).abs() < 1e-12);
+        // sd = 1, se = 1/sqrt(3), t at 2 degrees of freedom = 4.303
+        assert!((ci - 4.303 / 3.0_f64.sqrt()).abs() < 1e-12);
         assert_eq!(mean_ci95(&[5.0]), (5.0, 0.0));
         assert_eq!(mean_ci95(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn sweep_completes_resumes_and_gates_identity() {
-        let opts = tiny_opts("cloudmc_sweep_test_complete");
-        let _ = std::fs::remove_dir_all(&opts.resume_dir);
-        let scale = tiny_scale();
-
-        // A capped first run stops early with cells persisted.
-        let mut capped = opts.clone();
-        capped.max_new_cells = Some(1);
-        match run_sweep(&capped, &scale).expect("capped sweep") {
-            SweepOutcome::Stopped {
-                new_cells,
-                remaining,
-                ..
-            } => {
-                assert_eq!(new_cells, 1);
-                assert_eq!(remaining, 3);
-            }
-            SweepOutcome::Complete(_) => panic!("capped sweep must stop early"),
-        }
-
-        // The uncapped re-run resumes from the cache and completes.
-        let report = match run_sweep(&opts, &scale).expect("resumed sweep") {
-            SweepOutcome::Complete(report) => report,
-            SweepOutcome::Stopped { .. } => panic!("uncapped sweep must complete"),
-        };
-        assert_eq!(report.cells.len(), 4);
-        assert_eq!(report.forked.from_cache, 1, "one cell came from the cache");
-        assert_eq!(report.groups.len(), 2);
-        assert!(report.groups.iter().all(|g| g.ipc_mean > 0.0));
-        let json = report.to_json();
-        assert!(json.contains("\"modes_bit_identical\": true"));
-        assert!(json.contains("\"forked_cells_from_cache\": 1"));
-        assert!(report.to_text().contains("cells/minute"));
-
-        // A third run finds every cell cached.
-        let report = match run_sweep(&opts, &scale).expect("cached sweep") {
-            SweepOutcome::Complete(report) => report,
-            SweepOutcome::Stopped { .. } => panic!("cached sweep must complete"),
-        };
-        assert_eq!(report.forked.from_cache, 4);
-        let _ = std::fs::remove_dir_all(&opts.resume_dir);
-    }
-
-    #[test]
-    fn stale_cache_entries_are_recomputed_not_trusted() {
-        let opts = tiny_opts("cloudmc_sweep_test_stale");
-        let _ = std::fs::remove_dir_all(&opts.resume_dir);
-        std::fs::create_dir_all(&opts.resume_dir).unwrap();
-        let scale = tiny_scale();
-        // Plant a record with the right name but the wrong seed: a leftover
-        // from a sweep under a different base seed must be a cache miss.
-        let cell = &grid(&opts, &scale)[0];
-        let mut wrong = scale;
-        wrong.seed = 999;
-        let stale = Cell {
-            seed: replicate_seed(wrong.seed, 0),
-            ..cell.clone()
-        };
-        let record = run_cell_cold(&stale, &wrong).expect("stale cell");
-        std::fs::write(
-            opts.resume_dir.join(cell.cache_file()),
-            CellRecord::to_json(&record),
-        )
-        .unwrap();
-        assert!(
-            load_cached(&opts.resume_dir, cell).is_none(),
-            "a stale record must not satisfy the cache"
-        );
-        let _ = std::fs::remove_dir_all(&opts.resume_dir);
     }
 }

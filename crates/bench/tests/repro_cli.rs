@@ -75,15 +75,17 @@ fn help_prints_usage_and_succeeds() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("usage: repro"), "stdout: {stdout}");
     assert!(stdout.contains("reliability"), "stdout: {stdout}");
-    assert!(stdout.contains("sweep"), "stdout: {stdout}");
+    assert!(stdout.contains("sched"), "stdout: {stdout}");
+    assert!(!stdout.contains("sweep"), "stdout: {stdout}");
     assert!(!stdout.contains("telemetry"), "stdout: {stdout}");
+    assert!(stdout.contains("--replicates"), "stdout: {stdout}");
     assert!(stdout.contains("--resume-dir"), "stdout: {stdout}");
 }
 
 #[test]
 fn zero_sweep_replicates_fail() {
     let out = repro()
-        .args(["sweep", "--replicates", "0"])
+        .args(["sched", "--replicates", "0"])
         .output()
         .expect("spawn repro binary");
     assert!(!out.status.success(), "zero replicates must exit non-zero");
@@ -94,84 +96,89 @@ fn zero_sweep_replicates_fail() {
     );
 }
 
-/// End-to-end sweep contract: a `--max-cells`-capped run stops early without
-/// writing a report, the resumed run completes from the cached cells, and
-/// the report carries the identity gate plus the provenance `meta` block.
+/// End-to-end resume contract: a `--max-cells`-capped run stops early and
+/// prints no table, and the resumed run loads the persisted cells and
+/// prints the replicated figures. (Report provenance is pinned by
+/// `trace_report_carries_meta_block`.)
 #[test]
-fn mini_sweep_stops_resumes_and_stamps_meta() {
+fn mini_sweep_stops_and_resumes() {
     let dir = std::env::temp_dir().join("cloudmc_repro_cli_sweep");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create sweep scratch dir");
     let resume = dir.join("cells");
-    let sweep_args = [
-        "sweep",
+    let sched_args = [
+        "sched",
         "--quick",
         "--warmup",
         "4000",
-        "--workloads",
-        "1",
-        "--schedulers",
-        "2",
+        "--measure",
+        "8000",
         "--replicates",
         "2",
         "--threads",
         "2",
-        "--git-describe",
-        "test-run",
         "--resume-dir",
     ];
 
-    // First run: capped after one fresh cell — the deterministic stand-in
-    // for a sweep killed mid-flight.
+    // First run: capped after three fresh cells — the deterministic
+    // stand-in for a run killed mid-flight.
     let out = repro()
         .current_dir(&dir)
-        .args(sweep_args)
+        .args(sched_args)
         .arg(&resume)
-        .args(["--max-cells", "1"])
+        .args(["--max-cells", "3"])
         .output()
         .expect("spawn repro binary");
-    assert!(out.status.success(), "capped sweep must exit zero");
+    assert!(out.status.success(), "capped run must exit zero");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("sweep stopped after 1 new cells"),
+        stderr.contains(
+            "stopped after 3 new cells (0 cached, 117 remaining): rerun the same command to resume"
+        ),
         "stderr: {stderr}"
     );
     assert!(
-        !dir.join("BENCH_sweep.json").exists(),
-        "a stopped sweep must not write a report"
+        out.stdout.is_empty(),
+        "a stopped run must print no table: {}",
+        String::from_utf8_lossy(&out.stdout)
     );
     let cached = std::fs::read_dir(&resume).expect("resume dir").count();
-    assert_eq!(cached, 1, "one cell must be persisted for resume");
+    assert_eq!(cached, 3, "three cells must be persisted for resume");
 
-    // Second run: resumes from the cached cell and completes.
+    // Second run: resumes from the cached cells and completes.
     let out = repro()
         .current_dir(&dir)
-        .args(sweep_args)
+        .args(sched_args)
         .arg(&resume)
         .output()
         .expect("spawn repro binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resumed run must exit zero: {stderr}");
     assert!(
-        out.status.success(),
-        "resumed sweep must exit zero; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("117 cells simulated, 3 cached") && stderr.contains("[60/60]"),
+        "stderr: {stderr}"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("cells/minute"), "stdout: {stdout}");
-    let json = std::fs::read_to_string(dir.join("BENCH_sweep.json")).expect("BENCH_sweep.json");
     assert!(
-        json.contains("\"modes_bit_identical\": true"),
-        "report must carry the identity gate: {json}"
-    );
-    assert!(
-        json.contains("\"forked_cells_from_cache\": 1"),
-        "report must account the resumed cell: {json}"
-    );
-    assert!(
-        json.contains("\"git_describe\": \"test-run\"") && json.contains("\"host_nproc\""),
-        "report must carry the meta block: {json}"
+        stdout.contains("Figure 7") && stdout.contains(" +/- "),
+        "stdout: {stdout}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A configuration that cannot run is the study's error: `repro` names the
+/// experiment and the configuration, exits 1, and does not panic.
+#[test]
+fn failed_configuration_is_a_typed_error() {
+    let out = repro()
+        .args(["fig8", "--quick", "--measure", "0"])
+        .output()
+        .expect("spawn repro binary");
+    assert_eq!(out.status.code(), Some(1), "a failed cell must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: fig8: "), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 /// An unwritable `BENCH_*.json` path must produce the typed diagnostic and a
@@ -235,7 +242,7 @@ fn unwritable_csv_dir_fails_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every `BENCH_*.json` writer stamps the provenance block, not just sweep.
+/// Every `BENCH_*.json` writer stamps the provenance block.
 /// (`trace` has no timing-sensitive regression gate, so it is safe to run at
 /// tiny scale in a debug binary.)
 #[test]

@@ -62,9 +62,9 @@
 //!
 //! This is the only way a system built by `System::new` advances, and it
 //! runs on one thread: there is no kernel or thread knob on
-//! `SystemConfig`. Parallelism lives across runs
-//! ([`run_all_with_threads`](crate::runner::run_all_with_threads), `repro
-//! sweep`), where cells share nothing.
+//! `SystemConfig`. Parallelism lives across runs, where they share nothing:
+//! the experiment executor in `cloudmc-bench` (`repro --threads N`) hands
+//! whole configurations to worker threads.
 //!
 //! # The reference loop
 //!
@@ -688,7 +688,9 @@ mod tests {
 
     /// The image format did not change with the queue's storage: these are
     /// the bytes the calendar-ring implementation (commit `ae45039`) wrote
-    /// for the same script, and they restore to the same pop sequence.
+    /// for the same script — re-sealed at the current format version, which
+    /// has moved on since for other sections — and they restore to the same
+    /// pop sequence.
     #[test]
     fn fill_queue_image_matches_bytes_of_the_calendar_ring() {
         const GOLDEN: &str = "\
@@ -699,10 +701,14 @@ mod tests {
             0300000000000000c00000000000000050000000000000000700000000000000\
             0001000000000000f8030000000000000400000000000000d000000000000000\
             26088897e7d56c52";
-        let golden: Vec<u8> = (0..GOLDEN.len())
+        let mut golden: Vec<u8> = (0..GOLDEN.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
             .collect();
+        golden[8..12].copy_from_slice(&cloudmc_snap::FORMAT_VERSION.to_le_bytes());
+        let body_end = golden.len() - 8;
+        let checksum = cloudmc_snap::fnv1a(&golden[..body_end]);
+        golden[body_end..].copy_from_slice(&checksum.to_le_bytes());
         let mut q = scripted_fill_queue();
         assert_eq!(sealed_image(|w| q.save(w)), golden);
 

@@ -34,7 +34,6 @@ pub mod config;
 pub mod error;
 pub mod frontend;
 pub mod kernel;
-pub mod runner;
 pub mod snapshot;
 pub mod stats;
 pub mod system;
@@ -44,7 +43,6 @@ pub use config::{SystemConfig, DRAM_CYCLES_PER_5_CPU_CYCLES};
 pub use error::SimError;
 pub use frontend::{Frontend, FrontendEvent};
 pub use kernel::{ClockCrossing, EventQueue, FillQueue, Tick};
-pub use runner::{default_threads, run_all, run_all_with_threads};
 pub use snapshot::{config_fingerprint, Snapshot};
 pub use stats::{json_escape, mean, SimStats};
 pub use system::{run_system, Simulator, System};

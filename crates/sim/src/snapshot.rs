@@ -129,10 +129,12 @@ impl Snapshot {
 
 /// The configuration fingerprint embedded in every snapshot: an FNV-1a hash
 /// of the configuration's `Debug` rendering. Two configurations that differ
-/// in *any* field — including ones that only affect performance, like the
-/// kernel choice — fingerprint differently, which is deliberately
-/// conservative: a snapshot is only ever restored onto the exact
-/// configuration that produced it.
+/// in *any* field — the seed and the warm-up and measurement windows
+/// included — fingerprint differently, which is deliberately conservative:
+/// a snapshot is only ever restored onto the exact configuration that
+/// produced it. The experiment executor in `cloudmc-bench` keys its resume
+/// cache by the same value, so a cached cell is only ever reused for the
+/// configuration that computed it.
 #[must_use]
 pub fn config_fingerprint(cfg: &SystemConfig) -> u64 {
     fnv1a(format!("{cfg:?}").as_bytes())

@@ -248,113 +248,206 @@ impl SimStats {
             self.row_buffer_hit_rate / baseline.row_buffer_hit_rate
         }
     }
+}
 
-    /// Renders the statistics as one JSON object (hand-written: the build
-    /// environment has no registry access, so no serde).
-    ///
-    /// The list below is the one place a key is named: the key is the field
-    /// name, and `Self` is destructured from the same list without a rest
-    /// pattern, so a new field does not compile until it is exported here.
-    /// `stats_schema.txt` (checked by a unit test) is the external statement
-    /// of the same list. Keys are emitted in the order they were introduced
-    /// — new ones are appended, so existing consumers of the `BENCH_*.json`
-    /// files keep parsing unchanged.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        // Value renderers the list names per field; numbers and booleans
-        // render through `Display`.
-        fn num(value: impl std::fmt::Display) -> String {
-            value.to_string()
-        }
-        fn str(value: &str) -> String {
-            format!("\"{}\"", json_escape(value))
-        }
-        fn list<T: std::fmt::Display>(values: &[T]) -> String {
-            let items: Vec<String> = values.iter().map(T::to_string).collect();
-            format!("[{}]", items.join(","))
-        }
-        fn strs(values: &[String]) -> String {
-            let quoted: Vec<String> = values.iter().map(|v| str(v)).collect();
-            list(&quoted)
-        }
-        macro_rules! members {
-            ($($kind:ident $field:ident,)*) => {{
+/// Generates [`SimStats::to_json`] and [`SimStats::from_json`] from one
+/// field list. `Self` is destructured (to write) and built (to read) from
+/// the same list without a rest pattern, so a new field does not compile
+/// until it is listed here.
+macro_rules! json_members {
+    ($($field:ident,)*) => {
+        impl SimStats {
+            /// Renders the statistics as one JSON object (hand-written: the
+            /// build environment has no registry access, so no serde).
+            ///
+            /// The list in `stats.rs` is the one place a key is named: the
+            /// key is the field name. `stats_schema.txt` (checked by a unit
+            /// test) is the external statement of the same list. Keys are
+            /// emitted in the order they were introduced — new ones are
+            /// appended, so existing consumers of the `BENCH_*.json` files
+            /// keep parsing unchanged. Numbers render through `Display`,
+            /// whose float output is the shortest that parses back exactly,
+            /// so [`SimStats::from_json`] restores every field bit for bit.
+            #[must_use]
+            pub fn to_json(&self) -> String {
                 let Self { $($field,)* } = self;
-                let members = [$(format!("\"{}\":{}", stringify!($field), $kind($field)),)*];
+                let members = [$(format!("\"{}\":{}", stringify!($field), $field.render()),)*];
                 format!("{{{}}}", members.join(","))
-            }};
+            }
+
+            /// Parses an object written by [`SimStats::to_json`]. Returns
+            /// `None` if the text is not such an object, any key is missing
+            /// or malformed, or a string needed escaping, so a truncated or
+            /// garbled file is never mistaken for statistics; unknown keys
+            /// are ignored.
+            #[must_use]
+            pub fn from_json(json: &str) -> Option<Self> {
+                let members = object_members(json)?;
+                let value = |key: &str| members.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
+                Some(Self { $($field: JsonValue::parse(value(stringify!($field))?)?,)* })
+            }
         }
-        members! {
-            str workload,
-            str scheduler,
-            str page_policy,
-            str mapping,
-            num channels,
-            num cores,
-            num cpu_cycles,
-            num dram_cycles,
-            num user_instructions,
-            list instructions_per_core,
-            num memory_reads_sent,
-            num memory_writes_sent,
-            num reads_completed,
-            num writes_completed,
-            num avg_read_latency_dram,
-            num avg_read_latency_ns,
-            num row_buffer_hit_rate,
-            num single_access_activation_fraction,
-            num avg_read_queue_len,
-            num avg_write_queue_len,
-            num bandwidth_utilization,
-            num l2_mpki,
-            num activations_per_kilo_instr,
-            num dram_energy_mj,
-            // Energy/power keys.
-            str power_policy,
-            num dram_background_energy_mj,
-            num avg_dram_power_mw,
-            num energy_per_request_nj,
-            num power_down_fraction,
-            num self_refresh_fraction,
-            num power_down_entries,
-            num power_wakes,
-            // Tenancy/QoS keys.
-            str qos_policy,
-            num tenants,
-            strs tenant_workloads,
-            list tenant_cores,
-            list tenant_latency_critical,
-            list instructions_per_tenant,
-            list reads_completed_per_tenant,
-            list avg_read_latency_per_tenant,
-            list bandwidth_share_per_tenant,
-            list row_hit_rate_per_tenant,
-            list avg_read_queue_len_per_tenant,
-            // Reliability keys.
-            num ecc_corrected,
-            num ecc_detected_uncorrectable,
-            num ecc_miscorrects,
-            num demand_retries,
-            num scrub_reads_issued,
-            num scrub_reads_completed,
-            num scrub_corrected,
-            num scrub_uncorrectable,
-            num rows_retired,
-            num lines_poisoned,
-            num poisoned_reads,
-            num faults_injected,
-            num faults_corrected,
-            num faults_uncorrectable,
-            num faults_latent,
-            list rows_retired_per_rank,
-            num retired_capacity_bytes,
-            // Latency-percentile keys.
-            num read_latency_p50_dram,
-            num read_latency_p95_dram,
-            num read_latency_p99_dram,
-            num read_latency_max_dram,
+    };
+}
+
+json_members! {
+    workload,
+    scheduler,
+    page_policy,
+    mapping,
+    channels,
+    cores,
+    cpu_cycles,
+    dram_cycles,
+    user_instructions,
+    instructions_per_core,
+    memory_reads_sent,
+    memory_writes_sent,
+    reads_completed,
+    writes_completed,
+    avg_read_latency_dram,
+    avg_read_latency_ns,
+    row_buffer_hit_rate,
+    single_access_activation_fraction,
+    avg_read_queue_len,
+    avg_write_queue_len,
+    bandwidth_utilization,
+    l2_mpki,
+    activations_per_kilo_instr,
+    dram_energy_mj,
+    // Energy/power keys.
+    power_policy,
+    dram_background_energy_mj,
+    avg_dram_power_mw,
+    energy_per_request_nj,
+    power_down_fraction,
+    self_refresh_fraction,
+    power_down_entries,
+    power_wakes,
+    // Tenancy/QoS keys.
+    qos_policy,
+    tenants,
+    tenant_workloads,
+    tenant_cores,
+    tenant_latency_critical,
+    instructions_per_tenant,
+    reads_completed_per_tenant,
+    avg_read_latency_per_tenant,
+    bandwidth_share_per_tenant,
+    row_hit_rate_per_tenant,
+    avg_read_queue_len_per_tenant,
+    // Reliability keys.
+    ecc_corrected,
+    ecc_detected_uncorrectable,
+    ecc_miscorrects,
+    demand_retries,
+    scrub_reads_issued,
+    scrub_reads_completed,
+    scrub_corrected,
+    scrub_uncorrectable,
+    rows_retired,
+    lines_poisoned,
+    poisoned_reads,
+    faults_injected,
+    faults_corrected,
+    faults_uncorrectable,
+    faults_latent,
+    rows_retired_per_rank,
+    retired_capacity_bytes,
+    // Latency-percentile keys.
+    read_latency_p50_dram,
+    read_latency_p95_dram,
+    read_latency_p99_dram,
+    read_latency_max_dram,
+}
+
+/// A [`SimStats`] field type as its JSON value: how `to_json` writes it and
+/// how `from_json` reads it back.
+trait JsonValue: Sized {
+    fn render(&self) -> String;
+    fn parse(raw: &str) -> Option<Self>;
+}
+
+/// Numbers and booleans: `Display` out, `FromStr` back.
+macro_rules! display_json_value {
+    ($($ty:ty),*) => {$(
+        impl JsonValue for $ty {
+            fn render(&self) -> String {
+                self.to_string()
+            }
+            fn parse(raw: &str) -> Option<Self> {
+                raw.parse().ok()
+            }
+        }
+    )*};
+}
+
+display_json_value!(u64, usize, f64, bool);
+
+/// Strings read back only when they needed no escaping — every label the
+/// simulator writes; anything else is `None`, never a guess.
+impl JsonValue for String {
+    fn render(&self) -> String {
+        format!("\"{}\"", json_escape(self))
+    }
+    fn parse(raw: &str) -> Option<Self> {
+        let text = raw.strip_prefix('"')?.strip_suffix('"')?;
+        (!text.contains(['"', '\\'])).then(|| text.to_owned())
+    }
+}
+
+impl<T: JsonValue> JsonValue for Vec<T> {
+    fn render(&self) -> String {
+        let items: Vec<String> = self.iter().map(T::render).collect();
+        format!("[{}]", items.join(","))
+    }
+    fn parse(raw: &str) -> Option<Self> {
+        let inner = raw.strip_prefix('[')?.strip_suffix(']')?;
+        if inner.trim().is_empty() {
+            return Some(Vec::new());
+        }
+        split_top_level(inner)?.into_iter().map(T::parse).collect()
+    }
+}
+
+/// The `(key, raw value)` pairs of a flat JSON object.
+fn object_members(json: &str) -> Option<Vec<(&str, &str)>> {
+    let body = json.trim().strip_prefix('{')?.strip_suffix('}')?;
+    split_top_level(body)?
+        .into_iter()
+        .map(|member| {
+            let (key, value) = member.split_once(':')?;
+            Some((
+                key.trim().strip_prefix('"')?.strip_suffix('"')?,
+                value.trim(),
+            ))
+        })
+        .collect()
+}
+
+/// Splits `s` at the commas outside any string, array or object; `None` if
+/// a bracket or string is left open. (A string holding an escaped quote
+/// splits wrongly, but such a string never parses, so nothing does.)
+fn split_top_level(s: &str) -> Option<Vec<&str>> {
+    let (mut parts, mut start, mut depth, mut in_string) = (Vec::new(), 0, 0usize, false);
+    for (i, c) in s.char_indices() {
+        match c {
+            '"' => in_string = !in_string,
+            _ if in_string => {}
+            '[' | '{' => depth += 1,
+            ']' | '}' => depth = depth.checked_sub(1)?,
+            ',' if depth == 0 => {
+                parts.push(s[start..i].trim());
+                start = i + 1;
+            }
+            _ => {}
         }
     }
+    if depth != 0 || in_string {
+        return None;
+    }
+    parts.push(s[start..].trim());
+    Some(parts)
 }
 
 /// Escapes `s` for the inside of a JSON string literal: `"`, `\` and the
@@ -533,6 +626,37 @@ mod tests {
             "\"read_latency_p99_dram\":240,\"read_latency_max_dram\":255}",
         );
         assert_eq!(stats(100, 10).to_json(), golden);
+    }
+
+    /// `from_json` inverts `to_json` exactly, on the fixture (with an empty
+    /// list) and on a real run's full-precision floats; anything else is
+    /// `None`.
+    #[test]
+    fn from_json_inverts_to_json() {
+        let mut s = stats(4000, 1000);
+        s.rows_retired_per_rank.clear();
+        assert_eq!(SimStats::from_json(&s.to_json()), Some(s.clone()));
+        s.workload = "W\"S".to_owned();
+        assert_eq!(SimStats::from_json(&s.to_json()), None);
+
+        let mut cfg = crate::SystemConfig::baseline(cloudmc_workloads::Workload::TpchQ6);
+        cfg.warmup_cpu_cycles = 2_000;
+        cfg.measure_cpu_cycles = 10_000;
+        let run = crate::Simulator::new(cfg).unwrap().run();
+        assert_eq!(SimStats::from_json(&run.to_json()).as_ref(), Some(&run));
+
+        let json = run.to_json();
+        let cores = format!("\"cores\":{}", run.cores);
+        for bad in [
+            "",
+            "not json",
+            &json[..json.len() - 1],
+            &json[..json.len() / 2],
+            &json.replacen("\"cores\":", "\"kernels\":", 1),
+            &json.replacen(&cores, &format!("{cores}.5"), 1),
+        ] {
+            assert_eq!(SimStats::from_json(bad), None, "accepted {bad:?}");
+        }
     }
 
     #[test]

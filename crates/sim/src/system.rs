@@ -117,9 +117,6 @@ pub struct System {
     /// Off-chip requests (reads plus writes) sent per tenant, for per-tenant
     /// request-conservation checks.
     mem_sent_per_tenant: [u64; MAX_TENANTS],
-    /// Off-chip reads broken down by address region (code, shared, hot,
-    /// private); used by diagnostics and calibration tooling.
-    reads_by_region: [u64; 4],
     /// Reusable event buffers (one per clock domain).
     frontend_events: Vec<FrontendEvent>,
     completions: Vec<cloudmc_memctrl::CompletedRequest>,
@@ -178,7 +175,6 @@ impl System {
             mem_reads_sent: 0,
             mem_writes_sent: 0,
             mem_sent_per_tenant: [0; MAX_TENANTS],
-            reads_by_region: [0; 4],
             frontend_events: Vec::new(),
             completions: Vec::new(),
             telemetry: None,
@@ -324,26 +320,6 @@ impl System {
         id
     }
 
-    /// Classifies an address into (code, shared, hot, private) for the
-    /// diagnostic read breakdown.
-    fn region_of(addr: u64) -> usize {
-        if (0x2000_0000..0x4000_0000).contains(&addr) {
-            0
-        } else if (0x0400_0000..0x1400_0000).contains(&addr) {
-            1
-        } else if addr >= 0x4000_0000 && (addr & 0x0FFF_FFFF) >= 0x0FFF_C000 {
-            2
-        } else {
-            3
-        }
-    }
-
-    /// Off-chip reads sent so far, broken down as (code, shared, hot, private).
-    #[must_use]
-    pub fn reads_by_region(&self) -> [u64; 4] {
-        self.reads_by_region
-    }
-
     /// Hands one frontend event to the right destination: fills back into the
     /// fill queue, off-chip traffic into the backend.
     fn dispatch(&mut self, event: FrontendEvent) {
@@ -361,7 +337,6 @@ impl System {
                 let id = self.alloc_request_id();
                 self.mem_reads_sent += 1;
                 self.mem_sent_per_tenant[tenant.min(MAX_TENANTS - 1)] += 1;
-                self.reads_by_region[Self::region_of(addr)] += 1;
                 self.outstanding_reads
                     .insert(id, OutstandingRead { core, addr });
                 self.backend.submit(
@@ -697,7 +672,7 @@ impl System {
 
     /// Re-seeds the stochastic inputs (workload streams and DMA RNG) as if
     /// the system had been built with `seed`, leaving all architectural
-    /// state untouched. Sweep replicates fork one warm snapshot and diverge
+    /// state untouched. Replicates forked from one warm snapshot diverge
     /// through this.
     pub fn reseed(&mut self, seed: u64) {
         self.frontend.reseed(seed);
@@ -1080,8 +1055,9 @@ impl Simulator {
     }
 
     /// Runs just the warm-up window ([`SystemConfig::warmup_cpu_cycles`]).
-    /// Sweep harnesses call this once, snapshot the warm system, and fork
-    /// measured replicates from the image instead of re-warming per cell.
+    /// The experiment executor calls this once per configuration, snapshots
+    /// the warm system, and forks measured replicates from the image instead
+    /// of re-warming per replicate.
     pub fn run_warmup(&mut self) {
         let warmup = self.system.cfg.warmup_cpu_cycles;
         self.system.run_cycles(warmup);
@@ -1186,7 +1162,6 @@ snap_fields! {
             mem_reads_sent,
             mem_writes_sent,
             mem_sent_per_tenant,
-            reads_by_region,
             frontend,
             backend,
         },

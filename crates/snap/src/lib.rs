@@ -77,7 +77,10 @@ pub const MAGIC: [u8; 8] = *b"CMCSNAP1";
 /// Version 5: the controller statistics block drops its six write-only
 /// fields (per-core vectors, write-latency sum, per-tenant and per-channel
 /// histograms).
-pub const FORMAT_VERSION: u32 = 5;
+///
+/// Version 6: the system section drops its four per-address-region read
+/// counters.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Byte tag that introduces a section marker in the body stream.
 const SECTION_TAG: u8 = 0xA5;

@@ -7,7 +7,7 @@
 //! patrol scrub and row retirement active. Only event-driven systems can be
 //! checkpointed: a reference-driven one refuses with a typed error.
 //!
-//! These tests are the contract that lets the sweep orchestrator warm up
+//! These tests are the contract that lets the experiment executor warm up
 //! once and fork every measured replicate from the warm image: any mutable
 //! field missing from the snapshot shows up here as a diverging counter.
 
@@ -156,6 +156,40 @@ fn snapshots_after_many_odd_chunks_resume_bit_identically() {
             reference,
             "{label}: run handed through 64 snapshots diverged"
         );
+    }
+}
+
+/// A forked replicate — warm, snapshot, restore, re-seed, measure — equals
+/// re-seeding the warm system in place and measuring, so the replicates the
+/// executor forks are the runs they stand for.
+#[test]
+fn reseeded_fork_matches_reseeded_warm_run() {
+    for workload in [Workload::WebSearch, Workload::TpchQ6] {
+        for scheduler in [SchedulerKind::FrFcfs, SchedulerKind::FcfsBanks] {
+            let mut cfg = small(workload, 3);
+            cfg.mc.scheduler = scheduler;
+            let label = format!("{workload}/{}", scheduler.label());
+            let warm = || {
+                let mut sim = Simulator::new(cfg.clone()).expect("valid config");
+                sim.run_warmup();
+                sim
+            };
+            let image = warm().system().snapshot().expect("snapshot supported");
+            let continued = warm().run_measurement().expect("warm run");
+            for seed in [0x5EED, 0xF00D] {
+                let mut fork = Simulator::from_snapshot(cfg.clone(), &image).expect("restore");
+                fork.system_mut().reseed(seed);
+                let mut in_place = warm();
+                in_place.system_mut().reseed(seed);
+                let forked = fork.run_measurement().expect("forked run");
+                assert_eq!(
+                    forked,
+                    in_place.run_measurement().expect("re-seeded run"),
+                    "{label}, seed {seed:#x}: fork diverged from the re-seeded warm run"
+                );
+                assert_ne!(forked, continued, "{label}: re-seeding changed nothing");
+            }
+        }
     }
 }
 
