@@ -19,9 +19,9 @@ pub enum BankState {
 /// A single DRAM bank.
 ///
 /// The bank tracks its row-buffer state plus the earliest cycle at which each
-/// command class may legally be issued to it. Rank- and channel-level
-/// constraints (tRRD, tFAW, bus occupancy, turnaround) are enforced by
-/// [`crate::rank::Rank`] and [`crate::channel::DramChannel`].
+/// command class may be issued to it as far as the bank is concerned.
+/// [`crate::channel::DramChannel::earliest_legal`] combines these with the
+/// rank- and channel-level fences (tRRD, tFAW, bus occupancy, turnaround).
 #[derive(Debug, Clone)]
 pub struct Bank {
     state: BankState,
@@ -101,46 +101,10 @@ impl Bank {
         self.next_precharge
     }
 
-    /// Whether an ACTIVATE of `row` is legal at `now` from the bank's view.
-    #[must_use]
-    pub fn can_activate(&self, now: DramCycles) -> bool {
-        matches!(self.state, BankState::Idle) && now >= self.next_activate
-    }
-
-    /// Whether a column command to `row` is legal at `now` from the bank's view.
-    #[must_use]
-    pub fn can_access(&self, row: u64, is_write: bool, now: DramCycles) -> bool {
-        match self.state {
-            BankState::Active { row: open } if open == row => {
-                if is_write {
-                    now >= self.next_write
-                } else {
-                    now >= self.next_read
-                }
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether a PRECHARGE is legal at `now` from the bank's view.
-    #[must_use]
-    pub fn can_precharge(&self, now: DramCycles) -> bool {
-        matches!(self.state, BankState::Active { .. }) && now >= self.next_precharge
-    }
-
-    /// Applies an ACTIVATE issued at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the activate is not legal; callers must check
-    /// [`Bank::can_activate`] first.
-    pub fn activate(&mut self, row: u64, now: DramCycles, t: &TimingParams) {
-        assert!(
-            self.can_activate(now),
-            "illegal ACTIVATE at {now} (bank state {:?}, next_activate {})",
-            self.state,
-            self.next_activate
-        );
+    /// Applies an ACTIVATE issued at `now`. Like every mutator here it
+    /// trusts its caller: legality is checked once, by
+    /// [`crate::channel::DramChannel::issue`].
+    pub(crate) fn activate(&mut self, row: u64, now: DramCycles, t: &TimingParams) {
         self.state = BankState::Active { row };
         self.accesses_since_activate = 0;
         self.activations += 1;
@@ -150,23 +114,14 @@ impl Bank {
         self.next_activate = now + t.t_rc;
     }
 
-    /// Applies a READ issued at `now`. Returns the cycle of the last data beat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read is not legal for the open row.
-    pub fn read(
+    /// Applies a READ of the open row issued at `now`. Returns the cycle of
+    /// the last data beat.
+    pub(crate) fn read(
         &mut self,
-        row: u64,
         now: DramCycles,
         auto_precharge: bool,
         t: &TimingParams,
     ) -> DramCycles {
-        assert!(
-            self.can_access(row, false, now),
-            "illegal READ of row {row} at {now} (state {:?})",
-            self.state
-        );
         self.accesses_since_activate += 1;
         self.next_read = self.next_read.max(now + t.t_ccd);
         self.next_write = self.next_write.max(now + t.t_ccd);
@@ -179,24 +134,14 @@ impl Bank {
         now + t.cl + t.t_burst
     }
 
-    /// Applies a WRITE issued at `now`. Returns the cycle at which the write
-    /// burst completes on the bus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the write is not legal for the open row.
-    pub fn write(
+    /// Applies a WRITE to the open row issued at `now`. Returns the cycle at
+    /// which the write burst completes on the bus.
+    pub(crate) fn write(
         &mut self,
-        row: u64,
         now: DramCycles,
         auto_precharge: bool,
         t: &TimingParams,
     ) -> DramCycles {
-        assert!(
-            self.can_access(row, true, now),
-            "illegal WRITE of row {row} at {now} (state {:?})",
-            self.state
-        );
         self.accesses_since_activate += 1;
         self.next_read = self.next_read.max(now + t.write_to_read_same_rank());
         self.next_write = self.next_write.max(now + t.t_ccd);
@@ -211,17 +156,7 @@ impl Bank {
 
     /// Applies a PRECHARGE issued at `now`. Returns the number of column
     /// accesses the closed row received since activation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the precharge is not legal.
-    pub fn precharge(&mut self, now: DramCycles, t: &TimingParams) -> u64 {
-        assert!(
-            self.can_precharge(now),
-            "illegal PRECHARGE at {now} (state {:?}, next_precharge {})",
-            self.state,
-            self.next_precharge
-        );
+    pub(crate) fn precharge(&mut self, now: DramCycles, t: &TimingParams) -> u64 {
         self.state = BankState::Idle;
         self.next_activate = self.next_activate.max(now + t.t_rp);
         self.accesses_since_activate
@@ -292,20 +227,18 @@ mod tests {
     fn new_bank_is_idle_and_unrestricted() {
         let b = Bank::new();
         assert_eq!(b.state(), BankState::Idle);
-        assert!(b.can_activate(0));
-        assert!(!b.can_precharge(0));
-        assert!(!b.can_access(0, false, 0));
+        assert_eq!(b.open_row(), None);
+        assert_eq!(b.next_activate_allowed(), 0);
     }
 
     #[test]
     fn activate_opens_row_and_enforces_trcd() {
         let mut b = Bank::new();
-        b.activate(42, 100, &t());
+        let tp = t();
+        b.activate(42, 100, &tp);
         assert_eq!(b.open_row(), Some(42));
-        assert!(!b.can_access(42, false, 100 + 10));
-        assert!(b.can_access(42, false, 100 + 11));
-        // Another row never hits.
-        assert!(!b.can_access(43, false, 100 + 11));
+        assert_eq!(b.next_read_allowed(), 100 + tp.t_rcd);
+        assert_eq!(b.next_write_allowed(), 100 + tp.t_rcd);
     }
 
     #[test]
@@ -313,13 +246,10 @@ mod tests {
         let mut b = Bank::new();
         let tp = t();
         b.activate(1, 0, &tp);
-        assert!(!b.can_precharge(tp.t_ras - 1));
-        assert!(b.can_precharge(tp.t_ras));
+        assert_eq!(b.next_precharge_allowed(), tp.t_ras);
         b.precharge(tp.t_ras, &tp);
         assert_eq!(b.state(), BankState::Idle);
-        // tRC dominates tRAS + tRP for DDR3-1600.
-        assert!(!b.can_activate(tp.t_ras + tp.t_rp - 1));
-        assert!(b.can_activate(tp.t_rc));
+        assert_eq!(b.next_activate_allowed(), tp.t_rc.max(tp.t_ras + tp.t_rp));
     }
 
     #[test]
@@ -327,7 +257,7 @@ mod tests {
         let mut b = Bank::new();
         let tp = t();
         b.activate(1, 0, &tp);
-        let done = b.read(1, 20, false, &tp);
+        let done = b.read(20, false, &tp);
         assert_eq!(done, 20 + tp.cl + tp.t_burst);
         assert!(b.next_precharge_allowed() >= 20 + tp.t_rtp);
         assert_eq!(b.accesses_since_activate(), 1);
@@ -338,7 +268,7 @@ mod tests {
         let mut b = Bank::new();
         let tp = t();
         b.activate(1, 0, &tp);
-        let done = b.write(1, 20, false, &tp);
+        let done = b.write(20, false, &tp);
         assert_eq!(done, 20 + tp.cwl + tp.t_burst);
         assert_eq!(b.next_precharge_allowed(), 20 + tp.write_to_precharge());
     }
@@ -348,7 +278,7 @@ mod tests {
         let mut b = Bank::new();
         let tp = t();
         b.activate(7, 0, &tp);
-        b.read(7, 15, true, &tp);
+        b.read(15, true, &tp);
         assert_eq!(b.state(), BankState::Idle);
         // Reopening must wait for the implicit precharge to finish.
         assert!(b.next_activate_allowed() >= 15 + tp.t_rtp + tp.t_rp);
@@ -359,7 +289,7 @@ mod tests {
         let mut b = Bank::new();
         let tp = t();
         b.activate(7, 0, &tp);
-        b.write(7, 15, true, &tp);
+        b.write(15, true, &tp);
         assert_eq!(b.state(), BankState::Idle);
         assert!(b.next_activate_allowed() >= 15 + tp.write_to_precharge() + tp.t_rp);
     }
@@ -369,27 +299,21 @@ mod tests {
         let mut b = Bank::new();
         let tp = t();
         b.activate(3, 0, &tp);
-        b.read(3, 20, false, &tp);
-        b.read(3, 30, false, &tp);
-        b.write(3, 40, false, &tp);
+        b.read(20, false, &tp);
+        b.read(30, false, &tp);
+        b.write(40, false, &tp);
         let accesses = b.precharge(100, &tp);
         assert_eq!(accesses, 3);
         assert_eq!(b.activations(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "illegal ACTIVATE")]
-    fn double_activate_panics() {
-        let mut b = Bank::new();
-        b.activate(1, 0, &t());
-        b.activate(2, 1, &t());
-    }
-
-    #[test]
     fn block_until_delays_everything() {
         let mut b = Bank::new();
         b.block_until(500);
-        assert!(!b.can_activate(499));
-        assert!(b.can_activate(500));
+        assert_eq!(b.next_activate_allowed(), 500);
+        assert_eq!(b.next_read_allowed(), 500);
+        assert_eq!(b.next_write_allowed(), 500);
+        assert_eq!(b.next_precharge_allowed(), 500);
     }
 }

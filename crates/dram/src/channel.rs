@@ -1,10 +1,13 @@
 //! The per-channel DRAM device model.
 //!
 //! A [`DramChannel`] owns the ranks and banks behind one memory channel and
-//! enforces every timing constraint of the model when commands are issued:
-//! bank-level (tRCD/tRAS/tRP/tRC/tRTP/tWR via [`crate::bank::Bank`]),
-//! rank-level (tRRD/tFAW/tWTR via [`crate::rank::Rank`]) and channel-level
-//! (command-bus occupancy, data-bus occupancy, read/write turnaround, tRTRS).
+//! enforces every timing constraint of the model when commands are issued.
+//! Issuing a command moves the fences it sets: bank-level
+//! (tRCD/tRAS/tRP/tRC/tRTP/tWR in [`crate::bank::Bank`]), rank-level
+//! (tRRD/tFAW/tWTR/tRFC in [`crate::rank::Rank`]) and channel-level (data-bus
+//! occupancy, read/write turnaround, tRTRS). [`DramChannel::earliest_legal`]
+//! is the one place those fences are combined into a command's legality;
+//! [`DramChannel::can_issue`] adds only the one-command-per-cycle bus rule.
 
 use cloudmc_snap::{counter_fields, snap_fields, snap_unit_enum, SnapError, SnapReader};
 
@@ -264,19 +267,6 @@ impl DramChannel {
         self.ranks.iter().position(|r| r.refresh_due(now))
     }
 
-    /// How many refresh intervals rank `rank` is behind schedule at `now`.
-    #[must_use]
-    pub fn refresh_backlog(&self, rank: usize, now: DramCycles) -> u64 {
-        if !self.refresh_enabled
-            || self.ranks[rank].in_self_refresh()
-            || now < self.ranks[rank].next_refresh_due()
-        {
-            0
-        } else {
-            (now - self.ranks[rank].next_refresh_due()) / self.timing.t_refi + 1
-        }
-    }
-
     /// Whether `loc` addresses a cell of this channel — the non-panicking
     /// form of the bounds every command is asserted against, for callers
     /// validating locations that arrive from outside (a snapshot image).
@@ -424,16 +414,15 @@ impl DramChannel {
     /// Earliest cycle at which `cmd` could legally issue, assuming no other
     /// command is issued in the meantime (the device state stays frozen).
     ///
-    /// Returns `None` when no passage of time can make the command legal from
-    /// the current state — e.g. a column access to a row that is not open, a
-    /// precharge of an idle bank, or any command to a powered-down rank
-    /// (which stays asleep until an explicit wake, itself a state change).
-    /// The one-command-per-cycle command-bus rule is deliberately ignored: it
-    /// constrains only the cycle of the most recent issue, which the caller
-    /// (the kernel's event-horizon scan) never revisits. Under that caveat,
-    /// `can_issue(cmd, t)` holds exactly for `t >= earliest_legal(cmd)` while
-    /// the state stays frozen, which is what lets the simulation kernel jump
-    /// over provably dead cycles.
+    /// This is the model's legality rule: every bank, rank and data-bus
+    /// fence on `cmd` is combined here and nowhere else. Returns `None` when
+    /// no passage of time can make the command legal from the current state
+    /// — e.g. a column access to a row that is not open, a precharge of an
+    /// idle bank, or any command to a powered-down rank (which stays asleep
+    /// until an explicit wake, itself a state change). The
+    /// one-command-per-cycle command-bus rule is left to [`Self::can_issue`]:
+    /// it constrains only the cycle of the most recent issue, which the
+    /// kernel's event-horizon scan never revisits.
     ///
     /// # Panics
     ///
@@ -478,40 +467,15 @@ impl DramChannel {
         }
     }
 
-    /// Whether `cmd` may legally issue at cycle `now`.
+    /// Whether `cmd` may legally issue at cycle `now`: the command bus is
+    /// free this cycle and [`Self::earliest_legal`] has been reached.
     ///
     /// # Panics
     ///
     /// Panics if the command's location is outside the configured geometry.
     #[must_use]
     pub fn can_issue(&self, cmd: &Command, now: DramCycles) -> bool {
-        self.check_location(&cmd.loc);
-        if self.last_cmd_cycle == Some(now) {
-            return false;
-        }
-        let rank = &self.ranks[cmd.loc.rank];
-        if rank.powered_down() {
-            return false;
-        }
-        let bank = rank.bank(cmd.loc.bank);
-        let t = &self.timing;
-        match cmd.kind {
-            CommandKind::Activate => bank.can_activate(now) && rank.can_activate(now, t),
-            CommandKind::Read { .. } => {
-                bank.can_access(cmd.loc.row, false, now)
-                    && rank.can_read(now)
-                    && now + t.cl >= self.data_bus_ready(cmd.loc.rank, BusDirection::Read)
-            }
-            CommandKind::Write { .. } => {
-                bank.can_access(cmd.loc.row, true, now)
-                    && rank.can_write(now)
-                    && now + t.cwl >= self.data_bus_ready(cmd.loc.rank, BusDirection::Write)
-            }
-            CommandKind::Precharge => bank.can_precharge(now),
-            CommandKind::Refresh => {
-                rank.all_banks_idle() && self.refresh_enabled && now >= rank.next_refresh_allowed()
-            }
-        }
+        self.last_cmd_cycle != Some(now) && self.earliest_legal(cmd).is_some_and(|t| t <= now)
     }
 
     /// Issues `cmd` at cycle `now`.
@@ -547,12 +511,10 @@ impl DramChannel {
                 }
             }
             CommandKind::Read { auto_precharge } => {
-                let done = self.ranks[rank_idx].bank_mut(cmd.loc.bank).read(
-                    cmd.loc.row,
-                    now,
-                    auto_precharge,
-                    &t,
-                );
+                let done =
+                    self.ranks[rank_idx]
+                        .bank_mut(cmd.loc.bank)
+                        .read(now, auto_precharge, &t);
                 self.ranks[rank_idx].record_read(now, &t);
                 self.stats.reads += 1;
                 if auto_precharge {
@@ -572,12 +534,10 @@ impl DramChannel {
                 }
             }
             CommandKind::Write { auto_precharge } => {
-                let done = self.ranks[rank_idx].bank_mut(cmd.loc.bank).write(
-                    cmd.loc.row,
-                    now,
-                    auto_precharge,
-                    &t,
-                );
+                let done =
+                    self.ranks[rank_idx]
+                        .bank_mut(cmd.loc.bank)
+                        .write(now, auto_precharge, &t);
                 self.ranks[rank_idx].record_write(now, &t);
                 self.stats.writes += 1;
                 if auto_precharge {
@@ -777,12 +737,12 @@ mod tests {
     }
 
     #[test]
-    fn refresh_due_reports_rank_and_backlog() {
+    fn refresh_due_reports_first_due_rank() {
         let (ch, cfg) = channel();
         let t = cfg.timing;
         assert_eq!(ch.refresh_due(t.t_refi - 1), None);
         assert_eq!(ch.refresh_due(t.t_refi), Some(0));
-        assert_eq!(ch.refresh_backlog(0, t.t_refi * 3), 3);
+        assert_eq!(ch.refresh_due(t.t_refi * 3), Some(0));
     }
 
     #[test]
@@ -791,7 +751,6 @@ mod tests {
         cfg.refresh_enabled = false;
         let ch = DramChannel::new(&cfg);
         assert_eq!(ch.refresh_due(u64::MAX / 2), None);
-        assert_eq!(ch.refresh_backlog(0, u64::MAX / 2), 0);
     }
 
     #[test]
@@ -824,9 +783,9 @@ mod tests {
         assert_eq!(ch.open_row(0, 0), None);
     }
 
-    /// `earliest_legal` must be the exact boundary of `can_issue` for a
-    /// frozen device state (ignoring the one-command-per-cycle rule, which is
-    /// sidestepped by probing cycles after the last issue).
+    /// `earliest_legal` is the boundary of `can_issue` for a frozen device
+    /// state once the command bus is free (probing starts after the last
+    /// issue), and `None` means the command never becomes legal.
     fn assert_earliest_matches(ch: &DramChannel, cmd: &Command, probe_from: DramCycles) {
         match ch.earliest_legal(cmd) {
             Some(earliest) => {
@@ -917,6 +876,14 @@ mod tests {
         let (ch, _) = channel();
         let loc = Location::new(5, 0, 0, 0);
         let _ = ch.can_issue(&Command::activate(loc), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "illegal command ACT")]
+    fn double_activate_panics() {
+        let (mut ch, _) = channel();
+        ch.issue(&Command::activate(Location::new(0, 0, 1, 0)), 0);
+        ch.issue(&Command::activate(Location::new(0, 0, 2, 0)), 100);
     }
 
     #[test]

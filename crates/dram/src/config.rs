@@ -100,7 +100,8 @@ impl DramConfig {
     /// Returns a description of the problem if any dimension is zero, any
     /// dimension is not a power of two (required by the bit-sliced address
     /// mapping), there are more than [`DramConfig::MAX_CHANNELS`] channels,
-    /// or the timing parameters are inconsistent.
+    /// refresh is enabled with a zero `t_refi`, or the timing parameters are
+    /// inconsistent.
     pub fn validate(&self) -> Result<(), String> {
         fn pow2(name: &str, v: u64) -> Result<(), String> {
             if v == 0 {
@@ -129,6 +130,9 @@ impl DramConfig {
                 "column_bytes ({}) must not exceed row_bytes ({})",
                 self.column_bytes, self.row_bytes
             ));
+        }
+        if self.refresh_enabled && self.timing.t_refi == 0 {
+            return Err("t_refi must be non-zero while refresh_enabled is set".to_owned());
         }
         self.timing.validate()
     }

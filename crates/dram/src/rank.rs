@@ -199,12 +199,13 @@ impl Rank {
         &self.banks[bank]
     }
 
-    /// Mutable access to a bank.
+    /// Mutable access to a bank. Crate-private: banks change only through
+    /// [`crate::channel::DramChannel::issue`], which checks legality first.
     ///
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
-    pub fn bank_mut(&mut self, bank: usize) -> &mut Bank {
+    pub(crate) fn bank_mut(&mut self, bank: usize) -> &mut Bank {
         &mut self.banks[bank]
     }
 
@@ -251,24 +252,6 @@ impl Rank {
         self.next_act.max(faw_limit)
     }
 
-    /// Whether rank-level constraints allow an ACTIVATE at `now`.
-    #[must_use]
-    pub fn can_activate(&self, now: DramCycles, t: &TimingParams) -> bool {
-        now >= self.next_activate_allowed(t)
-    }
-
-    /// Whether rank-level constraints allow a READ at `now`.
-    #[must_use]
-    pub fn can_read(&self, now: DramCycles) -> bool {
-        now >= self.next_read
-    }
-
-    /// Whether rank-level constraints allow a WRITE at `now`.
-    #[must_use]
-    pub fn can_write(&self, now: DramCycles) -> bool {
-        now >= self.next_write
-    }
-
     /// Earliest cycle a READ may issue (rank-level constraints only).
     #[must_use]
     pub fn next_read_allowed(&self) -> DramCycles {
@@ -283,10 +266,6 @@ impl Rank {
 
     /// Records an ACTIVATE issued at `now`.
     pub fn record_activate(&mut self, now: DramCycles, t: &TimingParams) {
-        debug_assert!(
-            self.can_activate(now, t),
-            "rank-level ACT violation at {now}"
-        );
         if self.act_window.len() == 4 {
             self.act_window.pop_front();
         }
@@ -624,8 +603,7 @@ mod tests {
         let mut r = Rank::new(8, &tp);
         r.bank_mut(0).activate(0, 0, &tp);
         r.record_activate(0, &tp);
-        assert!(!r.can_activate(tp.t_rrd - 1, &tp));
-        assert!(r.can_activate(tp.t_rrd, &tp));
+        assert_eq!(r.next_activate_allowed(&tp), tp.t_rrd);
     }
 
     #[test]
@@ -640,8 +618,6 @@ mod tests {
         }
         // Fifth ACT must wait for the tFAW window opened at cycle 0.
         assert_eq!(r.next_activate_allowed(&tp), tp.t_faw);
-        assert!(!r.can_activate(20, &tp));
-        assert!(r.can_activate(tp.t_faw, &tp));
     }
 
     #[test]
@@ -649,10 +625,9 @@ mod tests {
         let tp = t();
         let mut r = Rank::new(8, &tp);
         r.record_write(100, &tp);
-        assert!(!r.can_read(100 + tp.write_to_read_same_rank() - 1));
-        assert!(r.can_read(100 + tp.write_to_read_same_rank()));
+        assert_eq!(r.next_read_allowed(), 100 + tp.write_to_read_same_rank());
         // Writes only need tCCD spacing.
-        assert!(r.can_write(100 + tp.t_ccd));
+        assert_eq!(r.next_write_allowed(), 100 + tp.t_ccd);
     }
 
     #[test]
@@ -664,8 +639,7 @@ mod tests {
         let done = r.refresh(tp.t_refi, &tp);
         assert_eq!(done, tp.t_refi + tp.t_rfc);
         for b in 0..8 {
-            assert!(!r.bank(b).can_activate(done - 1));
-            assert!(r.bank(b).can_activate(done));
+            assert_eq!(r.bank(b).next_activate_allowed(), done);
         }
         assert_eq!(r.refreshes(), 1);
         assert_eq!(r.next_refresh_due(), 2 * tp.t_refi);
@@ -755,8 +729,7 @@ mod tests {
         // A wake one cycle later is delayed by the tCKE minimum low time.
         let ready = r.wake(quiet + 1, &tp);
         assert_eq!(ready, quiet + tp.t_cke + tp.t_xp);
-        assert!(!r.can_activate(ready - 1, &tp));
-        assert!(r.can_activate(ready, &tp));
+        assert_eq!(r.next_activate_allowed(&tp), ready);
         assert_eq!(r.power_wakes(), 1);
     }
 

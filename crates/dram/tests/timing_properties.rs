@@ -1,6 +1,11 @@
 //! Randomized tests of the DRAM timing model: for arbitrary legal command
 //! sequences the device never violates its own protocol invariants.
 //!
+//! Every bound below is computed from `TimingParams` fields alone and checked
+//! on the issued command stream, so a fence that `DramChannel` forgets or
+//! mis-states shows up here rather than being reproduced by its own checks.
+//! Each property runs over all three timing presets.
+//!
 //! These were originally `proptest` properties; the build environment has no
 //! registry access, so they now draw their cases from a seeded [`rand`]
 //! stream — same invariants, deterministic inputs.
@@ -8,9 +13,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cloudmc_dram::{Command, CommandKind, DramChannel, DramConfig, Location};
+use cloudmc_dram::{Command, CommandKind, DramChannel, DramConfig, Location, TimingParams};
 
-/// A simple request the driver will serve with an open-page policy.
+/// A request [`drive`] serves with an open-page policy, arriving `gap`
+/// cycles after the one before it.
 #[derive(Debug, Clone, Copy)]
 struct Req {
     rank: usize,
@@ -18,66 +24,211 @@ struct Req {
     row: u64,
     column: u64,
     write: bool,
+    gap: u64,
 }
 
+/// Requests with enough locality for every fence to bind somewhere: half of
+/// them revisit the previous request's bank, rows come from a small set (so
+/// hits and conflicts are both common), and a quarter arrive after an idle
+/// gap (so a late column access can be followed at once by a precharge, and
+/// the runs outlast a refresh interval).
 fn random_requests(rng: &mut StdRng, max_len: usize) -> Vec<Req> {
     let len = rng.gen_range(1..max_len);
+    let mut prev = (0, 0);
     (0..len)
-        .map(|_| Req {
-            rank: rng.gen_range(0..2usize),
-            bank: rng.gen_range(0..8usize),
-            row: rng.gen_range(0..32u64),
-            column: rng.gen_range(0..128u64),
-            write: rng.gen_bool(0.5),
+        .map(|_| {
+            if rng.gen_bool(0.5) {
+                prev = (rng.gen_range(0..2usize), rng.gen_range(0..8usize));
+            }
+            Req {
+                rank: prev.0,
+                bank: prev.1,
+                row: rng.gen_range(0..4u64),
+                column: rng.gen_range(0..128u64),
+                write: rng.gen_bool(0.5),
+                gap: if rng.gen_bool(0.25) {
+                    rng.gen_range(0..1_600u64)
+                } else {
+                    0
+                },
+            }
         })
         .collect()
 }
 
-/// Drives the requests through a channel with a naive open-page FSM (precharge
-/// on conflict, activate, column access), returning the issue history.
-fn drive(requests: &[Req]) -> (DramConfig, Vec<(u64, Command)>) {
-    let cfg = DramConfig::baseline();
-    let mut channel = DramChannel::new(&cfg);
+type History = Vec<(u64, Command)>;
+
+/// Requests [`drive`] considers at once: enough for back-to-back activates
+/// to fill a tFAW window.
+const WINDOW: usize = 8;
+
+/// The command that serves `req` next: its column access on a row hit, a
+/// precharge on a conflict, an activate on an idle bank.
+fn progress(channel: &DramChannel, req: &Req) -> Command {
+    let loc = Location::new(req.rank, req.bank, req.row, req.column);
+    match channel.open_row(req.rank, req.bank) {
+        Some(open) if open == req.row && req.write => Command::write(loc, false),
+        Some(open) if open == req.row => Command::read(loc, false),
+        Some(_) => Command::precharge(loc),
+        None => Command::activate(loc),
+    }
+}
+
+/// Drives the requests through a channel with a naive first-ready loop over
+/// the oldest [`WINDOW`] arrived requests, returning the issue history. Each
+/// cycle it offers the device every candidate in priority order — a due
+/// refresh (REF, else a precharge closing one of the rank's rows), then each
+/// request's [`progress`] command — and issues whatever `can_issue` accepts,
+/// so the one-command-per-cycle rule is the device's to enforce. Only the
+/// oldest request may close a row, and requests to a rank with a refresh due
+/// wait for it.
+fn drive(timing: TimingParams, requests: &[Req]) -> History {
+    let mut channel = DramChannel::new(&DramConfig {
+        timing,
+        ..DramConfig::baseline()
+    });
+    let mut arrivals = requests.iter().scan(0u64, |at, req| {
+        *at += req.gap;
+        Some((*at, *req))
+    });
+    let mut next_arrival = arrivals.next();
+    let mut pending: Vec<Req> = Vec::new();
     let mut history = Vec::new();
     let mut now = 0u64;
-    for req in requests {
-        let loc = Location::new(req.rank, req.bank, req.row, req.column);
-        loop {
-            assert!(now < 2_000_000, "request never became serviceable");
-            // Refresh beats everything when the device demands it.
-            if let Some(rank) = channel.refresh_due(now) {
-                let refresh = Command::refresh(rank);
-                if channel.can_issue(&refresh, now) {
-                    channel.issue(&refresh, now);
-                    history.push((now, refresh));
-                    now += 1;
-                    continue;
+    while next_arrival.is_some() || !pending.is_empty() {
+        assert!(now < 2_000_000, "requests never became serviceable");
+        while pending.len() < WINDOW {
+            match next_arrival {
+                Some((at, req)) if at <= now => {
+                    pending.push(req);
+                    next_arrival = arrivals.next();
                 }
-            }
-            let next = match channel.open_row(req.rank, req.bank) {
-                Some(open) if open == req.row => {
-                    if req.write {
-                        Command::write(loc, false)
-                    } else {
-                        Command::read(loc, false)
-                    }
-                }
-                Some(_) => Command::precharge(loc),
-                None => Command::activate(loc),
-            };
-            if channel.can_issue(&next, now) {
-                channel.issue(&next, now);
-                history.push((now, next));
-                now += 1;
-                if next.kind.is_column() {
-                    break;
-                }
-            } else {
-                now += 1;
+                _ => break,
             }
         }
+        let due = channel.refresh_due(now);
+        let mut candidates = Vec::new();
+        if let Some(rank) = due {
+            candidates.push((Command::refresh(rank), None));
+            for bank in 0..8 {
+                if let Some(row) = channel.open_row(rank, bank) {
+                    let pre = Command::precharge(Location::new(rank, bank, row, 0));
+                    candidates.push((pre, None));
+                }
+            }
+        }
+        for (i, req) in pending.iter().enumerate() {
+            let cmd = progress(&channel, req);
+            if due != Some(req.rank) && (i == 0 || cmd.kind != CommandKind::Precharge) {
+                candidates.push((cmd, Some(i)));
+            }
+        }
+        let mut served = None;
+        for (cmd, owner) in candidates {
+            if channel.can_issue(&cmd, now) {
+                channel.issue(&cmd, now);
+                history.push((now, cmd));
+                if cmd.kind.is_column() {
+                    served = owner;
+                }
+            }
+        }
+        if let Some(i) = served {
+            pending.remove(i);
+        }
+        now += 1;
     }
-    (cfg, history)
+    history
+}
+
+fn presets() -> [TimingParams; 3] {
+    [
+        TimingParams::ddr3_1600(),
+        TimingParams::ddr3_1066(),
+        TimingParams::ddr4_2400(),
+    ]
+}
+
+/// Each preset's histories for `cases` random request sequences.
+fn histories(seed: u64, cases: usize, max_len: usize) -> Vec<(TimingParams, History)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    for timing in presets() {
+        for _ in 0..cases {
+            let requests = random_requests(&mut rng, max_len);
+            out.push((timing, drive(timing, &requests)));
+        }
+    }
+    out
+}
+
+fn same_bank(a: &Command, b: &Command) -> bool {
+    a.loc.rank == b.loc.rank && a.loc.bank == b.loc.bank
+}
+
+fn same_rank(a: &Command, b: &Command) -> bool {
+    a.loc.rank == b.loc.rank
+}
+
+/// Checks that every command matching `later` issues at least `gap` cycles
+/// after the most recent earlier command matching `earlier` in the same
+/// `scope`. Returns how many such pairs were checked.
+fn assert_min_gap(
+    history: &History,
+    name: &str,
+    gap: u64,
+    earlier: impl Fn(&Command) -> bool,
+    later: impl Fn(&Command) -> bool,
+    scope: impl Fn(&Command, &Command) -> bool,
+) -> usize {
+    let mut checked = 0;
+    for (j, (t1, c1)) in history.iter().enumerate() {
+        if !later(c1) {
+            continue;
+        }
+        let prior = history[..j]
+            .iter()
+            .rev()
+            .find(|(_, c0)| earlier(c0) && scope(c0, c1));
+        if let Some((t0, c0)) = prior {
+            assert!(
+                t1 - t0 >= gap,
+                "{name} violated: {} at {t0} then {} at {t1} (need {gap})",
+                c0.kind,
+                c1.kind
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
+fn is_act(c: &Command) -> bool {
+    c.kind == CommandKind::Activate
+}
+
+fn is_pre(c: &Command) -> bool {
+    c.kind == CommandKind::Precharge
+}
+
+fn is_ref(c: &Command) -> bool {
+    c.kind == CommandKind::Refresh
+}
+
+fn is_column(c: &Command) -> bool {
+    c.kind.is_column()
+}
+
+fn is_read(c: &Command) -> bool {
+    c.kind.is_read()
+}
+
+fn is_write(c: &Command) -> bool {
+    c.kind.is_write()
+}
+
+fn any(_: &Command) -> bool {
+    true
 }
 
 /// Any request sequence can be served without panicking, and every request
@@ -85,11 +236,13 @@ fn drive(requests: &[Req]) -> (DramConfig, Vec<(u64, Command)>) {
 #[test]
 fn every_request_is_served_exactly_once() {
     let mut rng = StdRng::seed_from_u64(0xD1A);
-    for _case in 0..48 {
+    for _case in 0..16 {
         let requests = random_requests(&mut rng, 40);
-        let (_, history) = drive(&requests);
-        let columns = history.iter().filter(|(_, c)| c.kind.is_column()).count();
-        assert_eq!(columns, requests.len());
+        for timing in presets() {
+            let history = drive(timing, &requests);
+            let columns = history.iter().filter(|(_, c)| is_column(c)).count();
+            assert_eq!(columns, requests.len());
+        }
     }
 }
 
@@ -97,19 +250,16 @@ fn every_request_is_served_exactly_once() {
 /// to one rank span more than tFAW cycles.
 #[test]
 fn tfaw_is_respected() {
-    let mut rng = StdRng::seed_from_u64(0xFA11);
-    for _case in 0..48 {
-        let requests = random_requests(&mut rng, 60);
-        let (cfg, history) = drive(&requests);
-        for rank in 0..cfg.ranks_per_channel {
+    for (t, history) in histories(0xFA11, 16, 60) {
+        for rank in 0..2 {
             let acts: Vec<u64> = history
                 .iter()
-                .filter(|(_, c)| c.kind == CommandKind::Activate && c.loc.rank == rank)
-                .map(|(t, _)| *t)
+                .filter(|(_, c)| is_act(c) && c.loc.rank == rank)
+                .map(|(time, _)| *time)
                 .collect();
             for window in acts.windows(5) {
                 assert!(
-                    window[4] - window[0] >= cfg.timing.t_faw,
+                    window[4] - window[0] >= t.t_faw,
                     "five activates within tFAW: {window:?}"
                 );
             }
@@ -121,63 +271,92 @@ fn tfaw_is_respected() {
 /// different banks of one rank by at least tRRD.
 #[test]
 fn activate_spacing_is_respected() {
-    let mut rng = StdRng::seed_from_u64(0x5BAC);
-    for _case in 0..48 {
-        let requests = random_requests(&mut rng, 60);
-        let (cfg, history) = drive(&requests);
-        let acts: Vec<(u64, usize, usize)> = history
-            .iter()
-            .filter(|(_, c)| c.kind == CommandKind::Activate)
-            .map(|(t, c)| (*t, c.loc.rank, c.loc.bank))
-            .collect();
-        for (i, &(t1, rank1, bank1)) in acts.iter().enumerate() {
-            for &(t0, rank0, bank0) in &acts[..i] {
-                if rank0 == rank1 {
-                    assert!(t1 - t0 >= cfg.timing.t_rrd, "tRRD violated: {t0} -> {t1}");
-                    if bank0 == bank1 {
-                        assert!(t1 - t0 >= cfg.timing.t_rc, "tRC violated: {t0} -> {t1}");
-                    }
-                }
-            }
-        }
+    for (t, history) in histories(0x5BAC, 16, 60) {
+        assert_min_gap(&history, "tRRD", t.t_rrd, is_act, is_act, same_rank);
+        assert_min_gap(&history, "tRC", t.t_rc, is_act, is_act, same_bank);
     }
 }
 
-/// Data bursts never overlap on the shared data bus.
+/// The bank fences: ACT → column (tRCD), ACT → PRE (tRAS), PRE → ACT (tRP),
+/// RD → PRE (tRTP) and WR → PRE (write recovery, counted from the command:
+/// CWL + burst + tWR).
+#[test]
+fn bank_fences_are_respected() {
+    let mut checked = [0usize; 5];
+    for (t, history) in histories(0xBA4C, 16, 60) {
+        let h = &history;
+        checked[0] += assert_min_gap(h, "tRCD", t.t_rcd, is_act, is_column, same_bank);
+        checked[1] += assert_min_gap(h, "tRAS", t.t_ras, is_act, is_pre, same_bank);
+        checked[2] += assert_min_gap(h, "tRP", t.t_rp, is_pre, is_act, same_bank);
+        checked[3] += assert_min_gap(h, "tRTP", t.t_rtp, is_read, is_pre, same_bank);
+        let write_recovery = t.cwl + t.t_burst + t.t_wr;
+        checked[4] += assert_min_gap(h, "tWR", write_recovery, is_write, is_pre, same_bank);
+    }
+    assert!(
+        checked.iter().all(|&n| n > 0),
+        "a fence was never exercised: {checked:?}"
+    );
+}
+
+/// The rank fences: column → column (tCCD), WR → RD (CWL + burst + tWTR),
+/// and REF → any command to the rank (tRFC).
+#[test]
+fn rank_fences_are_respected() {
+    let mut checked = [0usize; 3];
+    for (t, history) in histories(0x4A4C, 16, 60) {
+        let h = &history;
+        checked[0] += assert_min_gap(h, "tCCD", t.t_ccd, is_column, is_column, same_rank);
+        let write_to_read = t.cwl + t.t_burst + t.t_wtr;
+        checked[1] += assert_min_gap(h, "tWTR", write_to_read, is_write, is_read, same_rank);
+        checked[2] += assert_min_gap(h, "tRFC", t.t_rfc, is_ref, any, same_rank);
+    }
+    assert!(
+        checked.iter().all(|&n| n > 0),
+        "a fence was never exercised: {checked:?}"
+    );
+}
+
+/// Data bursts never overlap on the shared data bus, and consecutive bursts
+/// from different ranks leave at least tRTRS between them.
 #[test]
 fn data_bus_bursts_never_overlap() {
-    let mut rng = StdRng::seed_from_u64(0xB0B5);
-    for _case in 0..48 {
-        let requests = random_requests(&mut rng, 60);
-        let (cfg, history) = drive(&requests);
-        let t = cfg.timing;
-        let mut bursts: Vec<(u64, u64)> = history
+    let mut rank_switches = 0;
+    for (t, history) in histories(0xB0B5, 16, 60) {
+        let mut bursts: Vec<(u64, u64, usize)> = history
             .iter()
-            .filter_map(|(time, c)| match c.kind {
-                CommandKind::Read { .. } => Some((time + t.cl, time + t.cl + t.t_burst)),
-                CommandKind::Write { .. } => Some((time + t.cwl, time + t.cwl + t.t_burst)),
-                _ => None,
+            .filter_map(|(time, c)| {
+                let start = match c.kind {
+                    CommandKind::Read { .. } => time + t.cl,
+                    CommandKind::Write { .. } => time + t.cwl,
+                    _ => return None,
+                };
+                Some((start, start + t.t_burst, c.loc.rank))
             })
             .collect();
         bursts.sort_unstable();
         for pair in bursts.windows(2) {
+            let ((_, end, rank0), (start, _, rank1)) = (pair[0], pair[1]);
+            let gap = if rank0 == rank1 {
+                0
+            } else {
+                rank_switches += 1;
+                t.t_rtrs
+            };
             assert!(
-                pair[1].0 >= pair[0].1,
-                "data bursts overlap: {:?} then {:?}",
+                start >= end + gap,
+                "data bursts too close: {:?} then {:?} (need {gap} idle)",
                 pair[0],
                 pair[1]
             );
         }
     }
+    assert!(rank_switches > 0, "no rank-to-rank burst was exercised");
 }
 
 /// At most one command is issued per DRAM cycle (command-bus constraint).
 #[test]
 fn one_command_per_cycle() {
-    let mut rng = StdRng::seed_from_u64(0xC10C);
-    for _case in 0..48 {
-        let requests = random_requests(&mut rng, 60);
-        let (_, history) = drive(&requests);
+    for (_, history) in histories(0xC10C, 16, 60) {
         for pair in history.windows(2) {
             assert!(pair[1].0 > pair[0].0, "two commands in cycle {}", pair[0].0);
         }

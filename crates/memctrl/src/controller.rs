@@ -18,7 +18,7 @@ use crate::queue::RequestQueue;
 use crate::request::{
     AccessKind, CompletedRequest, MemoryRequest, RequestId, RowBufferOutcome, MAX_TENANTS,
 };
-use crate::sched::{SchedContext, SchedDecision, SchedulerImpl, SchedulerKind};
+use crate::sched::{progress_command, SchedContext, SchedDecision, SchedulerImpl, SchedulerKind};
 use crate::stats::McStats;
 
 /// Id bit marking controller-generated patrol-scrub reads. Demand request
@@ -518,14 +518,25 @@ impl ChannelController {
         }
     }
 
+    /// The precharge that closes the row open in (`rank`, `bank`), if any.
+    fn open_row_precharge(&self, rank: usize, bank: usize) -> Option<Command> {
+        let row = self.channel.open_row(rank, bank)?;
+        Some(Command::precharge(Location::new(rank, bank, row, 0)))
+    }
+
+    /// Earliest legal cycle of [`Self::open_row_precharge`].
+    fn earliest_precharge(&self, rank: usize, bank: usize) -> Option<DramCycles> {
+        self.open_row_precharge(rank, bank)
+            .and_then(|pre| self.channel.earliest_legal(&pre))
+    }
+
     /// Issues a policy precharge to the open row of (`rank`, `bank`) if one
     /// is open and the command is legal at `now`, with the row-close
     /// bookkeeping. Returns `true` if the precharge issued.
     fn try_precharge(&mut self, rank: usize, bank: usize, now: DramCycles) -> bool {
-        let Some(row) = self.channel.open_row(rank, bank) else {
+        let Some(pre) = self.open_row_precharge(rank, bank) else {
             return false;
         };
-        let pre = Command::precharge(Location::new(rank, bank, row, 0));
         if !self.channel.can_issue(&pre, now) {
             return false;
         }
@@ -533,6 +544,18 @@ impl ChannelController {
         self.note_row_closed(rank, bank, accesses);
         self.channel.issue(&pre, now);
         true
+    }
+
+    /// The cycle from which an overdue refresh of `rank` is no longer
+    /// postponed: once it is two intervals behind (one `t_refi` past due),
+    /// the controller force-closes the rank's open rows so the REF can
+    /// issue. The one statement of the postponement rule, used by
+    /// [`Self::handle_refresh`] and the event horizon.
+    fn refresh_forced_at(&self, rank: usize) -> DramCycles {
+        self.channel
+            .rank(rank)
+            .next_refresh_due()
+            .saturating_add(self.channel.timing().t_refi)
     }
 
     /// Attempts to make progress on refresh; returns `true` if a command was
@@ -556,8 +579,8 @@ impl ChannelController {
             return true;
         }
         // Postpone lightly-loaded refreshes; force bank closure once the
-        // backlog grows to two full intervals.
-        if self.channel.refresh_backlog(rank, now) >= 2 {
+        // postponement runs out.
+        if now >= self.refresh_forced_at(rank) {
             for bank in 0..self.channel.banks_per_rank() {
                 if self.try_precharge(rank, bank, now) {
                     return true;
@@ -1085,23 +1108,6 @@ impl ChannelController {
         };
     }
 
-    /// Earliest cycle of its current progress command for one queued entry,
-    /// assuming the device state stays frozen (see
-    /// [`cloudmc_dram::DramChannel::earliest_legal`]). Mirrors the
-    /// command-derivation of [`crate::sched::progress_for`].
-    fn earliest_progress(&self, entry: &crate::queue::QueueEntry) -> Option<DramCycles> {
-        let loc = entry.location;
-        let cmd = match self.channel.open_row(loc.rank, loc.bank) {
-            Some(row) if row == loc.row => match entry.request.kind {
-                AccessKind::Read => Command::read(loc, false),
-                AccessKind::Write => Command::write(loc, false),
-            },
-            Some(_) => Command::precharge(loc),
-            None => Command::activate(loc),
-        };
-        self.channel.earliest_legal(&cmd)
-    }
-
     /// The next DRAM cycle at which this channel can possibly do anything
     /// beyond bulk bookkeeping: retire a transfer, issue a refresh (or the
     /// forced precharges of an overdue refresh), make progress on a pending
@@ -1117,37 +1123,30 @@ impl ChannelController {
         for inflight in &self.inflight {
             next = next.min(inflight.completion);
         }
-        // Refresh: issuable at its due cycle when the rank is idle (for a
-        // powered-down rank the due cycle is when the controller wakes it,
-        // and the REF itself is additionally fenced by the exit latency);
-        // otherwise the controller force-precharges open banks once the
-        // backlog reaches two intervals. A rank in self-refresh maintains
-        // itself and contributes no event.
+        // Refresh: a powered-down rank is woken at its due cycle; an awake
+        // one issues the REF at its due cycle once the REF is legal; with
+        // rows open, the controller force-precharges them from
+        // `refresh_forced_at`. A rank in self-refresh maintains itself and
+        // contributes no event.
         if self.channel.refresh_enabled() {
-            let t_refi = self.channel.timing().t_refi;
             for r in 0..self.channel.rank_count() {
                 let rank = self.channel.rank(r);
                 if rank.in_self_refresh() {
                     continue;
                 }
                 let due = rank.next_refresh_due();
-                if rank.all_banks_idle() {
-                    let event = if rank.powered_down() {
-                        // The wake itself happens at the due cycle.
-                        due
-                    } else {
-                        due.max(rank.next_refresh_allowed())
-                    };
-                    next = next.min(event);
+                let event = if rank.powered_down() {
+                    Some(due)
+                } else if let Some(legal) = self.channel.earliest_legal(&Command::refresh(r)) {
+                    Some(due.max(legal))
                 } else {
-                    let force_at = due.saturating_add(t_refi);
-                    let earliest_pre = (0..self.channel.banks_per_rank())
-                        .filter(|&b| self.channel.open_row(r, b).is_some())
-                        .map(|b| rank.bank(b).next_precharge_allowed())
-                        .min();
-                    if let Some(pre) = earliest_pre {
-                        next = next.min(force_at.max(pre));
-                    }
+                    (0..self.channel.banks_per_rank())
+                        .filter_map(|b| self.earliest_precharge(r, b))
+                        .min()
+                        .map(|pre| self.refresh_forced_at(r).max(pre))
+                };
+                if let Some(cycle) = event {
+                    next = next.min(cycle);
                 }
             }
         }
@@ -1156,7 +1155,8 @@ impl ChannelController {
         // ever reorders within this same candidate set — would consider,
         // hence an undershooting — safe — bound for all of them).
         for entry in self.read_q.iter().chain(self.write_q.iter()) {
-            if let Some(cycle) = self.earliest_progress(entry) {
+            let progress = progress_command(entry, &self.channel);
+            if let Some(cycle) = self.channel.earliest_legal(&progress) {
                 next = next.min(cycle);
             }
         }
@@ -1172,40 +1172,21 @@ impl ChannelController {
             read_q: &self.read_q,
             write_q: &self.write_q,
         };
-        match self.policy.propose_precharge(&view) {
-            Some((rank, bank)) => {
-                if let Some(row) = self.channel.open_row(rank, bank) {
-                    let pre = Command::precharge(Location::new(rank, bank, row, 0));
-                    if let Some(cycle) = self.channel.earliest_legal(&pre) {
-                        next = next.min(cycle);
-                    }
-                }
-            }
-            None => {
-                if let Some(cycle) = self.policy.next_wake(&view) {
-                    next = next.min(cycle);
-                }
-            }
-        }
+        let page_wake = match self.policy.propose_precharge(&view) {
+            Some((rank, bank)) => self.earliest_precharge(rank, bank),
+            None => self.policy.next_wake(&view),
+        };
         // Power-policy actions: a standing proposal acts on the next tick
         // (power-down entries are proposed pre-validated; a row-closing
         // proposal waits for its precharge to become legal); otherwise ask
         // the policy when its idle timers could first flip the answer.
-        match self.power_policy.propose(&view) {
-            Some(PowerAction::PowerDown { .. }) => next = next.min(now),
-            Some(PowerAction::Precharge { rank, bank }) => {
-                if let Some(row) = self.channel.open_row(rank, bank) {
-                    let pre = Command::precharge(Location::new(rank, bank, row, 0));
-                    if let Some(cycle) = self.channel.earliest_legal(&pre) {
-                        next = next.min(cycle);
-                    }
-                }
-            }
-            None => {
-                if let Some(cycle) = self.power_policy.next_wake(&view) {
-                    next = next.min(cycle);
-                }
-            }
+        let power_wake = match self.power_policy.propose(&view) {
+            Some(PowerAction::PowerDown { .. }) => Some(now),
+            Some(PowerAction::Precharge { rank, bank }) => self.earliest_precharge(rank, bank),
+            None => self.power_policy.next_wake(&view),
+        };
+        for cycle in [page_wake, power_wake].into_iter().flatten() {
+            next = next.min(cycle);
         }
         // Reliability deadlines: the next patrol-scrub emission and the
         // earliest parked demand retry. Queued scrub entries and re-enqueued

@@ -26,7 +26,7 @@ impl Scheduler for Fcfs {
 
     fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
         let oldest = ctx.active_queue().oldest()?;
-        progress_for(oldest, ctx).decision()
+        progress_for(oldest, ctx)
     }
 }
 

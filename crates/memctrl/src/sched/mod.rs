@@ -17,7 +17,7 @@ pub mod frfcfs;
 pub mod parbs;
 pub mod rl;
 
-use cloudmc_dram::{Command, DramChannel, DramCycles};
+use cloudmc_dram::{Command, CommandKind, DramChannel, DramCycles};
 use cloudmc_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::queue::{QueueEntry, RequestQueue};
@@ -77,74 +77,36 @@ pub struct SchedDecision {
     pub request_id: Option<RequestId>,
 }
 
-/// The kind of progress that can be made toward serving one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Progress {
-    /// The data transfer itself can issue now.
-    Column(SchedDecision),
-    /// The bank is idle; the row can be activated now.
-    Activate(SchedDecision),
-    /// A different row is open; the bank can be precharged now.
-    Precharge(SchedDecision),
-    /// No command for this request is legal this cycle.
-    Blocked,
-}
-
-impl Progress {
-    /// The decision carried by this progress step, if any.
-    #[must_use]
-    pub fn decision(self) -> Option<SchedDecision> {
-        match self {
-            Self::Column(d) | Self::Activate(d) | Self::Precharge(d) => Some(d),
-            Self::Blocked => None,
-        }
-    }
-}
-
-/// Determines which command (if any) can be issued *this cycle* to make
-/// progress on `entry`. Shared by the request-ordering schedulers.
+/// The next command that serves `entry` from the channel's current row
+/// state: its column access when the row is open, a precharge when another
+/// row is open, an activate when the bank is idle. The one statement of this
+/// rule, used by the schedulers (through [`progress_for`]) and by the
+/// controller's event horizon.
 #[must_use]
-pub fn progress_for(entry: &QueueEntry, ctx: &SchedContext<'_>) -> Progress {
+pub fn progress_command(entry: &QueueEntry, channel: &DramChannel) -> Command {
     let loc = entry.location;
-    let open = ctx.channel.open_row(loc.rank, loc.bank);
-    match open {
-        Some(row) if row == loc.row => {
-            let command = match entry.request.kind {
-                AccessKind::Read => Command::read(loc, false),
-                AccessKind::Write => Command::write(loc, false),
-            };
-            if ctx.channel.can_issue(&command, ctx.now) {
-                Progress::Column(SchedDecision {
-                    command,
-                    request_id: Some(entry.request.id),
-                })
-            } else {
-                Progress::Blocked
-            }
-        }
-        Some(_) => {
-            let command = Command::precharge(loc);
-            if ctx.channel.can_issue(&command, ctx.now) {
-                Progress::Precharge(SchedDecision {
-                    command,
-                    request_id: None,
-                })
-            } else {
-                Progress::Blocked
-            }
-        }
-        None => {
-            let command = Command::activate(loc);
-            if ctx.channel.can_issue(&command, ctx.now) {
-                Progress::Activate(SchedDecision {
-                    command,
-                    request_id: None,
-                })
-            } else {
-                Progress::Blocked
-            }
-        }
+    match channel.open_row(loc.rank, loc.bank) {
+        Some(row) if row == loc.row => match entry.request.kind {
+            AccessKind::Read => Command::read(loc, false),
+            AccessKind::Write => Command::write(loc, false),
+        },
+        Some(_) => Command::precharge(loc),
+        None => Command::activate(loc),
     }
+}
+
+/// The decision that makes progress on `entry` *this cycle*, if its
+/// [`progress_command`] is legal now. Only the column access carries the
+/// request id. Shared by the request-ordering schedulers.
+#[must_use]
+pub fn progress_for(entry: &QueueEntry, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+    let command = progress_command(entry, ctx.channel);
+    ctx.channel
+        .can_issue(&command, ctx.now)
+        .then(|| SchedDecision {
+            command,
+            request_id: command.kind.is_column().then_some(entry.request.id),
+        })
 }
 
 /// Picks the first entry (by the iteration order of `entries`) for which a
@@ -160,20 +122,16 @@ where
 {
     let mut best_activate = None;
     let mut best_precharge = None;
-    for entry in entries {
-        match progress_for(entry, ctx) {
-            Progress::Column(d) => return Some(d),
-            Progress::Activate(d) => {
-                if best_activate.is_none() {
-                    best_activate = Some(d);
-                }
+    for decision in entries.into_iter().filter_map(|e| progress_for(e, ctx)) {
+        match decision.command.kind {
+            CommandKind::Activate => {
+                best_activate.get_or_insert(decision);
             }
-            Progress::Precharge(d) => {
-                if best_precharge.is_none() {
-                    best_precharge = Some(d);
-                }
+            CommandKind::Precharge => {
+                best_precharge.get_or_insert(decision);
             }
-            Progress::Blocked => {}
+            // A column access: a ready data transfer wins outright.
+            _ => return Some(decision),
         }
     }
     best_activate.or(best_precharge)
@@ -449,13 +407,9 @@ mod tests {
             num_cores: 16,
         };
         let e = entry(1, AccessKind::Read, 0, 0, 5);
-        match progress_for(&e, &ctx) {
-            Progress::Activate(d) => {
-                assert_eq!(d.request_id, None);
-                assert_eq!(d.command, Command::activate(e.location));
-            }
-            other => panic!("expected Activate, got {other:?}"),
-        }
+        let d = progress_for(&e, &ctx).unwrap();
+        assert_eq!(d.request_id, None);
+        assert_eq!(d.command, Command::activate(e.location));
     }
 
     #[test]
@@ -472,13 +426,9 @@ mod tests {
             num_cores: 16,
         };
         let e = entry(9, AccessKind::Write, 0, 0, 5);
-        match progress_for(&e, &ctx) {
-            Progress::Column(d) => {
-                assert_eq!(d.request_id, Some(9));
-                assert!(d.command.kind.is_write());
-            }
-            other => panic!("expected Column, got {other:?}"),
-        }
+        let d = progress_for(&e, &ctx).unwrap();
+        assert_eq!(d.request_id, Some(9));
+        assert!(d.command.kind.is_write());
         assert!(ctx.is_row_hit(&e));
     }
 
@@ -496,7 +446,7 @@ mod tests {
             write_mode: false,
             num_cores: 16,
         };
-        assert_eq!(progress_for(&e, &early), Progress::Blocked);
+        assert_eq!(progress_for(&e, &early), None);
         let late = SchedContext {
             now: t_ras,
             channel: &ch,
@@ -505,10 +455,9 @@ mod tests {
             write_mode: false,
             num_cores: 16,
         };
-        match progress_for(&e, &late) {
-            Progress::Precharge(d) => assert_eq!(d.command, Command::precharge(e.location)),
-            other => panic!("expected Precharge, got {other:?}"),
-        }
+        let d = progress_for(&e, &late).unwrap();
+        assert_eq!(d.command, Command::precharge(e.location));
+        assert_eq!(d.request_id, None);
     }
 
     #[test]

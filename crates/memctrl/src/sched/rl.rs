@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use cloudmc_dram::{CommandKind, DramCycles};
 
 use crate::queue::QueueEntry;
-use crate::sched::{progress_for, Progress, SchedContext, SchedDecision, Scheduler};
+use crate::sched::{progress_for, SchedContext, SchedDecision, Scheduler};
 
 /// RL scheduler parameters (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,7 +247,7 @@ impl RlScheduler {
         let mut seen_commands = Vec::new();
         let mut out = Vec::new();
         for entry in ctx.read_q.iter().chain(ctx.write_q.iter()) {
-            if let Some(decision) = progress_for(entry, ctx).decision() {
+            if let Some(decision) = progress_for(entry, ctx) {
                 if seen_commands.contains(&decision.command) {
                     continue;
                 }
@@ -278,9 +278,7 @@ impl Scheduler for RlScheduler {
             .filter(|e| e.age(ctx.now) > self.cfg.starvation_threshold)
             .min_by_key(|e| e.enqueued_at);
         if let Some(entry) = starved {
-            if let Progress::Column(d) | Progress::Activate(d) | Progress::Precharge(d) =
-                progress_for(entry, ctx)
-            {
+            if let Some(d) = progress_for(entry, ctx) {
                 let features = self.features(ctx, entry, &d);
                 let indices = self.table_indices(&features);
                 let q = self.q_value(&indices);

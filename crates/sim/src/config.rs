@@ -74,10 +74,6 @@ pub struct SystemConfig {
     /// core into the caches before simulation starts, standing in for the
     /// billion-instruction functional warm-up of the paper's methodology.
     pub functional_warmup: bool,
-    /// Scale ATLAS's quantum and starvation threshold down so that several
-    /// ranking quanta elapse within the (reduced-scale) measurement window,
-    /// preserving the algorithm's behaviour at laptop scale.
-    pub scale_scheduler_time_constants: bool,
     /// Telemetry layers for this run: interval time-series sampling, span
     /// tracing, and the kernel self-profiler. Defaults to everything off,
     /// which is guaranteed free on the tick path and leaves `SimStats`
@@ -108,7 +104,6 @@ impl SystemConfig {
             warmup_cpu_cycles: 250_000,
             measure_cpu_cycles: 1_000_000,
             functional_warmup: true,
-            scale_scheduler_time_constants: true,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -144,24 +139,28 @@ impl SystemConfig {
         }
     }
 
-    /// Total simulated CPU cycles (warm-up plus measurement).
+    /// Total simulated CPU cycles (warm-up plus measurement), saturating at
+    /// `u64::MAX`; [`SystemConfig::validate`] rejects a sum that overflows.
     #[must_use]
     pub fn total_cpu_cycles(&self) -> u64 {
-        self.warmup_cpu_cycles + self.measure_cpu_cycles
+        self.warmup_cpu_cycles
+            .saturating_add(self.measure_cpu_cycles)
     }
 
-    /// DRAM cycles corresponding to `cpu_cycles` under the fixed clock ratio.
+    /// DRAM cycles corresponding to `cpu_cycles` under the fixed clock ratio
+    /// (rounded down), exact over the whole `u64` range.
     #[must_use]
     pub fn cpu_to_dram_cycles(cpu_cycles: u64) -> u64 {
-        cpu_cycles * DRAM_CYCLES_PER_5_CPU_CYCLES / 5
+        cpu_cycles / 5 * DRAM_CYCLES_PER_5_CPU_CYCLES
+            + cpu_cycles % 5 * DRAM_CYCLES_PER_5_CPU_CYCLES / 5
     }
 
     /// The effective memory-controller configuration: the channel count
-    /// multiplied by [`SystemConfig::num_channels`], scheduler time
-    /// constants scaled to the run length when requested, and the QoS
-    /// layer's tenant metadata (count, latency-criticality, bandwidth
-    /// weights defaulting to core counts) derived from the mix. Callers only
-    /// choose `mc.qos.policy`; everything else follows the tenancy.
+    /// multiplied by [`SystemConfig::num_channels`], the ATLAS quantum scaled
+    /// to the run length, and the QoS layer's tenant metadata (count,
+    /// latency-criticality, bandwidth weights defaulting to core counts)
+    /// derived from the mix. Callers only choose `mc.qos.policy`; everything
+    /// else follows the tenancy.
     #[must_use]
     pub fn effective_mc(&self) -> McConfig {
         let mut mc = self.mc;
@@ -181,20 +180,19 @@ impl SystemConfig {
                 mc.qos.share[t] = tenant.cores() as u32;
             }
         }
-        if self.scale_scheduler_time_constants {
-            if let SchedulerKind::Atlas(mut atlas) = mc.scheduler {
-                let total_dram = Self::cpu_to_dram_cycles(self.total_cpu_cycles()).max(1);
-                // Aim for roughly 10 quanta over the whole run, as a stand-in
-                // for the hundreds of quanta of a full-length simulation. The
-                // starvation threshold is deliberately *not* scaled: its ratio
-                // to the memory latency (not to the quantum) is what bounds
-                // how long a deprioritized core can be denied service, which
-                // is the effect the paper attributes ATLAS's losses to.
-                let target_quantum = (total_dram / 10).max(10_000);
-                if target_quantum < atlas.quantum {
-                    atlas.quantum = target_quantum;
-                    mc.scheduler = SchedulerKind::Atlas(atlas);
-                }
+        if let SchedulerKind::Atlas(mut atlas) = mc.scheduler {
+            let total_dram = Self::cpu_to_dram_cycles(self.total_cpu_cycles()).max(1);
+            // Aim for roughly 10 quanta over the whole run, as a stand-in for
+            // the hundreds of quanta of a full-length simulation; a run long
+            // enough for that keeps the configured quantum. The starvation
+            // threshold is deliberately *not* scaled: its ratio to the memory
+            // latency (not to the quantum) is what bounds how long a
+            // deprioritized core can be denied service, which is the effect
+            // the paper attributes ATLAS's losses to.
+            let target_quantum = (total_dram / 10).max(10_000);
+            if target_quantum < atlas.quantum {
+                atlas.quantum = target_quantum;
+                mc.scheduler = SchedulerKind::Atlas(atlas);
             }
         }
         mc
@@ -211,6 +209,16 @@ impl SystemConfig {
             mix.validate()?;
         }
         self.l2.validate()?;
+        if self
+            .warmup_cpu_cycles
+            .checked_add(self.measure_cpu_cycles)
+            .is_none()
+        {
+            return Err(format!(
+                "warmup_cpu_cycles ({}) + measure_cpu_cycles ({}) overflows u64",
+                self.warmup_cpu_cycles, self.measure_cpu_cycles
+            ));
+        }
         // Validate the controller configuration as it will actually be
         // built: the tenant metadata filled in from the mix, and the one
         // channel-count rule applied to `num_channels * mc.dram.channels`.
@@ -267,13 +275,41 @@ mod tests {
     }
 
     #[test]
-    fn scaling_can_be_disabled() {
-        let mut cfg = SystemConfig::baseline(Workload::MapReduce);
-        cfg.mc.scheduler = SchedulerKind::Atlas(AtlasConfig::default());
-        cfg.scale_scheduler_time_constants = false;
-        match cfg.effective_mc().scheduler {
-            SchedulerKind::Atlas(a) => assert_eq!(a.quantum, AtlasConfig::default().quantum),
-            other => panic!("expected ATLAS, got {other:?}"),
+    fn run_length_overflow_is_a_typed_error() {
+        assert_eq!(SystemConfig::cpu_to_dram_cycles(u64::MAX), u64::MAX / 5 * 2);
+        for scheduler in [
+            SchedulerKind::FrFcfs,
+            SchedulerKind::Atlas(AtlasConfig::default()),
+        ] {
+            let mut cfg = SystemConfig::baseline(Workload::WebSearch);
+            cfg.mc.scheduler = scheduler;
+            cfg.measure_cpu_cycles = u64::MAX;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("overflows"), "{err}");
+            assert!(matches!(
+                crate::Simulator::new(cfg.clone()),
+                Err(crate::SimError::Config(_))
+            ));
+            // Long but representable: valid, and long enough for ten ATLAS
+            // quanta at the configured length, so nothing is scaled.
+            cfg.measure_cpu_cycles = u64::MAX / 2 + 1;
+            cfg.validate().unwrap();
+            assert_eq!(cfg.effective_mc().scheduler, scheduler);
+        }
+    }
+
+    #[test]
+    fn zero_refresh_interval_with_refresh_enabled_is_a_config_error() {
+        let mut cfg = SystemConfig::baseline(Workload::WebSearch);
+        cfg.warmup_cpu_cycles = 1_000;
+        cfg.measure_cpu_cycles = 1_000;
+        cfg.mc.dram.timing.t_refi = 0;
+        let err = crate::Simulator::new(cfg)
+            .and_then(crate::Simulator::try_run)
+            .unwrap_err();
+        match err {
+            crate::SimError::Config(msg) => assert!(msg.contains("t_refi"), "{msg}"),
+            other => panic!("expected a configuration error, got {other:?}"),
         }
     }
 
