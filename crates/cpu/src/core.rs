@@ -424,39 +424,40 @@ impl InOrderCore {
         self.deferred.is_some()
     }
 
-    /// How many upcoming cycles this core is *provably deterministic* for —
-    /// the per-core ingredient of the kernel's event-horizon fast-forward.
+    /// The cycle this core next needs a decision, given that it has been
+    /// advanced to cycle `position` (see the next-due contract in
+    /// `cloudmc-sim`'s `kernel` module):
     ///
-    /// * `None` — the core needs its instruction stream on the very next
-    ///   tick; nothing can be skipped.
-    /// * `Some(u64::MAX)` — the core is blocked until a fill arrives; every
-    ///   cycle until then is a stall cycle.
-    /// * `Some(k)` — the next `k` ticks each retire one buffered compute
-    ///   instruction and touch nothing else.
+    /// * `position` — it needs its instruction stream on the very next tick;
+    /// * `u64::MAX` — it is blocked until a fill arrives, and every cycle
+    ///   until then is a stall cycle;
+    /// * `position + k` — the next `k` ticks each retire one buffered
+    ///   compute instruction and touch nothing else.
     ///
-    /// [`InOrderCore::skip_cycles`] applies up to that many cycles in bulk
+    /// [`InOrderCore::skip_cycles`] applies the cycles before it in bulk,
     /// with effects identical to calling [`InOrderCore::tick`] per cycle.
     #[must_use]
-    pub fn runway(&self) -> Option<u64> {
+    pub fn next_due(&self, position: u64) -> u64 {
         match self.stall {
-            Some(Stall::Miss { .. }) => Some(u64::MAX),
+            Some(Stall::Miss { .. }) => u64::MAX,
             // A core parked on a full MSHR file stays parked until a fill
             // frees an entry; if the file has space it retries next tick.
-            Some(Stall::MshrFull(_)) => self.mshr.is_full().then_some(u64::MAX),
-            None => (self.pending_compute > 0).then(|| u64::from(self.pending_compute)),
+            Some(Stall::MshrFull(_)) if self.mshr.is_full() => u64::MAX,
+            Some(Stall::MshrFull(_)) => position,
+            None => position.saturating_add(u64::from(self.pending_compute)),
         }
     }
 
     /// Advances the core by `cycles` cycles in bulk. Exactly equivalent to
-    /// `cycles` calls of [`InOrderCore::tick`], valid only while the core is
-    /// inside the window reported by [`InOrderCore::runway`].
+    /// `cycles` calls of [`InOrderCore::tick`], valid only before the cycle
+    /// [`InOrderCore::next_due`] reports.
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if `cycles` exceeds the current runway.
+    /// Panics (debug builds) if `cycles` reaches past that cycle.
     pub fn skip_cycles(&mut self, cycles: u64) {
         debug_assert!(
-            self.runway().is_some_and(|r| r >= cycles),
+            cycles <= self.next_due(0),
             "skip of {cycles} cycles exceeds the core's runway"
         );
         self.stats.cycles += cycles;
@@ -801,10 +802,10 @@ mod tests {
             ticked.tick(&mut src);
         }
         let mut skipped = make();
-        assert_eq!(skipped.runway(), Some(99));
+        assert_eq!(skipped.next_due(0), 99);
         skipped.skip_cycles(40);
         assert_eq!(ticked.stats(), skipped.stats());
-        assert_eq!(skipped.runway(), Some(59));
+        assert_eq!(skipped.next_due(40), 40 + 59);
     }
 
     /// Running ahead must be indistinguishable from ticking: same counters,
@@ -888,7 +889,7 @@ mod tests {
             ticked.tick(&mut ticked_source);
         }
         assert_eq!(observe(&ahead), observe(&ticked));
-        assert_eq!(ahead.runway(), Some(21));
+        assert_eq!(ahead.next_due(0), 21);
 
         // The dirty-victim miss is deferred too, write-back and all.
         assert_eq!(ahead.run_ahead(u64::MAX, &mut source), 21);
@@ -909,7 +910,7 @@ mod tests {
     fn runway_reflects_stall_state() {
         let mut core = tiny_core();
         // Fresh core must consult the stream immediately.
-        assert_eq!(core.runway(), None);
+        assert_eq!(core.next_due(3), 3);
         let mut first = Some(CoreOp::Mem(MemOp {
             kind: OpKind::Load,
             addr: 0x1000,
@@ -918,13 +919,13 @@ mod tests {
         let mut src = move || first.take().unwrap_or(CoreOp::Compute(1));
         core.tick(&mut src);
         assert!(core.is_stalled());
-        assert_eq!(core.runway(), Some(u64::MAX));
+        assert_eq!(core.next_due(3), u64::MAX);
         // A bulk stall advance matches per-cycle stalling.
         core.skip_cycles(25);
         assert_eq!(core.stats().stall_cycles, 25);
         assert_eq!(core.committed(), 0);
         core.fill(0x1000);
-        assert_eq!(core.runway(), None, "woken core needs the stream again");
+        assert_eq!(core.next_due(28), 28, "woken core needs the stream again");
     }
 
     #[test]

@@ -45,6 +45,11 @@ impl DramConfig {
     /// from it.
     pub const MAX_CHANNELS: usize = 64;
 
+    /// Largest `ranks_per_channel × banks_per_rank` that validates: the
+    /// width of the controller's per-bank demand bitmasks, which also keeps
+    /// every rank and bank index inside its 8-bit field of a queue key.
+    pub const MAX_BANKS_PER_CHANNEL: usize = 64;
+
     /// The paper's baseline single-channel configuration (Table 2).
     #[must_use]
     pub fn baseline() -> Self {
@@ -99,8 +104,9 @@ impl DramConfig {
     ///
     /// Returns a description of the problem if any dimension is zero, any
     /// dimension is not a power of two (required by the bit-sliced address
-    /// mapping), there are more than [`DramConfig::MAX_CHANNELS`] channels,
-    /// refresh is enabled with a zero `t_refi`, or the timing parameters are
+    /// mapping), there are more than [`DramConfig::MAX_CHANNELS`] channels or
+    /// [`DramConfig::MAX_BANKS_PER_CHANNEL`] banks per channel, refresh is
+    /// enabled with a zero `t_refi`, or the timing parameters are
     /// inconsistent.
     pub fn validate(&self) -> Result<(), String> {
         fn pow2(name: &str, v: u64) -> Result<(), String> {
@@ -122,6 +128,18 @@ impl DramConfig {
         }
         pow2("ranks_per_channel", self.ranks_per_channel as u64)?;
         pow2("banks_per_rank", self.banks_per_rank as u64)?;
+        if self
+            .ranks_per_channel
+            .checked_mul(self.banks_per_rank)
+            .is_none_or(|banks| banks > Self::MAX_BANKS_PER_CHANNEL)
+        {
+            return Err(format!(
+                "ranks_per_channel ({}) x banks_per_rank ({}) exceeds {} banks per channel",
+                self.ranks_per_channel,
+                self.banks_per_rank,
+                Self::MAX_BANKS_PER_CHANNEL
+            ));
+        }
         pow2("rows_per_bank", self.rows_per_bank)?;
         pow2("row_bytes", self.row_bytes)?;
         pow2("column_bytes", self.column_bytes)?;

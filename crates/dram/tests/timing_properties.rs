@@ -13,7 +13,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cloudmc_dram::{Command, CommandKind, DramChannel, DramConfig, Location, TimingParams};
+use cloudmc_dram::{
+    Command, CommandKind, DramChannel, DramConfig, Location, PowerDownMode, PowerState,
+    TimingParams,
+};
 
 /// A request [`drive`] serves with an open-page policy, arriving `gap`
 /// cycles after the one before it.
@@ -58,6 +61,49 @@ fn random_requests(rng: &mut StdRng, max_len: usize) -> Vec<Req> {
 
 type History = Vec<(u64, Command)>;
 
+/// A CKE transition of one rank, recorded next to the command history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cke {
+    /// CKE dropped (or the rank deepened) into this mode.
+    Enter(PowerDownMode),
+    /// CKE raised: the rank begins its exit.
+    Wake,
+}
+
+/// `(cycle, rank, transition)` in issue order.
+type CkeLog = Vec<(u64, usize, Cke)>;
+
+/// Power management for [`drive`]: a rank no pending request targets
+/// powers down into `first` once it has been idle `idle_after` cycles, and
+/// deepens into `deepest` after `deepen_after` more. A request for the rank
+/// or a refresh coming due wakes it.
+#[derive(Debug, Clone, Copy)]
+struct PowerPlan {
+    idle_after: u64,
+    first: PowerDownMode,
+    deepest: PowerDownMode,
+    deepen_after: u64,
+}
+
+fn random_plan(rng: &mut StdRng) -> PowerPlan {
+    let modes = [
+        PowerDownMode::Fast,
+        PowerDownMode::Slow,
+        PowerDownMode::SelfRefresh,
+    ];
+    let first = rng.gen_range(0..3usize);
+    PowerPlan {
+        idle_after: if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(0..400u64)
+        },
+        first: modes[first],
+        deepest: modes[rng.gen_range(first..3usize)],
+        deepen_after: rng.gen_range(0..200u64),
+    }
+}
+
 /// Requests [`drive`] considers at once: enough for back-to-back activates
 /// to fill a tFAW window.
 const WINDOW: usize = 8;
@@ -81,8 +127,9 @@ fn progress(channel: &DramChannel, req: &Req) -> Command {
 /// request's [`progress`] command — and issues whatever `can_issue` accepts,
 /// so the one-command-per-cycle rule is the device's to enforce. Only the
 /// oldest request may close a row, and requests to a rank with a refresh due
-/// wait for it.
-fn drive(timing: TimingParams, requests: &[Req]) -> History {
+/// wait for it. With a [`PowerPlan`] it also raises and drops each rank's
+/// CKE, logging every transition.
+fn drive(timing: TimingParams, requests: &[Req], power: Option<PowerPlan>) -> (History, CkeLog) {
     let mut channel = DramChannel::new(&DramConfig {
         timing,
         ..DramConfig::baseline()
@@ -94,6 +141,8 @@ fn drive(timing: TimingParams, requests: &[Req]) -> History {
     let mut next_arrival = arrivals.next();
     let mut pending: Vec<Req> = Vec::new();
     let mut history = Vec::new();
+    let mut cke = Vec::new();
+    let mut last_active = [0u64; 2];
     let mut now = 0u64;
     while next_arrival.is_some() || !pending.is_empty() {
         assert!(now < 2_000_000, "requests never became serviceable");
@@ -101,9 +150,20 @@ fn drive(timing: TimingParams, requests: &[Req]) -> History {
             match next_arrival {
                 Some((at, req)) if at <= now => {
                     pending.push(req);
+                    last_active[req.rank] = now;
                     next_arrival = arrivals.next();
                 }
                 _ => break,
+            }
+        }
+        if power.is_some() {
+            for rank in 0..2 {
+                let wanted = pending.iter().any(|req| req.rank == rank)
+                    || channel.rank(rank).refresh_due(now);
+                if channel.rank(rank).powered_down() && wanted {
+                    channel.wake_rank(rank, now);
+                    cke.push((now, rank, Cke::Wake));
+                }
             }
         }
         let due = channel.refresh_due(now);
@@ -123,11 +183,24 @@ fn drive(timing: TimingParams, requests: &[Req]) -> History {
                 candidates.push((cmd, Some(i)));
             }
         }
+        // Under power management, rows of a rank nothing is waiting for are
+        // closed so the rank can reach power-down.
+        if power.is_some() {
+            for rank in (0..2).filter(|&r| pending.iter().all(|req| req.rank != r)) {
+                for bank in 0..8 {
+                    if let Some(row) = channel.open_row(rank, bank) {
+                        let pre = Command::precharge(Location::new(rank, bank, row, 0));
+                        candidates.push((pre, None));
+                    }
+                }
+            }
+        }
         let mut served = None;
         for (cmd, owner) in candidates {
             if channel.can_issue(&cmd, now) {
                 channel.issue(&cmd, now);
                 history.push((now, cmd));
+                last_active[cmd.loc.rank] = now;
                 if cmd.kind.is_column() {
                     served = owner;
                 }
@@ -136,9 +209,30 @@ fn drive(timing: TimingParams, requests: &[Req]) -> History {
         if let Some(i) = served {
             pending.remove(i);
         }
+        if let Some(plan) = power {
+            for (rank, &active) in last_active.iter().enumerate() {
+                if pending.iter().any(|req| req.rank == rank) {
+                    continue;
+                }
+                let idle = now - active;
+                let mode = match channel.power_state(rank) {
+                    PowerState::PrechargeStandby if idle >= plan.idle_after => plan.first,
+                    PowerState::PowerDownFast | PowerState::PowerDownSlow
+                        if idle >= plan.idle_after + plan.deepen_after =>
+                    {
+                        plan.deepest
+                    }
+                    _ => continue,
+                };
+                if channel.can_enter_power_down(rank, mode, now) {
+                    channel.enter_power_down(rank, mode, now);
+                    cke.push((now, rank, Cke::Enter(mode)));
+                }
+            }
+        }
         now += 1;
     }
-    history
+    (history, cke)
 }
 
 fn presets() -> [TimingParams; 3] {
@@ -156,7 +250,7 @@ fn histories(seed: u64, cases: usize, max_len: usize) -> Vec<(TimingParams, Hist
     for timing in presets() {
         for _ in 0..cases {
             let requests = random_requests(&mut rng, max_len);
-            out.push((timing, drive(timing, &requests)));
+            out.push((timing, drive(timing, &requests, None).0));
         }
     }
     out
@@ -239,7 +333,7 @@ fn every_request_is_served_exactly_once() {
     for _case in 0..16 {
         let requests = random_requests(&mut rng, 40);
         for timing in presets() {
-            let history = drive(timing, &requests);
+            let (history, _) = drive(timing, &requests, None);
             let columns = history.iter().filter(|(_, c)| is_column(c)).count();
             assert_eq!(columns, requests.len());
         }
@@ -360,5 +454,116 @@ fn one_command_per_cycle() {
         for pair in history.windows(2) {
             assert!(pair[1].0 > pair[0].0, "two commands in cycle {}", pair[0].0);
         }
+    }
+}
+
+/// Checks the power-down fences of one rank's run from `TimingParams`
+/// alone, adding to `checked` how often each was exercised:
+///
+/// * `[0]` no command reaches the rank from its CKE-low entry through its
+///   wake;
+/// * `[1..=3]` after a wake at `w`, the first command to the rank issues at
+///   or after `max(w, entry + tCKE) + exit`, with `exit` tXP, tXPDLL or tXS
+///   by the deepest mode entered (one counter each) and `entry` the last
+///   CKE-low transition;
+/// * `[4]` wakes where the `entry + tCKE` term is the binding one;
+/// * `[5]` consecutive CKE transitions (entry, deepening, or entry after
+///   the CKE rise of a wake) are at least tCKE apart.
+fn check_power_fences(
+    t: &TimingParams,
+    history: &History,
+    cke: &CkeLog,
+    rank: usize,
+    checked: &mut [usize; 6],
+) {
+    let commands: Vec<u64> = history
+        .iter()
+        .filter(|(_, c)| c.loc.rank == rank)
+        .map(|&(at, _)| at)
+        .collect();
+    let events: Vec<(u64, Cke)> = cke
+        .iter()
+        .filter(|&&(_, r, _)| r == rank)
+        .map(|&(at, _, event)| (at, event))
+        .collect();
+    // (first entry, last transition, mode) while CKE is low.
+    let mut low: Option<(u64, u64, PowerDownMode)> = None;
+    let mut last_rise: Option<u64> = None;
+    for (i, &(at, event)) in events.iter().enumerate() {
+        match event {
+            Cke::Enter(mode) => {
+                if let Some(prev) = low.map(|(_, last, _)| last).or(last_rise) {
+                    assert!(
+                        at >= prev + t.t_cke,
+                        "rank {rank}: CKE transition at {at} within tCKE of {prev}"
+                    );
+                    checked[5] += 1;
+                }
+                low = Some((low.map_or(at, |(first, _, _)| first), at, mode));
+            }
+            Cke::Wake => {
+                let (entry, last, mode) = low.take().expect("wake of an awake rank");
+                let during = commands.iter().find(|&&c| c >= entry && c <= at);
+                assert!(
+                    during.is_none(),
+                    "rank {rank}: command at {during:?} while CKE low ({entry}..={at})"
+                );
+                checked[0] += 1;
+                let rise = at.max(last + t.t_cke);
+                let (exit, kind) = match mode {
+                    PowerDownMode::Fast => (t.t_xp, 1),
+                    PowerDownMode::Slow => (t.t_xpdll, 2),
+                    PowerDownMode::SelfRefresh => (t.t_xs, 3),
+                };
+                let next_entry = events[i + 1..]
+                    .iter()
+                    .find(|(_, e)| matches!(e, Cke::Enter(_)))
+                    .map_or(u64::MAX, |&(next, _)| next);
+                if let Some(&first) = commands.iter().find(|&&c| c > at && c < next_entry) {
+                    assert!(
+                        first >= rise + exit,
+                        "rank {rank}: {mode:?} woken at {at} (last entry {last}) \
+                         took a command at {first}, before {}",
+                        rise + exit
+                    );
+                    checked[kind] += 1;
+                    if rise > at {
+                        checked[4] += 1;
+                    }
+                }
+                last_rise = Some(rise);
+            }
+        }
+    }
+}
+
+/// The power-down fences hold on every preset under random idle
+/// thresholds and modes, with deepening, and every check binds somewhere.
+#[test]
+fn power_down_fences_are_respected() {
+    let mut rng = StdRng::seed_from_u64(0xC4E);
+    for timing in presets() {
+        let mut checked = [0usize; 6];
+        for _ in 0..48 {
+            // Some arrivals a few cycles apart, so a wake can land inside
+            // the tCKE window of the entry just before it.
+            let mut requests = random_requests(&mut rng, 60);
+            for req in &mut requests {
+                if rng.gen_bool(0.4) {
+                    req.gap = rng.gen_range(1..8u64);
+                }
+            }
+            let plan = random_plan(&mut rng);
+            let (history, cke) = drive(timing, &requests, Some(plan));
+            let columns = history.iter().filter(|(_, c)| is_column(c)).count();
+            assert_eq!(columns, requests.len(), "every request still served");
+            for rank in 0..2 {
+                check_power_fences(&timing, &history, &cke, rank, &mut checked);
+            }
+        }
+        assert!(
+            checked.iter().all(|&n| n > 0),
+            "a power-down check was never exercised on {timing:?}: {checked:?}"
+        );
     }
 }

@@ -69,6 +69,11 @@ pub struct McConfig {
 }
 
 impl McConfig {
+    /// Largest read or write queue capacity that validates. Each queue is
+    /// allocated at its capacity when the controller is built, so the
+    /// capacity must be bounded before anything is sized from it.
+    pub const MAX_QUEUE_CAPACITY: usize = 4096;
+
     /// The paper's baseline configuration.
     #[must_use]
     pub fn baseline() -> Self {
@@ -101,6 +106,17 @@ impl McConfig {
         }
         if self.read_queue_capacity == 0 || self.write_queue_capacity == 0 {
             return Err("queue capacities must be non-zero".to_owned());
+        }
+        for (name, capacity) in [
+            ("read_queue_capacity", self.read_queue_capacity),
+            ("write_queue_capacity", self.write_queue_capacity),
+        ] {
+            if capacity > Self::MAX_QUEUE_CAPACITY {
+                return Err(format!(
+                    "{name} ({capacity}) exceeds {}",
+                    Self::MAX_QUEUE_CAPACITY
+                ));
+            }
         }
         if self.write_drain_low >= self.write_drain_high {
             return Err(format!(
@@ -308,13 +324,12 @@ struct ChannelController {
     /// Reliability subsystem; `None` keeps the controller bit-identical to a
     /// build without it (no extra work on any hot path).
     fault: Option<Box<FaultState>>,
-    /// A DRAM cycle before which this channel provably has nothing to do.
-    /// The bound may undershoot (a stale-past value just means "due now")
-    /// but never overshoot: [`Self::tick_due`] refreshes it from the
-    /// channel's own timing walk and [`Self::enqueue`] pulls it back to the
-    /// arrival cycle. The every-channel [`MemoryController::tick`] neither
-    /// reads nor refreshes it, so one controller is driven by one of the two
-    /// for life.
+    /// This channel's cached next-due cycle (the contract is stated in
+    /// `cloudmc-sim`'s `kernel` module): [`Self::tick_due`] refreshes it
+    /// from [`Self::compute_next_due`] and [`Self::enqueue`] pulls it back
+    /// to the arrival cycle. The every-channel [`MemoryController::tick`]
+    /// neither reads nor refreshes it, so one controller is driven by one of
+    /// the two for life.
     next_due: DramCycles,
 }
 
@@ -524,10 +539,12 @@ impl ChannelController {
         Some(Command::precharge(Location::new(rank, bank, row, 0)))
     }
 
-    /// Earliest legal cycle of [`Self::open_row_precharge`].
-    fn earliest_precharge(&self, rank: usize, bank: usize) -> Option<DramCycles> {
+    /// Earliest legal cycle of [`Self::open_row_precharge`]; `u64::MAX`
+    /// when no row is open.
+    fn earliest_precharge(&self, rank: usize, bank: usize) -> DramCycles {
         self.open_row_precharge(rank, bank)
             .and_then(|pre| self.channel.earliest_legal(&pre))
+            .unwrap_or(DramCycles::MAX)
     }
 
     /// Issues a policy precharge to the open row of (`rank`, `bank`) if one
@@ -1089,7 +1106,7 @@ impl ChannelController {
     /// A channel with queued or in-flight requests is simply polled again
     /// next cycle: its fences (bus turnaround, tRCD, a transfer in flight)
     /// are a handful of DRAM cycles, and the full
-    /// [`Self::next_ready_dram_cycle`] walk — every inflight entry, every
+    /// [`Self::compute_next_due`] walk — every inflight entry, every
     /// rank's refresh state, every queued request's earliest legal command,
     /// plus scheduler/page/power timers — costs more than the no-op ticks it
     /// would skip. Only a *drained* channel takes the walk, where the bound
@@ -1104,20 +1121,17 @@ impl ChannelController {
         self.next_due = if worked || self.pending() > 0 {
             now + 1
         } else {
-            self.next_ready_dram_cycle(now + 1).max(now + 1)
+            self.compute_next_due(now + 1).max(now + 1)
         };
     }
 
-    /// The next DRAM cycle at which this channel can possibly do anything
-    /// beyond bulk bookkeeping: retire a transfer, issue a refresh (or the
-    /// forced precharges of an overdue refresh), make progress on a pending
-    /// request, hit a scheduler time boundary, or act on a page-policy
-    /// proposal. `u64::MAX` means the channel is fully quiescent.
-    ///
-    /// The bound must never overshoot (skipping a cycle where the naive loop
-    /// would have acted breaks bit-identical equivalence); undershooting is
-    /// always safe and merely costs an extra no-op tick.
-    fn next_ready_dram_cycle(&self, now: DramCycles) -> DramCycles {
+    /// This channel's next due DRAM cycle (see the next-due contract in
+    /// `cloudmc-sim`'s `kernel` module): the earliest cycle it can retire a
+    /// transfer, issue a refresh (or the forced precharges of an overdue
+    /// refresh), make progress on a pending request, hit a scheduler time
+    /// boundary, act on a page- or power-policy proposal, or reach a
+    /// reliability deadline.
+    fn compute_next_due(&self, now: DramCycles) -> DramCycles {
         let mut next = DramCycles::MAX;
         // Pending data transfers retire at their completion cycle.
         for inflight in &self.inflight {
@@ -1135,25 +1149,22 @@ impl ChannelController {
                     continue;
                 }
                 let due = rank.next_refresh_due();
-                let event = if rank.powered_down() {
-                    Some(due)
+                next = next.min(if rank.powered_down() {
+                    due
                 } else if let Some(legal) = self.channel.earliest_legal(&Command::refresh(r)) {
-                    Some(due.max(legal))
+                    due.max(legal)
                 } else {
                     (0..self.channel.banks_per_rank())
-                        .filter_map(|b| self.earliest_precharge(r, b))
+                        .map(|b| self.earliest_precharge(r, b))
                         .min()
-                        .map(|pre| self.refresh_forced_at(r).max(pre))
-                };
-                if let Some(cycle) = event {
-                    next = next.min(cycle);
-                }
+                        .map_or(DramCycles::MAX, |pre| self.refresh_forced_at(r).max(pre))
+                });
             }
         }
         // Pending requests: earliest legal progress command over both queues
         // (a superset of what any scheduler — or the QoS arbiter, which only
         // ever reorders within this same candidate set — would consider,
-        // hence an undershooting — safe — bound for all of them).
+        // hence an early — safe — bound for all of them).
         for entry in self.read_q.iter().chain(self.write_q.iter()) {
             let progress = progress_command(entry, &self.channel);
             if let Some(cycle) = self.channel.earliest_legal(&progress) {
@@ -1161,9 +1172,7 @@ impl ChannelController {
             }
         }
         // Scheduler-internal time boundaries (e.g. the ATLAS quantum).
-        if let Some(cycle) = self.scheduler.next_event_cycle() {
-            next = next.min(cycle);
-        }
+        next = next.min(self.scheduler.next_due());
         // Page-policy proposals: if one stands now, wake when its precharge
         // becomes legal; otherwise ask the policy when its answer could flip.
         let view = PolicyView {
@@ -1172,22 +1181,19 @@ impl ChannelController {
             read_q: &self.read_q,
             write_q: &self.write_q,
         };
-        let page_wake = match self.policy.propose_precharge(&view) {
+        next = next.min(match self.policy.propose_precharge(&view) {
             Some((rank, bank)) => self.earliest_precharge(rank, bank),
-            None => self.policy.next_wake(&view),
-        };
+            None => self.policy.next_due(&view),
+        });
         // Power-policy actions: a standing proposal acts on the next tick
         // (power-down entries are proposed pre-validated; a row-closing
         // proposal waits for its precharge to become legal); otherwise ask
         // the policy when its idle timers could first flip the answer.
-        let power_wake = match self.power_policy.propose(&view) {
-            Some(PowerAction::PowerDown { .. }) => Some(now),
+        next = next.min(match self.power_policy.propose(&view) {
+            Some(PowerAction::PowerDown { .. }) => now,
             Some(PowerAction::Precharge { rank, bank }) => self.earliest_precharge(rank, bank),
-            None => self.power_policy.next_wake(&view),
-        };
-        for cycle in [page_wake, power_wake].into_iter().flatten() {
-            next = next.min(cycle);
-        }
+            None => self.power_policy.next_due(&view),
+        });
         // Reliability deadlines: the next patrol-scrub emission and the
         // earliest parked demand retry. Queued scrub entries and re-enqueued
         // retries are already covered by the structural walks above.
@@ -1318,8 +1324,8 @@ impl MemoryController {
 
     /// Event-driven DRAM cycle: only channels whose due bound has been
     /// reached run their tick; the rest account the cycle as a skip.
-    /// Bit-identical to [`Self::tick`] on every statistic, because a
-    /// channel's bound never overshoots its next eventful cycle.
+    /// Bit-identical to [`Self::tick`] on every statistic, because no
+    /// channel's cached next-due cycle is late.
     pub fn tick_due(&mut self, now: DramCycles, done: &mut Vec<CompletedRequest>) {
         for channel in &mut self.channels {
             channel.tick_due(now, done);
@@ -1328,11 +1334,9 @@ impl MemoryController {
 
     /// The earliest DRAM cycle at which any channel may have work under
     /// [`Self::tick_due`] (retire, refresh, serve a pending request, hit a
-    /// scheduler, policy or reliability timer): a lower bound that is never
-    /// late. `u64::MAX` means the controller is fully quiescent; the kernel
-    /// may jump to the returned cycle — accounting the jumped cycles with
-    /// [`Self::skip_dram_cycles`] — and remain bit-identical to ticking every
-    /// cycle.
+    /// scheduler, policy or reliability timer), under the next-due contract
+    /// stated in `cloudmc-sim`'s `kernel` module. The kernel accounts the
+    /// cycles it jumps with [`Self::skip_dram_cycles`].
     #[must_use]
     pub fn next_due(&self) -> DramCycles {
         self.channels
@@ -1825,7 +1829,7 @@ mod tests {
         });
         let (walked, walked_done) = drive(&|mc, c, done| {
             mc.tick(c, done);
-            let bounds = mc.channels.iter().map(|ch| ch.next_ready_dram_cycle(c));
+            let bounds = mc.channels.iter().map(|ch| ch.compute_next_due(c));
             bounds.min().unwrap_or(DramCycles::MAX)
         });
         let (due, due_done) = drive(&|mc, c, done| {

@@ -13,7 +13,7 @@
 //! close-adaptive ([`CloseAdaptive`]), RBPP ([`Rbpp`]), ABPP ([`Abpp`]) and a
 //! per-bank idle-timer policy ([`TimerPolicy`], an extension).
 
-use cloudmc_dram::{DramChannel, DramCycles, Location};
+use cloudmc_dram::{DramChannel, DramConfig, DramCycles, Location};
 use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::queue::{bank_row_key, key_bank, key_rank, RequestQueue};
@@ -60,26 +60,21 @@ impl PolicyView<'_> {
     }
 
     /// Computes the per-bank demand summary in one pass over the flat key
-    /// columns of both queues, or `None` when the channel has more flat
-    /// banks than fit the bitmask representation (callers then fall back to
-    /// the per-bank scans).
+    /// columns of both queues. Every validated geometry fits the bitmasks:
+    /// `DramConfig::MAX_BANKS_PER_CHANNEL` is their width.
     ///
     /// This replaces the `O(open banks x queue)` predicate evaluation of the
     /// adaptive policies' precharge proposals with `O(banks + queue)` work
     /// over dense `u64` lanes — the single hottest loop of a no-issue
     /// controller tick.
     #[must_use]
-    pub fn bank_demand(&self) -> Option<BankDemand> {
+    pub fn bank_demand(&self) -> BankDemand {
         let banks = self.channel.banks_per_rank();
-        let ranks = self.channel.rank_count();
-        if ranks * banks > 64 {
-            return None;
-        }
         let mut demand = BankDemand {
             banks_per_rank: banks,
             ..BankDemand::default()
         };
-        let mut open_key = [0u64; 64];
+        let mut open_key = [0u64; DramConfig::MAX_BANKS_PER_CHANNEL];
         for (r, b, row) in self.open_banks() {
             let flat = r * banks + b;
             demand.open |= 1 << flat;
@@ -98,7 +93,7 @@ impl PolicyView<'_> {
                 }
             }
         }
-        Some(demand)
+        demand
     }
 }
 
@@ -132,7 +127,7 @@ impl BankDemand {
 
     /// Iterates the set bits of `mask` as `(rank, bank)` in rank-major
     /// (ascending flat) order.
-    pub fn banks(&self, mask: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub fn banks(self, mask: u64) -> impl Iterator<Item = (usize, usize)> {
         let banks = self.banks_per_rank;
         std::iter::successors((mask != 0).then_some(mask), |m| {
             let rest = m & (m - 1);
@@ -163,22 +158,18 @@ pub trait PagePolicy: std::fmt::Debug + Send {
     /// (any hidden mutation would make skipped idle cycles observable).
     fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)>;
 
-    /// Earliest future cycle at which [`PagePolicy::propose_precharge`] could
-    /// start returning `Some`, assuming the device state and the pending
-    /// queues stay exactly as in `view` (no commands issue, nothing arrives).
+    /// Earliest cycle at which [`PagePolicy::propose_precharge`] could start
+    /// returning `Some`, assuming the device state and the pending queues
+    /// stay exactly as in `view`, under the next-due contract stated in
+    /// `cloudmc-sim`'s `kernel` module. Only consulted while
+    /// `propose_precharge` returns `None`.
     ///
-    /// `None` means "never under a frozen state" — correct for every policy
-    /// whose proposal depends only on the queues and the open rows, because
-    /// those do not change while the kernel skips idle cycles. A policy whose
-    /// proposal depends on *time* (like [`TimerPolicy`]) MUST override this
-    /// and return the cycle its answer flips, otherwise fast-forwarding will
-    /// jump over the cycle where it would have acted and the simulation stops
-    /// being identical to the cycle-by-cycle run.
-    ///
-    /// Only consulted when `propose_precharge` currently returns `None`; an
-    /// earlier-than-necessary (conservative) answer is always safe.
-    fn next_wake(&self, _view: &PolicyView<'_>) -> Option<DramCycles> {
-        None
+    /// The default, `u64::MAX`, fits every policy whose proposal depends
+    /// only on the queues and the open rows, which do not change while the
+    /// kernel skips idle cycles. A policy whose proposal depends on *time*
+    /// (like [`TimerPolicy`]) must return the cycle its answer flips.
+    fn next_due(&self, _view: &PolicyView<'_>) -> DramCycles {
+        DramCycles::MAX
     }
 
     /// Called when a row is activated.
@@ -241,7 +232,7 @@ impl PagePolicyKind {
 
 /// Enum-dispatched page policy: every built-in policy as a concrete variant,
 /// so the controller's per-tick consultations (auto-precharge on each column
-/// command, precharge proposals on each no-issue tick, next-wake during
+/// command, precharge proposals on each no-issue tick, next-due during
 /// horizon walks) compile to a jump table over inlined bodies instead of
 /// virtual calls.
 #[derive(Debug)]
@@ -297,11 +288,11 @@ impl PagePolicyImpl {
         for_each_policy!(self, p => p.propose_precharge(view))
     }
 
-    /// See [`PagePolicy::next_wake`].
+    /// See [`PagePolicy::next_due`].
     #[inline]
     #[must_use]
-    pub fn next_wake(&self, view: &PolicyView<'_>) -> Option<DramCycles> {
-        for_each_policy!(self, p => p.next_wake(view))
+    pub fn next_due(&self, view: &PolicyView<'_>) -> DramCycles {
+        for_each_policy!(self, p => p.next_due(view))
     }
 
     /// See [`PagePolicy::on_activate`].
@@ -421,24 +412,6 @@ impl PagePolicy for ClosePage {
     }
 }
 
-/// Picks the first open bank satisfying `predicate` on the per-bank demand
-/// masks (fast path), falling back to the per-bank scans when the channel
-/// is too wide for the bitmask summary. Both paths evaluate the same
-/// predicate over the same rank-major order, so the choice is invisible.
-fn propose_by_demand(
-    view: &PolicyView<'_>,
-    fast: impl Fn(&BankDemand) -> u64,
-    slow: impl Fn(usize, usize, u64) -> bool,
-) -> Option<(usize, usize)> {
-    match view.bank_demand() {
-        Some(demand) => demand.first(fast(&demand)),
-        None => view
-            .open_banks()
-            .find(|&(r, b, row)| slow(r, b, row))
-            .map(|(r, b, _)| (r, b)),
-    }
-}
-
 /// Open-adaptive policy (`OAPM`): close a row only when no pending request
 /// would hit it *and* some pending request needs another row of the bank.
 #[derive(Debug, Clone, Copy, Default)]
@@ -455,11 +428,8 @@ impl PagePolicy for OpenAdaptive {
     }
 
     fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-        propose_by_demand(
-            view,
-            |d| d.open & !d.hit & d.other,
-            |r, b, row| !view.pending_hit(r, b, row) && view.pending_other_row(r, b, row),
-        )
+        let d = view.bank_demand();
+        d.first(d.open & !d.hit & d.other)
     }
 }
 
@@ -478,11 +448,8 @@ impl PagePolicy for CloseAdaptive {
     }
 
     fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-        propose_by_demand(
-            view,
-            |d| d.open & !d.hit,
-            |r, b, row| !view.pending_hit(r, b, row),
-        )
+        let d = view.bank_demand();
+        d.first(d.open & !d.hit)
     }
 }
 
@@ -718,18 +685,9 @@ macro_rules! impl_predictive_policy {
             }
 
             fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-                match view.bank_demand() {
-                    Some(d) => d
-                        .banks(d.open & !d.hit)
-                        .find(|&(r, b)| self.predictor.prediction_met(r, b, false)),
-                    None => view
-                        .open_banks()
-                        .find(|&(r, b, row)| {
-                            !view.pending_hit(r, b, row)
-                                && self.predictor.prediction_met(r, b, false)
-                        })
-                        .map(|(r, b, _)| (r, b)),
-                }
+                let d = view.bank_demand();
+                d.banks(d.open & !d.hit)
+                    .find(|&(r, b)| self.predictor.prediction_met(r, b, false))
             }
 
             fn on_activate(&mut self, rank: usize, bank: usize, row: u64, _now: DramCycles) {
@@ -809,34 +767,20 @@ impl PagePolicy for TimerPolicy {
     }
 
     fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-        match view.bank_demand() {
-            Some(d) => d.banks(d.open & !d.hit).find(|&(r, b)| {
-                view.now.saturating_sub(self.last_access[self.idx(r, b)]) >= self.timeout
-            }),
-            None => view
-                .open_banks()
-                .find(|&(r, b, row)| {
-                    !view.pending_hit(r, b, row)
-                        && view.now.saturating_sub(self.last_access[self.idx(r, b)]) >= self.timeout
-                })
-                .map(|(r, b, _)| (r, b)),
-        }
+        let d = view.bank_demand();
+        d.banks(d.open & !d.hit).find(|&(r, b)| {
+            view.now.saturating_sub(self.last_access[self.idx(r, b)]) >= self.timeout
+        })
     }
 
     /// The proposal flips from `None` to `Some` when the first idle open
-    /// bank's timeout expires; the kernel must not fast-forward past that.
-    fn next_wake(&self, view: &PolicyView<'_>) -> Option<DramCycles> {
-        match view.bank_demand() {
-            Some(d) => d
-                .banks(d.open & !d.hit)
-                .map(|(r, b)| self.last_access[self.idx(r, b)] + self.timeout)
-                .min(),
-            None => view
-                .open_banks()
-                .filter(|&(r, b, row)| !view.pending_hit(r, b, row))
-                .map(|(r, b, _)| self.last_access[self.idx(r, b)] + self.timeout)
-                .min(),
-        }
+    /// bank's timeout expires.
+    fn next_due(&self, view: &PolicyView<'_>) -> DramCycles {
+        let d = view.bank_demand();
+        d.banks(d.open & !d.hit)
+            .map(|(r, b)| self.last_access[self.idx(r, b)] + self.timeout)
+            .min()
+            .unwrap_or(DramCycles::MAX)
     }
 
     fn on_activate(&mut self, rank: usize, bank: usize, _row: u64, now: DramCycles) {

@@ -13,7 +13,7 @@
 //! consults them when computing the event horizon it may fast-forward to, so
 //! a hidden mutation would make skipped idle cycles observable. Policies
 //! whose proposals flip with the passage of time must report the flip cycle
-//! through [`PowerPolicy::next_wake`].
+//! through [`PowerPolicy::next_due`].
 
 use cloudmc_dram::{DramCycles, PowerDownMode, PowerState};
 use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
@@ -53,13 +53,13 @@ pub trait PowerPolicy: std::fmt::Debug + Send {
     /// legal (`DramChannel::can_enter_power_down` holds at `view.now`).
     fn propose(&self, view: &PolicyView<'_>) -> Option<PowerAction>;
 
-    /// Earliest future cycle at which [`PowerPolicy::propose`] could start
+    /// Earliest cycle at which [`PowerPolicy::propose`] could start
     /// returning `Some`, assuming the device state and pending queues stay
-    /// exactly as in `view`. `None` means "never under a frozen state".
-    /// Consulted only when `propose` currently returns `None`; conservative
-    /// (earlier) answers are always safe, later ones break the fast-forward.
-    fn next_wake(&self, _view: &PolicyView<'_>) -> Option<DramCycles> {
-        None
+    /// exactly as in `view`, under the next-due contract stated in
+    /// `cloudmc-sim`'s `kernel` module. Only consulted while `propose`
+    /// returns `None`; the default, `u64::MAX`, is a policy no timer drives.
+    fn next_due(&self, _view: &PolicyView<'_>) -> DramCycles {
+        DramCycles::MAX
     }
 
     /// Called when demand activity touches `rank`: a command issues to it or
@@ -166,13 +166,13 @@ impl PowerPolicyImpl {
         }
     }
 
-    /// See [`PowerPolicy::next_wake`].
+    /// See [`PowerPolicy::next_due`].
     #[inline]
     #[must_use]
-    pub fn next_wake(&self, view: &PolicyView<'_>) -> Option<DramCycles> {
+    pub fn next_due(&self, view: &PolicyView<'_>) -> DramCycles {
         match self {
-            Self::None(_) => None,
-            Self::Timeout(p) => p.next_wake(view),
+            Self::None(_) => DramCycles::MAX,
+            Self::Timeout(p) => p.next_due(view),
         }
     }
 
@@ -183,13 +183,6 @@ impl PowerPolicyImpl {
             Self::None(_) => {}
             Self::Timeout(p) => p.on_activity(rank, now),
         }
-    }
-
-    /// Whether this policy can never propose anything (lets the controller
-    /// and the horizon walk skip the power step entirely).
-    #[must_use]
-    pub fn is_inert(&self) -> bool {
-        matches!(self, Self::None(_))
     }
 }
 
@@ -380,11 +373,8 @@ impl PowerPolicy for TimeoutPowerDown {
         None
     }
 
-    fn next_wake(&self, view: &PolicyView<'_>) -> Option<DramCycles> {
-        let mut wake: Option<DramCycles> = None;
-        let mut consider = |cycle: DramCycles| {
-            wake = Some(wake.map_or(cycle, |w| w.min(cycle)));
-        };
+    fn next_due(&self, view: &PolicyView<'_>) -> DramCycles {
+        let mut due = DramCycles::MAX;
         for rank in 0..view.channel.rank_count() {
             if !self.rank_candidate(view, rank) {
                 continue;
@@ -392,18 +382,18 @@ impl PowerPolicy for TimeoutPowerDown {
             let state = view.channel.power_state(rank);
             let last = self.last_activity[rank];
             if let Some(threshold) = self.timeouts.next_threshold(state) {
-                consider((last + threshold).max(view.channel.earliest_power_down(rank)));
+                due = due.min((last + threshold).max(view.channel.earliest_power_down(rank)));
             }
             if let Some(threshold) = self.precharge_after {
                 if state == PowerState::ActiveStandby {
                     for (_, bank, _) in view.open_banks().filter(|&(r, _, _)| r == rank) {
                         let fence = view.channel.rank(rank).bank(bank).next_precharge_allowed();
-                        consider((last + threshold).max(fence));
+                        due = due.min((last + threshold).max(fence));
                     }
                 }
             }
         }
-        wake
+        due
     }
 
     fn on_activity(&mut self, rank: usize, now: DramCycles) {
@@ -459,7 +449,7 @@ mod tests {
         let (ch, rq, wq) = fixture();
         let p = NoPowerManagement;
         assert_eq!(p.propose(&view(10_000, &ch, &rq, &wq)), None);
-        assert_eq!(p.next_wake(&view(10_000, &ch, &rq, &wq)), None);
+        assert_eq!(p.next_due(&view(10_000, &ch, &rq, &wq)), DramCycles::MAX);
         assert_eq!(p.name(), "none");
     }
 
@@ -506,7 +496,7 @@ mod tests {
         // Below the fast threshold: nothing, but the flip cycle is reported.
         let early = view(100 + timeouts.fast_after - 1, &ch, &rq, &wq);
         assert_eq!(p.propose(&early), None);
-        assert_eq!(p.next_wake(&early), Some(100 + timeouts.fast_after));
+        assert_eq!(p.next_due(&early), 100 + timeouts.fast_after);
         // At the threshold: fast power-down.
         let at = view(100 + timeouts.fast_after, &ch, &rq, &wq);
         assert_eq!(
@@ -545,7 +535,7 @@ mod tests {
         // Deepest state: nothing further, no wake.
         let v = view(sr_at + 50_000, &ch, &rq, &wq);
         assert_eq!(p.propose(&v), None);
-        assert_eq!(p.next_wake(&v), None);
+        assert_eq!(p.next_due(&v), DramCycles::MAX);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! The arbiter only ever *adds* issue opportunities on cycles where some
 //! pending request already has a legal command, so the controller's
 //! event-horizon bound (earliest legal progress over all queued entries)
-//! covers it and `next_ready_dram_cycle` needs no extra term. Epoch
+//! covers it and `compute_next_due` needs no extra term. Epoch
 //! bookkeeping is caught up lazily from `now` (`while now >= boundary`)
 //! exactly like scheduler quanta, and service counters only change when
 //! commands issue — which never happens inside a skipped window.

@@ -154,8 +154,8 @@ impl Scheduler for Atlas {
     /// The ranking quantum must end at its exact cycle relative to request
     /// completions (service attained before the boundary belongs to the old
     /// quantum), so the kernel may never fast-forward across it.
-    fn next_event_cycle(&self) -> Option<DramCycles> {
-        Some(self.quantum_end)
+    fn next_due(&self) -> DramCycles {
+        self.quantum_end
     }
 
     fn on_complete(&mut self, done: &CompletedRequest) {

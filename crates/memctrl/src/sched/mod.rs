@@ -159,18 +159,16 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// at a later `now` leaves the scheduler in the same state as a call per
     /// cycle would have. Work that must happen at an exact cycle relative to
     /// request completions must additionally be announced through
-    /// [`Scheduler::next_event_cycle`] so the kernel never skips past it.
+    /// [`Scheduler::next_due`] so the kernel never skips past it.
     fn on_cycle(&mut self, _ctx: &SchedContext<'_>) {}
 
     /// The next cycle at which this scheduler changes state *on its own*
-    /// (e.g. a ranking-quantum boundary), independent of queue contents.
-    ///
-    /// The kernel's event-horizon fast-forward never jumps past this cycle,
-    /// guaranteeing that `on_cycle` runs at the exact boundary relative to
-    /// the completions around it. `None` (the default) means the scheduler
-    /// has no time-driven state of its own.
-    fn next_event_cycle(&self) -> Option<DramCycles> {
-        None
+    /// (e.g. a ranking-quantum boundary), independent of queue contents,
+    /// under the next-due contract stated in `cloudmc-sim`'s `kernel`
+    /// module. The default, `u64::MAX`, is a scheduler with no time-driven
+    /// state of its own.
+    fn next_due(&self) -> DramCycles {
+        DramCycles::MAX
     }
 
     /// Whether the scheduler handles the read/write interleaving itself.
@@ -188,7 +186,7 @@ pub trait Scheduler: std::fmt::Debug + Send {
 ///
 /// The controller consults its scheduler once per DRAM cycle per channel, so
 /// dispatch sits on the hottest path of the whole simulator. Every algorithm
-/// is a concrete variant — `pick`/`on_cycle`/`next_event_cycle` compile to a
+/// is a concrete variant — `pick`/`on_cycle`/`next_due` compile to a
 /// jump table over inlined bodies rather than virtual calls.
 #[derive(Debug)]
 pub enum SchedulerImpl {
@@ -252,12 +250,11 @@ impl SchedulerImpl {
         for_each_scheduler!(self, s => s.on_cycle(ctx));
     }
 
-    /// The next cycle at which the scheduler changes state on its own, if any
-    /// (see [`Scheduler::next_event_cycle`]).
+    /// See [`Scheduler::next_due`].
     #[inline]
     #[must_use]
-    pub fn next_event_cycle(&self) -> Option<DramCycles> {
-        for_each_scheduler!(self, s => s.next_event_cycle())
+    pub fn next_due(&self) -> DramCycles {
+        for_each_scheduler!(self, s => s.next_due())
     }
 
     /// Whether the scheduler handles read/write interleaving itself.

@@ -166,18 +166,18 @@ impl Backend {
         self.mc.rows_retired_per_rank()
     }
 
-    /// The earliest DRAM cycle at or after `now` at which any channel may
-    /// have work, read from the controller's cached per-channel bounds —
-    /// O(channels) arithmetic, no timing walk. While a retry backlog exists
-    /// the backend must be ticked every cycle (admission is retried per
-    /// tick), so `now` is returned. `u64::MAX` means the whole backend is
-    /// quiescent.
+    /// The earliest DRAM cycle at which any channel may have work, read from
+    /// the controller's cached per-channel bounds — O(channels) arithmetic,
+    /// no timing walk (see the
+    /// [next-due contract](crate::kernel#the-next-due-contract)). While a
+    /// retry backlog exists admission is retried every tick, so the backend
+    /// is due now (0).
     #[must_use]
-    pub fn cached_next_due(&self, now: DramCycles) -> DramCycles {
+    pub fn next_due(&self) -> DramCycles {
         if self.retry_len > 0 {
-            return now;
+            return 0;
         }
-        self.mc.next_due().max(now)
+        self.mc.next_due()
     }
 
     /// Accounts for `cycles` DRAM cycles the kernel has proven eventless for

@@ -242,6 +242,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudmc_dram::DramConfig;
     use cloudmc_memctrl::AtlasConfig;
 
     #[test]
@@ -311,6 +312,46 @@ mod tests {
             crate::SimError::Config(msg) => assert!(msg.contains("t_refi"), "{msg}"),
             other => panic!("expected a configuration error, got {other:?}"),
         }
+    }
+
+    /// Fields that size allocations made at construction are bounded first:
+    /// 512 ranks or banks overflowed the 8-bit rank/bank field of a queue
+    /// key, and `1 << 40` ranks or queue slots aborted on the allocation.
+    #[test]
+    fn validate_bounds_bank_count_and_queue_capacity() {
+        type Set = fn(&mut SystemConfig, usize);
+        let cases: [(&str, usize, Set); 4] = [
+            ("ranks_per_channel", 512, |c, v| {
+                c.mc.dram.ranks_per_channel = v
+            }),
+            ("banks_per_rank", 512, |c, v| c.mc.dram.banks_per_rank = v),
+            ("ranks_per_channel", 1 << 40, |c, v| {
+                c.mc.dram.ranks_per_channel = v;
+            }),
+            ("read_queue_capacity", 1 << 40, |c, v| {
+                c.mc.read_queue_capacity = v;
+            }),
+        ];
+        for (field, value, set) in cases {
+            let mut cfg = SystemConfig::baseline(Workload::WebSearch);
+            cfg.warmup_cpu_cycles = 1_000;
+            cfg.measure_cpu_cycles = 1_000;
+            set(&mut cfg, value);
+            match crate::Simulator::new(cfg).and_then(crate::Simulator::try_run) {
+                Err(crate::SimError::Config(msg)) => assert!(
+                    msg.contains(field) && msg.contains(&value.to_string()),
+                    "{field} = {value}: {msg}"
+                ),
+                other => panic!("{field} = {value}: expected a configuration error, got {other:?}"),
+            }
+        }
+        // The bounds themselves validate.
+        let mut cfg = SystemConfig::baseline(Workload::WebSearch);
+        cfg.mc.dram.ranks_per_channel = 8;
+        cfg.mc.dram.banks_per_rank = DramConfig::MAX_BANKS_PER_CHANNEL / 8;
+        cfg.mc.read_queue_capacity = McConfig::MAX_QUEUE_CAPACITY;
+        cfg.mc.write_queue_capacity = McConfig::MAX_QUEUE_CAPACITY;
+        cfg.validate().unwrap();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! The lazy mode (the event kernel's) lets each core sit at its own position
 //! relative to the kernel clock, behind it or ahead of it, and only ever
 //! *schedules* the cycles on which a core does something another component
-//! can observe ([`Frontend::next_action_cycle`]). It rests on one fact: a
+//! can observe ([`Frontend::next_due`]). It rests on one fact: a
 //! core's work between two L1 misses is **core-private**. Compute gaps and
 //! L1 hits touch only the core's own workload-stream RNG, its L1-I/L1-D and
 //! its own counters; they send nothing to the L2, never read the MSHR file,
@@ -500,22 +500,11 @@ impl Frontend {
     // be mixed on one `Frontend`: eager calls do not maintain the lazy
     // cursors.
 
-    /// Recomputes `next_action` for one core from its runway, anchored at
-    /// `from` (the core's position).
-    fn reschedule(&mut self, core: usize, from: u64) {
-        self.next_action[core] = match self.cores[core].runway() {
-            None => from,
-            Some(u64::MAX) => u64::MAX,
-            Some(runway) => from.saturating_add(runway),
-        };
-    }
-
     /// Lazy mode: the earliest CPU cycle at which [`Frontend::advance_to`]
-    /// would do real work — the soonest per-core action or DMA beat.
-    /// `u64::MAX` means every core is blocked on memory and no DMA beat is
-    /// pending; the frontend sleeps until a fill arrives.
+    /// would do real work — the soonest per-core action or DMA beat (see
+    /// the [next-due contract](crate::kernel#the-next-due-contract)).
     #[must_use]
-    pub fn next_action_cycle(&self) -> u64 {
+    pub fn next_due(&self) -> u64 {
         let mut next = self.next_action.iter().copied().min().unwrap_or(u64::MAX);
         for inj in &self.dma {
             let fire_in = (DMA_FP_ONE - inj.acc_fp - 1) / inj.rate_fp;
@@ -529,7 +518,7 @@ impl Frontend {
     /// accesses and events), lets each of them run ahead through its private
     /// work up to `limit` (exclusive; see the module docs), and accrues the
     /// DMA injectors through `now`, firing due beats. The caller must not
-    /// jump past an action or beat cycle ([`Frontend::next_action_cycle`]
+    /// jump past an action or beat cycle ([`Frontend::next_due`]
     /// reports the earliest one) and must execute every cycle below `limit`
     /// before it reads any counter.
     pub fn advance_to(&mut self, now: u64, limit: u64, events: &mut Vec<FrontendEvent>) {
@@ -558,7 +547,7 @@ impl Frontend {
             let budget = limit.saturating_sub(now + 1);
             let position = now + 1 + self.cores[core].run_ahead(budget, || stream.next_op());
             self.positions[core] = position;
-            self.reschedule(core, position);
+            self.next_action[core] = self.cores[core].next_due(position);
         }
         self.advance_dma(now + 1, events);
     }
@@ -581,7 +570,7 @@ impl Frontend {
             self.positions[core] = now;
         }
         self.cores[core].fill(addr);
-        self.reschedule(core, now);
+        self.next_action[core] = self.cores[core].next_due(now);
     }
 
     /// Lazy mode: accrues DMA credit for all cycles below `upto`, firing any
@@ -639,7 +628,7 @@ impl Frontend {
     /// including) cycle `end`, so externally visible state (committed
     /// instruction counts, stall counters) reflects the full window. Valid
     /// only when no action or beat falls below `end` — i.e. `end` is at most
-    /// [`Frontend::next_action_cycle`].
+    /// [`Frontend::next_due`].
     pub fn sync_to(&mut self, end: u64) {
         for core in 0..self.cores.len() {
             debug_assert!(self.next_action[core] >= end, "sync_to skipped an action");
@@ -899,7 +888,7 @@ mod tests {
             }
             // Jump like the event kernel does, unless a fill is due.
             cycle = if fills.is_empty() {
-                lazy.next_action_cycle().min(horizon_cycles)
+                lazy.next_due().min(horizon_cycles)
             } else {
                 cycle + 1
             };

@@ -12,53 +12,62 @@
 //! ticked. Over any window of 5 CPU cycles the backend therefore runs exactly
 //! 2 DRAM cycles, with no drift and no floating point.
 //!
-//! # The time-ordered event queue
+//! # The fill queue
 //!
-//! [`EventQueue`] holds pending events sorted by due cycle. Events posted
-//! for the same cycle pop in insertion order, so delivery — and with it the
-//! whole simulation — is deterministic (`event_queue_ties_pop_fifo` and the
-//! model-based property test hold it to that). A push for a cycle the queue
-//! has already drained past clamps to the last popped cycle, so a late post
-//! fires immediately rather than being lost.
+//! [`FillQueue`] holds cache blocks on their way back up to a core (L2 hits
+//! after their access latency, memory fills after the crossbar), sorted by
+//! delivery cycle. Fills due the same cycle pop in insertion order, so
+//! delivery — and with it the whole simulation — is deterministic
+//! (`event_queue_ties_pop_fifo` and the model-based property test hold it
+//! to that). A push for a cycle the queue has already drained past clamps
+//! to the last popped cycle, so a late post fires immediately rather than
+//! being lost. Requests moving *down* that were rejected by a full
+//! controller queue wait in per-(channel, kind) retry buckets owned by the
+//! [`backend`](crate::backend).
 //!
-//! [`FillQueue`] — cache blocks on their way back up to a core (L2 hits
-//! after their access latency, memory fills after the crossbar) — is a thin
-//! typed wrapper over an [`EventQueue`]. Requests moving *down* that were
-//! rejected by a full controller queue wait in per-(channel, kind) retry
-//! buckets owned by the [`backend`](crate::backend).
+//! # The next-due contract
+//!
+//! Every component the kernel skips cycles on answers one question, "when
+//! can you next act?", through a method named `next_due`:
+//!
+//! * It returns an absolute cycle in the component's own clock domain.
+//!   Before that cycle, a component left alone does nothing but bulk
+//!   bookkeeping (cycle and stall counters, queue-occupancy samples), which
+//!   the kernel applies in closed form.
+//! * An early answer is safe: it costs one no-op step. A late one breaks
+//!   bit-identity with the per-cycle reference loop.
+//! * `u64::MAX` means nothing happens until an input arrives (a fill or an
+//!   enqueue). An answer at or before the current cycle means "due now".
+//!
+//! The implementors, from the leaves up: `InOrderCore::next_due(position)`
+//! (CPU cycles, from the core's own position), `Frontend::next_due` (the
+//! soonest core action or DMA beat), [`FillQueue::next_due`];
+//! `Scheduler::next_due` (a time boundary such as the ATLAS quantum),
+//! `PagePolicy::next_due` and `PowerPolicy::next_due` (the cycle a timer
+//! flips a proposal, asked only while no proposal stands),
+//! `ChannelController::compute_next_due` (the walk that combines a channel's
+//! transfers, refreshes, queued requests and policy timers, cached per
+//! channel), `MemoryController::next_due` and `Backend::next_due` (DRAM
+//! cycles). `DramChannel::earliest_legal` keeps an `Option`: it is the
+//! legality rule for one command, not a component's next act, and its
+//! `None` ("no amount of waiting makes this command legal") is what sends
+//! an overdue refresh to its forced precharges.
 //!
 //! # Event-driven execution
 //!
 //! A cycle-accurate model spends most of its wall-clock on cycles where
 //! nothing happens — and, on dense streams, most of the remaining wall-clock
 //! *re-polling* layers that already know their next deadline. The kernel
-//! therefore runs one time-ordered loop (`System::run_cycles`) in which
-//! every layer posts its next actionable cycle once and is only re-evaluated
-//! when that cycle arrives or an upstream dependency invalidates the posted
-//! bound:
-//!
-//! * each core keeps a *runway* (`InOrderCore::runway`) — how many cycles it
-//!   can burn without new decisions — and the frontend advances cores
-//!   lazily, catching each one up in closed form only when its posted wake
-//!   cycle (or an arriving fill) makes it act, and letting it run ahead
-//!   through core-private work (see the [`frontend`](crate::frontend) docs);
-//! * the fill queue is consulted via [`FillQueue::next_due_cycle`] — the
-//!   head of the sorted queue;
-//! * the memory controller caches, per channel, the next DRAM tick at which
-//!   the channel can possibly act (`MemoryController::next_due`, derived
-//!   from bank/rank/bus timing state, pending queues, refresh schedules,
-//!   scheduler time boundaries and page/power-policy proposals), recomputed
-//!   only after a tick that left the channel drained and pulled back by
-//!   request arrival; a channel that is not due is skipped even on a DRAM
-//!   tick where another one runs.
-//!
-//! The loop takes the minimum over these posted cycles, converts
-//! DRAM-domain deadlines to CPU cycles through
+//! therefore runs one time-ordered loop (`System::run_cycles`) that takes
+//! the minimum of the fill queue's, the frontend's and the backend's
+//! `next_due`, converts the DRAM-domain one to CPU cycles through
 //! [`ClockCrossing::cpu_cycle_of_dram_tick`], and jumps straight there with
 //! [`ClockCrossing::fast_forward`] — which advances both clocks and the
 //! fractional 2:5 phase accumulator exactly as per-cycle stepping would.
-//! Skipped cycles apply their only side effects (core cycle counters,
-//! controller queue-occupancy samples) in closed form.
+//! Cores sit lazily behind the kernel clock or run ahead of it through
+//! core-private work (see the [`frontend`](crate::frontend) docs); a memory
+//! channel recomputes its bound only after a tick that left it drained, and
+//! one that is not due is skipped even on a DRAM tick where another runs.
 //!
 //! This is the only way a system built by `System::new` advances, and it
 //! runs on one thread: there is no kernel or thread knob on
@@ -68,12 +77,12 @@
 //!
 //! # The reference loop
 //!
-//! Every layer guarantees its bound never overshoots, so the event-driven
-//! run is *bit-identical* to ticking every component on every cycle. That
-//! per-cycle loop — [`Tick::tick`] on the frontend each CPU cycle and on the
-//! backend each owed DRAM cycle — is kept as the oracle the guarantee is
-//! tested against (`tests/fast_forward_equivalence.rs` and the other
-//! equivalence suites compare full `SimStats`), reached only through
+//! Because no `next_due` is late, the event-driven run is *bit-identical*
+//! to ticking every component on every cycle. That per-cycle loop —
+//! [`Tick::tick`] on the frontend each CPU cycle and on the backend each
+//! owed DRAM cycle — is kept as the oracle the guarantee is tested against
+//! (`tests/fast_forward_equivalence.rs` and the other equivalence suites
+//! compare full `SimStats`), reached only through
 //! `System::reference` / `Simulator::reference`. A system is bound to one
 //! driver at construction: the reference loop does not maintain the event
 //! kernel's cursors, so the two cannot be mixed, and a reference-driven
@@ -81,7 +90,7 @@
 
 use std::collections::VecDeque;
 
-use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
+use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::config::DRAM_CYCLES_PER_5_CPU_CYCLES;
 
@@ -202,129 +211,94 @@ impl ClockCrossing {
     }
 }
 
-/// A time-ordered event queue: a deque kept sorted by due cycle.
+/// Cache blocks on their way back to a core (L2 hits after their access
+/// latency, memory fills after the crossbar): a deque kept sorted by
+/// delivery cycle.
 ///
-/// Its traffic is cache fills posted a constant L2 or crossbar latency
-/// ahead of the clock, bounded by the cores' MSHRs, so a push lands at or
-/// near the back and the queue stays a few dozen entries long. Events due
-/// the same cycle pop in insertion order — ties are FIFO, never arbitrary —
-/// which is what makes kernels built on this queue deterministic.
-#[derive(Debug)]
-pub struct EventQueue<T> {
-    /// Pending `(cycle, item)` pairs in pop order: non-decreasing cycle,
-    /// insertion order within a cycle.
-    events: VecDeque<(u64, T)>,
-    /// Cycle of the last popped event; earlier pushes clamp to it. Only
+/// Fills are posted a constant L2 or crossbar latency ahead of the clock,
+/// bounded by the cores' MSHRs, so a push lands at or near the back and the
+/// queue stays a few dozen entries long. Fills due the same cycle pop in
+/// insertion order — ties are FIFO, never arbitrary.
+#[derive(Debug, Default)]
+pub struct FillQueue {
+    /// Pending `(cycle, (core, addr))` pairs in pop order: non-decreasing
+    /// cycle, insertion order within a cycle.
+    events: VecDeque<(u64, (usize, u64))>,
+    /// Cycle of the last popped fill; earlier pushes clamp to it. Only
     /// advances on pops, so it never outruns the caller's clock.
     base: u64,
 }
 
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue that has drained nothing yet.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            events: VecDeque::new(),
-            base: 0,
-        }
-    }
-
-    /// Total scheduled events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no event is scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Schedules `item` for cycle `due`, behind every event already due
-    /// then. Cycles the queue has already drained past clamp to the last
-    /// popped cycle, so a late post fires immediately rather than being
-    /// lost.
-    pub fn push(&mut self, due: u64, item: T) {
-        let due = due.max(self.base);
-        // The longest delay in use (an L2 hit) is also the commonest push,
-        // and it is due after everything pending: append without searching.
-        if self.events.back().is_none_or(|&(cycle, _)| cycle <= due) {
-            self.events.push_back((due, item));
-        } else {
-            let at = self.events.partition_point(|&(cycle, _)| cycle <= due);
-            self.events.insert(at, (due, item));
-        }
-    }
-
-    /// The cycle of the earliest scheduled event, if any.
-    #[must_use]
-    pub fn next_due(&self) -> Option<u64> {
-        self.events.front().map(|&(cycle, _)| cycle)
-    }
-
-    /// Removes and returns the earliest event if it is due at or before
-    /// `now`; same-cycle events come back in insertion order.
-    pub fn pop_due(&mut self, now: u64) -> Option<T> {
-        let cycle = self.next_due().filter(|&cycle| cycle <= now)?;
-        self.base = cycle;
-        self.events.pop_front().map(|(_, item)| item)
-    }
-}
-
-/// Cache blocks on their way back to a core (L2 hits after their access
-/// latency, memory fills after the crossbar), ordered by delivery cycle with
-/// FIFO ties: a typed wrapper over the kernel's [`EventQueue`].
-#[derive(Debug, Default)]
-pub struct FillQueue {
-    queue: EventQueue<(usize, u64)>,
-}
-
 impl FillQueue {
-    /// An empty queue.
+    /// An empty queue that has drained nothing yet.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Schedules delivery of `addr` to `core` at CPU cycle `due_cpu_cycle`.
+    /// Schedules delivery of `addr` to `core` at CPU cycle `due_cpu_cycle`,
+    /// behind every fill already due then. Cycles the queue has already
+    /// drained past clamp to the last popped cycle, so a late post fires
+    /// immediately rather than being lost.
     pub fn push(&mut self, due_cpu_cycle: u64, core: usize, addr: u64) {
-        self.queue.push(due_cpu_cycle, (core, addr));
+        let due = due_cpu_cycle.max(self.base);
+        // The longest delay in use (an L2 hit) is also the commonest push,
+        // and it is due after everything pending: append without searching.
+        if self.events.back().is_none_or(|&(cycle, _)| cycle <= due) {
+            self.events.push_back((due, (core, addr)));
+        } else {
+            let at = self.events.partition_point(|&(cycle, _)| cycle <= due);
+            self.events.insert(at, (due, (core, addr)));
+        }
     }
 
-    /// The CPU cycle of the earliest pending fill, if any (the event-horizon
-    /// contribution of data already on its way back to a core).
+    /// The CPU cycle of the earliest pending fill (see the
+    /// [next-due contract](self#the-next-due-contract)).
     #[must_use]
-    pub fn next_due_cycle(&self) -> Option<u64> {
-        self.queue.next_due()
+    pub fn next_due(&self) -> u64 {
+        self.events.front().map_or(u64::MAX, |&(cycle, _)| cycle)
     }
 
-    /// Removes and returns the next `(core, addr)` due at or before `now`.
+    /// Removes and returns the earliest `(core, addr)` if it is due at or
+    /// before `now`; same-cycle fills come back in insertion order.
     pub fn pop_due(&mut self, now: u64) -> Option<(usize, u64)> {
-        self.queue.pop_due(now)
+        let &(cycle, _) = self.events.front().filter(|&&(cycle, _)| cycle <= now)?;
+        self.base = cycle;
+        self.events.pop_front().map(|(_, fill)| fill)
     }
 
     /// Number of undelivered fills.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.events.len()
     }
 
     /// Whether no fill is pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.events.is_empty()
     }
 
     /// Every undelivered `(core, addr)`, in no particular order.
     pub(crate) fn pending(&self) -> impl Iterator<Item = &(usize, u64)> {
-        self.queue.events.iter().map(|(_, item)| item)
+        self.events.iter().map(|(_, fill)| fill)
+    }
+
+    /// Fills are taken in the order stored and never re-sorted: an image
+    /// whose cycles step backwards (or start before the base) is one no
+    /// `save` produces.
+    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
+        let mut floor = self.base;
+        for &(cycle, _) in &self.events {
+            if cycle < floor {
+                return Err(r.bad_value(format!(
+                    "event at cycle {cycle} stored after cycle {floor} (base {})",
+                    self.base
+                )));
+            }
+            floor = cycle;
+        }
+        Ok(())
     }
 }
 
@@ -337,56 +311,22 @@ snap_fields! {
     }
 }
 
-/// Structural image: the clamp base, then every pending event as
-/// `(cycle, item)` in pop order — which is the storage order.
-impl<T: Snap + Default> Snap for EventQueue<T> {
-    const MIN_BYTES: usize = 16;
-
-    fn save(&self, w: &mut SnapWriter) {
-        let Self { events, base } = self;
-        base.save(w);
-        events.save(w);
-    }
-
-    /// Events are taken in the order stored and never re-sorted: an image
-    /// whose cycles step backwards (or start before the base) is one no
-    /// `save` produces.
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let Self { events, base } = self;
-        base.load(r)?;
-        events.load(r)?;
-        let mut floor = *base;
-        for &(cycle, _) in events.iter() {
-            if cycle < floor {
-                return Err(r.bad_value(format!(
-                    "event at cycle {cycle} stored after cycle {floor} (base {base})"
-                )));
-            }
-            floor = cycle;
-        }
-        Ok(())
-    }
-}
-
+// Structural image: the clamp base, then every pending fill as
+// `(cycle, (core, addr))` in pop order — which is the storage order.
 snap_fields! {
     FillQueue {
         section: "fill-queue",
-        saved: { queue },
+        saved: { base, events },
         skipped: {},
+        after_load: Self::check_restored,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudmc_snap::load_new;
+    use cloudmc_snap::{load_new, Snap, SnapWriter};
     use std::collections::BTreeMap;
-
-    /// Window of the calendar ring this queue replaced: events `>= 64`
-    /// cycles past the base used to live in a separate overflow level. The
-    /// `ring` / `overflow` tests below are that design's edge cases, kept as
-    /// plain ordering tests at the same distances.
-    const OLD_RING_SPAN: u64 = 64;
 
     #[test]
     fn clock_ratio_is_exactly_two_dram_per_five_cpu() {
@@ -495,49 +435,154 @@ mod tests {
 
     #[test]
     fn event_queue_ties_pop_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = FillQueue::new();
         // Same-cycle ties must pop in insertion order, near and far.
-        for i in 0..4u32 {
-            q.push(7, i);
+        for i in 0..4 {
+            q.push(7, i, 0);
         }
-        let far = 7 + 3 * OLD_RING_SPAN;
-        for i in 10..14u32 {
-            q.push(far, i);
+        let far = 199;
+        for i in 10..14 {
+            q.push(far, i, 0);
         }
         assert_eq!(q.len(), 8);
-        assert_eq!(q.next_due(), Some(7));
-        for i in 0..4u32 {
-            assert_eq!(q.pop_due(7), Some(i));
+        assert_eq!(q.next_due(), 7);
+        for i in 0..4 {
+            assert_eq!(q.pop_due(7), Some((i, 0)));
         }
         assert_eq!(q.pop_due(far - 1), None);
-        assert_eq!(q.next_due(), Some(far));
-        for i in 10..14u32 {
-            assert_eq!(q.pop_due(far), Some(i));
+        assert_eq!(q.next_due(), far);
+        for i in 10..14 {
+            assert_eq!(q.pop_due(far), Some((i, 0)));
         }
         assert!(q.is_empty());
+        assert_eq!(q.next_due(), u64::MAX, "an empty queue waits for a push");
     }
 
     #[test]
     fn event_queue_clamps_late_pushes_forward() {
-        let mut q = EventQueue::new();
-        q.push(50, "a");
-        assert_eq!(q.pop_due(50), Some("a"));
+        let mut q = FillQueue::new();
+        q.push(50, 0, 0xA);
+        assert_eq!(q.pop_due(50), Some((0, 0xA)));
         // The queue has drained past cycle 10; a late post must still fire.
-        q.push(10, "late");
-        assert_eq!(q.next_due(), Some(50));
-        assert_eq!(q.pop_due(50), Some("late"));
+        q.push(10, 1, 0xB);
+        assert_eq!(q.next_due(), 50);
+        assert_eq!(q.pop_due(50), Some((1, 0xB)));
     }
 
-    /// Model-based property test: against a reference `BTreeMap` of FIFO
-    /// buckets, the queue must agree on every pop and every next-due answer
-    /// across a long pseudo-random mix of dense (near) and sparse (far)
-    /// schedules. Determinism of same-cycle ties falls out of
-    /// the comparison: the model pops strictly in (cycle, insertion) order.
+    /// One step of the model-based test's op stream, at absolute cycles.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// Push a fill due at this cycle.
+        Push(u64),
+        /// Pop at most one fill due at or before this cycle.
+        Pop(u64),
+        /// Pop every fill due at or before this cycle.
+        Drain(u64),
+    }
+
+    /// The model-based test's fixed prefix: the edge cases of the calendar
+    /// ring this queue replaced (fills 64 or more cycles past the base lived
+    /// in a separate overflow level), laid end to end so the clock only
+    /// moves forward.
+    fn ring_edge_script() -> Vec<Op> {
+        use Op::{Drain, Pop, Push};
+        let mut ops = Vec::new();
+        let mut origin = 0;
+        // Straddling the ring edge: from several bases, fills 63 and 64
+        // cycles ahead, pushed in reverse, pop at their due cycles in order.
+        for base in [0u64, 1, 63, 64, 65, 1000] {
+            let b = origin + base;
+            ops.extend([Push(b), Pop(b), Push(b + 64), Push(b + 63)]);
+            ops.extend([Pop(b + 62), Pop(b + 63), Pop(b + 64)]);
+            origin = b + 64;
+        }
+        // Overflow promotion across window slides: far fills keep FIFO order
+        // with a fill pushed at their cycle after the base has reached it.
+        let o = origin;
+        ops.extend([Push(o + 200), Push(o + 200), Push(o + 300), Push(o)]);
+        ops.extend([Pop(o), Pop(o + 199), Pop(o + 250), Push(o + 200)]);
+        ops.extend([Drain(o + 250), Drain(o + 300)]);
+        // Decrease-key across the overflow boundary: a far deadline then a
+        // near one pop near first; then the reverse (increase-key).
+        let o = o + 300;
+        ops.extend([Push(o + 500), Push(o + 10), Pop(o + 10), Pop(o + 499)]);
+        ops.extend([Pop(o + 500), Push(o + 520), Push(o + 900), Pop(o + 520)]);
+        ops.push(Drain(o + 900));
+        ops
+    }
+
+    /// The reference the queue is checked against: FIFO buckets in a
+    /// `BTreeMap`, clamping late pushes to the last popped cycle.
+    #[derive(Default)]
+    struct Model {
+        buckets: BTreeMap<u64, VecDeque<u64>>,
+        base: u64,
+    }
+
+    impl Model {
+        fn push(&mut self, due: u64, tag: u64) {
+            let due = due.max(self.base);
+            self.buckets.entry(due).or_default().push_back(tag);
+        }
+
+        fn pop_due(&mut self, now: u64) -> Option<u64> {
+            let mut bucket = self.buckets.first_entry().filter(|e| *e.key() <= now)?;
+            self.base = *bucket.key();
+            let tag = bucket.get_mut().pop_front();
+            if bucket.get().is_empty() {
+                bucket.remove();
+            }
+            tag
+        }
+
+        fn next_due(&self) -> u64 {
+            self.buckets.keys().next().copied().unwrap_or(u64::MAX)
+        }
+
+        fn len(&self) -> usize {
+            self.buckets.values().map(VecDeque::len).sum()
+        }
+    }
+
+    /// Model-based property test: against [`Model`], the queue must agree on
+    /// every pop, every `next_due` answer and its length, first over the
+    /// scripted ring-edge prefix, then over a long pseudo-random mix of
+    /// dense (near) and sparse (far) schedules. Determinism of same-cycle
+    /// ties falls out of the comparison: the model pops strictly in (cycle,
+    /// insertion) order, and every fill is tagged with its op index.
     #[test]
-    fn event_queue_matches_reference_model() {
-        let mut q = EventQueue::new();
-        let mut model: BTreeMap<u64, VecDeque<u32>> = BTreeMap::new();
-        let mut now = 0u64;
+    fn fill_queue_matches_reference_model() {
+        let mut q = FillQueue::new();
+        let mut model = Model::default();
+        let fill = |tag: u64| ((tag % 16) as usize, tag);
+        let mut step = |op: Op, tag: u64| {
+            match op {
+                Op::Push(due) => {
+                    let (core, addr) = fill(tag);
+                    q.push(due, core, addr);
+                    model.push(due, tag);
+                }
+                Op::Pop(now) => {
+                    assert_eq!(q.pop_due(now), model.pop_due(now).map(fill), "op {tag}");
+                }
+                Op::Drain(now) => loop {
+                    let got = q.pop_due(now);
+                    assert_eq!(got, model.pop_due(now).map(fill), "op {tag}, now {now}");
+                    if got.is_none() {
+                        break;
+                    }
+                },
+            }
+            assert_eq!(q.next_due(), model.next_due(), "op {tag}");
+            assert_eq!(q.len(), model.len(), "op {tag}");
+            model.base
+        };
+        let mut now = 0;
+        let mut tag = 0;
+        for op in ring_edge_script() {
+            now = step(op, tag);
+            tag += 1;
+        }
         let mut rng = 0x243F_6A88_85A3_08D3u64; // deterministic xorshift
         let mut next = |bound: u64| {
             rng ^= rng << 13;
@@ -545,128 +590,25 @@ mod tests {
             rng ^= rng << 17;
             rng % bound
         };
-        for op in 0..20_000u32 {
-            match next(4) {
-                // Dense near-future push or sparse far push, tagged with
-                // the op index so FIFO violations are visible.
+        for _ in 0..20_000 {
+            let op = match next(4) {
                 0 | 1 => {
                     let horizon = if next(8) == 0 { 1000 } else { 16 };
-                    let due = now + next(horizon);
-                    q.push(due, op);
-                    model.entry(due).or_default().push_back(op);
+                    Op::Push(now + next(horizon))
                 }
                 2 => {
                     now += next(32);
+                    continue;
                 }
-                _ => {
-                    // Drain everything due; both sides must agree exactly.
-                    loop {
-                        let expect = model.first_entry().and_then(|mut e| {
-                            if *e.key() > now {
-                                return None;
-                            }
-                            let v = e.get_mut().pop_front();
-                            if e.get().is_empty() {
-                                e.remove();
-                            }
-                            v
-                        });
-                        let got = q.pop_due(now);
-                        assert_eq!(got, expect, "divergence at op {op}, now {now}");
-                        if got.is_none() {
-                            break;
-                        }
-                    }
-                    assert_eq!(q.next_due(), model.keys().next().copied());
-                }
-            }
-        }
-        assert!(q.len() == model.values().map(VecDeque::len).sum::<usize>());
-    }
-
-    /// From any base, events `OLD_RING_SPAN - 1` and `OLD_RING_SPAN` cycles
-    /// ahead, pushed in reverse, both pop at their due cycles in order.
-    #[test]
-    fn event_queue_ring_edge_straddles_in_and_out_of_window() {
-        for base in [0u64, 1, 63, 64, 65, 1000] {
-            let mut q = EventQueue::new();
-            // Move the base by popping an event there.
-            q.push(base, 0u32);
-            assert_eq!(q.pop_due(base), Some(0));
-            let last_in = base + OLD_RING_SPAN - 1;
-            let first_out = base + OLD_RING_SPAN;
-            q.push(first_out, 2);
-            q.push(last_in, 1);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.next_due(), Some(last_in), "base {base}");
-            assert_eq!(q.pop_due(last_in - 1), None);
-            assert_eq!(q.pop_due(last_in), Some(1), "base {base}");
-            assert_eq!(q.next_due(), Some(first_out));
-            assert_eq!(q.pop_due(first_out), Some(2), "base {base}");
-            assert!(q.is_empty());
+                _ => Op::Drain(now),
+            };
+            step(op, tag);
+            tag += 1;
         }
     }
 
-    /// Far events keep FIFO order with an event pushed at the same cycle
-    /// *after* the base has reached it.
-    #[test]
-    fn event_queue_overflow_promotes_across_window_slides() {
-        let mut q = EventQueue::new();
-        // Far ahead: several cycles, FIFO within each.
-        q.push(200, 1u32);
-        q.push(200, 2);
-        q.push(300, 3);
-        q.push(0, 0);
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.pop_due(0), Some(0));
-        // Nothing due while only far events remain.
-        assert_eq!(q.pop_due(199), None);
-        // Popping at 200 moves the base there.
-        assert_eq!(q.pop_due(250), Some(1));
-        // A push at the base cycle queues behind the events already due then.
-        q.push(200, 9);
-        assert_eq!(q.pop_due(250), Some(2));
-        assert_eq!(q.pop_due(250), Some(9));
-        assert_eq!(q.next_due(), Some(300));
-        assert_eq!(q.pop_due(300), Some(3));
-        assert!(q.is_empty());
-    }
-
-    /// Lazy decrease-key: rescheduling a far event to an earlier cycle by
-    /// pushing it again delivers the new deadline first, and the stale entry
-    /// surfaces later to be discarded.
-    #[test]
-    fn event_queue_decrease_key_across_ring_overflow_boundary() {
-        let mut q = EventQueue::new();
-        // Original deadline far in the future, then the timer is "decreased"
-        // by pushing the same token again.
-        q.push(500, 7u32);
-        q.push(10, 7);
-        assert_eq!(q.next_due(), Some(10));
-        assert_eq!(q.pop_due(10), Some(7), "new deadline fires first");
-        // The stale copy still exists at its old cycle; a consumer tracking
-        // the live deadline would disregard it on arrival.
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.next_due(), Some(500));
-        assert_eq!(q.pop_due(499), None);
-        assert_eq!(q.pop_due(500), Some(7));
-        assert!(q.is_empty());
-
-        // And the reverse direction: a near deadline superseded by a farther
-        // one (increase-key) still pops the earlier copy first. (Fresh
-        // queue: the one above has drained past cycle 20, so a push there
-        // would clamp forward to the base.)
-        let mut q = EventQueue::new();
-        q.push(20, 3u32);
-        q.push(400, 3);
-        assert_eq!(q.pop_due(20), Some(3));
-        assert_eq!(q.next_due(), Some(400));
-        assert_eq!(q.pop_due(400), Some(3));
-        assert!(q.is_empty());
-    }
-
-    /// Ties, a clamped late push, an event exactly `OLD_RING_SPAN` ahead and
-    /// a far one: six pending fills behind base 16.
+    /// Ties, a clamped late push, a fill exactly 64 cycles ahead (the old
+    /// ring's span) and a far one: six pending fills behind base 16.
     fn scripted_fill_queue() -> FillQueue {
         let mut q = FillQueue::new();
         q.push(20, 1, 0xA0);
@@ -676,7 +618,7 @@ mod tests {
         q.push(16, 5, 0xE0);
         assert_eq!(q.pop_due(16), Some((2, 0xB0)));
         q.push(3, 6, 0xF0);
-        q.push(16 + OLD_RING_SPAN, 7, 0x100);
+        q.push(16 + 64, 7, 0x100);
         q
     }
 
@@ -726,28 +668,28 @@ mod tests {
         assert!(restored.is_empty());
     }
 
-    /// A restore never re-sorts: an event stored behind a later one, or
+    /// A restore never re-sorts: a fill stored behind a later one, or
     /// before the base, is an image no `save` writes.
     #[test]
     fn event_queue_load_rejects_out_of_order_events() {
-        let load = |base: u64, events: &[(u64, u32)]| {
+        let load = |base: u64, cycles: &[u64]| {
+            let events: VecDeque<(u64, (usize, u64))> = cycles
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (c, (i, 0)))
+                .collect();
             let image = sealed_image(|w| {
+                w.section("fill-queue");
                 base.save(w);
-                events.to_vec().save(w);
+                events.save(w);
             });
             let mut r = SnapReader::new(&image, 0).unwrap();
-            load_new::<EventQueue<u32>>(&mut r)
+            load_new::<FillQueue>(&mut r)
         };
-        let mut q = load(5, &[(5, 0), (5, 1), (9, 2)]).unwrap();
+        let mut q = load(5, &[5, 5, 9]).unwrap();
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop_due(5), Some(0));
-        assert!(matches!(
-            load(5, &[(7, 0), (6, 1)]),
-            Err(SnapError::BadValue { .. })
-        ));
-        assert!(matches!(
-            load(5, &[(4, 0)]),
-            Err(SnapError::BadValue { .. })
-        ));
+        assert_eq!(q.pop_due(5), Some((0, 0)));
+        assert!(matches!(load(5, &[7, 6]), Err(SnapError::BadValue { .. })));
+        assert!(matches!(load(5, &[4]), Err(SnapError::BadValue { .. })));
     }
 }

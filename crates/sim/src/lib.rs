@@ -42,7 +42,7 @@ pub use backend::Backend;
 pub use config::{SystemConfig, DRAM_CYCLES_PER_5_CPU_CYCLES};
 pub use error::SimError;
 pub use frontend::{Frontend, FrontendEvent};
-pub use kernel::{ClockCrossing, EventQueue, FillQueue, Tick};
+pub use kernel::{ClockCrossing, FillQueue, Tick};
 pub use snapshot::{config_fingerprint, Snapshot};
 pub use stats::{json_escape, mean, SimStats};
 pub use system::{run_system, Simulator, System};

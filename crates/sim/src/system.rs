@@ -497,18 +497,19 @@ impl System {
                 continue;
             }
             let t0 = self.prof_start();
-            let fills = self.fills.next_due_cycle().unwrap_or(u64::MAX);
-            let frontend = self.frontend.next_action_cycle();
-            let backend = self
-                .clock
-                .cpu_cycle_of_dram_tick(self.backend.cached_next_due(self.clock.dram_cycle()));
-            let target = fills
-                .min(frontend)
-                .min(backend)
+            // The backend's bound is clamped in the DRAM domain, to the next
+            // DRAM tick: a due-now answer steps to the CPU cycle that tick
+            // runs in, not to the current one.
+            let backend = self.backend.next_due().max(self.clock.dram_cycle());
+            let target = self
+                .fills
+                .next_due()
+                .min(self.frontend.next_due())
+                .min(self.clock.cpu_cycle_of_dram_tick(backend))
                 .min(end)
                 .min(self.next_sample_boundary())
                 .max(now);
-            self.prof_add(KernelPhase::EventQueue, t0);
+            self.prof_add(KernelPhase::NextDue, t0);
             if target > now {
                 // Every cycle in [now, target) is provably eventless. Apply
                 // the closed-form side effects the reference loop would have

@@ -8,9 +8,9 @@ pub enum KernelPhase {
     Frontend,
     /// Memory-controller backend work: DRAM-clock ticks across all channels.
     Backend,
-    /// Event-queue maintenance: computing the next event bound and applying
-    /// bulk jumps.
-    EventQueue,
+    /// Next-due computation: combining every layer's `next_due` into the
+    /// kernel's jump target.
+    NextDue,
 }
 
 /// Accumulating side of the kernel self-profiler.
@@ -43,7 +43,7 @@ impl KernelProfiler {
         match phase {
             KernelPhase::Frontend => self.frontend_nanos += nanos,
             KernelPhase::Backend => self.backend_nanos += nanos,
-            KernelPhase::EventQueue => self.event_queue_nanos += nanos,
+            KernelPhase::NextDue => self.event_queue_nanos += nanos,
         }
     }
 
@@ -122,7 +122,7 @@ impl KernelProfile {
         let nanos = match phase {
             KernelPhase::Frontend => self.frontend_nanos,
             KernelPhase::Backend => self.backend_nanos,
-            KernelPhase::EventQueue => self.event_queue_nanos,
+            KernelPhase::NextDue => self.event_queue_nanos,
         };
         nanos as f64 / self.total_nanos as f64
     }
@@ -169,7 +169,7 @@ mod tests {
         p.record(KernelPhase::Frontend, 100);
         p.record(KernelPhase::Frontend, 50);
         p.record(KernelPhase::Backend, 200);
-        p.record(KernelPhase::EventQueue, 25);
+        p.record(KernelPhase::NextDue, 25);
         p.record_total(400);
         p.record_stepped_cycles(800);
         p.record_jumped_cycles(200);
@@ -186,7 +186,7 @@ mod tests {
         let attributed: f64 = [
             KernelPhase::Frontend,
             KernelPhase::Backend,
-            KernelPhase::EventQueue,
+            KernelPhase::NextDue,
         ]
         .iter()
         .map(|&phase| profile.fraction(phase))

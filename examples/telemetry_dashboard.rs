@@ -122,7 +122,7 @@ fn main() -> Result<(), String> {
         for (name, phase) in [
             ("frontend", KernelPhase::Frontend),
             ("backend", KernelPhase::Backend),
-            ("event queue", KernelPhase::EventQueue),
+            ("next due", KernelPhase::NextDue),
         ] {
             let fraction = profile.fraction(phase);
             println!(
