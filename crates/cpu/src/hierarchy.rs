@@ -94,6 +94,10 @@ pub struct L2Outcome {
 pub struct SharedL2 {
     config: L2Config,
     banks: Vec<Cache>,
+    /// log2 of the block size: validation makes it a power of two.
+    block_shift: u32,
+    /// log2 of the bank count: validation makes it a power of two.
+    bank_shift: u32,
 }
 
 impl SharedL2 {
@@ -112,6 +116,8 @@ impl SharedL2 {
         Self {
             config,
             banks: (0..config.banks).map(|_| Cache::new(config.bank)).collect(),
+            block_shift: config.bank.block_bytes.trailing_zeros(),
+            bank_shift: config.banks.trailing_zeros(),
         }
     }
 
@@ -124,22 +130,20 @@ impl SharedL2 {
     /// Which bank serves `addr` (block-address interleaving).
     #[must_use]
     pub fn bank_for(&self, addr: u64) -> usize {
-        ((addr / self.config.bank.block_bytes) % self.config.banks as u64) as usize
+        ((addr >> self.block_shift) & (self.config.banks as u64 - 1)) as usize
     }
 
     /// Address as seen inside one bank: the bank-selection bits are removed so
     /// that every set of the bank is usable regardless of the interleaving.
     fn bank_local_addr(&self, addr: u64) -> u64 {
-        let block_bytes = self.config.bank.block_bytes;
-        let block = addr / block_bytes;
-        (block / self.config.banks as u64) * block_bytes + (addr % block_bytes)
+        let offset = addr & (self.config.bank.block_bytes - 1);
+        (addr >> (self.block_shift + self.bank_shift) << self.block_shift) | offset
     }
 
     /// Converts a bank-local block address back to the global address space.
     fn global_addr(&self, bank: usize, local_addr: u64) -> u64 {
-        let block_bytes = self.config.bank.block_bytes;
-        let local_block = local_addr / block_bytes;
-        (local_block * self.config.banks as u64 + bank as u64) * block_bytes
+        let local_block = local_addr >> self.block_shift;
+        ((local_block << self.bank_shift) | bank as u64) << self.block_shift
     }
 
     /// Performs an access on behalf of a core refill (`is_write == false`) or
@@ -189,7 +193,11 @@ cloudmc_snap::snap_fields! {
     SharedL2 {
         section: "shared-l2",
         saved: { banks: fixed },
-        skipped: { config: "config-derived" },
+        skipped: {
+            config: "config-derived",
+            block_shift: "config-derived",
+            bank_shift: "config-derived",
+        },
     }
 }
 
@@ -218,6 +226,38 @@ mod tests {
         assert_eq!(cfg.banks, 4);
         assert_eq!(cfg.bank.associativity, 16);
         assert_eq!(cfg.hit_latency(), 16);
+    }
+
+    #[test]
+    fn shift_mask_addressing_matches_division() {
+        for (banks, block_bytes) in [(1usize, 64u64), (2, 64), (4, 64), (8, 128), (16, 32)] {
+            let l2 = SharedL2::new(L2Config {
+                bank: CacheConfig {
+                    size_bytes: 8192,
+                    associativity: 4,
+                    block_bytes,
+                },
+                banks,
+                bank_latency: 8,
+                crossbar_latency: 4,
+            });
+            let n = banks as u64;
+            for addr in (0..1u64 << 16)
+                .step_by(7)
+                .chain([u64::MAX / 4, 0x00de_adbe_efc0])
+            {
+                let block = addr / block_bytes;
+                let bank = (block % n) as usize;
+                let local = (block / n) * block_bytes + addr % block_bytes;
+                assert_eq!(l2.bank_for(addr), bank, "{banks}x{block_bytes} {addr:#x}");
+                assert_eq!(
+                    l2.bank_local_addr(addr),
+                    local,
+                    "{banks}x{block_bytes} {addr:#x}"
+                );
+                assert_eq!(l2.global_addr(bank, local), addr - addr % block_bytes);
+            }
+        }
     }
 
     #[test]

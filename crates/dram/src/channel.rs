@@ -467,6 +467,13 @@ impl DramChannel {
         }
     }
 
+    /// Whether no command has issued at cycle `now` (the command bus takes
+    /// one command per cycle).
+    #[must_use]
+    pub fn command_bus_free(&self, now: DramCycles) -> bool {
+        self.last_cmd_cycle != Some(now)
+    }
+
     /// Whether `cmd` may legally issue at cycle `now`: the command bus is
     /// free this cycle and [`Self::earliest_legal`] has been reached.
     ///
@@ -475,7 +482,7 @@ impl DramChannel {
     /// Panics if the command's location is outside the configured geometry.
     #[must_use]
     pub fn can_issue(&self, cmd: &Command, now: DramCycles) -> bool {
-        self.last_cmd_cycle != Some(now) && self.earliest_legal(cmd).is_some_and(|t| t <= now)
+        self.command_bus_free(now) && self.earliest_legal(cmd).is_some_and(|t| t <= now)
     }
 
     /// Issues `cmd` at cycle `now`.

@@ -18,7 +18,7 @@ use crate::queue::RequestQueue;
 use crate::request::{
     AccessKind, CompletedRequest, MemoryRequest, RequestId, RowBufferOutcome, MAX_TENANTS,
 };
-use crate::sched::{progress_command, SchedContext, SchedDecision, SchedulerImpl, SchedulerKind};
+use crate::sched::{SchedContext, SchedDecision, SchedulerImpl, SchedulerKind};
 use crate::stats::McStats;
 
 /// Id bit marking controller-generated patrol-scrub reads. Demand request
@@ -325,8 +325,8 @@ struct ChannelController {
     /// build without it (no extra work on any hot path).
     fault: Option<Box<FaultState>>,
     /// This channel's cached next-due cycle (the contract is stated in
-    /// `cloudmc-sim`'s `kernel` module): [`Self::tick_due`] refreshes it
-    /// from [`Self::compute_next_due`] and [`Self::enqueue`] pulls it back
+    /// `cloudmc-sim`'s `kernel` module): [`Self::tick_due`] stores the one
+    /// each [`Self::tick`] reports and [`Self::enqueue`] pulls it back
     /// to the arrival cycle. The every-channel [`MemoryController::tick`]
     /// neither reads nor refreshes it, so one controller is driven by one of
     /// the two for life.
@@ -607,8 +607,8 @@ impl ChannelController {
         false
     }
 
-    /// Executes a scheduler decision. Returns `true` if a command was issued.
-    fn execute(&mut self, decision: SchedDecision, now: DramCycles) -> bool {
+    /// Executes a scheduler decision.
+    fn execute(&mut self, decision: SchedDecision, now: DramCycles) {
         let loc = decision.command.loc;
         self.power_policy.on_activity(loc.rank, now);
         match decision.request_id {
@@ -664,7 +664,6 @@ impl ChannelController {
                         retries: 0,
                     },
                 });
-                true
             }
             None => {
                 debug_assert!(self.channel.can_issue(&decision.command, now));
@@ -688,7 +687,6 @@ impl ChannelController {
                         self.channel.issue(&decision.command, now);
                     }
                 }
-                true
             }
         }
     }
@@ -697,18 +695,18 @@ impl ChannelController {
     /// whose data completed this cycle to `finished` (the caller owns and
     /// reuses the buffer, keeping the per-cycle hot path allocation-free).
     ///
-    /// Returns `true` if the cycle did observable work (retired a transfer,
-    /// issued a command, or applied a power action) — [`Self::tick_due`]
-    /// uses the report to decide whether the channel's readiness bound must
-    /// be recomputed or can simply advance one cycle.
-    fn tick(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> bool {
+    /// Returns the channel's next due cycle: `now + 1` after a cycle that
+    /// issued a command or applied a power action, otherwise
+    /// [`Self::idle_next_due`] over what this tick already evaluated.
+    fn tick(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> DramCycles {
         // 0. Reliability pre-work (no-op unless a fault model is configured):
         // release demand retries whose backoff elapsed and emit patrol-scrub
         // reads into the ordinary queues.
-        let fault_worked = self.fault.is_some() && self.fault_pre_tick(now);
+        if self.fault.is_some() {
+            self.fault_pre_tick(now);
+        }
 
         // 1. Retire completed transfers.
-        let mut retired = false;
         let mut i = 0;
         while i < self.inflight.len() {
             if self.inflight[i].completion <= now {
@@ -720,12 +718,10 @@ impl ChannelController {
                     self.scheduler.on_complete(&inflight.done);
                     finished.push(inflight.done);
                 }
-                retired = true;
             } else {
                 i += 1;
             }
         }
-        let retired = retired || fault_worked;
 
         // 2. Sample queue occupancies for Figures 5 and 6, plus the
         // per-tenant read-queue breakdown for the QoS analysis.
@@ -735,92 +731,68 @@ impl ChannelController {
             .sample_tenant_reads_n(&self.read_q.tenant_lens(), 1);
 
         // 3. Scheduler per-cycle bookkeeping (quantum boundaries, etc.).
-        {
-            let ctx = SchedContext {
-                now,
-                channel: &self.channel,
-                read_q: &self.read_q,
-                write_q: &self.write_q,
-                write_mode: self.write_mode,
-                num_cores: self.num_cores,
-            };
-            self.scheduler.on_cycle(&ctx);
-        }
+        self.scheduler.on_cycle(&SchedContext::new(
+            now,
+            &self.channel,
+            &self.read_q,
+            &self.write_q,
+            self.write_mode,
+            self.num_cores,
+        ));
 
         // 4. Read/write phase decision.
         self.update_write_mode();
 
         // 5. Refresh takes priority when due and issuable.
         if self.handle_refresh(now) {
-            return true;
+            return now + 1;
         }
 
-        // 6. The QoS arbiter gets first claim on the command slot: it may
+        // 6–7. The QoS arbiter gets first claim on the command slot: it may
         // issue for a tenant its policy privileges (work-conserving — it
         // declines whenever those tenants have nothing ready), composing
-        // with whichever scheduling algorithm is configured.
-        let qos_decision = {
-            let ctx = SchedContext {
-                now,
-                channel: &self.channel,
-                read_q: &self.read_q,
-                write_q: &self.write_q,
-                write_mode: self.write_mode,
-                num_cores: self.num_cores,
-            };
-            self.qos.pick(&ctx)
-        };
-        if let Some(decision) = qos_decision {
-            self.execute(decision, now);
-            return true;
-        }
-
-        // 7. Ask the scheduler for this cycle's command.
-        let decision = {
-            let ctx = SchedContext {
-                now,
-                channel: &self.channel,
-                read_q: &self.read_q,
-                write_q: &self.write_q,
-                write_mode: self.write_mode,
-                num_cores: self.num_cores,
-            };
-            self.scheduler.pick(&ctx)
-        };
+        // with whichever scheduling algorithm is configured; otherwise the
+        // scheduler picks. Both share one context, so its wait bound covers
+        // every candidate either evaluated.
+        let ctx = SchedContext::new(
+            now,
+            &self.channel,
+            &self.read_q,
+            &self.write_q,
+            self.write_mode,
+            self.num_cores,
+        );
+        let decision = self.qos.pick(&ctx).or_else(|| self.scheduler.pick(&ctx));
+        let wait = ctx.wait.get();
         if let Some(decision) = decision {
             self.execute(decision, now);
-            return true;
+            return now + 1;
         }
 
         // 8. Otherwise let the page policy close an idle row proactively.
-        let proposal = {
-            let view = PolicyView {
-                now,
-                channel: &self.channel,
-                read_q: &self.read_q,
-                write_q: &self.write_q,
-            };
-            self.policy.propose_precharge(&view)
-        };
-        if let Some((rank, bank)) = proposal {
+        let page = self.policy.propose_precharge(&self.view(now));
+        if let Some((rank, bank)) = page {
             if self.try_precharge(rank, bank, now) {
-                return true;
+                return now + 1;
             }
         }
 
         // 9. Last priority: let the power policy park a quiescent rank.
-        self.power_step(now) || retired
+        let power = self.power_policy.propose(&self.view(now));
+        if self.power_step(power, now) {
+            return now + 1;
+        }
+        self.idle_next_due(now, wait, page, power)
     }
 
     /// Reliability work at the head of a cycle: re-enqueue demand retries
     /// whose backoff elapsed and emit the next patrol-scrub read when the
-    /// scrub interval has elapsed. Returns `true` if anything was enqueued.
+    /// scrub interval has elapsed.
     ///
     /// Both paths go through the ordinary [`Self::enqueue`]: retries and
     /// scrub reads occupy real queue slots, wake powered-down ranks, and
     /// contend with demand traffic in the scheduler and the QoS arbiter.
-    fn fault_pre_tick(&mut self, now: DramCycles) -> bool {
-        let mut worked = false;
+    fn fault_pre_tick(&mut self, now: DramCycles) {
         // Release due retries, oldest deadline first, while the read queue
         // has room. A retried request keeps its original arrival cycle, so
         // its observed latency includes every retry round trip.
@@ -848,7 +820,6 @@ impl ChannelController {
             f.attempts.insert(request.id, attempt);
             // Queue room was checked above; `enqueue` only fails when full.
             let _ = self.enqueue(request, location, now);
-            worked = true;
         }
         // Emit the next patrol-scrub read. If the read queue is full the
         // emission stays due and is retried next cycle — deterministically,
@@ -873,9 +844,7 @@ impl ChannelController {
             self.stats.scrub_reads_issued += 1;
             // Room was checked while deciding to emit.
             let _ = self.enqueue(request, location, now);
-            worked = true;
         }
-        worked
     }
 
     /// Retires one completed transfer through the ECC layer: classifies
@@ -1052,19 +1021,10 @@ impl ChannelController {
         }
     }
 
-    /// Consults the power policy and applies at most one action. Runs only
-    /// on cycles where nothing else issued, mirroring the page-policy slot.
-    /// Returns `true` if an action was applied.
-    fn power_step(&mut self, now: DramCycles) -> bool {
-        let action = {
-            let view = PolicyView {
-                now,
-                channel: &self.channel,
-                read_q: &self.read_q,
-                write_q: &self.write_q,
-            };
-            self.power_policy.propose(&view)
-        };
+    /// Applies the power policy's proposal, if any. Runs only on cycles
+    /// where nothing else issued, mirroring the page-policy slot. Returns
+    /// `true` if an action was applied.
+    fn power_step(&mut self, action: Option<PowerAction>, now: DramCycles) -> bool {
         match action {
             // Proposals are required to be legal already; the guard keeps an
             // ill-behaved policy from panicking the device.
@@ -1089,6 +1049,16 @@ impl ChannelController {
         }
     }
 
+    /// The page and power policies' read-only view of this channel.
+    fn view(&self, now: DramCycles) -> PolicyView<'_> {
+        PolicyView {
+            now,
+            channel: &self.channel,
+            read_q: &self.read_q,
+            write_q: &self.write_q,
+        }
+    }
+
     /// Accounts for `cycles` DRAM cycles the kernel has proven eventless for
     /// this channel: the only per-cycle side effect of an eventless tick is
     /// the queue-occupancy sample, applied here in bulk.
@@ -1100,39 +1070,47 @@ impl ChannelController {
     }
 
     /// Event-driven tick: runs [`Self::tick`] only if the channel is due at
-    /// `now` and otherwise accounts the cycle as a skip, keeping the
-    /// queue-occupancy sample counts identical to ticking every cycle.
-    ///
-    /// A channel with queued or in-flight requests is simply polled again
-    /// next cycle: its fences (bus turnaround, tRCD, a transfer in flight)
-    /// are a handful of DRAM cycles, and the full
-    /// [`Self::compute_next_due`] walk — every inflight entry, every
-    /// rank's refresh state, every queued request's earliest legal command,
-    /// plus scheduler/page/power timers — costs more than the no-op ticks it
-    /// would skip. Only a *drained* channel takes the walk, where the bound
-    /// is a refresh or policy-timer horizon hundreds of cycles out and
-    /// skipping pays.
-    fn tick_due(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) {
+    /// `now`, storing the next due cycle it reports — for a busy channel
+    /// and a drained one alike: a pick that issues nothing bounds when any
+    /// candidate it evaluated becomes legal — and otherwise accounts the
+    /// cycle as a skip, keeping the queue-occupancy sample counts identical
+    /// to ticking every cycle. Returns whether the tick ran.
+    fn tick_due(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> bool {
         if self.next_due > now {
             self.skip_cycles(1);
-            return;
+            return false;
         }
-        let worked = self.tick(now, finished);
-        self.next_due = if worked || self.pending() > 0 {
-            now + 1
-        } else {
-            self.compute_next_due(now + 1).max(now + 1)
-        };
+        self.next_due = self.tick(now, finished);
+        true
     }
 
-    /// This channel's next due DRAM cycle (see the next-due contract in
-    /// `cloudmc-sim`'s `kernel` module): the earliest cycle it can retire a
-    /// transfer, issue a refresh (or the forced precharges of an overdue
-    /// refresh), make progress on a pending request, hit a scheduler time
-    /// boundary, act on a page- or power-policy proposal, or reach a
-    /// reliability deadline.
-    fn compute_next_due(&self, now: DramCycles) -> DramCycles {
-        let mut next = DramCycles::MAX;
+    /// This channel's next due cycle after a tick at `now` that issued
+    /// nothing (see the next-due contract in `cloudmc-sim`'s `kernel`
+    /// module), combined from what the tick already evaluated: `wait`, the
+    /// cycle a candidate of the scheduler or the QoS arbiter becomes legal;
+    /// the standing page- and power-policy proposals (`page`, `power`)
+    /// becoming legal, or with none standing the cycle a policy timer could
+    /// flip one; plus the earliest transfer retirement, refresh step,
+    /// scheduler time boundary and reliability deadline. Until then, with no
+    /// enqueue (which pulls the bound back), every tick would do nothing.
+    fn idle_next_due(
+        &self,
+        now: DramCycles,
+        wait: DramCycles,
+        page: Option<(usize, usize)>,
+        power: Option<PowerAction>,
+    ) -> DramCycles {
+        let view = self.view(now);
+        let mut next = wait.min(self.scheduler.next_due());
+        next = next.min(match page {
+            Some((rank, bank)) => self.earliest_precharge(rank, bank),
+            None => self.policy.next_due(&view),
+        });
+        next = next.min(match power {
+            Some(PowerAction::PowerDown { .. }) => now + 1,
+            Some(PowerAction::Precharge { rank, bank }) => self.earliest_precharge(rank, bank),
+            None => self.power_policy.next_due(&view),
+        });
         // Pending data transfers retire at their completion cycle.
         for inflight in &self.inflight {
             next = next.min(inflight.completion);
@@ -1141,7 +1119,8 @@ impl ChannelController {
         // one issues the REF at its due cycle once the REF is legal; with
         // rows open, the controller force-precharges them from
         // `refresh_forced_at`. A rank in self-refresh maintains itself and
-        // contributes no event.
+        // contributes no event. Only the first due rank is served, so the
+        // ranks after one due by the next cycle wait for its REF.
         if self.channel.refresh_enabled() {
             for r in 0..self.channel.rank_count() {
                 let rank = self.channel.rank(r);
@@ -1159,44 +1138,13 @@ impl ChannelController {
                         .min()
                         .map_or(DramCycles::MAX, |pre| self.refresh_forced_at(r).max(pre))
                 });
+                if due <= now + 1 {
+                    break;
+                }
             }
         }
-        // Pending requests: earliest legal progress command over both queues
-        // (a superset of what any scheduler — or the QoS arbiter, which only
-        // ever reorders within this same candidate set — would consider,
-        // hence an early — safe — bound for all of them).
-        for entry in self.read_q.iter().chain(self.write_q.iter()) {
-            let progress = progress_command(entry, &self.channel);
-            if let Some(cycle) = self.channel.earliest_legal(&progress) {
-                next = next.min(cycle);
-            }
-        }
-        // Scheduler-internal time boundaries (e.g. the ATLAS quantum).
-        next = next.min(self.scheduler.next_due());
-        // Page-policy proposals: if one stands now, wake when its precharge
-        // becomes legal; otherwise ask the policy when its answer could flip.
-        let view = PolicyView {
-            now,
-            channel: &self.channel,
-            read_q: &self.read_q,
-            write_q: &self.write_q,
-        };
-        next = next.min(match self.policy.propose_precharge(&view) {
-            Some((rank, bank)) => self.earliest_precharge(rank, bank),
-            None => self.policy.next_due(&view),
-        });
-        // Power-policy actions: a standing proposal acts on the next tick
-        // (power-down entries are proposed pre-validated; a row-closing
-        // proposal waits for its precharge to become legal); otherwise ask
-        // the policy when its idle timers could first flip the answer.
-        next = next.min(match self.power_policy.propose(&view) {
-            Some(PowerAction::PowerDown { .. }) => now,
-            Some(PowerAction::Precharge { rank, bank }) => self.earliest_precharge(rank, bank),
-            None => self.power_policy.next_due(&view),
-        });
         // Reliability deadlines: the next patrol-scrub emission and the
-        // earliest parked demand retry. Queued scrub entries and re-enqueued
-        // retries are already covered by the structural walks above.
+        // earliest parked demand retry.
         if let Some(f) = &self.fault {
             if f.cfg.scrub_interval > 0 {
                 next = next.min(f.next_scrub_at);
@@ -1205,7 +1153,7 @@ impl ChannelController {
                 next = next.min(due);
             }
         }
-        next
+        next.max(now + 1)
     }
 }
 
@@ -1311,25 +1259,22 @@ impl MemoryController {
     /// Takes the completion buffer as a parameter (matching the simulation
     /// kernel's `Tick` contract) so the caller reuses one allocation for the
     /// whole run instead of the controller returning a fresh `Vec` per cycle.
-    ///
-    /// Returns `true` if any channel did observable work this cycle (retired
-    /// a transfer, issued a command, or applied a power action).
-    pub fn tick(&mut self, now: DramCycles, done: &mut Vec<CompletedRequest>) -> bool {
-        let mut worked = false;
+    pub fn tick(&mut self, now: DramCycles, done: &mut Vec<CompletedRequest>) {
         for channel in &mut self.channels {
-            worked |= channel.tick(now, done);
+            channel.tick(now, done);
         }
-        worked
     }
 
     /// Event-driven DRAM cycle: only channels whose due bound has been
     /// reached run their tick; the rest account the cycle as a skip.
     /// Bit-identical to [`Self::tick`] on every statistic, because no
-    /// channel's cached next-due cycle is late.
-    pub fn tick_due(&mut self, now: DramCycles, done: &mut Vec<CompletedRequest>) {
-        for channel in &mut self.channels {
-            channel.tick_due(now, done);
-        }
+    /// channel's cached next-due cycle is late. Returns how many channels
+    /// ran a full tick (a host-side figure for the kernel profile).
+    pub fn tick_due(&mut self, now: DramCycles, done: &mut Vec<CompletedRequest>) -> usize {
+        self.channels
+            .iter_mut()
+            .map(|channel| usize::from(channel.tick_due(now, done)))
+            .sum()
     }
 
     /// The earliest DRAM cycle at which any channel may have work under
@@ -1782,15 +1727,13 @@ mod tests {
         [(cfg, "1 channel"), (two, "2 channels")]
     }
 
-    /// The readiness bounds must never overshoot: drives three controllers
-    /// built from `cfg` through the same `arrivals` (cycle of wave `i`, handed
-    /// to `submit` with the wave number) for `horizon` cycles — one ticking
-    /// every cycle, one ticking every channel but jumping straight to the
-    /// earliest cycle the raw timing walk announces, one on the event
-    /// kernel's `tick_due`/`next_due` — and demands identical completions,
-    /// statistics, per-channel device counters (power-state residency
-    /// included) and fault ledgers. Returns the per-cycle controller for
-    /// test-specific checks.
+    /// The due bounds must never overshoot: drives two controllers built
+    /// from `cfg` through the same `arrivals` (cycle of wave `i`, handed to
+    /// `submit` with the wave number) for `horizon` cycles — one ticking
+    /// every cycle, one on the event kernel's `tick_due`/`next_due` — and
+    /// demands identical completions, statistics, per-channel device
+    /// counters (power-state residency included) and fault ledgers. Returns
+    /// the per-cycle controller for test-specific checks.
     fn assert_jumps_match_naive(
         cfg: McConfig,
         horizon: DramCycles,
@@ -1827,41 +1770,24 @@ mod tests {
             mc.tick(c, done);
             c + 1
         });
-        let (walked, walked_done) = drive(&|mc, c, done| {
-            mc.tick(c, done);
-            let bounds = mc.channels.iter().map(|ch| ch.compute_next_due(c));
-            bounds.min().unwrap_or(DramCycles::MAX)
-        });
         let (due, due_done) = drive(&|mc, c, done| {
             mc.tick_due(c, done);
             mc.next_due()
         });
-        for (jumpy, jumpy_done, how) in [
-            (&walked, &walked_done, "timing walk"),
-            (&due, &due_done, "due bounds"),
-        ] {
+        assert_eq!(naive_done, due_done, "{label}: completions diverged");
+        assert_eq!(naive.stats(), due.stats(), "{label}: stats diverged");
+        for ch in 0..naive.channel_count() {
             assert_eq!(
-                &naive_done, jumpy_done,
-                "{label}: completions diverged jumping by {how}"
-            );
-            assert_eq!(
-                naive.stats(),
-                jumpy.stats(),
-                "{label}: stats diverged jumping by {how}"
-            );
-            for ch in 0..naive.channel_count() {
-                assert_eq!(
-                    naive.channel_device_stats_at(ch, horizon),
-                    jumpy.channel_device_stats_at(ch, horizon),
-                    "{label}: channel {ch} device counters diverged jumping by {how}"
-                );
-            }
-            assert_eq!(
-                naive.fault_ledger(),
-                jumpy.fault_ledger(),
-                "{label}: fault ledgers diverged jumping by {how}"
+                naive.channel_device_stats_at(ch, horizon),
+                due.channel_device_stats_at(ch, horizon),
+                "{label}: channel {ch} device counters diverged"
             );
         }
+        assert_eq!(
+            naive.fault_ledger(),
+            due.fault_ledger(),
+            "{label}: fault ledgers diverged"
+        );
         naive
     }
 
@@ -1871,7 +1797,7 @@ mod tests {
     #[test]
     fn next_ready_never_skips_a_qos_event() {
         use crate::qos::QosPolicyKind;
-        for sched in SchedulerKind::paper_set() {
+        for sched in SchedulerKind::all() {
             for qos in [QosPolicyKind::StaticPartition, QosPolicyKind::PriorityBoost] {
                 let mut cfg = McConfig::baseline();
                 cfg.scheduler = sched;
@@ -1927,7 +1853,7 @@ mod tests {
     /// a burst that arrives at cycle 0 and then drains.
     #[test]
     fn next_ready_never_skips_an_eventful_cycle() {
-        for sched in SchedulerKind::paper_set() {
+        for sched in SchedulerKind::all() {
             for policy in [
                 PagePolicyKind::OpenAdaptive,
                 PagePolicyKind::Close,
@@ -2305,7 +2231,7 @@ mod tests {
     /// readiness bound, so fast-forwarding never skips them.
     #[test]
     fn next_ready_never_skips_a_scrub_or_retry_event() {
-        for sched in SchedulerKind::paper_set() {
+        for sched in SchedulerKind::all() {
             let mut cfg = McConfig::baseline();
             cfg.scheduler = sched;
             cfg.power_policy = PowerPolicyKind::IdleTimer;

@@ -24,13 +24,16 @@
 //!
 //! ## Fast-forward safety
 //!
-//! The arbiter only ever *adds* issue opportunities on cycles where some
-//! pending request already has a legal command, so the controller's
-//! event-horizon bound (earliest legal progress over all queued entries)
-//! covers it and `compute_next_due` needs no extra term. Epoch
-//! bookkeeping is caught up lazily from `now` (`while now >= boundary`)
-//! exactly like scheduler quanta, and service counters only change when
-//! commands issue — which never happens inside a skipped window.
+//! The arbiter tests its candidates through `sched::progress_for` on the
+//! scheduler's own context, so a cycle on which neither issues leaves the
+//! earliest cycle any candidate of either becomes legal in the context's
+//! wait bound, and the controller skips the channel up to it. Without an
+//! issue, the candidate set changes only at an epoch roll, which restarts
+//! every deficit at zero and so empties the static-partition set: a bound
+//! taken before the roll is early, never late. Epoch bookkeeping is caught
+//! up lazily from `now` (`while now >= boundary`) exactly like scheduler
+//! quanta, and service counters only change when commands issue — which
+//! never happens inside a skipped window.
 
 use cloudmc_dram::DramCycles;
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
@@ -340,14 +343,7 @@ mod tests {
         read_q: &'a RequestQueue,
         write_q: &'a RequestQueue,
     ) -> SchedContext<'a> {
-        SchedContext {
-            now: 0,
-            channel,
-            read_q,
-            write_q,
-            write_mode: false,
-            num_cores: 16,
-        }
+        SchedContext::new(0, channel, read_q, write_q, false, 16)
     }
 
     #[test]

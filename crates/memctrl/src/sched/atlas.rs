@@ -235,14 +235,7 @@ mod tests {
         wq: &'a RequestQueue,
         now: u64,
     ) -> SchedContext<'a> {
-        SchedContext {
-            now,
-            channel: ch,
-            read_q: rq,
-            write_q: wq,
-            write_mode: false,
-            num_cores: 4,
-        }
+        SchedContext::new(now, ch, rq, wq, false, 4)
     }
 
     fn completed(core: usize, outcome: RowBufferOutcome) -> CompletedRequest {

@@ -93,14 +93,7 @@ mod tests {
         wq: &'a RequestQueue,
         now: u64,
     ) -> SchedContext<'a> {
-        SchedContext {
-            now,
-            channel: ch,
-            read_q: rq,
-            write_q: wq,
-            write_mode: false,
-            num_cores: 16,
-        }
+        SchedContext::new(now, ch, rq, wq, false, 16)
     }
 
     #[test]

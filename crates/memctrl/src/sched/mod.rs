@@ -17,6 +17,8 @@ pub mod frfcfs;
 pub mod parbs;
 pub mod rl;
 
+use std::cell::Cell;
+
 use cloudmc_dram::{Command, CommandKind, DramChannel, DramCycles};
 use cloudmc_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -44,9 +46,35 @@ pub struct SchedContext<'a> {
     pub write_mode: bool,
     /// Number of cores sharing the controller.
     pub num_cores: usize,
+    /// The earliest cycle at which a candidate evaluated this cycle and
+    /// found not ready becomes legal (`u64::MAX` until one is found):
+    /// lowered by [`progress_for`], read by the controller after a pick that
+    /// issued nothing.
+    pub wait: Cell<DramCycles>,
 }
 
-impl SchedContext<'_> {
+impl<'a> SchedContext<'a> {
+    /// A view of one channel at `now` with no wait bound yet.
+    #[must_use]
+    pub fn new(
+        now: DramCycles,
+        channel: &'a DramChannel,
+        read_q: &'a RequestQueue,
+        write_q: &'a RequestQueue,
+        write_mode: bool,
+        num_cores: usize,
+    ) -> Self {
+        Self {
+            now,
+            channel,
+            read_q,
+            write_q,
+            write_mode,
+            num_cores,
+            wait: Cell::new(DramCycles::MAX),
+        }
+    }
+
     /// The queue the controller is currently serving (reads unless draining
     /// writes).
     #[must_use]
@@ -97,16 +125,22 @@ pub fn progress_command(entry: &QueueEntry, channel: &DramChannel) -> Command {
 
 /// The decision that makes progress on `entry` *this cycle*, if its
 /// [`progress_command`] is legal now. Only the column access carries the
-/// request id. Shared by the request-ordering schedulers.
+/// request id. The one legality test of every scheduler and the QoS
+/// arbiter: a candidate that is not ready lowers [`SchedContext::wait`] to
+/// the cycle its command becomes legal, so a pick that issues nothing
+/// bounds when any candidate it evaluated can issue.
 #[must_use]
 pub fn progress_for(entry: &QueueEntry, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
     let command = progress_command(entry, ctx.channel);
-    ctx.channel
-        .can_issue(&command, ctx.now)
-        .then(|| SchedDecision {
-            command,
-            request_id: command.kind.is_column().then_some(entry.request.id),
-        })
+    let legal = ctx.channel.earliest_legal(&command)?;
+    if legal > ctx.now || !ctx.channel.command_bus_free(ctx.now) {
+        ctx.wait.set(ctx.wait.get().min(legal));
+        return None;
+    }
+    Some(SchedDecision {
+        command,
+        request_id: command.kind.is_column().then_some(entry.request.id),
+    })
 }
 
 /// Picks the first entry (by the iteration order of `entries`) for which a
@@ -143,6 +177,12 @@ pub trait Scheduler: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Chooses the command to issue this cycle, if any.
+    ///
+    /// Every candidate is tested through [`progress_for`], so a pick that
+    /// returns `None` has left in [`SchedContext::wait`] the earliest cycle
+    /// at which any candidate it evaluated becomes legal. Until then, with
+    /// queues and device state unchanged, the same pick issues nothing: the
+    /// controller skips the channel to that cycle.
     fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision>;
 
     /// Observes a newly enqueued request.
@@ -318,6 +358,13 @@ impl SchedulerKind {
         ]
     }
 
+    /// Every implemented algorithm: strict FCFS, then [`Self::paper_set`].
+    #[must_use]
+    pub fn all() -> [Self; 6] {
+        let [a, b, c, d, e] = Self::paper_set();
+        [Self::Fcfs, a, b, c, d, e]
+    }
+
     /// Instantiates the scheduler behind the dispatch wrapper the controller
     /// uses: a concrete, statically dispatched variant for every built-in
     /// algorithm.
@@ -395,14 +442,7 @@ mod tests {
     #[test]
     fn progress_for_idle_bank_is_activate() {
         let (ch, rq, wq) = fixture();
-        let ctx = SchedContext {
-            now: 0,
-            channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
-            write_mode: false,
-            num_cores: 16,
-        };
+        let ctx = SchedContext::new(0, &ch, &rq, &wq, false, 16);
         let e = entry(1, AccessKind::Read, 0, 0, 5);
         let d = progress_for(&e, &ctx).unwrap();
         assert_eq!(d.request_id, None);
@@ -414,14 +454,7 @@ mod tests {
         let (mut ch, rq, wq) = fixture();
         ch.issue(&Command::activate(Location::new(0, 0, 5, 0)), 0);
         let now = ch.timing().t_rcd;
-        let ctx = SchedContext {
-            now,
-            channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
-            write_mode: false,
-            num_cores: 16,
-        };
+        let ctx = SchedContext::new(now, &ch, &rq, &wq, false, 16);
         let e = entry(9, AccessKind::Write, 0, 0, 5);
         let d = progress_for(&e, &ctx).unwrap();
         assert_eq!(d.request_id, Some(9));
@@ -435,23 +468,14 @@ mod tests {
         ch.issue(&Command::activate(Location::new(0, 0, 5, 0)), 0);
         let e = entry(2, AccessKind::Read, 0, 0, 9);
         let t_ras = ch.timing().t_ras;
-        let early = SchedContext {
-            now: 1,
-            channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
-            write_mode: false,
-            num_cores: 16,
-        };
+        let early = SchedContext::new(1, &ch, &rq, &wq, false, 16);
         assert_eq!(progress_for(&e, &early), None);
-        let late = SchedContext {
-            now: t_ras,
-            channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
-            write_mode: false,
-            num_cores: 16,
-        };
+        assert_eq!(
+            early.wait.get(),
+            t_ras,
+            "a blocked candidate bounds the wait"
+        );
+        let late = SchedContext::new(t_ras, &ch, &rq, &wq, false, 16);
         let d = progress_for(&e, &late).unwrap();
         assert_eq!(d.command, Command::precharge(e.location));
         assert_eq!(d.request_id, None);
@@ -462,14 +486,7 @@ mod tests {
         let (mut ch, rq, wq) = fixture();
         ch.issue(&Command::activate(Location::new(0, 0, 5, 0)), 0);
         let now = ch.timing().t_rcd;
-        let ctx = SchedContext {
-            now,
-            channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
-            write_mode: false,
-            num_cores: 16,
-        };
+        let ctx = SchedContext::new(now, &ch, &rq, &wq, false, 16);
         // Oldest entry needs an activate, a younger one is a ready hit.
         let miss = entry(1, AccessKind::Read, 0, 1, 7);
         let hit = entry(2, AccessKind::Read, 0, 0, 5);
@@ -492,14 +509,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let read_ctx = SchedContext {
-            now: 0,
-            channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
-            write_mode: false,
-            num_cores: 16,
-        };
+        let read_ctx = SchedContext::new(0, &ch, &rq, &wq, false, 16);
         assert_eq!(read_ctx.active_queue().oldest().unwrap().request.id, 1);
         let write_ctx = SchedContext {
             write_mode: true,
@@ -510,18 +520,11 @@ mod tests {
 
     #[test]
     fn scheduler_kind_labels_and_parsing() {
-        for kind in SchedulerKind::paper_set() {
+        for kind in SchedulerKind::all() {
             let mut s = kind.build_impl(16);
             assert!(!s.name().is_empty());
             let (ch, rq, wq) = fixture();
-            let ctx = SchedContext {
-                now: 0,
-                channel: &ch,
-                read_q: &rq,
-                write_q: &wq,
-                write_mode: false,
-                num_cores: 16,
-            };
+            let ctx = SchedContext::new(0, &ch, &rq, &wq, false, 16);
             // Empty queues: every scheduler must return None.
             assert!(
                 s.pick(&ctx).is_none(),

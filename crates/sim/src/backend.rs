@@ -189,9 +189,10 @@ impl Backend {
 
     /// Event-driven DRAM tick: after retrying parked requests, only the
     /// channels that are due run (see [`MemoryController::tick_due`]).
-    pub fn tick_event(&mut self, now: DramCycles, events: &mut Vec<CompletedRequest>) {
+    /// Returns how many channels ran a full tick.
+    pub fn tick_event(&mut self, now: DramCycles, events: &mut Vec<CompletedRequest>) -> usize {
         self.drain_retries(now);
-        self.mc.tick_due(now, events);
+        self.mc.tick_due(now, events)
     }
 
     /// Recomputes the parked-request count from the restored retry buckets

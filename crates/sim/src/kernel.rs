@@ -45,13 +45,15 @@
 //! `Scheduler::next_due` (a time boundary such as the ATLAS quantum),
 //! `PagePolicy::next_due` and `PowerPolicy::next_due` (the cycle a timer
 //! flips a proposal, asked only while no proposal stands),
-//! `ChannelController::compute_next_due` (the walk that combines a channel's
-//! transfers, refreshes, queued requests and policy timers, cached per
-//! channel), `MemoryController::next_due` and `Backend::next_due` (DRAM
-//! cycles). `DramChannel::earliest_legal` keeps an `Option`: it is the
-//! legality rule for one command, not a component's next act, and its
-//! `None` ("no amount of waiting makes this command legal") is what sends
-//! an overdue refresh to its forced precharges.
+//! `ChannelController::tick` (each tick reports its channel's next due
+//! cycle: the next one after issuing, else the earliest of when a candidate
+//! its pick evaluated becomes legal, a transfer retires, a refresh step or
+//! a policy, scheduler or reliability timer; cached per channel),
+//! `MemoryController::next_due` and `Backend::next_due` (DRAM cycles).
+//! `DramChannel::earliest_legal` keeps an `Option`: it is the legality rule
+//! for one command, not a component's next act, and its `None` ("no amount
+//! of waiting makes this command legal") is what sends an overdue refresh
+//! to its forced precharges.
 //!
 //! # Event-driven execution
 //!
@@ -65,9 +67,10 @@
 //! [`ClockCrossing::fast_forward`] — which advances both clocks and the
 //! fractional 2:5 phase accumulator exactly as per-cycle stepping would.
 //! Cores sit lazily behind the kernel clock or run ahead of it through
-//! core-private work (see the [`frontend`](crate::frontend) docs); a memory
-//! channel recomputes its bound only after a tick that left it drained, and
-//! one that is not due is skipped even on a DRAM tick where another runs.
+//! core-private work (see the [`frontend`](crate::frontend) docs); every
+//! memory channel, busy or drained, stores the bound its last tick
+//! reported, and one that is not due is skipped even on a DRAM tick where
+//! another runs.
 //!
 //! This is the only way a system built by `System::new` advances, and it
 //! runs on one thread: there is no kernel or thread knob on

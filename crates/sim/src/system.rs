@@ -453,11 +453,13 @@ impl System {
         let t0 = self.prof_start();
 
         // 3. As many backend (DRAM-domain) cycles as the clock ratio owes.
-        for _ in 0..self.clock.accrue_cpu_cycle() {
+        let dram_ticks = self.clock.accrue_cpu_cycle();
+        let mut ticked = 0;
+        for _ in 0..dram_ticks {
             let now_dram = self.clock.dram_cycle();
             let mut completions = std::mem::take(&mut self.completions);
             completions.clear();
-            self.backend.tick_event(now_dram, &mut completions);
+            ticked += self.backend.tick_event(now_dram, &mut completions);
             for done in completions.drain(..) {
                 if done.request.kind.is_read() {
                     if let Some(read) = self.outstanding_reads.remove(&done.request.id) {
@@ -472,6 +474,7 @@ impl System {
         }
         self.prof_add(KernelPhase::Backend, t0);
         self.prof_cycles(1, 0);
+        self.prof_channel_cycles(dram_ticks, ticked);
 
         self.clock.complete_cpu_cycle();
     }
@@ -522,6 +525,7 @@ impl System {
                 }
                 self.clock.fast_forward(cycles);
                 self.prof_cycles(0, cycles);
+                self.prof_channel_cycles(dram_ticks, 0);
             } else {
                 self.step_event(end.min(self.next_sample_boundary()));
             }
@@ -811,6 +815,18 @@ impl System {
         if let Some(p) = self.profiler_mut() {
             p.record_stepped_cycles(stepped);
             p.record_jumped_cycles(jumped);
+        }
+    }
+
+    /// Accounts `dram_ticks` DRAM cycles, on which channels ran `ticked`
+    /// full controller ticks in all, to the profiler's channel-tick split.
+    fn prof_channel_cycles(&mut self, dram_ticks: u64, ticked: usize) {
+        if !self.profile {
+            return;
+        }
+        let channel_cycles = dram_ticks * self.backend.total_channels() as u64;
+        if let Some(p) = self.profiler_mut() {
+            p.record_channel_cycles(ticked as u64, channel_cycles - ticked as u64);
         }
     }
 

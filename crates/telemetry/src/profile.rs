@@ -29,6 +29,8 @@ pub struct KernelProfiler {
     total_nanos: u64,
     stepped_cpu_cycles: u64,
     jumped_cpu_cycles: u64,
+    ticked_channel_cycles: u64,
+    skipped_channel_cycles: u64,
 }
 
 impl KernelProfiler {
@@ -63,6 +65,13 @@ impl KernelProfiler {
         self.jumped_cpu_cycles += cycles;
     }
 
+    /// Accounts memory-channel cycles: `ticked` ran a full controller tick,
+    /// `skipped` were accounted in bulk as eventless.
+    pub fn record_channel_cycles(&mut self, ticked: u64, skipped: u64) {
+        self.ticked_channel_cycles += ticked;
+        self.skipped_channel_cycles += skipped;
+    }
+
     /// Freezes the accumulated accounting into a report.
     ///
     /// `cpu_cycles` and `dram_cycles` are the run's final simulated clock
@@ -76,6 +85,8 @@ impl KernelProfiler {
             total_nanos: self.total_nanos,
             stepped_cpu_cycles: self.stepped_cpu_cycles,
             jumped_cpu_cycles: self.jumped_cpu_cycles,
+            ticked_channel_cycles: self.ticked_channel_cycles,
+            skipped_channel_cycles: self.skipped_channel_cycles,
             cpu_cycles,
             dram_cycles,
         }
@@ -105,6 +116,13 @@ pub struct KernelProfile {
     pub stepped_cpu_cycles: u64,
     /// CPU cycles advanced in bulk by event-kernel jumps.
     pub jumped_cpu_cycles: u64,
+    /// Memory-channel cycles (one per channel per DRAM cycle) that ran a
+    /// full controller tick. Like the stepped/jumped split, a host-side
+    /// figure, not part of `SimStats`.
+    pub ticked_channel_cycles: u64,
+    /// Memory-channel cycles the kernel skipped: the channel was not due,
+    /// so only its queue-occupancy samples were applied.
+    pub skipped_channel_cycles: u64,
     /// Final simulated CPU-clock reading.
     pub cpu_cycles: u64,
     /// Final simulated DRAM-clock reading.
@@ -145,6 +163,7 @@ impl KernelProfile {
                 "{{\"frontend_nanos\":{},\"backend_nanos\":{},",
                 "\"event_queue_nanos\":{},\"total_nanos\":{},",
                 "\"stepped_cpu_cycles\":{},\"jumped_cpu_cycles\":{},",
+                "\"ticked_channel_cycles\":{},\"skipped_channel_cycles\":{},",
                 "\"cpu_cycles\":{},\"dram_cycles\":{}}}"
             ),
             self.frontend_nanos,
@@ -153,6 +172,8 @@ impl KernelProfile {
             self.total_nanos,
             self.stepped_cpu_cycles,
             self.jumped_cpu_cycles,
+            self.ticked_channel_cycles,
+            self.skipped_channel_cycles,
             self.cpu_cycles,
             self.dram_cycles,
         )
@@ -173,11 +194,14 @@ mod tests {
         p.record_total(400);
         p.record_stepped_cycles(800);
         p.record_jumped_cycles(200);
+        p.record_channel_cycles(300, 500);
         let profile = p.finish(1000, 400);
         assert_eq!(profile.frontend_nanos, 150);
         assert_eq!(profile.backend_nanos, 200);
         assert_eq!(profile.event_queue_nanos, 25);
         assert_eq!(profile.stepped_cpu_cycles + profile.jumped_cpu_cycles, 1000);
+        assert_eq!(profile.ticked_channel_cycles, 300);
+        assert_eq!(profile.skipped_channel_cycles, 500);
         assert_eq!(profile.cpu_cycles, 1000);
         assert_eq!(profile.dram_cycles, 400);
         assert!((profile.fraction(KernelPhase::Backend) - 0.5).abs() < 1e-12);
@@ -212,6 +236,8 @@ mod tests {
             "total_nanos",
             "stepped_cpu_cycles",
             "jumped_cpu_cycles",
+            "ticked_channel_cycles",
+            "skipped_channel_cycles",
             "cpu_cycles",
             "dram_cycles",
         ] {

@@ -138,6 +138,13 @@ fn main() -> Result<(), String> {
             profile.jumped_cpu_cycles,
             profile.cycles_per_host_micro(),
         );
+        let channel_cycles = profile.ticked_channel_cycles + profile.skipped_channel_cycles;
+        println!(
+            "{} channel-cycles ticked, {} skipped ({:.1}% ticked)",
+            profile.ticked_channel_cycles,
+            profile.skipped_channel_cycles,
+            100.0 * profile.ticked_channel_cycles as f64 / channel_cycles.max(1) as f64,
+        );
     }
     Ok(())
 }

@@ -61,10 +61,12 @@ fn baseline_stats_are_bit_identical_across_seeds() {
 }
 
 /// The event kernel must respect every scheduler's private clockwork
-/// (ATLAS quanta, PAR-BS batches, the RL learner's decision stream).
+/// (ATLAS quanta, PAR-BS batches, the RL learner's decision stream) and
+/// each one's candidate set: strict FCFS evaluates only its queue head, so
+/// its wait bound is the narrowest.
 #[test]
 fn every_scheduler_is_bit_identical() {
-    for scheduler in SchedulerKind::paper_set() {
+    for scheduler in SchedulerKind::all() {
         let mut cfg = small(Workload::WebSearch, 3);
         cfg.mc.scheduler = scheduler;
         assert_equivalent(cfg, scheduler.label());
