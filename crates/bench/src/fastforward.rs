@@ -68,7 +68,7 @@ pub struct FastForwardReport {
 fn timed_run(sim: Simulator) -> (SimStats, f64) {
     let total = sim.system().config().total_cpu_cycles();
     let start = Instant::now();
-    let stats = sim.run();
+    let stats = sim.try_run().expect("benchmark run completes");
     let wall = start.elapsed().as_secs_f64().max(1e-9);
     (stats, total as f64 / wall)
 }

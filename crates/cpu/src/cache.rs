@@ -47,24 +47,22 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem when a dimension is zero, the
-    /// capacity is not divisible into whole sets, or the set count is not a
-    /// power of two.
+    /// Returns a description naming the offending field and its value when
+    /// a dimension is zero, the capacity is not divisible into whole sets,
+    /// or the set count is not a power of two.
     pub fn validate(&self) -> Result<(), String> {
-        if self.size_bytes == 0 || self.associativity == 0 || self.block_bytes == 0 {
-            return Err("cache dimensions must be non-zero".to_owned());
-        }
-        if !self.block_bytes.is_power_of_two() {
+        if self.size_bytes == 0 || self.associativity == 0 || !self.block_bytes.is_power_of_two() {
             return Err(format!(
-                "block size {} must be a power of two",
-                self.block_bytes
+                "size_bytes ({}) and associativity ({}) must be non-zero and block_bytes ({}) a power of two",
+                self.size_bytes, self.associativity, self.block_bytes
             ));
         }
-        if !self
-            .size_bytes
-            .is_multiple_of(self.block_bytes * self.associativity as u64)
-        {
-            return Err("capacity must divide evenly into sets".to_owned());
+        let set_bytes = self.block_bytes.checked_mul(self.associativity as u64);
+        if !set_bytes.is_some_and(|bytes| self.size_bytes.is_multiple_of(bytes)) {
+            return Err(format!(
+                "size_bytes ({}) must divide evenly into sets of associativity ({}) x block_bytes ({})",
+                self.size_bytes, self.associativity, self.block_bytes
+            ));
         }
         if !self.sets().is_power_of_two() {
             return Err(format!("set count {} must be a power of two", self.sets()));

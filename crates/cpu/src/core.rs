@@ -111,6 +111,32 @@ pub struct CoreConfig {
     pub max_outstanding_misses: usize,
 }
 
+impl CoreConfig {
+    /// Largest `max_outstanding_misses` that validates: each core's MSHR file
+    /// is allocated at this size, so it is bounded before anything is sized.
+    pub const MAX_OUTSTANDING_MISSES: usize = 1024;
+
+    /// Validates both L1 geometries, their common block size and the MSHR
+    /// count (`1..=MAX_OUTSTANDING_MISSES`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        self.l1i.validate().map_err(|e| format!("l1i: {e}"))?;
+        self.l1d.validate().map_err(|e| format!("l1d: {e}"))?;
+        let (i, d) = (self.l1i.block_bytes, self.l1d.block_bytes);
+        if i != d {
+            return Err(format!("l1i.block_bytes ({i}) != l1d.block_bytes ({d})"));
+        }
+        let (n, max) = (self.max_outstanding_misses, Self::MAX_OUTSTANDING_MISSES);
+        if !(1..=max).contains(&n) {
+            return Err(format!("max_outstanding_misses ({n}) not in 1..={max}"));
+        }
+        Ok(())
+    }
+}
+
 impl Default for CoreConfig {
     fn default() -> Self {
         Self {
@@ -184,14 +210,10 @@ impl InOrderCore {
     ///
     /// # Panics
     ///
-    /// Panics if the cache configurations are invalid or use different block
-    /// sizes.
+    /// Panics if `config` does not validate ([`CoreConfig::validate`]).
     #[must_use]
     pub fn new(id: usize, config: CoreConfig) -> Self {
-        assert_eq!(
-            config.l1i.block_bytes, config.l1d.block_bytes,
-            "L1-I and L1-D must use the same block size"
-        );
+        assert_eq!(config.validate(), Ok(()), "invalid core configuration");
         Self {
             id,
             tenant: 0,

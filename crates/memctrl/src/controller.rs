@@ -49,9 +49,12 @@ pub struct McConfig {
     /// Rank power-management policy.
     pub power_policy: PowerPolicyKind,
     /// Multi-tenant QoS policy and tenant metadata (tenancy disabled by
-    /// default; the simulator fills this from the workload mix).
+    /// default; the full-system simulator overwrites the tenant metadata
+    /// from the workload mix, see [`QosConfig`]).
     pub qos: QosConfig,
-    /// Number of cores sharing the controller.
+    /// Number of cores sharing the controller. Matters only for a standalone
+    /// controller: the full-system simulator overwrites it with the mix's
+    /// core count.
     pub num_cores: usize,
     /// Per-channel read queue capacity.
     pub read_queue_capacity: usize,

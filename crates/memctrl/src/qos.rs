@@ -95,8 +95,9 @@ impl std::str::FromStr for QosPolicyKind {
 
 /// Configuration of the QoS layer of one controller.
 ///
-/// The simulator derives `tenants`, `latency_critical` and `share` from the
-/// workload mix; standalone controller users fill them by hand.
+/// `tenants`, `latency_critical` and `share` matter only for a standalone
+/// controller, whose users fill them by hand: the full-system simulator
+/// overwrites all three from the workload mix whatever they hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosConfig {
     /// Which policy arbitrates the command slot.
@@ -106,8 +107,8 @@ pub struct QosConfig {
     /// Whether each tenant is latency-critical (drives `PriorityBoost`).
     pub latency_critical: [bool; MAX_TENANTS],
     /// Relative bandwidth weights per tenant (drive `StaticPartition`; the
-    /// simulator defaults them to tenant core counts). Weights of inactive
-    /// slots are ignored.
+    /// full-system simulator sets them to the tenants' core counts).
+    /// Weights of inactive slots are ignored.
     pub share: [u32; MAX_TENANTS],
     /// Service-accounting epoch in DRAM cycles: per-tenant service counters
     /// reset at every boundary so stale history cannot dominate.

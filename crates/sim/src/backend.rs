@@ -30,7 +30,8 @@ use cloudmc_memctrl::{
 
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
-use crate::config::SystemConfig;
+use crate::config::{invalid, SystemConfig};
+use crate::error::SimError;
 use crate::kernel::Tick;
 
 /// Retry bucket key: requests queue per channel, per direction, because
@@ -56,11 +57,11 @@ impl Backend {
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem if the controller configuration
-    /// is invalid.
-    pub fn new(cfg: &SystemConfig) -> Result<Self, String> {
+    /// Returns [`SimError::Config`] if the controller configuration is
+    /// invalid.
+    pub fn new(cfg: &SystemConfig) -> Result<Self, SimError> {
         Ok(Self {
-            mc: MemoryController::new(cfg.effective_mc())?,
+            mc: MemoryController::new(cfg.effective_mc()).map_err(invalid("mc"))?,
             retry: BTreeMap::new(),
             retry_len: 0,
         })

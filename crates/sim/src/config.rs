@@ -8,6 +8,8 @@ use cloudmc_memctrl::{McConfig, SchedulerKind};
 use cloudmc_telemetry::TelemetryConfig;
 use cloudmc_workloads::{MixSpec, Workload, WorkloadSource, WorkloadSpec};
 
+use crate::error::SimError;
+
 // The controller's per-tenant accounting arrays and the workload mix must
 // agree on how many tenants can exist.
 const _: () = assert!(cloudmc_workloads::MAX_TENANTS == cloudmc_memctrl::MAX_TENANTS);
@@ -50,8 +52,9 @@ pub struct SystemConfig {
     pub l2: L2Config,
     /// Memory controller and DRAM configuration. `mc.dram.channels` is
     /// multiplied by [`SystemConfig::num_channels`] before the controller is
-    /// built; every other field is used as written (QoS tenant metadata and
-    /// the ATLAS quantum are derived, see [`SystemConfig::effective_mc`]).
+    /// built; every other field is used as written (`num_cores`, the QoS
+    /// tenant metadata and the ATLAS quantum are derived, see
+    /// [`SystemConfig::effective_mc`]).
     pub mc: McConfig,
     /// DRAM energy parameters (per-event charges and per-state background
     /// powers); pick the preset matching `mc.dram.timing`.
@@ -133,10 +136,7 @@ impl SystemConfig {
     /// Total cores over all tenants.
     #[must_use]
     pub fn core_count(&self) -> usize {
-        match &self.mix {
-            Some(mix) => mix.total_cores(),
-            None => self.workload.cores,
-        }
+        self.tenancy().total_cores()
     }
 
     /// Total simulated CPU cycles (warm-up plus measurement), saturating at
@@ -157,10 +157,10 @@ impl SystemConfig {
 
     /// The effective memory-controller configuration: the channel count
     /// multiplied by [`SystemConfig::num_channels`], the ATLAS quantum scaled
-    /// to the run length, and the QoS layer's tenant metadata (count,
-    /// latency-criticality, bandwidth weights defaulting to core counts)
-    /// derived from the mix. Callers only choose `mc.qos.policy`; everything
-    /// else follows the tenancy.
+    /// to the run length, and `num_cores` plus the QoS layer's tenant
+    /// metadata (count, latency-criticality, bandwidth weights set to core
+    /// counts) overwritten from the mix. Callers only choose
+    /// `mc.qos.policy`; everything else follows the tenancy.
     #[must_use]
     pub fn effective_mc(&self) -> McConfig {
         let mut mc = self.mc;
@@ -198,45 +198,54 @@ impl SystemConfig {
         mc
     }
 
-    /// Validates the configuration.
+    /// Validates every field the build reads: the tenancy (the mix, or the
+    /// solo workload), the cores, the L2, the run length, the controller as
+    /// [`SystemConfig::effective_mc`] derives it, telemetry, and the trace
+    /// paths. A configuration that passes builds without a panic.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
-        self.workload.validate()?;
-        if let Some(mix) = &self.mix {
-            mix.validate()?;
-        }
-        self.l2.validate()?;
+    /// Returns [`SimError::Config`] describing the first inconsistency.
+    pub fn validate(&self) -> Result<(), SimError> {
+        self.tenancy().validate().map_err(invalid("workload"))?;
+        self.core.validate().map_err(invalid("core"))?;
+        self.l2.validate().map_err(invalid("l2"))?;
         if self
             .warmup_cpu_cycles
             .checked_add(self.measure_cpu_cycles)
             .is_none()
         {
-            return Err(format!(
+            return Err(SimError::Config(format!(
                 "warmup_cpu_cycles ({}) + measure_cpu_cycles ({}) overflows u64",
                 self.warmup_cpu_cycles, self.measure_cpu_cycles
-            ));
+            )));
         }
         // Validate the controller configuration as it will actually be
         // built: the tenant metadata filled in from the mix, and the one
         // channel-count rule applied to `num_channels * mc.dram.channels`.
-        self.effective_mc().validate()?;
+        self.effective_mc().validate().map_err(invalid("mc"))?;
         if self.measure_cpu_cycles == 0 {
-            return Err("measure_cpu_cycles must be non-zero".to_owned());
+            return Err(SimError::Config(
+                "measure_cpu_cycles must be non-zero".to_owned(),
+            ));
         }
-        self.telemetry.validate()?;
+        self.telemetry.validate().map_err(invalid("telemetry"))?;
         if let (WorkloadSource::Trace(replay), Some(record)) = (&self.source, &self.trace_record) {
             if replay == record {
-                return Err(format!(
+                return Err(SimError::Config(format!(
                     "trace_record and the replay source are the same file `{}`",
                     replay.display()
-                ));
+                )));
             }
         }
         Ok(())
     }
+}
+
+/// Turns a component's validation message into a [`SimError::Config`] that
+/// names the [`SystemConfig`] field it came from.
+pub(crate) fn invalid(field: &'static str) -> impl FnOnce(String) -> SimError {
+    move |msg| SimError::Config(format!("{field}: {msg}"))
 }
 
 #[cfg(test)]
@@ -244,6 +253,14 @@ mod tests {
     use super::*;
     use cloudmc_dram::DramConfig;
     use cloudmc_memctrl::AtlasConfig;
+
+    /// The message of the [`SimError::Config`] `cfg` fails validation with.
+    fn config_error(cfg: &SystemConfig) -> String {
+        match cfg.validate() {
+            Err(SimError::Config(msg)) => msg,
+            other => panic!("expected a configuration error, got {other:?}"),
+        }
+    }
 
     #[test]
     fn baseline_validates_for_every_workload() {
@@ -285,11 +302,11 @@ mod tests {
             let mut cfg = SystemConfig::baseline(Workload::WebSearch);
             cfg.mc.scheduler = scheduler;
             cfg.measure_cpu_cycles = u64::MAX;
-            let err = cfg.validate().unwrap_err();
+            let err = config_error(&cfg);
             assert!(err.contains("overflows"), "{err}");
             assert!(matches!(
                 crate::Simulator::new(cfg.clone()),
-                Err(crate::SimError::Config(_))
+                Err(SimError::Config(_))
             ));
             // Long but representable: valid, and long enough for ten ATLAS
             // quanta at the configured length, so nothing is scaled.
@@ -309,18 +326,21 @@ mod tests {
             .and_then(crate::Simulator::try_run)
             .unwrap_err();
         match err {
-            crate::SimError::Config(msg) => assert!(msg.contains("t_refi"), "{msg}"),
+            SimError::Config(msg) => assert!(msg.contains("t_refi"), "{msg}"),
             other => panic!("expected a configuration error, got {other:?}"),
         }
     }
 
     /// Fields that size allocations made at construction are bounded first:
     /// 512 ranks or banks overflowed the 8-bit rank/bank field of a queue
-    /// key, and `1 << 40` ranks or queue slots aborted on the allocation.
+    /// key, and `1 << 40` ranks, queue slots or MSHR entries aborted on the
+    /// allocation. The core rows (an L1 geometry that does not divide into
+    /// sets, unequal L1 block sizes, an empty MSHR file, a solo tenant over
+    /// the 64-core bound) passed validation and then panicked in the build.
     #[test]
     fn validate_bounds_bank_count_and_queue_capacity() {
         type Set = fn(&mut SystemConfig, usize);
-        let cases: [(&str, usize, Set); 4] = [
+        let cases: [(&str, usize, Set); 11] = [
             ("ranks_per_channel", 512, |c, v| {
                 c.mc.dram.ranks_per_channel = v
             }),
@@ -331,6 +351,21 @@ mod tests {
             ("read_queue_capacity", 1 << 40, |c, v| {
                 c.mc.read_queue_capacity = v;
             }),
+            ("size_bytes (0)", 0, |c, v| c.core.l1d.size_bytes = v as u64),
+            ("associativity (3)", 3, |c, v| c.core.l1i.associativity = v),
+            ("l1i.block_bytes", 128, |c, v| {
+                c.core.l1i.block_bytes = v as u64
+            }),
+            ("block_bytes (48)", 48, |c, v| {
+                c.core.l1d.block_bytes = v as u64
+            }),
+            ("max_outstanding_misses (0)", 0, |c, v| {
+                c.core.max_outstanding_misses = v;
+            }),
+            ("max_outstanding_misses", 1 << 40, |c, v| {
+                c.core.max_outstanding_misses = v;
+            }),
+            ("cores", 65, |c, v| c.workload.cores = v),
         ];
         for (field, value, set) in cases {
             let mut cfg = SystemConfig::baseline(Workload::WebSearch);
@@ -338,7 +373,7 @@ mod tests {
             cfg.measure_cpu_cycles = 1_000;
             set(&mut cfg, value);
             match crate::Simulator::new(cfg).and_then(crate::Simulator::try_run) {
-                Err(crate::SimError::Config(msg)) => assert!(
+                Err(SimError::Config(msg)) => assert!(
                     msg.contains(field) && msg.contains(&value.to_string()),
                     "{field} = {value}: {msg}"
                 ),
@@ -351,6 +386,8 @@ mod tests {
         cfg.mc.dram.banks_per_rank = DramConfig::MAX_BANKS_PER_CHANNEL / 8;
         cfg.mc.read_queue_capacity = McConfig::MAX_QUEUE_CAPACITY;
         cfg.mc.write_queue_capacity = McConfig::MAX_QUEUE_CAPACITY;
+        cfg.core.max_outstanding_misses = CoreConfig::MAX_OUTSTANDING_MISSES;
+        cfg.workload.cores = 64;
         cfg.validate().unwrap();
     }
 
@@ -388,7 +425,7 @@ mod tests {
         });
         let mut cfg = SystemConfig::baseline(Workload::TpchQ6);
         cfg.mix = Some(mix);
-        let err = cfg.validate().unwrap_err();
+        let err = config_error(&cfg);
         assert!(err.contains("tenant 1"), "{err}");
     }
 
@@ -406,7 +443,7 @@ mod tests {
         assert_eq!(cfg.trace_record, None);
         cfg.source = WorkloadSource::Trace("/tmp/a.trace".into());
         cfg.trace_record = Some("/tmp/a.trace".into());
-        let err = cfg.validate().unwrap_err();
+        let err = config_error(&cfg);
         assert!(err.contains("same file"), "{err}");
         cfg.trace_record = Some("/tmp/b.trace".into());
         // Distinct paths pass config validation (the replay file is only
@@ -422,7 +459,7 @@ mod tests {
         // never a capacity overflow or a 2^40-element allocation.
         for num_channels in [0usize, 3, 65, 128, usize::MAX] {
             cfg.num_channels = num_channels;
-            let err = cfg.validate().unwrap_err();
+            let err = config_error(&cfg);
             assert!(
                 err.contains("channels"),
                 "num_channels {num_channels}: {err}"
@@ -431,7 +468,7 @@ mod tests {
         }
         cfg.num_channels = 1;
         cfg.mc.dram.channels = 1 << 40;
-        let err = cfg.validate().unwrap_err();
+        let err = config_error(&cfg);
         assert!(err.contains("channels"), "{err}");
         assert!(crate::System::new(cfg.clone()).is_err());
         cfg.mc.dram.channels = 16;

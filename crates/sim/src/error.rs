@@ -10,9 +10,15 @@
 /// An error surfaced by a simulation run instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The system configuration failed validation before the run started.
+    /// The system configuration failed validation before the run started:
+    /// any [`SystemConfig::validate`](crate::SystemConfig::validate) failure,
+    /// and, when the system is built, a controller configuration the
+    /// controller rejects or a `trace_record` path that resolves to the
+    /// replay source on disk.
     Config(String),
-    /// The replay trace was unreadable or malformed mid-run, or the capture
+    /// Trace I/O failed. When the system is built: the replay file cannot
+    /// be opened or the `trace_record` sink cannot be created. During the
+    /// run: the replay trace was unreadable or malformed, or the capture
     /// sink failed; the run's statistics would be garbage.
     Trace(String),
     /// A detected-uncorrectable memory error occurred under the fail-stop
@@ -48,6 +54,8 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// Lets a `Result<_, String>` caller (a binary's `main`, the sweep
+/// executor's cell results) apply `?` to a [`SimError`].
 impl From<SimError> for String {
     fn from(err: SimError) -> Self {
         err.to_string()

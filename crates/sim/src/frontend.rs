@@ -72,6 +72,7 @@ use cloudmc_workloads::{
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::config::SystemConfig;
+use crate::error::SimError;
 use crate::kernel::Tick;
 
 /// Off-chip traffic (or an L2 hit in flight) produced by one frontend cycle.
@@ -202,9 +203,10 @@ impl Frontend {
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem if the replay trace cannot be
-    /// opened or the capture sink cannot be created.
-    pub fn new(cfg: &SystemConfig) -> Result<Self, String> {
+    /// Returns [`SimError::Trace`] if the replay trace cannot be opened or
+    /// the capture sink cannot be created, and [`SimError::Config`] if the
+    /// capture path resolves to the replay source.
+    pub fn new(cfg: &SystemConfig) -> Result<Self, SimError> {
         let tenancy = cfg.tenancy();
         let streams = WorkloadStreams::from_mix(tenancy, cfg.seed);
         let cores: Vec<InOrderCore> = (0..tenancy.total_cores())
@@ -212,9 +214,9 @@ impl Frontend {
             .collect();
         let replay = match &cfg.source {
             WorkloadSource::Synthetic => None,
-            WorkloadSource::Trace(path) => {
-                Some(TraceStream::open(path, cores.len()).map_err(|e| e.to_string())?)
-            }
+            WorkloadSource::Trace(path) => Some(
+                TraceStream::open(path, cores.len()).map_err(|e| SimError::Trace(e.to_string()))?,
+            ),
         };
         let record = match &cfg.trace_record {
             None => None,
@@ -225,19 +227,23 @@ impl Frontend {
                 // `File::create` below would destroy the trace being read.
                 if let WorkloadSource::Trace(replay_path) = &cfg.source {
                     if canonical_path(replay_path) == canonical_path(path) {
-                        return Err(format!(
+                        return Err(SimError::Config(format!(
                             "trace_record `{}` aliases the replay source `{}`",
                             path.display(),
                             replay_path.display()
-                        ));
+                        )));
                     }
                 }
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "trace capture creates a caller-named file by design"
                 )]
-                let file = File::create(path)
-                    .map_err(|e| format!("cannot create trace sink `{}`: {e}", path.display()))?;
+                let file = File::create(path).map_err(|e| {
+                    SimError::Trace(format!(
+                        "cannot create trace sink `{}`: {e}",
+                        path.display()
+                    ))
+                })?;
                 Some(TraceWriter::new(BufWriter::new(file)))
             }
         };
@@ -299,16 +305,19 @@ impl Frontend {
     ///
     /// # Errors
     ///
-    /// Returns the first replay read/parse error, the first capture write
-    /// error, or the final capture flush error.
-    pub fn finish_trace(&mut self) -> Result<Option<u64>, String> {
+    /// Returns [`SimError::Trace`] carrying the first replay read/parse
+    /// error, the first capture write error, or the final capture flush
+    /// error.
+    pub fn finish_trace(&mut self) -> Result<Option<u64>, SimError> {
         if let Some(e) = self.replay_error.take() {
             self.record = None;
-            return Err(format!("trace replay failed mid-run: {e}"));
+            return Err(SimError::Trace(format!("trace replay failed mid-run: {e}")));
         }
         if let Some(e) = self.record_error.take() {
             self.record = None;
-            return Err(format!("trace capture failed mid-run: {e}"));
+            return Err(SimError::Trace(format!(
+                "trace capture failed mid-run: {e}"
+            )));
         }
         match self.record.take() {
             None => Ok(None),
@@ -316,7 +325,7 @@ impl Frontend {
                 let records = writer.records();
                 writer
                     .finish()
-                    .map_err(|e| format!("trace capture flush failed: {e}"))?;
+                    .map_err(|e| SimError::Trace(format!("trace capture flush failed: {e}")))?;
                 Ok(Some(records))
             }
         }
@@ -956,11 +965,13 @@ mod tests {
     }
 
     #[test]
-    fn missing_replay_trace_is_a_clear_config_error() {
+    fn missing_replay_trace_is_a_clear_trace_error() {
         let mut cfg = SystemConfig::baseline(Workload::WebSearch);
         cfg.source = cloudmc_workloads::WorkloadSource::Trace("/nonexistent/never/x.trace".into());
-        let err = Frontend::new(&cfg).unwrap_err();
-        assert!(err.contains("x.trace"), "{err}");
+        match Frontend::new(&cfg) {
+            Err(SimError::Trace(msg)) => assert!(msg.contains("x.trace"), "{msg}"),
+            other => panic!("expected a trace error, got {other:?}"),
+        }
     }
 
     #[test]

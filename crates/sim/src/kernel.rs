@@ -86,10 +86,10 @@
 //! owed DRAM cycle — is kept as the oracle the guarantee is tested against
 //! (`tests/fast_forward_equivalence.rs` and the other equivalence suites
 //! compare full `SimStats`), reached only through
-//! `System::reference` / `Simulator::reference`. A system is bound to one
-//! driver at construction: the reference loop does not maintain the event
-//! kernel's cursors, so the two cannot be mixed, and a reference-driven
-//! system refuses to snapshot.
+//! [`Simulator::reference`](crate::Simulator::reference). A system is
+//! bound to one driver at construction: the reference loop does not
+//! maintain the event kernel's cursors, so the two cannot be mixed, and a
+//! reference-driven system refuses to snapshot.
 
 use std::collections::VecDeque;
 

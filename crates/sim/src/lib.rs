@@ -15,8 +15,9 @@
 //! let mut cfg = SystemConfig::baseline(Workload::DataServing);
 //! cfg.warmup_cpu_cycles = 2_000;
 //! cfg.measure_cpu_cycles = 10_000;
-//! let stats = Simulator::new(cfg).unwrap().run();
+//! let stats = Simulator::new(cfg)?.try_run()?;
 //! println!("user IPC = {:.2}", stats.user_ipc());
+//! # Ok::<(), cloudmc_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]

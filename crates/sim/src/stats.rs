@@ -642,7 +642,7 @@ mod tests {
         let mut cfg = crate::SystemConfig::baseline(cloudmc_workloads::Workload::TpchQ6);
         cfg.warmup_cpu_cycles = 2_000;
         cfg.measure_cpu_cycles = 10_000;
-        let run = crate::Simulator::new(cfg).unwrap().run();
+        let run = crate::Simulator::new(cfg).unwrap().try_run().unwrap();
         assert_eq!(SimStats::from_json(&run.to_json()).as_ref(), Some(&run));
 
         let json = run.to_json();

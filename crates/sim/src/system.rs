@@ -98,8 +98,9 @@ impl TelemetryState {
 /// let mut cfg = SystemConfig::baseline(Workload::WebSearch);
 /// cfg.warmup_cpu_cycles = 5_000;
 /// cfg.measure_cpu_cycles = 20_000;
-/// let stats = Simulator::new(cfg).unwrap().run();
+/// let stats = Simulator::new(cfg)?.try_run()?;
 /// assert!(stats.user_ipc() > 0.0);
+/// # Ok::<(), cloudmc_sim::SimError>(())
 /// ```
 #[derive(Debug)]
 pub struct System {
@@ -127,7 +128,7 @@ pub struct System {
     /// `Instant::now` without chasing the telemetry pointer.
     profile: bool,
     /// Driven by the per-cycle reference loop instead of the event kernel.
-    /// Fixed at construction ([`System::reference`]): the two drivers keep
+    /// Fixed at construction ([`Simulator::reference`]): the two drivers keep
     /// different bookkeeping (the reference loop never maintains the lazy
     /// frontend cursors or the controller's per-channel due bounds), so a
     /// system is bound to one of them for life.
@@ -139,26 +140,16 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem if the configuration is invalid.
-    pub fn new(cfg: SystemConfig) -> Result<Self, String> {
+    /// Returns [`SimError::Config`] if the configuration is invalid, and
+    /// [`SimError::Trace`] if the replay trace cannot be opened or the
+    /// capture sink cannot be created.
+    pub fn new(cfg: SystemConfig) -> Result<Self, SimError> {
         Self::build(cfg, false)
     }
 
-    /// Builds the system described by `cfg`, driven by the per-cycle
-    /// reference loop: every CPU cycle ticks every core and every owed DRAM
-    /// cycle ticks every channel, nothing is ever skipped. It is the oracle
-    /// the equivalence tests (and `repro fastforward`) hold the event kernel
-    /// bit-identical to, several times slower, and cannot be checkpointed
-    /// ([`System::snapshot`] is a typed error).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem if the configuration is invalid.
-    pub fn reference(cfg: SystemConfig) -> Result<Self, String> {
-        Self::build(cfg, true)
-    }
-
-    fn build(cfg: SystemConfig, reference: bool) -> Result<Self, String> {
+    /// Builds the system described by `cfg`, driven by the event kernel or,
+    /// with `reference`, by the per-cycle loop ([`Simulator::reference`]).
+    fn build(cfg: SystemConfig, reference: bool) -> Result<Self, SimError> {
         cfg.validate()?;
         let backend = Backend::new(&cfg)?;
         let mut frontend = Frontend::new(&cfg)?;
@@ -244,29 +235,6 @@ impl System {
     #[must_use]
     pub fn l2_stats(&self) -> cloudmc_cpu::CacheStats {
         self.frontend.l2_stats()
-    }
-
-    /// Finishes the run's trace I/O: surfaces any replay error deferred
-    /// mid-run, then flushes the capture sink of
-    /// [`SystemConfig::trace_record`] (if any) and returns the number of
-    /// records written (`Ok(None)` when the run was not recording). Must be
-    /// called before a recorded file is replayed — dropping the system
-    /// instead leaves the tail of the trace to `Drop`, which swallows write
-    /// errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first replay read/parse error, the first capture write
-    /// error, or the final capture flush error.
-    pub fn finish_trace(&mut self) -> Result<Option<u64>, String> {
-        self.frontend.finish_trace()
-    }
-
-    /// Whether the cores replay a recorded trace instead of the synthetic
-    /// generators.
-    #[must_use]
-    pub fn is_replaying(&self) -> bool {
-        self.frontend.is_replaying()
     }
 
     /// Controller statistics accumulated since reset, merged over all
@@ -377,7 +345,7 @@ impl System {
     /// Advances the whole system by one CPU cycle: the body of the per-cycle
     /// reference loop. Private because it drives the eager frontend and the
     /// every-channel backend tick, which do not maintain the event kernel's
-    /// cursors — only [`System::reference`] systems may run it.
+    /// cursors — only [`Simulator::reference`] systems may run it.
     fn step(&mut self) {
         let now_cpu = self.clock.cpu_cycle();
         let t0 = self.prof_start();
@@ -542,7 +510,7 @@ impl System {
     /// Runs `cycles` CPU cycles on the driver the system was built with: the
     /// event kernel ([`System::new`]), which jumps over every stretch of
     /// cycles no layer can act in, or the per-cycle reference loop
-    /// ([`System::reference`]). The two are bit-identical in every statistic
+    /// ([`Simulator::reference`]). The two are bit-identical in every statistic
     /// (`tests/fast_forward_equivalence.rs` holds them to that).
     pub fn run_cycles(&mut self, cycles: u64) {
         let t0 = self.prof_start();
@@ -577,7 +545,7 @@ impl System {
     /// Why this system cannot be checkpointed right now, if it cannot:
     /// attached trace taps, a deferred run-ahead op or an active telemetry
     /// sink hold state the snapshot format does not capture, and a
-    /// [`System::reference`] system never maintains part of what the image
+    /// [`Simulator::reference`] system never maintains part of what the image
     /// carries. `None` means [`System::snapshot`] will succeed.
     #[must_use]
     pub fn snapshot_unsupported_reason(&self) -> Option<&'static str> {
@@ -606,7 +574,7 @@ impl System {
     /// Returns [`SimError::Snapshot`] if the system holds state the format
     /// cannot capture: a trace replay source or capture sink, or an active
     /// telemetry sink — or if it is driven by the reference loop
-    /// ([`System::reference`]).
+    /// ([`Simulator::reference`]).
     pub fn snapshot(&self) -> Result<Snapshot, SimError> {
         if let Some(reason) = self.snapshot_unsupported_reason() {
             return Err(SimError::Snapshot(format!(
@@ -624,14 +592,14 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] if `cfg` fails validation, and
+    /// Returns the errors of [`System::new`], and
     /// [`SimError::Snapshot`] if the image was produced under a different
     /// configuration (fingerprint mismatch), is truncated or corrupted
     /// (checksum or per-field validation failure naming the section and byte
     /// offset), or `cfg` requires unsupported snapshot features.
     pub fn restore(cfg: SystemConfig, snapshot: &Snapshot) -> Result<Self, SimError> {
         let fingerprint = config_fingerprint(&cfg);
-        let mut system = Self::new(cfg).map_err(SimError::Config)?;
+        let mut system = Self::new(cfg)?;
         if let Some(reason) = system.snapshot_unsupported_reason() {
             return Err(SimError::Snapshot(format!(
                 "cannot restore a system with {reason}"
@@ -1029,23 +997,24 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] if the configuration is invalid.
+    /// Exactly the errors of [`System::new`].
     pub fn new(cfg: SystemConfig) -> Result<Self, SimError> {
         Ok(Self {
-            system: System::new(cfg).map_err(SimError::Config)?,
+            system: System::new(cfg)?,
         })
     }
 
-    /// Builds the simulator for `cfg` on the per-cycle reference loop
-    /// instead of the event kernel: the test oracle, see
-    /// [`System::reference`].
+    /// Builds the simulator for `cfg` on the per-cycle reference loop, which
+    /// ticks every core and channel on every cycle: the oracle the
+    /// equivalence tests (and `repro fastforward`) hold the event kernel
+    /// bit-identical to. It cannot be checkpointed ([`System::snapshot`]).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] if the configuration is invalid.
+    /// Exactly the errors of [`System::new`].
     pub fn reference(cfg: SystemConfig) -> Result<Self, SimError> {
         Ok(Self {
-            system: System::reference(cfg).map_err(SimError::Config)?,
+            system: System::build(cfg, true)?,
         })
     }
 
@@ -1094,7 +1063,7 @@ impl Simulator {
         let measure = self.system.cfg.measure_cpu_cycles;
         let baseline = self.system.counter_baseline();
         self.system.run_cycles(measure);
-        self.system.finish_trace().map_err(SimError::Trace)?;
+        self.system.frontend.finish_trace()?;
         self.system.finish_telemetry()?;
         let stats = self.system.stats_since(&baseline);
         if let Some(msg) = self.system.backend.fault_error() {
@@ -1116,25 +1085,6 @@ impl Simulator {
         })
     }
 
-    /// [`Simulator::try_run`], panicking on any [`SimError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replay trace or the capture sink failed mid-run, or if
-    /// a fail-stop uncorrectable memory error was latched; use
-    /// [`Simulator::try_run`] (or [`run_system`]) to handle those as errors.
-    #[must_use]
-    pub fn run(self) -> SimStats {
-        match self.try_run() {
-            Ok(stats) => stats,
-            #[expect(
-                clippy::panic,
-                reason = "documented: run() panics, try_run() is the typed path"
-            )]
-            Err(err) => panic!("simulation failed: {err}"),
-        }
-    }
-
     /// Access to the underlying system (e.g. to inspect state mid-run).
     #[must_use]
     pub fn system(&self) -> &System {
@@ -1147,18 +1097,13 @@ impl Simulator {
     }
 }
 
-/// Convenience: run one workload under one controller configuration.
-///
-/// Kept at `Result<_, String>` for existing harness callers; the typed
-/// error is available through [`Simulator::try_run`].
+/// Convenience: [`Simulator::new`] then [`Simulator::try_run`].
 ///
 /// # Errors
 ///
-/// Returns a description of the problem if the configuration is invalid,
-/// the run's trace I/O (replay source or capture sink) failed, or a
-/// fail-stop uncorrectable memory error was latched.
-pub fn run_system(cfg: SystemConfig) -> Result<SimStats, String> {
-    Ok(Simulator::new(cfg)?.try_run()?)
+/// Exactly the errors of those two.
+pub fn run_system(cfg: SystemConfig) -> Result<SimStats, SimError> {
+    Simulator::new(cfg)?.try_run()
 }
 
 snap_fields! {

@@ -12,10 +12,10 @@
 //! ```
 
 use cloudmc::memctrl::AddressMapping;
-use cloudmc::sim::{run_system, SimStats, SystemConfig};
+use cloudmc::sim::{run_system, SimError, SimStats, SystemConfig};
 use cloudmc::workloads::{Category, Workload};
 
-fn run(workload: Workload, channels: usize, mapping: AddressMapping) -> Result<SimStats, String> {
+fn run(workload: Workload, channels: usize, mapping: AddressMapping) -> Result<SimStats, SimError> {
     let mut config = SystemConfig::baseline(workload);
     config.warmup_cpu_cycles = 80_000;
     config.measure_cpu_cycles = 300_000;

@@ -16,7 +16,7 @@ fn main() -> Result<(), String> {
     config.warmup_cpu_cycles = 100_000;
     config.measure_cpu_cycles = 400_000;
 
-    let stats = Simulator::new(config)?.run();
+    let stats = Simulator::new(config)?.try_run()?;
 
     println!("workload            : {}", stats.workload);
     println!("scheduler           : {}", stats.scheduler);

@@ -141,7 +141,8 @@ fn zero_intensity_spec_runs_end_to_end() {
     cfg.validate().expect("zero-rate spec must validate");
     let reference = Simulator::reference(cfg.clone())
         .expect("valid config")
-        .run();
+        .try_run()
+        .unwrap();
     for stats in [run(cfg), reference] {
         // Nearly every cycle commits a compute instruction on every core:
         // the only stalls possible come from the (rare) residual data events

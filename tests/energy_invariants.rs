@@ -46,7 +46,7 @@ fn energy_is_bit_identical_across_all_schedulers_and_page_policies() {
             cfg.mc.page_policy = page;
             cfg.mc.power_policy = PowerPolicyKind::IdleTimer;
             let fast = run_system(cfg.clone()).unwrap();
-            let reference = Simulator::reference(cfg).unwrap().run();
+            let reference = Simulator::reference(cfg).unwrap().try_run().unwrap();
             assert_eq!(
                 fast.dram_energy_mj.to_bits(),
                 reference.dram_energy_mj.to_bits(),

@@ -28,7 +28,8 @@ fn small(workload: Workload, seed: u64) -> SystemConfig {
 fn assert_equivalent(cfg: SystemConfig, label: &str) -> SimStats {
     let reference = Simulator::reference(cfg.clone())
         .expect("valid config")
-        .run();
+        .try_run()
+        .unwrap();
     let event = run_system(cfg).expect("valid config");
     assert_eq!(
         event, reference,

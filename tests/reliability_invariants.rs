@@ -81,7 +81,8 @@ fn disabled_fault_model_is_invisible_and_kernel_invariant() {
 
         let reference = Simulator::reference(cfg.clone())
             .expect("valid config")
-            .run();
+            .try_run()
+            .unwrap();
         let event = run_system(cfg).expect("valid config");
         assert_eq!(event, reference, "{scheduler:?}: event kernel diverged");
 
@@ -103,8 +104,8 @@ fn disabled_fault_model_is_invisible_and_kernel_invariant() {
 
 /// Under the fail-stop policy an uncorrectable error surfaces as
 /// `SimError::Uncorrectable` from `try_run` — a typed error naming the
-/// failing coordinates, never a panic — and `run_system` renders it as a
-/// string for legacy callers.
+/// failing coordinates, never a panic — and `run_system` returns the same
+/// error.
 #[test]
 fn fail_stop_surfaces_a_typed_error_never_a_panic() {
     let mut fc = noisy_fault(1);
@@ -127,9 +128,7 @@ fn fail_stop_surfaces_a_typed_error_never_a_panic() {
         }
         other => panic!("expected Uncorrectable, got {other:?}"),
     }
-    let message = run_system(cfg).expect_err("fail-stop must error via run_system too");
-    assert!(message.contains("fail-stop"), "{message}");
-    assert!(message.contains("uncorrectable memory error"), "{message}");
+    assert_eq!(run_system(cfg), Err(err));
 }
 
 /// Under poison-and-continue the same error stream completes the run with
@@ -176,7 +175,8 @@ fn scrub_traffic_is_real_and_fault_runs_stay_kernel_invariant() {
 
         let reference = Simulator::reference(cfg.clone())
             .expect("valid config")
-            .run();
+            .try_run()
+            .unwrap();
         let event = run_system(cfg).expect("valid config");
         assert_eq!(
             event, reference,

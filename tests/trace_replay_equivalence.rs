@@ -11,12 +11,20 @@
 
 use std::path::PathBuf;
 
-use cloudmc::sim::{run_system, SimStats, Simulator, SystemConfig, WorkloadSource};
+use cloudmc::sim::{run_system, SimError, SimStats, Simulator, SystemConfig, WorkloadSource};
 use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
 
 /// A collision-free scratch path for one test's trace file.
 fn temp_trace(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cloudmc_{name}_{}.trace", std::process::id()))
+}
+
+/// The message of the [`SimError::Trace`] that running `cfg` fails with.
+fn trace_error(cfg: SystemConfig) -> String {
+    match run_system(cfg) {
+        Err(SimError::Trace(msg)) => msg,
+        other => panic!("expected a trace error, got {other:?}"),
+    }
 }
 
 fn small(workload: Workload, seed: u64) -> SystemConfig {
@@ -52,7 +60,8 @@ fn assert_record_replay_equivalent(cfg: &SystemConfig, name: &str) -> SimStats {
             "reference",
             Simulator::reference(replay_cfg)
                 .expect("valid config")
-                .run(),
+                .try_run()
+                .unwrap(),
         ),
     ] {
         assert_eq!(
@@ -116,7 +125,10 @@ fn recording_is_pure_observation_and_fast_forward_invariant() {
     let path_naive = temp_trace("record_ff_off");
     let mut naive = cfg.clone();
     naive.trace_record = Some(path_naive.clone());
-    let recorded_naive = Simulator::reference(naive).expect("valid config").run();
+    let recorded_naive = Simulator::reference(naive)
+        .expect("valid config")
+        .try_run()
+        .unwrap();
     assert_eq!(plain, recorded_naive);
 
     let bytes_fast = std::fs::read(&path_fast).unwrap();
@@ -184,7 +196,7 @@ fn out_of_range_core_in_trace_fails_with_clear_message() {
     std::fs::write(&path, "0 C 5\n99 L 0x4f00 1\n").unwrap();
     let mut cfg = small(Workload::WebSearch, 1);
     cfg.source = WorkloadSource::Trace(path.clone());
-    let message = run_system(cfg).expect_err("replay of a mis-bound trace must fail");
+    let message = trace_error(cfg);
     assert!(message.contains("core 99"), "{message}");
     assert!(message.contains("16 cores"), "{message}");
     assert!(message.contains("line 2"), "{message}");
@@ -201,7 +213,7 @@ fn malformed_trace_and_aliased_record_path_fail_as_errors() {
     std::fs::write(&path, "0 C 5\n0 L zz 0\n").unwrap();
     let mut cfg = small(Workload::WebSearch, 1);
     cfg.source = WorkloadSource::Trace(path.clone());
-    let message = run_system(cfg).expect_err("malformed trace must fail");
+    let message = trace_error(cfg);
     assert!(message.contains("line 2"), "{message}");
     assert!(message.contains("bad address"), "{message}");
 
@@ -215,12 +227,58 @@ fn malformed_trace_and_aliased_record_path_fail_as_errors() {
         let mut aliased = small(Workload::WebSearch, 1);
         aliased.source = WorkloadSource::Trace(path.clone());
         aliased.trace_record = Some(link.clone());
-        let message = run_system(aliased).expect_err("recording over the replay source must fail");
-        assert!(message.contains("aliases"), "{message}");
+        match run_system(aliased) {
+            Err(SimError::Config(msg)) => assert!(msg.contains("aliases"), "{msg}"),
+            other => {
+                panic!("recording over the replay source: expected a config error, got {other:?}")
+            }
+        }
         // The replay input survived the attempt.
         assert!(std::fs::metadata(&path).unwrap().len() > 0);
         std::fs::remove_file(&link).ok();
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Trace I/O that fails while the system is built keeps its variant: a
+/// replay file that cannot be opened and a record sink that cannot be
+/// created are [`SimError::Trace`], a record path that resolves to the
+/// replay source is [`SimError::Config`].
+#[test]
+fn build_time_trace_failures_keep_their_variant() {
+    let missing_dir =
+        std::env::temp_dir().join(format!("cloudmc_no_such_dir_{}", std::process::id()));
+    let mut unopenable = small(Workload::WebSearch, 1);
+    unopenable.source = WorkloadSource::Trace(missing_dir.join("in.trace"));
+    match Simulator::new(unopenable) {
+        Err(SimError::Trace(msg)) => assert!(msg.contains("in.trace"), "{msg}"),
+        other => panic!("unopenable replay file: expected a trace error, got {other:?}"),
+    }
+    let mut uncreatable = small(Workload::WebSearch, 1);
+    uncreatable.trace_record = Some(missing_dir.join("out.trace"));
+    match Simulator::new(uncreatable) {
+        Err(SimError::Trace(msg)) => assert!(msg.contains("out.trace"), "{msg}"),
+        other => panic!("uncreatable record sink: expected a trace error, got {other:?}"),
+    }
+
+    // `<tmp>/../<tmp name>/x` differs from `<tmp>/x` lexically, so only the
+    // build's canonical comparison sees that it is the same file.
+    let path = temp_trace("aliased_build");
+    std::fs::write(&path, "0 C 5\n").unwrap();
+    let tmp = std::env::temp_dir();
+    let alias = tmp
+        .join("..")
+        .join(tmp.file_name().unwrap())
+        .join(path.file_name().unwrap());
+    let mut aliased = small(Workload::WebSearch, 1);
+    aliased.source = WorkloadSource::Trace(path.clone());
+    aliased.trace_record = Some(alias);
+    aliased.validate().unwrap();
+    match Simulator::new(aliased) {
+        Err(SimError::Config(msg)) => assert!(msg.contains("aliases"), "{msg}"),
+        other => panic!("aliased record path: expected a config error, got {other:?}"),
+    }
+    assert!(std::fs::metadata(&path).unwrap().len() > 0);
     std::fs::remove_file(&path).ok();
 }
 
@@ -233,7 +291,7 @@ fn truncated_trace_fails_with_line_numbered_error() {
     std::fs::write(&path, "0 C 5\n0 L 4f00\n").unwrap();
     let mut cfg = small(Workload::WebSearch, 1);
     cfg.source = WorkloadSource::Trace(path.clone());
-    let message = run_system(cfg).expect_err("truncated trace must fail");
+    let message = trace_error(cfg);
     assert!(message.contains("line 2"), "{message}");
     assert!(message.contains("truncated record"), "{message}");
     std::fs::remove_file(&path).ok();
