@@ -3,7 +3,7 @@
 
 use std::ops::Range;
 
-use cloudmc_snap::snap_fields;
+use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,6 +17,11 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// Largest line count (`size_bytes / block_bytes`) that validates: the
+    /// line array is allocated at construction, so it is bounded before
+    /// anything is sized. At 64 B blocks this is a 64 MiB cache.
+    pub const MAX_LINES: u64 = 1 << 20;
+
     /// 32 KB, 2-way, 64 B blocks: the paper's L1 configuration (Table 2).
     #[must_use]
     pub fn l1_baseline() -> Self {
@@ -49,7 +54,8 @@ impl CacheConfig {
     ///
     /// Returns a description naming the offending field and its value when
     /// a dimension is zero, the capacity is not divisible into whole sets,
-    /// or the set count is not a power of two.
+    /// the set count is not a power of two, or the cache holds more than
+    /// [`CacheConfig::MAX_LINES`] lines.
     pub fn validate(&self) -> Result<(), String> {
         if self.size_bytes == 0 || self.associativity == 0 || !self.block_bytes.is_power_of_two() {
             return Err(format!(
@@ -66,6 +72,15 @@ impl CacheConfig {
         }
         if !self.sets().is_power_of_two() {
             return Err(format!("set count {} must be a power of two", self.sets()));
+        }
+        let lines = self.size_bytes / self.block_bytes;
+        if lines > Self::MAX_LINES {
+            return Err(format!(
+                "size_bytes ({}) holds {lines} lines of block_bytes ({}), above {}",
+                self.size_bytes,
+                self.block_bytes,
+                Self::MAX_LINES
+            ));
         }
         Ok(())
     }
@@ -306,23 +321,84 @@ impl Cache {
 }
 
 snap_fields! {
-    Line {
-        saved: { tag, valid, dirty, last_use },
-        skipped: {},
-    }
-}
-
-snap_fields! {
     CacheStats {
         saved: { hits, misses, writebacks },
         skipped: {},
     }
 }
 
-snap_fields! {
-    Cache {
-        saved: { lines: fixed, stats, tick },
-        skipped: { geometry: "config-derived" },
+/// Bytes of one [`Line`] in the image: `tag` u64 LE, `valid` u8, `dirty`
+/// u8, `last_use` u64 LE.
+const LINE_BYTES: usize = 18;
+
+fn encode_line(line: &Line) -> [u8; LINE_BYTES] {
+    let mut record = [0; LINE_BYTES];
+    record[..8].copy_from_slice(&line.tag.to_le_bytes());
+    record[8] = u8::from(line.valid);
+    record[9] = u8::from(line.dirty);
+    record[10..].copy_from_slice(&line.last_use.to_le_bytes());
+    record
+}
+
+/// The line array is the bulk of every image, so it travels as one run of
+/// 18-byte records behind a length prefix that must equal the receiver's
+/// line count; each flag byte is checked where it sits.
+impl Snap for Cache {
+    const MIN_BYTES: usize = 8 + CacheStats::MIN_BYTES + u64::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            geometry: _, // config-derived
+            lines,
+            stats,
+            tick,
+        } = self;
+        w.usize(lines.len());
+        let (records, _) = w
+            .bytes(lines.len() * LINE_BYTES)
+            .as_chunks_mut::<LINE_BYTES>();
+        for (record, line) in records.iter_mut().zip(lines) {
+            *record = encode_line(line);
+        }
+        stats.save(w);
+        tick.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Self {
+            geometry: _,
+            lines,
+            stats,
+            tick,
+        } = self;
+        let stored = r.usize()?;
+        if stored != lines.len() {
+            return Err(r.bad_value(format!(
+                "{stored} lines stored, the configuration fixes {}",
+                lines.len()
+            )));
+        }
+        let start = r.offset();
+        let (records, _) = r.bytes(lines.len() * LINE_BYTES)?.as_chunks::<LINE_BYTES>();
+        for (k, (line, record)) in lines.iter_mut().zip(records).enumerate() {
+            let (valid, dirty) = (record[8], record[9]);
+            if (valid | dirty) > 1 {
+                // Off the hot path: name the bad byte as `SnapReader::bool`
+                // would have.
+                let at = start + k * LINE_BYTES;
+                r.decode_bool(valid, at + 8)?;
+                r.decode_bool(dirty, at + 9)?;
+            }
+            let word = |from: usize| u64::from_le_bytes(std::array::from_fn(|i| record[from + i]));
+            *line = Line {
+                tag: word(0),
+                valid: valid == 1,
+                dirty: dirty == 1,
+                last_use: word(10),
+            };
+        }
+        stats.load(r)?;
+        tick.load(r)
     }
 }
 
@@ -455,8 +531,10 @@ mod tests {
         set0_eviction_order: Vec<u64>,
     }
 
-    fn record(config: CacheConfig, accesses: usize, span_blocks: u64) -> Recording {
-        let mut cache = Cache::new(config);
+    /// Drives the fixed pseudo-random access stream through `cache`,
+    /// returning the outcome hash and the first victim write-backs.
+    fn stream(cache: &mut Cache, accesses: usize, span_blocks: u64) -> (u64, Vec<(usize, u64)>) {
+        let block_bytes = cache.config().block_bytes;
         let mut lcg = 0x9E37_79B9_7F4A_7C15u64;
         let mut outcome_hash = 0xcbf2_9ce4_8422_2325u64;
         let mut first_writebacks = Vec::new();
@@ -464,7 +542,7 @@ mod tests {
             lcg = lcg
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            let addr = ((lcg >> 33) % span_blocks) * config.block_bytes + (lcg >> 20) % 64;
+            let addr = ((lcg >> 33) % span_blocks) * block_bytes + (lcg >> 20) % 64;
             let outcome = cache.access(addr, (lcg >> 12) % 10 < 4);
             for word in [
                 u64::from(outcome.hit),
@@ -478,6 +556,12 @@ mod tests {
                 }
             }
         }
+        (outcome_hash, first_writebacks)
+    }
+
+    fn record(config: CacheConfig, accesses: usize, span_blocks: u64) -> Recording {
+        let mut cache = Cache::new(config);
+        let (outcome_hash, first_writebacks) = stream(&mut cache, accesses, span_blocks);
         let stats = *cache.stats();
         // Blocks `k * sets` all map to set 0; the stream touched those below
         // `span_blocks`, the fresh ones start above it.
@@ -549,5 +633,139 @@ mod tests {
             },
             "16-way L2 bank geometry"
         );
+    }
+
+    /// Both geometries after the recorded stream: an L1 with every line
+    /// touched and an L2 bank with a mix of clean, dirty and empty lines.
+    fn streamed_caches() -> [Cache; 2] {
+        [
+            (CacheConfig::l1_baseline(), 6_000, 2_048),
+            (CacheConfig::l2_bank_baseline(), 60_000, 40_960),
+        ]
+        .map(|(config, accesses, span_blocks)| {
+            let mut cache = Cache::new(config);
+            stream(&mut cache, accesses, span_blocks);
+            cache
+        })
+    }
+
+    fn sealed(body: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+        let mut w = SnapWriter::new(0);
+        body(&mut w);
+        w.finish()
+    }
+
+    fn reseal(image: &mut [u8]) {
+        let body_end = image.len() - 8;
+        let sum = cloudmc_snap::checksum(&image[..body_end]);
+        image[body_end..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    fn load_into(config: CacheConfig, image: &[u8]) -> Result<Cache, SnapError> {
+        let mut cache = Cache::new(config);
+        let mut r = SnapReader::new(image, 0)?;
+        cache.load(&mut r)?;
+        r.finish()?;
+        Ok(cache)
+    }
+
+    /// Image offset of line `k`'s record: envelope, then the length prefix.
+    fn record_at(k: usize) -> usize {
+        20 + 8 + k * LINE_BYTES
+    }
+
+    /// The bulk run is byte for byte the field-by-field encoding, and it
+    /// loads back into a cache that continues identically.
+    #[test]
+    fn bulk_lines_equal_the_field_by_field_encoding() {
+        for cache in streamed_caches() {
+            let fields = sealed(|w| {
+                w.usize(cache.lines.len());
+                for line in &cache.lines {
+                    w.u64(line.tag);
+                    w.bool(line.valid);
+                    w.bool(line.dirty);
+                    w.u64(line.last_use);
+                }
+                cache.stats.save(w);
+                w.u64(cache.tick);
+            });
+            assert_eq!(sealed(|w| cache.save(w)), fields);
+            let mut restored = load_into(cache.geometry.config, &fields).unwrap();
+            assert_eq!(restored.lines, cache.lines);
+            assert_eq!((restored.stats, restored.tick), (cache.stats, cache.tick));
+            let mut original = cache;
+            for addr in (0..4_096u64).map(|i| i * 4_160) {
+                assert_eq!(
+                    restored.access(addr, addr % 3 == 0),
+                    original.access(addr, addr % 3 == 0)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_flag_byte_out_of_range_names_its_offset() {
+        for cache in streamed_caches() {
+            let config = cache.geometry.config;
+            let image = sealed(|w| cache.save(w));
+            let last = cache.lines.len() - 1;
+            for k in [0, last / 2, last] {
+                for (flag, name) in [(8, "valid"), (9, "dirty")] {
+                    let offset = record_at(k) + flag;
+                    let mut bad = image.clone();
+                    bad[offset] = 2;
+                    reseal(&mut bad);
+                    match load_into(config, &bad) {
+                        Err(SnapError::BadValue { offset: at, .. }) => {
+                            assert_eq!(at, offset, "{name} of line {k}");
+                        }
+                        other => panic!("{name} of line {k}: expected BadValue, got {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_line_count_must_equal_the_receivers() {
+        for cache in streamed_caches() {
+            let config = cache.geometry.config;
+            let image = sealed(|w| cache.save(w));
+            let lines = cache.lines.len() as u64;
+            for stored in [0, lines - 1, lines + 1, u64::MAX] {
+                let mut bad = image.clone();
+                bad[20..28].copy_from_slice(&stored.to_le_bytes());
+                reseal(&mut bad);
+                assert!(
+                    matches!(
+                        load_into(config, &bad),
+                        Err(SnapError::BadValue { offset: 28, .. })
+                    ),
+                    "{stored} lines stored"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_lines_cut_mid_run_are_truncated() {
+        for cache in streamed_caches() {
+            let config = cache.geometry.config;
+            let run: Vec<u8> = cache.lines.iter().flat_map(encode_line).collect();
+            for cut in [run.len() / 2, run.len() / 2 + 9, run.len() - 1] {
+                let image = sealed(|w| {
+                    w.usize(cache.lines.len());
+                    w.bytes(cut).copy_from_slice(&run[..cut]);
+                });
+                assert!(
+                    matches!(
+                        load_into(config, &image),
+                        Err(SnapError::Truncated { offset: 28, .. })
+                    ),
+                    "run cut to {cut} bytes"
+                );
+            }
+        }
     }
 }

@@ -21,6 +21,10 @@ pub struct L2Config {
 }
 
 impl L2Config {
+    /// Largest bank count that validates: one [`Cache`] per bank is built at
+    /// construction, so the count is bounded before anything is sized.
+    pub const MAX_BANKS: usize = 64;
+
     /// The paper's 4 MB, 16-way, 4-bank shared L2 behind a 16x4 crossbar.
     #[must_use]
     pub fn baseline() -> Self {
@@ -48,16 +52,17 @@ impl L2Config {
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem for a zero or non-power-of-two
-    /// bank count, or an invalid bank geometry.
+    /// Returns a description of the problem for a bank count that is not a
+    /// power of two in `1..=MAX_BANKS`, or an invalid bank geometry.
     pub fn validate(&self) -> Result<(), String> {
-        if self.banks == 0 || !self.banks.is_power_of_two() {
+        if !self.banks.is_power_of_two() || self.banks > Self::MAX_BANKS {
             return Err(format!(
-                "bank count {} must be a non-zero power of two",
-                self.banks
+                "banks ({}) must be a power of two in 1..={}",
+                self.banks,
+                Self::MAX_BANKS
             ));
         }
-        self.bank.validate()
+        self.bank.validate().map_err(|e| format!("bank: {e}"))
     }
 }
 

@@ -251,6 +251,7 @@ pub(crate) fn invalid(field: &'static str) -> impl FnOnce(String) -> SimError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudmc_cpu::CacheConfig;
     use cloudmc_dram::DramConfig;
     use cloudmc_memctrl::AtlasConfig;
 
@@ -333,14 +334,14 @@ mod tests {
 
     /// Fields that size allocations made at construction are bounded first:
     /// 512 ranks or banks overflowed the 8-bit rank/bank field of a queue
-    /// key, and `1 << 40` ranks, queue slots or MSHR entries aborted on the
-    /// allocation. The core rows (an L1 geometry that does not divide into
+    /// key, and `1 << 40` ranks, queue slots, MSHR entries or cache bytes
+    /// and `1 << 36` L2 banks aborted on the allocation. The core rows (an L1 geometry that does not divide into
     /// sets, unequal L1 block sizes, an empty MSHR file, a solo tenant over
     /// the 64-core bound) passed validation and then panicked in the build.
     #[test]
     fn validate_bounds_bank_count_and_queue_capacity() {
         type Set = fn(&mut SystemConfig, usize);
-        let cases: [(&str, usize, Set); 11] = [
+        let cases: [(&str, usize, Set); 14] = [
             ("ranks_per_channel", 512, |c, v| {
                 c.mc.dram.ranks_per_channel = v
             }),
@@ -366,6 +367,13 @@ mod tests {
                 c.core.max_outstanding_misses = v;
             }),
             ("cores", 65, |c, v| c.workload.cores = v),
+            ("l1d: size_bytes", 1 << 40, |c, v| {
+                c.core.l1d.size_bytes = v as u64;
+            }),
+            ("l2: bank: size_bytes", 1 << 40, |c, v| {
+                c.l2.bank.size_bytes = v as u64;
+            }),
+            ("l2: banks", 1 << 36, |c, v| c.l2.banks = v),
         ];
         for (field, value, set) in cases {
             let mut cfg = SystemConfig::baseline(Workload::WebSearch);
@@ -388,6 +396,11 @@ mod tests {
         cfg.mc.write_queue_capacity = McConfig::MAX_QUEUE_CAPACITY;
         cfg.core.max_outstanding_misses = CoreConfig::MAX_OUTSTANDING_MISSES;
         cfg.workload.cores = 64;
+        let max_lines_bytes = CacheConfig::MAX_LINES * 64;
+        cfg.core.l1i.size_bytes = max_lines_bytes;
+        cfg.core.l1d.size_bytes = max_lines_bytes;
+        cfg.l2.bank.size_bytes = max_lines_bytes;
+        cfg.l2.banks = L2Config::MAX_BANKS;
         cfg.validate().unwrap();
     }
 

@@ -652,7 +652,7 @@ mod tests {
             .collect();
         golden[8..12].copy_from_slice(&cloudmc_snap::FORMAT_VERSION.to_le_bytes());
         let body_end = golden.len() - 8;
-        let checksum = cloudmc_snap::fnv1a(&golden[..body_end]);
+        let checksum = cloudmc_snap::checksum(&golden[..body_end]);
         golden[body_end..].copy_from_slice(&checksum.to_le_bytes());
         let mut q = scripted_fill_queue();
         assert_eq!(sealed_image(|w| q.save(w)), golden);

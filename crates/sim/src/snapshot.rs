@@ -8,7 +8,8 @@
 //! state, DRAM bank timing and power states, the fault-injection ledger, and
 //! all statistics counters — but none of the state that is a pure function of
 //! the configuration (geometries, timing tables). Restoring
-//! therefore means: build a fresh [`System`] from the configuration, then
+//! therefore means: build a fresh [`System`] from the configuration (without
+//! the functional prewarm, whose cache contents the image carries), then
 //! overlay the saved mutable state. Which fields are which is declared once
 //! per type, next to the struct, in [`cloudmc_snap::snap_fields!`]: the saved
 //! fields in wire order and the skipped ones each with its reason; the
@@ -27,10 +28,11 @@
 //!
 //! ```text
 //! magic "CMCSNAP1" | format version u32 | config fingerprint u64
-//!   | body (tagged sections) | FNV-1a checksum u64 over all prior bytes
+//!   | body (tagged sections) | checksum u64 over all prior bytes
 //! ```
 //!
-//! The config fingerprint is an FNV-1a hash of the [`SystemConfig`]'s `Debug`
+//! The checksum is [`cloudmc_snap::checksum`], four word-parallel lanes. The
+//! config fingerprint is an FNV-1a hash of the [`SystemConfig`]'s `Debug`
 //! rendering; restoring under any differing configuration fails with a typed
 //! [`SimError::Snapshot`] before a single body byte is parsed, as do
 //! truncation and corruption (checksum first, then per-field bounds checks

@@ -144,18 +144,17 @@ impl System {
     /// [`SimError::Trace`] if the replay trace cannot be opened or the
     /// capture sink cannot be created.
     pub fn new(cfg: SystemConfig) -> Result<Self, SimError> {
-        Self::build(cfg, false)
+        Self::build(cfg, false).map(Self::prewarmed)
     }
 
     /// Builds the system described by `cfg`, driven by the event kernel or,
-    /// with `reference`, by the per-cycle loop ([`Simulator::reference`]).
+    /// with `reference`, by the per-cycle loop ([`Simulator::reference`]),
+    /// without the functional prewarm: [`System::restore`] overwrites every
+    /// line it would install.
     fn build(cfg: SystemConfig, reference: bool) -> Result<Self, SimError> {
         cfg.validate()?;
         let backend = Backend::new(&cfg)?;
-        let mut frontend = Frontend::new(&cfg)?;
-        if cfg.functional_warmup {
-            frontend.prewarm();
-        }
+        let frontend = Frontend::new(&cfg)?;
         let mut system = Self {
             frontend,
             backend,
@@ -181,6 +180,16 @@ impl System {
             )));
         }
         Ok(system)
+    }
+
+    /// Runs the functional prewarm if `cfg.functional_warmup` asks for it.
+    /// It touches only the caches (lines, counters, LRU clocks), none of
+    /// which the telemetry baseline reads.
+    fn prewarmed(mut self) -> Self {
+        if self.cfg.functional_warmup {
+            self.frontend.prewarm();
+        }
+        self
     }
 
     /// The configuration in effect.
@@ -588,7 +597,9 @@ impl System {
 
     /// Builds a fresh system from `cfg` and overlays the mutable state saved
     /// in `snapshot`. The restored system continues bit-identically to the
-    /// one that produced the image — same statistics, same event order.
+    /// one that produced the image — same statistics, same event order. The
+    /// build skips the functional prewarm: the image carries every cache
+    /// line, counter and LRU clock it would have set.
     ///
     /// # Errors
     ///
@@ -599,7 +610,7 @@ impl System {
     /// offset), or `cfg` requires unsupported snapshot features.
     pub fn restore(cfg: SystemConfig, snapshot: &Snapshot) -> Result<Self, SimError> {
         let fingerprint = config_fingerprint(&cfg);
-        let mut system = Self::new(cfg)?;
+        let mut system = Self::build(cfg, false)?;
         if let Some(reason) = system.snapshot_unsupported_reason() {
             return Err(SimError::Snapshot(format!(
                 "cannot restore a system with {reason}"
@@ -1014,7 +1025,7 @@ impl Simulator {
     /// Exactly the errors of [`System::new`].
     pub fn reference(cfg: SystemConfig) -> Result<Self, SimError> {
         Ok(Self {
-            system: System::build(cfg, true)?,
+            system: System::build(cfg, true)?.prewarmed(),
         })
     }
 

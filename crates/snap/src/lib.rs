@@ -10,7 +10,7 @@
 //! | format version      | u32 LE                                       |
 //! | config fingerprint  | u64 LE (FNV-1a over the source config)       |
 //! | body                | section markers + little-endian primitives   |
-//! | checksum            | u64 LE, FNV-1a over all preceding bytes      |
+//! | checksum            | u64 LE, [`checksum`] of all preceding bytes  |
 //! +---------------------+----------------------------------------------+
 //! ```
 //!
@@ -35,8 +35,9 @@
 //! dependency-free. The generated impl destructures the struct exhaustively,
 //! which makes `rustc` the coverage checker: a field that is neither saved
 //! nor skipped does not compile. The few impls written by hand (enums with
-//! payloads, queues that serialize structurally) open with the same
-//! exhaustive pattern.
+//! payloads, queues that serialize structurally, a cache's line array as one
+//! run of fixed-width records through [`SnapWriter::bytes`] and
+//! [`SnapReader::bytes`]) open with the same exhaustive pattern.
 //!
 //! A struct of statistics counters states its list through
 //! [`counter_fields!`] instead, which expands to the same [`Snap`] impl plus
@@ -80,7 +81,10 @@ pub const MAGIC: [u8; 8] = *b"CMCSNAP1";
 ///
 /// Version 6: the system section drops its four per-address-region read
 /// counters.
-pub const FORMAT_VERSION: u32 = 6;
+///
+/// Version 7: the trailer is [`checksum`] (four word-parallel lanes) instead
+/// of the byte-serial FNV-1a; the body bytes are unchanged.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Byte tag that introduces a section marker in the body stream.
 const SECTION_TAG: u8 = 0xA5;
@@ -103,7 +107,7 @@ pub enum SnapError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
-    /// The trailing FNV-1a checksum does not match the file contents
+    /// The trailing [`checksum`] does not match the file contents
     /// (bit-flip or splice anywhere in the envelope or body).
     ChecksumMismatch {
         /// Checksum recomputed over the file contents.
@@ -194,7 +198,7 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a 64-bit hash — the fingerprint and checksum function.
+/// FNV-1a 64-bit hash — the configuration fingerprint function.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -203,6 +207,59 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
+}
+
+/// The image checksum: four independent lanes over little-endian `u64`
+/// words, 32-byte blocks at a time, each word entering its lane through an
+/// xxh64-style round; then the tail words and bytes, the length, and a final
+/// avalanche.
+///
+/// Every step is a bijection in the word (or byte) it consumes and in the
+/// state it carries, so changing any one word of the input always changes
+/// the result. The round's rotate carries a word's high bits into the low
+/// bits of the lane, so two flips of bit 63 in one lane do not cancel as
+/// they would under a plain multiply.
+#[must_use]
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, word: u64| {
+        acc.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = round(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let [a, b, c, d] = lanes;
+    let mut hash = a
+        .rotate_left(1)
+        .wrapping_add(b.rotate_left(7))
+        .wrapping_add(c.rotate_left(12))
+        .wrapping_add(d.rotate_left(18));
+    let (words, tail) = tail.as_chunks::<8>();
+    for word in words {
+        hash ^= round(0, u64::from_le_bytes(*word));
+        hash = hash.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    for &byte in tail {
+        hash ^= u64::from(byte).wrapping_mul(P5);
+        hash = hash.rotate_left(11).wrapping_mul(P1);
+    }
+    hash = hash.wrapping_add(bytes.len() as u64);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 /// Serializer: accumulates the envelope and body, then seals the buffer with
@@ -269,6 +326,15 @@ impl SnapWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Appends a run of `n` zero bytes, without a length prefix, and hands
+    /// it back to be filled in place: one run of fixed-width records, read
+    /// back by [`SnapReader::bytes`].
+    pub fn bytes(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+
     /// Body bytes written so far (diagnostics / size accounting).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -282,11 +348,11 @@ impl SnapWriter {
         self.buf.is_empty()
     }
 
-    /// Seals the snapshot: appends the FNV-1a checksum over every byte
-    /// written so far and returns the finished buffer.
+    /// Seals the snapshot: appends the [`checksum`] of every byte written
+    /// so far and returns the finished buffer.
     #[must_use]
     pub fn finish(mut self) -> Vec<u8> {
-        let checksum = fnv1a(&self.buf);
+        let checksum = checksum(&self.buf);
         self.buf.extend_from_slice(&checksum.to_le_bytes());
         self.buf
     }
@@ -345,7 +411,7 @@ impl<'a> SnapReader<'a> {
             reason = "fixed-width slice of a length-checked buffer"
         )]
         let stored = u64::from_le_bytes(data[body_end..].try_into().expect("8 bytes"));
-        let computed = fnv1a(&data[..body_end]);
+        let computed = checksum(&data[..body_end]);
         if stored != computed {
             return Err(SnapError::ChecksumMismatch { computed, stored });
         }
@@ -375,7 +441,7 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.pos + n > self.body_end {
+        if n > self.body_end - self.pos {
             return Err(SnapError::Truncated {
                 section: self.section.clone(),
                 offset: self.pos,
@@ -468,7 +534,19 @@ impl<'a> SnapReader<'a> {
     /// [`SnapError::BadValue`] for a byte that is neither 0 nor 1.
     pub fn bool(&mut self) -> Result<bool, SnapError> {
         let offset = self.pos;
-        match self.u8()? {
+        let byte = self.u8()?;
+        self.decode_bool(byte, offset)
+    }
+
+    /// Decodes a `bool` byte found at `offset` — for one inside a run
+    /// already taken by [`SnapReader::bytes`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::BadValue`] at `offset` for a byte that is neither 0
+    /// nor 1.
+    pub fn decode_bool(&self, byte: u8, offset: usize) -> Result<bool, SnapError> {
+        match byte {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(SnapError::BadValue {
@@ -486,6 +564,16 @@ impl<'a> SnapReader<'a> {
     /// [`SnapError::Truncated`] when the body ends first.
     pub fn f64(&mut self) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads the next `n` bytes as they are: one run written by
+    /// [`SnapWriter::bytes`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] when the body ends first.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
+        self.take(n)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -573,6 +661,7 @@ mod tests {
         w.section("beta");
         w.str("hello");
         w.u32(7);
+        w.bytes(3).copy_from_slice(b"xyz");
         w.finish()
     }
 
@@ -587,6 +676,8 @@ mod tests {
         r.section("beta").unwrap();
         assert_eq!(r.str().unwrap(), "hello");
         assert_eq!(r.u32().unwrap(), 7);
+        assert_eq!(r.bytes(3).unwrap(), b"xyz");
+        assert!(matches!(r.bytes(1), Err(SnapError::Truncated { .. })));
         r.finish().unwrap();
     }
 
@@ -606,7 +697,7 @@ mod tests {
         buf[8] = 99;
         // Re-seal so the checksum stays valid and the version check fires.
         let body_end = buf.len() - 8;
-        let sum = fnv1a(&buf[..body_end]).to_le_bytes();
+        let sum = checksum(&buf[..body_end]).to_le_bytes();
         buf[body_end..].copy_from_slice(&sum);
         assert_eq!(
             SnapReader::new(&buf, 0xDEAD_BEEF).unwrap_err(),
@@ -626,17 +717,84 @@ mod tests {
         ));
     }
 
+    /// A sealed image of 276 bytes: eight whole 32-byte blocks, then a tail
+    /// of one word and four bytes ahead of the trailer.
+    fn sealed_long() -> Vec<u8> {
+        let mut w = SnapWriter::new(0xDEAD_BEEF);
+        w.section("gamma");
+        for i in 0..30u64 {
+            w.u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        w.u8(3);
+        w.finish()
+    }
+
     #[test]
     fn every_single_bit_flip_is_caught() {
-        let buf = sealed();
+        let buf = sealed_long();
+        assert_eq!(buf.len(), 276);
         for byte in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[byte] ^= 1;
-            assert!(
-                SnapReader::new(&bad, 0xDEAD_BEEF).is_err(),
-                "flip at byte {byte} must not validate"
-            );
+            for bit in 0..8 {
+                let mut bad = buf.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(
+                    SnapReader::new(&bad, 0xDEAD_BEEF).is_err(),
+                    "flip of bit {bit} at byte {byte} must not validate"
+                );
+            }
         }
+    }
+
+    /// Both bit-63 flips land in the same lane (words 32 bytes apart), where
+    /// a multiply-only round would let the two carries out of the word
+    /// cancel.
+    #[test]
+    fn two_top_bit_flips_in_one_lane_are_caught() {
+        let data: Vec<u8> = (0..=255u8).collect();
+        let sum = checksum(&data);
+        for lane in 0..4 {
+            for first in 0..8 {
+                for second in first + 1..8 {
+                    let mut bad = data.clone();
+                    bad[first * 32 + lane * 8 + 7] ^= 0x80;
+                    bad[second * 32 + lane * 8 + 7] ^= 0x80;
+                    assert_ne!(
+                        checksum(&bad),
+                        sum,
+                        "lane {lane}, blocks {first} and {second}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_adjacent_byte_pair_flip_is_caught() {
+        let buf = sealed_long();
+        for byte in 0..95 {
+            for bit in 0..8 {
+                let mut bad = buf.clone();
+                bad[byte] ^= 1 << bit;
+                bad[byte + 1] ^= 1 << bit;
+                assert!(
+                    SnapReader::new(&bad, 0xDEAD_BEEF).is_err(),
+                    "flip of bit {bit} at bytes {byte} and {}",
+                    byte + 1
+                );
+            }
+        }
+    }
+
+    /// Zero bytes appended to or dropped from the end change the sum, at
+    /// every tail length from a whole block down to none.
+    #[test]
+    fn trailing_zero_bytes_change_the_checksum() {
+        let mut data: Vec<u8> = (1..=64u8).collect();
+        data.extend([0; 40]);
+        let sums: std::collections::BTreeSet<u64> = (64..=data.len())
+            .map(|len| checksum(&data[..len]))
+            .collect();
+        assert_eq!(sums.len(), data.len() - 64 + 1);
     }
 
     #[test]

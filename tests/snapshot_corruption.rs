@@ -7,7 +7,7 @@
 //!
 //! - every truncation length (strided for large images, exhaustive near the
 //!   header and the tail, where the envelope checks live);
-//! - single-bit flips at strided positions (the trailing FNV-1a checksum
+//! - single-bit flips at strided positions (the trailing checksum
 //!   must catch every one of them);
 //! - *checksum-consistent* single-bit flips — flip a body byte, then
 //!   recompute the trailing checksum — which drive the per-field validation
@@ -27,7 +27,7 @@ use cloudmc::memctrl::{
     FaultConfig, ParBsConfig, PowerPolicyKind, QosPolicyKind, SchedulerKind, UncorrectablePolicy,
 };
 use cloudmc::sim::{SimError, Simulator, Snapshot, SystemConfig};
-use cloudmc::snap::fnv1a;
+use cloudmc::snap::checksum;
 use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
 
 /// CPU cycles every accepted image is run for after its restore.
@@ -143,8 +143,8 @@ impl Corpus {
         let body_end = image.len() - 8;
         let mut bytes = image.to_vec();
         bytes[pos] ^= 1 << bit;
-        let checksum = fnv1a(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
         // Flips inside the envelope change magic/version/fingerprint and
         // must fail; body flips may parse (a counter changed) or fail typed
         // — either way, no panic, at restore or when stepped.

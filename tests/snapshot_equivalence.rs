@@ -94,6 +94,31 @@ fn every_kernel_resumes_bit_identically() {
     }
 }
 
+/// A restore builds its system without the functional prewarm, so the image
+/// alone must carry what the prewarm installed. An image taken at cycle 0,
+/// straight after construction, is all prewarm (or, with the prewarm off,
+/// all cold caches): it restores, re-snapshots byte for byte, and measures
+/// exactly what the uninterrupted system does.
+#[test]
+fn cycle_zero_image_carries_the_functional_prewarm() {
+    let mut measured = Vec::new();
+    for functional_warmup in [true, false] {
+        let mut cfg = small(Workload::WebSearch, 5);
+        cfg.functional_warmup = functional_warmup;
+        let reference = uninterrupted(&cfg);
+        assert_eq!(
+            interrupted_at(&cfg, 0),
+            reference,
+            "functional_warmup = {functional_warmup}: run resumed from a cycle-0 snapshot diverged"
+        );
+        measured.push(reference);
+    }
+    assert_ne!(
+        measured[0], measured[1],
+        "the prewarm must change the measurement for this check to mean anything"
+    );
+}
+
 /// A reference-driven system never maintains the lazy frontend cursors or
 /// the per-channel due bounds the image carries, and a restore (always
 /// event-driven) would trust them: running 1 000 cycles per-cycle and then
