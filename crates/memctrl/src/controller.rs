@@ -11,14 +11,14 @@ use cloudmc_dram::{
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::mapping::{AddressMapping, DecodedAddress};
-use crate::page::{PagePolicyImpl, PagePolicyKind, PolicyView};
-use crate::power::{PowerAction, PowerPolicyImpl, PowerPolicyKind};
+use crate::page::{PagePolicy, PagePolicyKind, PolicyView};
+use crate::power::{PowerAction, PowerPolicy, PowerPolicyKind};
 use crate::qos::{QosArbiter, QosConfig};
 use crate::queue::RequestQueue;
 use crate::request::{
     AccessKind, CompletedRequest, MemoryRequest, RequestId, RowBufferOutcome, MAX_TENANTS,
 };
-use crate::sched::{SchedContext, SchedDecision, SchedulerImpl, SchedulerKind};
+use crate::sched::{SchedContext, SchedDecision, Scheduler, SchedulerKind};
 use crate::stats::McStats;
 
 /// Id bit marking controller-generated patrol-scrub reads. Demand request
@@ -104,6 +104,7 @@ impl McConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.dram.validate()?;
         self.qos.validate()?;
+        self.scheduler.validate()?;
         if self.num_cores == 0 {
             return Err("num_cores must be non-zero".to_owned());
         }
@@ -308,9 +309,9 @@ struct ChannelController {
     channel: DramChannel,
     read_q: RequestQueue,
     write_q: RequestQueue,
-    scheduler: SchedulerImpl,
-    policy: PagePolicyImpl,
-    power_policy: PowerPolicyImpl,
+    scheduler: Scheduler,
+    policy: PagePolicy,
+    power_policy: PowerPolicy,
     qos: QosArbiter,
     write_mode: bool,
     inflight: Vec<InFlight>,
@@ -344,11 +345,11 @@ impl ChannelController {
             channel: DramChannel::new(&cfg.dram),
             read_q: RequestQueue::new(cfg.read_queue_capacity),
             write_q: RequestQueue::new(cfg.write_queue_capacity),
-            scheduler: cfg.scheduler.build_impl(cfg.num_cores),
+            scheduler: cfg.scheduler.build(cfg.num_cores),
             policy: cfg
                 .page_policy
-                .build_impl(cfg.dram.ranks_per_channel, cfg.dram.banks_per_rank),
-            power_policy: cfg.power_policy.build_impl(cfg.dram.ranks_per_channel),
+                .build(cfg.dram.ranks_per_channel, cfg.dram.banks_per_rank),
+            power_policy: cfg.power_policy.build(cfg.dram.ranks_per_channel),
             qos: QosArbiter::new(cfg.qos),
             write_mode: false,
             inflight: Vec::new(),
@@ -465,16 +466,6 @@ impl ChannelController {
         queue.push(request, location, now)?;
         // New work: the channel may have something to do this very cycle.
         self.next_due = self.next_due.min(now);
-        #[expect(
-            clippy::expect_used,
-            reason = "lookup of the entry pushed two lines above"
-        )]
-        let entry = *match request.kind {
-            AccessKind::Read => self.read_q.get(request.id),
-            AccessKind::Write => self.write_q.get(request.id),
-        }
-        .expect("entry just pushed");
-        self.scheduler.on_enqueue(&entry);
         // Demand arrival wakes a powered-down rank immediately: the exit
         // latency (tXP/tXPDLL/tXS) becomes part of the request's observed
         // latency, which is exactly the cost side of the power tradeoff.
@@ -873,8 +864,8 @@ impl ChannelController {
             return;
         };
         // Every service completion — demand, scrub, or a read about to be
-        // retried — feeds the scheduler's bookkeeping: each on_enqueue/pick
-        // pair is balanced by exactly one on_complete per service.
+        // retried — feeds the scheduler's bookkeeping: exactly one
+        // on_complete per service.
         self.scheduler.on_complete(&done);
         if is_scrub_id(req.id) {
             f.scrub_live -= 1;

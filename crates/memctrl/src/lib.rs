@@ -15,6 +15,11 @@
 //! multi-channel operation, write draining and refresh handling — all on top
 //! of the cycle-level DRAM device model in [`cloudmc_dram`].
 //!
+//! Each policy family is one enum with a variant per policy, which the
+//! controller holds: [`Scheduler`], [`PagePolicy`] and [`PowerPolicy`], built
+//! from the configuration values [`SchedulerKind`], [`PagePolicyKind`] and
+//! [`PowerPolicyKind`].
+//!
 //! ## Quick example
 //!
 //! ```
@@ -58,21 +63,15 @@ pub mod stats;
 pub use cloudmc_dram::{FaultConfig, FaultLedger, FaultModel, ReadFault, UncorrectablePolicy};
 pub use controller::{is_scrub_id, McConfig, MemoryController, SCRUB_ID_BIT};
 pub use mapping::{AddressMapping, DecodedAddress};
-pub use page::{
-    Abpp, BankDemand, CloseAdaptive, ClosePage, OpenAdaptive, OpenPage, PagePolicy, PagePolicyImpl,
-    PagePolicyKind, PolicyView, Rbpp, TimerPolicy,
-};
-pub use power::{
-    NoPowerManagement, PowerAction, PowerPolicy, PowerPolicyImpl, PowerPolicyKind, PowerTimeouts,
-    TimeoutPowerDown,
-};
+pub use page::{BankDemand, HistoryPredictor, PagePolicy, PagePolicyKind, PolicyView, TimerPolicy};
+pub use power::{PowerAction, PowerPolicy, PowerPolicyKind, PowerTimeouts, TimeoutPowerDown};
 pub use qos::{QosArbiter, QosConfig, QosPolicyKind};
 pub use queue::{bank_row_key, key_bank, key_rank, QueueEntry, RequestQueue};
 pub use request::{
     AccessKind, CompletedRequest, MemoryRequest, RequestId, RowBufferOutcome, TenantId, MAX_TENANTS,
 };
 pub use sched::{
-    Atlas, AtlasConfig, Fcfs, FcfsBanks, FrFcfs, ParBs, ParBsConfig, RlConfig, RlScheduler,
-    SchedContext, SchedDecision, Scheduler, SchedulerImpl, SchedulerKind,
+    Atlas, AtlasConfig, ParBs, ParBsConfig, RlConfig, RlScheduler, SchedContext, SchedDecision,
+    Scheduler, SchedulerKind,
 };
 pub use stats::{McStats, ACTIVATION_REUSE_BUCKETS};

@@ -8,10 +8,12 @@
 //! 2. on idle cycles, to propose proactively closing an open bank
 //!    ([`PagePolicy::propose_precharge`]).
 //!
-//! Implemented policies (Section 2.2 of the paper): open ([`OpenPage`]),
-//! close ([`ClosePage`]), open-adaptive ([`OpenAdaptive`], the baseline),
-//! close-adaptive ([`CloseAdaptive`]), RBPP ([`Rbpp`]), ABPP ([`Abpp`]) and a
-//! per-bank idle-timer policy ([`TimerPolicy`], an extension).
+//! [`PagePolicy`] has one variant per policy (Section 2.2 of the paper):
+//! open ([`PagePolicy::Open`]), close ([`PagePolicy::Close`]), open-adaptive
+//! ([`PagePolicy::OpenAdaptive`], the baseline), close-adaptive
+//! ([`PagePolicy::CloseAdaptive`]), RBPP ([`PagePolicy::Rbpp`]), ABPP
+//! ([`PagePolicy::Abpp`]) and a per-bank idle-timer policy
+//! ([`PagePolicy::Timer`], an extension).
 
 use cloudmc_dram::{DramChannel, DramConfig, DramCycles, Location};
 use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
@@ -140,14 +142,59 @@ impl BankDemand {
     }
 }
 
-/// A row-buffer management policy.
-pub trait PagePolicy: std::fmt::Debug + Send {
-    /// Short human-readable name (used in reports).
-    fn name(&self) -> &'static str;
+/// A row-buffer management policy: one variant per policy, each method a
+/// `match` over them.
+///
+/// The controller consults it on every column command (auto-precharge), on
+/// every no-issue tick (precharge proposals) and during horizon walks
+/// (next-due), so every method compiles to a jump table over inlined bodies
+/// rather than virtual calls.
+#[derive(Debug)]
+pub enum PagePolicy {
+    /// Open page: rows stay open until a conflicting access forces closure.
+    Open,
+    /// Close page: every column access auto-precharges its row.
+    Close,
+    /// Open-adaptive (`OAPM`): close a row only when no pending request
+    /// would hit it *and* some pending request needs another row of the
+    /// bank.
+    OpenAdaptive,
+    /// Close-adaptive (`CAPM`): close a row as soon as no pending request
+    /// would hit it, regardless of whether another row is wanted.
+    CloseAdaptive,
+    /// Row-Based Page Policy (RBPP): a few most-accessed-row registers per
+    /// bank, recording only rows that received at least one hit.
+    Rbpp(HistoryPredictor),
+    /// Access-Based Page Policy (ABPP): a per-bank table of recently
+    /// activated rows and the hit count they received last time.
+    Abpp(HistoryPredictor),
+    /// Idle timer: close a row after it has been idle for a fixed number of
+    /// DRAM cycles.
+    Timer(TimerPolicy),
+}
 
+impl PagePolicy {
     /// Whether the column access about to issue at `loc` should use the
     /// auto-precharge command variant (closing the row right after the access).
-    fn auto_precharge(&mut self, view: &PolicyView<'_>, loc: &Location) -> bool;
+    #[inline]
+    #[must_use]
+    pub fn auto_precharge(&self, view: &PolicyView<'_>, loc: &Location) -> bool {
+        match self {
+            Self::Open | Self::Timer(_) => false,
+            Self::Close => true,
+            Self::OpenAdaptive => {
+                !view.pending_hit(loc.rank, loc.bank, loc.row)
+                    && view.pending_other_row(loc.rank, loc.bank, loc.row)
+            }
+            Self::CloseAdaptive => !view.pending_hit(loc.rank, loc.bank, loc.row),
+            // Never close while more hits are queued; close once the
+            // prediction for this activation is satisfied.
+            Self::Rbpp(p) | Self::Abpp(p) => {
+                !view.pending_hit(loc.rank, loc.bank, loc.row)
+                    && p.prediction_met(loc.rank, loc.bank, true)
+            }
+        }
+    }
 
     /// Proposes an open bank to precharge proactively, as `(rank, bank)`.
     ///
@@ -156,7 +203,30 @@ pub trait PagePolicy: std::fmt::Debug + Send {
     /// pure functions of the view, because the simulation kernel also
     /// consults them when computing the event horizon it may fast-forward to
     /// (any hidden mutation would make skipped idle cycles observable).
-    fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)>;
+    #[inline]
+    #[must_use]
+    pub fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
+        match self {
+            Self::Open => None,
+            // Any row left open (e.g. activated but its request was
+            // cancelled) is closed as soon as possible.
+            Self::Close => view.open_banks().map(|(r, b, _)| (r, b)).next(),
+            Self::OpenAdaptive => {
+                let d = view.bank_demand();
+                d.first(d.open & !d.hit & d.other)
+            }
+            Self::CloseAdaptive => {
+                let d = view.bank_demand();
+                d.first(d.open & !d.hit)
+            }
+            Self::Rbpp(p) | Self::Abpp(p) => {
+                let d = view.bank_demand();
+                d.banks(d.open & !d.hit)
+                    .find(|&(r, b)| p.prediction_met(r, b, false))
+            }
+            Self::Timer(p) => p.propose_precharge(view),
+        }
+    }
 
     /// Earliest cycle at which [`PagePolicy::propose_precharge`] could start
     /// returning `Some`, assuming the device state and the pending queues
@@ -164,22 +234,66 @@ pub trait PagePolicy: std::fmt::Debug + Send {
     /// `cloudmc-sim`'s `kernel` module. Only consulted while
     /// `propose_precharge` returns `None`.
     ///
-    /// The default, `u64::MAX`, fits every policy whose proposal depends
-    /// only on the queues and the open rows, which do not change while the
-    /// kernel skips idle cycles. A policy whose proposal depends on *time*
-    /// (like [`TimerPolicy`]) must return the cycle its answer flips.
-    fn next_due(&self, _view: &PolicyView<'_>) -> DramCycles {
-        DramCycles::MAX
+    /// `u64::MAX` fits every policy whose proposal depends only on the
+    /// queues and the open rows, which do not change while the kernel skips
+    /// idle cycles. A policy whose proposal depends on *time* (like
+    /// [`TimerPolicy`]) must return the cycle its answer flips.
+    #[inline]
+    #[must_use]
+    pub fn next_due(&self, view: &PolicyView<'_>) -> DramCycles {
+        match self {
+            Self::Timer(p) => p.next_due(view),
+            _ => DramCycles::MAX,
+        }
     }
 
     /// Called when a row is activated.
-    fn on_activate(&mut self, _rank: usize, _bank: usize, _row: u64, _now: DramCycles) {}
+    #[inline]
+    pub fn on_activate(&mut self, rank: usize, bank: usize, row: u64, now: DramCycles) {
+        match self {
+            Self::Rbpp(p) | Self::Abpp(p) => p.on_activate(rank, bank, row),
+            Self::Timer(p) => p.touch(rank, bank, now),
+            _ => {}
+        }
+    }
 
     /// Called when a column access is issued to an open row.
-    fn on_column_access(&mut self, _rank: usize, _bank: usize, _row: u64, _now: DramCycles) {}
+    #[inline]
+    pub fn on_column_access(&mut self, rank: usize, bank: usize, row: u64, now: DramCycles) {
+        match self {
+            Self::Rbpp(p) | Self::Abpp(p) => p.on_column_access(rank, bank, row),
+            Self::Timer(p) => p.touch(rank, bank, now),
+            _ => {}
+        }
+    }
 
     /// Called when a row is closed after having served `accesses` column accesses.
-    fn on_row_closed(&mut self, _rank: usize, _bank: usize, _row: u64, _accesses: u64) {}
+    #[inline]
+    pub fn on_row_closed(&mut self, rank: usize, bank: usize, row: u64, accesses: u64) {
+        if let Self::Rbpp(p) | Self::Abpp(p) = self {
+            p.on_row_closed(rank, bank, row, accesses);
+        }
+    }
+}
+
+impl Snap for PagePolicy {
+    const MIN_BYTES: usize = 0;
+
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Self::Open | Self::Close | Self::OpenAdaptive | Self::CloseAdaptive => {}
+            Self::Rbpp(p) | Self::Abpp(p) => p.save(w),
+            Self::Timer(p) => p.save(w),
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match self {
+            Self::Open | Self::Close | Self::OpenAdaptive | Self::CloseAdaptive => Ok(()),
+            Self::Rbpp(p) | Self::Abpp(p) => p.load(r),
+            Self::Timer(p) => p.load(r),
+        }
+    }
 }
 
 /// Identifier for constructing page policies by name (used by the experiment
@@ -214,130 +328,31 @@ impl PagePolicyKind {
         ]
     }
 
-    /// Instantiates the policy as a devirtualized [`PagePolicyImpl`] — the
-    /// form the controller keeps on its per-tick hot path.
+    /// Every implemented policy, in sweep order.
     #[must_use]
-    pub fn build_impl(self, ranks: usize, banks: usize) -> PagePolicyImpl {
+    pub fn all() -> [Self; 7] {
+        [
+            Self::Open,
+            Self::Close,
+            Self::OpenAdaptive,
+            Self::CloseAdaptive,
+            Self::Rbpp,
+            Self::Abpp,
+            Self::Timer,
+        ]
+    }
+
+    /// Instantiates the policy the controller holds.
+    #[must_use]
+    pub fn build(self, ranks: usize, banks: usize) -> PagePolicy {
         match self {
-            Self::Open => PagePolicyImpl::Open(OpenPage),
-            Self::Close => PagePolicyImpl::Close(ClosePage),
-            Self::OpenAdaptive => PagePolicyImpl::OpenAdaptive(OpenAdaptive),
-            Self::CloseAdaptive => PagePolicyImpl::CloseAdaptive(CloseAdaptive),
-            Self::Rbpp => PagePolicyImpl::Rbpp(Rbpp::new(ranks, banks, 4)),
-            Self::Abpp => PagePolicyImpl::Abpp(Abpp::new(ranks, banks, 16)),
-            Self::Timer => PagePolicyImpl::Timer(TimerPolicy::new(ranks, banks, 100)),
-        }
-    }
-}
-
-/// Enum-dispatched page policy: every built-in policy as a concrete variant,
-/// so the controller's per-tick consultations (auto-precharge on each column
-/// command, precharge proposals on each no-issue tick, next-due during
-/// horizon walks) compile to a jump table over inlined bodies instead of
-/// virtual calls.
-#[derive(Debug)]
-pub enum PagePolicyImpl {
-    /// [`OpenPage`].
-    Open(OpenPage),
-    /// [`ClosePage`].
-    Close(ClosePage),
-    /// [`OpenAdaptive`].
-    OpenAdaptive(OpenAdaptive),
-    /// [`CloseAdaptive`].
-    CloseAdaptive(CloseAdaptive),
-    /// [`Rbpp`].
-    Rbpp(Rbpp),
-    /// [`Abpp`].
-    Abpp(Abpp),
-    /// [`TimerPolicy`].
-    Timer(TimerPolicy),
-}
-
-/// Applies `$body` to the concrete policy in every variant.
-macro_rules! for_each_policy {
-    ($self:expr, $p:ident => $body:expr) => {
-        match $self {
-            PagePolicyImpl::Open($p) => $body,
-            PagePolicyImpl::Close($p) => $body,
-            PagePolicyImpl::OpenAdaptive($p) => $body,
-            PagePolicyImpl::CloseAdaptive($p) => $body,
-            PagePolicyImpl::Rbpp($p) => $body,
-            PagePolicyImpl::Abpp($p) => $body,
-            PagePolicyImpl::Timer($p) => $body,
-        }
-    };
-}
-
-impl PagePolicyImpl {
-    /// Short human-readable name (used in reports).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        for_each_policy!(self, p => p.name())
-    }
-
-    /// See [`PagePolicy::auto_precharge`].
-    #[inline]
-    pub fn auto_precharge(&mut self, view: &PolicyView<'_>, loc: &Location) -> bool {
-        for_each_policy!(self, p => p.auto_precharge(view, loc))
-    }
-
-    /// See [`PagePolicy::propose_precharge`].
-    #[inline]
-    #[must_use]
-    pub fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-        for_each_policy!(self, p => p.propose_precharge(view))
-    }
-
-    /// See [`PagePolicy::next_due`].
-    #[inline]
-    #[must_use]
-    pub fn next_due(&self, view: &PolicyView<'_>) -> DramCycles {
-        for_each_policy!(self, p => p.next_due(view))
-    }
-
-    /// See [`PagePolicy::on_activate`].
-    #[inline]
-    pub fn on_activate(&mut self, rank: usize, bank: usize, row: u64, now: DramCycles) {
-        for_each_policy!(self, p => p.on_activate(rank, bank, row, now));
-    }
-
-    /// See [`PagePolicy::on_column_access`].
-    #[inline]
-    pub fn on_column_access(&mut self, rank: usize, bank: usize, row: u64, now: DramCycles) {
-        for_each_policy!(self, p => p.on_column_access(rank, bank, row, now));
-    }
-
-    /// See [`PagePolicy::on_row_closed`].
-    #[inline]
-    pub fn on_row_closed(&mut self, rank: usize, bank: usize, row: u64, accesses: u64) {
-        for_each_policy!(self, p => p.on_row_closed(rank, bank, row, accesses));
-    }
-}
-
-impl Snap for PagePolicyImpl {
-    const MIN_BYTES: usize = 0;
-
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Self::Open(OpenPage)
-            | Self::Close(ClosePage)
-            | Self::OpenAdaptive(OpenAdaptive)
-            | Self::CloseAdaptive(CloseAdaptive) => {}
-            Self::Rbpp(p) => p.save(w),
-            Self::Abpp(p) => p.save(w),
-            Self::Timer(p) => p.save(w),
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        match self {
-            Self::Open(OpenPage)
-            | Self::Close(ClosePage)
-            | Self::OpenAdaptive(OpenAdaptive)
-            | Self::CloseAdaptive(CloseAdaptive) => Ok(()),
-            Self::Rbpp(p) => p.load(r),
-            Self::Abpp(p) => p.load(r),
-            Self::Timer(p) => p.load(r),
+            Self::Open => PagePolicy::Open,
+            Self::Close => PagePolicy::Close,
+            Self::OpenAdaptive => PagePolicy::OpenAdaptive,
+            Self::CloseAdaptive => PagePolicy::CloseAdaptive,
+            Self::Rbpp => PagePolicy::Rbpp(HistoryPredictor::new(ranks, banks, 4, true)),
+            Self::Abpp => PagePolicy::Abpp(HistoryPredictor::new(ranks, banks, 16, false)),
+            Self::Timer => PagePolicy::Timer(TimerPolicy::new(ranks, banks, 100)),
         }
     }
 }
@@ -374,85 +389,6 @@ impl std::str::FromStr for PagePolicyKind {
     }
 }
 
-/// Open-page policy: rows stay open until a conflicting access forces closure.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OpenPage;
-
-impl PagePolicy for OpenPage {
-    fn name(&self) -> &'static str {
-        "open"
-    }
-
-    fn auto_precharge(&mut self, _view: &PolicyView<'_>, _loc: &Location) -> bool {
-        false
-    }
-
-    fn propose_precharge(&self, _view: &PolicyView<'_>) -> Option<(usize, usize)> {
-        None
-    }
-}
-
-/// Close-page policy: every column access auto-precharges its row.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClosePage;
-
-impl PagePolicy for ClosePage {
-    fn name(&self) -> &'static str {
-        "close"
-    }
-
-    fn auto_precharge(&mut self, _view: &PolicyView<'_>, _loc: &Location) -> bool {
-        true
-    }
-
-    fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-        // Any row left open (e.g. activated but its request was cancelled)
-        // is closed as soon as possible.
-        view.open_banks().map(|(r, b, _)| (r, b)).next()
-    }
-}
-
-/// Open-adaptive policy (`OAPM`): close a row only when no pending request
-/// would hit it *and* some pending request needs another row of the bank.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OpenAdaptive;
-
-impl PagePolicy for OpenAdaptive {
-    fn name(&self) -> &'static str {
-        "open-adaptive"
-    }
-
-    fn auto_precharge(&mut self, view: &PolicyView<'_>, loc: &Location) -> bool {
-        !view.pending_hit(loc.rank, loc.bank, loc.row)
-            && view.pending_other_row(loc.rank, loc.bank, loc.row)
-    }
-
-    fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-        let d = view.bank_demand();
-        d.first(d.open & !d.hit & d.other)
-    }
-}
-
-/// Close-adaptive policy (`CAPM`): close a row as soon as no pending request
-/// would hit it, regardless of whether another row is wanted.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CloseAdaptive;
-
-impl PagePolicy for CloseAdaptive {
-    fn name(&self) -> &'static str {
-        "close-adaptive"
-    }
-
-    fn auto_precharge(&mut self, view: &PolicyView<'_>, loc: &Location) -> bool {
-        !view.pending_hit(loc.rank, loc.bank, loc.row)
-    }
-
-    fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-        let d = view.bank_demand();
-        d.first(d.open & !d.hit)
-    }
-}
-
 /// One predictor entry: a row and the number of hits it received during its
 /// previous activation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -473,7 +409,8 @@ struct CurrentActivation {
     predicted: Option<u64>,
 }
 
-/// Shared implementation of the two history-based predictive policies.
+/// The state of the two history-based predictive policies,
+/// [`PagePolicy::Rbpp`] and [`PagePolicy::Abpp`].
 ///
 /// Both RBPP and ABPP predict that a row will receive the same number of
 /// row-buffer hits as during its previous activation and close it once that
@@ -482,8 +419,7 @@ struct CurrentActivation {
 /// that received at least one hit; ABPP keeps a larger per-bank table and
 /// records every row. Rows without a prediction stay open until a conflict.
 #[derive(Debug, Clone)]
-struct HistoryPredictor {
-    name: &'static str,
+pub struct HistoryPredictor {
     banks_per_rank: usize,
     entries_per_bank: usize,
     /// `true` for RBPP: only rows with >= 1 hit are recorded.
@@ -494,8 +430,10 @@ struct HistoryPredictor {
 }
 
 impl HistoryPredictor {
-    fn new(
-        name: &'static str,
+    /// Creates a predictor with `entries_per_bank` history entries per bank
+    /// (RBPP's registers, ABPP's table); `record_only_hit_rows` selects
+    /// RBPP's recording rule.
+    pub(crate) fn new(
         ranks: usize,
         banks: usize,
         entries_per_bank: usize,
@@ -503,7 +441,6 @@ impl HistoryPredictor {
     ) -> Self {
         let n = ranks * banks;
         Self {
-            name,
             banks_per_rank: banks,
             entries_per_bank,
             record_only_hit_rows,
@@ -627,7 +564,6 @@ snap_fields! {
     HistoryPredictor {
         saved: { stamp, current: fixed, tables: fixed },
         skipped: {
-            name: "config-derived",
             banks_per_rank: "config-derived",
             entries_per_bank: "config-derived",
             record_only_hit_rows: "config-derived",
@@ -636,94 +572,9 @@ snap_fields! {
     }
 }
 
-/// Row-Based Page Policy (RBPP): a few most-accessed-row registers per bank,
-/// recording only rows that received at least one hit.
-#[derive(Debug, Clone)]
-pub struct Rbpp {
-    predictor: HistoryPredictor,
-}
-
-impl Rbpp {
-    /// Creates RBPP with `registers` most-accessed-row registers per bank.
-    #[must_use]
-    pub fn new(ranks: usize, banks: usize, registers: usize) -> Self {
-        Self {
-            predictor: HistoryPredictor::new("rbpp", ranks, banks, registers, true),
-        }
-    }
-}
-
-/// Access-Based Page Policy (ABPP): a per-bank table of recently activated
-/// rows and the hit count they received last time.
-#[derive(Debug, Clone)]
-pub struct Abpp {
-    predictor: HistoryPredictor,
-}
-
-impl Abpp {
-    /// Creates ABPP with `entries` table entries per bank.
-    #[must_use]
-    pub fn new(ranks: usize, banks: usize, entries: usize) -> Self {
-        Self {
-            predictor: HistoryPredictor::new("abpp", ranks, banks, entries, false),
-        }
-    }
-}
-
-macro_rules! impl_predictive_policy {
-    ($ty:ty) => {
-        impl PagePolicy for $ty {
-            fn name(&self) -> &'static str {
-                self.predictor.name
-            }
-
-            fn auto_precharge(&mut self, view: &PolicyView<'_>, loc: &Location) -> bool {
-                // Never close while more hits are queued; close once the
-                // prediction for this activation is satisfied.
-                !view.pending_hit(loc.rank, loc.bank, loc.row)
-                    && self.predictor.prediction_met(loc.rank, loc.bank, true)
-            }
-
-            fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
-                let d = view.bank_demand();
-                d.banks(d.open & !d.hit)
-                    .find(|&(r, b)| self.predictor.prediction_met(r, b, false))
-            }
-
-            fn on_activate(&mut self, rank: usize, bank: usize, row: u64, _now: DramCycles) {
-                self.predictor.on_activate(rank, bank, row);
-            }
-
-            fn on_column_access(&mut self, rank: usize, bank: usize, row: u64, _now: DramCycles) {
-                self.predictor.on_column_access(rank, bank, row);
-            }
-
-            fn on_row_closed(&mut self, rank: usize, bank: usize, row: u64, accesses: u64) {
-                self.predictor.on_row_closed(rank, bank, row, accesses);
-            }
-        }
-    };
-}
-
-impl_predictive_policy!(Rbpp);
-impl_predictive_policy!(Abpp);
-
-snap_fields! {
-    Rbpp {
-        saved: { predictor },
-        skipped: {},
-    }
-}
-
-snap_fields! {
-    Abpp {
-        saved: { predictor },
-        skipped: {},
-    }
-}
-
-/// Idle-timer policy: close a row after it has been idle for a fixed number
-/// of DRAM cycles. This predates RBPP/ABPP; included as an extension.
+/// The state of the idle-timer policy, [`PagePolicy::Timer`]: close a row
+/// after it has been idle for a fixed number of DRAM cycles. This predates
+/// RBPP/ABPP; included as an extension.
 #[derive(Debug, Clone)]
 pub struct TimerPolicy {
     banks_per_rank: usize,
@@ -745,27 +596,8 @@ impl TimerPolicy {
     fn idx(&self, rank: usize, bank: usize) -> usize {
         rank * self.banks_per_rank + bank
     }
-}
 
-snap_fields! {
-    TimerPolicy {
-        saved: { last_access: fixed },
-        skipped: {
-            banks_per_rank: "config-derived",
-            timeout: "config-derived",
-        },
-    }
-}
-
-impl PagePolicy for TimerPolicy {
-    fn name(&self) -> &'static str {
-        "timer"
-    }
-
-    fn auto_precharge(&mut self, _view: &PolicyView<'_>, _loc: &Location) -> bool {
-        false
-    }
-
+    /// The first idle open bank whose timeout has expired.
     fn propose_precharge(&self, view: &PolicyView<'_>) -> Option<(usize, usize)> {
         let d = view.bank_demand();
         d.banks(d.open & !d.hit).find(|&(r, b)| {
@@ -783,14 +615,20 @@ impl PagePolicy for TimerPolicy {
             .unwrap_or(DramCycles::MAX)
     }
 
-    fn on_activate(&mut self, rank: usize, bank: usize, _row: u64, now: DramCycles) {
+    /// Restarts (`rank`, `bank`)'s idle timer: an activate or a column access.
+    fn touch(&mut self, rank: usize, bank: usize, now: DramCycles) {
         let idx = self.idx(rank, bank);
         self.last_access[idx] = now;
     }
+}
 
-    fn on_column_access(&mut self, rank: usize, bank: usize, _row: u64, now: DramCycles) {
-        let idx = self.idx(rank, bank);
-        self.last_access[idx] = now;
+snap_fields! {
+    TimerPolicy {
+        saved: { last_access: fixed },
+        skipped: {
+            banks_per_rank: "config-derived",
+            timeout: "config-derived",
+        },
     }
 }
 
@@ -827,7 +665,7 @@ mod tests {
             read_q: &rq,
             write_q: &wq,
         };
-        let mut p = OpenPage;
+        let p = PagePolicy::Open;
         assert!(!p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
         assert!(p.propose_precharge(&view).is_none());
     }
@@ -841,7 +679,7 @@ mod tests {
             read_q: &rq,
             write_q: &wq,
         };
-        let mut p = ClosePage;
+        let p = PagePolicy::Close;
         assert!(p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
         assert_eq!(p.propose_precharge(&view), Some((0, 0)));
     }
@@ -849,7 +687,7 @@ mod tests {
     #[test]
     fn open_adaptive_needs_conflicting_demand() {
         let (ch, mut rq, wq) = view_fixture(Some(5));
-        let mut p = OpenAdaptive;
+        let p = PagePolicy::OpenAdaptive;
         // No pending requests at all: keep the row open.
         {
             let view = PolicyView {
@@ -890,7 +728,7 @@ mod tests {
     #[test]
     fn close_adaptive_closes_without_other_row_demand() {
         let (ch, rq, mut wq) = view_fixture(Some(5));
-        let mut p = CloseAdaptive;
+        let p = PagePolicy::CloseAdaptive;
         {
             let view = PolicyView {
                 now: 0,
@@ -918,7 +756,7 @@ mod tests {
     #[test]
     fn rbpp_predicts_from_previous_activation() {
         let (ch, rq, wq) = view_fixture(Some(7));
-        let mut p = Rbpp::new(2, 8, 4);
+        let mut p = PagePolicy::Rbpp(HistoryPredictor::new(2, 8, 4, true));
         let view = PolicyView {
             now: 0,
             channel: &ch,
@@ -944,7 +782,7 @@ mod tests {
     #[test]
     fn rbpp_ignores_single_access_rows() {
         let (ch, rq, wq) = view_fixture(Some(7));
-        let mut p = Rbpp::new(2, 8, 4);
+        let mut p = PagePolicy::Rbpp(HistoryPredictor::new(2, 8, 4, true));
         let view = PolicyView {
             now: 0,
             channel: &ch,
@@ -961,7 +799,7 @@ mod tests {
     #[test]
     fn abpp_records_single_access_rows() {
         let (ch, rq, wq) = view_fixture(Some(7));
-        let mut p = Abpp::new(2, 8, 16);
+        let mut p = PagePolicy::Abpp(HistoryPredictor::new(2, 8, 16, false));
         let view = PolicyView {
             now: 0,
             channel: &ch,
@@ -978,7 +816,7 @@ mod tests {
 
     #[test]
     fn predictor_evicts_least_recently_recorded() {
-        let mut pred = HistoryPredictor::new("x", 1, 1, 2, false);
+        let mut pred = HistoryPredictor::new(1, 1, 2, false);
         pred.record(0, 0, 1, 3);
         pred.record(0, 0, 2, 4);
         pred.record(0, 0, 3, 5); // evicts row 1
@@ -993,7 +831,7 @@ mod tests {
     #[test]
     fn timer_policy_closes_idle_rows() {
         let (ch, rq, wq) = view_fixture(Some(5));
-        let mut p = TimerPolicy::new(2, 8, 50);
+        let mut p = PagePolicy::Timer(TimerPolicy::new(2, 8, 50));
         p.on_activate(0, 0, 5, 0);
         p.on_column_access(0, 0, 5, 10);
         let early = PolicyView {
@@ -1014,17 +852,8 @@ mod tests {
 
     #[test]
     fn kind_builds_every_policy_and_parses() {
-        for kind in [
-            PagePolicyKind::Open,
-            PagePolicyKind::Close,
-            PagePolicyKind::OpenAdaptive,
-            PagePolicyKind::CloseAdaptive,
-            PagePolicyKind::Rbpp,
-            PagePolicyKind::Abpp,
-            PagePolicyKind::Timer,
-        ] {
-            let p = kind.build_impl(2, 8);
-            assert!(!p.name().is_empty());
+        for kind in PagePolicyKind::all() {
+            let _ = kind.build(2, 8);
             let parsed: PagePolicyKind = kind.to_string().parse().unwrap();
             assert_eq!(parsed, kind);
         }

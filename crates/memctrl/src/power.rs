@@ -8,11 +8,11 @@
 //! issued, and wakes powered-down ranks itself when demand arrives
 //! (a request is enqueued) or a refresh comes due.
 //!
-//! Like [`PagePolicy::propose_precharge`](crate::page::PagePolicy), proposals
-//! must be pure functions of the [`PolicyView`]: the simulation kernel
-//! consults them when computing the event horizon it may fast-forward to, so
-//! a hidden mutation would make skipped idle cycles observable. Policies
-//! whose proposals flip with the passage of time must report the flip cycle
+//! Like [`crate::page::PagePolicy::propose_precharge`], proposals must be
+//! pure functions of the [`PolicyView`]: the simulation kernel consults them
+//! when computing the event horizon it may fast-forward to, so a hidden
+//! mutation would make skipped idle cycles observable. Policies whose
+//! proposals flip with the passage of time must report the flip cycle
 //! through [`PowerPolicy::next_due`].
 
 use cloudmc_dram::{DramCycles, PowerDownMode, PowerState};
@@ -41,32 +41,75 @@ pub enum PowerAction {
     },
 }
 
-/// A rank power-management policy.
-pub trait PowerPolicy: std::fmt::Debug + Send {
-    /// Short human-readable name (used in reports).
-    fn name(&self) -> &'static str;
+/// A rank power-management policy: one variant per policy, each method a
+/// `match` over them, so the controller's per-tick consultations compile to
+/// direct calls instead of virtual dispatch.
+#[derive(Debug)]
+pub enum PowerPolicy {
+    /// No power management: every rank stays in standby forever.
+    None,
+    /// The timeout-driven policy behind `Immediate`, `IdleTimer` and
+    /// `PowerAware` ([`TimeoutPowerDown`]).
+    Timeout(TimeoutPowerDown),
+}
 
+impl PowerPolicy {
     /// Proposes one power action, or `None` to leave every rank as it is.
     ///
     /// Takes `&self`: proposals must be pure functions of the view (see the
     /// module docs). A returned [`PowerAction::PowerDown`] must already be
     /// legal (`DramChannel::can_enter_power_down` holds at `view.now`).
-    fn propose(&self, view: &PolicyView<'_>) -> Option<PowerAction>;
+    #[inline]
+    #[must_use]
+    pub fn propose(&self, view: &PolicyView<'_>) -> Option<PowerAction> {
+        match self {
+            Self::None => None,
+            Self::Timeout(p) => p.propose(view),
+        }
+    }
 
     /// Earliest cycle at which [`PowerPolicy::propose`] could start
     /// returning `Some`, assuming the device state and pending queues stay
     /// exactly as in `view`, under the next-due contract stated in
     /// `cloudmc-sim`'s `kernel` module. Only consulted while `propose`
-    /// returns `None`; the default, `u64::MAX`, is a policy no timer drives.
-    fn next_due(&self, _view: &PolicyView<'_>) -> DramCycles {
-        DramCycles::MAX
+    /// returns `None`; `u64::MAX` is a policy no timer drives.
+    #[inline]
+    #[must_use]
+    pub fn next_due(&self, view: &PolicyView<'_>) -> DramCycles {
+        match self {
+            Self::None => DramCycles::MAX,
+            Self::Timeout(p) => p.next_due(view),
+        }
     }
 
     /// Called when demand activity touches `rank`: a command issues to it or
     /// a request targeting it is enqueued. Refresh does not count — idle
     /// timers measure time since the last *demand*, so periodic refresh
     /// cannot keep a rank from ever reaching the deeper states.
-    fn on_activity(&mut self, _rank: usize, _now: DramCycles) {}
+    #[inline]
+    pub fn on_activity(&mut self, rank: usize, now: DramCycles) {
+        if let Self::Timeout(p) = self {
+            p.on_activity(rank, now);
+        }
+    }
+}
+
+impl Snap for PowerPolicy {
+    const MIN_BYTES: usize = 0;
+
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Self::None => {}
+            Self::Timeout(p) => p.save(w),
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match self {
+            Self::None => Ok(()),
+            Self::Timeout(p) => p.load(r),
+        }
+    }
 }
 
 /// Identifier for constructing power policies by name (used by the
@@ -99,108 +142,19 @@ impl PowerPolicyKind {
         ]
     }
 
-    /// Instantiates the policy as a devirtualized [`PowerPolicyImpl`] — the
-    /// form the controller keeps on its per-tick hot path.
+    /// Instantiates the policy the controller holds.
     #[must_use]
-    pub fn build_impl(self, ranks: usize) -> PowerPolicyImpl {
-        match self.timeout_policy(ranks) {
-            Some(policy) => PowerPolicyImpl::Timeout(policy),
-            None => PowerPolicyImpl::None(NoPowerManagement),
-        }
-    }
-
-    fn timeout_policy(self, ranks: usize) -> Option<TimeoutPowerDown> {
-        match self {
-            Self::None => None,
-            Self::Immediate => Some(TimeoutPowerDown::new(
-                "immediate",
-                ranks,
-                PowerTimeouts::immediate(),
-                None,
-            )),
-            Self::IdleTimer => Some(TimeoutPowerDown::new(
-                "idle-timer",
-                ranks,
-                PowerTimeouts::idle_timer(),
-                None,
-            )),
-            Self::PowerAware => Some(TimeoutPowerDown::new(
-                "power-aware",
-                ranks,
+    pub fn build(self, ranks: usize) -> PowerPolicy {
+        let (timeouts, precharge_after) = match self {
+            Self::None => return PowerPolicy::None,
+            Self::Immediate => (PowerTimeouts::immediate(), None),
+            Self::IdleTimer => (PowerTimeouts::idle_timer(), None),
+            Self::PowerAware => (
                 PowerTimeouts::idle_timer(),
                 Some(POWER_AWARE_PRECHARGE_AFTER),
-            )),
-        }
-    }
-}
-
-/// Enum-dispatched power policy: the built-in policies as concrete variants
-/// (all three timeout flavours share [`TimeoutPowerDown`]), so the
-/// controller's per-tick consultations compile to direct calls instead of
-/// virtual dispatch.
-#[derive(Debug)]
-pub enum PowerPolicyImpl {
-    /// [`NoPowerManagement`] — `propose` is a constant `None`.
-    None(NoPowerManagement),
-    /// [`TimeoutPowerDown`] (immediate / idle-timer / power-aware).
-    Timeout(TimeoutPowerDown),
-}
-
-impl PowerPolicyImpl {
-    /// Short human-readable name (used in reports).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::None(p) => p.name(),
-            Self::Timeout(p) => p.name(),
-        }
-    }
-
-    /// See [`PowerPolicy::propose`].
-    #[inline]
-    #[must_use]
-    pub fn propose(&self, view: &PolicyView<'_>) -> Option<PowerAction> {
-        match self {
-            Self::None(_) => None,
-            Self::Timeout(p) => p.propose(view),
-        }
-    }
-
-    /// See [`PowerPolicy::next_due`].
-    #[inline]
-    #[must_use]
-    pub fn next_due(&self, view: &PolicyView<'_>) -> DramCycles {
-        match self {
-            Self::None(_) => DramCycles::MAX,
-            Self::Timeout(p) => p.next_due(view),
-        }
-    }
-
-    /// See [`PowerPolicy::on_activity`].
-    #[inline]
-    pub fn on_activity(&mut self, rank: usize, now: DramCycles) {
-        match self {
-            Self::None(_) => {}
-            Self::Timeout(p) => p.on_activity(rank, now),
-        }
-    }
-}
-
-impl Snap for PowerPolicyImpl {
-    const MIN_BYTES: usize = 0;
-
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Self::None(NoPowerManagement) => {}
-            Self::Timeout(p) => p.save(w),
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        match self {
-            Self::None(NoPowerManagement) => Ok(()),
-            Self::Timeout(p) => p.load(r),
-        }
+            ),
+        };
+        PowerPolicy::Timeout(TimeoutPowerDown::new(ranks, timeouts, precharge_after))
     }
 }
 
@@ -293,26 +247,11 @@ impl PowerTimeouts {
 /// closes it on the rank's way to power-down.
 pub const POWER_AWARE_PRECHARGE_AFTER: DramCycles = 256;
 
-/// The do-nothing policy: every rank stays in standby forever.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoPowerManagement;
-
-impl PowerPolicy for NoPowerManagement {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn propose(&self, _view: &PolicyView<'_>) -> Option<PowerAction> {
-        None
-    }
-}
-
 /// The timeout-driven power-down policy behind `Immediate`, `IdleTimer` and
 /// `PowerAware`: per-rank demand-idle timers escalate each quiescent rank
 /// through the configured low-power states.
 #[derive(Debug, Clone)]
 pub struct TimeoutPowerDown {
-    name: &'static str,
     timeouts: PowerTimeouts,
     /// `Some(threshold)` lets the policy precharge open-but-idle rows so a
     /// rank with rows parked open by the page policy can still power down.
@@ -324,14 +263,8 @@ pub struct TimeoutPowerDown {
 impl TimeoutPowerDown {
     /// Creates the policy for `ranks` ranks.
     #[must_use]
-    pub fn new(
-        name: &'static str,
-        ranks: usize,
-        timeouts: PowerTimeouts,
-        precharge_after: Option<DramCycles>,
-    ) -> Self {
+    pub fn new(ranks: usize, timeouts: PowerTimeouts, precharge_after: Option<DramCycles>) -> Self {
         Self {
-            name,
             timeouts,
             precharge_after,
             last_activity: vec![0; ranks],
@@ -342,12 +275,6 @@ impl TimeoutPowerDown {
     /// not already in the deepest state.
     fn rank_candidate(&self, view: &PolicyView<'_>, rank: usize) -> bool {
         !view.pending_for_rank(rank) && view.channel.power_state(rank) != PowerState::SelfRefresh
-    }
-}
-
-impl PowerPolicy for TimeoutPowerDown {
-    fn name(&self) -> &'static str {
-        self.name
     }
 
     fn propose(&self, view: &PolicyView<'_>) -> Option<PowerAction> {
@@ -407,7 +334,6 @@ snap_fields! {
     TimeoutPowerDown {
         saved: { last_activity: fixed },
         skipped: {
-            name: "config-derived",
             timeouts: "config-derived",
             precharge_after: "config-derived",
         },
@@ -447,16 +373,15 @@ mod tests {
     #[test]
     fn none_policy_never_proposes() {
         let (ch, rq, wq) = fixture();
-        let p = NoPowerManagement;
+        let p = PowerPolicy::None;
         assert_eq!(p.propose(&view(10_000, &ch, &rq, &wq)), None);
         assert_eq!(p.next_due(&view(10_000, &ch, &rq, &wq)), DramCycles::MAX);
-        assert_eq!(p.name(), "none");
     }
 
     #[test]
     fn immediate_powers_down_quiescent_ranks_at_once() {
         let (ch, rq, wq) = fixture();
-        let p = PowerPolicyKind::Immediate.build_impl(2);
+        let p = PowerPolicyKind::Immediate.build(2);
         assert_eq!(
             p.propose(&view(0, &ch, &rq, &wq)),
             Some(PowerAction::PowerDown {
@@ -469,7 +394,7 @@ mod tests {
     #[test]
     fn pending_demand_vetoes_power_down() {
         let (ch, mut rq, wq) = fixture();
-        let mut p = TimeoutPowerDown::new("t", 2, PowerTimeouts::immediate(), None);
+        let mut p = TimeoutPowerDown::new(2, PowerTimeouts::immediate(), None);
         rq.push(
             MemoryRequest::new(1, AccessKind::Read, 0, 0, 0),
             Location::new(0, 0, 5, 0),
@@ -489,7 +414,7 @@ mod tests {
     fn idle_timer_escalates_with_idle_time() {
         let (mut ch, rq, wq) = fixture();
         let timeouts = PowerTimeouts::idle_timer();
-        let mut p = TimeoutPowerDown::new("t", 2, timeouts, None);
+        let mut p = TimeoutPowerDown::new(2, timeouts, None);
         for r in 0..2 {
             p.on_activity(r, 100);
         }
@@ -542,7 +467,6 @@ mod tests {
     fn power_aware_closes_idle_open_rows() {
         let (mut ch, rq, wq) = fixture();
         let mut p = TimeoutPowerDown::new(
-            "pa",
             2,
             PowerTimeouts::idle_timer(),
             Some(POWER_AWARE_PRECHARGE_AFTER),
@@ -576,8 +500,7 @@ mod tests {
     #[test]
     fn kinds_build_parse_and_roundtrip() {
         for kind in PowerPolicyKind::all() {
-            let p = kind.build_impl(2);
-            assert!(!p.name().is_empty());
+            let _ = kind.build(2);
             let parsed: PowerPolicyKind = kind.to_string().parse().unwrap();
             assert_eq!(parsed, kind);
         }

@@ -198,12 +198,6 @@ impl RequestQueue {
         self.entries.iter()
     }
 
-    /// Entry lookup by request id.
-    #[must_use]
-    pub fn get(&self, id: RequestId) -> Option<&QueueEntry> {
-        self.entries.iter().find(|e| e.request.id == id)
-    }
-
     /// The packed [`bank_row_key`] column, index-aligned with the entries:
     /// the flat `u64` lane for single-pass demand scans.
     #[must_use]

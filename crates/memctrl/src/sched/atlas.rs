@@ -6,7 +6,7 @@ use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::queue::QueueEntry;
 use crate::request::{CompletedRequest, RowBufferOutcome};
-use crate::sched::{first_ready, SchedContext, SchedDecision, Scheduler};
+use crate::sched::{first_ready, SchedContext, SchedDecision};
 
 /// ATLAS parameters (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,14 +137,8 @@ impl Atlas {
             RowBufferOutcome::Conflict => 37.0,
         }
     }
-}
 
-impl Scheduler for Atlas {
-    fn name(&self) -> &'static str {
-        "ATLAS"
-    }
-
-    fn on_cycle(&mut self, ctx: &SchedContext<'_>) {
+    pub(crate) fn on_cycle(&mut self, ctx: &SchedContext<'_>) {
         while ctx.now >= self.quantum_end {
             self.end_quantum();
             self.quantum_end += self.cfg.quantum;
@@ -154,18 +148,18 @@ impl Scheduler for Atlas {
     /// The ranking quantum must end at its exact cycle relative to request
     /// completions (service attained before the boundary belongs to the old
     /// quantum), so the kernel may never fast-forward across it.
-    fn next_due(&self) -> DramCycles {
+    pub(crate) fn next_due(&self) -> DramCycles {
         self.quantum_end
     }
 
-    fn on_complete(&mut self, done: &CompletedRequest) {
+    pub(crate) fn on_complete(&mut self, done: &CompletedRequest) {
         let core = done.request.core;
         if let Some(s) = self.quantum_service.get_mut(core) {
             *s += Self::service_cost(done.outcome);
         }
     }
 
-    fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+    pub(crate) fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
         let queue = ctx.active_queue();
         if queue.is_empty() {
             return None;

@@ -1,74 +1,42 @@
 //! First-come-first-served schedulers.
 
-use crate::sched::{first_ready, progress_for, SchedContext, SchedDecision, Scheduler};
+use crate::sched::{first_ready, progress_for, SchedContext, SchedDecision};
 
 /// Strict FCFS: only the oldest pending request of the active queue is ever
 /// considered, so a blocked head request blocks the whole channel.
 ///
 /// This is the simplest possible scheduler and serves as the lower bound in
 /// the paper's discussion; the variant actually evaluated in the figures is
-/// [`FcfsBanks`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fcfs;
-
-impl Fcfs {
-    /// Creates a strict FCFS scheduler.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Scheduler for Fcfs {
-    fn name(&self) -> &'static str {
-        "FCFS"
-    }
-
-    fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
-        let oldest = ctx.active_queue().oldest()?;
-        progress_for(oldest, ctx)
-    }
+/// [`pick_banks`].
+#[must_use]
+pub fn pick(ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+    let oldest = ctx.active_queue().oldest()?;
+    progress_for(oldest, ctx)
 }
 
 /// `FCFS_banks`: conceptually one FCFS queue per bank, so requests to
 /// different banks proceed in parallel, but requests to the same bank are
 /// never reordered (no row-hit promotion).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FcfsBanks;
-
-impl FcfsBanks {
-    /// Creates a per-bank FCFS scheduler.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Scheduler for FcfsBanks {
-    fn name(&self) -> &'static str {
-        "FCFS_Banks"
-    }
-
-    fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
-        // The head of each per-bank queue is the oldest pending request for
-        // that (rank, bank). Collect those heads in global age order and let
-        // the first-ready skeleton choose among them; because only per-bank
-        // heads are candidates, no within-bank reordering can happen.
-        let queue = ctx.active_queue();
-        let banks_per_rank = ctx.channel.banks_per_rank();
-        let total_banks = ctx.channel.rank_count() * banks_per_rank;
-        let mut seen = vec![false; total_banks];
-        let mut heads = Vec::with_capacity(total_banks);
-        for entry in queue.iter() {
-            let flat = entry.location.flat_bank(banks_per_rank);
-            if !seen[flat] {
-                seen[flat] = true;
-                heads.push(entry);
-            }
+#[must_use]
+pub fn pick_banks(ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+    // The head of each per-bank queue is the oldest pending request for
+    // that (rank, bank). Collect those heads in global age order and let
+    // the first-ready skeleton choose among them; because only per-bank
+    // heads are candidates, no within-bank reordering can happen.
+    let queue = ctx.active_queue();
+    let banks_per_rank = ctx.channel.banks_per_rank();
+    let total_banks = ctx.channel.rank_count() * banks_per_rank;
+    let mut seen = vec![false; total_banks];
+    let mut heads = Vec::with_capacity(total_banks);
+    for entry in queue.iter() {
+        let flat = entry.location.flat_bank(banks_per_rank);
+        if !seen[flat] {
+            seen[flat] = true;
+            heads.push(entry);
         }
-        // Entries are already in arrival order, so `heads` is oldest-first.
-        first_ready(heads, ctx)
     }
+    // Entries are already in arrival order, so `heads` is oldest-first.
+    first_ready(heads, ctx)
 }
 
 #[cfg(test)]
@@ -107,13 +75,12 @@ mod tests {
         ch.issue(&Command::activate(Location::new(0, 0, 9, 0)), 0);
         push(&mut rq, 1, 0, 5, 0);
         push(&mut rq, 2, 1, 7, 1); // different bank, could proceed
-        let mut s = Fcfs::new();
+
         // Head request is blocked (tRAS not elapsed), so strict FCFS idles.
         // Cycle 5 respects tRRD after the activate at cycle 0.
-        assert!(s.pick(&ctx(&ch, &rq, &wq, 5)).is_none());
+        assert!(pick(&ctx(&ch, &rq, &wq, 5)).is_none());
         // FCFS_banks instead activates bank 1 for request 2.
-        let mut sb = FcfsBanks::new();
-        let d = sb.pick(&ctx(&ch, &rq, &wq, 5)).unwrap();
+        let d = pick_banks(&ctx(&ch, &rq, &wq, 5)).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 1, 7, 0)));
     }
 
@@ -128,9 +95,8 @@ mod tests {
         ch.issue(&Command::activate(Location::new(0, 0, 9, 0)), 0);
         push(&mut rq, 1, 0, 5, 0);
         push(&mut rq, 2, 0, 9, 1);
-        let mut s = FcfsBanks::new();
         let now = cfg.timing.t_ras;
-        let d = s.pick(&ctx(&ch, &rq, &wq, now)).unwrap();
+        let d = pick_banks(&ctx(&ch, &rq, &wq, now)).unwrap();
         // FCFS_banks serves the older conflict first (precharge), it never
         // promotes the younger hit.
         assert_eq!(d.command, Command::precharge(Location::new(0, 0, 5, 0)));
@@ -145,8 +111,7 @@ mod tests {
         let wq = RequestQueue::new(16);
         ch.issue(&Command::activate(Location::new(0, 0, 5, 0)), 0);
         push(&mut rq, 1, 0, 5, 0);
-        let mut s = Fcfs::new();
-        let d = s.pick(&ctx(&ch, &rq, &wq, cfg.timing.t_rcd)).unwrap();
+        let d = pick(&ctx(&ch, &rq, &wq, cfg.timing.t_rcd)).unwrap();
         assert_eq!(d.request_id, Some(1));
     }
 
@@ -156,7 +121,7 @@ mod tests {
         let ch = DramChannel::new(&cfg);
         let rq = RequestQueue::new(4);
         let wq = RequestQueue::new(4);
-        assert!(Fcfs::new().pick(&ctx(&ch, &rq, &wq, 0)).is_none());
-        assert!(FcfsBanks::new().pick(&ctx(&ch, &rq, &wq, 0)).is_none());
+        assert!(pick(&ctx(&ch, &rq, &wq, 0)).is_none());
+        assert!(pick_banks(&ctx(&ch, &rq, &wq, 0)).is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! First-Ready First-Come-First-Served scheduling (Rixner et al.), the
 //! paper's baseline.
 
-use crate::sched::{first_ready, SchedContext, SchedDecision, Scheduler};
+use crate::sched::{first_ready, SchedContext, SchedDecision};
 
 /// FR-FCFS: column commands that hit an open row are prioritized over
 /// activates/precharges for older requests; within each class, older requests
@@ -9,28 +9,12 @@ use crate::sched::{first_ready, SchedContext, SchedDecision, Scheduler};
 ///
 /// This maximizes row-buffer hit rate and DRAM throughput, which the paper
 /// finds to be the best fit for scale-out workloads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrFcfs;
-
-impl FrFcfs {
-    /// Creates an FR-FCFS scheduler.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Scheduler for FrFcfs {
-    fn name(&self) -> &'static str {
-        "FR-FCFS"
-    }
-
-    fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
-        // Queue iteration order is arrival order, so `first_ready` yields the
-        // oldest ready column command, else the oldest ready activate, else
-        // the oldest ready precharge: exactly FR-FCFS.
-        first_ready(ctx.active_queue().iter(), ctx)
-    }
+#[must_use]
+pub fn pick(ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+    // Queue iteration order is arrival order, so `first_ready` yields the
+    // oldest ready column command, else the oldest ready activate, else
+    // the oldest ready precharge: exactly FR-FCFS.
+    first_ready(ctx.active_queue().iter(), ctx)
 }
 
 #[cfg(test)]
@@ -68,9 +52,8 @@ mod tests {
         // Older request conflicts with the open row; younger request hits it.
         push(&mut rq, 1, 0, 5, 0);
         push(&mut rq, 2, 0, 9, 1);
-        let mut s = FrFcfs::new();
         let now = cfg.timing.t_ras; // precharge for request 1 would be legal
-        let d = s.pick(&ctx(&ch, &rq, &wq, now)).unwrap();
+        let d = pick(&ctx(&ch, &rq, &wq, now)).unwrap();
         assert_eq!(d.request_id, Some(2), "FR-FCFS must promote the row hit");
     }
 
@@ -82,8 +65,7 @@ mod tests {
         let wq = RequestQueue::new(16);
         push(&mut rq, 1, 2, 5, 0);
         push(&mut rq, 2, 3, 7, 1);
-        let mut s = FrFcfs::new();
-        let d = s.pick(&ctx(&ch, &rq, &wq, 10)).unwrap();
+        let d = pick(&ctx(&ch, &rq, &wq, 10)).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 2, 5, 0)));
     }
 
@@ -96,8 +78,7 @@ mod tests {
         ch.issue(&Command::activate(Location::new(0, 0, 9, 0)), 0);
         push(&mut rq, 1, 0, 9, 0);
         push(&mut rq, 2, 0, 9, 1);
-        let mut s = FrFcfs::new();
-        let d = s.pick(&ctx(&ch, &rq, &wq, cfg.timing.t_rcd)).unwrap();
+        let d = pick(&ctx(&ch, &rq, &wq, cfg.timing.t_rcd)).unwrap();
         assert_eq!(d.request_id, Some(1));
     }
 
@@ -113,12 +94,11 @@ mod tests {
             0,
         )
         .unwrap();
-        let mut s = FrFcfs::new();
         let c = SchedContext {
             write_mode: true,
             ..ctx(&ch, &rq, &wq, 0)
         };
-        let d = s.pick(&c).unwrap();
+        let d = pick(&c).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 1, 3, 0)));
     }
 }

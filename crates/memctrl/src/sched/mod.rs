@@ -2,14 +2,20 @@
 //!
 //! A [`Scheduler`] is asked once per DRAM cycle (per channel) for the next
 //! command to issue, given the pending request queues and the device state.
-//! Implemented algorithms (Section 2.1 of the paper):
+//! It is one enum with a variant per algorithm (Section 2.1 of the paper):
 //!
-//! * [`fcfs::Fcfs`] — strict first-come-first-served (head-of-line blocking).
-//! * [`fcfs::FcfsBanks`] — per-bank FCFS exploiting bank-level parallelism.
-//! * [`frfcfs::FrFcfs`] — first-ready FCFS, the paper's baseline.
-//! * [`parbs::ParBs`] — parallelism-aware batch scheduling.
-//! * [`atlas::Atlas`] — adaptive per-thread least-attained-service.
-//! * [`rl::RlScheduler`] — reinforcement-learning self-optimizing scheduler.
+//! * [`Scheduler::Fcfs`] — strict first-come-first-served (head-of-line
+//!   blocking), [`fcfs::pick`].
+//! * [`Scheduler::FcfsBanks`] — per-bank FCFS exploiting bank-level
+//!   parallelism, [`fcfs::pick_banks`].
+//! * [`Scheduler::FrFcfs`] — first-ready FCFS, the paper's baseline,
+//!   [`frfcfs::pick`].
+//! * [`Scheduler::ParBs`] — parallelism-aware batch scheduling
+//!   ([`parbs::ParBs`]).
+//! * [`Scheduler::Atlas`] — adaptive per-thread least-attained-service
+//!   ([`atlas::Atlas`]).
+//! * [`Scheduler::Rl`] — reinforcement-learning self-optimizing scheduler
+//!   ([`rl::RlScheduler`]).
 
 pub mod atlas;
 pub mod fcfs;
@@ -26,8 +32,6 @@ use crate::queue::{QueueEntry, RequestQueue};
 use crate::request::{AccessKind, CompletedRequest, RequestId};
 
 pub use atlas::{Atlas, AtlasConfig};
-pub use fcfs::{Fcfs, FcfsBanks};
-pub use frfcfs::FrFcfs;
 pub use parbs::{ParBs, ParBsConfig};
 pub use rl::{RlConfig, RlScheduler};
 
@@ -171,11 +175,29 @@ where
     best_activate.or(best_precharge)
 }
 
-/// A memory scheduling algorithm.
-pub trait Scheduler: std::fmt::Debug + Send {
-    /// Short human-readable name (used in reports).
-    fn name(&self) -> &'static str;
+/// A memory scheduling algorithm: one variant per algorithm, each method a
+/// `match` over them.
+///
+/// The controller consults its scheduler once per DRAM cycle per channel, so
+/// dispatch sits on the hottest path of the whole simulator: every method
+/// compiles to a jump table over inlined bodies rather than virtual calls.
+#[derive(Debug)]
+pub enum Scheduler {
+    /// Strict first-come-first-served ([`fcfs::pick`]).
+    Fcfs,
+    /// Per-bank FCFS, the paper's `FCFS_banks` ([`fcfs::pick_banks`]).
+    FcfsBanks,
+    /// First-ready FCFS, the paper's baseline ([`frfcfs::pick`]).
+    FrFcfs,
+    /// Parallelism-aware batch scheduling.
+    ParBs(ParBs),
+    /// Adaptive per-thread least-attained-service.
+    Atlas(Atlas),
+    /// The reinforcement-learning scheduler.
+    Rl(RlScheduler),
+}
 
+impl Scheduler {
     /// Chooses the command to issue this cycle, if any.
     ///
     /// Every candidate is tested through [`progress_for`], so a pick that
@@ -183,13 +205,27 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// at which any candidate it evaluated becomes legal. Until then, with
     /// queues and device state unchanged, the same pick issues nothing: the
     /// controller skips the channel to that cycle.
-    fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision>;
-
-    /// Observes a newly enqueued request.
-    fn on_enqueue(&mut self, _entry: &QueueEntry) {}
+    #[inline]
+    pub fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+        match self {
+            Self::Fcfs => fcfs::pick(ctx),
+            Self::FcfsBanks => fcfs::pick_banks(ctx),
+            Self::FrFcfs => frfcfs::pick(ctx),
+            Self::ParBs(s) => s.pick(ctx),
+            Self::Atlas(s) => s.pick(ctx),
+            Self::Rl(s) => s.pick(ctx),
+        }
+    }
 
     /// Observes a completed request.
-    fn on_complete(&mut self, _done: &CompletedRequest) {}
+    #[inline]
+    pub fn on_complete(&mut self, done: &CompletedRequest) {
+        match self {
+            Self::ParBs(s) => s.on_complete(done),
+            Self::Atlas(s) => s.on_complete(done),
+            _ => {}
+        }
+    }
 
     /// Called once per cycle before `pick` (for quantum/bookkeeping updates).
     ///
@@ -200,117 +236,45 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// cycle would have. Work that must happen at an exact cycle relative to
     /// request completions must additionally be announced through
     /// [`Scheduler::next_due`] so the kernel never skips past it.
-    fn on_cycle(&mut self, _ctx: &SchedContext<'_>) {}
+    #[inline]
+    pub fn on_cycle(&mut self, ctx: &SchedContext<'_>) {
+        if let Self::Atlas(s) = self {
+            s.on_cycle(ctx);
+        }
+    }
 
     /// The next cycle at which this scheduler changes state *on its own*
     /// (e.g. a ranking-quantum boundary), independent of queue contents,
     /// under the next-due contract stated in `cloudmc-sim`'s `kernel`
-    /// module. The default, `u64::MAX`, is a scheduler with no time-driven
-    /// state of its own.
-    fn next_due(&self) -> DramCycles {
-        DramCycles::MAX
+    /// module. `u64::MAX` is a scheduler with no time-driven state of its
+    /// own.
+    #[inline]
+    #[must_use]
+    pub fn next_due(&self) -> DramCycles {
+        match self {
+            Self::Atlas(s) => s.next_due(),
+            _ => DramCycles::MAX,
+        }
     }
 
     /// Whether the scheduler handles the read/write interleaving itself.
     ///
-    /// When `false` (the default) the controller drains writes using
-    /// high/low watermarks on the write queue and the scheduler only sees the
-    /// active queue. The RL scheduler returns `true` and freely mixes reads
-    /// and writes.
-    fn manages_write_drain(&self) -> bool {
-        false
-    }
-}
-
-/// A scheduler instance behind static dispatch.
-///
-/// The controller consults its scheduler once per DRAM cycle per channel, so
-/// dispatch sits on the hottest path of the whole simulator. Every algorithm
-/// is a concrete variant — `pick`/`on_cycle`/`next_due` compile to a
-/// jump table over inlined bodies rather than virtual calls.
-#[derive(Debug)]
-pub enum SchedulerImpl {
-    /// Strict first-come-first-served, statically dispatched.
-    Fcfs(Fcfs),
-    /// Per-bank FCFS, statically dispatched.
-    FcfsBanks(FcfsBanks),
-    /// The FR-FCFS baseline, statically dispatched.
-    FrFcfs(FrFcfs),
-    /// Parallelism-aware batch scheduling, statically dispatched.
-    ParBs(ParBs),
-    /// Adaptive per-thread least-attained-service, statically dispatched.
-    Atlas(Atlas),
-    /// The reinforcement-learning scheduler, statically dispatched.
-    Rl(RlScheduler),
-}
-
-/// Applies `$body` to the concrete scheduler in every variant.
-macro_rules! for_each_scheduler {
-    ($self:expr, $s:ident => $body:expr) => {
-        match $self {
-            SchedulerImpl::Fcfs($s) => $body,
-            SchedulerImpl::FcfsBanks($s) => $body,
-            SchedulerImpl::FrFcfs($s) => $body,
-            SchedulerImpl::ParBs($s) => $body,
-            SchedulerImpl::Atlas($s) => $body,
-            SchedulerImpl::Rl($s) => $body,
-        }
-    };
-}
-
-impl SchedulerImpl {
-    /// Short human-readable name (used in reports).
-    #[inline]
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        for_each_scheduler!(self, s => s.name())
-    }
-
-    /// Chooses the command to issue this cycle, if any.
-    #[inline]
-    pub fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
-        for_each_scheduler!(self, s => s.pick(ctx))
-    }
-
-    /// Observes a newly enqueued request.
-    #[inline]
-    pub fn on_enqueue(&mut self, entry: &QueueEntry) {
-        for_each_scheduler!(self, s => s.on_enqueue(entry));
-    }
-
-    /// Observes a completed request.
-    #[inline]
-    pub fn on_complete(&mut self, done: &CompletedRequest) {
-        for_each_scheduler!(self, s => s.on_complete(done));
-    }
-
-    /// Called once per cycle before `pick` (quantum/bookkeeping updates).
-    #[inline]
-    pub fn on_cycle(&mut self, ctx: &SchedContext<'_>) {
-        for_each_scheduler!(self, s => s.on_cycle(ctx));
-    }
-
-    /// See [`Scheduler::next_due`].
-    #[inline]
-    #[must_use]
-    pub fn next_due(&self) -> DramCycles {
-        for_each_scheduler!(self, s => s.next_due())
-    }
-
-    /// Whether the scheduler handles read/write interleaving itself.
+    /// When `false` the controller drains writes using high/low watermarks
+    /// on the write queue and the scheduler only sees the active queue. The
+    /// RL scheduler returns `true` and freely mixes reads and writes.
     #[inline]
     #[must_use]
     pub fn manages_write_drain(&self) -> bool {
-        for_each_scheduler!(self, s => s.manages_write_drain())
+        matches!(self, Self::Rl(_))
     }
 }
 
-impl Snap for SchedulerImpl {
+impl Snap for Scheduler {
     const MIN_BYTES: usize = 0;
 
     fn save(&self, w: &mut SnapWriter) {
         match self {
-            Self::Fcfs(Fcfs) | Self::FcfsBanks(FcfsBanks) | Self::FrFcfs(FrFcfs) => {}
+            Self::Fcfs | Self::FcfsBanks | Self::FrFcfs => {}
             Self::ParBs(s) => s.save(w),
             Self::Atlas(s) => s.save(w),
             Self::Rl(s) => s.save(w),
@@ -319,7 +283,7 @@ impl Snap for SchedulerImpl {
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         match self {
-            Self::Fcfs(Fcfs) | Self::FcfsBanks(FcfsBanks) | Self::FrFcfs(FrFcfs) => Ok(()),
+            Self::Fcfs | Self::FcfsBanks | Self::FrFcfs => Ok(()),
             Self::ParBs(s) => s.load(r),
             Self::Atlas(s) => s.load(r),
             Self::Rl(s) => s.load(r),
@@ -365,18 +329,44 @@ impl SchedulerKind {
         [Self::Fcfs, a, b, c, d, e]
     }
 
-    /// Instantiates the scheduler behind the dispatch wrapper the controller
-    /// uses: a concrete, statically dispatched variant for every built-in
-    /// algorithm.
+    /// Instantiates the scheduler the controller holds.
     #[must_use]
-    pub fn build_impl(self, num_cores: usize) -> SchedulerImpl {
+    pub fn build(self, num_cores: usize) -> Scheduler {
         match self {
-            Self::Fcfs => SchedulerImpl::Fcfs(Fcfs::new()),
-            Self::FcfsBanks => SchedulerImpl::FcfsBanks(FcfsBanks::new()),
-            Self::FrFcfs => SchedulerImpl::FrFcfs(FrFcfs::new()),
-            Self::ParBs(cfg) => SchedulerImpl::ParBs(ParBs::new(cfg, num_cores)),
-            Self::Atlas(cfg) => SchedulerImpl::Atlas(Atlas::new(cfg, num_cores)),
-            Self::Rl(cfg) => SchedulerImpl::Rl(RlScheduler::new(cfg)),
+            Self::Fcfs => Scheduler::Fcfs,
+            Self::FcfsBanks => Scheduler::FcfsBanks,
+            Self::FrFcfs => Scheduler::FrFcfs,
+            Self::ParBs(cfg) => Scheduler::ParBs(ParBs::new(cfg, num_cores)),
+            Self::Atlas(cfg) => Scheduler::Atlas(Atlas::new(cfg, num_cores)),
+            Self::Rl(cfg) => Scheduler::Rl(RlScheduler::new(cfg)),
+        }
+    }
+
+    /// Checks the algorithm's parameters: an ATLAS quantum of at least one
+    /// cycle, and RL table dimensions within [`RlConfig::MAX_TABLES`] and
+    /// [`RlConfig::MAX_TABLE_SIZE`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the first out-of-range field and its
+    /// value.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            Self::Atlas(cfg) if cfg.quantum == 0 => {
+                Err("ATLAS quantum (0) must be at least 1".to_owned())
+            }
+            Self::Rl(cfg) => {
+                for (name, value, max) in [
+                    ("num_tables", cfg.num_tables, RlConfig::MAX_TABLES),
+                    ("table_size", cfg.table_size, RlConfig::MAX_TABLE_SIZE),
+                ] {
+                    if !(1..=max).contains(&value) {
+                        return Err(format!("RL {name} ({value}) must be in 1..={max}"));
+                    }
+                }
+                Ok(())
+            }
+            _ => Ok(()),
         }
     }
 
@@ -521,15 +511,13 @@ mod tests {
     #[test]
     fn scheduler_kind_labels_and_parsing() {
         for kind in SchedulerKind::all() {
-            let mut s = kind.build_impl(16);
-            assert!(!s.name().is_empty());
+            let mut s = kind.build(16);
             let (ch, rq, wq) = fixture();
             let ctx = SchedContext::new(0, &ch, &rq, &wq, false, 16);
             // Empty queues: every scheduler must return None.
             assert!(
                 s.pick(&ctx).is_none(),
-                "{} returned work for empty queues",
-                s.name()
+                "{kind} returned work for empty queues"
             );
         }
         assert_eq!(

@@ -6,7 +6,7 @@ use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::queue::QueueEntry;
 use crate::request::{CompletedRequest, RequestId};
-use crate::sched::{first_ready, SchedContext, SchedDecision, Scheduler};
+use crate::sched::{first_ready, SchedContext, SchedDecision};
 
 /// PAR-BS parameters (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,14 +120,8 @@ impl ParBs {
             .iter()
             .any(|e| self.marked.contains(&e.request.id))
     }
-}
 
-impl Scheduler for ParBs {
-    fn name(&self) -> &'static str {
-        "PAR-BS"
-    }
-
-    fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+    pub(crate) fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
         if ctx.active_queue().is_empty() {
             return None;
         }
@@ -158,7 +152,7 @@ impl Scheduler for ParBs {
         first_ready(batched, ctx).or_else(|| first_ready(unbatched, ctx))
     }
 
-    fn on_complete(&mut self, done: &CompletedRequest) {
+    pub(crate) fn on_complete(&mut self, done: &CompletedRequest) {
         self.marked.remove(&done.request.id);
     }
 }

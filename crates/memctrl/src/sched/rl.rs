@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use cloudmc_dram::{CommandKind, DramCycles};
 
 use crate::queue::QueueEntry;
-use crate::sched::{progress_for, SchedContext, SchedDecision, Scheduler};
+use crate::sched::{progress_for, SchedContext, SchedDecision};
 
 /// RL scheduler parameters (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,6 +38,16 @@ pub struct RlConfig {
     pub starvation_threshold: DramCycles,
     /// Seed for the exploration random number generator.
     pub seed: u64,
+}
+
+impl RlConfig {
+    /// Largest `num_tables` that validates. Every candidate of every pick
+    /// hashes its features once per table, so the count bounds a pick's work.
+    pub const MAX_TABLES: usize = 256;
+
+    /// Largest `table_size` that validates. The tables are allocated when
+    /// the scheduler is built, `num_tables × table_size` entries per channel.
+    pub const MAX_TABLE_SIZE: usize = 4096;
 }
 
 impl Default for RlConfig {
@@ -257,18 +267,8 @@ impl RlScheduler {
         }
         out
     }
-}
 
-impl Scheduler for RlScheduler {
-    fn name(&self) -> &'static str {
-        "RL"
-    }
-
-    fn manages_write_drain(&self) -> bool {
-        true
-    }
-
-    fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+    pub(crate) fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
         // Starvation guard: the oldest over-threshold request is served with
         // whatever command makes progress for it.
         let starved = ctx
@@ -349,6 +349,7 @@ mod tests {
     use super::*;
     use crate::queue::RequestQueue;
     use crate::request::{AccessKind, MemoryRequest};
+    use crate::sched::Scheduler;
     use cloudmc_dram::{Command, DramChannel, DramConfig, Location};
 
     fn push(q: &mut RequestQueue, id: u64, kind: AccessKind, bank: usize, row: u64, at: u64) {
@@ -390,7 +391,7 @@ mod tests {
         let rq = RequestQueue::new(8);
         let mut wq = RequestQueue::new(8);
         push(&mut wq, 2, AccessKind::Write, 1, 7, 0);
-        let mut s = RlScheduler::new(RlConfig::default());
+        let mut s = Scheduler::Rl(RlScheduler::new(RlConfig::default()));
         assert!(s.manages_write_drain());
         let d = s.pick(&ctx(&ch, &rq, &wq, 0)).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 1, 7, 0)));

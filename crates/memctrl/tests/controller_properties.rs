@@ -18,18 +18,6 @@ use cloudmc_memctrl::{
     MemoryRequest, PagePolicyKind, PowerPolicyKind, QosConfig, QosPolicyKind, SchedulerKind,
 };
 
-fn policies() -> [PagePolicyKind; 7] {
-    [
-        PagePolicyKind::Open,
-        PagePolicyKind::Close,
-        PagePolicyKind::OpenAdaptive,
-        PagePolicyKind::CloseAdaptive,
-        PagePolicyKind::Rbpp,
-        PagePolicyKind::Abpp,
-        PagePolicyKind::Timer,
-    ]
-}
-
 /// decode(addr) -> encode(decoded) is the identity for in-range addresses
 /// under every mapping and channel count.
 #[test]
@@ -83,7 +71,7 @@ fn requests_are_conserved() {
     let mut rng = StdRng::seed_from_u64(0xC0_1357);
     for case in 0..24 {
         let scheduler = SchedulerKind::all()[case % 6];
-        let policy = policies()[rng.gen_range(0..policies().len())];
+        let policy = PagePolicyKind::all()[rng.gen_range(0..PagePolicyKind::all().len())];
         let mapping = AddressMapping::all()[rng.gen_range(0..4usize)];
         let channels = [1usize, 2][rng.gen_range(0..2usize)];
 
@@ -229,7 +217,7 @@ fn busy_channel_jumps_match_per_cycle_ticks() {
     base.dram.timing.t_refi = 700;
     let mut rows: Vec<(McConfig, String)> = Vec::new();
     for (i, scheduler) in SchedulerKind::all().into_iter().enumerate() {
-        for (j, policy) in policies().into_iter().enumerate() {
+        for (j, policy) in PagePolicyKind::all().into_iter().enumerate() {
             for channels in [1, 2] {
                 let mut cfg = base;
                 cfg.scheduler = scheduler;

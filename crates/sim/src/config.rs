@@ -253,7 +253,7 @@ mod tests {
     use super::*;
     use cloudmc_cpu::CacheConfig;
     use cloudmc_dram::DramConfig;
-    use cloudmc_memctrl::AtlasConfig;
+    use cloudmc_memctrl::{AtlasConfig, RlConfig};
 
     /// The message of the [`SimError::Config`] `cfg` fails validation with.
     fn config_error(cfg: &SystemConfig) -> String {
@@ -338,10 +338,20 @@ mod tests {
     /// and `1 << 36` L2 banks aborted on the allocation. The core rows (an L1 geometry that does not divide into
     /// sets, unequal L1 block sizes, an empty MSHR file, a solo tenant over
     /// the 64-core bound) passed validation and then panicked in the build.
+    /// The scheduler rows: an ATLAS quantum of 0 looped forever at its
+    /// first boundary, zero RL tables or table entries panicked in the
+    /// build, and `1 << 20` tables of `1 << 20` entries never finished.
     #[test]
     fn validate_bounds_bank_count_and_queue_capacity() {
         type Set = fn(&mut SystemConfig, usize);
-        let cases: [(&str, usize, Set); 14] = [
+        fn rl(num_tables: usize, table_size: usize) -> SchedulerKind {
+            SchedulerKind::Rl(RlConfig {
+                num_tables,
+                table_size,
+                ..RlConfig::default()
+            })
+        }
+        let cases: [(&str, usize, Set); 18] = [
             ("ranks_per_channel", 512, |c, v| {
                 c.mc.dram.ranks_per_channel = v
             }),
@@ -374,6 +384,15 @@ mod tests {
                 c.l2.bank.size_bytes = v as u64;
             }),
             ("l2: banks", 1 << 36, |c, v| c.l2.banks = v),
+            ("quantum", 0, |c, v| {
+                c.mc.scheduler = SchedulerKind::Atlas(AtlasConfig {
+                    quantum: v as u64,
+                    ..AtlasConfig::default()
+                });
+            }),
+            ("num_tables", 0, |c, v| c.mc.scheduler = rl(v, 256)),
+            ("table_size", 0, |c, v| c.mc.scheduler = rl(32, v)),
+            ("num_tables", 1 << 20, |c, v| c.mc.scheduler = rl(v, v)),
         ];
         for (field, value, set) in cases {
             let mut cfg = SystemConfig::baseline(Workload::WebSearch);
@@ -401,6 +420,15 @@ mod tests {
         cfg.core.l1d.size_bytes = max_lines_bytes;
         cfg.l2.bank.size_bytes = max_lines_bytes;
         cfg.l2.banks = L2Config::MAX_BANKS;
+        cfg.validate().unwrap();
+        cfg.mc.scheduler = rl(RlConfig::MAX_TABLES, RlConfig::MAX_TABLE_SIZE);
+        cfg.validate().unwrap();
+        cfg.mc.scheduler = rl(1, 1);
+        cfg.validate().unwrap();
+        cfg.mc.scheduler = SchedulerKind::Atlas(AtlasConfig {
+            quantum: 1,
+            ..AtlasConfig::default()
+        });
         cfg.validate().unwrap();
     }
 

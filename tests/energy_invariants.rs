@@ -30,17 +30,8 @@ fn idle_config(seed: u64) -> SystemConfig {
 /// the power-state machinery is actually in the loop).
 #[test]
 fn energy_is_bit_identical_across_all_schedulers_and_page_policies() {
-    let all_pages = [
-        PagePolicyKind::Open,
-        PagePolicyKind::Close,
-        PagePolicyKind::OpenAdaptive,
-        PagePolicyKind::CloseAdaptive,
-        PagePolicyKind::Rbpp,
-        PagePolicyKind::Abpp,
-        PagePolicyKind::Timer,
-    ];
     for scheduler in SchedulerKind::paper_set() {
-        for page in all_pages {
+        for page in PagePolicyKind::all() {
             let mut cfg = idle_config(9);
             cfg.mc.scheduler = scheduler;
             cfg.mc.page_policy = page;

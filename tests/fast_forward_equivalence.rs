@@ -84,15 +84,7 @@ fn every_scheduler_is_bit_identical() {
 /// idle-timer policy, whose proposals flip purely with the passage of time.
 #[test]
 fn every_page_policy_is_bit_identical() {
-    for policy in [
-        PagePolicyKind::Open,
-        PagePolicyKind::Close,
-        PagePolicyKind::OpenAdaptive,
-        PagePolicyKind::CloseAdaptive,
-        PagePolicyKind::Rbpp,
-        PagePolicyKind::Abpp,
-        PagePolicyKind::Timer,
-    ] {
+    for policy in PagePolicyKind::all() {
         let mut cfg = small(Workload::MediaStreaming, 5);
         cfg.mc.page_policy = policy;
         assert_equivalent(cfg, &policy.to_string());

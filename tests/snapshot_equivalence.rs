@@ -11,7 +11,9 @@
 //! once and fork every measured replicate from the warm image: any mutable
 //! field missing from the snapshot shows up here as a diverging counter.
 
-use cloudmc::memctrl::{FaultConfig, SchedulerKind, UncorrectablePolicy};
+use cloudmc::memctrl::{
+    FaultConfig, PagePolicyKind, PowerPolicyKind, SchedulerKind, UncorrectablePolicy,
+};
 use cloudmc::sim::{SimError, SimStats, Simulator, SystemConfig};
 use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
 
@@ -263,6 +265,28 @@ fn stateful_schedulers_resume_bit_identically() {
         let mut cfg = small(Workload::WebSearch, 3);
         cfg.mc.scheduler = scheduler;
         assert_restartable(cfg, scheduler.label());
+    }
+}
+
+/// Stateful page and power policies carry per-bank or per-rank clockwork
+/// (RBPP's and ABPP's row histories and current activations, the idle-timer
+/// page policy's last access per bank, the power-down timers' last demand
+/// per rank) that must survive the round trip. Every page policy runs with
+/// one of the power policies in turn, then every power policy runs alone.
+#[test]
+fn stateful_page_and_power_policies_resume_bit_identically() {
+    let power = PowerPolicyKind::all();
+    for (i, page) in PagePolicyKind::all().into_iter().enumerate() {
+        let mut cfg = small(Workload::MediaStreaming, 4);
+        cfg.mc.page_policy = page;
+        cfg.mc.power_policy = power[i % power.len()];
+        let label = format!("{page} + {}", cfg.mc.power_policy);
+        assert_restartable(cfg, &label);
+    }
+    for policy in power {
+        let mut cfg = small(Workload::WebSearch, 4);
+        cfg.mc.power_policy = policy;
+        assert_restartable(cfg, &policy.to_string());
     }
 }
 
