@@ -41,7 +41,8 @@
 //!   --seed <n>            workload seed (default 1)
 //!   --threads <n>         worker threads across runs (one configuration per
 //!                         thread; a single run is always one thread)
-//!   --csv <dir>           also write each table as CSV into <dir>
+//!   --csv <dir>           also write each table as CSV into <dir> (every
+//!                         study's, the BENCH_*.json studies' included)
 //!   --git-describe <s>    version string for the report meta block
 //!                         (or set REPRO_GIT_DESCRIBE)
 //!   --replicates <n>      figure experiments: measured seeds per
@@ -62,8 +63,8 @@ use cloudmc_bench::{
     baseline_study, channel_study, config_report, energy_study, fastforward_report, figure1,
     figure10, figure11, figure12, figure13, figure14, figure2, figure3, figure4, figure5, figure6,
     figure7, figure8, figure9, page_policy_study, parse, qos_study, regenerate_golden_trace,
-    reliability_study, scheduler_study, trace_study, with_meta, Options, Parsed, RunMeta,
-    SweepError, Table, HELP,
+    reliability_study, scheduler_study, trace_study, Options, Parsed, Report, RunMeta, SweepError,
+    Table, HELP,
 };
 
 /// Reports the outcome of writing `path` on stderr.
@@ -98,9 +99,20 @@ fn emit(table: &Table, csv_dir: &Option<PathBuf>) -> Result<(), ExitCode> {
     wrote(&path, outcome)
 }
 
-/// Writes a report's JSON with the provenance `meta` block spliced in.
-fn write_report(path: &str, json: &str, meta: &RunMeta) -> Result<(), ExitCode> {
-    wrote(Path::new(path), std::fs::write(path, with_meta(json, meta)))
+/// Prints every table of a study's `report` (and, with `--csv`, writes
+/// it), then writes the report as `path`, named `benchmark` in the JSON.
+fn write_report(
+    path: &str,
+    benchmark: &str,
+    report: &Report,
+    meta: &RunMeta,
+    csv_dir: &Option<PathBuf>,
+) -> Result<(), ExitCode> {
+    for table in &report.tables {
+        emit(table, csv_dir)?;
+    }
+    let json = report.to_json(meta, benchmark);
+    wrote(Path::new(path), std::fs::write(path, json))
 }
 
 /// A study's results, or how `repro` ends instead: a `--max-cells` stop
@@ -212,17 +224,19 @@ fn run(opts: Options) -> Result<(), ExitCode> {
         }
     }
     if wants(&["fastforward", "all"]) {
-        let report = fastforward_report(&scale);
-        println!("{}", report.to_text());
+        let report = finished(exp, fastforward_report(&scale))?;
+        for table in &report.tables {
+            emit(table, &csv_dir)?;
+        }
         // Regression gate (run as a CI smoke step): on dense streams the
         // event kernel has no idle cycles to skip, so any speedup below 1.0
         // means its bookkeeping is taxing the busy path.
-        for p in report.points.iter().filter(|p| p.name != "idle_heavy") {
-            if p.speedup() < 1.0 {
+        let table = &report.tables[0];
+        for (name, _) in table.rows.iter().filter(|(name, _)| name != "idle_heavy") {
+            let speedup = table.value(name, "speedup").unwrap_or(0.0);
+            if speedup < 1.0 {
                 eprintln!(
-                    "error: dense stream `{}` regressed: event kernel ran at {:.2}x the reference loop",
-                    p.name,
-                    p.speedup()
+                    "error: dense stream `{name}` regressed: event kernel ran at {speedup:.2}x the reference loop"
                 );
                 return Err(ExitCode::FAILURE);
             }
@@ -230,30 +244,41 @@ fn run(opts: Options) -> Result<(), ExitCode> {
     }
     if wants(&["energy", "all"]) {
         let report = finished(exp, energy_study(&scale, &sweep))?;
-        println!("{}", report.to_text());
-        write_report("BENCH_energy.json", &report.to_json(), &meta)?;
+        write_report("BENCH_energy.json", "dram_energy", &report, &meta, &csv_dir)?;
     }
     if wants(&["qos", "all"]) {
         let report = finished(exp, qos_study(&scale, &sweep))?;
-        println!("{}", report.to_text());
-        write_report("BENCH_qos.json", &report.to_json(), &meta)?;
+        write_report(
+            "BENCH_qos.json",
+            "multi_tenant_qos",
+            &report,
+            &meta,
+            &csv_dir,
+        )?;
     }
     if wants(&["reliability", "all"]) {
         let report = finished(exp, reliability_study(&scale, &sweep))?;
-        println!("{}", report.to_text());
-        write_report("BENCH_reliability.json", &report.to_json(), &meta)?;
+        write_report(
+            "BENCH_reliability.json",
+            "reliability",
+            &report,
+            &meta,
+            &csv_dir,
+        )?;
         // Regression gate (run as a CI smoke step): the fault ledger must
         // balance on every point, and scrubbing must have produced real
         // traffic wherever it was enabled.
-        for p in &report.points {
-            let ledger_ok = p.stats.faults_injected
-                == p.stats.faults_corrected + p.stats.faults_uncorrectable + p.stats.faults_latent;
+        let table = &report.tables[0];
+        for (label, stats) in &report.points {
+            let ledger_ok = stats.faults_injected
+                == stats.faults_corrected + stats.faults_uncorrectable + stats.faults_latent;
             if !ledger_ok {
-                eprintln!("error: fault ledger out of balance at `{}`", p.label());
+                eprintln!("error: fault ledger out of balance at `{label}`");
                 return Err(ExitCode::FAILURE);
             }
-            if p.scrub_interval > 0 && p.stats.scrub_reads_completed == 0 {
-                eprintln!("error: scrubbing enabled but idle at `{}`", p.label());
+            let scrubbing = table.value(label, "scrub_interval") != Some(0.0);
+            if scrubbing && stats.scrub_reads_completed == 0 {
+                eprintln!("error: scrubbing enabled but idle at `{label}`");
                 return Err(ExitCode::FAILURE);
             }
         }
@@ -268,9 +293,14 @@ fn run(opts: Options) -> Result<(), ExitCode> {
                 }
             }
         }
-        let report = trace_study(&scale);
-        println!("{}", report.to_text());
-        write_report("BENCH_trace.json", &report.to_json(), &meta)?;
+        let report = finished(exp, trace_study(&scale))?;
+        write_report(
+            "BENCH_trace.json",
+            "trace_record_replay",
+            &report,
+            &meta,
+            &csv_dir,
+        )?;
     }
     Ok(())
 }

@@ -3,17 +3,20 @@
 //! stream, two dense streams, and a four-channel dense stream.
 //!
 //! `repro fastforward` asserts the two drivers bit-identical on every point,
-//! prints their simulated-CPU-cycles-per-second side by side, and fails if
+//! prints their simulated-CPU-cycles-per-second side by side (the one table
+//! of [`fastforward_report`]'s [`Report`]), and fails if
 //! the event kernel runs a dense stream slower than the reference loop.
 //! Nothing is written: the repository's host-time record is the ledger in
 //! `benchmark/`.
 
 use std::time::Instant;
 
-use cloudmc_sim::{SimStats, Simulator, SystemConfig};
+use cloudmc_sim::{SimError, SimStats, Simulator, SystemConfig};
 use cloudmc_workloads::Workload;
 
 use crate::experiments::{baseline_config, Scale};
+use crate::report::{Report, Table};
+use crate::sweep::SweepError;
 
 /// The idle-intensity factor of the benchmark's low-arrival-rate stream.
 ///
@@ -37,95 +40,69 @@ pub fn dense_config(scale: &Scale) -> SystemConfig {
     baseline_config(Workload::TpchQ6, scale)
 }
 
-/// One point: the same workload under both drivers.
-#[derive(Debug, Clone)]
-pub struct FastForwardPoint {
-    /// Point name (`idle_heavy`, `tpch_q6`, ...).
-    pub name: &'static str,
-    /// Simulated CPU cycles per wall-clock second of the reference loop.
-    pub reference_cycles_per_sec: f64,
-    /// Simulated CPU cycles per wall-clock second of the event kernel.
-    pub event_cycles_per_sec: f64,
-}
-
-impl FastForwardPoint {
-    /// The event kernel over the reference loop.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.event_cycles_per_sec / self.reference_cycles_per_sec
-    }
-}
-
-/// All four points.
-#[derive(Debug, Clone)]
-pub struct FastForwardReport {
-    /// Idle-heavy and dense points.
-    pub points: Vec<FastForwardPoint>,
-}
-
 /// Runs `sim` to completion; returns its stats and simulated CPU cycles per
 /// wall-clock second.
-fn timed_run(sim: Simulator) -> (SimStats, f64) {
+fn timed_run(sim: Simulator) -> Result<(SimStats, f64), SimError> {
     let total = sim.system().config().total_cpu_cycles();
     let start = Instant::now();
-    let stats = sim.try_run().expect("benchmark run completes");
+    let stats = sim.try_run()?;
     let wall = start.elapsed().as_secs_f64().max(1e-9);
-    (stats, total as f64 / wall)
+    Ok((stats, total as f64 / wall))
 }
 
-fn measure_point(name: &'static str, cfg: SystemConfig) -> FastForwardPoint {
-    let event_sim = || Simulator::new(cfg.clone()).expect("valid benchmark configuration");
+/// One row: the reference loop's and the event kernel's throughput on
+/// `cfg`, and the second over the first.
+fn measure_point(name: &str, cfg: &SystemConfig) -> Result<Vec<f64>, SimError> {
+    let event_sim = || Simulator::new(cfg.clone());
     // Warm the instruction/data caches of the *host* with one throwaway run,
     // then time each driver, pinning the event kernel to the reference.
-    let _ = timed_run(event_sim());
-    let (event_stats, event_cycles_per_sec) = timed_run(event_sim());
-    let (reference_stats, reference_cycles_per_sec) =
-        timed_run(Simulator::reference(cfg.clone()).expect("valid benchmark configuration"));
+    timed_run(event_sim()?)?;
+    let (event_stats, event) = timed_run(event_sim()?)?;
+    let (reference_stats, reference) = timed_run(Simulator::reference(cfg.clone())?)?;
     assert_eq!(
         event_stats, reference_stats,
         "{name}: the event kernel must stay bit-identical to the reference loop"
     );
-    FastForwardPoint {
-        name,
-        reference_cycles_per_sec,
-        event_cycles_per_sec,
-    }
+    Ok(vec![reference, event, event / reference])
 }
 
-/// Runs all four points at `scale`.
-#[must_use]
-pub fn fastforward_report(scale: &Scale) -> FastForwardReport {
+/// Runs all four points at `scale`. The report's one table, `fastforward`,
+/// has a row per point: simulated CPU cycles per second under each driver
+/// and their ratio (`speedup`); it has no points.
+///
+/// # Errors
+///
+/// [`SweepError::Failed`] naming the point whose configuration cannot run.
+///
+/// # Panics
+///
+/// Panics if the two drivers' statistics differ on a point.
+pub fn fastforward_report(scale: &Scale) -> Result<Report, SweepError> {
     let mut four_channel = dense_config(scale);
     four_channel.num_channels = 4;
-    FastForwardReport {
-        points: vec![
-            measure_point("idle_heavy", idle_heavy_config(scale)),
-            measure_point("web_search", baseline_config(Workload::WebSearch, scale)),
-            measure_point("tpch_q6", dense_config(scale)),
-            measure_point("tpch_q6_4ch", four_channel),
-        ],
+    let mut table = Table::new(
+        "fastforward: throughput in simulated CPU cycles per second",
+        ["reference_cycles_per_s", "event_cycles_per_s", "speedup"]
+            .map(str::to_owned)
+            .to_vec(),
+    );
+    table.note = "speedup = event kernel over the per-cycle reference loop".to_owned();
+    for (name, cfg) in [
+        ("idle_heavy", idle_heavy_config(scale)),
+        ("web_search", baseline_config(Workload::WebSearch, scale)),
+        ("tpch_q6", dense_config(scale)),
+        ("tpch_q6_4ch", four_channel),
+    ] {
+        let row = measure_point(name, &cfg).map_err(|e| SweepError::Failed {
+            label: name.to_owned(),
+            reason: e.to_string(),
+        })?;
+        table.push_row(name, row);
     }
-}
-
-impl FastForwardReport {
-    /// Human-readable summary for the terminal.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::from(
-            "fast-forward throughput (simulated CPU cycles / second)\n\
-             point            reference          event   speedup\n",
-        );
-        for p in &self.points {
-            out.push_str(&format!(
-                "{:<15} {:>10.0}   {:>12.0}   {:>6.2}x\n",
-                p.name,
-                p.reference_cycles_per_sec,
-                p.event_cycles_per_sec,
-                p.speedup()
-            ));
-        }
-        out
-    }
+    Ok(Report {
+        tables: vec![table],
+        points: Vec::new(),
+    })
 }
 
 #[cfg(test)]
@@ -141,13 +118,16 @@ mod tests {
             threads: 1,
         };
         // `fastforward_report` itself asserts event == reference per point.
-        let report = fastforward_report(&scale);
-        let names: Vec<_> = report.points.iter().map(|p| p.name).collect();
+        let report = fastforward_report(&scale).unwrap();
+        let table = report.table("fastforward").unwrap();
+        let names: Vec<_> = table.rows.iter().map(|(label, _)| label.as_str()).collect();
         assert_eq!(
             names,
             ["idle_heavy", "web_search", "tpch_q6", "tpch_q6_4ch"]
         );
-        assert!(report.to_text().contains("speedup"));
-        assert!(report.points.iter().all(|p| p.speedup() > 0.0));
+        assert!(table.to_text().contains("speedup"));
+        assert!(names
+            .iter()
+            .all(|name| table.value(name, "speedup").unwrap() > 0.0));
     }
 }

@@ -7,7 +7,10 @@
 //! evaluation (scheduling, page management, multi-channel) and one builder
 //! per figure/table; every study runs its configurations through the one
 //! executor in [`sweep`], and the `repro` binary drives them from the
-//! command line.
+//! command line. The figures are [`Table`]s; the extension studies
+//! ([`energy`], [`qos`], [`reliability`], [`trace`], [`fastforward`])
+//! return a [`Report`] of `Table`s plus their points' statistics, which
+//! `repro` prints and writes as `BENCH_*.json`.
 
 #![forbid(unsafe_code)]
 
@@ -23,21 +26,16 @@ pub mod sweep;
 pub mod trace;
 
 pub use cli::{parse, Options, Parsed, EXPERIMENTS, HELP};
-pub use energy::{energy_study, EnergyPoint, EnergyReport};
-pub use fastforward::{
-    dense_config, fastforward_report, idle_heavy_config, FastForwardPoint, FastForwardReport,
-};
-pub use meta::{with_meta, RunMeta, GIT_DESCRIBE_ENV};
-pub use qos::{paper_mixes, qos_study, QosPoint, QosReport};
+pub use energy::energy_study;
+pub use fastforward::{dense_config, fastforward_report, idle_heavy_config};
+pub use meta::{RunMeta, GIT_DESCRIBE_ENV};
+pub use qos::{paper_mixes, qos_study};
 pub use reliability::{
-    power_policies, reliability_mix, reliability_study, sweep_fault_config, ReliabilityPoint,
-    ReliabilityReport, FAULT_RATES_PER_MILLION, SCRUB_INTERVALS,
+    power_policies, reliability_mix, reliability_study, sweep_fault_config,
+    FAULT_RATES_PER_MILLION, SCRUB_INTERVALS,
 };
 pub use sweep::{run_each, run_sweep, SweepError, SweepOptions};
-pub use trace::{
-    golden_config, golden_trace_path, regenerate_golden_trace, trace_study, GoldenCheck,
-    TracePoint, TraceReport,
-};
+pub use trace::{golden_config, golden_trace_path, regenerate_golden_trace, trace_study};
 
 pub use experiments::{
     baseline_config, baseline_study, channel_study, config_report, default_threads, figure1,
@@ -45,4 +43,4 @@ pub use experiments::{
     figure7, figure8, figure9, page_policy_study, paper_schedulers, scheduler_study, ChannelStudy,
     Matrix, Scale,
 };
-pub use report::{Table, TextTable};
+pub use report::{Report, Table, TextTable};

@@ -5,7 +5,9 @@
 //! the cargo profile the harness was compiled under, the workspace version
 //! (a `git describe` string passed in by the caller — the harness never
 //! shells out to `git` itself), and which run-length preset produced the
-//! numbers.
+//! numbers. [`RunMeta::to_json`] is that block;
+//! [`Report::to_json`](crate::report::Report::to_json) writes it as the
+//! report's first member.
 
 /// Environment variable through which CI (or a developer) passes the
 /// workspace `git describe` string; the `--git-describe` flag overrides it.
@@ -66,26 +68,6 @@ impl RunMeta {
     }
 }
 
-/// Splices the `meta` block into a report's JSON, right after the opening
-/// brace, so every `BENCH_*.json` writer stamps provenance uniformly without
-/// each report type knowing about [`RunMeta`].
-///
-/// # Panics
-///
-/// Panics if `json` is not an object (no `{`) — every report serializer in
-/// this crate emits an object.
-#[must_use]
-pub fn with_meta(json: &str, meta: &RunMeta) -> String {
-    let brace = json.find('{').expect("report JSON must be an object");
-    let mut out = String::with_capacity(json.len() + 128);
-    out.push_str(&json[..=brace]);
-    out.push_str("\n  ");
-    out.push_str(&meta.to_json());
-    out.push(',');
-    out.push_str(&json[brace + 1..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,22 +90,6 @@ mod tests {
             let fallback = RunMeta::collect("quick", None);
             assert_eq!(fallback.git_describe, "unknown");
         }
-    }
-
-    #[test]
-    fn with_meta_splices_after_the_opening_brace() {
-        let meta = RunMeta::collect("quick", Some("v1"));
-        let stamped = with_meta("{\n  \"benchmark\": \"x\",\n  \"points\": []\n}\n", &meta);
-        assert!(stamped.starts_with("{\n  \"meta\": {"));
-        assert!(stamped.contains("\"git_describe\": \"v1\""));
-        assert!(stamped.contains("\"benchmark\": \"x\""));
-        // Still exactly one meta block and balanced braces.
-        assert_eq!(stamped.matches("\"meta\"").count(), 1);
-        assert_eq!(
-            stamped.matches('{').count(),
-            stamped.matches('}').count(),
-            "braces must stay balanced: {stamped}"
-        );
     }
 
     #[test]

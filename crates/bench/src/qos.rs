@@ -8,17 +8,21 @@
 //! latency-critical service co-located with batch analytics) under all five
 //! paper schedulers crossed with the QoS policies (`none`,
 //! `static-partition`, `priority-boost`), plus each tenant *alone* on the
-//! same core allocation as the slowdown baseline. Reported per point:
-//! per-tenant slowdown (`IPC_alone / IPC_shared`), weighted speedup
-//! (`Σ IPC_shared/IPC_alone`), max slowdown, and Jain's fairness index over
-//! the per-tenant speedups. `repro qos` serializes everything as
-//! `BENCH_qos.json`.
+//! same core allocation as the slowdown baseline. [`qos_study`] returns a
+//! [`Report`] with one table per mix whose row per (scheduler, QoS policy)
+//! holds the latency-critical tenant's slowdown, the max slowdown, weighted
+//! speedup (`Σ IPC_shared/IPC_alone`), Jain's fairness index over the
+//! per-tenant speedups, the p50/p95/p99 read latency and each tenant's
+//! slowdown (`IPC_alone / IPC_shared`); a `mean/<policy>` row per QoS
+//! policy averages the schedulers. `repro qos` prints the tables and writes
+//! the report, with every shared run's statistics, as `BENCH_qos.json`.
 
 use cloudmc_memctrl::QosPolicyKind;
-use cloudmc_sim::{mean, SimStats, SystemConfig};
+use cloudmc_sim::{mean, SystemConfig};
 use cloudmc_workloads::{MixSpec, TenantSpec, Workload, WorkloadSpec};
 
 use crate::experiments::{baseline_config, paper_schedulers, Scale};
+use crate::report::{Report, Table};
 use crate::sweep::{run_each, SweepError, SweepOptions};
 
 /// The tenant mixes of the sweep as `(label, mix)` pairs: a latency-critical
@@ -46,87 +50,54 @@ pub fn paper_mixes() -> Vec<(&'static str, MixSpec)> {
     ]
 }
 
-/// One point of the sweep: a (mix, scheduler, QoS policy) combination with
-/// its alone-run baselines folded in.
-#[derive(Debug, Clone)]
-pub struct QosPoint {
-    /// Mix label (see [`paper_mixes`]).
-    pub mix: &'static str,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// QoS policy label.
-    pub qos_policy: String,
-    /// Full measured statistics of the shared run, including the per-tenant
-    /// fields.
-    pub stats: SimStats,
-    /// Aggregate IPC of each tenant running alone on the same core
-    /// allocation under the same scheduler (QoS has no effect alone).
-    pub alone_ipc: Vec<f64>,
-    /// Per-tenant slowdown: `IPC_alone / IPC_shared` (≥ 1 under contention).
-    pub slowdown: Vec<f64>,
-}
-
-impl QosPoint {
-    /// Weighted speedup: `Σ_t IPC_shared_t / IPC_alone_t` (the number of
-    /// "alone-run equivalents" of work the consolidated node sustains;
-    /// `tenant_count` means co-location was free).
-    #[must_use]
-    pub fn weighted_speedup(&self) -> f64 {
-        self.slowdown
-            .iter()
-            .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
-            .sum()
-    }
-
-    /// The worst tenant's slowdown.
-    #[must_use]
-    pub fn max_slowdown(&self) -> f64 {
-        self.slowdown.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// The worst *latency-critical* tenant's slowdown (the QoS target
-    /// metric); falls back to [`QosPoint::max_slowdown`] if the mix has no
-    /// latency-critical tenant.
-    #[must_use]
-    pub fn lc_slowdown(&self) -> f64 {
-        let lc = self
-            .slowdown
-            .iter()
-            .zip(self.stats.tenant_latency_critical.iter())
-            .filter(|(_, &lc)| lc)
-            .map(|(&s, _)| s)
-            .fold(0.0, f64::max);
-        if lc > 0.0 {
-            lc
-        } else {
-            self.max_slowdown()
-        }
-    }
-
-    /// Jain's fairness index over the per-tenant speedups
-    /// (`(Σx)² / (n·Σx²)`; 1.0 = perfectly even slowdowns).
-    #[must_use]
-    pub fn fairness(&self) -> f64 {
-        let speedups: Vec<f64> = self
-            .slowdown
-            .iter()
-            .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
-            .collect();
-        let sum: f64 = speedups.iter().sum();
-        let sum_sq: f64 = speedups.iter().map(|x| x * x).sum();
-        if sum_sq == 0.0 {
-            0.0
-        } else {
-            sum * sum / (speedups.len() as f64 * sum_sq)
-        }
+/// A tenant's speedup under co-location, `1 / slowdown` (0 for a tenant
+/// that made no progress alone).
+fn speedup(slowdown: f64) -> f64 {
+    if slowdown > 0.0 {
+        1.0 / slowdown
+    } else {
+        0.0
     }
 }
 
-/// Results of the full QoS sweep.
-#[derive(Debug, Clone)]
-pub struct QosReport {
-    /// One point per (mix, scheduler, QoS policy), in sweep order.
-    pub points: Vec<QosPoint>,
+/// Weighted speedup: `Σ_t IPC_shared_t / IPC_alone_t` (the number of
+/// "alone-run equivalents" of work the consolidated node sustains; the
+/// tenant count means co-location was free).
+fn weighted_speedup(slowdown: &[f64]) -> f64 {
+    slowdown.iter().copied().map(speedup).sum()
+}
+
+/// The worst tenant's slowdown.
+fn max_slowdown(slowdown: &[f64]) -> f64 {
+    slowdown.iter().copied().fold(0.0, f64::max)
+}
+
+/// The worst *latency-critical* tenant's slowdown (the QoS target metric);
+/// the worst tenant's if the mix has no latency-critical tenant.
+fn lc_slowdown(slowdown: &[f64], latency_critical: &[bool]) -> f64 {
+    let lc = slowdown
+        .iter()
+        .zip(latency_critical)
+        .filter(|(_, &lc)| lc)
+        .map(|(&s, _)| s)
+        .fold(0.0, f64::max);
+    if lc > 0.0 {
+        lc
+    } else {
+        max_slowdown(slowdown)
+    }
+}
+
+/// Jain's fairness index over the per-tenant speedups
+/// (`(Σx)² / (n·Σx²)`; 1.0 = perfectly even slowdowns).
+fn fairness(slowdown: &[f64]) -> f64 {
+    let sum = weighted_speedup(slowdown);
+    let sum_sq: f64 = slowdown.iter().map(|&s| speedup(s) * speedup(s)).sum();
+    if sum_sq == 0.0 {
+        0.0
+    } else {
+        sum * sum / (slowdown.len() as f64 * sum_sq)
+    }
 }
 
 /// A shared-run configuration for `mix` at `scale`.
@@ -140,13 +111,16 @@ fn mixed_config(mix: MixSpec, scale: &Scale) -> SystemConfig {
 
 /// Runs the QoS sweep: every mix × 5 schedulers × every QoS policy, plus the
 /// alone-run baselines (one per mix tenant per scheduler), one seed per
-/// point.
+/// point. The report holds one table per mix, named after it (`qos
+/// ws+tpch_q6`, ...): a `scheduler/qos` row per shared run, then a
+/// `mean/qos` row per QoS policy averaging the schedulers; its points are
+/// the shared runs.
 ///
 /// # Errors
 ///
 /// The executor's [`SweepError`]: a point that failed, or a `--max-cells`
 /// stop.
-pub fn qos_study(scale: &Scale, sweep: &SweepOptions) -> Result<QosReport, SweepError> {
+pub fn qos_study(scale: &Scale, sweep: &SweepOptions) -> Result<Report, SweepError> {
     let mixes = paper_mixes();
     let schedulers = paper_schedulers();
     // Alone baselines first: each tenant on its own core allocation with the
@@ -195,16 +169,44 @@ pub fn qos_study(scale: &Scale, sweep: &SweepOptions) -> Result<QosReport, Sweep
             .expect("alone baseline present for every (scheduler, tenant)");
         alone_results[idx].user_ipc()
     };
-    let mut shared = shared.into_iter();
+    let mut shared = cells[alone_count..]
+        .iter()
+        .map(|(label, _)| label.clone())
+        .zip(shared);
+    let mut tables = Vec::new();
     let mut points = Vec::new();
     for (mix_label, mix) in &mixes {
+        let mut columns: Vec<String> = [
+            "lc_slowdown",
+            "max_slowdown",
+            "weighted_speedup",
+            "fairness",
+            "p50_latency_dram",
+            "p95_latency_dram",
+            "p99_latency_dram",
+        ]
+        .map(str::to_owned)
+        .to_vec();
+        let tenants: Vec<String> = mix
+            .tenants()
+            .map(|t| t.workload.workload.acronym().to_owned())
+            .collect();
+        columns.extend((0..tenants.len()).map(|t| format!("slowdown_t{t}")));
+        let mut table = Table::new(
+            format!("qos {mix_label}: slowdown vs alone run (LC = latency-critical tenant)"),
+            columns,
+        );
+        table.note = format!(
+            "tenants t0..: {}; p50/p95/p99 read latency in DRAM cycles",
+            tenants.join(", ")
+        );
         for (s, (sched_label, _)) in schedulers.iter().enumerate() {
             let alone: Vec<f64> = mix
                 .tenants()
                 .map(|tenant| alone_ipc_of(s, &tenant.workload))
                 .collect();
             for qos in QosPolicyKind::all() {
-                let stats = shared.next().expect("shared run present");
+                let (label, stats) = shared.next().expect("shared run present");
                 let slowdown: Vec<f64> = alone
                     .iter()
                     .enumerate()
@@ -217,121 +219,49 @@ pub fn qos_study(scale: &Scale, sweep: &SweepOptions) -> Result<QosReport, Sweep
                         }
                     })
                     .collect();
-                points.push(QosPoint {
-                    mix: mix_label,
-                    scheduler: sched_label.clone(),
-                    qos_policy: qos.to_string(),
-                    stats,
-                    alone_ipc: alone.clone(),
-                    slowdown,
-                });
+                let mut row = vec![
+                    lc_slowdown(&slowdown, &stats.tenant_latency_critical),
+                    max_slowdown(&slowdown),
+                    weighted_speedup(&slowdown),
+                    fairness(&slowdown),
+                    stats.read_latency_p50_dram,
+                    stats.read_latency_p95_dram,
+                    stats.read_latency_p99_dram,
+                ];
+                row.extend(slowdown);
+                table.push_row(format!("{sched_label}/{qos}"), row);
+                points.push((label, stats));
             }
         }
-    }
-    Ok(QosReport { points })
-}
-
-impl QosReport {
-    /// Points for one mix under one QoS policy (all schedulers).
-    fn select<'a>(&'a self, mix: &'a str, qos: &'a str) -> impl Iterator<Item = &'a QosPoint> {
-        self.points
-            .iter()
-            .filter(move |p| p.mix == mix && p.qos_policy == qos)
-    }
-
-    /// Mean (over schedulers) worst latency-critical slowdown for one mix
-    /// under one QoS policy — the headline number QoS is judged by.
-    #[must_use]
-    pub fn mean_lc_slowdown(&self, mix: &str, qos: &str) -> f64 {
-        mean(self.select(mix, qos).map(QosPoint::lc_slowdown))
-    }
-
-    /// Mean (over schedulers) weighted speedup for one mix and QoS policy.
-    #[must_use]
-    pub fn mean_weighted_speedup(&self, mix: &str, qos: &str) -> f64 {
-        mean(self.select(mix, qos).map(QosPoint::weighted_speedup))
-    }
-
-    /// Machine-readable JSON for `BENCH_qos.json`: a summary block per
-    /// (mix, scheduler, QoS policy) plus every raw shared-run point.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"benchmark\": \"multi_tenant_qos\",\n");
-        out.push_str("  \"unit\": \"slowdown_vs_alone_run\",\n  \"summary\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let slowdowns: Vec<String> = p.slowdown.iter().map(|s| format!("{s:.4}")).collect();
-            out.push_str(&format!(
-                "    {{\"mix\": \"{}\", \"scheduler\": \"{}\", \"qos_policy\": \"{}\", \
-                 \"slowdown_per_tenant\": [{}], \"weighted_speedup\": {:.4}, \
-                 \"max_slowdown\": {:.4}, \"lc_slowdown\": {:.4}, \"fairness\": {:.4}}}{}\n",
-                p.mix,
-                p.scheduler,
-                p.qos_policy,
-                slowdowns.join(", "),
-                p.weighted_speedup(),
-                p.max_slowdown(),
-                p.lc_slowdown(),
-                p.fairness(),
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
+        let means: Vec<(String, Vec<f64>)> = QosPolicyKind::all()
+            .into_iter()
+            .map(|qos| {
+                let suffix = format!("/{qos}");
+                let runs: Vec<&Vec<f64>> = table
+                    .rows
+                    .iter()
+                    .filter(|(label, _)| label.ends_with(&suffix))
+                    .map(|(_, values)| values)
+                    .collect();
+                let mean_of = |c: usize| mean(runs.iter().map(|values| values[c]));
+                (
+                    format!("mean/{qos}"),
+                    (0..table.columns.len()).map(mean_of).collect(),
+                )
+            })
+            .collect();
+        for (label, values) in means {
+            table.push_row(label, values);
         }
-        out.push_str("  ],\n  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"mix\": \"{}\", \"stats\": {}}}{}\n",
-                p.mix,
-                p.stats.to_json(),
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        tables.push(table);
     }
-
-    /// Human-readable summary for the terminal.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::from(
-            "multi-tenant QoS (slowdown vs alone run; LC = latency-critical tenant)\n",
-        );
-        let mut last_mix = "";
-        for p in &self.points {
-            if p.mix != last_mix {
-                out.push_str(&format!(
-                    "\n{}\n{:<12} {:<18} {:>8} {:>8} {:>9} {:>9} {:>8} {:>8} {:>8}\n",
-                    p.mix,
-                    "scheduler",
-                    "qos policy",
-                    "LC slow",
-                    "max slow",
-                    "w.speedup",
-                    "fairness",
-                    "p50 lat",
-                    "p95 lat",
-                    "p99 lat"
-                ));
-                last_mix = p.mix;
-            }
-            out.push_str(&format!(
-                "{:<12} {:<18} {:>8.3} {:>8.3} {:>9.3} {:>9.3} {:>8.1} {:>8.1} {:>8.1}\n",
-                p.scheduler,
-                p.qos_policy,
-                p.lc_slowdown(),
-                p.max_slowdown(),
-                p.weighted_speedup(),
-                p.fairness(),
-                p.stats.read_latency_p50_dram,
-                p.stats.read_latency_p95_dram,
-                p.stats.read_latency_p99_dram,
-            ));
-        }
-        out
-    }
+    Ok(Report { tables, points })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::RunMeta;
 
     #[test]
     fn qos_study_protects_the_latency_critical_tenant() {
@@ -344,33 +274,47 @@ mod tests {
         let report = qos_study(&scale, &SweepOptions::default()).unwrap();
         // 3 mixes x 5 schedulers x 3 QoS policies.
         assert_eq!(report.points.len(), 45);
-        for p in &report.points {
-            assert_eq!(p.slowdown.len(), p.stats.tenants);
-            assert!(p.stats.tenants >= 2);
-            assert!(
-                p.slowdown.iter().all(|s| s.is_finite() && *s > 0.0),
-                "{}/{}/{}: degenerate slowdowns {:?}",
-                p.mix,
-                p.scheduler,
-                p.qos_policy,
-                p.slowdown
-            );
-            let f = p.fairness();
-            assert!((0.0..=1.0 + 1e-9).contains(&f), "fairness {f} out of range");
+        assert_eq!(report.tables.len(), 3);
+        let mut points = report.points.iter();
+        for table in &report.tables {
+            let tenant_columns: Vec<&String> = table
+                .columns
+                .iter()
+                .filter(|c| c.starts_with("slowdown_t"))
+                .collect();
+            for (label, _) in table.rows.iter().filter(|(l, _)| !l.starts_with("mean/")) {
+                let (_, stats) = points.next().expect("one point per shared run");
+                assert_eq!(tenant_columns.len(), stats.tenants);
+                assert!(stats.tenants >= 2);
+                let slowdown: Vec<f64> = tenant_columns
+                    .iter()
+                    .map(|c| table.value(label, c).unwrap())
+                    .collect();
+                assert!(
+                    slowdown.iter().all(|s| s.is_finite() && *s > 0.0),
+                    "{}/{label}: degenerate slowdowns {slowdown:?}",
+                    table.title
+                );
+                let f = table.value(label, "fairness").unwrap();
+                assert!((0.0..=1.0 + 1e-9).contains(&f), "fairness {f} out of range");
+            }
         }
         // The headline acceptance property: boosting the latency-critical
         // tenant must reduce its worst-case slowdown vs no QoS on the
         // flagship mix (averaged over the five schedulers).
-        let none = report.mean_lc_slowdown("ws+tpch_q6", "none");
-        let boost = report.mean_lc_slowdown("ws+tpch_q6", "priority-boost");
+        let flagship = report.table("qos ws+tpch_q6").unwrap();
+        let none = flagship.value("mean/none", "lc_slowdown").unwrap();
+        let boost = flagship
+            .value("mean/priority-boost", "lc_slowdown")
+            .unwrap();
         assert!(
             boost < none,
             "priority-boost must cut LC slowdown: {boost:.3} vs {none:.3}"
         );
-        let json = report.to_json();
+        let json = report.to_json(&RunMeta::collect("quick", None), "multi_tenant_qos");
         assert!(json.contains("\"benchmark\": \"multi_tenant_qos\""));
-        assert!(json.contains("\"qos_policy\": \"static-partition\""));
+        assert!(json.contains("{\"label\": \"FR-FCFS/static-partition\", \"values\": ["));
         assert!(json.contains("\"lc_slowdown\""));
-        assert!(report.to_text().contains("w.speedup"));
+        assert!(flagship.to_text().contains("weighted_speedup"));
     }
 }

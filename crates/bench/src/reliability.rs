@@ -12,7 +12,9 @@
 //! corrected/uncorrectable counts, demand retries, scrub bandwidth overhead
 //! (scrub reads as a fraction of all serviced reads), rows retired, poisoned
 //! lines, and the latency-critical tenant's slowdown versus the fault-free
-//! baseline. `repro reliability` serializes everything as
+//! baseline — one row each of the [`Report`]'s one table, next to every
+//! point's statistics. `repro reliability` prints the table, gates on the
+//! fault ledger and the scrub traffic, and writes the report as
 //! `BENCH_reliability.json`.
 //!
 //! The power-policy axis is the paper tie-in: the fault model scales
@@ -27,6 +29,7 @@ use cloudmc_sim::{SimStats, SystemConfig};
 use cloudmc_workloads::{MixSpec, TenantSpec, Workload};
 
 use crate::experiments::Scale;
+use crate::report::{Report, Table};
 use crate::sweep::{run_each, SweepError, SweepOptions};
 
 /// Transient-fault rates of the sweep, in expected flips per million
@@ -69,56 +72,16 @@ pub fn sweep_fault_config(rate_per_million: u64, scrub_interval: u64, seed: u64)
     fc
 }
 
-/// One point of the sweep.
-#[derive(Debug, Clone)]
-pub struct ReliabilityPoint {
-    /// Transient-fault rate in flips per million reads (0 for the fault-free
-    /// baselines).
-    pub rate_per_million: u64,
-    /// Patrol-scrub interval in DRAM cycles (0 = off).
-    pub scrub_interval: u64,
-    /// Power policy label.
-    pub power_policy: String,
-    /// Full measured statistics, including the reliability counters.
-    pub stats: SimStats,
-    /// Latency-critical tenant slowdown versus the fault-free baseline under
-    /// the same power policy (`IPC_clean / IPC_faulty`; 1.0 = faults were
-    /// free).
-    pub lc_slowdown: f64,
-}
-
-impl ReliabilityPoint {
-    /// Sweep-point label, e.g. `r500/scrub250/idle-timer`.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!(
-            "r{}/scrub{}/{}",
-            self.rate_per_million, self.scrub_interval, self.power_policy
-        )
+/// Scrub bandwidth overhead: patrol reads as a fraction of all reads the
+/// devices serviced (demand + scrub).
+fn scrub_overhead(stats: &SimStats) -> f64 {
+    let scrub = stats.scrub_reads_completed as f64;
+    let total = scrub + stats.reads_completed as f64;
+    if total == 0.0 {
+        0.0
+    } else {
+        scrub / total
     }
-
-    /// Scrub bandwidth overhead: patrol reads as a fraction of all reads the
-    /// devices serviced (demand + scrub).
-    #[must_use]
-    pub fn scrub_overhead(&self) -> f64 {
-        let scrub = self.stats.scrub_reads_completed as f64;
-        let total = scrub + self.stats.reads_completed as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            scrub / total
-        }
-    }
-}
-
-/// Results of the full reliability sweep.
-#[derive(Debug, Clone)]
-pub struct ReliabilityReport {
-    /// Fault-free baselines, one per power policy, in [`power_policies`]
-    /// order (their `rate_per_million` is 0 and `lc_slowdown` is 1.0).
-    pub baselines: Vec<ReliabilityPoint>,
-    /// Faulty points: rate × scrub interval × power policy, rate-major.
-    pub points: Vec<ReliabilityPoint>,
 }
 
 fn mixed_config(scale: &Scale, power: PowerPolicyKind) -> SystemConfig {
@@ -130,160 +93,109 @@ fn mixed_config(scale: &Scale, power: PowerPolicyKind) -> SystemConfig {
     cfg
 }
 
-/// Runs the reliability sweep: a fault-free baseline per power policy, then
-/// every fault rate × scrub interval × power policy with poison-and-continue,
-/// one seed per point.
+/// Runs the reliability sweep: a fault-free baseline per power policy
+/// (labelled `r0/scrub0/<power>`), then every fault rate × scrub interval ×
+/// power policy with poison-and-continue (`r<rate>/scrub<interval>/<power>`,
+/// rate-major), one seed per point. The report's one table, `reliability`,
+/// has a row per point; its `lc_slowdown` is the latency-critical tenant's
+/// `IPC_clean / IPC_faulty` against the baseline of the same power policy
+/// (1.0 for the baselines themselves).
 ///
 /// # Errors
 ///
 /// The executor's [`SweepError`]: a point that failed, or a `--max-cells`
 /// stop.
-pub fn reliability_study(
-    scale: &Scale,
-    sweep: &SweepOptions,
-) -> Result<ReliabilityReport, SweepError> {
+pub fn reliability_study(scale: &Scale, sweep: &SweepOptions) -> Result<Report, SweepError> {
     let powers = power_policies();
-    let mut cells: Vec<(String, SystemConfig)> = powers
-        .iter()
-        .map(|&power| (format!("clean/{power}"), mixed_config(scale, power)))
-        .collect();
+    // (rate, scrub interval, power index) per point; the baselines (rate 0)
+    // come first, one per power policy in `powers` order.
+    let mut specs: Vec<(u64, u64, usize)> = (0..powers.len()).map(|p| (0, 0, p)).collect();
     for &rate in &FAULT_RATES_PER_MILLION {
         for &scrub in &SCRUB_INTERVALS {
-            for &power in &powers {
-                let mut cfg = mixed_config(scale, power);
-                cfg.mc.fault_model = Some(sweep_fault_config(rate, scrub, scale.seed));
-                cells.push((format!("r{rate}/scrub{scrub}/{power}"), cfg));
+            for p in 0..powers.len() {
+                specs.push((rate, scrub, p));
             }
         }
     }
-    let mut results = run_each("reliability", &cells, scale.threads, sweep)?;
-    let faulty = results.split_off(powers.len());
-    let baselines: Vec<ReliabilityPoint> = powers
+    let cells: Vec<(String, SystemConfig)> = specs
         .iter()
-        .zip(results)
-        .map(|(&power, stats)| ReliabilityPoint {
-            rate_per_million: 0,
-            scrub_interval: 0,
-            power_policy: power.to_string(),
-            stats,
-            lc_slowdown: 1.0,
+        .map(|&(rate, scrub, p)| {
+            let power = powers[p];
+            let mut cfg = mixed_config(scale, power);
+            if rate > 0 {
+                cfg.mc.fault_model = Some(sweep_fault_config(rate, scrub, scale.seed));
+            }
+            (format!("r{rate}/scrub{scrub}/{power}"), cfg)
         })
         .collect();
-    let mut faulty = faulty.into_iter();
-    let mut points = Vec::new();
-    for &rate in &FAULT_RATES_PER_MILLION {
-        for &scrub in &SCRUB_INTERVALS {
-            for (p, &power) in powers.iter().enumerate() {
-                let stats = faulty.next().expect("faulty run present");
-                let clean_ipc = baselines[p].stats.tenant_ipc(0);
-                let faulty_ipc = stats.tenant_ipc(0);
-                let lc_slowdown = if faulty_ipc > 0.0 {
-                    clean_ipc / faulty_ipc
-                } else {
-                    f64::INFINITY
-                };
-                points.push(ReliabilityPoint {
-                    rate_per_million: rate,
-                    scrub_interval: scrub,
-                    power_policy: power.to_string(),
-                    stats,
-                    lc_slowdown,
-                });
+    let results = run_each("reliability", &cells, scale.threads, sweep)?;
+    let mut table = Table::new(
+        "reliability: ws+tpch_q6 mix, poison-and-continue; \
+         LC slowdown vs fault-free baseline",
+        [
+            "rate_per_million",
+            "scrub_interval",
+            "ecc_corrected",
+            "ecc_detected_uncorrectable",
+            "demand_retries",
+            "scrub_reads_completed",
+            "scrub_overhead",
+            "rows_retired",
+            "lines_poisoned",
+            "faults_injected",
+            "faults_latent",
+            "lc_slowdown",
+        ]
+        .map(str::to_owned)
+        .to_vec(),
+    );
+    table.note = "rate in flips per million reads, scrub interval in DRAM cycles \
+                  (0 = off), scrub_overhead = scrub reads / all reads"
+        .to_owned();
+    for ((label, _), (&(rate, scrub, p), stats)) in cells.iter().zip(specs.iter().zip(&results)) {
+        let lc_slowdown = if rate == 0 {
+            1.0
+        } else {
+            let faulty_ipc = stats.tenant_ipc(0);
+            if faulty_ipc > 0.0 {
+                results[p].tenant_ipc(0) / faulty_ipc
+            } else {
+                f64::INFINITY
             }
-        }
-    }
-    Ok(ReliabilityReport { baselines, points })
-}
-
-impl ReliabilityReport {
-    fn all_points(&self) -> impl Iterator<Item = &ReliabilityPoint> {
-        self.baselines.iter().chain(self.points.iter())
-    }
-
-    /// Machine-readable JSON for `BENCH_reliability.json`: a summary block
-    /// per point plus every raw run (baselines included), whose `stats`
-    /// objects carry the full reliability counter set.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let total = self.baselines.len() + self.points.len();
-        let mut out = String::from("{\n  \"benchmark\": \"reliability\",\n");
-        out.push_str("  \"unit\": \"errors_and_slowdown_vs_fault_free\",\n  \"summary\": [\n");
-        for (i, p) in self.all_points().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"rate_per_million\": {}, \"scrub_interval\": {}, \
-                 \"power_policy\": \"{}\", \"ecc_corrected\": {}, \
-                 \"ecc_detected_uncorrectable\": {}, \"demand_retries\": {}, \
-                 \"scrub_reads_completed\": {}, \"scrub_overhead\": {:.6}, \
-                 \"rows_retired\": {}, \"lines_poisoned\": {}, \"faults_injected\": {}, \
-                 \"faults_latent\": {}, \"lc_slowdown\": {:.4}}}{}\n",
-                p.label(),
-                p.rate_per_million,
-                p.scrub_interval,
-                p.power_policy,
-                p.stats.ecc_corrected,
-                p.stats.ecc_detected_uncorrectable,
-                p.stats.demand_retries,
-                p.stats.scrub_reads_completed,
-                p.scrub_overhead(),
-                p.stats.rows_retired,
-                p.stats.lines_poisoned,
-                p.stats.faults_injected,
-                p.stats.faults_latent,
-                p.lc_slowdown,
-                if i + 1 == total { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n  \"points\": [\n");
-        for (i, p) in self.all_points().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"stats\": {}}}{}\n",
-                p.label(),
-                p.stats.to_json(),
-                if i + 1 == total { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Human-readable summary for the terminal.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::from(
-            "reliability (ws+tpch_q6 mix, poison-and-continue; \
-             LC slowdown vs fault-free baseline)\n\n",
+        };
+        table.push_row(
+            label.clone(),
+            vec![
+                rate as f64,
+                scrub as f64,
+                stats.ecc_corrected as f64,
+                stats.ecc_detected_uncorrectable as f64,
+                stats.demand_retries as f64,
+                stats.scrub_reads_completed as f64,
+                scrub_overhead(stats),
+                stats.rows_retired as f64,
+                stats.lines_poisoned as f64,
+                stats.faults_injected as f64,
+                stats.faults_latent as f64,
+                lc_slowdown,
+            ],
         );
-        out.push_str(&format!(
-            "{:<26} {:>9} {:>7} {:>8} {:>9} {:>7} {:>8} {:>8}\n",
-            "point",
-            "corrected",
-            "uncorr",
-            "retries",
-            "scrub ovh",
-            "retired",
-            "poisoned",
-            "LC slow"
-        ));
-        for p in self.all_points() {
-            out.push_str(&format!(
-                "{:<26} {:>9} {:>7} {:>8} {:>8.2}% {:>7} {:>8} {:>8.3}\n",
-                p.label(),
-                p.stats.ecc_corrected,
-                p.stats.ecc_detected_uncorrectable,
-                p.stats.demand_retries,
-                p.scrub_overhead() * 100.0,
-                p.stats.rows_retired,
-                p.stats.lines_poisoned,
-                p.lc_slowdown,
-            ));
-        }
-        out
     }
+    let points = cells
+        .into_iter()
+        .map(|(label, _)| label)
+        .zip(results)
+        .collect();
+    Ok(Report {
+        tables: vec![table],
+        points,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::RunMeta;
 
     #[test]
     fn reliability_study_reports_errors_overhead_and_slowdown() {
@@ -294,51 +206,53 @@ mod tests {
             threads: crate::default_threads(),
         };
         let report = reliability_study(&scale, &SweepOptions::default()).unwrap();
-        assert_eq!(report.baselines.len(), 2);
-        // 2 rates x 2 scrub intervals x 2 power policies.
-        assert_eq!(report.points.len(), 8);
-        for b in &report.baselines {
-            assert_eq!(b.stats.ecc_corrected, 0, "fault-free baseline saw ECC");
-            assert_eq!(b.stats.faults_injected, 0);
-            assert_eq!(b.stats.scrub_reads_issued, 0);
+        // 2 baselines, then 2 rates x 2 scrub intervals x 2 power policies.
+        assert_eq!(report.points.len(), 10);
+        let (baselines, points) = report.points.split_at(2);
+        for (_, b) in baselines {
+            assert_eq!(b.ecc_corrected, 0, "fault-free baseline saw ECC");
+            assert_eq!(b.faults_injected, 0);
+            assert_eq!(b.scrub_reads_issued, 0);
         }
-        for p in &report.points {
-            assert!(p.stats.faults_injected > 0, "{}: no faults", p.label());
+        let table = report.table("reliability").unwrap();
+        let cell = |label: &str, column: &str| table.value(label, column).unwrap();
+        for (label, stats) in points {
+            assert!(stats.faults_injected > 0, "{label}: no faults");
+            let lc_slowdown = cell(label, "lc_slowdown");
             assert!(
-                p.lc_slowdown.is_finite() && p.lc_slowdown > 0.0,
-                "{}: degenerate slowdown {}",
-                p.label(),
-                p.lc_slowdown
+                lc_slowdown.is_finite() && lc_slowdown > 0.0,
+                "{label}: degenerate slowdown {lc_slowdown}"
             );
-            if p.scrub_interval > 0 {
-                assert!(p.stats.scrub_reads_issued > 0, "{}: no scrubs", p.label());
-                assert!(p.scrub_overhead() > 0.0, "{}: free scrubbing", p.label());
+            if cell(label, "scrub_interval") > 0.0 {
+                assert!(stats.scrub_reads_issued > 0, "{label}: no scrubs");
+                assert!(
+                    cell(label, "scrub_overhead") > 0.0,
+                    "{label}: free scrubbing"
+                );
             } else {
-                assert_eq!(p.stats.scrub_reads_issued, 0, "{}", p.label());
+                assert_eq!(stats.scrub_reads_issued, 0, "{label}");
             }
             // Conservation holds on every point.
             assert_eq!(
-                p.stats.faults_injected,
-                p.stats.faults_corrected + p.stats.faults_uncorrectable + p.stats.faults_latent,
-                "{}: ledger out of balance",
-                p.label()
+                stats.faults_injected,
+                stats.faults_corrected + stats.faults_uncorrectable + stats.faults_latent,
+                "{label}: ledger out of balance"
             );
         }
         // The higher fault rate injects more faults than the lower one under
         // identical conditions.
-        let errors_at = |rate: u64| -> u64 {
-            report
-                .points
+        let errors_at = |rate: f64| -> u64 {
+            points
                 .iter()
-                .filter(|p| p.rate_per_million == rate)
-                .map(|p| p.stats.faults_injected)
+                .filter(|(label, _)| cell(label, "rate_per_million") == rate)
+                .map(|(_, stats)| stats.faults_injected)
                 .sum()
         };
-        assert!(errors_at(500) > errors_at(50));
-        let json = report.to_json();
+        assert!(errors_at(500.0) > errors_at(50.0));
+        let json = report.to_json(&RunMeta::collect("quick", None), "reliability");
         assert!(json.contains("\"benchmark\": \"reliability\""));
         assert!(json.contains("\"scrub_overhead\""));
-        assert!(json.contains("\"lc_slowdown\""));
-        assert!(report.to_text().contains("LC slow"));
+        assert!(json.contains("{\"label\": \"r500/scrub250/idle-timer\", \"stats\": {"));
+        assert!(table.to_text().contains("lc_slowdown"));
     }
 }

@@ -1,10 +1,23 @@
-//! Plain-text and CSV rendering of experiment results.
+//! The one shape every study reports in, and its renderers.
+//!
+//! A study ends in a [`Report`]: its [`Table`]s — labelled rows, one value
+//! per column, read back with [`Table::value`] — plus the measured
+//! [`SimStats`] of every point it ran. `repro` prints each table as aligned
+//! text ([`Table::to_text`]), writes it as CSV with `--csv`
+//! ([`Table::to_csv`]), and writes a `BENCH_*.json` study as
+//! [`Report::to_json`]: `{"meta", "benchmark", "tables": [{title, note,
+//! columns, rows: [{label, values}]}], "points": [{label, stats}]}`.
 
 use std::fmt::Write as _;
 
-/// A rectangular result table: one row per workload (plus category-average
-/// rows), one column per configuration, matching the layout of the paper's
-/// figures.
+use cloudmc_sim::{json_escape, SimStats};
+
+use crate::meta::RunMeta;
+
+/// A rectangular result table of labelled rows, one value per named column:
+/// for a paper figure a row per workload (plus category-average rows) and a
+/// column per configuration; for an extension study a row per policy or
+/// point and a column per metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Title, e.g. "Figure 1: User IPC normalized to FR-FCFS".
@@ -76,54 +89,20 @@ impl Table {
     /// prints each cell as `mean +/- ci95`.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let cells: Vec<Vec<String>> = self
+        let rows: Vec<(String, Vec<String>)> = self
             .rows
             .iter()
             .enumerate()
-            .map(|(i, (_, values))| {
+            .map(|(i, (label, values))| {
                 let ci = self.ci95.get(i);
                 let cell = |(c, v): (usize, &f64)| match ci {
                     Some(ci) => format!("{v:.3} +/- {:.3}", ci[c]),
                     None => format!("{v:.3}"),
                 };
-                values.iter().enumerate().map(cell).collect()
+                (label.clone(), values.iter().enumerate().map(cell).collect())
             })
             .collect();
-        let label_width = self
-            .rows
-            .iter()
-            .map(|(l, _)| l.len())
-            .chain(std::iter::once("workload".len()))
-            .max()
-            .unwrap_or(8)
-            + 2;
-        let col_width = self
-            .columns
-            .iter()
-            .chain(cells.iter().flatten())
-            .map(String::len)
-            .max()
-            .unwrap_or(8)
-            .max(9)
-            + 2;
-        let mut out = String::new();
-        let _ = writeln!(out, "# {}", self.title);
-        if !self.note.is_empty() {
-            let _ = writeln!(out, "# {}", self.note);
-        }
-        let _ = write!(out, "{:<label_width$}", "workload");
-        for c in &self.columns {
-            let _ = write!(out, "{c:>col_width$}");
-        }
-        let _ = writeln!(out);
-        for ((label, _), row) in self.rows.iter().zip(&cells) {
-            let _ = write!(out, "{label:<label_width$}");
-            for cell in row {
-                let _ = write!(out, "{cell:>col_width$}");
-            }
-            let _ = writeln!(out);
-        }
-        out
+        layout(&self.title, &self.note, &self.columns, &rows)
     }
 
     /// Renders the table as CSV (header row plus one line per row); a table
@@ -144,6 +123,106 @@ impl Table {
             let _ = writeln!(out);
         }
         out
+    }
+
+    /// The table as one JSON object, indented as an element of the
+    /// report's `tables` array; a table of replicate means writes the means.
+    fn to_json(&self) -> String {
+        let columns: Vec<String> = self.columns.iter().map(|c| quoted(c)).collect();
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|(label, values)| {
+                format!(
+                    "      {{\"label\": {}, \"values\": [{}]}}",
+                    quoted(label),
+                    numbers(values)
+                )
+            })
+            .collect();
+        format!(
+            "    {{\"title\": {}, \"note\": {}, \"columns\": [{}], \"rows\": [{}]}}",
+            quoted(&self.title),
+            quoted(&self.note),
+            columns.join(", "),
+            lines(&rows, "    ")
+        )
+    }
+}
+
+/// What a study returns: its tables, and the measured statistics of every
+/// point it ran under the label the sweep gave it.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The study's tables, in print order.
+    pub tables: Vec<Table>,
+    /// `(label, statistics)` per simulated point, in sweep order; empty for
+    /// a study whose tables hold everything it measured.
+    pub points: Vec<(String, SimStats)>,
+}
+
+impl Report {
+    /// The table whose title starts with `name` followed by `:`.
+    #[must_use]
+    pub fn table(&self, name: &str) -> Option<&Table> {
+        self.tables.iter().find(|t| {
+            t.title
+                .strip_prefix(name)
+                .is_some_and(|rest| rest.starts_with(':'))
+        })
+    }
+
+    /// The `BENCH_*.json` document: the provenance block, the study name,
+    /// every table and every point. Values are written exactly (`f64`
+    /// `Display`); a non-finite value, which JSON cannot hold, is `null`.
+    #[must_use]
+    pub fn to_json(&self, meta: &RunMeta, benchmark: &str) -> String {
+        let tables: Vec<String> = self.tables.iter().map(Table::to_json).collect();
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|(label, stats)| {
+                format!(
+                    "    {{\"label\": {}, \"stats\": {}}}",
+                    quoted(label),
+                    stats.to_json()
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  {},\n  \"benchmark\": {},\n  \"tables\": [{}],\n  \"points\": [{}]\n}}\n",
+            meta.to_json(),
+            quoted(benchmark),
+            lines(&tables, "  "),
+            lines(&points, "  ")
+        )
+    }
+}
+
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
+}
+
+/// `values` as the inside of a JSON array, `null` for a non-finite value.
+fn numbers(values: &[f64]) -> String {
+    let number = |v: &f64| {
+        if v.is_finite() {
+            v.to_string()
+        } else {
+            "null".to_owned()
+        }
+    };
+    values.iter().map(number).collect::<Vec<_>>().join(", ")
+}
+
+/// The inside of a JSON array of `items`, one per line, the closing bracket
+/// indented by `indent`; nothing for no items.
+fn lines(items: &[String], indent: &str) -> String {
+    if items.is_empty() {
+        String::new()
+    } else {
+        format!("\n{}\n{indent}", items.join(",\n"))
     }
 }
 
@@ -179,41 +258,51 @@ impl TextTable {
         self.rows.push((label.into(), values));
     }
 
-    /// Renders as aligned plain text.
+    /// Renders as aligned plain text, laid out as [`Table::to_text`].
     #[must_use]
     pub fn to_text(&self) -> String {
-        let label_width = self
-            .rows
-            .iter()
-            .map(|(l, _)| l.len())
-            .chain(std::iter::once("workload".len()))
-            .max()
-            .unwrap_or(8)
-            + 2;
-        let col_width = self
-            .rows
-            .iter()
-            .flat_map(|(_, vs)| vs.iter().map(String::len))
-            .chain(self.columns.iter().map(String::len))
-            .max()
-            .unwrap_or(10)
-            + 2;
-        let mut out = String::new();
-        let _ = writeln!(out, "# {}", self.title);
-        let _ = write!(out, "{:<label_width$}", "workload");
-        for c in &self.columns {
-            let _ = write!(out, "{c:>col_width$}");
+        layout(&self.title, "", &self.columns, &self.rows)
+    }
+}
+
+/// Aligned plain text for both table types: `# title` (and `# note`), a
+/// header row, then one line per row — labels left-aligned, every cell
+/// right-aligned in one width, that of the widest header or cell (at least
+/// nine characters).
+fn layout(title: &str, note: &str, columns: &[String], rows: &[(String, Vec<String>)]) -> String {
+    let label_width = rows
+        .iter()
+        .map(|(l, _)| l.len())
+        .chain(std::iter::once("workload".len()))
+        .max()
+        .unwrap_or(8)
+        + 2;
+    let col_width = columns
+        .iter()
+        .chain(rows.iter().flat_map(|(_, cells)| cells))
+        .map(String::len)
+        .max()
+        .unwrap_or(8)
+        .max(9)
+        + 2;
+    let mut out = String::new();
+    let _ = writeln!(out, "# {title}");
+    if !note.is_empty() {
+        let _ = writeln!(out, "# {note}");
+    }
+    let _ = write!(out, "{:<label_width$}", "workload");
+    for c in columns {
+        let _ = write!(out, "{c:>col_width$}");
+    }
+    let _ = writeln!(out);
+    for (label, cells) in rows {
+        let _ = write!(out, "{label:<label_width$}");
+        for cell in cells {
+            let _ = write!(out, "{cell:>col_width$}");
         }
         let _ = writeln!(out);
-        for (label, values) in &self.rows {
-            let _ = write!(out, "{label:<label_width$}");
-            for v in values {
-                let _ = write!(out, "{v:>col_width$}");
-            }
-            let _ = writeln!(out);
-        }
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -280,5 +369,41 @@ mod tests {
         let text = t.to_text();
         assert!(text.contains("Table 4"));
         assert!(text.contains("RoRaBaChCo"));
+    }
+
+    #[test]
+    fn json_carries_one_meta_block_and_no_non_finite_token() {
+        let mut t = Table::new("study x: cells", vec!["A".to_owned(), "B".to_owned()]);
+        t.push_row("finite", vec![0.1, 1200.0]);
+        t.push_row("broken", vec![f64::INFINITY, f64::NAN]);
+        let report = Report {
+            tables: vec![t],
+            points: Vec::new(),
+        };
+        let json = report.to_json(&RunMeta::collect("quick", Some("v1")), "x");
+        assert!(json.starts_with("{\n  \"meta\": {"), "{json}");
+        assert!(json.contains("\"git_describe\": \"v1\""), "{json}");
+        assert!(json.contains("\"benchmark\": \"x\""), "{json}");
+        // Exactly one meta block and balanced braces.
+        assert_eq!(json.matches("\"meta\"").count(), 1);
+        assert_eq!(
+            json.matches('{').count(),
+            json.matches('}').count(),
+            "braces must stay balanced: {json}"
+        );
+        // Exact values, and `null` where JSON has no number.
+        assert!(
+            json.contains("{\"label\": \"finite\", \"values\": [0.1, 1200]}"),
+            "{json}"
+        );
+        assert!(
+            json.contains("{\"label\": \"broken\", \"values\": [null, null]}"),
+            "{json}"
+        );
+        assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
+        assert!(json.contains("\"points\": []"), "{json}");
+        let table = report.table("study x").expect("table by name");
+        assert_eq!(table.value("broken", "A"), Some(f64::INFINITY));
+        assert!(report.table("study").is_none());
     }
 }

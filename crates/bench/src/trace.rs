@@ -2,71 +2,22 @@
 //! a run, replay throughput against the synthetic generators, and the
 //! checked-in golden mini-trace that pins the generator↔trace contract.
 //!
-//! The `repro trace` experiment serializes the result as `BENCH_trace.json`
-//! so the trace subsystem's overhead is tracked alongside the paper's
-//! figures. Every point asserts the record→replay equivalence guarantee
+//! [`trace_study`] returns a [`Report`] of two tables — the round trips
+//! (records, trace bytes, wall seconds, overhead ratios) and the golden
+//! check — which `repro trace` prints and writes as `BENCH_trace.json`, so
+//! the trace subsystem's overhead is tracked alongside the paper's figures.
+//! Every point asserts the record→replay equivalence guarantee
 //! (bit-identical `SimStats`) before reporting timings.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cloudmc_sim::{run_system, SimStats, SystemConfig, WorkloadSource};
+use cloudmc_sim::{run_system, SimError, SimStats, SystemConfig, WorkloadSource};
 use cloudmc_workloads::{MixSpec, TenantSpec, Workload};
 
 use crate::experiments::{baseline_config, Scale};
-
-/// One record/replay round trip of a single configuration.
-#[derive(Debug, Clone)]
-pub struct TracePoint {
-    /// Point name (`web_search`, `ws+tpch_q6`).
-    pub name: &'static str,
-    /// Records captured over the whole run (warm-up plus measurement).
-    pub records: u64,
-    /// Size of the captured trace file in bytes.
-    pub trace_bytes: u64,
-    /// Wall-clock seconds of the plain synthetic run (no recording).
-    pub synthetic_wall_s: f64,
-    /// Wall-clock seconds of the recording run.
-    pub record_wall_s: f64,
-    /// Wall-clock seconds of the replay run.
-    pub replay_wall_s: f64,
-}
-
-impl TracePoint {
-    /// Recording overhead relative to the plain synthetic run.
-    #[must_use]
-    pub fn record_overhead(&self) -> f64 {
-        self.record_wall_s / self.synthetic_wall_s.max(1e-9)
-    }
-
-    /// Replay speed relative to the plain synthetic run (below 1.0 means
-    /// replay is faster than generating).
-    #[must_use]
-    pub fn replay_ratio(&self) -> f64 {
-        self.replay_wall_s / self.synthetic_wall_s.max(1e-9)
-    }
-}
-
-/// Result of replaying the checked-in golden mini-trace.
-#[derive(Debug, Clone)]
-pub struct GoldenCheck {
-    /// Size of the golden trace file in bytes.
-    pub trace_bytes: u64,
-    /// User instructions committed by the replay.
-    pub user_instructions: u64,
-    /// Whether the replay matched the synthetic run of the same pinned
-    /// configuration bit for bit.
-    pub bit_identical: bool,
-}
-
-/// The full report: round-trip points plus the golden-trace check.
-#[derive(Debug, Clone)]
-pub struct TraceReport {
-    /// One point per swept configuration.
-    pub points: Vec<TracePoint>,
-    /// The golden mini-trace check.
-    pub golden: GoldenCheck,
-}
+use crate::report::{Report, Table};
+use crate::sweep::SweepError;
 
 /// The pinned configuration of the golden mini-trace at `tests/data/`: a
 /// small latency-critical Web Search + batch TPC-H Q6 mix, short enough to
@@ -94,8 +45,8 @@ pub fn golden_trace_path() -> PathBuf {
 ///
 /// # Errors
 ///
-/// Returns a description of the problem if the run or the sink fails.
-pub fn regenerate_golden_trace() -> Result<PathBuf, String> {
+/// The run's [`SimError`], including a sink that cannot be written.
+pub fn regenerate_golden_trace() -> Result<PathBuf, SimError> {
     let path = golden_trace_path();
     let mut cfg = golden_config();
     cfg.trace_record = Some(path.clone());
@@ -103,156 +54,149 @@ pub fn regenerate_golden_trace() -> Result<PathBuf, String> {
     Ok(path)
 }
 
-fn timed(cfg: SystemConfig) -> (SimStats, f64) {
-    let start = Instant::now();
-    let stats = run_system(cfg).expect("valid trace benchmark configuration");
-    (stats, start.elapsed().as_secs_f64().max(1e-9))
+/// The study's failure at point `label`.
+fn failed(label: &str, reason: impl ToString) -> SweepError {
+    SweepError::Failed {
+        label: label.to_owned(),
+        reason: reason.to_string(),
+    }
 }
 
-fn measure_point(name: &'static str, cfg: SystemConfig) -> TracePoint {
+/// Runs `cfg`; returns its statistics and wall-clock seconds.
+fn timed(name: &str, cfg: SystemConfig) -> Result<(SimStats, f64), SweepError> {
+    let start = Instant::now();
+    let stats = run_system(cfg).map_err(|e| failed(name, e))?;
+    Ok((stats, start.elapsed().as_secs_f64().max(1e-9)))
+}
+
+/// One record/replay round trip of `cfg`: records, trace bytes, then the
+/// wall-clock seconds of the plain synthetic run, the recording and the
+/// replay, and the last two over the first.
+fn measure_point(name: &str, cfg: SystemConfig) -> Result<Vec<f64>, SweepError> {
     let trace = std::env::temp_dir().join(format!(
         "cloudmc_repro_trace_{name}_{}.trace",
         std::process::id()
     ));
-    // Host-cache warm-up, then the plain synthetic run.
-    let _ = timed(cfg.clone());
-    let (synthetic, synthetic_wall_s) = timed(cfg.clone());
+    let round_trip = || -> Result<[f64; 3], SweepError> {
+        // Host-cache warm-up, then the plain synthetic run.
+        timed(name, cfg.clone())?;
+        let (synthetic, synthetic_wall_s) = timed(name, cfg.clone())?;
 
-    let mut record_cfg = cfg.clone();
-    record_cfg.trace_record = Some(trace.clone());
-    let (recorded, record_wall_s) = timed(record_cfg);
-    assert_eq!(synthetic, recorded, "{name}: recording perturbed the run");
+        let mut record_cfg = cfg.clone();
+        record_cfg.trace_record = Some(trace.clone());
+        let (recorded, record_wall_s) = timed(name, record_cfg)?;
+        assert_eq!(synthetic, recorded, "{name}: recording perturbed the run");
 
-    let mut replay_cfg = cfg;
-    replay_cfg.source = WorkloadSource::Trace(trace.clone());
-    let (replayed, replay_wall_s) = timed(replay_cfg);
-    assert_eq!(
-        recorded, replayed,
-        "{name}: replay diverged from the recording"
-    );
-
+        let mut replay_cfg = cfg.clone();
+        replay_cfg.source = WorkloadSource::Trace(trace.clone());
+        let (replayed, replay_wall_s) = timed(name, replay_cfg)?;
+        assert_eq!(
+            recorded, replayed,
+            "{name}: replay diverged from the recording"
+        );
+        Ok([synthetic_wall_s, record_wall_s, replay_wall_s])
+    };
+    let walls = round_trip();
     let trace_bytes = std::fs::metadata(&trace).map(|m| m.len()).unwrap_or(0);
     // Count records streaming — a standard-scale trace is tens of MB.
     let records = std::fs::File::open(&trace)
         .map(|f| std::io::BufRead::lines(std::io::BufReader::new(f)).count() as u64)
         .unwrap_or(0);
     std::fs::remove_file(&trace).ok();
-    TracePoint {
-        name,
-        records,
-        trace_bytes,
-        synthetic_wall_s,
-        record_wall_s,
-        replay_wall_s,
-    }
+    let [synthetic, record, replay] = walls?;
+    Ok(vec![
+        records as f64,
+        trace_bytes as f64,
+        synthetic,
+        record,
+        replay,
+        record / synthetic,
+        replay / synthetic,
+    ])
 }
 
-fn check_golden() -> GoldenCheck {
+/// The golden mini-trace replayed against the synthetic run of its pinned
+/// configuration: a one-row table.
+fn check_golden() -> Result<Table, SweepError> {
     let cfg = golden_config();
-    let synthetic = run_system(cfg.clone()).expect("golden configuration");
+    let (synthetic, _) = timed("golden", cfg.clone())?;
     let mut replay_cfg = cfg;
     replay_cfg.source = WorkloadSource::Trace(golden_trace_path());
-    let replayed = run_system(replay_cfg).expect("golden trace replay");
-    GoldenCheck {
-        trace_bytes: std::fs::metadata(golden_trace_path())
-            .map(|m| m.len())
-            .unwrap_or(0),
-        user_instructions: replayed.user_instructions,
-        bit_identical: synthetic == replayed,
+    let (replayed, _) = timed("golden", replay_cfg)?;
+    if synthetic != replayed {
+        return Err(failed(
+            "golden",
+            "the golden trace replay diverged from the generators (regenerate \
+             tests/data/golden_mix.trace if the generator change is deliberate)",
+        ));
     }
+    let mut table = Table::new(
+        "trace golden: the checked-in mini-trace replayed",
+        ["trace_bytes", "user_instructions", "bit_identical"]
+            .map(str::to_owned)
+            .to_vec(),
+    );
+    table.note = "bit_identical 1 = the replay matched the generators".to_owned();
+    let trace_bytes = std::fs::metadata(golden_trace_path()).map_or(0, |m| m.len());
+    table.push_row(
+        "golden",
+        vec![trace_bytes as f64, replayed.user_instructions as f64, 1.0],
+    );
+    Ok(table)
 }
 
-/// Runs the trace round-trip study at `scale`: a solo scale-out stream and
-/// a latency-critical + batch mix, plus the golden-trace check.
+/// Runs the trace round-trip study at `scale`: the golden-trace check, then
+/// a solo scale-out stream and a latency-critical + batch mix. The report
+/// holds two tables, `trace` (a row per round trip) and `trace golden`, and
+/// no points.
+///
+/// # Errors
+///
+/// [`SweepError::Failed`] naming the point whose run failed, or `golden`
+/// when the golden trace no longer replays bit-identically.
 ///
 /// # Panics
 ///
-/// Panics if any round trip breaks the record→replay equivalence guarantee.
-#[must_use]
-pub fn trace_study(scale: &Scale) -> TraceReport {
+/// Panics if a round trip breaks the record→replay equivalence guarantee.
+pub fn trace_study(scale: &Scale) -> Result<Report, SweepError> {
     let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
         .and(TenantSpec::batch(Workload::TpchQ6, 8));
     let mut mixed = SystemConfig::mixed(mix);
     mixed.warmup_cpu_cycles = scale.warmup_cpu_cycles;
     mixed.measure_cpu_cycles = scale.measure_cpu_cycles;
     mixed.seed = scale.seed;
-    let golden = check_golden();
-    assert!(
-        golden.bit_identical,
-        "golden trace replay diverged from the generators (regenerate \
-         tests/data/golden_mix.trace if the generator change is deliberate)"
+    let golden = check_golden()?;
+    let mut round_trips = Table::new(
+        "trace: record/replay round trip (bit-identical stats asserted)",
+        [
+            "records",
+            "trace_bytes",
+            "synthetic_wall_s",
+            "record_wall_s",
+            "replay_wall_s",
+            "record_overhead",
+            "replay_ratio",
+        ]
+        .map(str::to_owned)
+        .to_vec(),
     );
-    TraceReport {
-        points: vec![
-            measure_point("web_search", baseline_config(Workload::WebSearch, scale)),
-            measure_point("ws+tpch_q6", mixed),
-        ],
-        golden,
+    round_trips.note = "overhead and ratio are wall time over the plain synthetic run's".to_owned();
+    for (name, cfg) in [
+        ("web_search", baseline_config(Workload::WebSearch, scale)),
+        ("ws+tpch_q6", mixed),
+    ] {
+        round_trips.push_row(name, measure_point(name, cfg)?);
     }
-}
-
-impl TraceReport {
-    /// Machine-readable JSON for `BENCH_trace.json`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"benchmark\": \"trace_record_replay\",\n");
-        out.push_str("  \"unit\": \"wall_seconds\",\n  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"records\": {}, \"trace_bytes\": {}, \
-                 \"synthetic_wall_s\": {:.4}, \"record_wall_s\": {:.4}, \
-                 \"replay_wall_s\": {:.4}, \"record_overhead\": {:.3}, \
-                 \"replay_ratio\": {:.3}}}{}\n",
-                p.name,
-                p.records,
-                p.trace_bytes,
-                p.synthetic_wall_s,
-                p.record_wall_s,
-                p.replay_wall_s,
-                p.record_overhead(),
-                p.replay_ratio(),
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"golden\": {{\"trace_bytes\": {}, \"user_instructions\": {}, \
-             \"bit_identical\": {}}}\n}}\n",
-            self.golden.trace_bytes, self.golden.user_instructions, self.golden.bit_identical
-        ));
-        out
-    }
-
-    /// Human-readable summary for the terminal.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::from(
-            "trace record/replay round trip (bit-identical stats asserted)\n\
-             point         records      bytes   synth(s)  record(s)  replay(s)  rec-ovh  rep-ratio\n",
-        );
-        for p in &self.points {
-            out.push_str(&format!(
-                "{:<12} {:>8} {:>10} {:>9.3} {:>10.3} {:>10.3} {:>8.2} {:>10.2}\n",
-                p.name,
-                p.records,
-                p.trace_bytes,
-                p.synthetic_wall_s,
-                p.record_wall_s,
-                p.replay_wall_s,
-                p.record_overhead(),
-                p.replay_ratio(),
-            ));
-        }
-        out.push_str(&format!(
-            "golden trace: {} bytes, {} user instructions, bit-identical: {}\n",
-            self.golden.trace_bytes, self.golden.user_instructions, self.golden.bit_identical
-        ));
-        out
-    }
+    Ok(Report {
+        tables: vec![round_trips, golden],
+        points: Vec::new(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::RunMeta;
 
     #[test]
     fn report_runs_and_serializes() {
@@ -262,19 +206,21 @@ mod tests {
             seed: 1,
             threads: 1,
         };
-        let report = trace_study(&scale);
-        assert_eq!(report.points.len(), 2);
-        for p in &report.points {
-            assert!(p.records > 0);
-            assert!(p.trace_bytes > 0);
-            assert!(p.record_wall_s > 0.0 && p.replay_wall_s > 0.0);
+        let report = trace_study(&scale).unwrap();
+        let round_trips = report.table("trace").unwrap();
+        for name in ["web_search", "ws+tpch_q6"] {
+            let cell = |column: &str| round_trips.value(name, column).unwrap();
+            assert!(cell("records") > 0.0);
+            assert!(cell("trace_bytes") > 0.0);
+            assert!(cell("record_wall_s") > 0.0 && cell("replay_wall_s") > 0.0);
         }
-        assert!(report.golden.bit_identical);
-        let json = report.to_json();
+        let golden = report.table("trace golden").unwrap();
+        assert_eq!(golden.value("golden", "bit_identical"), Some(1.0));
+        let json = report.to_json(&RunMeta::collect("quick", None), "trace_record_replay");
         assert!(json.contains("\"web_search\""));
         assert!(json.contains("\"ws+tpch_q6\""));
         assert!(json.contains("\"golden\""));
-        assert!(report.to_text().contains("golden trace"));
+        assert!(golden.to_text().contains("golden"));
     }
 
     #[test]

@@ -168,17 +168,63 @@ fn mini_sweep_stops_and_resumes() {
 }
 
 /// A configuration that cannot run is the study's error: `repro` names the
-/// experiment and the configuration, exits 1, and does not panic.
+/// experiment and the configuration, exits 1, and does not panic — the
+/// studies that run outside the sweep executor included. Run in a scratch
+/// directory so nothing can land in the source tree.
 #[test]
 fn failed_configuration_is_a_typed_error() {
+    let dir = std::env::temp_dir().join("cloudmc_repro_cli_failed");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for experiment in ["fig8", "trace", "fastforward"] {
+        let out = repro()
+            .current_dir(&dir)
+            .args([experiment, "--quick", "--measure", "0"])
+            .output()
+            .expect("spawn repro binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{experiment}: a failed cell must exit 1; stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("error: {experiment}: ")),
+            "stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A report whose cells are not finite numbers (a one-cycle measurement
+/// leaves tenants with no committed instructions, so infinite slowdowns)
+/// is still valid JSON: such a value is written `null`, never a bare
+/// `inf` or `NaN` token.
+#[test]
+fn non_finite_report_values_are_valid_json() {
+    let dir = std::env::temp_dir().join("cloudmc_repro_cli_non_finite");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
     let out = repro()
-        .args(["fig8", "--quick", "--measure", "0"])
+        .current_dir(&dir)
+        .args(["qos", "--quick", "--warmup", "1000", "--measure", "1"])
         .output()
         .expect("spawn repro binary");
-    assert_eq!(out.status.code(), Some(1), "a failed cell must exit 1");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("error: fig8: "), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        out.status.success(),
+        "qos must exit zero; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(dir.join("BENCH_qos.json")).expect("BENCH_qos");
+    let tokens: Vec<&str> = json
+        .split(|c: char| c.is_whitespace() || ",:[]{}".contains(c))
+        .collect();
+    for bad in ["inf", "-inf", "NaN", "-NaN"] {
+        assert!(!tokens.contains(&bad), "bare `{bad}` token in the report");
+    }
+    assert!(json.contains("null"), "the degenerate cells must be null");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An unwritable `BENCH_*.json` path must produce the typed diagnostic and a
