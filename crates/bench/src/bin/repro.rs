@@ -53,9 +53,12 @@
 //!   --max-cells <n>       stop after n freshly simulated cells, writing no
 //!                         report; rerun the same command to resume
 //!
-//! Progress (one line per finished configuration) goes to stderr.
+//! Progress (one line per finished configuration) goes to stderr. If stdout
+//! closes early (`repro qos | head -1`), printing stops and the run still
+//! finishes and writes its files.
 //! ```
 
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -66,6 +69,30 @@ use cloudmc_bench::{
     reliability_study, scheduler_study, trace_study, Options, Parsed, Report, RunMeta, SweepError,
     Table, HELP,
 };
+
+/// `repro`'s stdout. A reader that leaves early (`repro qos | head -1`)
+/// closes the pipe: printing stops there, and the study still finishes and
+/// writes its files. Any other write error is reported once on stderr and
+/// stops printing the same way.
+#[derive(Default)]
+struct Stdout {
+    closed: bool,
+}
+
+impl Stdout {
+    fn print(&mut self, text: &str) {
+        if self.closed {
+            return;
+        }
+        let mut out = std::io::stdout().lock();
+        if let Err(e) = writeln!(out, "{text}").and_then(|()| out.flush()) {
+            if e.kind() != ErrorKind::BrokenPipe {
+                eprintln!("warning: stdout: {e}; printing stops, the run goes on");
+            }
+            self.closed = true;
+        }
+    }
+}
 
 /// Reports the outcome of writing `path` on stderr.
 ///
@@ -82,8 +109,8 @@ fn wrote(path: &Path, outcome: std::io::Result<()>) -> Result<(), ExitCode> {
 }
 
 /// Prints `table` and, with `--csv`, writes it into `csv_dir`.
-fn emit(table: &Table, csv_dir: &Option<PathBuf>) -> Result<(), ExitCode> {
-    println!("{}", table.to_text());
+fn emit(out: &mut Stdout, table: &Table, csv_dir: &Option<PathBuf>) -> Result<(), ExitCode> {
+    out.print(&table.to_text());
     let Some(dir) = csv_dir else {
         return Ok(());
     };
@@ -102,6 +129,7 @@ fn emit(table: &Table, csv_dir: &Option<PathBuf>) -> Result<(), ExitCode> {
 /// Prints every table of a study's `report` (and, with `--csv`, writes
 /// it), then writes the report as `path`, named `benchmark` in the JSON.
 fn write_report(
+    out: &mut Stdout,
     path: &str,
     benchmark: &str,
     report: &Report,
@@ -109,7 +137,7 @@ fn write_report(
     csv_dir: &Option<PathBuf>,
 ) -> Result<(), ExitCode> {
     for table in &report.tables {
-        emit(table, csv_dir)?;
+        emit(out, table, csv_dir)?;
     }
     let json = report.to_json(meta, benchmark);
     wrote(Path::new(path), std::fs::write(path, json))
@@ -135,7 +163,7 @@ fn main() -> ExitCode {
     let opts = match parse(std::env::args().skip(1)) {
         Ok(Parsed::Run(opts)) => opts,
         Ok(Parsed::Help) => {
-            println!("{HELP}");
+            Stdout::default().print(HELP);
             return ExitCode::SUCCESS;
         }
         Err(e) => {
@@ -161,6 +189,7 @@ fn run(opts: Options) -> Result<(), ExitCode> {
         sweep,
     } = opts;
     let meta = RunMeta::collect(&scale_label, git_describe.as_deref());
+    let out = &mut Stdout::default();
     let exp = experiment.as_str();
     let wants = |names: &[&str]| names.contains(&exp);
     eprintln!(
@@ -169,7 +198,7 @@ fn run(opts: Options) -> Result<(), ExitCode> {
     );
 
     if wants(&["config", "all"]) {
-        println!("{}", config_report());
+        out.print(&config_report());
     }
     if wants(&[
         "sched", "all", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
@@ -186,13 +215,13 @@ fn run(opts: Options) -> Result<(), ExitCode> {
         ];
         for (name, table) in figures {
             if wants(&[name, "sched", "all"]) {
-                emit(&table, &csv_dir)?;
+                emit(out, &table, &csv_dir)?;
             }
         }
     }
     if wants(&["fig8", "all"]) {
         let baseline = finished(exp, baseline_study(&scale, &sweep))?;
-        emit(&figure8(&baseline), &csv_dir)?;
+        emit(out, &figure8(&baseline), &csv_dir)?;
     }
     if wants(&["pages", "all", "fig9", "fig10", "fig11"]) {
         let study = finished(exp, page_policy_study(&scale, &sweep))?;
@@ -203,7 +232,7 @@ fn run(opts: Options) -> Result<(), ExitCode> {
         ];
         for (name, table) in figures {
             if wants(&[name, "pages", "all"]) {
-                emit(&table, &csv_dir)?;
+                emit(out, &table, &csv_dir)?;
             }
         }
     }
@@ -216,17 +245,17 @@ fn run(opts: Options) -> Result<(), ExitCode> {
         ];
         for (name, table) in figures {
             if wants(&[name, "channels", "all"]) {
-                emit(&table, &csv_dir)?;
+                emit(out, &table, &csv_dir)?;
             }
         }
         if wants(&["table4", "channels", "all"]) {
-            println!("{}", study.table4().to_text());
+            out.print(&study.table4().to_text());
         }
     }
     if wants(&["fastforward", "all"]) {
         let report = finished(exp, fastforward_report(&scale))?;
         for table in &report.tables {
-            emit(table, &csv_dir)?;
+            emit(out, table, &csv_dir)?;
         }
         // Regression gate (run as a CI smoke step): on dense streams the
         // event kernel has no idle cycles to skip, so any speedup below 1.0
@@ -244,11 +273,19 @@ fn run(opts: Options) -> Result<(), ExitCode> {
     }
     if wants(&["energy", "all"]) {
         let report = finished(exp, energy_study(&scale, &sweep))?;
-        write_report("BENCH_energy.json", "dram_energy", &report, &meta, &csv_dir)?;
+        write_report(
+            out,
+            "BENCH_energy.json",
+            "dram_energy",
+            &report,
+            &meta,
+            &csv_dir,
+        )?;
     }
     if wants(&["qos", "all"]) {
         let report = finished(exp, qos_study(&scale, &sweep))?;
         write_report(
+            out,
             "BENCH_qos.json",
             "multi_tenant_qos",
             &report,
@@ -259,6 +296,7 @@ fn run(opts: Options) -> Result<(), ExitCode> {
     if wants(&["reliability", "all"]) {
         let report = finished(exp, reliability_study(&scale, &sweep))?;
         write_report(
+            out,
             "BENCH_reliability.json",
             "reliability",
             &report,
@@ -295,6 +333,7 @@ fn run(opts: Options) -> Result<(), ExitCode> {
         }
         let report = finished(exp, trace_study(&scale))?;
         write_report(
+            out,
             "BENCH_trace.json",
             "trace_record_replay",
             &report,

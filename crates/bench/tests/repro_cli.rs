@@ -227,6 +227,34 @@ fn non_finite_report_values_are_valid_json() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A reader that closes stdout early (`repro qos | head -1`) stops the
+/// printing, not the run: exit zero, no panic, and the report written. The
+/// pipe is closed before the first line, because a pipe buffer can hold a
+/// whole table and hide the broken pipe from a reader that leaves later.
+#[test]
+fn closed_stdout_stops_printing_not_the_study() {
+    let dir = std::env::temp_dir().join("cloudmc_repro_cli_closed_stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let mut child = repro()
+        .current_dir(&dir)
+        .args(["qos", "--quick", "--warmup", "1000", "--measure", "2000"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn repro binary");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "qos must exit zero; stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        dir.join("BENCH_qos.json").is_file(),
+        "the report must still be written; stderr: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An unwritable `BENCH_*.json` path must produce the typed diagnostic and a
 /// failure exit code, not a panic — the experiment's stdout output still
 /// prints first. A directory squatting on the report filename forces the

@@ -117,6 +117,27 @@ impl ChannelStats {
     }
 }
 
+/// One event on a channel's command bus or CKE pins, as recorded by
+/// [`DramChannel::record_commands`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogEvent {
+    /// A command issued on the command bus.
+    Command(Command),
+    /// CKE dropped for `rank`, or the powered-down rank deepened, into
+    /// `mode`.
+    PowerDown {
+        /// The rank.
+        rank: usize,
+        /// The low-power state entered.
+        mode: PowerDownMode,
+    },
+    /// CKE raised for `rank`: its exit from power-down begins.
+    Wake {
+        /// The rank.
+        rank: usize,
+    },
+}
+
 /// Cycle-accurate model of one DRAM channel (ranks, banks, buses).
 ///
 /// # Examples
@@ -150,6 +171,10 @@ pub struct DramChannel {
     /// Cycle of the most recent command on the command bus.
     last_cmd_cycle: Option<DramCycles>,
     stats: ChannelStats,
+    /// Every command and CKE transition with its cycle, in issue order,
+    /// once [`Self::record_commands`] turned recording on. Host-only: no
+    /// snapshot holds it.
+    log: Option<Vec<(DramCycles, LogEvent)>>,
 }
 
 impl DramChannel {
@@ -181,6 +206,29 @@ impl DramChannel {
             last_burst_direction: None,
             last_cmd_cycle: None,
             stats: ChannelStats::default(),
+            log: None,
+        }
+    }
+
+    /// Starts recording every command and CKE transition of this channel
+    /// into [`Self::command_log`]: a hook for protocol checkers, off by
+    /// default.
+    #[doc(hidden)]
+    pub fn record_commands(&mut self) {
+        self.log.get_or_insert_with(Vec::new);
+    }
+
+    /// The `(cycle, event)` record since [`Self::record_commands`], in
+    /// issue order; `None` while recording is off.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn command_log(&self) -> Option<&[(DramCycles, LogEvent)]> {
+        self.log.as_deref()
+    }
+
+    fn note(&mut self, now: DramCycles, event: LogEvent) {
+        if let Some(log) = &mut self.log {
+            log.push((now, event));
         }
     }
 
@@ -398,6 +446,7 @@ impl DramChannel {
         );
         let t = self.timing;
         self.ranks[rank].enter_power_down(mode, now, &t);
+        self.note(now, LogEvent::PowerDown { rank, mode });
     }
 
     /// Raises CKE for `rank` at `now`, beginning the exit from its low-power
@@ -408,7 +457,9 @@ impl DramChannel {
     /// Panics if the rank is not powered down.
     pub fn wake_rank(&mut self, rank: usize, now: DramCycles) -> DramCycles {
         let t = self.timing;
-        self.ranks[rank].wake(now, &t)
+        let ready = self.ranks[rank].wake(now, &t);
+        self.note(now, LogEvent::Wake { rank });
+        ready
     }
 
     /// Earliest cycle at which `cmd` could legally issue, assuming no other
@@ -503,6 +554,7 @@ impl DramChannel {
             cmd.loc
         );
         self.last_cmd_cycle = Some(now);
+        self.note(now, LogEvent::Command(*cmd));
         let t = self.timing;
         let rank_idx = cmd.loc.rank;
         let outcome = match cmd.kind {
@@ -632,6 +684,7 @@ snap_fields! {
             rows_per_bank: "config-derived",
             columns_per_row: "config-derived",
             refresh_enabled: "config-derived",
+            log: "host-only record",
         },
         after_load: Self::check_restored,
     }

@@ -48,7 +48,7 @@ pub mod rank;
 pub mod timing;
 
 pub use bank::{Bank, BankState};
-pub use channel::{ChannelStats, DramChannel};
+pub use channel::{ChannelStats, DramChannel, LogEvent};
 pub use command::{Command, CommandKind, IssueOutcome};
 pub use config::{DramConfig, Location};
 pub use energy::{EnergyBreakdown, EnergyModel, EnergyParams};

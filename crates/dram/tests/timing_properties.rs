@@ -1,22 +1,26 @@
 //! Randomized tests of the DRAM timing model: for arbitrary legal command
 //! sequences the device never violates its own protocol invariants.
 //!
-//! Every bound below is computed from `TimingParams` fields alone and checked
-//! on the issued command stream, so a fence that `DramChannel` forgets or
-//! mis-states shows up here rather than being reproduced by its own checks.
-//! Each property runs over all three timing presets.
+//! A naive driver of its own issues the streams; the checks live in the
+//! shared `protocol` module, which computes every bound from `TimingParams`
+//! fields alone (and also checks the memory controller's stream, in the
+//! root `tests/controller_protocol.rs`). Each property runs over all three
+//! timing presets.
 //!
 //! These were originally `proptest` properties; the build environment has no
 //! registry access, so they now draw their cases from a seeded [`rand`]
 //! stream — same invariants, deterministic inputs.
 
+mod protocol;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use cloudmc_dram::{
-    Command, CommandKind, DramChannel, DramConfig, Location, PowerDownMode, PowerState,
+    Command, CommandKind, DramChannel, DramConfig, Location, LogEvent, PowerDownMode, PowerState,
     TimingParams,
 };
+use protocol::{is_column, History};
 
 /// A request [`drive`] serves with an open-page policy, arriving `gap`
 /// cycles after the one before it.
@@ -58,20 +62,6 @@ fn random_requests(rng: &mut StdRng, max_len: usize) -> Vec<Req> {
         })
         .collect()
 }
-
-type History = Vec<(u64, Command)>;
-
-/// A CKE transition of one rank, recorded next to the command history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cke {
-    /// CKE dropped (or the rank deepened) into this mode.
-    Enter(PowerDownMode),
-    /// CKE raised: the rank begins its exit.
-    Wake,
-}
-
-/// `(cycle, rank, transition)` in issue order.
-type CkeLog = Vec<(u64, usize, Cke)>;
 
 /// Power management for [`drive`]: a rank no pending request targets
 /// powers down into `first` once it has been idle `idle_after` cycles, and
@@ -128,8 +118,8 @@ fn progress(channel: &DramChannel, req: &Req) -> Command {
 /// so the one-command-per-cycle rule is the device's to enforce. Only the
 /// oldest request may close a row, and requests to a rank with a refresh due
 /// wait for it. With a [`PowerPlan`] it also raises and drops each rank's
-/// CKE, logging every transition.
-fn drive(timing: TimingParams, requests: &[Req], power: Option<PowerPlan>) -> (History, CkeLog) {
+/// CKE. It records every command and CKE transition itself, in issue order.
+fn drive(timing: TimingParams, requests: &[Req], power: Option<PowerPlan>) -> Vec<(u64, LogEvent)> {
     let mut channel = DramChannel::new(&DramConfig {
         timing,
         ..DramConfig::baseline()
@@ -140,8 +130,7 @@ fn drive(timing: TimingParams, requests: &[Req], power: Option<PowerPlan>) -> (H
     });
     let mut next_arrival = arrivals.next();
     let mut pending: Vec<Req> = Vec::new();
-    let mut history = Vec::new();
-    let mut cke = Vec::new();
+    let mut log = Vec::new();
     let mut last_active = [0u64; 2];
     let mut now = 0u64;
     while next_arrival.is_some() || !pending.is_empty() {
@@ -162,7 +151,7 @@ fn drive(timing: TimingParams, requests: &[Req], power: Option<PowerPlan>) -> (H
                     || channel.rank(rank).refresh_due(now);
                 if channel.rank(rank).powered_down() && wanted {
                     channel.wake_rank(rank, now);
-                    cke.push((now, rank, Cke::Wake));
+                    log.push((now, LogEvent::Wake { rank }));
                 }
             }
         }
@@ -199,7 +188,7 @@ fn drive(timing: TimingParams, requests: &[Req], power: Option<PowerPlan>) -> (H
         for (cmd, owner) in candidates {
             if channel.can_issue(&cmd, now) {
                 channel.issue(&cmd, now);
-                history.push((now, cmd));
+                log.push((now, LogEvent::Command(cmd)));
                 last_active[cmd.loc.rank] = now;
                 if cmd.kind.is_column() {
                     served = owner;
@@ -226,13 +215,13 @@ fn drive(timing: TimingParams, requests: &[Req], power: Option<PowerPlan>) -> (H
                 };
                 if channel.can_enter_power_down(rank, mode, now) {
                     channel.enter_power_down(rank, mode, now);
-                    cke.push((now, rank, Cke::Enter(mode)));
+                    log.push((now, LogEvent::PowerDown { rank, mode }));
                 }
             }
         }
         now += 1;
     }
-    (history, cke)
+    log
 }
 
 fn presets() -> [TimingParams; 3] {
@@ -250,79 +239,10 @@ fn histories(seed: u64, cases: usize, max_len: usize) -> Vec<(TimingParams, Hist
     for timing in presets() {
         for _ in 0..cases {
             let requests = random_requests(&mut rng, max_len);
-            out.push((timing, drive(timing, &requests, None).0));
+            out.push((timing, protocol::split(&drive(timing, &requests, None)).0));
         }
     }
     out
-}
-
-fn same_bank(a: &Command, b: &Command) -> bool {
-    a.loc.rank == b.loc.rank && a.loc.bank == b.loc.bank
-}
-
-fn same_rank(a: &Command, b: &Command) -> bool {
-    a.loc.rank == b.loc.rank
-}
-
-/// Checks that every command matching `later` issues at least `gap` cycles
-/// after the most recent earlier command matching `earlier` in the same
-/// `scope`. Returns how many such pairs were checked.
-fn assert_min_gap(
-    history: &History,
-    name: &str,
-    gap: u64,
-    earlier: impl Fn(&Command) -> bool,
-    later: impl Fn(&Command) -> bool,
-    scope: impl Fn(&Command, &Command) -> bool,
-) -> usize {
-    let mut checked = 0;
-    for (j, (t1, c1)) in history.iter().enumerate() {
-        if !later(c1) {
-            continue;
-        }
-        let prior = history[..j]
-            .iter()
-            .rev()
-            .find(|(_, c0)| earlier(c0) && scope(c0, c1));
-        if let Some((t0, c0)) = prior {
-            assert!(
-                t1 - t0 >= gap,
-                "{name} violated: {} at {t0} then {} at {t1} (need {gap})",
-                c0.kind,
-                c1.kind
-            );
-            checked += 1;
-        }
-    }
-    checked
-}
-
-fn is_act(c: &Command) -> bool {
-    c.kind == CommandKind::Activate
-}
-
-fn is_pre(c: &Command) -> bool {
-    c.kind == CommandKind::Precharge
-}
-
-fn is_ref(c: &Command) -> bool {
-    c.kind == CommandKind::Refresh
-}
-
-fn is_column(c: &Command) -> bool {
-    c.kind.is_column()
-}
-
-fn is_read(c: &Command) -> bool {
-    c.kind.is_read()
-}
-
-fn is_write(c: &Command) -> bool {
-    c.kind.is_write()
-}
-
-fn any(_: &Command) -> bool {
-    true
 }
 
 /// Any request sequence can be served without panicking, and every request
@@ -333,7 +253,7 @@ fn every_request_is_served_exactly_once() {
     for _case in 0..16 {
         let requests = random_requests(&mut rng, 40);
         for timing in presets() {
-            let (history, _) = drive(timing, &requests, None);
+            let (history, _) = protocol::split(&drive(timing, &requests, None));
             let columns = history.iter().filter(|(_, c)| is_column(c)).count();
             assert_eq!(columns, requests.len());
         }
@@ -344,21 +264,11 @@ fn every_request_is_served_exactly_once() {
 /// to one rank span more than tFAW cycles.
 #[test]
 fn tfaw_is_respected() {
+    let mut checked = 0;
     for (t, history) in histories(0xFA11, 16, 60) {
-        for rank in 0..2 {
-            let acts: Vec<u64> = history
-                .iter()
-                .filter(|(_, c)| is_act(c) && c.loc.rank == rank)
-                .map(|(time, _)| *time)
-                .collect();
-            for window in acts.windows(5) {
-                assert!(
-                    window[4] - window[0] >= t.t_faw,
-                    "five activates within tFAW: {window:?}"
-                );
-            }
-        }
+        checked += protocol::tfaw(&t, &history, 2).unwrap();
     }
+    assert!(checked > 0, "no tFAW window was exercised");
 }
 
 /// Same-bank activates are separated by at least tRC, and activates to
@@ -366,8 +276,7 @@ fn tfaw_is_respected() {
 #[test]
 fn activate_spacing_is_respected() {
     for (t, history) in histories(0x5BAC, 16, 60) {
-        assert_min_gap(&history, "tRRD", t.t_rrd, is_act, is_act, same_rank);
-        assert_min_gap(&history, "tRC", t.t_rc, is_act, is_act, same_bank);
+        protocol::activate_spacing(&t, &history).unwrap();
     }
 }
 
@@ -378,13 +287,10 @@ fn activate_spacing_is_respected() {
 fn bank_fences_are_respected() {
     let mut checked = [0usize; 5];
     for (t, history) in histories(0xBA4C, 16, 60) {
-        let h = &history;
-        checked[0] += assert_min_gap(h, "tRCD", t.t_rcd, is_act, is_column, same_bank);
-        checked[1] += assert_min_gap(h, "tRAS", t.t_ras, is_act, is_pre, same_bank);
-        checked[2] += assert_min_gap(h, "tRP", t.t_rp, is_pre, is_act, same_bank);
-        checked[3] += assert_min_gap(h, "tRTP", t.t_rtp, is_read, is_pre, same_bank);
-        let write_recovery = t.cwl + t.t_burst + t.t_wr;
-        checked[4] += assert_min_gap(h, "tWR", write_recovery, is_write, is_pre, same_bank);
+        let fences = protocol::bank_fences(&t, &history).unwrap();
+        for (sum, n) in checked.iter_mut().zip(fences) {
+            *sum += n;
+        }
     }
     assert!(
         checked.iter().all(|&n| n > 0),
@@ -398,11 +304,10 @@ fn bank_fences_are_respected() {
 fn rank_fences_are_respected() {
     let mut checked = [0usize; 3];
     for (t, history) in histories(0x4A4C, 16, 60) {
-        let h = &history;
-        checked[0] += assert_min_gap(h, "tCCD", t.t_ccd, is_column, is_column, same_rank);
-        let write_to_read = t.cwl + t.t_burst + t.t_wtr;
-        checked[1] += assert_min_gap(h, "tWTR", write_to_read, is_write, is_read, same_rank);
-        checked[2] += assert_min_gap(h, "tRFC", t.t_rfc, is_ref, any, same_rank);
+        let fences = protocol::rank_fences(&t, &history).unwrap();
+        for (sum, n) in checked.iter_mut().zip(fences) {
+            *sum += n;
+        }
     }
     assert!(
         checked.iter().all(|&n| n > 0),
@@ -416,33 +321,7 @@ fn rank_fences_are_respected() {
 fn data_bus_bursts_never_overlap() {
     let mut rank_switches = 0;
     for (t, history) in histories(0xB0B5, 16, 60) {
-        let mut bursts: Vec<(u64, u64, usize)> = history
-            .iter()
-            .filter_map(|(time, c)| {
-                let start = match c.kind {
-                    CommandKind::Read { .. } => time + t.cl,
-                    CommandKind::Write { .. } => time + t.cwl,
-                    _ => return None,
-                };
-                Some((start, start + t.t_burst, c.loc.rank))
-            })
-            .collect();
-        bursts.sort_unstable();
-        for pair in bursts.windows(2) {
-            let ((_, end, rank0), (start, _, rank1)) = (pair[0], pair[1]);
-            let gap = if rank0 == rank1 {
-                0
-            } else {
-                rank_switches += 1;
-                t.t_rtrs
-            };
-            assert!(
-                start >= end + gap,
-                "data bursts too close: {:?} then {:?} (need {gap} idle)",
-                pair[0],
-                pair[1]
-            );
-        }
+        rank_switches += protocol::data_bus(&t, &history).unwrap();
     }
     assert!(rank_switches > 0, "no rank-to-rank burst was exercised");
 }
@@ -451,99 +330,18 @@ fn data_bus_bursts_never_overlap() {
 #[test]
 fn one_command_per_cycle() {
     for (_, history) in histories(0xC10C, 16, 60) {
-        for pair in history.windows(2) {
-            assert!(pair[1].0 > pair[0].0, "two commands in cycle {}", pair[0].0);
-        }
-    }
-}
-
-/// Checks the power-down fences of one rank's run from `TimingParams`
-/// alone, adding to `checked` how often each was exercised:
-///
-/// * `[0]` no command reaches the rank from its CKE-low entry through its
-///   wake;
-/// * `[1..=3]` after a wake at `w`, the first command to the rank issues at
-///   or after `max(w, entry + tCKE) + exit`, with `exit` tXP, tXPDLL or tXS
-///   by the deepest mode entered (one counter each) and `entry` the last
-///   CKE-low transition;
-/// * `[4]` wakes where the `entry + tCKE` term is the binding one;
-/// * `[5]` consecutive CKE transitions (entry, deepening, or entry after
-///   the CKE rise of a wake) are at least tCKE apart.
-fn check_power_fences(
-    t: &TimingParams,
-    history: &History,
-    cke: &CkeLog,
-    rank: usize,
-    checked: &mut [usize; 6],
-) {
-    let commands: Vec<u64> = history
-        .iter()
-        .filter(|(_, c)| c.loc.rank == rank)
-        .map(|&(at, _)| at)
-        .collect();
-    let events: Vec<(u64, Cke)> = cke
-        .iter()
-        .filter(|&&(_, r, _)| r == rank)
-        .map(|&(at, _, event)| (at, event))
-        .collect();
-    // (first entry, last transition, mode) while CKE is low.
-    let mut low: Option<(u64, u64, PowerDownMode)> = None;
-    let mut last_rise: Option<u64> = None;
-    for (i, &(at, event)) in events.iter().enumerate() {
-        match event {
-            Cke::Enter(mode) => {
-                if let Some(prev) = low.map(|(_, last, _)| last).or(last_rise) {
-                    assert!(
-                        at >= prev + t.t_cke,
-                        "rank {rank}: CKE transition at {at} within tCKE of {prev}"
-                    );
-                    checked[5] += 1;
-                }
-                low = Some((low.map_or(at, |(first, _, _)| first), at, mode));
-            }
-            Cke::Wake => {
-                let (entry, last, mode) = low.take().expect("wake of an awake rank");
-                let during = commands.iter().find(|&&c| c >= entry && c <= at);
-                assert!(
-                    during.is_none(),
-                    "rank {rank}: command at {during:?} while CKE low ({entry}..={at})"
-                );
-                checked[0] += 1;
-                let rise = at.max(last + t.t_cke);
-                let (exit, kind) = match mode {
-                    PowerDownMode::Fast => (t.t_xp, 1),
-                    PowerDownMode::Slow => (t.t_xpdll, 2),
-                    PowerDownMode::SelfRefresh => (t.t_xs, 3),
-                };
-                let next_entry = events[i + 1..]
-                    .iter()
-                    .find(|(_, e)| matches!(e, Cke::Enter(_)))
-                    .map_or(u64::MAX, |&(next, _)| next);
-                if let Some(&first) = commands.iter().find(|&&c| c > at && c < next_entry) {
-                    assert!(
-                        first >= rise + exit,
-                        "rank {rank}: {mode:?} woken at {at} (last entry {last}) \
-                         took a command at {first}, before {}",
-                        rise + exit
-                    );
-                    checked[kind] += 1;
-                    if rise > at {
-                        checked[4] += 1;
-                    }
-                }
-                last_rise = Some(rise);
-            }
-        }
+        protocol::one_command_per_cycle(&history).unwrap();
     }
 }
 
 /// The power-down fences hold on every preset under random idle
-/// thresholds and modes, with deepening, and every check binds somewhere.
+/// thresholds and modes, with deepening, and every check binds somewhere;
+/// the whole checker passes the same streams.
 #[test]
 fn power_down_fences_are_respected() {
     let mut rng = StdRng::seed_from_u64(0xC4E);
     for timing in presets() {
-        let mut checked = [0usize; 6];
+        let mut coverage = protocol::Coverage::default();
         for _ in 0..48 {
             // Some arrivals a few cycles apart, so a wake can land inside
             // the tCKE window of the entry just before it.
@@ -554,16 +352,16 @@ fn power_down_fences_are_respected() {
                 }
             }
             let plan = random_plan(&mut rng);
-            let (history, cke) = drive(timing, &requests, Some(plan));
+            let log = drive(timing, &requests, Some(plan));
+            let (history, _) = protocol::split(&log);
             let columns = history.iter().filter(|(_, c)| is_column(c)).count();
             assert_eq!(columns, requests.len(), "every request still served");
-            for rank in 0..2 {
-                check_power_fences(&timing, &history, &cke, rank, &mut checked);
-            }
+            protocol::check_log(&timing, 2, &log, &mut coverage).unwrap();
         }
         assert!(
-            checked.iter().all(|&n| n > 0),
-            "a power-down check was never exercised on {timing:?}: {checked:?}"
+            coverage.power.iter().all(|&n| n > 0),
+            "a power-down check was never exercised on {timing:?}: {:?}",
+            coverage.unexercised()
         );
     }
 }

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cloudmc_dram::{
     ChannelStats, Command, DramChannel, DramConfig, DramCycles, FaultConfig, FaultLedger,
-    FaultModel, Location, PowerDownMode, ReadFault, UncorrectablePolicy,
+    FaultModel, Location, LogEvent, PowerDownMode, ReadFault, UncorrectablePolicy,
 };
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
@@ -569,6 +569,24 @@ impl ChannelController {
             .saturating_add(self.channel.timing().t_refi)
     }
 
+    /// When the forced refresh of `rank` can next close a row: the later of
+    /// [`Self::refresh_forced_at`] and the rank's earliest legal precharge.
+    /// The first bank whose precharge is legal by the forced cycle settles
+    /// it, so only a rank whose every open row is fenced past that cycle is
+    /// scanned in full. `u64::MAX` with no row open.
+    fn forced_refresh_bound(&self, rank: usize) -> DramCycles {
+        let forced = self.refresh_forced_at(rank);
+        let mut earliest = DramCycles::MAX;
+        for bank in 0..self.channel.banks_per_rank() {
+            let pre = self.earliest_precharge(rank, bank);
+            if pre <= forced {
+                return forced;
+            }
+            earliest = earliest.min(pre);
+        }
+        earliest
+    }
+
     /// Attempts to make progress on refresh; returns `true` if a command was
     /// issued this cycle.
     fn handle_refresh(&mut self, now: DramCycles) -> bool {
@@ -1127,10 +1145,7 @@ impl ChannelController {
                 } else if let Some(legal) = self.channel.earliest_legal(&Command::refresh(r)) {
                     due.max(legal)
                 } else {
-                    (0..self.channel.banks_per_rank())
-                        .map(|b| self.earliest_precharge(r, b))
-                        .min()
-                        .map_or(DramCycles::MAX, |pre| self.refresh_forced_at(r).max(pre))
+                    self.forced_refresh_bound(r)
                 });
                 if due <= now + 1 {
                     break;
@@ -1314,6 +1329,28 @@ impl MemoryController {
         self.channels[channel].channel.stats()
     }
 
+    /// Starts recording every channel's command and CKE stream (see
+    /// [`cloudmc_dram::DramChannel::record_commands`]): a hook for protocol
+    /// checkers, off by default.
+    #[doc(hidden)]
+    pub fn record_commands(&mut self) {
+        for channel in &mut self.channels {
+            channel.channel.record_commands();
+        }
+    }
+
+    /// One channel's record since [`Self::record_commands`]; `None` while
+    /// recording is off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is out of range.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn command_log(&self, channel: usize) -> Option<&[(DramCycles, LogEvent)]> {
+        self.channels[channel].channel.command_log()
+    }
+
     /// Device-level statistics of one channel including power-state
     /// residency accrued up to `now` (see
     /// [`cloudmc_dram::DramChannel::stats_at`]).
@@ -1458,6 +1495,58 @@ mod tests {
     use super::*;
     use crate::page::PagePolicyKind;
     use crate::sched::SchedulerKind;
+
+    /// The early-exit forced-refresh bound equals the all-banks scan it
+    /// replaced (the later of `refresh_forced_at` and the rank's earliest
+    /// legal precharge) over random row states and refresh backlogs.
+    #[test]
+    fn forced_refresh_bound_matches_the_all_banks_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x4EF);
+        // [no row open, settled by the forced cycle, every row fenced past it]
+        let mut cases = [0usize; 3];
+        for _ in 0..400 {
+            let mut cc = ChannelController::new(0, &McConfig::baseline());
+            let t_refi = cc.channel.timing().t_refi;
+            let mut now = rng.gen_range(0..3 * t_refi);
+            for _ in 0..rng.gen_range(0..24usize) {
+                now += rng.gen_range(0..12u64);
+                let loc = Location::new(
+                    rng.gen_range(0..2usize),
+                    rng.gen_range(0..8usize),
+                    rng.gen_range(0..3u64),
+                    0,
+                );
+                let cmd = match cc.channel.open_row(loc.rank, loc.bank) {
+                    Some(row) if row == loc.row => Command::read(loc, false),
+                    Some(_) => Command::precharge(loc),
+                    None => Command::activate(loc),
+                };
+                if cc.channel.can_issue(&cmd, now) {
+                    cc.channel.issue(&cmd, now);
+                }
+            }
+            for rank in 0..2 {
+                let forced = cc.refresh_forced_at(rank);
+                let reference = (0..cc.channel.banks_per_rank())
+                    .map(|b| cc.earliest_precharge(rank, b))
+                    .min()
+                    .map_or(DramCycles::MAX, |pre| forced.max(pre));
+                assert_eq!(cc.forced_refresh_bound(rank), reference);
+                cases[match reference {
+                    DramCycles::MAX => 0,
+                    bound if bound == forced => 1,
+                    _ => 2,
+                }] += 1;
+            }
+        }
+        assert!(
+            cases.iter().all(|&n| n > 0),
+            "a case never arose: {cases:?}"
+        );
+    }
 
     fn drain(mc: &mut MemoryController, cycles: u64) -> Vec<CompletedRequest> {
         let mut done = Vec::new();

@@ -1,12 +1,17 @@
 //! ATLAS: Adaptive per-Thread Least-Attained-Service scheduling
 //! (Kim et al., HPCA 2010).
+//!
+//! Core ranks change only at quantum boundaries (`Scheduler::on_cycle`). A
+//! pick is one pass over the active queue keeping the least ready
+//! candidate ([`min_ready`]): starved requests first, by arrival then
+//! queue position; then the rest by `(core rank, arrival, id)`, a ready
+//! column access before an activate before a precharge within each group.
 
 use cloudmc_dram::DramCycles;
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
-use crate::queue::QueueEntry;
 use crate::request::{CompletedRequest, RowBufferOutcome};
-use crate::sched::{first_ready, SchedContext, SchedDecision};
+use crate::sched::{min_ready, SchedContext, SchedDecision};
 
 /// ATLAS parameters (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,7 +169,33 @@ impl Atlas {
         if queue.is_empty() {
             return None;
         }
-        // Rule 1: requests over the starvation threshold go first, oldest first.
+        // Rule 1: requests over the starvation threshold go first, oldest
+        // (then first queued) first. Rules 2-4: higher-ranked core first,
+        // then row hit, then age. `min_ready` puts a ready column access
+        // before an activate before a precharge within each group.
+        let candidates = queue.iter().enumerate().map(|(i, e)| {
+            if e.age(ctx.now) > self.cfg.starvation_threshold {
+                (false, (0, e.enqueued_at, 0, i), e)
+            } else {
+                let rank = self.rank_of(e.request.core);
+                (true, (rank, e.enqueued_at, e.request.id, 0), e)
+            }
+        });
+        min_ready(candidates, ctx)
+    }
+
+    /// The sort-based pick this scheduler used before [`min_ready`]: the
+    /// starved entries stably sorted by arrival, then every entry sorted
+    /// by `(core rank, arrival, id)`, each through
+    /// [`crate::sched::first_ready`]. The oracle of the differential tests.
+    #[cfg(test)]
+    pub(super) fn pick_reference(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+        use crate::queue::QueueEntry;
+        use crate::sched::first_ready;
+        let queue = ctx.active_queue();
+        if queue.is_empty() {
+            return None;
+        }
         let mut starved: Vec<&QueueEntry> = queue
             .iter()
             .filter(|e| e.age(ctx.now) > self.cfg.starvation_threshold)
@@ -175,10 +206,6 @@ impl Atlas {
                 return Some(d);
             }
         }
-        // Rule 2-4: higher-ranked core first, then row hit, then age.
-        // (`first_ready` promotes ready column commands within the ordered
-        // candidate list, giving rank > hit > age overall ordering per rank
-        // class because the list is sorted by rank first.)
         let mut entries: Vec<&QueueEntry> = queue.iter().collect();
         entries.sort_by(|a, b| {
             self.rank_of(a.request.core)

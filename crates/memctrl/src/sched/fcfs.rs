@@ -20,9 +20,26 @@ pub fn pick(ctx: &SchedContext<'_>) -> Option<SchedDecision> {
 #[must_use]
 pub fn pick_banks(ctx: &SchedContext<'_>) -> Option<SchedDecision> {
     // The head of each per-bank queue is the oldest pending request for
-    // that (rank, bank). Collect those heads in global age order and let
-    // the first-ready skeleton choose among them; because only per-bank
-    // heads are candidates, no within-bank reordering can happen.
+    // that (rank, bank). The queue is in arrival order, so its per-bank
+    // heads are too: the first-ready skeleton walks them directly, and
+    // because only heads are candidates no within-bank reordering can
+    // happen. A channel has at most 64 flat banks, one bit each.
+    let banks_per_rank = ctx.channel.banks_per_rank();
+    let mut seen = 0u64;
+    let heads = ctx.active_queue().iter().filter(|entry| {
+        let bit = 1u64 << entry.location.flat_bank(banks_per_rank);
+        let head = seen & bit == 0;
+        seen |= bit;
+        head
+    });
+    first_ready(heads, ctx)
+}
+
+/// The `FCFS_banks` pick before the bank mask: the heads collected into a
+/// `Vec` with a `Vec<bool>` of seen banks. The oracle of the differential
+/// tests.
+#[cfg(test)]
+pub(super) fn pick_banks_reference(ctx: &SchedContext<'_>) -> Option<SchedDecision> {
     let queue = ctx.active_queue();
     let banks_per_rank = ctx.channel.banks_per_rank();
     let total_banks = ctx.channel.rank_count() * banks_per_rank;
@@ -35,7 +52,6 @@ pub fn pick_banks(ctx: &SchedContext<'_>) -> Option<SchedDecision> {
             heads.push(entry);
         }
     }
-    // Entries are already in arrival order, so `heads` is oldest-first.
     first_ready(heads, ctx)
 }
 

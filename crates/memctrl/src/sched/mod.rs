@@ -16,6 +16,20 @@
 //!   ([`atlas::Atlas`]).
 //! * [`Scheduler::Rl`] — reinforcement-learning self-optimizing scheduler
 //!   ([`rl::RlScheduler`]).
+//!
+//! # The pick contract
+//!
+//! A pick runs on every tick of a busy channel, so it costs what its
+//! algorithm needs and nothing more: **one pass over the queues it reads,
+//! no heap allocation, and a `wait` that covers every evaluated
+//! candidate.** Every candidate is tested through [`progress_for`]; a pick
+//! that returns `None` has evaluated all of them, so
+//! [`SchedContext::wait`] bounds when any could issue. A ranking scheduler
+//! names its priority as a key per entry and lets [`min_ready`] keep the
+//! least ready one (no sort); FR-FCFS and `FCFS_banks` walk the queue in
+//! arrival order, which already is their key order, through
+//! [`first_ready`]. Buffers a pick needs are allocated when the scheduler
+//! is built and reused.
 
 pub mod atlas;
 pub mod fcfs;
@@ -173,6 +187,52 @@ where
         }
     }
     best_activate.or(best_precharge)
+}
+
+/// Rank of a ready command in the first-ready order: a column access, then
+/// an activate, then a precharge.
+fn ready_class(kind: CommandKind) -> u8 {
+    match kind {
+        CommandKind::Activate => 1,
+        CommandKind::Precharge => 2,
+        _ => 0,
+    }
+}
+
+/// The one-pass pick of the ranking schedulers. Each candidate comes with a
+/// `group` (`false` first) and an `order` within it, and the pick is the
+/// ready decision with the least `(group, class, order)`, where the class
+/// puts a column access before an activate before a precharge.
+///
+/// That is what sorting the candidates by `(group, order)` and running
+/// [`first_ready`] over each group in turn returns, without the sort or a
+/// buffer. Keys must be unique. A candidate whose best possible key (a
+/// ready column access) cannot beat the current best is not evaluated; the
+/// pick then issues, so [`SchedContext::wait`] is not read. A pick that
+/// returns `None` has evaluated every candidate.
+#[must_use]
+pub fn min_ready<'a, K, I>(candidates: I, ctx: &SchedContext<'_>) -> Option<SchedDecision>
+where
+    K: Ord,
+    I: IntoIterator<Item = (bool, K, &'a QueueEntry)>,
+{
+    let mut best: Option<(bool, u8, K, SchedDecision)> = None;
+    for (group, order, entry) in candidates {
+        let beats = |class: u8, best: &Option<(bool, u8, K, SchedDecision)>| {
+            best.as_ref()
+                .is_none_or(|(g, c, o, _)| (group, class, &order) < (*g, *c, o))
+        };
+        if !beats(0, &best) {
+            continue;
+        }
+        if let Some(decision) = progress_for(entry, ctx) {
+            let class = ready_class(decision.command.kind);
+            if beats(class, &best) {
+                best = Some((group, class, order, decision));
+            }
+        }
+    }
+    best.map(|(_, _, _, decision)| decision)
 }
 
 /// A memory scheduling algorithm: one variant per algorithm, each method a
@@ -506,6 +566,169 @@ mod tests {
             ..read_ctx
         };
         assert_eq!(write_ctx.active_queue().oldest().unwrap().request.id, 2);
+    }
+
+    /// Differential tests of the one-pass picks against the sort-based
+    /// picks they replaced (`ParBs::pick_reference`,
+    /// `Atlas::pick_reference`, `fcfs::pick_banks_reference`): the same
+    /// decision on every pick, and the same wait bound when nothing issues.
+    mod oracle {
+        use super::*;
+        use crate::request::RowBufferOutcome;
+        use cloudmc_dram::PowerDownMode;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// A baseline channel after random progress commands: rows open and
+        /// closed, activate, column and precharge fences pending, and now
+        /// and then rank 1 powered down.
+        fn random_channel(rng: &mut StdRng) -> (DramChannel, DramCycles) {
+            let mut ch = DramChannel::new(&DramConfig::baseline());
+            let mut now = 0;
+            for _ in 0..rng.gen_range(0..48usize) {
+                now += rng.gen_range(0..10u64);
+                let loc = Location::new(
+                    rng.gen_range(0..2usize),
+                    rng.gen_range(0..8usize),
+                    rng.gen_range(0..3u64),
+                    0,
+                );
+                let cmd = match ch.open_row(loc.rank, loc.bank) {
+                    Some(row) if row == loc.row && rng.gen_bool(0.5) => Command::read(loc, false),
+                    Some(row) if row == loc.row => Command::write(loc, false),
+                    Some(_) => Command::precharge(loc),
+                    None => Command::activate(loc),
+                };
+                if ch.can_issue(&cmd, now) {
+                    ch.issue(&cmd, now);
+                }
+            }
+            if rng.gen_bool(0.2) && ch.can_enter_power_down(1, PowerDownMode::Fast, now) {
+                ch.enter_power_down(1, PowerDownMode::Fast, now);
+            }
+            (ch, now + rng.gen_range(0..20u64))
+        }
+
+        fn reference_pick(s: &mut Scheduler, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+            match s {
+                Scheduler::FcfsBanks => fcfs::pick_banks_reference(ctx),
+                Scheduler::ParBs(p) => p.pick_reference(ctx),
+                Scheduler::Atlas(a) => a.pick_reference(ctx),
+                other => unreachable!("no reference pick for {other:?}"),
+            }
+        }
+
+        /// Drives a fresh pair of `kind` schedulers through random arrivals,
+        /// picks and completions on one evolving channel, 1–16 cores, in and
+        /// out of write mode. Counts `[column, activate, precharge, none]`
+        /// picks into `seen`.
+        fn run_case(rng: &mut StdRng, kind: SchedulerKind, seen: &mut [usize; 4]) {
+            let num_cores = rng.gen_range(1..17usize);
+            let mut new = kind.build(num_cores);
+            let mut reference = kind.build(num_cores);
+            let (mut ch, mut now) = random_channel(rng);
+            let mut rq = RequestQueue::new(48);
+            let mut wq = RequestQueue::new(48);
+            let mut arrivals = 0u64;
+            for _ in 0..rng.gen_range(10..60usize) {
+                for _ in 0..rng.gen_range(0..4usize) {
+                    // Unique ids whose order differs from arrival order.
+                    let id = arrivals.wrapping_mul(2_654_435_761) % (1 << 32);
+                    arrivals += 1;
+                    let write = rng.gen_bool(0.35);
+                    let access = if write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    // Arrival ties, and now and then an older arrival
+                    // cycle (a retried request keeps its own).
+                    let at = if rng.gen_bool(0.15) {
+                        rng.gen_range(0..now + 1)
+                    } else {
+                        now
+                    };
+                    let core = rng.gen_range(0..num_cores + 1);
+                    let loc = Location::new(
+                        rng.gen_range(0..2usize),
+                        rng.gen_range(0..8usize),
+                        rng.gen_range(0..3u64),
+                        rng.gen_range(0..4u64),
+                    );
+                    let q = if write { &mut wq } else { &mut rq };
+                    let _ = q.push(MemoryRequest::new(id, access, 0, core, at), loc, at);
+                }
+                let write_mode = rng.gen_bool(0.3);
+                let got_ctx = SchedContext::new(now, &ch, &rq, &wq, write_mode, num_cores);
+                let want_ctx = SchedContext::new(now, &ch, &rq, &wq, write_mode, num_cores);
+                new.on_cycle(&got_ctx);
+                reference.on_cycle(&want_ctx);
+                let got = new.pick(&got_ctx);
+                let want = reference_pick(&mut reference, &want_ctx);
+                assert_eq!(got, want, "{kind} at {now}");
+                let Some(decision) = got else {
+                    assert_eq!(got_ctx.wait.get(), want_ctx.wait.get(), "{kind} wait");
+                    seen[3] += 1;
+                    now += rng.gen_range(1..8u64);
+                    continue;
+                };
+                seen[usize::from(ready_class(decision.command.kind))] += 1;
+                ch.issue(&decision.command, now);
+                if let Some(id) = decision.request_id {
+                    let entry = rq.remove(id).or_else(|| wq.remove(id)).unwrap();
+                    let done = CompletedRequest {
+                        request: entry.request,
+                        channel: 0,
+                        location: entry.location,
+                        issue: now,
+                        completion: now + 20,
+                        outcome: RowBufferOutcome::Hit,
+                        retries: 0,
+                    };
+                    new.on_complete(&done);
+                    reference.on_complete(&done);
+                }
+                now += rng.gen_range(1..8u64);
+            }
+        }
+
+        fn differential(seed: u64, kind: impl Fn(&mut StdRng) -> SchedulerKind) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut seen = [0; 4];
+            for _ in 0..300 {
+                let kind = kind(&mut rng);
+                run_case(&mut rng, kind, &mut seen);
+            }
+            assert!(
+                seen.iter().all(|&n| n > 0),
+                "a decision class was never exercised: {seen:?}"
+            );
+        }
+
+        #[test]
+        fn parbs_one_pass_pick_matches_the_sorted_pick() {
+            differential(0x9A4B5, |rng| {
+                SchedulerKind::ParBs(ParBsConfig {
+                    batching_cap: rng.gen_range(1..9usize),
+                })
+            });
+        }
+
+        #[test]
+        fn atlas_one_pass_pick_matches_the_sorted_pick() {
+            differential(0xA71A5, |rng| {
+                SchedulerKind::Atlas(AtlasConfig {
+                    quantum: rng.gen_range(1..60u64),
+                    alpha: 0.875,
+                    starvation_threshold: rng.gen_range(0..40u64),
+                })
+            });
+        }
+
+        #[test]
+        fn fcfs_banks_mask_pick_matches_the_collected_pick() {
+            differential(0xFCF5, |_| SchedulerKind::FcfsBanks);
+        }
     }
 
     #[test]

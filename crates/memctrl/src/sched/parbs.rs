@@ -1,12 +1,21 @@
 //! Parallelism-Aware Batch Scheduling (Mutlu & Moscibroda, ISCA 2008).
+//!
+//! When no request of the current batch is left in the active queue, a new
+//! batch marks the oldest `batching_cap` requests per (core, bank) and
+//! ranks the cores shortest-job-first. Each pick is then one pass over the
+//! active queue keeping the least `(unbatched, column < activate <
+//! precharge, core rank, arrival, id)` among the ready candidates
+//! ([`min_ready`]). Batch formation counts into buffers sized when the
+//! scheduler is built and clears only the cells the queue touched.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
+use cloudmc_dram::DramConfig;
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
 use crate::queue::QueueEntry;
 use crate::request::{CompletedRequest, RequestId};
-use crate::sched::{first_ready, SchedContext, SchedDecision};
+use crate::sched::{min_ready, SchedContext, SchedDecision};
 
 /// PAR-BS parameters (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +30,9 @@ impl Default for ParBsConfig {
     }
 }
 
+/// Flat banks a per-core row of [`ParBs`]'s count table covers.
+const BANKS: usize = DramConfig::MAX_BANKS_PER_CHANNEL;
+
 /// PAR-BS: groups the oldest requests of every core into a batch that is
 /// prioritized over all other requests, and ranks cores within the batch
 /// shortest-job-first to minimize average stall time.
@@ -28,11 +40,18 @@ impl Default for ParBsConfig {
 pub struct ParBs {
     cfg: ParBsConfig,
     num_cores: usize,
-    marked: HashSet<RequestId>,
+    /// The current batch. Ordered, so the image lists the ids ascending.
+    marked: BTreeSet<RequestId>,
     /// `core_rank[c]` is the priority position of core `c` in the current
     /// batch (0 = highest priority).
     core_rank: Vec<usize>,
     batches_formed: u64,
+    /// Batch-formation scratch: marked requests per (core, flat bank), row
+    /// `core` at `core * BANKS`. All zero between formations.
+    marked_count: Vec<u16>,
+    /// Batch-formation scratch: `(largest per-bank count, total, core)` per
+    /// core, sorted into the shortest-job-first order.
+    loads: Vec<(usize, usize, usize)>,
 }
 
 impl ParBs {
@@ -42,9 +61,11 @@ impl ParBs {
         Self {
             cfg,
             num_cores,
-            marked: HashSet::new(),
+            marked: BTreeSet::new(),
             core_rank: vec![0; num_cores],
             batches_formed: 0,
+            marked_count: vec![0; num_cores * BANKS],
+            loads: vec![(0, 0, 0); num_cores],
         }
     }
 
@@ -75,38 +96,47 @@ impl ParBs {
         self.core_rank.get(core).copied().unwrap_or(usize::MAX)
     }
 
+    /// The count-table cell of `entry`'s (core, flat bank); cores past the
+    /// last share its row.
+    fn count_cell(&self, entry: &QueueEntry, banks_per_rank: usize) -> usize {
+        let core = entry.request.core.min(self.num_cores.saturating_sub(1));
+        core * BANKS + entry.location.flat_bank(banks_per_rank)
+    }
+
     /// Forms a new batch from the active queue: the oldest `batching_cap`
     /// requests per (core, bank) are marked, then cores are ranked
     /// shortest-job-first (a core's "job length" is its maximum number of
-    /// marked requests to any single bank).
+    /// marked requests to any single bank, then its total, then its index).
     fn form_batch(&mut self, ctx: &SchedContext<'_>) {
         self.marked.clear();
+        for (core, load) in self.loads.iter_mut().enumerate() {
+            *load = (0, 0, core);
+        }
         let banks_per_rank = ctx.channel.banks_per_rank();
-        let total_banks = ctx.channel.rank_count() * banks_per_rank;
-        // marked_count[core][flat_bank]
-        let mut marked_count = vec![vec![0usize; total_banks]; self.num_cores];
-        for entry in ctx.active_queue().iter() {
-            let core = entry.request.core.min(self.num_cores.saturating_sub(1));
-            let flat = entry.location.flat_bank(banks_per_rank);
-            if marked_count[core][flat] < self.cfg.batching_cap {
-                marked_count[core][flat] += 1;
+        let queue = ctx.active_queue();
+        for entry in queue.iter() {
+            let cell = self.count_cell(entry, banks_per_rank);
+            let count = usize::from(self.marked_count[cell]);
+            if count < self.cfg.batching_cap {
+                self.marked_count[cell] += 1;
                 self.marked.insert(entry.request.id);
+                let load = &mut self.loads[cell / BANKS];
+                load.0 = load.0.max(count + 1);
+                load.1 += 1;
             }
+        }
+        // Only the queue's own cells were touched.
+        for entry in queue.iter() {
+            let cell = self.count_cell(entry, banks_per_rank);
+            self.marked_count[cell] = 0;
         }
         if self.marked.is_empty() {
             return;
         }
         self.batches_formed += 1;
-        // Shortest job first: rank cores by their maximum per-bank load.
-        let mut loads: Vec<(usize, usize, usize)> = (0..self.num_cores)
-            .map(|core| {
-                let max_bank = marked_count[core].iter().copied().max().unwrap_or(0);
-                let total: usize = marked_count[core].iter().sum();
-                (core, max_bank, total)
-            })
-            .collect();
-        loads.sort_by_key(|&(core, max_bank, total)| (max_bank, total, core));
-        for (position, &(core, _, _)) in loads.iter().enumerate() {
+        // Each key ends in its core, so the unstable sort is the stable one.
+        self.loads.sort_unstable();
+        for (position, &(_, _, core)) in self.loads.iter().enumerate() {
             self.core_rank[core] = position;
         }
     }
@@ -128,10 +158,59 @@ impl ParBs {
         if self.batch_exhausted(ctx) {
             self.form_batch(ctx);
         }
-        // Priority order: batched > row-hit > core rank > age. The first two
-        // passes implement "batched first"; within a pass `first_ready`
-        // prefers ready column commands (row hits), and the iteration order
-        // (core rank, then age) breaks the remaining ties.
+        // Batched before unbatched, then a ready column access before an
+        // activate before a precharge, then core rank, age and id.
+        let candidates = ctx.active_queue().iter().map(|e| {
+            let unbatched = !self.marked.contains(&e.request.id);
+            let order = (self.rank_of(e.request.core), e.enqueued_at, e.request.id);
+            (unbatched, order, e)
+        });
+        min_ready(candidates, ctx)
+    }
+
+    pub(crate) fn on_complete(&mut self, done: &CompletedRequest) {
+        self.marked.remove(&done.request.id);
+    }
+
+    /// The sort-based pick this scheduler used before [`min_ready`]: an
+    /// allocating batch formation, both candidate lists sorted by
+    /// `(core rank, arrival, id)`, and [`crate::sched::first_ready`] over
+    /// the batched list, then the unbatched one. The oracle of the
+    /// differential tests.
+    #[cfg(test)]
+    pub(super) fn pick_reference(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+        use crate::sched::first_ready;
+        if ctx.active_queue().is_empty() {
+            return None;
+        }
+        if self.batch_exhausted(ctx) {
+            self.marked.clear();
+            let banks_per_rank = ctx.channel.banks_per_rank();
+            let total_banks = ctx.channel.rank_count() * banks_per_rank;
+            let mut marked_count = vec![vec![0usize; total_banks]; self.num_cores];
+            for entry in ctx.active_queue().iter() {
+                let core = entry.request.core.min(self.num_cores.saturating_sub(1));
+                let flat = entry.location.flat_bank(banks_per_rank);
+                if marked_count[core][flat] < self.cfg.batching_cap {
+                    marked_count[core][flat] += 1;
+                    self.marked.insert(entry.request.id);
+                }
+            }
+            if !self.marked.is_empty() {
+                self.batches_formed += 1;
+                let mut loads: Vec<(usize, usize, usize)> = (0..self.num_cores)
+                    .map(|core| {
+                        let max_bank = marked_count[core].iter().copied().max().unwrap_or(0);
+                        let total: usize = marked_count[core].iter().sum();
+                        (core, max_bank, total)
+                    })
+                    .collect();
+                loads.sort_by_key(|&(core, max_bank, total)| (max_bank, total, core));
+                for (position, &(core, _, _)) in loads.iter().enumerate() {
+                    self.core_rank[core] = position;
+                }
+            }
+        }
         let mut batched: Vec<&QueueEntry> = Vec::new();
         let mut unbatched: Vec<&QueueEntry> = Vec::new();
         for entry in ctx.active_queue().iter() {
@@ -151,10 +230,6 @@ impl ParBs {
         unbatched.sort_by(rank_then_age);
         first_ready(batched, ctx).or_else(|| first_ready(unbatched, ctx))
     }
-
-    pub(crate) fn on_complete(&mut self, done: &CompletedRequest) {
-        self.marked.remove(&done.request.id);
-    }
 }
 
 snap_fields! {
@@ -163,6 +238,8 @@ snap_fields! {
         skipped: {
             cfg: "config-derived",
             num_cores: "config-derived",
+            marked_count: "scratch, zero between formations",
+            loads: "scratch, rewritten by each formation",
         },
         after_load: Self::check_restored,
     }
@@ -268,6 +345,53 @@ mod tests {
         let _ = s.pick(&ctx(&ch, &rq, &wq, 10));
         assert_eq!(s.batches_formed(), 2);
         assert!(s.is_marked(1));
+    }
+
+    /// The marks moved from a `HashSet` to a `BTreeSet`; both save the ids
+    /// as one ascending `u64` run, so images keep format version 7. A load
+    /// now also rejects a run that is not strictly ascending.
+    #[test]
+    fn marks_save_as_the_sorted_run_the_hash_set_wrote() {
+        use cloudmc_snap::{checksum, Snap, SnapWriter};
+        use std::collections::HashSet;
+
+        let cfg = DramConfig::baseline();
+        let ch = DramChannel::new(&cfg);
+        let mut rq = RequestQueue::new(32);
+        let wq = RequestQueue::new(32);
+        let ids = [9, 2, 7, 4];
+        for (i, &id) in ids.iter().enumerate() {
+            push(&mut rq, id, i % 4, i, 1, i as u64);
+        }
+        let mut s = ParBs::new(ParBsConfig::default(), 4);
+        let _ = s.pick(&ctx(&ch, &rq, &wq, 10));
+        let mut w = SnapWriter::new(0);
+        s.save(&mut w);
+        let image = w.finish();
+
+        let hashed: HashSet<RequestId> = ids.into_iter().collect();
+        let mut w = SnapWriter::new(0);
+        hashed.save(&mut w);
+        let run = w.finish();
+        let run = &run[..run.len() - 8];
+        assert_eq!(&image[..run.len()], run, "same bytes as the HashSet image");
+        let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+        let first = 20 + 8;
+        let saved: Vec<u64> = (0..4).map(|i| word(first + 8 * i)).collect();
+        assert_eq!(saved, [2, 4, 7, 9]);
+
+        // Swap the first two ids and reseal: the load refuses the image.
+        let mut body = image[..image.len() - 8].to_vec();
+        body[first..first + 16].rotate_left(8);
+        body.extend_from_slice(&checksum(&body).to_le_bytes());
+        let mut r = SnapReader::new(&body, 0).unwrap();
+        let err = ParBs::new(ParBsConfig::default(), 4)
+            .load(&mut r)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("set keys not strictly ascending"),
+            "{err}"
+        );
     }
 
     #[test]

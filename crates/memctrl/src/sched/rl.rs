@@ -8,6 +8,12 @@
 //! ε-greedily, and updates the previous decision's Q-value with a SARSA rule
 //! using a reward of 1 for data-transferring commands (READ/WRITE) and 0
 //! otherwise.
+//!
+//! A feature vector's table indices depend on nothing else, so each is
+//! hashed once, on its first use, into a table indexed by a dense feature
+//! code; a pick then costs one pass over the queues to collect the ready
+//! candidates plus `num_tables` lookups per candidate it scores (an
+//! exploratory pick scores only the candidate it draws).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -18,7 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use cloudmc_dram::{CommandKind, DramCycles};
 
-use crate::queue::QueueEntry;
+use crate::queue::{bank_row_key, QueueEntry};
 use crate::sched::{progress_for, SchedContext, SchedDecision};
 
 /// RL scheduler parameters (Table 3 of the paper).
@@ -76,6 +82,25 @@ struct Features {
     is_write_request: bool,
 }
 
+/// Distinct [`Features::code`]s.
+const FEATURE_CODES: usize = 5 * 7 * 7 * 4 * 5 * 2;
+
+// A memo slot holds a table index plus one.
+const _: () = assert!(RlConfig::MAX_TABLE_SIZE < u16::MAX as usize);
+
+impl Features {
+    /// A dense code in `0..FEATURE_CODES` of every field but `row_hit`,
+    /// which [`RlScheduler::features`] derives from the action.
+    fn code(&self) -> usize {
+        let mut code = usize::from(self.action);
+        code = code * 7 + usize::from(self.read_q_bucket);
+        code = code * 7 + usize::from(self.write_q_bucket);
+        code = code * 4 + usize::from(self.same_row_pending);
+        code = code * 5 + usize::from(self.age_bucket);
+        code * 2 + usize::from(self.is_write_request)
+    }
+}
+
 /// Self-optimizing RL memory scheduler.
 #[derive(Debug)]
 pub struct RlScheduler {
@@ -87,6 +112,14 @@ pub struct RlScheduler {
     prev: Option<(Vec<usize>, f64, f64)>,
     decisions: u64,
     exploratory_decisions: u64,
+    /// The table indices of each feature code, hashed on the code's first
+    /// use: the `num_tables` slots from `code * num_tables` hold each index
+    /// plus one, or zero until hashed.
+    memo: Vec<u16>,
+    /// Pick scratch: the ready candidates, one per distinct command.
+    candidates: Vec<(Features, SchedDecision)>,
+    /// Pick scratch: the chosen candidate's table indices.
+    chosen_indices: Vec<usize>,
 }
 
 impl RlScheduler {
@@ -94,17 +127,25 @@ impl RlScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `num_tables` or `table_size` is zero.
+    /// Panics if `num_tables` or `table_size` is zero or above
+    /// [`RlConfig::MAX_TABLES`] or [`RlConfig::MAX_TABLE_SIZE`].
     #[must_use]
     pub fn new(cfg: RlConfig) -> Self {
         assert!(cfg.num_tables > 0, "num_tables must be non-zero");
         assert!(cfg.table_size > 0, "table_size must be non-zero");
+        assert!(
+            cfg.num_tables <= RlConfig::MAX_TABLES && cfg.table_size <= RlConfig::MAX_TABLE_SIZE,
+            "RL tables above RlConfig::MAX_TABLES x RlConfig::MAX_TABLE_SIZE"
+        );
         Self {
             tables: vec![vec![0.0; cfg.table_size]; cfg.num_tables],
             rng: StdRng::seed_from_u64(cfg.seed),
             prev: None,
             decisions: 0,
             exploratory_decisions: 0,
+            memo: vec![0; FEATURE_CODES * cfg.num_tables],
+            candidates: Vec::new(),
+            chosen_indices: Vec::with_capacity(cfg.num_tables),
             cfg,
         }
     }
@@ -176,12 +217,7 @@ impl RlScheduler {
         }
     }
 
-    fn features(
-        &self,
-        ctx: &SchedContext<'_>,
-        entry: &QueueEntry,
-        decision: &SchedDecision,
-    ) -> Features {
+    fn features(ctx: &SchedContext<'_>, entry: &QueueEntry, decision: &SchedDecision) -> Features {
         let action = match decision.command.kind {
             CommandKind::Activate => 0,
             CommandKind::Precharge => 1,
@@ -189,15 +225,14 @@ impl RlScheduler {
             CommandKind::Write { .. } => 3,
             CommandKind::Refresh => 4,
         };
+        // Pending requests to the entry's row (itself included), counted
+        // to three over the queues' packed key columns.
         let loc = entry.location;
-        let same_row_pending = (ctx.read_q.iter().chain(ctx.write_q.iter()))
-            .filter(|e| {
-                e.location.rank == loc.rank
-                    && e.location.bank == loc.bank
-                    && e.location.row == loc.row
-            })
-            .count()
-            .min(3) as u8;
+        let key = bank_row_key(loc.rank, loc.bank, loc.row);
+        let same_row_pending = (ctx.read_q.keys().iter().chain(ctx.write_q.keys()))
+            .filter(|&&k| k == key)
+            .take(3)
+            .count() as u8;
         Features {
             action,
             row_hit: matches!(
@@ -212,35 +247,67 @@ impl RlScheduler {
         }
     }
 
-    fn table_indices(&self, features: &Features) -> Vec<usize> {
-        (0..self.cfg.num_tables)
-            .map(|t| {
+    /// The offset in [`Self::memo`] of `features`' table indices, hashing
+    /// them on the code's first use.
+    fn memo_at(&mut self, features: &Features) -> usize {
+        let at = features.code() * self.cfg.num_tables;
+        let slots = &mut self.memo[at..at + self.cfg.num_tables];
+        if slots[0] == 0 {
+            for (t, slot) in slots.iter_mut().enumerate() {
                 let mut hasher = DefaultHasher::new();
                 t.hash(&mut hasher);
                 features.hash(&mut hasher);
-                (hasher.finish() as usize) % self.cfg.table_size
-            })
-            .collect()
+                *slot = ((hasher.finish() as usize) % self.cfg.table_size + 1) as u16;
+            }
+        }
+        at
     }
 
-    fn q_value(&self, indices: &[usize]) -> f64 {
-        indices
+    /// The Q estimate of the candidate whose indices are at `at` in
+    /// [`Self::memo`]: the mean of its entries, summed in table order.
+    fn q_value(&self, at: usize) -> f64 {
+        self.memo[at..at + self.cfg.num_tables]
             .iter()
-            .enumerate()
-            .map(|(t, &i)| self.tables[t][i])
+            .zip(&self.tables)
+            .map(|(&slot, table)| table[usize::from(slot) - 1])
             .sum::<f64>()
             / self.cfg.num_tables as f64
     }
 
-    /// SARSA update of the previous decision given the Q-value of the action
-    /// just chosen.
-    fn learn(&mut self, q_next: f64) {
-        if let Some((indices, q_prev, reward)) = self.prev.take() {
-            let delta = self.cfg.alpha * (reward + self.cfg.gamma * q_next - q_prev);
+    /// Scores `features` and copies its table indices into
+    /// [`Self::chosen_indices`], returning its Q estimate.
+    fn score_chosen(&mut self, features: &Features) -> f64 {
+        let at = self.memo_at(features);
+        self.chosen_indices.clear();
+        self.chosen_indices.extend(
+            self.memo[at..at + self.cfg.num_tables]
+                .iter()
+                .map(|&slot| usize::from(slot) - 1),
+        );
+        self.q_value(at)
+    }
+
+    /// Takes `decision`, whose indices are in [`Self::chosen_indices`] and
+    /// whose Q estimate is `q`: the SARSA update of the previous decision,
+    /// then this one becomes the previous decision.
+    fn commit(&mut self, decision: &SchedDecision, q: f64) -> SchedDecision {
+        if let Some((indices, q_prev, reward)) = &self.prev {
+            let delta = self.cfg.alpha * (reward + self.cfg.gamma * q - q_prev);
             for (t, &i) in indices.iter().enumerate() {
                 self.tables[t][i] += delta;
             }
         }
+        let reward = Self::reward_of(decision);
+        match &mut self.prev {
+            Some((indices, q_prev, r)) => {
+                indices.clone_from(&self.chosen_indices);
+                *q_prev = q;
+                *r = reward;
+            }
+            None => self.prev = Some((self.chosen_indices.clone(), q, reward)),
+        }
+        self.decisions += 1;
+        *decision
     }
 
     fn reward_of(decision: &SchedDecision) -> f64 {
@@ -251,21 +318,24 @@ impl RlScheduler {
         }
     }
 
-    /// Collects all commands that could legally issue this cycle, one per
-    /// pending request, from both queues.
-    fn candidates<'q>(&self, ctx: &SchedContext<'q>) -> Vec<(&'q QueueEntry, SchedDecision)> {
-        let mut seen_commands = Vec::new();
-        let mut out = Vec::new();
+    /// Collects all commands that could legally issue this cycle into
+    /// [`Self::candidates`], one per distinct command, first requester
+    /// first, from both queues.
+    fn collect_candidates(&mut self, ctx: &SchedContext<'_>) {
+        self.candidates.clear();
         for entry in ctx.read_q.iter().chain(ctx.write_q.iter()) {
             if let Some(decision) = progress_for(entry, ctx) {
-                if seen_commands.contains(&decision.command) {
+                if self
+                    .candidates
+                    .iter()
+                    .any(|(_, seen)| seen.command == decision.command)
+                {
                     continue;
                 }
-                seen_commands.push(decision.command);
-                out.push((entry, decision));
+                let features = Self::features(ctx, entry, &decision);
+                self.candidates.push((features, decision));
             }
         }
-        out
     }
 
     pub(crate) fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
@@ -279,54 +349,41 @@ impl RlScheduler {
             .min_by_key(|e| e.enqueued_at);
         if let Some(entry) = starved {
             if let Some(d) = progress_for(entry, ctx) {
-                let features = self.features(ctx, entry, &d);
-                let indices = self.table_indices(&features);
-                let q = self.q_value(&indices);
-                self.learn(q);
-                self.prev = Some((indices, q, Self::reward_of(&d)));
-                self.decisions += 1;
-                return Some(d);
+                let q = self.score_chosen(&Self::features(ctx, entry, &d));
+                return Some(self.commit(&d, q));
             }
         }
 
-        let candidates = self.candidates(ctx);
-        if candidates.is_empty() {
+        self.collect_candidates(ctx);
+        if self.candidates.is_empty() {
             return None;
         }
-        let scored: Vec<(Vec<usize>, f64, SchedDecision)> = candidates
-            .iter()
-            .map(|(entry, decision)| {
-                let features = self.features(ctx, entry, decision);
-                let indices = self.table_indices(&features);
-                let q = self.q_value(&indices);
-                (indices, q, *decision)
-            })
-            .collect();
+        // The draws do not depend on the scores, so an exploratory pick
+        // scores only the candidate it draws.
         let explore = self.rng.gen_bool(self.cfg.epsilon.clamp(0.0, 1.0));
-        let chosen = if explore {
+        let (chosen, q) = if explore {
             self.exploratory_decisions += 1;
-            self.rng.gen_range(0..scored.len())
+            let chosen = self.rng.gen_range(0..self.candidates.len());
+            let features = self.candidates[chosen].0;
+            (chosen, self.score_chosen(&features))
         } else {
-            scored
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    a.1 .1
-                        .partial_cmp(&b.1 .1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(i, _)| i)
-                .unwrap_or(0)
+            // The greedy choice, with `Iterator::max_by`'s tie rule: a later
+            // candidate replaces the best unless the best scores strictly
+            // higher.
+            let mut best = (0, f64::NAN);
+            for i in 0..self.candidates.len() {
+                let features = self.candidates[i].0;
+                let at = self.memo_at(&features);
+                let q = self.q_value(at);
+                if i == 0 || best.1.partial_cmp(&q) != Some(std::cmp::Ordering::Greater) {
+                    best = (i, q);
+                }
+            }
+            let features = self.candidates[best.0].0;
+            (best.0, self.score_chosen(&features))
         };
-        #[expect(clippy::expect_used, reason = "chosen is sampled modulo scored.len()")]
-        let (indices, q, decision) = scored
-            .into_iter()
-            .nth(chosen)
-            .expect("chosen index in range");
-        self.learn(q);
-        self.prev = Some((indices, q, Self::reward_of(&decision)));
-        self.decisions += 1;
-        Some(decision)
+        let decision = self.candidates[chosen].1;
+        Some(self.commit(&decision, q))
     }
 }
 
@@ -339,7 +396,12 @@ snap_fields! {
             decisions,
             exploratory_decisions,
         },
-        skipped: { cfg: "config-derived" },
+        skipped: {
+            cfg: "config-derived",
+            memo: "derived from the configuration on use",
+            candidates: "pick scratch",
+            chosen_indices: "pick scratch",
+        },
         after_load: Self::check_restored,
     }
 }
@@ -455,6 +517,48 @@ mod tests {
         let d = s.pick(&ctx(&ch, &rq, &wq, 11_050)).unwrap();
         // Request 1 is 11050 cycles old (over the 10K threshold): forced first.
         assert_eq!(d.command, Command::activate(Location::new(0, 0, 5, 0)));
+    }
+
+    /// Every feature vector [`RlScheduler::features`] can build has its own
+    /// code, and its memoised indices are the SipHash ones: a fresh
+    /// `DefaultHasher` fed the table index, then the features.
+    #[test]
+    fn memo_codes_are_distinct_and_hold_the_sip_hash_indices() {
+        let mut s = RlScheduler::new(RlConfig::default());
+        let mut seen = vec![false; FEATURE_CODES];
+        for action in 0..5u8 {
+            for read_q_bucket in 0..7 {
+                for write_q_bucket in 0..7 {
+                    for same_row_pending in 0..4 {
+                        for age_bucket in 0..5 {
+                            for is_write_request in [false, true] {
+                                let features = Features {
+                                    action,
+                                    row_hit: matches!(action, 2 | 3),
+                                    read_q_bucket,
+                                    write_q_bucket,
+                                    same_row_pending,
+                                    age_bucket,
+                                    is_write_request,
+                                };
+                                let code = features.code();
+                                assert!(!seen[code], "{features:?} shares code {code}");
+                                seen[code] = true;
+                                let at = s.memo_at(&features);
+                                for t in 0..s.cfg.num_tables {
+                                    let mut hasher = DefaultHasher::new();
+                                    t.hash(&mut hasher);
+                                    features.hash(&mut hasher);
+                                    let index = (hasher.finish() as usize) % s.cfg.table_size;
+                                    assert_eq!(usize::from(s.memo[at + t]) - 1, index);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every code is reachable");
     }
 
     #[test]
