@@ -53,6 +53,10 @@
 //!   --max-cells <n>       stop after n freshly simulated cells, writing no
 //!                         report; rerun the same command to resume
 //!
+//! Every figure (and the energy / QoS tables that carry a claim) prints one
+//! `# [holds|marginal|fails] <sentence>: <observed>` line per claim under
+//! its table; `cloudmc_bench::figures` states the rule.
+//!
 //! Progress (one line per finished configuration) goes to stderr. If stdout
 //! closes early (`repro qos | head -1`), printing stops and the run still
 //! finishes and writes its files.
@@ -63,11 +67,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use cloudmc_bench::{
-    baseline_study, channel_study, config_report, energy_study, fastforward_report, figure1,
-    figure10, figure11, figure12, figure13, figure14, figure2, figure3, figure4, figure5, figure6,
-    figure7, figure8, figure9, page_policy_study, parse, qos_study, regenerate_golden_trace,
-    reliability_study, scheduler_study, trace_study, Options, Parsed, Report, RunMeta, SweepError,
-    Table, HELP,
+    baseline_study, channel_study, config_report, energy_study, fastforward_report,
+    page_policy_study, parse, qos_study, regenerate_golden_trace, reliability_study,
+    scheduler_study, trace_study, verdict_lines, Figure, Options, Parsed, Report, RunMeta,
+    SweepError, Table, FIGURES, HELP, STUDIES,
 };
 
 /// `repro`'s stdout. A reader that leaves early (`repro qos | head -1`)
@@ -108,9 +111,10 @@ fn wrote(path: &Path, outcome: std::io::Result<()>) -> Result<(), ExitCode> {
     outcome.map_err(|_| ExitCode::FAILURE)
 }
 
-/// Prints `table` and, with `--csv`, writes it into `csv_dir`.
+/// Prints `table` with a verdict line per claim it carries and, with
+/// `--csv`, writes it into `csv_dir`.
 fn emit(out: &mut Stdout, table: &Table, csv_dir: &Option<PathBuf>) -> Result<(), ExitCode> {
-    out.print(&table.to_text());
+    out.print(&(table.to_text() + &verdict_lines(table)));
     let Some(dir) = csv_dir else {
         return Ok(());
     };
@@ -200,56 +204,30 @@ fn run(opts: Options) -> Result<(), ExitCode> {
     if wants(&["config", "all"]) {
         out.print(&config_report());
     }
-    if wants(&[
-        "sched", "all", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-    ]) {
-        let study = finished(exp, scheduler_study(&scale, &sweep))?;
-        let figures = [
-            ("fig1", figure1(&study)),
-            ("fig2", figure2(&study)),
-            ("fig3", figure3(&study)),
-            ("fig4", figure4(&study)),
-            ("fig5", figure5(&study)),
-            ("fig6", figure6(&study)),
-            ("fig7", figure7(&study)),
-        ];
-        for (name, table) in figures {
-            if wants(&[name, "sched", "all"]) {
-                emit(out, &table, &csv_dir)?;
-            }
+    for study in STUDIES {
+        let figures: Vec<&Figure> = FIGURES
+            .iter()
+            .filter(|f| f.study == study && wants(&[f.word, study, "all"]))
+            .collect();
+        let table4 = study == "channels" && wants(&["table4", "channels", "all"]);
+        if figures.is_empty() && !table4 {
+            continue;
         }
-    }
-    if wants(&["fig8", "all"]) {
-        let baseline = finished(exp, baseline_study(&scale, &sweep))?;
-        emit(out, &figure8(&baseline), &csv_dir)?;
-    }
-    if wants(&["pages", "all", "fig9", "fig10", "fig11"]) {
-        let study = finished(exp, page_policy_study(&scale, &sweep))?;
-        let figures = [
-            ("fig9", figure9(&study)),
-            ("fig10", figure10(&study)),
-            ("fig11", figure11(&study)),
-        ];
-        for (name, table) in figures {
-            if wants(&[name, "pages", "all"]) {
-                emit(out, &table, &csv_dir)?;
+        let (matrix, mappings) = match study {
+            "sched" => (finished(exp, scheduler_study(&scale, &sweep))?, None),
+            "fig8" => (finished(exp, baseline_study(&scale, &sweep))?, None),
+            "pages" => (finished(exp, page_policy_study(&scale, &sweep))?, None),
+            _ => {
+                let channels = finished(exp, channel_study(&scale, &sweep))?;
+                let mappings = channels.table4();
+                (channels.matrix, Some(mappings))
             }
+        };
+        for figure in figures {
+            emit(out, &figure.table(&matrix), &csv_dir)?;
         }
-    }
-    if wants(&["channels", "all", "fig12", "fig13", "fig14", "table4"]) {
-        let study = finished(exp, channel_study(&scale, &sweep))?;
-        let figures = [
-            ("fig12", figure12(&study)),
-            ("fig13", figure13(&study)),
-            ("fig14", figure14(&study)),
-        ];
-        for (name, table) in figures {
-            if wants(&[name, "channels", "all"]) {
-                emit(out, &table, &csv_dir)?;
-            }
-        }
-        if wants(&["table4", "channels", "all"]) {
-            out.print(&study.table4().to_text());
+        if let Some(mappings) = mappings.filter(|_| table4) {
+            out.print(&mappings.to_text());
         }
     }
     if wants(&["fastforward", "all"]) {

@@ -10,6 +10,7 @@
 use std::path::PathBuf;
 
 use crate::experiments::Scale;
+use crate::figures::{figure, STUDIES};
 use crate::sweep::SweepOptions;
 
 /// Usage string printed by `--help` and after any parse error.
@@ -18,7 +19,8 @@ pub const HELP: &str = "usage: repro \
 [--quick|--full] [--measure N] [--warmup N] [--seed N] [--threads N] [--csv DIR] \
 [--golden-regen] [--git-describe STR] [--replicates N] [--resume-dir DIR] [--max-cells N]";
 
-/// Every experiment word the binary accepts.
+/// Every experiment word the binary accepts besides the figures' own
+/// (`fig1`..`fig14`, from [`FIGURES`](crate::FIGURES)).
 pub const EXPERIMENTS: &[&str] = &[
     "config",
     "all",
@@ -26,31 +28,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "pages",
     "channels",
     "table4",
-    "fastforward",
-    "energy",
-    "qos",
-    "reliability",
-    "trace",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-];
-
-/// The experiments that print no figure table, so take no `--replicates`
-/// (`all` runs its `BENCH_*.json` studies at one replicate).
-const NO_FIGURES: [&str; 6] = [
-    "config",
     "fastforward",
     "energy",
     "qos",
@@ -102,7 +79,7 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
         Some(first) => first,
         None => "all".to_owned(),
     };
-    if !EXPERIMENTS.contains(&experiment.as_str()) {
+    if !EXPERIMENTS.contains(&experiment.as_str()) && figure(&experiment).is_none() {
         return Err(format!("unknown experiment `{experiment}`"));
     }
     let mut scale = Scale::standard();
@@ -162,7 +139,12 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
             other => return Err(format!("unknown option `{other}` (try --help)")),
         }
     }
-    if sweep.replicates > 1 && NO_FIGURES.contains(&experiment.as_str()) {
+    // Only the figure studies take replicates (`table4` reads the channel
+    // study; `all` runs its `BENCH_*.json` studies at one replicate).
+    let exp = experiment.as_str();
+    let figures =
+        figure(exp).is_some() || STUDIES.contains(&exp) || ["table4", "all"].contains(&exp);
+    if sweep.replicates > 1 && !figures {
         return Err(format!(
             "--replicates applies only to experiments that print figure tables, not `{experiment}`"
         ));

@@ -131,6 +131,11 @@ mod tests {
                 "{power}: background energy {with} must undercut none {without}"
             );
         }
+        // The table's declared claim says the same and holds.
+        let claims = crate::figures::claims_for(&idle.title);
+        assert_eq!(claims.len(), 1);
+        let (verdict, worst, _) = claims[0].check(idle).unwrap();
+        assert_eq!(verdict, crate::figures::Verdict::Holds, "{worst:?}");
         // Power-down is a latency trade: the dense stream must still finish
         // with sane latencies under every policy.
         let dense = report.table("energy tpch_q6").unwrap();

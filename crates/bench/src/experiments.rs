@@ -1,13 +1,12 @@
-//! The experiment harness: one function per figure/table of the paper.
+//! The experiment harness: one study per section of the paper's evaluation.
 //!
-//! Every experiment builds a labelled list of [`SystemConfig`]s, runs it
-//! through the executor ([`run_sweep`]: in parallel, with `--replicates`
-//! seeds per configuration), and renders the same rows and series the paper
-//! reports. Absolute numbers differ from the paper (the substrate is a
-//! reduced-scale simulator, not the authors' Simics/GEMS testbed), but the
-//! *shape* — which policy wins, by roughly what factor — is the
-//! reproduction target; the README's "Reproducing the paper" section
-//! records both.
+//! Every study builds a labelled list of [`SystemConfig`]s, runs it through
+//! the executor ([`run_sweep`]: in parallel, with `--replicates` seeds per
+//! configuration), and returns a [`Matrix`] the figures of
+//! [`FIGURES`](crate::FIGURES) read. Absolute numbers differ from the paper
+//! (the substrate is a reduced-scale simulator, not the authors' Simics/GEMS
+//! testbed), but the *shape* — which policy wins, by roughly what factor —
+//! is the reproduction target, and each figure's claims check it.
 
 use cloudmc_memctrl::{
     AddressMapping, AtlasConfig, McConfig, PagePolicyKind, ParBsConfig, RlConfig, SchedulerKind,
@@ -17,10 +16,6 @@ use cloudmc_workloads::{Category, Workload};
 
 use crate::report::{Table, TextTable};
 use crate::sweep::{mean_ci95, run_sweep, SweepError, SweepOptions};
-
-/// A named tweak applied to the baseline controller configuration of one
-/// experiment variant.
-type McTweak = Box<dyn Fn(&mut McConfig) + Sync>;
 
 /// How long each simulation point runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,31 +200,32 @@ impl Matrix {
     }
 }
 
-/// Runs `workloads` x `variants`, where each variant customizes the baseline
-/// memory-controller configuration.
+/// Runs `workloads` under each of `columns`, where `tweak(c, mc)` customizes
+/// the baseline memory-controller configuration for column `c`.
 fn run_matrix(
     study: &str,
     workloads: &[Workload],
-    variants: &[(String, McTweak)],
+    columns: Vec<String>,
+    tweak: impl Fn(usize, &mut McConfig),
     scale: &Scale,
     sweep: &SweepOptions,
 ) -> Result<Matrix, SweepError> {
-    let mut cells = Vec::with_capacity(workloads.len() * variants.len());
+    let mut cells = Vec::with_capacity(workloads.len() * columns.len());
     for &w in workloads {
-        for (label, customize) in variants {
+        for (c, label) in columns.iter().enumerate() {
             let mut cfg = baseline_config(w, scale);
-            customize(&mut cfg.mc);
+            tweak(c, &mut cfg.mc);
             cells.push((format!("{w}/{label}"), cfg));
         }
     }
     let mut flat = run_sweep(study, &cells, scale.threads, sweep)?.into_iter();
     let results = workloads
         .iter()
-        .map(|_| flat.by_ref().take(variants.len()).collect())
+        .map(|_| flat.by_ref().take(columns.len()).collect())
         .collect();
     Ok(Matrix {
         workloads: workloads.to_vec(),
-        columns: variants.iter().map(|(l, _)| l.clone()).collect(),
+        columns,
         results,
     })
 }
@@ -260,15 +256,23 @@ pub fn paper_schedulers() -> Vec<(String, SchedulerKind)> {
 /// The executor's [`SweepError`]: a configuration that failed, or a
 /// `--max-cells` stop.
 pub fn scheduler_study(scale: &Scale, sweep: &SweepOptions) -> Result<Matrix, SweepError> {
-    let variants: Vec<(String, McTweak)> = paper_schedulers()
-        .into_iter()
-        .map(|(label, kind)| {
-            let f: McTweak = Box::new(move |mc: &mut McConfig| mc.scheduler = kind);
-            (label, f)
-        })
-        .collect();
-    run_matrix("sched", &Workload::all(), &variants, scale, sweep)
+    let kinds = paper_schedulers();
+    let columns = kinds.iter().map(|(label, _)| label.clone()).collect();
+    let tweak = |c: usize, mc: &mut McConfig| mc.scheduler = kinds[c].1;
+    run_matrix("sched", &Workload::all(), columns, tweak, scale, sweep)
 }
+
+/// The four page policies of Figures 9-11, by column label.
+pub(crate) const PAGE_POLICIES: [(&str, PagePolicyKind); 4] = [
+    ("Open Adaptive", PagePolicyKind::OpenAdaptive),
+    ("Close Adaptive", PagePolicyKind::CloseAdaptive),
+    ("RBPP", PagePolicyKind::Rbpp),
+    ("ABPP", PagePolicyKind::Abpp),
+];
+
+/// The channel study's columns: 1 channel, then 2 and 4 under their best
+/// mapping.
+pub(crate) const CHANNEL_COLUMNS: [&str; 3] = ["1_channel", "2_channel", "4_channel"];
 
 /// Runs the page-management study (Section 4.2): all 12 workloads under the
 /// four policies of Figures 9-11.
@@ -277,20 +281,9 @@ pub fn scheduler_study(scale: &Scale, sweep: &SweepOptions) -> Result<Matrix, Sw
 ///
 /// As [`scheduler_study`].
 pub fn page_policy_study(scale: &Scale, sweep: &SweepOptions) -> Result<Matrix, SweepError> {
-    let policies = [
-        ("Open Adaptive", PagePolicyKind::OpenAdaptive),
-        ("Close Adaptive", PagePolicyKind::CloseAdaptive),
-        ("RBPP", PagePolicyKind::Rbpp),
-        ("ABPP", PagePolicyKind::Abpp),
-    ];
-    let variants: Vec<(String, McTweak)> = policies
-        .into_iter()
-        .map(|(label, kind)| {
-            let f: McTweak = Box::new(move |mc: &mut McConfig| mc.page_policy = kind);
-            (label.to_owned(), f)
-        })
-        .collect();
-    run_matrix("pages", &Workload::all(), &variants, scale, sweep)
+    let columns = PAGE_POLICIES.map(|(label, _)| label.to_owned()).to_vec();
+    let tweak = |c: usize, mc: &mut McConfig| mc.page_policy = PAGE_POLICIES[c].1;
+    run_matrix("pages", &Workload::all(), columns, tweak, scale, sweep)
 }
 
 /// Results of the multi-channel study (Section 4.3).
@@ -358,11 +351,10 @@ pub fn channel_study(scale: &Scale, sweep: &SweepOptions) -> Result<ChannelStudy
         rows.push(vec![runs[0].clone(), two, four]);
         best_mappings.push([two_mapping, four_mapping]);
     }
-    let columns = ["1_channel", "2_channel", "4_channel"].map(str::to_owned);
     Ok(ChannelStudy {
         matrix: Matrix {
             workloads: workloads.to_vec(),
-            columns: columns.to_vec(),
+            columns: CHANNEL_COLUMNS.map(str::to_owned).to_vec(),
             results: rows,
         },
         best_mappings,
@@ -376,172 +368,8 @@ pub fn channel_study(scale: &Scale, sweep: &SweepOptions) -> Result<ChannelStudy
 ///
 /// As [`scheduler_study`].
 pub fn baseline_study(scale: &Scale, sweep: &SweepOptions) -> Result<Matrix, SweepError> {
-    let variants: Vec<(String, McTweak)> =
-        vec![("baseline".to_owned(), Box::new(|_: &mut McConfig| {}))];
-    run_matrix("fig8", &Workload::all(), &variants, scale, sweep)
-}
-
-// ---------------------------------------------------------------------------
-// Figure/table builders
-// ---------------------------------------------------------------------------
-
-/// Figure 1: user IPC normalized to FR-FCFS.
-#[must_use]
-pub fn figure1(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 1: User IPC normalized to FR-FCFS",
-        "Higher is better; paper shape: FR-FCFS >= all others, FCFS_Banks within a few % except Web Frontend, ATLAS worst on scale-out.",
-        SimStats::user_ipc,
-        Some(0),
-    )
-}
-
-/// Figure 2: row-buffer hit rate (%).
-#[must_use]
-pub fn figure2(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 2: Row-buffer hit rate (%)",
-        "Paper shape: ~30-40% averages under FR-FCFS/open-adaptive; Web Frontend and Media Streaming highest.",
-        |s| s.row_buffer_hit_rate * 100.0,
-        None,
-    )
-}
-
-/// Figure 3: average memory access latency normalized to FR-FCFS.
-#[must_use]
-pub fn figure3(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 3: Average memory access latency normalized to FR-FCFS",
-        "Lower is better; paper shape: ATLAS suffers the largest increases (up to several x on MapReduce).",
-        |s| s.avg_read_latency_dram,
-        Some(0),
-    )
-}
-
-/// Figure 4: L2 misses per kilo user instructions.
-#[must_use]
-pub fn figure4(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 4: L2 MPKI (misses per kilo user instructions)",
-        "Paper shape: SCOW avg ~5, TRSW ~8, DSPW ~18.",
-        |s| s.l2_mpki,
-        None,
-    )
-}
-
-/// Figure 5: average read queue length.
-#[must_use]
-pub fn figure5(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 5: Average read queue length",
-        "Paper shape: below 10 entries everywhere; DSPW higher than SCOW.",
-        |s| s.avg_read_queue_len,
-        None,
-    )
-}
-
-/// Figure 6: average write queue length.
-#[must_use]
-pub fn figure6(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 6: Average write queue length",
-        "Paper shape: below 50 entries; RL noticeably lower than the others.",
-        |s| s.avg_write_queue_len,
-        None,
-    )
-}
-
-/// Figure 7: memory bandwidth utilization (%).
-#[must_use]
-pub fn figure7(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 7: Memory bandwidth utilization (%)",
-        "Paper shape: SCOW 14-50% (avg ~34%), DSPW avg ~54%.",
-        |s| s.bandwidth_utilization * 100.0,
-        None,
-    )
-}
-
-/// Figure 8: percentage of row activations with exactly one access, under the
-/// baseline open-adaptive policy.
-#[must_use]
-pub fn figure8(baseline: &Matrix) -> Table {
-    baseline.metric_table(
-        "Figure 8: Single-access row-buffer activations under open-adaptive (%)",
-        "Paper shape: 77%-90% across workloads (Media Streaming lowest at ~76%).",
-        |s| s.single_access_activation_fraction * 100.0,
-        None,
-    )
-}
-
-/// Figure 9: row-buffer hit rate per page policy, normalized to open-adaptive.
-#[must_use]
-pub fn figure9(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 9: Row-buffer hit rate normalized to open-adaptive",
-        "Paper shape: close-adaptive loses most hits; RBPP preserves ~70-86%, ABPP less.",
-        |s| s.row_buffer_hit_rate,
-        Some(0),
-    )
-}
-
-/// Figure 10: average memory access latency per page policy, normalized to
-/// open-adaptive.
-#[must_use]
-pub fn figure10(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 10: Average memory access latency normalized to open-adaptive",
-        "Paper shape: close-adaptive reduces latency for DSPW (~-13%) but raises it for Web Frontend/Media Streaming (~+15%).",
-        |s| s.avg_read_latency_dram,
-        Some(0),
-    )
-}
-
-/// Figure 11: user IPC per page policy, normalized to open-adaptive.
-#[must_use]
-pub fn figure11(study: &Matrix) -> Table {
-    study.metric_table(
-        "Figure 11: User IPC normalized to open-adaptive",
-        "Paper shape: close-adaptive -2.5% on SCOW / +4% on DSPW; RBPP/ABPP roughly at or slightly below open-adaptive on SCOW, RBPP +3% on DSPW.",
-        SimStats::user_ipc,
-        Some(0),
-    )
-}
-
-/// Figure 12: user IPC as the number of channels increases (best mapping per
-/// workload), normalized to one channel.
-#[must_use]
-pub fn figure12(study: &ChannelStudy) -> Table {
-    study.matrix.metric_table(
-        "Figure 12: User IPC vs. memory channels (normalized to 1 channel)",
-        "Paper shape: SCOW ~+1.7% at 4 channels, DSPW ~+19%; Web Frontend degrades.",
-        SimStats::user_ipc,
-        Some(0),
-    )
-}
-
-/// Figure 13: row-buffer hit rate as the number of channels increases,
-/// normalized to one channel.
-#[must_use]
-pub fn figure13(study: &ChannelStudy) -> Table {
-    study.matrix.metric_table(
-        "Figure 13: Row-buffer hit rate vs. memory channels (normalized to 1 channel)",
-        "Paper shape: increases ~1.3x/1.6x (SCOW, TRSW) and ~1.7x/2.3x (DSPW) at 2/4 channels.",
-        |s| s.row_buffer_hit_rate,
-        Some(0),
-    )
-}
-
-/// Figure 14: average memory access latency as the number of channels
-/// increases, normalized to one channel.
-#[must_use]
-pub fn figure14(study: &ChannelStudy) -> Table {
-    study.matrix.metric_table(
-        "Figure 14: Memory access latency vs. memory channels (normalized to 1 channel)",
-        "Paper shape: drops to ~0.8/0.7 for SCOW and ~0.64/0.47 for DSPW at 2/4 channels.",
-        |s| s.avg_read_latency_dram,
-        Some(0),
-    )
+    let columns = vec!["baseline".to_owned()];
+    run_matrix("fig8", &Workload::all(), columns, |_, _| {}, scale, sweep)
 }
 
 /// Tables 2 and 3: the baseline system and scheduler configurations, printed
@@ -611,23 +439,22 @@ mod tests {
     fn scheduler_study_produces_full_matrix_on_subset() {
         // Use a reduced workload list through run_matrix directly to keep the
         // test fast; the full sweep is exercised by the repro binary.
-        let variants: Vec<(String, McTweak)> = vec![
-            (
-                "FR-FCFS".to_owned(),
-                Box::new(|mc: &mut McConfig| {
-                    mc.scheduler = SchedulerKind::FrFcfs;
-                }),
-            ),
-            (
-                "FCFS_Banks".to_owned(),
-                Box::new(|mc: &mut McConfig| {
-                    mc.scheduler = SchedulerKind::FcfsBanks;
-                }),
-            ),
-        ];
+        let columns = vec!["FR-FCFS".to_owned(), "FCFS_Banks".to_owned()];
+        let kinds = [SchedulerKind::FrFcfs, SchedulerKind::FcfsBanks];
+        let tweak = |c: usize, mc: &mut McConfig| mc.scheduler = kinds[c];
         let workloads = [Workload::WebSearch, Workload::TpchQ6];
         let single = SweepOptions::default();
-        let matrix = run_matrix("test", &workloads, &variants, &tiny_scale(), &single).unwrap();
+        let run = |sweep| {
+            run_matrix(
+                "test",
+                &workloads,
+                columns.clone(),
+                tweak,
+                &tiny_scale(),
+                sweep,
+            )
+        };
+        let matrix = run(&single).unwrap();
         assert_eq!(matrix.workloads.len(), 2);
         assert_eq!(matrix.columns, vec!["FR-FCFS", "FCFS_Banks"]);
         assert!(matrix.results[0][0][0].user_ipc() > 0.0);
@@ -645,9 +472,9 @@ mod tests {
         // exactly 1 with no spread while the other carries one.
         let three = SweepOptions {
             replicates: 3,
-            ..single
+            ..SweepOptions::default()
         };
-        let replicated = run_matrix("test", &workloads, &variants, &tiny_scale(), &three).unwrap();
+        let replicated = run(&three).unwrap();
         assert_eq!(replicated.results[1][1][0], matrix.results[1][1][0]);
         let table = replicated.metric_table("t", "", SimStats::user_ipc, Some(0));
         assert_eq!(table.ci95.len(), table.rows.len());
@@ -682,17 +509,16 @@ mod tests {
 
     #[test]
     fn figure_builders_render_from_small_matrices() {
-        let variants: Vec<(String, McTweak)> =
-            vec![("baseline".to_owned(), Box::new(|_: &mut McConfig| {}))];
         let matrix = run_matrix(
             "test",
             &[Workload::MediaStreaming],
-            &variants,
+            vec!["baseline".to_owned()],
+            |_, _| {},
             &tiny_scale(),
             &SweepOptions::default(),
         )
         .unwrap();
-        let fig8 = figure8(&matrix);
+        let fig8 = crate::figure("fig8").unwrap().table(&matrix);
         let value = fig8.value("MS", "baseline").unwrap();
         assert!((0.0..=100.0).contains(&value));
         assert!(fig8.to_text().contains("Figure 8"));

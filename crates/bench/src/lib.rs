@@ -4,10 +4,12 @@
 //! Design Under Cloud Workloads"* (IISWC 2016).
 //!
 //! The [`experiments`] module contains one study per section of the paper's
-//! evaluation (scheduling, page management, multi-channel) and one builder
-//! per figure/table; every study runs its configurations through the one
-//! executor in [`sweep`], and the `repro` binary drives them from the
-//! command line. The figures are [`Table`]s; the extension studies
+//! evaluation (scheduling, page management, multi-channel), and
+//! [`FIGURES`] declares each figure once: the study it reads, its metric,
+//! and the paper's claims about it, checked under every table `repro`
+//! prints. Every study runs its configurations through the one executor in
+//! [`sweep`], and the `repro` binary drives them from the command line. The
+//! figures are [`Table`]s; the extension studies
 //! ([`energy`], [`qos`], [`reliability`], [`trace`], [`fastforward`])
 //! return a [`Report`] of `Table`s plus their points' statistics, which
 //! `repro` prints and writes as `BENCH_*.json`.
@@ -18,6 +20,7 @@ pub mod cli;
 pub mod energy;
 pub mod experiments;
 pub mod fastforward;
+pub mod figures;
 pub mod meta;
 pub mod qos;
 pub mod reliability;
@@ -38,9 +41,8 @@ pub use sweep::{run_each, run_sweep, SweepError, SweepOptions};
 pub use trace::{golden_config, golden_trace_path, regenerate_golden_trace, trace_study};
 
 pub use experiments::{
-    baseline_config, baseline_study, channel_study, config_report, default_threads, figure1,
-    figure10, figure11, figure12, figure13, figure14, figure2, figure3, figure4, figure5, figure6,
-    figure7, figure8, figure9, page_policy_study, paper_schedulers, scheduler_study, ChannelStudy,
-    Matrix, Scale,
+    baseline_config, baseline_study, channel_study, config_report, default_threads,
+    page_policy_study, paper_schedulers, scheduler_study, ChannelStudy, Matrix, Scale,
 };
+pub use figures::{figure, verdict_lines, Figure, FIGURES, STUDIES};
 pub use report::{Report, Table, TextTable};

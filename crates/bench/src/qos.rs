@@ -311,6 +311,11 @@ mod tests {
             boost < none,
             "priority-boost must cut LC slowdown: {boost:.3} vs {none:.3}"
         );
+        // The table's declared claim says the same and holds.
+        let claims = crate::figures::claims_for(&flagship.title);
+        assert_eq!(claims.len(), 1);
+        let (verdict, worst, _) = claims[0].check(flagship).unwrap();
+        assert_eq!(verdict, crate::figures::Verdict::Holds, "{worst:?}");
         let json = report.to_json(&RunMeta::collect("quick", None), "multi_tenant_qos");
         assert!(json.contains("\"benchmark\": \"multi_tenant_qos\""));
         assert!(json.contains("{\"label\": \"FR-FCFS/static-partition\", \"values\": ["));

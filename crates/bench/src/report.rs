@@ -80,9 +80,17 @@ impl Table {
     /// Looks up a value by row label and column label.
     #[must_use]
     pub fn value(&self, row: &str, column: &str) -> Option<f64> {
+        self.cell(row, column).map(|(value, _)| value)
+    }
+
+    /// A cell's value and 95% confidence half-width (0 when the table
+    /// holds one replicate), by row label and column label.
+    #[must_use]
+    pub fn cell(&self, row: &str, column: &str) -> Option<(f64, f64)> {
         let col = self.columns.iter().position(|c| c == column)?;
-        let row = self.rows.iter().find(|(label, _)| label == row)?;
-        row.1.get(col).copied()
+        let row = self.rows.iter().position(|(label, _)| label == row)?;
+        let ci95 = self.ci95.get(row).and_then(|ci| ci.get(col));
+        Some((*self.rows[row].1.get(col)?, ci95.copied().unwrap_or(0.0)))
     }
 
     /// Renders the table as aligned plain text; a table of replicate means
@@ -266,9 +274,9 @@ impl TextTable {
 }
 
 /// Aligned plain text for both table types: `# title` (and `# note`), a
-/// header row, then one line per row — labels left-aligned, every cell
-/// right-aligned in one width, that of the widest header or cell (at least
-/// nine characters).
+/// header row, then one line per row — labels left-aligned, each column's
+/// cells right-aligned in that column's width: its widest header or cell (at
+/// least nine characters).
 fn layout(title: &str, note: &str, columns: &[String], rows: &[(String, Vec<String>)]) -> String {
     let label_width = rows
         .iter()
@@ -277,28 +285,30 @@ fn layout(title: &str, note: &str, columns: &[String], rows: &[(String, Vec<Stri
         .max()
         .unwrap_or(8)
         + 2;
-    let col_width = columns
+    let widths: Vec<usize> = columns
         .iter()
-        .chain(rows.iter().flat_map(|(_, cells)| cells))
-        .map(String::len)
-        .max()
-        .unwrap_or(8)
-        .max(9)
-        + 2;
+        .enumerate()
+        .map(|(i, c)| {
+            rows.iter()
+                .map(|(_, cells)| cells.get(i).map_or(0, String::len))
+                .fold(c.len().max(9), usize::max)
+                + 2
+        })
+        .collect();
     let mut out = String::new();
     let _ = writeln!(out, "# {title}");
     if !note.is_empty() {
         let _ = writeln!(out, "# {note}");
     }
     let _ = write!(out, "{:<label_width$}", "workload");
-    for c in columns {
-        let _ = write!(out, "{c:>col_width$}");
+    for (c, width) in columns.iter().zip(&widths) {
+        let _ = write!(out, "{c:>width$}");
     }
     let _ = writeln!(out);
     for (label, cells) in rows {
         let _ = write!(out, "{label:<label_width$}");
-        for cell in cells {
-            let _ = write!(out, "{cell:>col_width$}");
+        for (cell, width) in cells.iter().zip(&widths) {
+            let _ = write!(out, "{cell:>width$}");
         }
         let _ = writeln!(out);
     }

@@ -510,12 +510,6 @@ impl InOrderCore {
         }
     }
 
-    /// Number of misses currently outstanding below the L1s.
-    #[must_use]
-    pub fn outstanding_misses(&self) -> usize {
-        self.mshr.outstanding()
-    }
-
     /// An op deferred by [`InOrderCore::run_ahead`] is not part of the
     /// image (the caller must not checkpoint a core that holds one, see
     /// [`InOrderCore::has_deferred_op`]), so a restored core holds none.

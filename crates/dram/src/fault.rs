@@ -401,13 +401,6 @@ impl FaultModel {
         self.stuck.contains(&key) || self.hard.contains(&key)
     }
 
-    /// Planted sites not yet discovered (for diagnostics and conservation
-    /// tests).
-    #[must_use]
-    pub fn latent_sites(&self) -> u64 {
-        self.ledger.latent
-    }
-
     /// Every restored discovered site must be planted in this configuration.
     fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
         if let Some(key) = self

@@ -183,12 +183,6 @@ impl Rank {
         }
     }
 
-    /// Number of banks in the rank.
-    #[must_use]
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Immutable access to a bank.
     ///
     /// # Panics

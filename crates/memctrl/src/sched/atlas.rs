@@ -36,21 +36,6 @@ impl Default for AtlasConfig {
     }
 }
 
-impl AtlasConfig {
-    /// A copy of the configuration with quantum and starvation threshold
-    /// scaled by `factor` (used by the reduced-scale experiment harness so
-    /// that several quanta still elapse within a short simulation).
-    #[must_use]
-    pub fn scaled(&self, factor: f64) -> Self {
-        Self {
-            quantum: ((self.quantum as f64 * factor) as DramCycles).max(1),
-            alpha: self.alpha,
-            starvation_threshold: ((self.starvation_threshold as f64 * factor) as DramCycles)
-                .max(1),
-        }
-    }
-}
-
 /// ATLAS scheduler: cores that attained the least memory service so far are
 /// prioritized, on the premise that they are the most vulnerable to
 /// interference. Ranking is recomputed once per quantum from exponentially
@@ -363,14 +348,6 @@ mod tests {
             Some(2),
             "row hit should win while ranks are equal"
         );
-    }
-
-    #[test]
-    fn scaled_config_shrinks_quantum() {
-        let cfg = AtlasConfig::default().scaled(0.01);
-        assert_eq!(cfg.quantum, 100_000);
-        assert_eq!(cfg.starvation_threshold, 500);
-        assert!((cfg.alpha - 0.875).abs() < 1e-12);
     }
 
     #[test]

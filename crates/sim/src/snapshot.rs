@@ -50,12 +50,9 @@
 //! [`SimError::Snapshot`]: crate::SimError::Snapshot
 //! [`WorkloadSource::Trace`]: cloudmc_workloads::WorkloadSource::Trace
 
-use std::path::Path;
-
 use cloudmc_snap::fnv1a;
 
 use crate::config::SystemConfig;
-use crate::error::SimError;
 
 /// An opaque, self-validating byte image of a [`System`](crate::System)'s
 /// mutable state at one instant, produced by
@@ -95,37 +92,6 @@ impl Snapshot {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
-    }
-
-    /// Writes the snapshot image to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Snapshot`] if the file cannot be written.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "caller-directed persistence API, typed error path"
-    )]
-    pub fn write_to_file(&self, path: impl AsRef<Path>) -> Result<(), SimError> {
-        let path = path.as_ref();
-        std::fs::write(path, &self.bytes)
-            .map_err(|e| SimError::Snapshot(format!("writing {}: {e}", path.display())))
-    }
-
-    /// Reads a snapshot image from `path`. Validation happens on restore.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Snapshot`] if the file cannot be read.
-    pub fn read_from_file(path: impl AsRef<Path>) -> Result<Self, SimError> {
-        let path = path.as_ref();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "caller-directed persistence API, typed error path"
-        )]
-        let bytes = std::fs::read(path)
-            .map_err(|e| SimError::Snapshot(format!("reading {}: {e}", path.display())))?;
-        Ok(Self { bytes })
     }
 }
 

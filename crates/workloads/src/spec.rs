@@ -213,7 +213,11 @@ impl WorkloadSpec {
     /// for the baseline configuration: L2 MPKI (Fig. 4), row-buffer hit rate
     /// under open-adaptive FR-FCFS (Fig. 2), the fraction of single-access
     /// row activations (Fig. 8), bandwidth utilization (Fig. 7) and the
-    /// qualitative MLP / per-core-balance discussion of Section 4.
+    /// qualitative MLP / per-core-balance discussion of Section 4. What the
+    /// model measures against those figures is checked by the figures'
+    /// claims in `cloudmc-bench` (`FIGURES`); the Fig. 4 claims record that
+    /// the `data_mpki` averages here (2.63 / 4.47 / 11.5 per category)
+    /// disagree with the figure's own ~5 / ~8 / ~18.
     #[must_use]
     pub fn preset(workload: Workload) -> Self {
         use Workload::{
@@ -371,12 +375,6 @@ impl WorkloadSpec {
                 ..base
             },
         }
-    }
-
-    /// Total off-chip MPKI (data plus instruction fetches).
-    #[must_use]
-    pub fn total_mpki(&self) -> f64 {
-        self.data_mpki + self.ifetch_mpki
     }
 
     /// A copy of this spec with every traffic rate scaled by `factor`:

@@ -92,9 +92,7 @@ fn main() -> Result<(), String> {
              {latencies:?}"
         );
     }
-    println!(
-        "\n(The paper finds extra channels help decision-support workloads (~+19% at 4 \
-         channels) but barely move scale-out workloads (~+1.7%).)"
-    );
+    let paper = cloudmc_bench::figure("fig12").ok_or("Figure 12 is not declared")?;
+    println!("\n{}\n{}", paper.title, paper.note());
     Ok(())
 }

@@ -47,9 +47,9 @@ fn main() -> Result<(), String> {
             stats.single_access_activation_fraction * 100.0
         );
     }
-    println!(
-        "\n(The paper observes 77%-90% single-access activations and finds that \
-         close-adaptive trades row hits for earlier closure.)"
-    );
+    for word in ["fig8", "fig9"] {
+        let paper = cloudmc_bench::figure(word).ok_or("figure not declared")?;
+        println!("\n{}\n{}", paper.title, paper.note());
+    }
     Ok(())
 }

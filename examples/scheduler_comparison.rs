@@ -47,6 +47,7 @@ fn main() -> Result<(), String> {
             ipc / base
         );
     }
-    println!("\n(The paper finds FR-FCFS best or tied for every server workload.)");
+    let paper = cloudmc_bench::figure("fig1").ok_or("Figure 1 is not declared")?;
+    println!("\n{}\n{}", paper.title, paper.note());
     Ok(())
 }
