@@ -62,12 +62,6 @@ impl Mshr {
         addr & !(self.block_bytes - 1)
     }
 
-    /// Number of outstanding (primary) misses.
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether no misses are outstanding.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -143,16 +137,20 @@ mod tests {
 
     #[test]
     fn allocate_merge_and_complete() {
-        let mut m = Mshr::new(4, 64);
+        let mut m = Mshr::new(2, 64);
         assert!(m.is_empty());
         assert_eq!(m.allocate(0x100), MshrOutcome::Allocated);
         assert_eq!(m.allocate(0x120), MshrOutcome::Merged);
+        assert!(!m.is_full(), "a merged miss takes no second entry");
         assert_eq!(m.allocate(0x140), MshrOutcome::Allocated);
-        assert_eq!(m.outstanding(), 2);
-        assert!(m.contains(0x13f));
+        assert!(m.is_full());
+        assert!(m.contains(0x13f) && m.contains(0x140));
         assert_eq!(m.complete(0x100), 2);
-        assert_eq!(m.outstanding(), 1);
+        assert!(!m.contains(0x100) && m.contains(0x140));
+        assert!(!m.is_full() && !m.is_empty());
         assert_eq!(m.complete(0x100), 0, "already completed");
+        assert_eq!(m.complete(0x140), 1);
+        assert!(m.is_empty());
     }
 
     #[test]

@@ -36,16 +36,31 @@
 //!   per-cycle ticking gives, and a deferred op (whose cycle is below the
 //!   limit) is always executed before control returns to the caller.
 //!
+//! **An L2 hit it blocks on completes in place.** When the tick of a due
+//! core sends a refill that hits the L2 and blocks the core on that block,
+//! nothing can reach the core until the fill: no other fill wakes it, and
+//! it reads no shared state while it waits. So if the fill cycle lies below
+//! the limit, the frontend applies the stall cycles and the fill at once
+//! and the run-ahead resumes at the fill cycle, instead of reporting a
+//! [`FrontendEvent::L2Hit`] that the kernel would hand back through its
+//! fill queue, at the cost of a stepped cycle. The L2 access itself still
+//! happens at the miss cycle, in (cycle, core) order, and the block's MSHR
+//! entry is retired when the kernel reaches the fill cycle, in the order
+//! the fill queue would deliver it. Stores and overlappable loads do not
+//! block, so their L2 hits keep the event path, and so does a fill at or
+//! past the limit.
+//!
 //! [`Frontend::fill_at`] delivers a fill to a core that is behind the clock
 //! by catching it up first, and to one that ran ahead as is. With a trace
-//! attached the limit collapses to the current cycle, i.e. no run-ahead: a
-//! capture file's record order is the global op-consumption order, and
-//! reading ahead on replay would buffer every other core's records without
-//! bound. Both modes report whatever must leave the chip as
-//! [`FrontendEvent`]s for the kernel to hand to the memory
+//! attached the limit collapses to the next cycle, i.e. no run-ahead and no
+//! L2 hit completed in place: a capture file's record order is the global
+//! op-consumption order, and reading ahead on replay would buffer every
+//! other core's records without bound. Both modes report whatever must
+//! leave the chip as [`FrontendEvent`]s for the kernel to hand to the memory
 //! [`backend`](crate::backend), and both execute every L1 miss and DMA beat
-//! at the same (cycle, core) position, so they produce bit-identical event
-//! streams and counters. The frontend never sees DRAM cycles — the
+//! at the same (cycle, core) position, so they produce bit-identical
+//! counters and off-chip event streams (the lazy stream lacks only the L2
+//! hits it completed in place). The frontend never sees DRAM cycles — the
 //! clock-ratio bookkeeping (`DRAM_CYCLES_PER_5_CPU_CYCLES`) lives entirely in
 //! [`kernel::ClockCrossing`](crate::kernel::ClockCrossing).
 //!
@@ -83,7 +98,8 @@ use crate::kernel::Tick;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontendEvent {
     /// A demand access that hit in the shared L2; the data must be delivered
-    /// to `core` after `ready_in` further CPU cycles.
+    /// to `core` after `ready_in` further CPU cycles. (The lazy mode reports
+    /// none for the hits it completes in place.)
     L2Hit {
         /// Requesting core.
         core: usize,
@@ -190,8 +206,19 @@ pub struct Frontend {
     /// be ticked at (`u64::MAX` = blocked on memory, nothing to do until a
     /// fill arrives).
     next_action: Vec<u64>,
+    /// Lazy mode: the least `next_action`, kept current by every write to
+    /// it, so neither [`Frontend::next_due`] nor an [`Frontend::advance_to`]
+    /// with no core due scans the cores.
+    soonest_action: u64,
+    /// Lazy mode: per core, the `(cycle, block)` of an L2 hit completed in
+    /// place whose MSHR entry is still to be retired at that cycle (see
+    /// [`Frontend::retire_private_fill`]).
+    retiring: Vec<Option<(u64, u64)>>,
     /// Lazy mode: the DMA accumulators have accrued cycles `0..dma_pos`.
     dma_pos: u64,
+    /// Host-side work counter: L2 hits completed in place, which never
+    /// reached the kernel as [`FrontendEvent::L2Hit`]s.
+    private_fills: u64,
 }
 
 impl Frontend {
@@ -282,7 +309,10 @@ impl Frontend {
             dma,
             positions: vec![0; num_cores],
             next_action: vec![0; num_cores],
+            soonest_action: 0,
+            retiring: vec![None; num_cores],
             dma_pos: 0,
+            private_fills: 0,
         })
     }
 
@@ -437,10 +467,13 @@ impl Frontend {
     /// respect or the kernel would skip it.
     pub(crate) fn resume_at(&mut self, now: u64, r: &SnapReader<'_>) -> Result<(), SnapError> {
         self.positions.fill(now);
+        self.retiring.fill(None);
         self.dma_pos = now;
-        if let Some(action) = self.next_action.iter().find(|&&action| action < now) {
+        self.soonest_action = self.next_action.iter().copied().min().unwrap_or(u64::MAX);
+        if self.soonest_action < now {
             return Err(r.bad_value(format!(
-                "core action at cycle {action} already missed at {now}"
+                "core action at cycle {} already missed at {now}",
+                self.soonest_action
             )));
         }
         Ok(())
@@ -514,7 +547,7 @@ impl Frontend {
     /// the [next-due contract](crate::kernel#the-next-due-contract)).
     #[must_use]
     pub fn next_due(&self) -> u64 {
-        let mut next = self.next_action.iter().copied().min().unwrap_or(u64::MAX);
+        let mut next = self.soonest_action;
         for inj in &self.dma {
             let fire_in = (DMA_FP_ONE - inj.acc_fp - 1) / inj.rate_fp;
             next = next.min(self.dma_pos.saturating_add(fire_in));
@@ -532,33 +565,85 @@ impl Frontend {
     /// before it reads any counter.
     pub fn advance_to(&mut self, now: u64, limit: u64, events: &mut Vec<FrontendEvent>) {
         debug_assert!(limit > now, "run-ahead limit {limit} not past {now}");
-        // Trace taps see ops in global consumption order: no run-ahead.
-        let limit = if self.replay.is_some() || self.record.is_some() {
-            now + 1
-        } else {
-            limit
-        };
-        for core in 0..self.cores.len() {
-            if self.next_action[core] > now {
-                continue;
+        if self.soonest_action <= now {
+            // Trace taps see ops in global consumption order: no run-ahead.
+            let limit = if self.replay.is_some() || self.record.is_some() {
+                now + 1
+            } else {
+                limit
+            };
+            let mut soonest = u64::MAX;
+            for core in 0..self.cores.len() {
+                if self.next_action[core] == now {
+                    self.run_core(core, now, limit, events);
+                }
+                debug_assert!(
+                    self.next_action[core] > now,
+                    "core {core} action at {} missed by {now}",
+                    self.next_action[core]
+                );
+                soonest = soonest.min(self.next_action[core]);
             }
-            debug_assert!(
-                self.next_action[core] == now,
-                "core {core} action at {} missed by {now}",
-                self.next_action[core]
-            );
-            let gap = now - self.positions[core];
-            if gap > 0 {
-                self.cores[core].skip_cycles(gap);
-            }
-            self.tick_core(core, events);
-            let stream = self.streams.stream_mut(core);
-            let budget = limit.saturating_sub(now + 1);
-            let position = now + 1 + self.cores[core].run_ahead(budget, || stream.next_op());
-            self.positions[core] = position;
-            self.next_action[core] = self.cores[core].next_due(position);
+            self.soonest_action = soonest;
         }
         self.advance_dma(now + 1, events);
+    }
+
+    /// Lazy mode: ticks core `core`, due at `now`, and runs it ahead through
+    /// its private work up to `limit`, first completing in place an L2 hit
+    /// the tick blocks it on (see the module docs). The hit's MSHR entry
+    /// stays until its fill cycle, where [`Frontend::retire_private_fill`]
+    /// retires it in the position the kernel's fill order gives it. That
+    /// needs every fill delivered on its own due cycle, which a zero
+    /// crossbar latency breaks (a memory fill posted for the current cycle
+    /// lands a cycle late), so such an L2 keeps the event path.
+    fn run_core(&mut self, core: usize, now: u64, limit: u64, events: &mut Vec<FrontendEvent>) {
+        let gap = now - self.positions[core];
+        if gap > 0 {
+            self.cores[core].skip_cycles(gap);
+        }
+        self.retire_private_fill(core, now);
+        let before = events.len();
+        self.tick_core(core, events);
+        let mut resume = now + 1;
+        if let Some(&FrontendEvent::L2Hit { addr, ready_in, .. }) = events[before..].last() {
+            let fill = now + ready_in;
+            if (now + 1..limit).contains(&fill)
+                && self.cores[core].blocked_on(addr)
+                && self.l2.config().crossbar_latency > 0
+            {
+                events.pop();
+                self.cores[core].skip_cycles(ready_in - 1);
+                self.cores[core].wake(addr);
+                self.retiring[core] = Some((fill, addr));
+                self.private_fills += 1;
+                resume = fill;
+            }
+        }
+        let stream = self.streams.stream_mut(core);
+        let position = resume + self.cores[core].run_ahead(limit - resume, || stream.next_op());
+        self.positions[core] = position;
+        self.next_action[core] = self.cores[core].next_due(position);
+    }
+
+    /// Lazy mode: retires the MSHR entry of an L2 hit [`Frontend::run_core`]
+    /// completed in place once the kernel reaches its fill cycle — before
+    /// the core's next tick reads the MSHR file, and before any fill the
+    /// kernel delivers at or after that cycle (every one of those was posted
+    /// after the L2 hit, so the eager mode completes them after it too).
+    fn retire_private_fill(&mut self, core: usize, now: u64) {
+        if let Some((cycle, addr)) = self.retiring[core] {
+            if cycle <= now {
+                self.retiring[core] = None;
+                self.cores[core].fill(addr);
+            }
+        }
+    }
+
+    /// L2 hits completed in place so far (see [`Frontend::run_core`]).
+    #[cfg(test)]
+    pub(crate) fn private_fills(&self) -> u64 {
+        self.private_fills
     }
 
     /// Lazy mode: delivers a block to a core at `now` (memory fill or delayed
@@ -568,6 +653,7 @@ impl Frontend {
     /// ahead of `now` just takes the fill: it is not blocked, and nothing it
     /// did since `now` read the MSHR entry the fill completes.
     pub fn fill_at(&mut self, core: usize, addr: u64, now: u64) {
+        self.retire_private_fill(core, now);
         if self.positions[core] > now {
             debug_assert!(!self.cores[core].is_stalled(), "stalled core ran ahead");
             self.cores[core].fill(addr);
@@ -580,6 +666,7 @@ impl Frontend {
         }
         self.cores[core].fill(addr);
         self.next_action[core] = self.cores[core].next_due(now);
+        self.soonest_action = self.soonest_action.min(self.next_action[core]);
     }
 
     /// Lazy mode: accrues DMA credit for all cycles below `upto`, firing any
@@ -641,6 +728,8 @@ impl Frontend {
     pub fn sync_to(&mut self, end: u64) {
         for core in 0..self.cores.len() {
             debug_assert!(self.next_action[core] >= end, "sync_to skipped an action");
+            self.retire_private_fill(core, end);
+            debug_assert!(self.retiring[core].is_none(), "fill completed past {end}");
             let gap = end.saturating_sub(self.positions[core]);
             if gap > 0 {
                 self.cores[core].skip_cycles(gap);
@@ -784,7 +873,10 @@ snap_fields! {
         },
         skipped: {
             positions: "equal to the kernel clock between run_cycles calls; set by resume_at",
+            soonest_action: "the least next_action; rebuilt by resume_at",
+            retiring: "empty between run_cycles calls (sync_to retires all); cleared by resume_at",
             dma_pos: "equal to the kernel clock between run_cycles calls; set by resume_at",
+            private_fills: "host-side work counter, not simulated state",
             replay: "trace I/O handle; snapshot() refuses systems holding one",
             record: "trace I/O handle; snapshot() refuses systems holding one",
             record_error: "latched trace-I/O error, meaningless across a restore",
@@ -796,6 +888,7 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::FillQueue;
     use cloudmc_workloads::Workload;
 
     fn frontend(workload: Workload) -> Frontend {
@@ -845,78 +938,222 @@ mod tests {
         );
     }
 
+    /// Memory latency of the drive harness below: a read completes this many
+    /// cycles after it leaves the frontend.
+    const MEMORY_CYCLES: u64 = 45;
+
+    /// What an event kernel does with the frontend's output, reduced to
+    /// fills: an L2 hit is posted `ready_in` cycles ahead, and a memory read
+    /// completes `MEMORY_CYCLES` later and is posted then with the crossbar
+    /// latency, after the frontend's phase of that cycle, as the kernel's
+    /// backend phase posts it.
+    struct FillHarness {
+        fills: FillQueue,
+        reads: FillQueue,
+        crossbar: u64,
+    }
+
+    impl FillHarness {
+        fn new(cfg: &SystemConfig) -> Self {
+            Self {
+                fills: FillQueue::new(),
+                reads: FillQueue::new(),
+                crossbar: cfg.l2.crossbar_latency,
+            }
+        }
+
+        /// Posts the fills of the events `cycle` produced, then the data of
+        /// the reads completing at `cycle`.
+        fn post(&mut self, cycle: u64, events: &[FrontendEvent]) {
+            for event in events {
+                match *event {
+                    FrontendEvent::L2Hit {
+                        core,
+                        addr,
+                        ready_in,
+                    } => self.fills.push(cycle + ready_in, core, addr),
+                    FrontendEvent::Read { core, addr, .. } => {
+                        self.reads.push(cycle + MEMORY_CYCLES, core, addr);
+                    }
+                    _ => {}
+                }
+            }
+            while let Some((core, addr)) = self.reads.pop_due(cycle) {
+                self.fills.push(cycle + self.crossbar, core, addr);
+            }
+        }
+
+        fn next_due(&self) -> u64 {
+            self.fills.next_due().min(self.reads.next_due())
+        }
+    }
+
+    /// A frontend driven through a window of cycles at a time.
+    struct Drive {
+        fe: Frontend,
+        harness: FillHarness,
+        events: Vec<FrontendEvent>,
+        cycle: u64,
+        deferred_seen: bool,
+    }
+
+    impl Drive {
+        fn new(cfg: &SystemConfig) -> Self {
+            let mut fe = Frontend::new(cfg).unwrap();
+            fe.prewarm();
+            Self {
+                fe,
+                harness: FillHarness::new(cfg),
+                events: Vec::new(),
+                cycle: 0,
+                deferred_seen: false,
+            }
+        }
+
+        /// The reference: every core ticked on every cycle below `end`.
+        fn eager_to(&mut self, end: u64) {
+            for cycle in self.cycle..end {
+                while let Some((core, addr)) = self.harness.fills.pop_due(cycle) {
+                    self.fe.fill(core, addr);
+                }
+                let before = self.events.len();
+                self.fe.tick(cycle, &mut self.events);
+                self.harness.post(cycle, &self.events[before..]);
+            }
+            self.cycle = end;
+        }
+
+        /// The event kernel's drive to `end`, like one `run_cycles` call:
+        /// jump to the soonest fill, read completion or frontend action, let
+        /// due cores run ahead to `end` (or, with `run_ahead` off, only
+        /// through the current cycle, as under a trace tap), then align
+        /// every core to `end`.
+        fn lazy_to(&mut self, end: u64, run_ahead: bool) {
+            let fe = &mut self.fe;
+            while self.cycle < end {
+                let cycle = self.cycle;
+                while let Some((core, addr)) = self.harness.fills.pop_due(cycle) {
+                    fe.fill_at(core, addr, cycle);
+                }
+                let before = self.events.len();
+                let limit = if run_ahead { end } else { cycle + 1 };
+                fe.advance_to(cycle, limit, &mut self.events);
+                self.harness.post(cycle, &self.events[before..]);
+                if let Some(reason) = fe.snapshot_unsupported_reason() {
+                    assert_eq!(reason, "a core holding a deferred run-ahead op");
+                    self.deferred_seen = true;
+                }
+                let next = self.harness.next_due().min(fe.next_due()).min(end);
+                assert!(next > cycle, "nothing may be due behind the clock");
+                self.cycle = next;
+            }
+            fe.sync_to(end);
+            assert_eq!(fe.snapshot_unsupported_reason(), None);
+        }
+    }
+
+    /// Drives an eager and a lazy frontend of `cfg` through `horizon` cycles
+    /// in windows of `window` cycles, checking after each window that they
+    /// hold the same state.
+    fn drive_both(cfg: &SystemConfig, horizon: u64, window: u64, run_ahead: bool) -> [Drive; 2] {
+        let mut eager = Drive::new(cfg);
+        let mut lazy = Drive::new(cfg);
+        let mut end = 0;
+        while end < horizon {
+            end = (end + window).min(horizon);
+            eager.eager_to(end);
+            lazy.lazy_to(end, run_ahead);
+            assert_same_state(&eager.fe, &lazy.fe, end);
+        }
+        [eager, lazy]
+    }
+
+    fn image<T: cloudmc_snap::Snap>(state: &T) -> Vec<u8> {
+        let mut w = cloudmc_snap::SnapWriter::new(0);
+        state.save(&mut w);
+        w.finish()
+    }
+
+    /// Every counter and every piece of state an image carries — each
+    /// core's (L1s, MSHR file in entry order, stall), the streams' and the
+    /// L2's — must agree between two runs.
+    fn assert_same_state(eager: &Frontend, lazy: &Frontend, cycle: u64) {
+        for core in 0..eager.core_count() {
+            let at = format!("core {core} at cycle {cycle}");
+            assert_eq!(eager.core_stats(core), lazy.core_stats(core), "{at}");
+            assert_eq!(eager.l1i_stats(core), lazy.l1i_stats(core), "{at}");
+            assert_eq!(eager.l1d_stats(core), lazy.l1d_stats(core), "{at}");
+            assert!(
+                image(&eager.cores[core]) == image(&lazy.cores[core]),
+                "{at}: image"
+            );
+        }
+        assert_eq!(eager.l2_stats(), lazy.l2_stats(), "cycle {cycle}");
+        assert!(image(&eager.l2) == image(&lazy.l2), "L2 image at {cycle}");
+        assert!(
+            image(&eager.streams) == image(&lazy.streams),
+            "streams at {cycle}"
+        );
+    }
+
+    fn is_l2_hit(event: &FrontendEvent) -> bool {
+        matches!(event, FrontendEvent::L2Hit { .. })
+    }
+
     /// The lazy mode — cores sleeping behind the clock or running ahead of
     /// it, misses deferred to their exact cycle, fills landing on cores that
-    /// already ran past them — must produce the eager mode's event stream
-    /// and counters, and must refuse to be checkpointed while a core still
-    /// holds a deferred op.
+    /// already ran past them, blocking L2 hits completed in place — must
+    /// reach the eager mode's state and send the same traffic off-chip in
+    /// the same order. Its L2 hits are the eager mode's minus exactly the
+    /// ones it completed in place. Web Frontend adds DMA beats; Q6 with an
+    /// eight-entry MSHR file has stores and overlappable loads hitting the
+    /// L2 and enough misses in flight that the order in which fills retire
+    /// MSHR entries shows in the core images.
     #[test]
     fn lazy_run_ahead_matches_eager_ticking() {
-        let make = || {
-            let mut fe = frontend(Workload::WebFrontend);
-            fe.prewarm();
-            fe
-        };
-        let horizon_cycles = 30_000u64;
-        let wants_fill = |e: &FrontendEvent| match *e {
-            FrontendEvent::Read { core, addr, .. } | FrontendEvent::L2Hit { core, addr, .. } => {
-                Some((core, addr))
-            }
-            _ => None,
-        };
-
-        // Eager reference: every refill is delivered before the next cycle.
-        let mut eager = make();
-        let mut eager_events = Vec::new();
-        for cycle in 0..horizon_cycles {
-            let before = eager_events.len();
-            eager.tick(cycle, &mut eager_events);
-            for (core, addr) in eager_events[before..].iter().filter_map(wants_fill) {
-                eager.fill(core, addr);
-            }
-        }
-
-        let mut lazy = make();
-        let mut lazy_events = Vec::new();
-        let mut fills: Vec<(usize, u64)> = Vec::new();
-        let mut deferred_seen = false;
-        let mut cycle = 0u64;
-        while cycle < horizon_cycles {
-            for (core, addr) in fills.drain(..) {
-                lazy.fill_at(core, addr, cycle);
-            }
-            let before = lazy_events.len();
-            lazy.advance_to(cycle, horizon_cycles, &mut lazy_events);
-            fills.extend(lazy_events[before..].iter().filter_map(wants_fill));
-            if lazy.snapshot_unsupported_reason().is_some() {
-                deferred_seen = true;
-                assert_eq!(
-                    lazy.snapshot_unsupported_reason(),
-                    Some("a core holding a deferred run-ahead op")
+        let mut deep = SystemConfig::baseline(Workload::TpchQ6);
+        deep.core.max_outstanding_misses = 8;
+        deep.workload.data_mpki = 40.0;
+        deep.workload.mlp_fraction = 1.0;
+        for cfg in [SystemConfig::baseline(Workload::WebFrontend), deep] {
+            let name = cfg.workload.workload;
+            let [eager, lazy] = drive_both(&cfg, 30_000, 1_000, true);
+            assert!(lazy.deferred_seen, "{name}: no core ever deferred a miss");
+            let off_chip = |d: &Drive| -> Vec<FrontendEvent> {
+                d.events.iter().copied().filter(|e| !is_l2_hit(e)).collect()
+            };
+            assert_eq!(off_chip(&eager), off_chip(&lazy), "{name}: off-chip events");
+            let eager_hits: Vec<_> = eager.events.iter().filter(|e| is_l2_hit(e)).collect();
+            let mut eager_rest = eager_hits.iter();
+            for hit in lazy.events.iter().filter(|e| is_l2_hit(e)) {
+                assert!(
+                    eager_rest.any(|e| *e == hit),
+                    "{name}: lazy L2 hit {hit:?} out of the eager order"
                 );
             }
-            // Jump like the event kernel does, unless a fill is due.
-            cycle = if fills.is_empty() {
-                lazy.next_due().min(horizon_cycles)
-            } else {
-                cycle + 1
-            };
+            let lazy_hits = lazy.events.iter().filter(|e| is_l2_hit(e)).count();
+            assert!(
+                lazy.fe.private_fills() > 0,
+                "{name}: no L2 hit completed in place"
+            );
+            assert!(lazy_hits > 0, "{name}: every L2 hit completed in place");
+            assert_eq!(
+                eager_hits.len() as u64,
+                lazy_hits as u64 + lazy.fe.private_fills(),
+                "{name}: L2 hits"
+            );
         }
-        // The eager loop delivered its last cycle's refills too.
-        for (core, addr) in fills.drain(..) {
-            lazy.fill_at(core, addr, horizon_cycles);
-        }
-        lazy.sync_to(horizon_cycles);
+    }
 
-        assert!(deferred_seen, "no core ever deferred a miss");
-        assert_eq!(lazy.snapshot_unsupported_reason(), None);
-        assert_eq!(eager_events, lazy_events, "event streams must match");
-        for core in 0..eager.core_count() {
-            assert_eq!(eager.core_stats(core), lazy.core_stats(core));
-            assert_eq!(eager.l1i_stats(core), lazy.l1i_stats(core));
-            assert_eq!(eager.l1d_stats(core), lazy.l1d_stats(core));
-        }
-        assert_eq!(eager.l2_stats(), lazy.l2_stats());
+    /// With no run-ahead (a trace tap's limit of one cycle) nothing is
+    /// completed in place: the lazy event stream is the eager one exactly.
+    #[test]
+    fn lazy_without_run_ahead_matches_eager_events_exactly() {
+        let cfg = SystemConfig::baseline(Workload::WebFrontend);
+        let [eager, lazy] = drive_both(&cfg, 12_000, 4_000, false);
+        assert_eq!(lazy.fe.private_fills(), 0);
+        assert!(eager.events.iter().any(is_l2_hit));
+        assert_eq!(eager.events, lazy.events, "event streams must match");
     }
 
     /// Recording a run and replaying the trace drives the cores through the

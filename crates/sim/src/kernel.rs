@@ -14,16 +14,17 @@
 //!
 //! # The fill queue
 //!
-//! [`FillQueue`] holds cache blocks on their way back up to a core (L2 hits
-//! after their access latency, memory fills after the crossbar), sorted by
-//! delivery cycle. Fills due the same cycle pop in insertion order, so
-//! delivery — and with it the whole simulation — is deterministic
-//! (`event_queue_ties_pop_fifo` and the model-based property test hold it
-//! to that). A push for a cycle the queue has already drained past clamps
-//! to the last popped cycle, so a late post fires immediately rather than
-//! being lost. Requests moving *down* that were rejected by a full
-//! controller queue wait in per-(channel, kind) retry buckets owned by the
-//! [`backend`](crate::backend).
+//! [`FillQueue`] holds cache blocks on their way back up to a core (memory
+//! fills after the crossbar, and L2 hits after their access latency unless
+//! the [`frontend`](crate::frontend) completed one in place inside the
+//! run-ahead of the core it blocks), sorted by delivery cycle. Fills due
+//! the same cycle pop in insertion order, so delivery — and with it the
+//! whole simulation — is deterministic (`event_queue_ties_pop_fifo` and the
+//! model-based property test hold it to that). A push for a cycle the queue
+//! has already drained past clamps to the last popped cycle, so a late post
+//! fires immediately rather than being lost. Requests moving *down* that
+//! were rejected by a full controller queue wait in per-(channel, kind)
+//! retry buckets owned by the [`backend`](crate::backend).
 //!
 //! # The next-due contract
 //!
@@ -214,9 +215,9 @@ impl ClockCrossing {
     }
 }
 
-/// Cache blocks on their way back to a core (L2 hits after their access
-/// latency, memory fills after the crossbar): a deque kept sorted by
-/// delivery cycle.
+/// Cache blocks on their way back to a core (memory fills after the
+/// crossbar, L2 hits the frontend did not complete in place after their
+/// access latency): a deque kept sorted by delivery cycle.
 ///
 /// Fills are posted a constant L2 or crossbar latency ahead of the clock,
 /// bounded by the cores' MSHRs, so a push lands at or near the back and the
@@ -245,8 +246,10 @@ impl FillQueue {
     /// immediately rather than being lost.
     pub fn push(&mut self, due_cpu_cycle: u64, core: usize, addr: u64) {
         let due = due_cpu_cycle.max(self.base);
-        // The longest delay in use (an L2 hit) is also the commonest push,
-        // and it is due after everything pending: append without searching.
+        // A push due after everything pending appends without searching. A
+        // memory fill (the crossbar's short delay) lands before any L2 hit
+        // still pending (the longer access latency) and is placed by
+        // binary search.
         if self.events.back().is_none_or(|&(cycle, _)| cycle <= due) {
             self.events.push_back((due, (core, addr)));
         } else {

@@ -84,6 +84,17 @@ pub struct CoreStream {
     ifetch_cursor: u64,
     /// Whether the stream is currently in a high-intensity phase.
     phase_hot: bool,
+    /// `instructions_planned` at which the scheduled phase can next differ
+    /// from `phase_hot` (the next hot/quiet boundary; `u64::MAX` for a spec
+    /// without phases). Restores reset it to 0, which checks on the next op.
+    next_phase_check: u64,
+    /// Mean instructions between off-chip data events in the quiet and the
+    /// hot phase, indexed by `phase_hot` (fixed by the spec and the core).
+    data_interval: [f64; 2],
+    /// Mean instructions between instruction fetches (fixed by the spec).
+    ifetch_interval: f64,
+    /// Mean instructions between hot accesses (fixed by the spec).
+    hot_interval: f64,
     /// Instructions until the next off-chip data event.
     until_data: u64,
     /// Instructions until the next instruction-fetch event.
@@ -134,7 +145,20 @@ impl CoreStream {
             "core {core} out of range ({} cores)",
             spec.cores
         );
+        let ifetch_interval = if spec.ifetch_mpki <= 0.0 {
+            f64::INFINITY
+        } else {
+            1000.0 / spec.ifetch_mpki
+        };
+        let hot_interval = if spec.hot_access_rate <= 0.0 {
+            f64::INFINITY
+        } else {
+            1.0 / spec.hot_access_rate
+        };
         let mut stream = Self {
+            data_interval: [false, true].map(|hot| Self::mean_data_interval(&spec, core, hot)),
+            ifetch_interval,
+            hot_interval,
             spec,
             core,
             layout_core,
@@ -146,6 +170,7 @@ impl CoreStream {
             burst: VecDeque::new(),
             ifetch_cursor: 0,
             phase_hot: false,
+            next_phase_check: 0,
             until_data: 1,
             until_ifetch: 1,
             until_hot: 1,
@@ -154,8 +179,8 @@ impl CoreStream {
             data_accesses: 0,
         };
         stream.until_data = stream.sample_interval(stream.data_interval());
-        stream.until_ifetch = stream.sample_interval(stream.ifetch_interval());
-        stream.until_hot = stream.sample_interval(stream.hot_interval());
+        stream.until_ifetch = stream.sample_interval(stream.ifetch_interval);
+        stream.until_hot = stream.sample_interval(stream.hot_interval);
         stream
     }
 
@@ -215,67 +240,65 @@ impl CoreStream {
     /// Fraction of instructions spent in the high-intensity phase.
     const HOT_PHASE_FRACTION: f64 = Self::HOT_PHASE_INSTR as f64 / Self::PHASE_PERIOD_INSTR as f64;
 
-    /// Intensity multiplier of the current phase. The time-weighted mean over
-    /// hot and quiet phases is 1.0, so the long-run MPKI matches the spec.
-    fn phase_multiplier(&self) -> f64 {
-        let b = self.spec.burstiness;
+    /// Intensity multiplier of the hot or the quiet phase. The time-weighted
+    /// mean over hot and quiet phases is 1.0, so the long-run MPKI matches
+    /// the spec.
+    fn phase_multiplier(spec: &WorkloadSpec, hot_phase: bool) -> f64 {
+        let b = spec.burstiness;
         if b <= 0.0 {
             return 1.0;
         }
         let hot = 1.0 + 3.0 * b;
-        if self.phase_hot {
+        if hot_phase {
             hot
         } else {
             ((1.0 - Self::HOT_PHASE_FRACTION * hot) / (1.0 - Self::HOT_PHASE_FRACTION)).max(0.05)
         }
     }
 
-    /// Whether the stream should currently be in its high-intensity phase.
-    ///
-    /// The phase schedule is a deterministic function of progress (committed
-    /// instructions), so the cores of one workload spike together — load
-    /// spikes in server systems are driven by the offered request load and
-    /// hit all cores at once. This is what creates the transient memory
-    /// contention under which the scheduling algorithms differ.
-    fn scheduled_phase(&self) -> bool {
-        self.instructions_planned % Self::PHASE_PERIOD_INSTR < Self::HOT_PHASE_INSTR
-    }
-
     /// Mean instructions between off-chip data *events* (a burst counts as
-    /// one event) in the current phase.
-    fn data_interval(&self) -> f64 {
+    /// one event) of `core` in the hot or quiet phase.
+    fn mean_data_interval(spec: &WorkloadSpec, core: usize, hot: bool) -> f64 {
         let accesses_per_event =
-            self.spec.row_burst_prob * self.spec.row_burst_len + (1.0 - self.spec.row_burst_prob);
+            spec.row_burst_prob * spec.row_burst_len + (1.0 - spec.row_burst_prob);
         let mpki =
-            (self.spec.data_mpki * self.spec.intensity_factor(self.core) * self.phase_multiplier())
+            (spec.data_mpki * spec.intensity_factor(core) * Self::phase_multiplier(spec, hot))
                 .max(1e-3);
         1000.0 * accesses_per_event / mpki
     }
 
-    fn ifetch_interval(&self) -> f64 {
-        if self.spec.ifetch_mpki <= 0.0 {
-            f64::INFINITY
-        } else {
-            1000.0 / self.spec.ifetch_mpki
-        }
-    }
-
-    fn hot_interval(&self) -> f64 {
-        if self.spec.hot_access_rate <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / self.spec.hot_access_rate
-        }
+    /// Mean data-event interval of the current phase.
+    fn data_interval(&self) -> f64 {
+        self.data_interval[usize::from(self.phase_hot)]
     }
 
     /// Accounts for executed instructions in the phase machine; on a phase
     /// transition the data-event countdown is re-drawn under the new
     /// intensity.
-    fn consume_instructions(&mut self, _n: u64) {
-        if self.spec.burstiness <= 0.0 {
+    ///
+    /// The phase schedule is a deterministic function of progress (planned
+    /// instructions), so the cores of one workload spike together — load
+    /// spikes in server systems are driven by the offered request load and
+    /// hit all cores at once. This is what creates the transient memory
+    /// contention under which the scheduling algorithms differ. The
+    /// schedule only changes at a hot/quiet boundary, so it is consulted
+    /// once `instructions_planned` reaches the next one.
+    fn consume_instructions(&mut self) {
+        if self.instructions_planned < self.next_phase_check {
             return;
         }
-        let scheduled = self.scheduled_phase();
+        if self.spec.burstiness <= 0.0 {
+            self.next_phase_check = u64::MAX;
+            return;
+        }
+        let into_period = self.instructions_planned % Self::PHASE_PERIOD_INSTR;
+        let scheduled = into_period < Self::HOT_PHASE_INSTR;
+        let boundary = if scheduled {
+            Self::HOT_PHASE_INSTR
+        } else {
+            Self::PHASE_PERIOD_INSTR
+        };
+        self.next_phase_check = (self.instructions_planned - into_period).saturating_add(boundary);
         if scheduled != self.phase_hot {
             self.phase_hot = scheduled;
             self.until_data = self.sample_interval(self.data_interval());
@@ -398,11 +421,13 @@ impl CoreStream {
         }
     }
 
-    /// A row burst never exceeds one DRAM row's worth of blocks.
+    /// A row burst never exceeds one DRAM row's worth of blocks. The phase
+    /// check point is not in the image: the next op re-derives it.
     fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
         if self.burst.len() as u64 > ROW_BYTES / BLOCK_BYTES {
             return Err(r.bad_value(format!("burst length {} exceeds one row", self.burst.len())));
         }
+        self.next_phase_check = 0;
         Ok(())
     }
 
@@ -421,7 +446,7 @@ impl CoreStream {
         // Burst continuation: back-to-back accesses within the open row.
         if let Some(addr) = self.burst.pop_front() {
             self.instructions_planned += 1;
-            self.consume_instructions(1);
+            self.consume_instructions();
             let op = self.data_op(addr);
             return CoreOp::Mem(op);
         }
@@ -433,11 +458,11 @@ impl CoreStream {
             self.until_ifetch = self.until_ifetch.saturating_sub(u64::from(gap));
             self.until_hot = self.until_hot.saturating_sub(u64::from(gap));
             self.instructions_planned += u64::from(gap);
-            self.consume_instructions(u64::from(gap));
+            self.consume_instructions();
             return CoreOp::Compute(gap);
         }
         self.instructions_planned += 1;
-        self.consume_instructions(1);
+        self.consume_instructions();
         if self.until_data <= 1 {
             self.until_data = self.sample_interval(self.data_interval());
             self.until_ifetch = self.until_ifetch.saturating_sub(1).max(1);
@@ -445,13 +470,13 @@ impl CoreStream {
             let op = self.start_data_event();
             CoreOp::Mem(op)
         } else if self.until_ifetch <= 1 {
-            self.until_ifetch = self.sample_interval(self.ifetch_interval());
+            self.until_ifetch = self.sample_interval(self.ifetch_interval);
             self.until_data = self.until_data.saturating_sub(1).max(1);
             self.until_hot = self.until_hot.saturating_sub(1).max(1);
             let op = self.ifetch_op();
             CoreOp::Mem(op)
         } else {
-            self.until_hot = self.sample_interval(self.hot_interval());
+            self.until_hot = self.sample_interval(self.hot_interval);
             self.until_data = self.until_data.saturating_sub(1).max(1);
             self.until_ifetch = self.until_ifetch.saturating_sub(1).max(1);
             let op = self.hot_op();
@@ -604,6 +629,10 @@ snap_fields! {
             layout_core: "config-derived",
             code_offset: "config-derived",
             layout: "config-derived",
+            next_phase_check: "derived from instructions_planned; reset by check_restored",
+            data_interval: "config-derived",
+            ifetch_interval: "config-derived",
+            hot_interval: "config-derived",
         },
         after_load: Self::check_restored,
     }
@@ -792,6 +821,127 @@ mod tests {
         // stream than standalone core 0, but the same spec statistics.
         assert_eq!(streams.stream(2).workload(), Workload::TpchQ6);
         assert_eq!(streams.stream(2).core(), 0);
+    }
+
+    /// What [`record`] reads off a stream: the hash of its first ops, then
+    /// `instructions_planned`, `data_events`, `data_accesses` and the
+    /// longest compute gap emitted.
+    type Recording = (u64, u64, u64, u64, u64);
+
+    /// Drives core 3 of `spec` (seed 17) for `ops` ops and folds every op
+    /// into an FNV-1a hash.
+    fn record(spec: WorkloadSpec, ops: usize) -> Recording {
+        let mut stream = CoreStream::new(spec, 3, 17);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut longest_gap = 0;
+        for _ in 0..ops {
+            let words = match stream.next_op() {
+                CoreOp::Compute(n) => {
+                    longest_gap = longest_gap.max(u64::from(n));
+                    [0, u64::from(n)]
+                }
+                CoreOp::Mem(op) => {
+                    let kind = match op.kind {
+                        OpKind::Load => 1,
+                        OpKind::Store => 2,
+                        OpKind::Ifetch => 3,
+                    };
+                    [kind | u64::from(op.overlappable) << 2, op.addr]
+                }
+            };
+            for word in words {
+                hash = (hash ^ word).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        (
+            hash,
+            stream.instructions_planned,
+            stream.data_events,
+            stream.data_accesses,
+            longest_gap,
+        )
+    }
+
+    /// A spec whose off-chip events come more than a whole phase period
+    /// apart, with no fetch or hot accesses in between: most compute gaps
+    /// skip whole hot/quiet phases.
+    fn sparse_bursty_spec() -> WorkloadSpec {
+        let mut spec = Workload::WebSearch.spec();
+        spec.data_mpki = 0.02;
+        spec.ifetch_mpki = 0.0;
+        spec.hot_access_rate = 0.0;
+        spec.burstiness = 0.9;
+        spec
+    }
+
+    /// The op streams recorded from the generator as it stood before its
+    /// interval means were cached and its per-op phase check became a
+    /// comparison: a bursty preset, a spec without phases, and one whose
+    /// gaps skip whole phases must keep producing them.
+    #[test]
+    fn streams_match_recorded_sequences() {
+        let mut flat = Workload::WebSearch.spec();
+        flat.burstiness = 0.0;
+        let cases = [
+            (
+                "bursty WebSearch preset",
+                Workload::WebSearch.spec(),
+                200_000,
+            ),
+            ("WebSearch without phases", flat, 200_000),
+            (
+                "gaps longer than a phase period",
+                sparse_bursty_spec(),
+                3_000,
+            ),
+        ];
+        let expected: [Recording; 3] = [
+            (0x9c28_3676_6e93_8449, 0xa_1cae, 0x25b, 0x3c2, 0x49),
+            (0x2cf6_09c5_89a3_af1d, 0xa_1704, 0x291, 0x429, 0x44),
+            (0x1f25_94fb_d849_5ec3, 0x2cee_7687, 0x389, 0x5f0, 0x52_cbee),
+        ];
+        for ((name, spec, ops), want) in cases.into_iter().zip(expected) {
+            assert_eq!(record(spec, ops), want, "{name}");
+        }
+        let (_, planned, _, _, longest_gap) = expected[2];
+        assert!(longest_gap > 4 * CoreStream::PHASE_PERIOD_INSTR && planned > 0);
+    }
+
+    /// A stream restored from an image taken in the middle of a hot phase
+    /// continues op for op like the original, even when restored into a
+    /// stream that had been driven elsewhere.
+    #[test]
+    fn restore_mid_phase_continues_op_identically() {
+        use cloudmc_snap::{Snap, SnapWriter};
+        let spec = Workload::WebSearch.spec();
+        let mut original = CoreStream::new(spec, 2, 23);
+        while original.instructions_planned < 2 * CoreStream::PHASE_PERIOD_INSTR
+            || !(1_000..5_000)
+                .contains(&(original.instructions_planned % CoreStream::PHASE_PERIOD_INSTR))
+        {
+            original.next_op();
+        }
+        assert!(original.phase_hot, "stopped inside a hot phase");
+        let mut w = SnapWriter::new(0);
+        original.save(&mut w);
+        let image = w.finish();
+
+        let mut restored = CoreStream::new(spec, 2, 23);
+        for _ in 0..50_000 {
+            restored.next_op();
+        }
+        let mut r = SnapReader::new(&image, 0).unwrap();
+        restored.load(&mut r).unwrap();
+        r.finish().unwrap();
+        for i in 0..30_000 {
+            assert_eq!(
+                original.next_op(),
+                restored.next_op(),
+                "op {i} after restore"
+            );
+        }
+        assert_eq!(original.instructions_planned, restored.instructions_planned);
+        assert_eq!(original.data_events, restored.data_events);
     }
 
     #[test]

@@ -88,3 +88,28 @@ fn single_channel_matches_seed_behaviour() {
     assert!(stats.avg_read_latency_dram > 25.0);
     assert!(stats.bandwidth_utilization > 0.02 && stats.bandwidth_utilization < 1.0);
 }
+
+/// Work-count pin for the event kernel's frontend on the paper's Web Search
+/// baseline (the benchmark's `ws_dense`): the share of CPU cycles the kernel
+/// has to step rather than jump over. A host-independent count, so CI fails
+/// if the cost of a cycle goes back up — say, if L2 hits a core blocks on
+/// travel through the fill queue again, each costing a stepped cycle. With
+/// every L2 hit going through the fill queue it read 166,596 of 300,000
+/// (0.5553); with blocking L2 hits completed inside the core's run-ahead,
+/// 111,677 (0.3723).
+#[test]
+fn web_search_steps_at_most_45_percent_of_its_cycles() {
+    let mut cfg = SystemConfig::baseline(Workload::WebSearch);
+    cfg.telemetry.profile_kernel = true;
+    let stepped = || {
+        let mut system = System::new(cfg.clone()).unwrap();
+        system.run_cycles(300_000);
+        let profile = system.kernel_profile().unwrap();
+        assert_eq!(profile.cpu_cycles, 300_000);
+        profile.stepped_cpu_cycles
+    };
+    let first = stepped();
+    assert_eq!(first, stepped(), "stepped cycles are deterministic");
+    let share = first as f64 / 300_000.0;
+    assert!(share <= 0.45, "stepped share {share:.4} above 0.45");
+}
