@@ -492,26 +492,9 @@ impl InOrderCore {
     }
 
     /// Delivers the refill of `block_addr`: retires its MSHR entry and wakes
-    /// the core if it was blocked on that block.
+    /// the core (committing a blocked load) if it was blocked on that block.
     pub fn fill(&mut self, block_addr: u64) {
         let _waiters = self.mshr.complete(block_addr);
-        self.wake(block_addr);
-    }
-
-    /// Whether the core is blocked until the refill of the block containing
-    /// `addr` arrives.
-    #[must_use]
-    pub fn blocked_on(&self, addr: u64) -> bool {
-        matches!(self.stall, Some(Stall::Miss { block, .. }) if block == self.block(addr))
-    }
-
-    /// The half of [`InOrderCore::fill`] the core itself observes: wakes the
-    /// core (committing a blocked load) if it was blocked on the block
-    /// containing `block_addr`, leaving the MSHR entry in place. Nothing
-    /// the core does before its next miss reads the MSHR file, so a caller
-    /// may run it ahead and retire the entry with `fill` later, at the
-    /// position the fill holds among the core's other fills.
-    pub fn wake(&mut self, block_addr: u64) {
         if let Some(Stall::Miss {
             block,
             commits_on_fill,
@@ -524,6 +507,13 @@ impl InOrderCore {
                 self.stall = None;
             }
         }
+    }
+
+    /// Whether the core is blocked until the refill of the block containing
+    /// `addr` arrives.
+    #[must_use]
+    pub fn blocked_on(&self, addr: u64) -> bool {
+        matches!(self.stall, Some(Stall::Miss { block, .. }) if block == self.block(addr))
     }
 
     /// An op deferred by [`InOrderCore::run_ahead`] is not part of the

@@ -52,9 +52,15 @@ impl L2Config {
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem for a bank count that is not a
-    /// power of two in `1..=MAX_BANKS`, or an invalid bank geometry.
+    /// Returns a description of the problem for a zero crossbar latency, a
+    /// bank count that is not a power of two in `1..=MAX_BANKS`, or an
+    /// invalid bank geometry.
     pub fn validate(&self) -> Result<(), String> {
+        // The kernel delivers a cycle's fills before the phase that posts
+        // them, so a fill must be posted at least one cycle ahead.
+        if self.crossbar_latency == 0 {
+            return Err("crossbar_latency (0) must be at least 1".to_owned());
+        }
         if !self.banks.is_power_of_two() || self.banks > Self::MAX_BANKS {
             return Err(format!(
                 "banks ({}) must be a power of two in 1..={}",

@@ -109,11 +109,13 @@ impl Mshr {
 
     /// Completes the outstanding miss for the block containing `addr`,
     /// returning how many merged requesters were waiting on it (0 if the
-    /// block was not outstanding).
+    /// block was not outstanding). The remaining entries keep their
+    /// allocation order, so the file's state (and its image) does not
+    /// depend on the order in which misses complete.
     pub fn complete(&mut self, addr: u64) -> u32 {
         let block = self.block(addr);
         if let Some(pos) = self.entries.iter().position(|&(b, _)| b == block) {
-            self.entries.swap_remove(pos).1
+            self.entries.remove(pos).1
         } else {
             0
         }
@@ -161,6 +163,40 @@ mod tests {
         assert!(m.is_full());
         assert_eq!(m.allocate(0x080), MshrOutcome::Full);
         assert_eq!(m.allocate(0x000), MshrOutcome::Merged);
+    }
+
+    fn image(mshr: &Mshr) -> Vec<u8> {
+        let mut w = cloudmc_snap::SnapWriter::new(0);
+        cloudmc_snap::Snap::save(mshr, &mut w);
+        w.finish()
+    }
+
+    /// Completing the same set of blocks in any order leaves the same
+    /// entries, in allocation order, with the same image bytes.
+    #[test]
+    fn completion_order_does_not_change_the_entries() {
+        let blocks = [0x000u64, 0x040, 0x080, 0x0c0, 0x100];
+        let done = [0x040u64, 0x0c0, 0x000];
+        let mut images = Vec::new();
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let mut m = Mshr::new(8, 64);
+            for &b in &blocks {
+                m.allocate(b);
+            }
+            for i in order {
+                assert_eq!(m.complete(done[i]), 1);
+            }
+            assert_eq!(m.entries, [(0x080, 1), (0x100, 1)], "order {order:?}");
+            images.push(image(&m));
+        }
+        assert!(images.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl ChannelStats {
         }
     }
 
-    /// Bytes transferred on the data bus assuming `column_bytes` per burst.
-    #[must_use]
-    pub fn bytes_transferred(&self, column_bytes: u64) -> u64 {
-        (self.reads + self.writes) * column_bytes
-    }
-
     /// Total rank-cycles accounted across all power states. Equals
     /// `elapsed_cycles * rank_count` when read through
     /// [`DramChannel::stats_at`].
@@ -827,7 +821,6 @@ mod tests {
         assert_eq!(s.reads, 2);
         assert_eq!(s.writes, 1);
         assert_eq!(s.data_bus_busy_cycles, 3 * t.t_burst);
-        assert_eq!(s.bytes_transferred(64), 3 * 64);
         assert!(s.bus_utilization(1000) > 0.0);
         assert_eq!(ChannelStats::default().bus_utilization(0), 0.0);
     }

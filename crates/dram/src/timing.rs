@@ -163,15 +163,6 @@ impl TimingParams {
         }
     }
 
-    /// Read-to-write turnaround on the shared data bus of one channel.
-    ///
-    /// A WRITE issued after a READ must not drive the bus before the read
-    /// burst has completed plus a bus-turnaround bubble.
-    #[must_use]
-    pub fn read_to_write(&self) -> DramCycles {
-        (self.cl + self.t_burst + self.t_rtrs).saturating_sub(self.cwl)
-    }
-
     /// Write-to-read turnaround within the same rank.
     #[must_use]
     pub fn write_to_read_same_rank(&self) -> DramCycles {
@@ -349,7 +340,6 @@ mod tests {
     #[test]
     fn turnaround_helpers_are_consistent() {
         let t = TimingParams::ddr3_1600();
-        assert_eq!(t.read_to_write(), 11 + 4 + 2 - 8);
         assert_eq!(t.write_to_read_same_rank(), 8 + 4 + 6);
         assert_eq!(t.write_to_precharge(), 8 + 4 + 12);
     }

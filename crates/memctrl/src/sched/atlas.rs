@@ -81,12 +81,6 @@ impl Atlas {
         self.core_rank.get(core).copied().unwrap_or(usize::MAX)
     }
 
-    /// Long-term attained service of `core` (exposed for diagnostics).
-    #[must_use]
-    pub fn attained_service(&self, core: usize) -> f64 {
-        self.total_service.get(core).copied().unwrap_or(0.0)
-    }
-
     /// Every restored priority position must name one of the cores.
     fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
         if let Some(rank) = self.core_rank.iter().find(|&&rank| rank >= self.num_cores) {
@@ -278,7 +272,7 @@ mod tests {
         // Cores 2 and 3 attained nothing: highest priority. Core 0 is last.
         assert_eq!(s.rank_of(0), 3);
         assert!(s.rank_of(1) < s.rank_of(0));
-        assert!(s.attained_service(0) > s.attained_service(1));
+        assert!(s.total_service[0] > s.total_service[1]);
     }
 
     #[test]

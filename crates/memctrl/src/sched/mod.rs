@@ -103,14 +103,6 @@ impl<'a> SchedContext<'a> {
             self.read_q
         }
     }
-
-    /// Whether `entry`'s target row is currently open (a row-buffer hit).
-    #[must_use]
-    pub fn is_row_hit(&self, entry: &QueueEntry) -> bool {
-        self.channel
-            .open_row(entry.location.rank, entry.location.bank)
-            == Some(entry.location.row)
-    }
 }
 
 /// A command chosen by a scheduler, optionally completing a request.
@@ -509,7 +501,10 @@ mod tests {
         let d = progress_for(&e, &ctx).unwrap();
         assert_eq!(d.request_id, Some(9));
         assert!(d.command.kind.is_write());
-        assert!(ctx.is_row_hit(&e));
+        assert_eq!(
+            ch.open_row(e.location.rank, e.location.bank),
+            Some(e.location.row)
+        );
     }
 
     #[test]

@@ -347,13 +347,12 @@ mod tests {
         assert!(s.is_marked(1));
     }
 
-    /// The marks moved from a `HashSet` to a `BTreeSet`; both save the ids
-    /// as one ascending `u64` run, so images keep format version 7. A load
-    /// now also rejects a run that is not strictly ascending.
+    /// The marks save as one ascending `u64` run, the bytes the `HashSet`
+    /// they once lived in wrote through its sorted codec. A load rejects a
+    /// run that is not strictly ascending.
     #[test]
     fn marks_save_as_the_sorted_run_the_hash_set_wrote() {
         use cloudmc_snap::{checksum, Snap, SnapWriter};
-        use std::collections::HashSet;
 
         let cfg = DramConfig::baseline();
         let ch = DramChannel::new(&cfg);
@@ -369,12 +368,13 @@ mod tests {
         s.save(&mut w);
         let image = w.finish();
 
-        let hashed: HashSet<RequestId> = ids.into_iter().collect();
+        let mut sorted: Vec<RequestId> = ids.to_vec();
+        sorted.sort_unstable();
         let mut w = SnapWriter::new(0);
-        hashed.save(&mut w);
+        sorted.save(&mut w);
         let run = w.finish();
         let run = &run[..run.len() - 8];
-        assert_eq!(&image[..run.len()], run, "same bytes as the HashSet image");
+        assert_eq!(&image[..run.len()], run, "same bytes as the sorted run");
         let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
         let first = 20 + 8;
         let saved: Vec<u64> = (0..4).map(|i| word(first + 8 * i)).collect();

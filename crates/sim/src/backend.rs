@@ -36,7 +36,7 @@ use crate::kernel::Tick;
 
 /// Retry bucket key: requests queue per channel, per direction, because
 /// controller admission is decided exactly at that granularity. A `BTreeMap`
-/// (not a `HashMap`) keeps drain order deterministic.
+/// keeps drain order deterministic.
 type RetryKey = (usize, AccessKind);
 
 /// The memory controller plus the retry buckets for back-pressured requests.

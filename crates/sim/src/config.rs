@@ -338,6 +338,8 @@ mod tests {
     /// and `1 << 36` L2 banks aborted on the allocation. The core rows (an L1 geometry that does not divide into
     /// sets, unequal L1 block sizes, an empty MSHR file, a solo tenant over
     /// the 64-core bound) passed validation and then panicked in the build.
+    /// A zero crossbar latency silently behaved as one cycle: both kernels
+    /// deliver a cycle's fills before the phase that posts them.
     /// The scheduler rows: an ATLAS quantum of 0 looped forever at its
     /// first boundary, zero RL tables or table entries panicked in the
     /// build, and `1 << 20` tables of `1 << 20` entries never finished.
@@ -351,7 +353,7 @@ mod tests {
                 ..RlConfig::default()
             })
         }
-        let cases: [(&str, usize, Set); 18] = [
+        let cases: [(&str, usize, Set); 19] = [
             ("ranks_per_channel", 512, |c, v| {
                 c.mc.dram.ranks_per_channel = v
             }),
@@ -384,6 +386,9 @@ mod tests {
                 c.l2.bank.size_bytes = v as u64;
             }),
             ("l2: banks", 1 << 36, |c, v| c.l2.banks = v),
+            ("l2: crossbar_latency", 0, |c, v| {
+                c.l2.crossbar_latency = v as u64;
+            }),
             ("quantum", 0, |c, v| {
                 c.mc.scheduler = SchedulerKind::Atlas(AtlasConfig {
                     quantum: v as u64,

@@ -44,11 +44,12 @@
 //! and the run-ahead resumes at the fill cycle, instead of reporting a
 //! [`FrontendEvent::L2Hit`] that the kernel would hand back through its
 //! fill queue, at the cost of a stepped cycle. The L2 access itself still
-//! happens at the miss cycle, in (cycle, core) order, and the block's MSHR
-//! entry is retired when the kernel reaches the fill cycle, in the order
-//! the fill queue would deliver it. Stores and overlappable loads do not
-//! block, so their L2 hits keep the event path, and so does a fill at or
-//! past the limit.
+//! happens at the miss cycle, in (cycle, core) order. Retiring the block's
+//! MSHR entry early is safe because the MSHR file keeps its entries in
+//! allocation order whatever order they complete in, and the blocked core
+//! reads the file again only after the fill cycle. Stores and overlappable
+//! loads do not block, so their L2 hits keep the event path, and so does a
+//! fill at or past the limit.
 //!
 //! [`Frontend::fill_at`] delivers a fill to a core that is behind the clock
 //! by catching it up first, and to one that ran ahead as is. With a trace
@@ -204,16 +205,12 @@ pub struct Frontend {
     positions: Vec<u64>,
     /// Lazy mode: per-core next action cycle — the next cycle the core must
     /// be ticked at (`u64::MAX` = blocked on memory, nothing to do until a
-    /// fill arrives).
+    /// fill arrives). Always `cores[c].next_due(positions[c])`, cached.
     next_action: Vec<u64>,
     /// Lazy mode: the least `next_action`, kept current by every write to
     /// it, so neither [`Frontend::next_due`] nor an [`Frontend::advance_to`]
     /// with no core due scans the cores.
     soonest_action: u64,
-    /// Lazy mode: per core, the `(cycle, block)` of an L2 hit completed in
-    /// place whose MSHR entry is still to be retired at that cycle (see
-    /// [`Frontend::retire_private_fill`]).
-    retiring: Vec<Option<(u64, u64)>>,
     /// Lazy mode: the DMA accumulators have accrued cycles `0..dma_pos`.
     dma_pos: u64,
     /// Host-side work counter: L2 hits completed in place, which never
@@ -310,7 +307,6 @@ impl Frontend {
             positions: vec![0; num_cores],
             next_action: vec![0; num_cores],
             soonest_action: 0,
-            retiring: vec![None; num_cores],
             dma_pos: 0,
             private_fills: 0,
         })
@@ -320,12 +316,6 @@ impl Frontend {
     #[must_use]
     pub fn is_replaying(&self) -> bool {
         self.replay.is_some()
-    }
-
-    /// Records read off the replay trace so far (`None` when synthetic).
-    #[must_use]
-    pub fn replay_records_read(&self) -> Option<u64> {
-        self.replay.as_ref().map(TraceStream::records_read)
     }
 
     /// Finishes the run's trace I/O: surfaces any replay error deferred
@@ -461,22 +451,16 @@ impl Frontend {
 
     /// Completes a restore at kernel clock `now`. An image is only ever
     /// taken between `run_cycles` calls, where [`Frontend::sync_to`] has
-    /// aligned every core and the DMA accumulators to the clock — so those
-    /// cursors are not in the image and are set here — and no core action
-    /// below the clock is pending, which a restored `next_action` must
-    /// respect or the kernel would skip it.
-    pub(crate) fn resume_at(&mut self, now: u64, r: &SnapReader<'_>) -> Result<(), SnapError> {
+    /// aligned every core and the DMA accumulators to the clock, so none of
+    /// the lazy cursors is in the image: each is derived here from the
+    /// clock and the restored cores.
+    pub(crate) fn resume_at(&mut self, now: u64) {
         self.positions.fill(now);
-        self.retiring.fill(None);
         self.dma_pos = now;
-        self.soonest_action = self.next_action.iter().copied().min().unwrap_or(u64::MAX);
-        if self.soonest_action < now {
-            return Err(r.bad_value(format!(
-                "core action at cycle {} already missed at {now}",
-                self.soonest_action
-            )));
+        for (action, core) in self.next_action.iter_mut().zip(&self.cores) {
+            *action = core.next_due(now);
         }
-        Ok(())
+        self.soonest_action = self.next_action.iter().copied().min().unwrap_or(u64::MAX);
     }
 
     /// Re-seeds the frontend's stochastic inputs — every core's workload
@@ -591,31 +575,21 @@ impl Frontend {
 
     /// Lazy mode: ticks core `core`, due at `now`, and runs it ahead through
     /// its private work up to `limit`, first completing in place an L2 hit
-    /// the tick blocks it on (see the module docs). The hit's MSHR entry
-    /// stays until its fill cycle, where [`Frontend::retire_private_fill`]
-    /// retires it in the position the kernel's fill order gives it. That
-    /// needs every fill delivered on its own due cycle, which a zero
-    /// crossbar latency breaks (a memory fill posted for the current cycle
-    /// lands a cycle late), so such an L2 keeps the event path.
+    /// the tick blocks it on (see the module docs).
     fn run_core(&mut self, core: usize, now: u64, limit: u64, events: &mut Vec<FrontendEvent>) {
         let gap = now - self.positions[core];
         if gap > 0 {
             self.cores[core].skip_cycles(gap);
         }
-        self.retire_private_fill(core, now);
         let before = events.len();
         self.tick_core(core, events);
         let mut resume = now + 1;
         if let Some(&FrontendEvent::L2Hit { addr, ready_in, .. }) = events[before..].last() {
             let fill = now + ready_in;
-            if (now + 1..limit).contains(&fill)
-                && self.cores[core].blocked_on(addr)
-                && self.l2.config().crossbar_latency > 0
-            {
+            if (now + 1..limit).contains(&fill) && self.cores[core].blocked_on(addr) {
                 events.pop();
                 self.cores[core].skip_cycles(ready_in - 1);
-                self.cores[core].wake(addr);
-                self.retiring[core] = Some((fill, addr));
+                self.cores[core].fill(addr);
                 self.private_fills += 1;
                 resume = fill;
             }
@@ -624,20 +598,6 @@ impl Frontend {
         let position = resume + self.cores[core].run_ahead(limit - resume, || stream.next_op());
         self.positions[core] = position;
         self.next_action[core] = self.cores[core].next_due(position);
-    }
-
-    /// Lazy mode: retires the MSHR entry of an L2 hit [`Frontend::run_core`]
-    /// completed in place once the kernel reaches its fill cycle — before
-    /// the core's next tick reads the MSHR file, and before any fill the
-    /// kernel delivers at or after that cycle (every one of those was posted
-    /// after the L2 hit, so the eager mode completes them after it too).
-    fn retire_private_fill(&mut self, core: usize, now: u64) {
-        if let Some((cycle, addr)) = self.retiring[core] {
-            if cycle <= now {
-                self.retiring[core] = None;
-                self.cores[core].fill(addr);
-            }
-        }
     }
 
     /// L2 hits completed in place so far (see [`Frontend::run_core`]).
@@ -653,7 +613,6 @@ impl Frontend {
     /// ahead of `now` just takes the fill: it is not blocked, and nothing it
     /// did since `now` read the MSHR entry the fill completes.
     pub fn fill_at(&mut self, core: usize, addr: u64, now: u64) {
-        self.retire_private_fill(core, now);
         if self.positions[core] > now {
             debug_assert!(!self.cores[core].is_stalled(), "stalled core ran ahead");
             self.cores[core].fill(addr);
@@ -728,8 +687,6 @@ impl Frontend {
     pub fn sync_to(&mut self, end: u64) {
         for core in 0..self.cores.len() {
             debug_assert!(self.next_action[core] >= end, "sync_to skipped an action");
-            self.retire_private_fill(core, end);
-            debug_assert!(self.retiring[core].is_none(), "fill completed past {end}");
             let gap = end.saturating_sub(self.positions[core]);
             if gap > 0 {
                 self.cores[core].skip_cycles(gap);
@@ -869,12 +826,11 @@ snap_fields! {
             l2,
             rng: via(StdRng::state, StdRng::set_state),
             dma: fixed,
-            next_action: fixed,
         },
         skipped: {
             positions: "equal to the kernel clock between run_cycles calls; set by resume_at",
-            soonest_action: "the least next_action; rebuilt by resume_at",
-            retiring: "empty between run_cycles calls (sync_to retires all); cleared by resume_at",
+            next_action: "each core's next_due at the restored clock; derived by resume_at",
+            soonest_action: "the least next_action; derived by resume_at",
             dma_pos: "equal to the kernel clock between run_cycles calls; set by resume_at",
             private_fills: "host-side work counter, not simulated state",
             replay: "trace I/O handle; snapshot() refuses systems holding one",
@@ -1107,8 +1063,9 @@ mod tests {
     /// the same order. Its L2 hits are the eager mode's minus exactly the
     /// ones it completed in place. Web Frontend adds DMA beats; Q6 with an
     /// eight-entry MSHR file has stores and overlappable loads hitting the
-    /// L2 and enough misses in flight that the order in which fills retire
-    /// MSHR entries shows in the core images.
+    /// L2 and enough misses in flight that the core images carry several
+    /// MSHR entries in order, including ones an in-place L2 hit retired
+    /// ahead of its fill cycle.
     #[test]
     fn lazy_run_ahead_matches_eager_ticking() {
         let mut deep = SystemConfig::baseline(Workload::TpchQ6);
@@ -1195,7 +1152,10 @@ mod tests {
         assert!(replayer.is_replaying());
         let replayed_events = run(&mut replayer);
         assert_eq!(recorded_events, replayed_events);
-        assert_eq!(replayer.replay_records_read(), Some(records));
+        assert_eq!(
+            replayer.replay.as_ref().map(TraceStream::records_read),
+            Some(records)
+        );
         assert_eq!(recorder.committed_per_core(), replayer.committed_per_core());
         assert_eq!(replayer.finish_trace().unwrap(), None);
         std::fs::remove_file(&path).ok();

@@ -20,11 +20,13 @@
 //! run-ahead of the core it blocks), sorted by delivery cycle. Fills due
 //! the same cycle pop in insertion order, so delivery — and with it the
 //! whole simulation — is deterministic (`event_queue_ties_pop_fifo` and the
-//! model-based property test hold it to that). A push for a cycle the queue
-//! has already drained past clamps to the last popped cycle, so a late post
-//! fires immediately rather than being lost. Requests moving *down* that
-//! were rejected by a full controller queue wait in per-(channel, kind)
-//! retry buckets owned by the [`backend`](crate::backend).
+//! model-based property test hold it to that). Every push is a fixed
+//! latency ahead of the current cycle — the L2 access latency or the
+//! crossbar latency, both at least one cycle (`L2Config::validate`) — so a
+//! fill is never posted for a cycle the kernel has already executed.
+//! Requests moving *down* that were rejected by a full controller queue
+//! wait in per-(channel, kind) retry buckets owned by the
+//! [`backend`](crate::backend).
 //!
 //! # The next-due contract
 //!
@@ -228,24 +230,19 @@ pub struct FillQueue {
     /// Pending `(cycle, (core, addr))` pairs in pop order: non-decreasing
     /// cycle, insertion order within a cycle.
     events: VecDeque<(u64, (usize, u64))>,
-    /// Cycle of the last popped fill; earlier pushes clamp to it. Only
-    /// advances on pops, so it never outruns the caller's clock.
-    base: u64,
 }
 
 impl FillQueue {
-    /// An empty queue that has drained nothing yet.
+    /// An empty queue.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Schedules delivery of `addr` to `core` at CPU cycle `due_cpu_cycle`,
-    /// behind every fill already due then. Cycles the queue has already
-    /// drained past clamp to the last popped cycle, so a late post fires
-    /// immediately rather than being lost.
-    pub fn push(&mut self, due_cpu_cycle: u64, core: usize, addr: u64) {
-        let due = due_cpu_cycle.max(self.base);
+    /// Schedules delivery of `addr` to `core` at CPU cycle `due`, behind
+    /// every fill already due then. A cycle at or before the caller's clock
+    /// is due at once ([`FillQueue::next_due`]).
+    pub fn push(&mut self, due: u64, core: usize, addr: u64) {
         // A push due after everything pending appends without searching. A
         // memory fill (the crossbar's short delay) lands before any L2 hit
         // still pending (the longer access latency) and is placed by
@@ -268,8 +265,7 @@ impl FillQueue {
     /// Removes and returns the earliest `(core, addr)` if it is due at or
     /// before `now`; same-cycle fills come back in insertion order.
     pub fn pop_due(&mut self, now: u64) -> Option<(usize, u64)> {
-        let &(cycle, _) = self.events.front().filter(|&&(cycle, _)| cycle <= now)?;
-        self.base = cycle;
+        self.events.front().filter(|&&(cycle, _)| cycle <= now)?;
         self.events.pop_front().map(|(_, fill)| fill)
     }
 
@@ -291,16 +287,14 @@ impl FillQueue {
     }
 
     /// Fills are taken in the order stored and never re-sorted: an image
-    /// whose cycles step backwards (or start before the base) is one no
-    /// `save` produces.
+    /// whose cycles step backwards is one no `save` produces.
     fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
-        let mut floor = self.base;
+        let mut floor = 0;
         for &(cycle, _) in &self.events {
             if cycle < floor {
-                return Err(r.bad_value(format!(
-                    "event at cycle {cycle} stored after cycle {floor} (base {})",
-                    self.base
-                )));
+                return Err(
+                    r.bad_value(format!("event at cycle {cycle} stored after cycle {floor}"))
+                );
             }
             floor = cycle;
         }
@@ -317,12 +311,12 @@ snap_fields! {
     }
 }
 
-// Structural image: the clamp base, then every pending fill as
-// `(cycle, (core, addr))` in pop order — which is the storage order.
+// Structural image: every pending fill as `(cycle, (core, addr))` in pop
+// order — which is the storage order.
 snap_fields! {
     FillQueue {
         section: "fill-queue",
-        saved: { base, events },
+        saved: { events },
         skipped: {},
         after_load: Self::check_restored,
     }
@@ -465,14 +459,17 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_clamps_late_pushes_forward() {
+    fn event_queue_late_push_is_due_at_once() {
         let mut q = FillQueue::new();
         q.push(50, 0, 0xA);
+        q.push(60, 2, 0xC);
         assert_eq!(q.pop_due(50), Some((0, 0xA)));
-        // The queue has drained past cycle 10; a late post must still fire.
+        // A post for a cycle the queue has drained past is not lost: it is
+        // due at once, ahead of the later fill.
         q.push(10, 1, 0xB);
-        assert_eq!(q.next_due(), 50);
+        assert_eq!(q.next_due(), 10);
         assert_eq!(q.pop_due(50), Some((1, 0xB)));
+        assert_eq!(q.pop_due(50), None);
     }
 
     /// One step of the model-based test's op stream, at absolute cycles.
@@ -518,22 +515,19 @@ mod tests {
     }
 
     /// The reference the queue is checked against: FIFO buckets in a
-    /// `BTreeMap`, clamping late pushes to the last popped cycle.
+    /// `BTreeMap`.
     #[derive(Default)]
     struct Model {
         buckets: BTreeMap<u64, VecDeque<u64>>,
-        base: u64,
     }
 
     impl Model {
         fn push(&mut self, due: u64, tag: u64) {
-            let due = due.max(self.base);
             self.buckets.entry(due).or_default().push_back(tag);
         }
 
         fn pop_due(&mut self, now: u64) -> Option<u64> {
             let mut bucket = self.buckets.first_entry().filter(|e| *e.key() <= now)?;
-            self.base = *bucket.key();
             let tag = bucket.get_mut().pop_front();
             if bucket.get().is_empty() {
                 bucket.remove();
@@ -581,12 +575,14 @@ mod tests {
             }
             assert_eq!(q.next_due(), model.next_due(), "op {tag}");
             assert_eq!(q.len(), model.len(), "op {tag}");
-            model.base
         };
         let mut now = 0;
         let mut tag = 0;
         for op in ring_edge_script() {
-            now = step(op, tag);
+            step(op, tag);
+            if let Op::Pop(cycle) | Op::Drain(cycle) = op {
+                now = cycle;
+            }
             tag += 1;
         }
         let mut rng = 0x243F_6A88_85A3_08D3u64; // deterministic xorshift
@@ -613,8 +609,8 @@ mod tests {
         }
     }
 
-    /// Ties, a clamped late push, a fill exactly 64 cycles ahead (the old
-    /// ring's span) and a far one: six pending fills behind base 16.
+    /// Ties, a fill exactly 64 cycles ahead (the old ring's span) and a far
+    /// one: six pending fills after a pop at cycle 16.
     fn scripted_fill_queue() -> FillQueue {
         let mut q = FillQueue::new();
         q.push(20, 1, 0xA0);
@@ -623,7 +619,7 @@ mod tests {
         q.push(1016, 4, 0xD0);
         q.push(16, 5, 0xE0);
         assert_eq!(q.pop_due(16), Some((2, 0xB0)));
-        q.push(3, 6, 0xF0);
+        q.push(16, 6, 0xF0);
         q.push(16 + 64, 7, 0x100);
         q
     }
@@ -636,19 +632,19 @@ mod tests {
 
     /// The image format did not change with the queue's storage: these are
     /// the bytes the calendar-ring implementation (commit `ae45039`) wrote
-    /// for the same script — re-sealed at the current format version, which
-    /// has moved on since for other sections — and they restore to the same
-    /// pop sequence.
+    /// for the same script, less the clamp base that format 8 dropped —
+    /// re-sealed at the current format version — and they restore to the
+    /// same pop sequence.
     #[test]
     fn fill_queue_image_matches_bytes_of_the_calendar_ring() {
         const GOLDEN: &str = "\
-            434d43534e415031050000000000000000000000a50a66696c6c2d7175657565\
-            1000000000000000060000000000000010000000000000000500000000000000\
+            434d43534e415031080000000000000000000000a50a66696c6c2d7175657565\
+            060000000000000010000000000000000500000000000000\
             e00000000000000010000000000000000600000000000000f000000000000000\
             14000000000000000100000000000000a0000000000000001400000000000000\
             0300000000000000c00000000000000050000000000000000700000000000000\
             0001000000000000f8030000000000000400000000000000d000000000000000\
-            26088897e7d56c52";
+            ffcdb3d9d3bcec6c";
         let mut golden: Vec<u8> = (0..GOLDEN.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
@@ -664,9 +660,9 @@ mod tests {
         let mut r = SnapReader::new(&golden, 0).unwrap();
         restored.load(&mut r).unwrap();
         r.finish().unwrap();
-        // The late push after a restore clamps to the restored base.
+        // A push after the restore ties behind the restored fills.
         for fills in [&mut q, &mut restored] {
-            fills.push(0, 8, 0x110);
+            fills.push(20, 8, 0x110);
         }
         while let Some(fill) = q.pop_due(u64::MAX) {
             assert_eq!(restored.pop_due(u64::MAX), Some(fill));
@@ -674,11 +670,11 @@ mod tests {
         assert!(restored.is_empty());
     }
 
-    /// A restore never re-sorts: a fill stored behind a later one, or
-    /// before the base, is an image no `save` writes.
+    /// A restore never re-sorts: a fill stored behind a later one is an
+    /// image no `save` writes.
     #[test]
     fn event_queue_load_rejects_out_of_order_events() {
-        let load = |base: u64, cycles: &[u64]| {
+        let load = |cycles: &[u64]| {
             let events: VecDeque<(u64, (usize, u64))> = cycles
                 .iter()
                 .enumerate()
@@ -686,16 +682,15 @@ mod tests {
                 .collect();
             let image = sealed_image(|w| {
                 w.section("fill-queue");
-                base.save(w);
                 events.save(w);
             });
             let mut r = SnapReader::new(&image, 0).unwrap();
             load_new::<FillQueue>(&mut r)
         };
-        let mut q = load(5, &[5, 5, 9]).unwrap();
+        let mut q = load(&[5, 5, 9]).unwrap();
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop_due(5), Some((0, 0)));
-        assert!(matches!(load(5, &[7, 6]), Err(SnapError::BadValue { .. })));
-        assert!(matches!(load(5, &[4]), Err(SnapError::BadValue { .. })));
+        assert!(matches!(load(&[7, 6]), Err(SnapError::BadValue { .. })));
+        assert!(matches!(load(&[5, 9, 8]), Err(SnapError::BadValue { .. })));
     }
 }

@@ -212,12 +212,6 @@ impl SimStats {
         }
     }
 
-    /// Per-tenant aggregate IPC values.
-    #[must_use]
-    pub fn tenant_ipcs(&self) -> Vec<f64> {
-        (0..self.tenants).map(|t| self.tenant_ipc(t)).collect()
-    }
-
     /// This run's user IPC normalized to a baseline run.
     #[must_use]
     pub fn normalized_ipc(&self, baseline: &Self) -> f64 {
@@ -226,26 +220,6 @@ impl SimStats {
             0.0
         } else {
             self.user_ipc() / b
-        }
-    }
-
-    /// This run's average read latency normalized to a baseline run.
-    #[must_use]
-    pub fn normalized_latency(&self, baseline: &Self) -> f64 {
-        if baseline.avg_read_latency_dram == 0.0 {
-            0.0
-        } else {
-            self.avg_read_latency_dram / baseline.avg_read_latency_dram
-        }
-    }
-
-    /// This run's row-buffer hit rate normalized to a baseline run.
-    #[must_use]
-    pub fn normalized_hit_rate(&self, baseline: &Self) -> f64 {
-        if baseline.row_buffer_hit_rate == 0.0 {
-            0.0
-        } else {
-            self.row_buffer_hit_rate / baseline.row_buffer_hit_rate
         }
     }
 }
@@ -566,8 +540,8 @@ mod tests {
         let other = stats(2000, 1000);
         assert!((base.user_ipc() - 4.0).abs() < 1e-9);
         assert!((other.normalized_ipc(&base) - 0.5).abs() < 1e-9);
-        assert!((other.normalized_latency(&base) - 1.0).abs() < 1e-9);
-        assert!((other.normalized_hit_rate(&base) - 1.0).abs() < 1e-9);
+        assert_eq!(other.avg_read_latency_dram, base.avg_read_latency_dram);
+        assert_eq!(other.row_buffer_hit_rate, base.row_buffer_hit_rate);
     }
 
     #[test]
@@ -725,7 +699,7 @@ mod tests {
         assert!((s.tenant_ipc(0) - 2.0).abs() < 1e-9);
         assert!((s.tenant_ipc(1) - 2.0).abs() < 1e-9);
         assert_eq!(s.tenant_ipc(7), 0.0);
-        let sum: f64 = s.tenant_ipcs().iter().sum();
+        let sum: f64 = (0..s.tenants).map(|t| s.tenant_ipc(t)).sum();
         assert!((sum - s.user_ipc()).abs() < 1e-9);
     }
 }

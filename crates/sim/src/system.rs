@@ -1,13 +1,14 @@
 //! The full-system simulator: the [`kernel`](crate::kernel) composing a
 //! CPU-side [`Frontend`] with a memory-side [`Backend`].
 //!
-//! [`System`] owns the cross-domain state — request-id allocation, the
-//! [`FillQueue`] of data on its way back to cores, and the hash-indexed map
-//! of outstanding off-chip reads — and advances the two clock domains through
-//! [`ClockCrossing`]. All component behaviour lives in the frontend (cores,
-//! caches, workload streams, DMA) and the backend (memory controller, DRAM).
+//! [`System`] owns the cross-domain state — request-id allocation and the
+//! [`FillQueue`] of data on its way back to cores — and advances the two
+//! clock domains through [`ClockCrossing`]. All component behaviour lives in
+//! the frontend (cores, caches, workload streams, DMA) and the backend
+//! (memory controller, DRAM). A completed demand read carries its core and
+//! block address in its [`MemoryRequest`], so no side table of outstanding
+//! reads exists: the completion alone posts the fill.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use cloudmc_memctrl::{
@@ -26,13 +27,6 @@ use crate::frontend::{Frontend, FrontendEvent};
 use crate::kernel::{ClockCrossing, FillQueue, Tick};
 use crate::snapshot::{config_fingerprint, Snapshot};
 use crate::stats::SimStats;
-
-/// A read that left the chip and has not returned yet.
-#[derive(Debug, Clone, Copy, Default)]
-struct OutstandingRead {
-    core: usize,
-    addr: u64,
-}
 
 /// Baseline of all monotonically increasing counters, used to compute
 /// measurement-window deltas after warm-up. (Distinct from the public
@@ -110,9 +104,6 @@ pub struct System {
     clock: ClockCrossing,
     fills: FillQueue,
     next_request_id: RequestId,
-    /// Outstanding off-chip reads, indexed by request id: completion is an
-    /// O(1) hash removal instead of the seed's O(outstanding) `Vec` scan.
-    outstanding_reads: HashMap<RequestId, OutstandingRead>,
     mem_reads_sent: u64,
     mem_writes_sent: u64,
     /// Off-chip requests (reads plus writes) sent per tenant, for per-tenant
@@ -161,7 +152,6 @@ impl System {
             clock: ClockCrossing::new(),
             fills: FillQueue::new(),
             next_request_id: 0,
-            outstanding_reads: HashMap::new(),
             mem_reads_sent: 0,
             mem_writes_sent: 0,
             mem_sent_per_tenant: [0; MAX_TENANTS],
@@ -314,8 +304,6 @@ impl System {
                 let id = self.alloc_request_id();
                 self.mem_reads_sent += 1;
                 self.mem_sent_per_tenant[tenant.min(MAX_TENANTS - 1)] += 1;
-                self.outstanding_reads
-                    .insert(id, OutstandingRead { core, addr });
                 self.backend.submit(
                     MemoryRequest::new(id, AccessKind::Read, addr, core, now_dram)
                         .with_tenant(tenant),
@@ -351,6 +339,17 @@ impl System {
         }
     }
 
+    /// Sends the data of a completed demand read back through the crossbar to
+    /// the core waiting on it. Writes and DMA reads wake no core, and patrol
+    /// scrub reads never leave the controller.
+    fn post_fill(&mut self, done: &CompletedRequest, now_cpu: u64) {
+        let request = &done.request;
+        if request.kind.is_read() && !request.dma {
+            let due = now_cpu + self.cfg.l2.crossbar_latency;
+            self.fills.push(due, request.core, request.addr);
+        }
+    }
+
     /// Advances the whole system by one CPU cycle: the body of the per-cycle
     /// reference loop. Private because it drives the eager frontend and the
     /// every-channel backend tick, which do not maintain the event kernel's
@@ -382,13 +381,7 @@ impl System {
             completions.clear();
             self.backend.tick(now_dram, &mut completions);
             for done in completions.drain(..) {
-                if done.request.kind.is_read() {
-                    if let Some(read) = self.outstanding_reads.remove(&done.request.id) {
-                        // Data returns through the crossbar to the waiting core.
-                        let due = now_cpu + self.cfg.l2.crossbar_latency;
-                        self.fills.push(due, read.core, read.addr);
-                    }
-                }
+                self.post_fill(&done, now_cpu);
                 self.note_span_completion(&done);
             }
             self.completions = completions;
@@ -438,12 +431,7 @@ impl System {
             completions.clear();
             ticked += self.backend.tick_event(now_dram, &mut completions);
             for done in completions.drain(..) {
-                if done.request.kind.is_read() {
-                    if let Some(read) = self.outstanding_reads.remove(&done.request.id) {
-                        let due = now_cpu + self.cfg.l2.crossbar_latency;
-                        self.fills.push(due, read.core, read.addr);
-                    }
-                }
+                self.post_fill(&done, now_cpu);
                 self.note_span_completion(&done);
             }
             self.completions = completions;
@@ -630,25 +618,13 @@ impl System {
         r.finish()
     }
 
-    /// Aligns the frontend's lazy cursors to the restored clock and
-    /// cross-checks the kernel state: every outstanding read was issued (its
-    /// id is below the next one) and every read or fill on its way back
-    /// names a core that exists.
+    /// Aligns the frontend's lazy cursors to the restored clock and checks
+    /// that every fill on its way back names a core that exists (a read
+    /// still in the backend was checked against the core count there).
     fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
-        self.frontend.resume_at(self.clock.cpu_cycle(), r)?;
+        self.frontend.resume_at(self.clock.cpu_cycle());
         let cores = self.frontend.core_count();
-        let reads = cloudmc_snap::det::sorted_entries(&self.outstanding_reads);
-        if let Some((id, _)) = reads.iter().find(|(id, _)| *id >= self.next_request_id) {
-            return Err(r.bad_value(format!(
-                "outstanding read id {id} not below next request id {}",
-                self.next_request_id
-            )));
-        }
-        let mut returning = reads
-            .iter()
-            .map(|(_, read)| read.core)
-            .chain(self.fills.pending().map(|&(core, _)| core));
-        if let Some(core) = returning.find(|&core| core >= cores) {
+        if let Some(&(core, _)) = self.fills.pending().find(|&&(core, _)| core >= cores) {
             return Err(r.bad_value(format!("data on its way back to core {core} of {cores}")));
         }
         Ok(())
@@ -1118,20 +1094,12 @@ pub fn run_system(cfg: SystemConfig) -> Result<SimStats, SimError> {
 }
 
 snap_fields! {
-    OutstandingRead {
-        saved: { core, addr },
-        skipped: {},
-    }
-}
-
-snap_fields! {
     System {
         section: "system",
         saved: {
             clock,
             fills,
             next_request_id,
-            outstanding_reads,
             mem_reads_sent,
             mem_writes_sent,
             mem_sent_per_tenant,
@@ -1204,6 +1172,40 @@ mod tests {
         let stats = run_system(small(Workload::WebFrontend)).unwrap();
         assert_eq!(stats.cores, 8);
         assert_eq!(stats.instructions_per_core.len(), 8);
+    }
+
+    /// A completion posts a fill exactly when it is a demand read: a Web
+    /// Frontend system, its DMA engine and its cores both reading memory
+    /// hard, is stopped mid-run and its backend drained completion by
+    /// completion through the kernel's rule.
+    #[test]
+    fn only_demand_reads_post_fills() {
+        let mut cfg = small(Workload::WebFrontend);
+        cfg.workload.dma_per_kcycle = 200.0;
+        cfg.workload.data_mpki = 40.0;
+        let mut system = System::new(cfg).unwrap();
+        system.run_cycles(20_000);
+        let (mut demand, mut dma, mut posted) = (0, 0, 0);
+        let mut done = Vec::new();
+        let mut now = system.clock.dram_cycle();
+        while system.requests_in_flight() > 0 {
+            assert!(now < 1_000_000, "backend never drained");
+            done.clear();
+            system.backend.tick(now, &mut done);
+            for completed in &done {
+                let pending = system.fills.len();
+                system.post_fill(completed, system.clock.cpu_cycle());
+                posted += system.fills.len() - pending;
+                match (completed.request.kind.is_read(), completed.request.dma) {
+                    (true, false) => demand += 1,
+                    (true, true) => dma += 1,
+                    _ => {}
+                }
+            }
+            now += 1;
+        }
+        assert!(demand > 0 && dma > 0, "{demand} demand and {dma} DMA reads");
+        assert_eq!(posted, demand, "fills posted");
     }
 
     #[test]

@@ -55,7 +55,6 @@
 #![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 mod counter;
-pub mod det;
 mod snap;
 
 pub use counter::Counter;
@@ -84,7 +83,13 @@ pub const MAGIC: [u8; 8] = *b"CMCSNAP1";
 ///
 /// Version 7: the trailer is [`checksum`] (four word-parallel lanes) instead
 /// of the byte-serial FNV-1a; the body bytes are unchanged.
-pub const FORMAT_VERSION: u32 = 7;
+///
+/// Version 8: state held twice leaves the image. The system section drops
+/// its map of outstanding reads (each completion carries its core and
+/// block), the frontend section its per-core next-action cycles (derived
+/// from the restored cores) and the fill queue its clamp base; MSHR entries
+/// are stored in allocation order.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Byte tag that introduces a section marker in the body stream.
 const SECTION_TAG: u8 = 0xA5;

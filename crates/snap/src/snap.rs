@@ -4,8 +4,8 @@
 //!
 //! Two container behaviours exist, chosen by type:
 //!
-//! - *Dynamic* containers (`Vec`, `VecDeque`, `Option`, the maps and sets)
-//!   are rebuilt from the image: the length prefix is bounded by
+//! - *Dynamic* containers (`Vec`, `VecDeque`, `Option`, `BTreeMap`,
+//!   `BTreeSet`) are rebuilt from the image: the length prefix is bounded by
 //!   [`SnapReader::bounded_len`] against `T::MIN_BYTES` before anything is
 //!   allocated, and every element starts from `T::default()`.
 //! - *Fixed-shape* sequences (`[T]`, `[T; N]`) are loaded in place: their
@@ -16,10 +16,9 @@
 //!
 //! [`snap_fields!`]: crate::snap_fields
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasher, Hash};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::{det, SnapError, SnapReader, SnapWriter};
+use crate::{SnapError, SnapReader, SnapWriter};
 
 /// A value that can be written into and restored from a snapshot body.
 ///
@@ -289,53 +288,6 @@ impl<K: Snap + Default + Ord, V: Snap + Default> Snap for BTreeMap<K, V> {
                 return Err(r.bad_value("map keys not strictly ascending"));
             }
             self.insert(key, value);
-            Ok(())
-        })
-    }
-}
-
-/// Hash containers are written sorted by key through [`det`], so identical
-/// states produce identical bytes; a load rejects duplicate keys.
-impl<T, S> Snap for HashSet<T, S>
-where
-    T: Snap + Default + Ord + Clone + Hash,
-    S: BuildHasher,
-{
-    const MIN_BYTES: usize = 8;
-
-    fn save(&self, w: &mut SnapWriter) {
-        save_seq(w, det::sorted_items(self).iter());
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.clear();
-        load_seq(r, |item: T, r| {
-            if !self.insert(item) {
-                return Err(r.bad_value("duplicate set key"));
-            }
-            Ok(())
-        })
-    }
-}
-
-impl<K, V, S> Snap for HashMap<K, V, S>
-where
-    K: Snap + Default + Ord + Clone + Hash,
-    V: Snap + Default + Clone,
-    S: BuildHasher,
-{
-    const MIN_BYTES: usize = 8;
-
-    fn save(&self, w: &mut SnapWriter) {
-        save_seq(w, det::sorted_entries(self).iter());
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.clear();
-        load_seq(r, |(key, value): (K, V), r| {
-            if self.insert(key, value).is_some() {
-                return Err(r.bad_value("duplicate map key"));
-            }
             Ok(())
         })
     }
@@ -691,33 +643,6 @@ mod tests {
         });
         assert!(matches!(
             load_err(&descending, &mut BTreeMap::<u64, u32>::new()),
-            SnapError::BadValue { .. }
-        ));
-    }
-
-    #[test]
-    fn hash_containers_save_sorted_and_reject_duplicates() {
-        let set: HashSet<u64> = [9, 1, 5].into_iter().collect();
-        let map: HashMap<u64, (usize, u64)> = [(9, (0, 90)), (1, (1, 10))].into_iter().collect();
-        round_trips(set.clone());
-        round_trips(map.clone());
-        // Byte-identical to the sorted sequence, whatever the hash order.
-        assert_eq!(
-            image_of(|w| set.save(w)),
-            image_of(|w| vec![1u64, 5, 9].save(w))
-        );
-        assert_eq!(
-            image_of(|w| map.save(w)),
-            image_of(|w| vec![(1u64, (1usize, 10u64)), (9, (0, 90))].save(w))
-        );
-        let duplicate = image_of(|w| vec![3u64, 3].save(w));
-        assert!(matches!(
-            load_err(&duplicate, &mut HashSet::<u64>::new()),
-            SnapError::BadValue { .. }
-        ));
-        let duplicate = image_of(|w| vec![(3u64, 0u8), (3, 1)].save(w));
-        assert!(matches!(
-            load_err(&duplicate, &mut HashMap::<u64, u8>::new()),
             SnapError::BadValue { .. }
         ));
     }

@@ -137,12 +137,12 @@ impl Corpus {
         }
     }
 
-    /// `bytes` with one bit flipped and the trailing checksum recomputed, so
-    /// only the per-field validation can object.
-    fn consistent_flip(&self, image: &[u8], pos: usize, bit: u8) {
+    /// `bytes` with the bits of `mask` flipped at `pos` and the trailing
+    /// checksum recomputed, so only the per-field validation can object.
+    fn consistent_flip(&self, image: &[u8], pos: usize, mask: u8) {
         let body_end = image.len() - 8;
         let mut bytes = image.to_vec();
-        bytes[pos] ^= 1 << bit;
+        bytes[pos] ^= mask;
         let sum = checksum(&bytes[..body_end]);
         bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
         // Flips inside the envelope change magic/version/fingerprint and
@@ -150,7 +150,7 @@ impl Corpus {
         // — either way, no panic, at restore or when stepped.
         self.restore_outcome(
             bytes,
-            &format!("consistent flip, bit {bit} of byte {pos}"),
+            &format!("consistent flip, mask {mask:#04x} at byte {pos}"),
             pos < 20,
         );
     }
@@ -215,7 +215,7 @@ fn checksum_consistent_flips_never_panic() {
     positions.dedup();
     for pos in positions {
         for bit in [0u8, 5] {
-            BASELINE.consistent_flip(image, pos, bit);
+            BASELINE.consistent_flip(image, pos, 1 << bit);
         }
     }
 }
@@ -230,11 +230,7 @@ fn checksum_consistent_flips_never_panic() {
 fn full_feature_backend_flips_never_panic() {
     let image = FULL_FEATURE.valid_image();
     let body_end = image.len() - 8;
-    let marker = [&[0xA5, 7][..], b"backend"].concat();
-    let backend = image
-        .windows(marker.len())
-        .position(|w| w == marker)
-        .expect("image has a backend section");
+    let backend = backend_marker(image);
     // A coarse pass over the frontend half, a fine one over the backend tail.
     let mut positions: Vec<(usize, u8)> = (20..backend)
         .step_by((backend / 23).max(1))
@@ -250,7 +246,33 @@ fn full_feature_backend_flips_never_panic() {
             .map(|(i, pos)| (pos, [0u8, 3, 5, 7][i % 4])),
     );
     for (pos, bit) in positions {
-        FULL_FEATURE.consistent_flip(image, pos, bit);
+        FULL_FEATURE.consistent_flip(image, pos, 1 << bit);
+    }
+}
+
+/// Offset of the `backend` section marker in `image`.
+fn backend_marker(image: &[u8]) -> usize {
+    let marker = [&[0xA5, 7][..], b"backend"].concat();
+    image
+        .windows(marker.len())
+        .position(|w| w == marker)
+        .expect("image has a backend section")
+}
+
+/// The top byte of each of the 16 little-endian words that end the
+/// frontend section, flipped on both images. In format 7 these words were
+/// the 16 cores' saved next-action cycles: a running core's cycle pushed
+/// far into the future restored cleanly and then panicked on the core's
+/// next fill. The cycle is now derived from the restored core, so whatever
+/// the words hold must fail typed or run.
+#[test]
+fn frontend_tail_word_flips_never_panic() {
+    for corpus in [&BASELINE, &FULL_FEATURE] {
+        let image = corpus.valid_image();
+        let backend = backend_marker(image);
+        for word in 1..=16 {
+            corpus.consistent_flip(image, backend - 8 * word + 7, 0xFF);
+        }
     }
 }
 
