@@ -6,10 +6,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cloudmc_dram::{
     ChannelStats, Command, DramChannel, DramConfig, DramCycles, FaultConfig, FaultLedger,
-    FaultModel, Location, LogEvent, PowerDownMode, ReadFault, UncorrectablePolicy,
+    FaultModel, IssueOutcome, Location, LogEvent, PowerDownMode, ReadFault, UncorrectablePolicy,
 };
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
+use crate::bank_table::BankTable;
 use crate::mapping::{AddressMapping, DecodedAddress};
 use crate::page::{PagePolicy, PagePolicyKind, PolicyView};
 use crate::power::{PowerAction, PowerPolicy, PowerPolicyKind};
@@ -18,7 +19,7 @@ use crate::queue::RequestQueue;
 use crate::request::{
     AccessKind, CompletedRequest, MemoryRequest, RequestId, RowBufferOutcome, MAX_TENANTS,
 };
-use crate::sched::{SchedContext, SchedDecision, Scheduler, SchedulerKind};
+use crate::sched::{PickWork, SchedContext, SchedDecision, Scheduler, SchedulerKind};
 use crate::stats::McStats;
 
 /// Id bit marking controller-generated patrol-scrub reads. Demand request
@@ -328,6 +329,11 @@ struct ChannelController {
     /// Reliability subsystem; `None` keeps the controller bit-identical to a
     /// build without it (no extra work on any hot path).
     fault: Option<Box<FaultState>>,
+    /// Per-bank demand of both queues against the open rows, kept by
+    /// [`Self::enqueue`], [`Self::execute`] and [`Self::issue`].
+    banks: BankTable,
+    /// What this channel's picks read and checked, summed over its ticks.
+    work: PickWork,
     /// This channel's cached next-due cycle (the contract is stated in
     /// `cloudmc-sim`'s `kernel` module): [`Self::tick_due`] stores the one
     /// each [`Self::tick`] reports and [`Self::enqueue`] pulls it back
@@ -363,6 +369,8 @@ impl ChannelController {
                 .fault_model
                 .map(|fc| Box::new(FaultState::new(fc, index, &cfg.dram))),
             next_due: 0,
+            banks: BankTable::new(cfg.dram.banks_per_rank),
+            work: PickWork::default(),
         }
     }
 
@@ -378,7 +386,8 @@ impl ChannelController {
     /// the device model asserts on a location outside the geometry, and the
     /// per-core scheduler and statistics tables are indexed by the core.
     /// The live-scrub counter must equal the scrub reads actually queued or
-    /// in flight, or the demand-pending accounting underflows.
+    /// in flight, or the demand-pending accounting underflows. Then
+    /// rebuilds the bank table from the restored queues and rows.
     fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
         let queued = self
             .read_q
@@ -412,6 +421,7 @@ impl ChannelController {
                 "{scrub_live} live scrub reads recorded, {scrubs} queued or in flight"
             )));
         }
+        self.banks = BankTable::scan(&self.channel, &self.read_q, &self.write_q);
         Ok(())
     }
 
@@ -464,6 +474,7 @@ impl ChannelController {
             AccessKind::Write => &mut self.write_q,
         };
         queue.push(request, location, now)?;
+        self.banks.push(request.kind, &location);
         // New work: the channel may have something to do this very cycle.
         self.next_due = self.next_due.min(now);
         // Demand arrival wakes a powered-down rank immediately: the exit
@@ -553,7 +564,7 @@ impl ChannelController {
         }
         let accesses = self.channel.accesses_since_activate(rank, bank);
         self.note_row_closed(rank, bank, accesses);
-        self.channel.issue(&pre, now);
+        self.issue(&pre, now);
         true
     }
 
@@ -604,7 +615,7 @@ impl ChannelController {
         }
         let refresh = Command::refresh(rank);
         if self.channel.can_issue(&refresh, now) {
-            self.channel.issue(&refresh, now);
+            self.issue(&refresh, now);
             return true;
         }
         // Postpone lightly-loaded refreshes; force bank closure once the
@@ -619,6 +630,14 @@ impl ChannelController {
         false
     }
 
+    /// Issues `cmd` on the channel and accounts it in the bank table: every
+    /// command the controller issues goes through here.
+    fn issue(&mut self, cmd: &Command, now: DramCycles) -> IssueOutcome {
+        let outcome = self.channel.issue(cmd, now);
+        self.banks.apply(cmd, &self.read_q, &self.write_q);
+        outcome
+    }
+
     /// Executes a scheduler decision.
     fn execute(&mut self, decision: SchedDecision, now: DramCycles) {
         let loc = decision.command.loc;
@@ -626,16 +645,10 @@ impl ChannelController {
         match decision.request_id {
             Some(id) => {
                 // Column access completing a request: apply the page policy's
-                // auto-precharge decision, then issue.
-                let auto_precharge = {
-                    let view = PolicyView {
-                        now,
-                        channel: &self.channel,
-                        read_q: &self.read_q,
-                        write_q: &self.write_q,
-                    };
-                    self.policy.auto_precharge(&view, &loc)
-                };
+                // auto-precharge decision, then issue. The served entry is
+                // still queued here, so it counts as a pending hit of its
+                // own row.
+                let auto_precharge = self.policy.auto_precharge(&self.view(now), &loc);
                 #[expect(
                     clippy::expect_used,
                     reason = "scheduler only returns ids it was shown from the queues"
@@ -645,6 +658,7 @@ impl ChannelController {
                     .remove(id)
                     .or_else(|| self.write_q.remove(id))
                     .expect("scheduled request must be queued");
+                self.banks.remove(entry.request.kind, &entry.location);
                 // Every data transfer is charged to its tenant, whether the
                 // scheduler or the QoS arbiter picked it — the partition
                 // accounting must see the whole delivered bandwidth.
@@ -656,7 +670,7 @@ impl ChannelController {
                 debug_assert!(self.channel.can_issue(&command, now));
                 let accesses_before = self.channel.accesses_since_activate(loc.rank, loc.bank);
                 let outcome = self.classify_access(&loc, accesses_before);
-                let issue = self.channel.issue(&command, now);
+                let issue = self.issue(&command, now);
                 self.policy
                     .on_column_access(loc.rank, loc.bank, loc.row, now);
                 if auto_precharge {
@@ -682,7 +696,7 @@ impl ChannelController {
                 let flat = self.flat_bank(&loc);
                 match decision.command.kind {
                     cloudmc_dram::CommandKind::Activate => {
-                        self.channel.issue(&decision.command, now);
+                        self.issue(&decision.command, now);
                         self.policy.on_activate(loc.rank, loc.bank, loc.row, now);
                         self.activated_after_conflict[flat] = self.conflict_pending[flat];
                         self.conflict_pending[flat] = false;
@@ -693,10 +707,10 @@ impl ChannelController {
                         // A scheduler-issued precharge is conflict-induced:
                         // some pending request needs a different row.
                         self.conflict_pending[flat] = true;
-                        self.channel.issue(&decision.command, now);
+                        self.issue(&decision.command, now);
                     }
                     _ => {
-                        self.channel.issue(&decision.command, now);
+                        self.issue(&decision.command, now);
                     }
                 }
             }
@@ -710,7 +724,22 @@ impl ChannelController {
     /// Returns the channel's next due cycle: `now + 1` after a cycle that
     /// issued a command or applied a power action, otherwise
     /// [`Self::idle_next_due`] over what this tick already evaluated.
+    ///
+    /// Debug builds check the bank table against a fresh
+    /// [`BankTable::scan`] after every tick.
     fn tick(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> DramCycles {
+        let next = self.step(now, finished);
+        debug_assert_eq!(
+            self.banks,
+            BankTable::scan(&self.channel, &self.read_q, &self.write_q),
+            "channel {} bank table diverged from its queues at cycle {now}",
+            self.index
+        );
+        next
+    }
+
+    /// The body of [`Self::tick`].
+    fn step(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> DramCycles {
         // 0. Reliability pre-work (no-op unless a fault model is configured):
         // release demand retries whose backoff elapsed and emit patrol-scrub
         // reads into the ordinary queues.
@@ -748,6 +777,7 @@ impl ChannelController {
             &self.channel,
             &self.read_q,
             &self.write_q,
+            &self.banks,
             self.write_mode,
             self.num_cores,
         ));
@@ -771,11 +801,13 @@ impl ChannelController {
             &self.channel,
             &self.read_q,
             &self.write_q,
+            &self.banks,
             self.write_mode,
             self.num_cores,
         );
         let decision = self.qos.pick(&ctx).or_else(|| self.scheduler.pick(&ctx));
         let wait = ctx.wait.get();
+        self.work += ctx.work.get();
         if let Some(decision) = decision {
             self.execute(decision, now);
             return now + 1;
@@ -1066,8 +1098,7 @@ impl ChannelController {
         PolicyView {
             now,
             channel: &self.channel,
-            read_q: &self.read_q,
-            write_q: &self.write_q,
+            banks: &self.banks,
         }
     }
 
@@ -1309,6 +1340,19 @@ impl MemoryController {
         }
     }
 
+    /// What the scheduler picks (and the QoS arbiter) of every channel read
+    /// and checked since this controller was built or restored: a
+    /// deterministic host-side work count, in no snapshot and in no
+    /// statistics.
+    #[must_use]
+    pub fn pick_work(&self) -> PickWork {
+        let mut total = PickWork::default();
+        for channel in &self.channels {
+            total += channel.work;
+        }
+        total
+    }
+
     /// Aggregated controller statistics across channels.
     #[must_use]
     pub fn stats(&self) -> McStats {
@@ -1465,6 +1509,8 @@ snap_fields! {
         },
         skipped: {
             index: "config-derived",
+            banks: "derived from the queues and open rows; rebuilt by check_restored",
+            work: "host-side work count, not simulated state",
             write_drain_high: "config-derived",
             write_drain_low: "config-derived",
             num_cores: "config-derived",

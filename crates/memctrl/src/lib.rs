@@ -50,6 +50,7 @@
 )]
 #![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
+pub mod bank_table;
 pub mod controller;
 pub mod mapping;
 pub mod page;
@@ -60,18 +61,19 @@ pub mod request;
 pub mod sched;
 pub mod stats;
 
+pub use bank_table::BankTable;
 pub use cloudmc_dram::{FaultConfig, FaultLedger, FaultModel, ReadFault, UncorrectablePolicy};
 pub use controller::{is_scrub_id, McConfig, MemoryController, SCRUB_ID_BIT};
 pub use mapping::{AddressMapping, DecodedAddress};
 pub use page::{BankDemand, HistoryPredictor, PagePolicy, PagePolicyKind, PolicyView, TimerPolicy};
 pub use power::{PowerAction, PowerPolicy, PowerPolicyKind, PowerTimeouts, TimeoutPowerDown};
 pub use qos::{QosArbiter, QosConfig, QosPolicyKind};
-pub use queue::{bank_row_key, key_bank, key_rank, QueueEntry, RequestQueue};
+pub use queue::{bank_row_key, key_bank, key_rank, key_row, QueueEntry, RequestQueue};
 pub use request::{
     AccessKind, CompletedRequest, MemoryRequest, RequestId, RowBufferOutcome, TenantId, MAX_TENANTS,
 };
 pub use sched::{
-    Atlas, AtlasConfig, ParBs, ParBsConfig, RlConfig, RlScheduler, SchedContext, SchedDecision,
-    Scheduler, SchedulerKind,
+    Atlas, AtlasConfig, ParBs, ParBsConfig, PickWork, RlConfig, RlScheduler, SchedContext,
+    SchedDecision, Scheduler, SchedulerKind,
 };
 pub use stats::{McStats, ACTIVATION_REUSE_BUCKETS};

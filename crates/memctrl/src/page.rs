@@ -15,10 +15,11 @@
 //! ([`PagePolicy::Abpp`]) and a per-bank idle-timer policy
 //! ([`PagePolicy::Timer`], an extension).
 
-use cloudmc_dram::{DramChannel, DramConfig, DramCycles, Location};
+use cloudmc_dram::{DramChannel, DramCycles, Location};
 use cloudmc_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
-use crate::queue::{bank_row_key, key_bank, key_rank, RequestQueue};
+use crate::bank_table::BankTable;
+use crate::queue::key_row;
 
 /// Read-only view of controller state handed to page policies.
 #[derive(Debug)]
@@ -27,81 +28,61 @@ pub struct PolicyView<'a> {
     pub now: DramCycles,
     /// The channel's device state (bank open rows, timing readiness).
     pub channel: &'a DramChannel,
-    /// Pending read requests of this channel.
-    pub read_q: &'a RequestQueue,
-    /// Pending write requests of this channel.
-    pub write_q: &'a RequestQueue,
+    /// The channel's per-bank demand: what its read and write queues want
+    /// of each bank.
+    pub banks: &'a BankTable,
 }
 
 impl PolicyView<'_> {
-    /// Whether any pending request (read or write) hits `row` in (`rank`, `bank`).
-    #[must_use]
-    pub fn pending_hit(&self, rank: usize, bank: usize, row: u64) -> bool {
-        self.read_q.any_hit(rank, bank, row) || self.write_q.any_hit(rank, bank, row)
+    /// The bit of (`rank`, `bank`) in the table's masks.
+    fn bit(&self, rank: usize, bank: usize) -> u64 {
+        1 << (rank * self.banks.banks_per_rank() + bank)
     }
 
-    /// Whether any pending request targets (`rank`, `bank`) but another row.
+    /// Whether any pending request (read or write) targets the row open in
+    /// (`rank`, `bank`); `false` while the bank is closed.
     #[must_use]
-    pub fn pending_other_row(&self, rank: usize, bank: usize, row: u64) -> bool {
-        self.read_q.any_other_row(rank, bank, row) || self.write_q.any_other_row(rank, bank, row)
+    pub fn pending_hit(&self, rank: usize, bank: usize) -> bool {
+        self.banks.hits_any() & self.bit(rank, bank) != 0
+    }
+
+    /// Whether any pending request targets another row than the one open in
+    /// (`rank`, `bank`); `false` while the bank is closed.
+    #[must_use]
+    pub fn pending_other_row(&self, rank: usize, bank: usize) -> bool {
+        self.banks.conflicts_any() & self.bit(rank, bank) != 0
     }
 
     /// Whether any pending request (read or write) targets rank `rank`.
     #[must_use]
     pub fn pending_for_rank(&self, rank: usize) -> bool {
-        self.read_q.any_for_rank(rank) || self.write_q.any_for_rank(rank)
+        self.banks.pending_any() & self.banks.rank_mask(rank) != 0
     }
 
-    /// Iterates over all open banks as (rank, bank, open row) triples.
+    /// Iterates over all open banks as (rank, bank, open row) triples, in
+    /// rank-major order.
     pub fn open_banks(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        let ranks = self.channel.rank_count();
-        let banks = self.channel.banks_per_rank();
-        (0..ranks).flat_map(move |r| {
-            (0..banks).filter_map(move |b| self.channel.open_row(r, b).map(|row| (r, b, row)))
+        let d = self.bank_demand();
+        d.banks(d.open).map(move |(r, b)| {
+            let flat = r * d.banks_per_rank + b;
+            (r, b, key_row(self.banks.open_key(flat)))
         })
     }
 
-    /// Computes the per-bank demand summary in one pass over the flat key
-    /// columns of both queues. Every validated geometry fits the bitmasks:
-    /// `DramConfig::MAX_BANKS_PER_CHANNEL` is their width.
-    ///
-    /// This replaces the `O(open banks x queue)` predicate evaluation of the
-    /// adaptive policies' precharge proposals with `O(banks + queue)` work
-    /// over dense `u64` lanes — the single hottest loop of a no-issue
-    /// controller tick.
+    /// The per-bank demand summary: three masks of the table.
     #[must_use]
     pub fn bank_demand(&self) -> BankDemand {
-        let banks = self.channel.banks_per_rank();
-        let mut demand = BankDemand {
-            banks_per_rank: banks,
-            ..BankDemand::default()
-        };
-        let mut open_key = [0u64; DramConfig::MAX_BANKS_PER_CHANNEL];
-        for (r, b, row) in self.open_banks() {
-            let flat = r * banks + b;
-            demand.open |= 1 << flat;
-            open_key[flat] = bank_row_key(r, b, row);
+        BankDemand {
+            open: self.banks.open(),
+            hit: self.banks.hits_any(),
+            other: self.banks.conflicts_any(),
+            banks_per_rank: self.banks.banks_per_rank(),
         }
-        for queue in [self.read_q, self.write_q] {
-            for &key in queue.keys() {
-                let flat = key_rank(key) * banks + key_bank(key);
-                let bit = 1u64 << flat;
-                if demand.open & bit != 0 {
-                    if key == open_key[flat] {
-                        demand.hit |= bit;
-                    } else {
-                        demand.other |= bit;
-                    }
-                }
-            }
-        }
-        demand
     }
 }
 
 /// Per-bank demand bitmasks (bit index = `rank * banks_per_rank + bank`),
-/// computed by [`PolicyView::bank_demand`] in a single pass over both
-/// queues' packed key columns.
+/// read from the channel's [`BankTable`] by [`PolicyView::bank_demand`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BankDemand {
     /// Banks with an open row.
@@ -174,24 +155,24 @@ pub enum PagePolicy {
 }
 
 impl PagePolicy {
-    /// Whether the column access about to issue at `loc` should use the
-    /// auto-precharge command variant (closing the row right after the access).
+    /// Whether the column access about to issue at `loc` (a row open in
+    /// its bank) should use the auto-precharge command variant (closing the
+    /// row right after the access).
     #[inline]
     #[must_use]
     pub fn auto_precharge(&self, view: &PolicyView<'_>, loc: &Location) -> bool {
+        debug_assert_eq!(view.channel.open_row(loc.rank, loc.bank), Some(loc.row));
         match self {
             Self::Open | Self::Timer(_) => false,
             Self::Close => true,
             Self::OpenAdaptive => {
-                !view.pending_hit(loc.rank, loc.bank, loc.row)
-                    && view.pending_other_row(loc.rank, loc.bank, loc.row)
+                !view.pending_hit(loc.rank, loc.bank) && view.pending_other_row(loc.rank, loc.bank)
             }
-            Self::CloseAdaptive => !view.pending_hit(loc.rank, loc.bank, loc.row),
+            Self::CloseAdaptive => !view.pending_hit(loc.rank, loc.bank),
             // Never close while more hits are queued; close once the
             // prediction for this activation is satisfied.
             Self::Rbpp(p) | Self::Abpp(p) => {
-                !view.pending_hit(loc.rank, loc.bank, loc.row)
-                    && p.prediction_met(loc.rank, loc.bank, true)
+                !view.pending_hit(loc.rank, loc.bank) && p.prediction_met(loc.rank, loc.bank, true)
             }
         }
     }
@@ -635,6 +616,7 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::RequestQueue;
     use crate::request::{AccessKind, MemoryRequest};
     use cloudmc_dram::{Command, DramChannel, DramConfig};
 
@@ -659,11 +641,11 @@ mod tests {
     #[test]
     fn open_page_never_closes() {
         let (ch, rq, wq) = view_fixture(Some(5));
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let view = PolicyView {
             now: 100,
             channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
+            banks: &banks,
         };
         let p = PagePolicy::Open;
         assert!(!p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
@@ -673,11 +655,11 @@ mod tests {
     #[test]
     fn close_page_always_closes() {
         let (ch, rq, wq) = view_fixture(Some(5));
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let view = PolicyView {
             now: 100,
             channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
+            banks: &banks,
         };
         let p = PagePolicy::Close;
         assert!(p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
@@ -690,11 +672,11 @@ mod tests {
         let p = PagePolicy::OpenAdaptive;
         // No pending requests at all: keep the row open.
         {
+            let banks = BankTable::scan(&ch, &rq, &wq);
             let view = PolicyView {
                 now: 0,
                 channel: &ch,
-                read_q: &rq,
-                write_q: &wq,
+                banks: &banks,
             };
             assert!(!p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
             assert!(p.propose_precharge(&view).is_none());
@@ -702,11 +684,11 @@ mod tests {
         // A pending request to another row of the same bank: close.
         push(&mut rq, 1, 0, 0, 9);
         {
+            let banks = BankTable::scan(&ch, &rq, &wq);
             let view = PolicyView {
                 now: 0,
                 channel: &ch,
-                read_q: &rq,
-                write_q: &wq,
+                banks: &banks,
             };
             assert!(p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
             assert_eq!(p.propose_precharge(&view), Some((0, 0)));
@@ -714,11 +696,11 @@ mod tests {
         // But if a hit is also pending, keep it open.
         push(&mut rq, 2, 0, 0, 5);
         {
+            let banks = BankTable::scan(&ch, &rq, &wq);
             let view = PolicyView {
                 now: 0,
                 channel: &ch,
-                read_q: &rq,
-                write_q: &wq,
+                banks: &banks,
             };
             assert!(!p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
             assert!(p.propose_precharge(&view).is_none());
@@ -730,11 +712,11 @@ mod tests {
         let (ch, rq, mut wq) = view_fixture(Some(5));
         let p = PagePolicy::CloseAdaptive;
         {
+            let banks = BankTable::scan(&ch, &rq, &wq);
             let view = PolicyView {
                 now: 0,
                 channel: &ch,
-                read_q: &rq,
-                write_q: &wq,
+                banks: &banks,
             };
             assert!(p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
             assert_eq!(p.propose_precharge(&view), Some((0, 0)));
@@ -742,11 +724,11 @@ mod tests {
         // A pending write hit keeps the row open.
         push(&mut wq, 1, 0, 0, 5);
         {
+            let banks = BankTable::scan(&ch, &rq, &wq);
             let view = PolicyView {
                 now: 0,
                 channel: &ch,
-                read_q: &rq,
-                write_q: &wq,
+                banks: &banks,
             };
             assert!(!p.auto_precharge(&view, &Location::new(0, 0, 5, 0)));
             assert!(p.propose_precharge(&view).is_none());
@@ -757,11 +739,11 @@ mod tests {
     fn rbpp_predicts_from_previous_activation() {
         let (ch, rq, wq) = view_fixture(Some(7));
         let mut p = PagePolicy::Rbpp(HistoryPredictor::new(2, 8, 4, true));
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let view = PolicyView {
             now: 0,
             channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
+            banks: &banks,
         };
         // First activation: no prediction, behaves like open page.
         p.on_activate(0, 0, 7, 0);
@@ -783,11 +765,11 @@ mod tests {
     fn rbpp_ignores_single_access_rows() {
         let (ch, rq, wq) = view_fixture(Some(7));
         let mut p = PagePolicy::Rbpp(HistoryPredictor::new(2, 8, 4, true));
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let view = PolicyView {
             now: 0,
             channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
+            banks: &banks,
         };
         p.on_activate(0, 0, 7, 0);
         p.on_column_access(0, 0, 7, 0);
@@ -800,11 +782,11 @@ mod tests {
     fn abpp_records_single_access_rows() {
         let (ch, rq, wq) = view_fixture(Some(7));
         let mut p = PagePolicy::Abpp(HistoryPredictor::new(2, 8, 16, false));
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let view = PolicyView {
             now: 0,
             channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
+            banks: &banks,
         };
         p.on_activate(0, 0, 7, 0);
         p.on_column_access(0, 0, 7, 0);
@@ -834,18 +816,18 @@ mod tests {
         let mut p = PagePolicy::Timer(TimerPolicy::new(2, 8, 50));
         p.on_activate(0, 0, 5, 0);
         p.on_column_access(0, 0, 5, 10);
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let early = PolicyView {
             now: 40,
             channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
+            banks: &banks,
         };
         assert!(p.propose_precharge(&early).is_none());
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let late = PolicyView {
             now: 61,
             channel: &ch,
-            read_q: &rq,
-            write_q: &wq,
+            banks: &banks,
         };
         assert_eq!(p.propose_precharge(&late), Some((0, 0)));
     }

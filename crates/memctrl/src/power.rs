@@ -343,6 +343,7 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank_table::BankTable;
     use crate::queue::RequestQueue;
     use crate::request::{AccessKind, MemoryRequest};
     use cloudmc_dram::{Command, DramChannel, DramConfig, Location};
@@ -356,34 +357,30 @@ mod tests {
         )
     }
 
-    fn view<'a>(
-        now: DramCycles,
-        ch: &'a DramChannel,
-        rq: &'a RequestQueue,
-        wq: &'a RequestQueue,
-    ) -> PolicyView<'a> {
+    fn view<'a>(now: DramCycles, ch: &'a DramChannel, banks: &'a BankTable) -> PolicyView<'a> {
         PolicyView {
             now,
             channel: ch,
-            read_q: rq,
-            write_q: wq,
+            banks,
         }
     }
 
     #[test]
     fn none_policy_never_proposes() {
         let (ch, rq, wq) = fixture();
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let p = PowerPolicy::None;
-        assert_eq!(p.propose(&view(10_000, &ch, &rq, &wq)), None);
-        assert_eq!(p.next_due(&view(10_000, &ch, &rq, &wq)), DramCycles::MAX);
+        assert_eq!(p.propose(&view(10_000, &ch, &banks)), None);
+        assert_eq!(p.next_due(&view(10_000, &ch, &banks)), DramCycles::MAX);
     }
 
     #[test]
     fn immediate_powers_down_quiescent_ranks_at_once() {
         let (ch, rq, wq) = fixture();
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let p = PowerPolicyKind::Immediate.build(2);
         assert_eq!(
-            p.propose(&view(0, &ch, &rq, &wq)),
+            p.propose(&view(0, &ch, &banks)),
             Some(PowerAction::PowerDown {
                 rank: 0,
                 mode: PowerDownMode::Fast
@@ -401,8 +398,9 @@ mod tests {
             0,
         )
         .unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
         // Rank 0 has demand; rank 1 is the only proposal.
-        match p.propose(&view(0, &ch, &rq, &wq)) {
+        match p.propose(&view(0, &ch, &banks)) {
             Some(PowerAction::PowerDown { rank, .. }) => assert_eq!(rank, 1),
             other => panic!("unexpected proposal {other:?}"),
         }
@@ -415,15 +413,16 @@ mod tests {
         let (mut ch, rq, wq) = fixture();
         let timeouts = PowerTimeouts::idle_timer();
         let mut p = TimeoutPowerDown::new(2, timeouts, None);
+        let banks = BankTable::scan(&ch, &rq, &wq);
         for r in 0..2 {
             p.on_activity(r, 100);
         }
         // Below the fast threshold: nothing, but the flip cycle is reported.
-        let early = view(100 + timeouts.fast_after - 1, &ch, &rq, &wq);
+        let early = view(100 + timeouts.fast_after - 1, &ch, &banks);
         assert_eq!(p.propose(&early), None);
         assert_eq!(p.next_due(&early), 100 + timeouts.fast_after);
         // At the threshold: fast power-down.
-        let at = view(100 + timeouts.fast_after, &ch, &rq, &wq);
+        let at = view(100 + timeouts.fast_after, &ch, &banks);
         assert_eq!(
             p.propose(&at),
             Some(PowerAction::PowerDown {
@@ -435,7 +434,7 @@ mod tests {
         ch.enter_power_down(1, PowerDownMode::Fast, 100 + timeouts.fast_after);
         // Past the slow threshold the proposal deepens.
         let slow_at = 100 + timeouts.slow_after.unwrap();
-        let v = view(slow_at, &ch, &rq, &wq);
+        let v = view(slow_at, &ch, &banks);
         assert_eq!(
             p.propose(&v),
             Some(PowerAction::PowerDown {
@@ -447,7 +446,7 @@ mod tests {
         ch.enter_power_down(1, PowerDownMode::Slow, slow_at);
         // And finally to self-refresh.
         let sr_at = 100 + timeouts.self_refresh_after.unwrap();
-        let v = view(sr_at, &ch, &rq, &wq);
+        let v = view(sr_at, &ch, &banks);
         assert_eq!(
             p.propose(&v),
             Some(PowerAction::PowerDown {
@@ -458,7 +457,7 @@ mod tests {
         ch.enter_power_down(0, PowerDownMode::SelfRefresh, sr_at);
         ch.enter_power_down(1, PowerDownMode::SelfRefresh, sr_at);
         // Deepest state: nothing further, no wake.
-        let v = view(sr_at + 50_000, &ch, &rq, &wq);
+        let v = view(sr_at + 50_000, &ch, &banks);
         assert_eq!(p.propose(&v), None);
         assert_eq!(p.next_due(&v), DramCycles::MAX);
     }
@@ -472,13 +471,14 @@ mod tests {
             Some(POWER_AWARE_PRECHARGE_AFTER),
         );
         ch.issue(&Command::activate(Location::new(0, 3, 9, 0)), 0);
+        let banks = BankTable::scan(&ch, &rq, &wq);
         for r in 0..2 {
             p.on_activity(r, 0);
         }
         // Before the row-idle threshold, rank 0 yields no proposal of its
         // own (its open row blocks power-down), so the first action is the
         // close of its idle row once the threshold passes.
-        let v = view(POWER_AWARE_PRECHARGE_AFTER, &ch, &rq, &wq);
+        let v = view(POWER_AWARE_PRECHARGE_AFTER, &ch, &banks);
         assert_eq!(
             p.propose(&v),
             Some(PowerAction::Precharge { rank: 0, bank: 3 })
@@ -486,8 +486,9 @@ mod tests {
         // Close it; the rank then becomes a power-down candidate itself.
         let pre_at = POWER_AWARE_PRECHARGE_AFTER;
         ch.issue(&Command::precharge(Location::new(0, 3, 9, 0)), pre_at);
+        let banks = BankTable::scan(&ch, &rq, &wq);
         let quiet = ch.earliest_power_down(0);
-        let v = view(quiet, &ch, &rq, &wq);
+        let v = view(quiet, &ch, &banks);
         assert_eq!(
             p.propose(&v),
             Some(PowerAction::PowerDown {

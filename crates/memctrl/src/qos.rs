@@ -316,6 +316,7 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank_table::BankTable;
     use crate::queue::RequestQueue;
     use crate::request::{AccessKind, MemoryRequest};
     use cloudmc_dram::{DramChannel, DramConfig, Location};
@@ -343,8 +344,9 @@ mod tests {
         channel: &'a DramChannel,
         read_q: &'a RequestQueue,
         write_q: &'a RequestQueue,
+        banks: &'a BankTable,
     ) -> SchedContext<'a> {
-        SchedContext::new(0, channel, read_q, write_q, false, 16)
+        SchedContext::new(0, channel, read_q, write_q, banks, false, 16)
     }
 
     #[test]
@@ -380,12 +382,18 @@ mod tests {
         let write_q = RequestQueue::new(8);
         push(&mut read_q, 1, 0, 0, 5);
         let mut none = QosArbiter::new(two_tenant_cfg(QosPolicyKind::None));
-        assert!(none.pick(&ctx(&channel, &read_q, &write_q)).is_none());
+        let banks = BankTable::scan(&channel, &read_q, &write_q);
+        assert!(none
+            .pick(&ctx(&channel, &read_q, &write_q, &banks))
+            .is_none());
         let mut solo = QosArbiter::new(QosConfig {
             tenants: 1,
             ..two_tenant_cfg(QosPolicyKind::PriorityBoost)
         });
-        assert!(solo.pick(&ctx(&channel, &read_q, &write_q)).is_none());
+        let banks = BankTable::scan(&channel, &read_q, &write_q);
+        assert!(solo
+            .pick(&ctx(&channel, &read_q, &write_q, &banks))
+            .is_none());
     }
 
     #[test]
@@ -397,12 +405,18 @@ mod tests {
         push(&mut read_q, 1, 1, 0, 5);
         push(&mut read_q, 2, 0, 1, 7);
         let mut arbiter = QosArbiter::new(two_tenant_cfg(QosPolicyKind::PriorityBoost));
-        let decision = arbiter.pick(&ctx(&channel, &read_q, &write_q)).unwrap();
+        let banks = BankTable::scan(&channel, &read_q, &write_q);
+        let decision = arbiter
+            .pick(&ctx(&channel, &read_q, &write_q, &banks))
+            .unwrap();
         // Cold banks: the boost issues the LC tenant's activate (bank 1).
         assert_eq!(decision.command.loc.bank, 1);
         // With only batch requests pending the arbiter declines.
         read_q.remove(2).unwrap();
-        assert!(arbiter.pick(&ctx(&channel, &read_q, &write_q)).is_none());
+        let banks = BankTable::scan(&channel, &read_q, &write_q);
+        assert!(arbiter
+            .pick(&ctx(&channel, &read_q, &write_q, &banks))
+            .is_none());
     }
 
     #[test]
@@ -414,13 +428,19 @@ mod tests {
         push(&mut read_q, 2, 1, 1, 7);
         let mut arbiter = QosArbiter::new(two_tenant_cfg(QosPolicyKind::StaticPartition));
         // Fresh epoch: nobody has a deficit, the arbiter declines.
-        assert!(arbiter.pick(&ctx(&channel, &read_q, &write_q)).is_none());
+        let banks = BankTable::scan(&channel, &read_q, &write_q);
+        assert!(arbiter
+            .pick(&ctx(&channel, &read_q, &write_q, &banks))
+            .is_none());
         // Tenant 0 has consumed the whole epoch so far: tenant 1 is owed
         // half and gets the slot.
         for _ in 0..10 {
             arbiter.on_issue(0);
         }
-        let decision = arbiter.pick(&ctx(&channel, &read_q, &write_q)).unwrap();
+        let banks = BankTable::scan(&channel, &read_q, &write_q);
+        let decision = arbiter
+            .pick(&ctx(&channel, &read_q, &write_q, &banks))
+            .unwrap();
         assert_eq!(decision.command.loc.bank, 1, "tenant 1's bank");
     }
 

@@ -30,8 +30,6 @@ const KEY_BANK_SHIFT: u32 = 48;
 const KEY_RANK_SHIFT: u32 = 56;
 /// Row bits of a packed key.
 const KEY_ROW_MASK: u64 = (1 << KEY_BANK_SHIFT) - 1;
-/// Rank and bank bits of a packed key (everything above the row).
-const KEY_BANK_BITS: u64 = !KEY_ROW_MASK;
 
 /// Packs DRAM coordinates into one word: `rank` in the top byte, `bank`
 /// below it, `row` in the low 48 bits. Row-hit and row-conflict tests over a
@@ -59,6 +57,13 @@ pub fn key_bank(key: u64) -> usize {
     ((key >> KEY_BANK_SHIFT) & 0xFF) as usize
 }
 
+/// The row field of a packed [`bank_row_key`].
+#[must_use]
+#[inline]
+pub fn key_row(key: u64) -> u64 {
+    key & KEY_ROW_MASK
+}
+
 /// A bounded FIFO-ordered pool of pending requests.
 ///
 /// Entries preserve arrival order (index 0 is the oldest), which the
@@ -68,9 +73,9 @@ pub fn key_bank(key: u64) -> usize {
 /// Storage is struct-of-arrays for the hot fields: alongside the full
 /// [`QueueEntry`] records lives a parallel column of packed
 /// [`bank_row_key`] words, kept index-aligned on every push and remove, so
-/// the scans the scheduler and page-policy hot paths run every DRAM tick
-/// (row hits, row conflicts, per-rank demand) touch a dense `u64` slice
-/// instead of striding over 64-byte entries.
+/// the scans that remain on hot paths (the FR-FCFS winner search, the bank
+/// table's recount on an activate) touch a dense `u64` slice instead of
+/// striding over 64-byte entries.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     entries: Vec<QueueEntry>,
@@ -206,6 +211,8 @@ impl RequestQueue {
     }
 
     /// Whether any pending entry targets the given open row of (`rank`, `bank`).
+    /// A scan of the keys: the test oracle of `BankTable`'s hit masks.
+    #[cfg(test)]
     #[must_use]
     pub fn any_hit(&self, rank: usize, bank: usize, row: u64) -> bool {
         let key = bank_row_key(rank, bank, row);
@@ -213,29 +220,25 @@ impl RequestQueue {
     }
 
     /// Whether any pending entry targets (`rank`, `bank`) but a different row.
+    /// The test oracle of `BankTable`'s conflict masks.
+    #[cfg(test)]
     #[must_use]
     pub fn any_other_row(&self, rank: usize, bank: usize, row: u64) -> bool {
         let key = bank_row_key(rank, bank, row);
-        let bank_bits = key & KEY_BANK_BITS;
+        // Rank and bank bits: everything above the row.
+        let bank_bits = key & !KEY_ROW_MASK;
         self.keys
             .iter()
-            .any(|&k| (k & KEY_BANK_BITS) == bank_bits && k != key)
+            .any(|&k| (k & !KEY_ROW_MASK) == bank_bits && k != key)
     }
 
-    /// Whether any pending entry targets rank `rank` (any bank or row).
+    /// Whether any pending entry targets rank `rank` (any bank or row). The
+    /// test oracle of `BankTable`'s pending masks.
+    #[cfg(test)]
     #[must_use]
     pub fn any_for_rank(&self, rank: usize) -> bool {
         let rank = rank as u64;
         self.keys.iter().any(|&k| (k >> KEY_RANK_SHIFT) == rank)
-    }
-
-    /// Number of pending entries for `core`.
-    #[must_use]
-    pub fn count_for_core(&self, core: usize) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.request.core == core)
-            .count()
     }
 
     /// Number of pending entries attributed to `tenant` (O(1)).
@@ -255,17 +258,6 @@ impl RequestQueue {
         self.entries
             .iter()
             .filter(move |e| e.request.tenant == tenant)
-    }
-
-    /// Number of pending entries for (`core`, flat bank index).
-    #[must_use]
-    pub fn count_for_core_bank(&self, core: usize, rank: usize, bank: usize) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| {
-                e.request.core == core && e.location.rank == rank && e.location.bank == bank
-            })
-            .count()
     }
 }
 
@@ -344,19 +336,6 @@ mod tests {
         assert!(!q.any_hit(0, 3, 300));
         assert!(q.any_other_row(0, 3, 100));
         assert!(!q.any_other_row(0, 4, 100));
-    }
-
-    #[test]
-    fn per_core_counters() {
-        let mut q = RequestQueue::new(8);
-        q.push(req(0, 2), loc(0, 1, 5), 0).unwrap();
-        q.push(req(1, 2), loc(0, 2, 5), 0).unwrap();
-        q.push(req(2, 3), loc(0, 1, 5), 0).unwrap();
-        assert_eq!(q.count_for_core(2), 2);
-        assert_eq!(q.count_for_core(3), 1);
-        assert_eq!(q.count_for_core_bank(2, 0, 1), 1);
-        assert_eq!(q.count_for_core_bank(2, 0, 2), 1);
-        assert_eq!(q.count_for_core_bank(3, 0, 2), 0);
     }
 
     #[test]

@@ -216,6 +216,7 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank_table::BankTable;
     use crate::queue::RequestQueue;
     use crate::request::{AccessKind, MemoryRequest};
     use cloudmc_dram::{Command, DramChannel, DramConfig, Location};
@@ -233,9 +234,10 @@ mod tests {
         ch: &'a DramChannel,
         rq: &'a RequestQueue,
         wq: &'a RequestQueue,
+        banks: &'a BankTable,
         now: u64,
     ) -> SchedContext<'a> {
-        SchedContext::new(now, ch, rq, wq, false, 4)
+        SchedContext::new(now, ch, rq, wq, banks, false, 4)
     }
 
     fn completed(core: usize, outcome: RowBufferOutcome) -> CompletedRequest {
@@ -267,7 +269,8 @@ mod tests {
         let ch = DramChannel::new(&dram_cfg);
         let rq = RequestQueue::new(4);
         let wq = RequestQueue::new(4);
-        s.on_cycle(&ctx(&ch, &rq, &wq, 1000));
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        s.on_cycle(&ctx(&ch, &rq, &wq, &banks, 1000));
         assert_eq!(s.quanta_elapsed(), 1);
         // Cores 2 and 3 attained nothing: highest priority. Core 0 is last.
         assert_eq!(s.rank_of(0), 3);
@@ -294,7 +297,8 @@ mod tests {
         // to different banks (both are activate candidates).
         push(&mut rq, 1, 0, 0, 5, 0);
         push(&mut rq, 2, 1, 1, 6, 10);
-        let c = ctx(&ch, &rq, &wq, 150);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let c = ctx(&ch, &rq, &wq, &banks, 150);
         s.on_cycle(&c);
         let d = s.pick(&c).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 1, 6, 0)));
@@ -317,7 +321,8 @@ mod tests {
         let wq = RequestQueue::new(8);
         push(&mut rq, 1, 0, 0, 5, 0); // heavy core, but very old
         push(&mut rq, 2, 1, 1, 6, 590);
-        let c = ctx(&ch, &rq, &wq, 600);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let c = ctx(&ch, &rq, &wq, &banks, 600);
         s.on_cycle(&c);
         let d = s.pick(&c).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 0, 5, 0)));
@@ -334,7 +339,8 @@ mod tests {
         push(&mut rq, 1, 0, 0, 5, 0); // conflict, older
         push(&mut rq, 2, 1, 0, 9, 1); // hit, younger
         let now = dram_cfg.timing.t_ras;
-        let c = ctx(&ch, &rq, &wq, now);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let c = ctx(&ch, &rq, &wq, &banks, now);
         s.on_cycle(&c);
         let d = s.pick(&c).unwrap();
         assert_eq!(
@@ -351,6 +357,7 @@ mod tests {
         let ch = DramChannel::new(&dram_cfg);
         let rq = RequestQueue::new(4);
         let wq = RequestQueue::new(4);
-        assert!(s.pick(&ctx(&ch, &rq, &wq, 0)).is_none());
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        assert!(s.pick(&ctx(&ch, &rq, &wq, &banks, 0)).is_none());
     }
 }

@@ -58,6 +58,7 @@ pub(super) fn pick_banks_reference(ctx: &SchedContext<'_>) -> Option<SchedDecisi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank_table::BankTable;
     use crate::queue::RequestQueue;
     use crate::request::{AccessKind, MemoryRequest};
     use cloudmc_dram::{Command, DramChannel, DramConfig, Location};
@@ -75,9 +76,10 @@ mod tests {
         ch: &'a DramChannel,
         rq: &'a RequestQueue,
         wq: &'a RequestQueue,
+        banks: &'a BankTable,
         now: u64,
     ) -> SchedContext<'a> {
-        SchedContext::new(now, ch, rq, wq, false, 16)
+        SchedContext::new(now, ch, rq, wq, banks, false, 16)
     }
 
     #[test]
@@ -94,9 +96,11 @@ mod tests {
 
         // Head request is blocked (tRAS not elapsed), so strict FCFS idles.
         // Cycle 5 respects tRRD after the activate at cycle 0.
-        assert!(pick(&ctx(&ch, &rq, &wq, 5)).is_none());
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        assert!(pick(&ctx(&ch, &rq, &wq, &banks, 5)).is_none());
         // FCFS_banks instead activates bank 1 for request 2.
-        let d = pick_banks(&ctx(&ch, &rq, &wq, 5)).unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let d = pick_banks(&ctx(&ch, &rq, &wq, &banks, 5)).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 1, 7, 0)));
     }
 
@@ -112,7 +116,8 @@ mod tests {
         push(&mut rq, 1, 0, 5, 0);
         push(&mut rq, 2, 0, 9, 1);
         let now = cfg.timing.t_ras;
-        let d = pick_banks(&ctx(&ch, &rq, &wq, now)).unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let d = pick_banks(&ctx(&ch, &rq, &wq, &banks, now)).unwrap();
         // FCFS_banks serves the older conflict first (precharge), it never
         // promotes the younger hit.
         assert_eq!(d.command, Command::precharge(Location::new(0, 0, 5, 0)));
@@ -127,7 +132,8 @@ mod tests {
         let wq = RequestQueue::new(16);
         ch.issue(&Command::activate(Location::new(0, 0, 5, 0)), 0);
         push(&mut rq, 1, 0, 5, 0);
-        let d = pick(&ctx(&ch, &rq, &wq, cfg.timing.t_rcd)).unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let d = pick(&ctx(&ch, &rq, &wq, &banks, cfg.timing.t_rcd)).unwrap();
         assert_eq!(d.request_id, Some(1));
     }
 
@@ -137,7 +143,9 @@ mod tests {
         let ch = DramChannel::new(&cfg);
         let rq = RequestQueue::new(4);
         let wq = RequestQueue::new(4);
-        assert!(pick(&ctx(&ch, &rq, &wq, 0)).is_none());
-        assert!(pick_banks(&ctx(&ch, &rq, &wq, 0)).is_none());
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        assert!(pick(&ctx(&ch, &rq, &wq, &banks, 0)).is_none());
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        assert!(pick_banks(&ctx(&ch, &rq, &wq, &banks, 0)).is_none());
     }
 }

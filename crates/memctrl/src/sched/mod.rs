@@ -20,16 +20,24 @@
 //! # The pick contract
 //!
 //! A pick runs on every tick of a busy channel, so it costs what its
-//! algorithm needs and nothing more: **one pass over the queues it reads,
-//! no heap allocation, and a `wait` that covers every evaluated
-//! candidate.** Every candidate is tested through [`progress_for`]; a pick
-//! that returns `None` has evaluated all of them, so
-//! [`SchedContext::wait`] bounds when any could issue. A ranking scheduler
-//! names its priority as a key per entry and lets [`min_ready`] keep the
-//! least ready one (no sort); FR-FCFS and `FCFS_banks` walk the queue in
-//! arrival order, which already is their key order, through
-//! [`first_ready`]. Buffers a pick needs are allocated when the scheduler
-//! is built and reused.
+//! algorithm needs and nothing more: **at most one pass over the queues it
+//! reads, no heap allocation, and a `wait` that covers every evaluated
+//! candidate.** A pick that returns `None` has evaluated all of its
+//! candidates, so [`SchedContext::wait`] bounds when any could issue.
+//!
+//! - A ranking scheduler tests each entry through [`progress_for`], names
+//!   its priority as a key per entry and lets [`min_ready`] keep the least
+//!   ready one (no sort). `FCFS_banks` walks the queue in arrival order,
+//!   which already is its key order, through [`first_ready`].
+//! - FR-FCFS ([`frfcfs::pick`]) checks legality **once per (bank, class)**
+//!   from the channel's [`BankTable`]: every entry of one bank and class
+//!   issues the same command kind at the same bank, so they share one
+//!   legality, and its `wait` covers every (bank, class) it evaluated. It
+//!   then reads only the winning entry.
+//!
+//! [`SchedContext::work`] counts what the picks read and checked.
+//! Buffers a pick needs are allocated when the scheduler is built and
+//! reused.
 
 pub mod atlas;
 pub mod fcfs;
@@ -42,6 +50,7 @@ use std::cell::Cell;
 use cloudmc_dram::{Command, CommandKind, DramChannel, DramCycles};
 use cloudmc_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
+use crate::bank_table::BankTable;
 use crate::queue::{QueueEntry, RequestQueue};
 use crate::request::{AccessKind, CompletedRequest, RequestId};
 
@@ -60,6 +69,8 @@ pub struct SchedContext<'a> {
     pub read_q: &'a RequestQueue,
     /// Pending writes (write-backs, DMA writes).
     pub write_q: &'a RequestQueue,
+    /// The per-bank demand of both queues against the open rows.
+    pub banks: &'a BankTable,
     /// Whether the controller is draining writes this cycle.
     pub write_mode: bool,
     /// Number of cores sharing the controller.
@@ -69,6 +80,9 @@ pub struct SchedContext<'a> {
     /// lowered by [`progress_for`], read by the controller after a pick that
     /// issued nothing.
     pub wait: Cell<DramCycles>,
+    /// What the picks on this context read and checked: a host-side count,
+    /// not simulated state.
+    pub work: Cell<PickWork>,
 }
 
 impl<'a> SchedContext<'a> {
@@ -79,6 +93,7 @@ impl<'a> SchedContext<'a> {
         channel: &'a DramChannel,
         read_q: &'a RequestQueue,
         write_q: &'a RequestQueue,
+        banks: &'a BankTable,
         write_mode: bool,
         num_cores: usize,
     ) -> Self {
@@ -87,9 +102,11 @@ impl<'a> SchedContext<'a> {
             channel,
             read_q,
             write_q,
+            banks,
             write_mode,
             num_cores,
             wait: Cell::new(DramCycles::MAX),
+            work: Cell::new(PickWork::default()),
         }
     }
 
@@ -102,6 +119,48 @@ impl<'a> SchedContext<'a> {
         } else {
             self.read_q
         }
+    }
+
+    /// The access kind of the queue the controller is currently serving.
+    #[must_use]
+    pub fn active_kind(&self) -> AccessKind {
+        if self.write_mode {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        }
+    }
+
+    /// Adds to [`Self::work`].
+    #[inline]
+    pub fn add_work(&self, entries_read: u64, keys_read: u64, legality_checks: u64) {
+        let mut work = self.work.get();
+        work.entries_read += entries_read;
+        work.keys_read += keys_read;
+        work.legality_checks += legality_checks;
+        self.work.set(work);
+    }
+}
+
+/// Work the scheduler picks and the QoS arbiter did on a channel: queue
+/// entries read, packed key words scanned and `earliest_legal` evaluations.
+/// A deterministic, host-side count (never in a snapshot or in the
+/// simulated statistics) of the cost a pick pays per tick.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PickWork {
+    /// Full [`QueueEntry`] records read.
+    pub entries_read: u64,
+    /// Packed [`crate::queue::bank_row_key`] words scanned.
+    pub keys_read: u64,
+    /// Legality evaluations ([`DramChannel::earliest_legal`] calls).
+    pub legality_checks: u64,
+}
+
+impl std::ops::AddAssign for PickWork {
+    fn add_assign(&mut self, rhs: Self) {
+        self.entries_read += rhs.entries_read;
+        self.keys_read += rhs.keys_read;
+        self.legality_checks += rhs.legality_checks;
     }
 }
 
@@ -141,6 +200,7 @@ pub fn progress_command(entry: &QueueEntry, channel: &DramChannel) -> Command {
 /// bounds when any candidate it evaluated can issue.
 #[must_use]
 pub fn progress_for(entry: &QueueEntry, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
+    ctx.add_work(1, 0, 1);
     let command = progress_command(entry, ctx.channel);
     let legal = ctx.channel.earliest_legal(&command)?;
     if legal > ctx.now || !ctx.channel.command_bus_free(ctx.now) {
@@ -484,7 +544,8 @@ mod tests {
     #[test]
     fn progress_for_idle_bank_is_activate() {
         let (ch, rq, wq) = fixture();
-        let ctx = SchedContext::new(0, &ch, &rq, &wq, false, 16);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let ctx = SchedContext::new(0, &ch, &rq, &wq, &banks, false, 16);
         let e = entry(1, AccessKind::Read, 0, 0, 5);
         let d = progress_for(&e, &ctx).unwrap();
         assert_eq!(d.request_id, None);
@@ -496,7 +557,8 @@ mod tests {
         let (mut ch, rq, wq) = fixture();
         ch.issue(&Command::activate(Location::new(0, 0, 5, 0)), 0);
         let now = ch.timing().t_rcd;
-        let ctx = SchedContext::new(now, &ch, &rq, &wq, false, 16);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let ctx = SchedContext::new(now, &ch, &rq, &wq, &banks, false, 16);
         let e = entry(9, AccessKind::Write, 0, 0, 5);
         let d = progress_for(&e, &ctx).unwrap();
         assert_eq!(d.request_id, Some(9));
@@ -513,14 +575,16 @@ mod tests {
         ch.issue(&Command::activate(Location::new(0, 0, 5, 0)), 0);
         let e = entry(2, AccessKind::Read, 0, 0, 9);
         let t_ras = ch.timing().t_ras;
-        let early = SchedContext::new(1, &ch, &rq, &wq, false, 16);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let early = SchedContext::new(1, &ch, &rq, &wq, &banks, false, 16);
         assert_eq!(progress_for(&e, &early), None);
         assert_eq!(
             early.wait.get(),
             t_ras,
             "a blocked candidate bounds the wait"
         );
-        let late = SchedContext::new(t_ras, &ch, &rq, &wq, false, 16);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let late = SchedContext::new(t_ras, &ch, &rq, &wq, &banks, false, 16);
         let d = progress_for(&e, &late).unwrap();
         assert_eq!(d.command, Command::precharge(e.location));
         assert_eq!(d.request_id, None);
@@ -531,7 +595,8 @@ mod tests {
         let (mut ch, rq, wq) = fixture();
         ch.issue(&Command::activate(Location::new(0, 0, 5, 0)), 0);
         let now = ch.timing().t_rcd;
-        let ctx = SchedContext::new(now, &ch, &rq, &wq, false, 16);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let ctx = SchedContext::new(now, &ch, &rq, &wq, &banks, false, 16);
         // Oldest entry needs an activate, a younger one is a ready hit.
         let miss = entry(1, AccessKind::Read, 0, 1, 7);
         let hit = entry(2, AccessKind::Read, 0, 0, 5);
@@ -554,7 +619,8 @@ mod tests {
             0,
         )
         .unwrap();
-        let read_ctx = SchedContext::new(0, &ch, &rq, &wq, false, 16);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let read_ctx = SchedContext::new(0, &ch, &rq, &wq, &banks, false, 16);
         assert_eq!(read_ctx.active_queue().oldest().unwrap().request.id, 1);
         let write_ctx = SchedContext {
             write_mode: true,
@@ -565,8 +631,10 @@ mod tests {
 
     /// Differential tests of the one-pass picks against the sort-based
     /// picks they replaced (`ParBs::pick_reference`,
-    /// `Atlas::pick_reference`, `fcfs::pick_banks_reference`): the same
-    /// decision on every pick, and the same wait bound when nothing issues.
+    /// `Atlas::pick_reference`, `fcfs::pick_banks_reference`), and of the
+    /// per-bank FR-FCFS pick against [`first_ready`] over the queue: the
+    /// same decision on every pick, and the same wait bound when nothing
+    /// issues.
     mod oracle {
         use super::*;
         use crate::request::RowBufferOutcome;
@@ -606,6 +674,7 @@ mod tests {
 
         fn reference_pick(s: &mut Scheduler, ctx: &SchedContext<'_>) -> Option<SchedDecision> {
             match s {
+                Scheduler::FrFcfs => first_ready(ctx.active_queue().iter(), ctx),
                 Scheduler::FcfsBanks => fcfs::pick_banks_reference(ctx),
                 Scheduler::ParBs(p) => p.pick_reference(ctx),
                 Scheduler::Atlas(a) => a.pick_reference(ctx),
@@ -615,9 +684,10 @@ mod tests {
 
         /// Drives a fresh pair of `kind` schedulers through random arrivals,
         /// picks and completions on one evolving channel, 1–16 cores, in and
-        /// out of write mode. Counts `[column, activate, precharge, none]`
-        /// picks into `seen`.
-        fn run_case(rng: &mut StdRng, kind: SchedulerKind, seen: &mut [usize; 4]) {
+        /// out of write mode, now and then picking again on the cycle of the
+        /// last issue (a busy command bus). Counts `[column, activate,
+        /// precharge, none, busy bus]` picks into `seen`.
+        fn run_case(rng: &mut StdRng, kind: SchedulerKind, seen: &mut [usize; 5]) {
             let num_cores = rng.gen_range(1..17usize);
             let mut new = kind.build(num_cores);
             let mut reference = kind.build(num_cores);
@@ -654,8 +724,10 @@ mod tests {
                     let _ = q.push(MemoryRequest::new(id, access, 0, core, at), loc, at);
                 }
                 let write_mode = rng.gen_bool(0.3);
-                let got_ctx = SchedContext::new(now, &ch, &rq, &wq, write_mode, num_cores);
-                let want_ctx = SchedContext::new(now, &ch, &rq, &wq, write_mode, num_cores);
+                seen[4] += usize::from(!ch.command_bus_free(now));
+                let banks = BankTable::scan(&ch, &rq, &wq);
+                let got_ctx = SchedContext::new(now, &ch, &rq, &wq, &banks, write_mode, num_cores);
+                let want_ctx = SchedContext::new(now, &ch, &rq, &wq, &banks, write_mode, num_cores);
                 new.on_cycle(&got_ctx);
                 reference.on_cycle(&want_ctx);
                 let got = new.pick(&got_ctx);
@@ -683,13 +755,13 @@ mod tests {
                     new.on_complete(&done);
                     reference.on_complete(&done);
                 }
-                now += rng.gen_range(1..8u64);
+                now += rng.gen_range(0..8u64);
             }
         }
 
         fn differential(seed: u64, kind: impl Fn(&mut StdRng) -> SchedulerKind) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut seen = [0; 4];
+            let mut seen = [0; 5];
             for _ in 0..300 {
                 let kind = kind(&mut rng);
                 run_case(&mut rng, kind, &mut seen);
@@ -724,6 +796,11 @@ mod tests {
         fn fcfs_banks_mask_pick_matches_the_collected_pick() {
             differential(0xFCF5, |_| SchedulerKind::FcfsBanks);
         }
+
+        #[test]
+        fn frfcfs_bank_pick_matches_first_ready() {
+            differential(0xF4FC, |_| SchedulerKind::FrFcfs);
+        }
     }
 
     #[test]
@@ -731,7 +808,8 @@ mod tests {
         for kind in SchedulerKind::all() {
             let mut s = kind.build(16);
             let (ch, rq, wq) = fixture();
-            let ctx = SchedContext::new(0, &ch, &rq, &wq, false, 16);
+            let banks = BankTable::scan(&ch, &rq, &wq);
+            let ctx = SchedContext::new(0, &ch, &rq, &wq, &banks, false, 16);
             // Empty queues: every scheduler must return None.
             assert!(
                 s.pick(&ctx).is_none(),

@@ -248,6 +248,7 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank_table::BankTable;
     use crate::queue::RequestQueue;
     use crate::request::{AccessKind, MemoryRequest};
     use cloudmc_dram::{Command, DramChannel, DramConfig, Location};
@@ -265,9 +266,10 @@ mod tests {
         ch: &'a DramChannel,
         rq: &'a RequestQueue,
         wq: &'a RequestQueue,
+        banks: &'a BankTable,
         now: u64,
     ) -> SchedContext<'a> {
-        SchedContext::new(now, ch, rq, wq, false, 4)
+        SchedContext::new(now, ch, rq, wq, banks, false, 4)
     }
 
     #[test]
@@ -281,7 +283,8 @@ mod tests {
             push(&mut rq, i, 0, 0, i, i);
         }
         let mut s = ParBs::new(ParBsConfig::default(), 4);
-        let c = ctx(&ch, &rq, &wq, 10);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let c = ctx(&ch, &rq, &wq, &banks, 10);
         let _ = s.pick(&c);
         assert_eq!(s.batches_formed(), 1);
         let marked: Vec<bool> = (0..8).map(|i| s.is_marked(i)).collect();
@@ -306,7 +309,8 @@ mod tests {
         push(&mut rq, 2, 1, 0, 12, 2);
         push(&mut rq, 3, 2, 1, 20, 3);
         let mut s = ParBs::new(ParBsConfig::default(), 4);
-        let d = s.pick(&ctx(&ch, &rq, &wq, 10)).unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let d = s.pick(&ctx(&ch, &rq, &wq, &banks, 10)).unwrap();
         // Core 2 (shortest job) wins: its activate goes first despite being youngest.
         assert_eq!(d.command, Command::activate(Location::new(0, 1, 20, 0)));
     }
@@ -320,11 +324,13 @@ mod tests {
         push(&mut rq, 0, 0, 0, 1, 0);
         let mut s = ParBs::new(ParBsConfig::default(), 4);
         // First pick forms a batch containing request 0.
-        let _ = s.pick(&ctx(&ch, &rq, &wq, 0));
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let _ = s.pick(&ctx(&ch, &rq, &wq, &banks, 0));
         assert!(s.is_marked(0));
         // A new request arrives after batch formation: not marked.
         push(&mut rq, 1, 1, 1, 2, 1);
-        let d = s.pick(&ctx(&ch, &rq, &wq, 5)).unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let d = s.pick(&ctx(&ch, &rq, &wq, &banks, 5)).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 0, 1, 0)));
         assert!(!s.is_marked(1));
     }
@@ -337,12 +343,14 @@ mod tests {
         let wq = RequestQueue::new(32);
         push(&mut rq, 0, 0, 0, 1, 0);
         let mut s = ParBs::new(ParBsConfig::default(), 4);
-        let _ = s.pick(&ctx(&ch, &rq, &wq, 0));
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let _ = s.pick(&ctx(&ch, &rq, &wq, &banks, 0));
         assert_eq!(s.batches_formed(), 1);
         // Request 0 completes and leaves the queue.
         rq.remove(0);
         push(&mut rq, 1, 1, 0, 2, 10);
-        let _ = s.pick(&ctx(&ch, &rq, &wq, 10));
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let _ = s.pick(&ctx(&ch, &rq, &wq, &banks, 10));
         assert_eq!(s.batches_formed(), 2);
         assert!(s.is_marked(1));
     }
@@ -363,7 +371,8 @@ mod tests {
             push(&mut rq, id, i % 4, i, 1, i as u64);
         }
         let mut s = ParBs::new(ParBsConfig::default(), 4);
-        let _ = s.pick(&ctx(&ch, &rq, &wq, 10));
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let _ = s.pick(&ctx(&ch, &rq, &wq, &banks, 10));
         let mut w = SnapWriter::new(0);
         s.save(&mut w);
         let image = w.finish();
@@ -401,6 +410,7 @@ mod tests {
         let rq = RequestQueue::new(4);
         let wq = RequestQueue::new(4);
         let mut s = ParBs::new(ParBsConfig::default(), 4);
-        assert!(s.pick(&ctx(&ch, &rq, &wq, 0)).is_none());
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        assert!(s.pick(&ctx(&ch, &rq, &wq, &banks, 0)).is_none());
     }
 }

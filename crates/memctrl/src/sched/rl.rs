@@ -409,6 +409,7 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank_table::BankTable;
     use crate::queue::RequestQueue;
     use crate::request::{AccessKind, MemoryRequest};
     use crate::sched::Scheduler;
@@ -427,9 +428,10 @@ mod tests {
         ch: &'a DramChannel,
         rq: &'a RequestQueue,
         wq: &'a RequestQueue,
+        banks: &'a BankTable,
         now: u64,
     ) -> SchedContext<'a> {
-        SchedContext::new(now, ch, rq, wq, false, 16)
+        SchedContext::new(now, ch, rq, wq, banks, false, 16)
     }
 
     #[test]
@@ -440,7 +442,8 @@ mod tests {
         let wq = RequestQueue::new(8);
         push(&mut rq, 1, AccessKind::Read, 0, 5, 0);
         let mut s = RlScheduler::new(RlConfig::default());
-        let d = s.pick(&ctx(&ch, &rq, &wq, 0)).unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let d = s.pick(&ctx(&ch, &rq, &wq, &banks, 0)).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 0, 5, 0)));
         assert!(ch.can_issue(&d.command, 0));
         assert_eq!(s.decisions(), 1);
@@ -455,7 +458,8 @@ mod tests {
         push(&mut wq, 2, AccessKind::Write, 1, 7, 0);
         let mut s = Scheduler::Rl(RlScheduler::new(RlConfig::default()));
         assert!(s.manages_write_drain());
-        let d = s.pick(&ctx(&ch, &rq, &wq, 0)).unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let d = s.pick(&ctx(&ch, &rq, &wq, &banks, 0)).unwrap();
         assert_eq!(d.command, Command::activate(Location::new(0, 1, 7, 0)));
     }
 
@@ -472,7 +476,8 @@ mod tests {
             ..RlConfig::default()
         });
         // Take the same rewarding decision repeatedly; its Q-value must grow.
-        let c = ctx(&ch, &rq, &wq, cfg.timing.t_rcd);
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let c = ctx(&ch, &rq, &wq, &banks, cfg.timing.t_rcd);
         let d = s.pick(&c).unwrap();
         assert!(d.command.kind.is_read());
         let total_before: f64 = s.tables.iter().flatten().sum();
@@ -499,7 +504,8 @@ mod tests {
             ..RlConfig::default()
         });
         for _ in 0..400 {
-            let _ = s.pick(&ctx(&ch, &rq, &wq, 0));
+            let banks = BankTable::scan(&ch, &rq, &wq);
+            let _ = s.pick(&ctx(&ch, &rq, &wq, &banks, 0));
         }
         let rate = s.exploratory_decisions() as f64 / s.decisions() as f64;
         assert!((0.35..0.65).contains(&rate), "exploration rate {rate}");
@@ -514,7 +520,8 @@ mod tests {
         push(&mut rq, 1, AccessKind::Read, 0, 5, 0);
         push(&mut rq, 2, AccessKind::Read, 1, 6, 11_000);
         let mut s = RlScheduler::new(RlConfig::default());
-        let d = s.pick(&ctx(&ch, &rq, &wq, 11_050)).unwrap();
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        let d = s.pick(&ctx(&ch, &rq, &wq, &banks, 11_050)).unwrap();
         // Request 1 is 11050 cycles old (over the 10K threshold): forced first.
         assert_eq!(d.command, Command::activate(Location::new(0, 0, 5, 0)));
     }
@@ -568,7 +575,8 @@ mod tests {
         let rq = RequestQueue::new(8);
         let wq = RequestQueue::new(8);
         let mut s = RlScheduler::new(RlConfig::default());
-        assert!(s.pick(&ctx(&ch, &rq, &wq, 0)).is_none());
+        let banks = BankTable::scan(&ch, &rq, &wq);
+        assert!(s.pick(&ctx(&ch, &rq, &wq, &banks, 0)).is_none());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use cloudmc_dram::{ChannelStats, DramCycles, FaultLedger};
 use cloudmc_memctrl::{
-    AccessKind, CompletedRequest, McStats, MemoryController, MemoryRequest, MAX_TENANTS,
+    AccessKind, CompletedRequest, McStats, MemoryController, MemoryRequest, PickWork, MAX_TENANTS,
 };
 
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
@@ -144,6 +144,13 @@ impl Backend {
     #[must_use]
     pub fn stats(&self) -> McStats {
         self.mc.stats()
+    }
+
+    /// What the scheduler picks of every channel read and checked (see
+    /// [`MemoryController::pick_work`]): a host-side work count.
+    #[must_use]
+    pub fn pick_work(&self) -> PickWork {
+        self.mc.pick_work()
     }
 
     /// Fault-injection conservation ledger merged across all channels. All

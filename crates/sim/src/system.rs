@@ -804,7 +804,13 @@ impl System {
     #[must_use]
     pub fn kernel_profile(&self) -> Option<KernelProfile> {
         let profiler = self.telemetry.as_deref()?.profiler.as_ref()?;
-        Some(profiler.finish(self.clock.cpu_cycle(), self.clock.dram_cycle()))
+        let work = self.backend.pick_work();
+        Some(KernelProfile {
+            pick_entries_read: work.entries_read,
+            pick_keys_read: work.keys_read,
+            pick_legality_checks: work.legality_checks,
+            ..profiler.finish(self.clock.cpu_cycle(), self.clock.dram_cycle())
+        })
     }
 
     /// Writes the configured telemetry output files (time series and span

@@ -19,8 +19,8 @@ pub enum KernelPhase {
 /// is set) and feeds it wall-clock nanoseconds per phase plus simulated
 /// cycle counts; [`finish`](Self::finish) freezes it into a
 /// [`KernelProfile`] report. Wall-clock numbers are host measurements and
-/// therefore *not* deterministic — only the simulated-cycle fields are
-/// comparable across runs.
+/// therefore *not* deterministic — only the simulated-cycle fields and the
+/// work counts are comparable across runs.
 #[derive(Clone, Debug, Default)]
 pub struct KernelProfiler {
     frontend_nanos: u64,
@@ -87,6 +87,9 @@ impl KernelProfiler {
             jumped_cpu_cycles: self.jumped_cpu_cycles,
             ticked_channel_cycles: self.ticked_channel_cycles,
             skipped_channel_cycles: self.skipped_channel_cycles,
+            pick_entries_read: 0,
+            pick_keys_read: 0,
+            pick_legality_checks: 0,
             cpu_cycles,
             dram_cycles,
         }
@@ -123,6 +126,16 @@ pub struct KernelProfile {
     /// Memory-channel cycles the kernel skipped: the channel was not due,
     /// so only its queue-occupancy samples were applied.
     pub skipped_channel_cycles: u64,
+    /// Queue entries (whole request records) the controllers' scheduler
+    /// picks and QoS arbiter read. Like the counts below, a deterministic
+    /// host-side work count, in no snapshot and not part of `SimStats`; the
+    /// simulator fills these in (the profiler itself leaves them 0), counting
+    /// from when the system was built or restored.
+    pub pick_entries_read: u64,
+    /// Packed bank/row key words the picks scanned.
+    pub pick_keys_read: u64,
+    /// DRAM command legality evaluations the picks made.
+    pub pick_legality_checks: u64,
     /// Final simulated CPU-clock reading.
     pub cpu_cycles: u64,
     /// Final simulated DRAM-clock reading.
@@ -164,6 +177,8 @@ impl KernelProfile {
                 "\"event_queue_nanos\":{},\"total_nanos\":{},",
                 "\"stepped_cpu_cycles\":{},\"jumped_cpu_cycles\":{},",
                 "\"ticked_channel_cycles\":{},\"skipped_channel_cycles\":{},",
+                "\"pick_entries_read\":{},\"pick_keys_read\":{},",
+                "\"pick_legality_checks\":{},",
                 "\"cpu_cycles\":{},\"dram_cycles\":{}}}"
             ),
             self.frontend_nanos,
@@ -174,6 +189,9 @@ impl KernelProfile {
             self.jumped_cpu_cycles,
             self.ticked_channel_cycles,
             self.skipped_channel_cycles,
+            self.pick_entries_read,
+            self.pick_keys_read,
+            self.pick_legality_checks,
             self.cpu_cycles,
             self.dram_cycles,
         )
@@ -238,6 +256,9 @@ mod tests {
             "jumped_cpu_cycles",
             "ticked_channel_cycles",
             "skipped_channel_cycles",
+            "pick_entries_read",
+            "pick_keys_read",
+            "pick_legality_checks",
             "cpu_cycles",
             "dram_cycles",
         ] {

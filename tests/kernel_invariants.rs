@@ -113,3 +113,42 @@ fn web_search_steps_at_most_45_percent_of_its_cycles() {
     let share = first as f64 / 300_000.0;
     assert!(share <= 0.45, "stepped share {share:.4} above 0.45");
 }
+
+/// Work-count pin for the FR-FCFS pick on the paper's TPC-H Q6 baseline (the
+/// benchmark's `q6_stream`, whose channel ticks on most DRAM cycles with a
+/// dozen reads queued): legality checks and queue entries read per ticked
+/// channel-cycle. A host-independent count, so CI fails if the pick goes back
+/// to testing every queued entry. Testing each entry it read 96,662 ticked
+/// channel-cycles, 11.90 legality checks and 11.90 entries per tick (the page
+/// proposal scanned another 12.20 queue keys); checking once per bank and
+/// class from the bank table, 6.69 checks and 0.61 entries (the proposal
+/// reads no keys).
+#[test]
+fn tpch_q6_pick_checks_each_bank_and_class_once() {
+    let mut cfg = SystemConfig::baseline(Workload::TpchQ6);
+    cfg.telemetry.profile_kernel = true;
+    let work = || {
+        let mut system = System::new(cfg.clone()).unwrap();
+        system.run_cycles(300_000);
+        let profile = system.kernel_profile().unwrap();
+        (
+            profile.ticked_channel_cycles,
+            profile.pick_legality_checks,
+            profile.pick_entries_read,
+        )
+    };
+    let first = work();
+    assert_eq!(first, work(), "work counts are deterministic");
+    let (ticked, checks, entries) = first;
+    let per_tick = |n: u64| n as f64 / ticked as f64;
+    assert!(
+        per_tick(checks) <= 8.0,
+        "{:.3} legality checks per ticked channel-cycle, above 8.0",
+        per_tick(checks)
+    );
+    assert!(
+        per_tick(entries) <= 1.0,
+        "{:.3} queue entries read per ticked channel-cycle, above 1.0",
+        per_tick(entries)
+    );
+}
