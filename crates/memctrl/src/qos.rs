@@ -35,6 +35,8 @@
 //! quanta, and service counters only change when commands issue — which
 //! never happens inside a skipped window.
 
+use std::cmp::Reverse;
+
 use cloudmc_dram::DramCycles;
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
 
@@ -258,12 +260,11 @@ impl QosArbiter {
                 if total_share == 0 {
                     return (order, 0);
                 }
-                let mut deficits = [0i128; MAX_TENANTS];
+                let mut deficits = [0u64; MAX_TENANTS];
                 let mut candidates: [TenantId; MAX_TENANTS] = [0; MAX_TENANTS];
                 for (t, deficit) in deficits.iter_mut().enumerate().take(self.cfg.tenants) {
-                    let target = i128::from(self.total_served) * i128::from(self.cfg.share[t])
-                        / i128::from(total_share);
-                    *deficit = target - i128::from(self.served[t]);
+                    let target = share_of(self.total_served, self.cfg.share[t], total_share);
+                    *deficit = target.saturating_sub(self.served[t]);
                     if *deficit > 0 {
                         candidates[n] = t;
                         n += 1;
@@ -271,7 +272,7 @@ impl QosArbiter {
                 }
                 // Most under-served first; ties break on tenant id so the
                 // order (and with it the whole simulation) is deterministic.
-                candidates[..n].sort_unstable_by_key(|&t| (-deficits[t], t));
+                candidates[..n].sort_unstable_by_key(|&t| (Reverse(deficits[t]), t));
                 order = candidates;
             }
         }
@@ -302,6 +303,20 @@ impl QosArbiter {
             }
         }
         None
+    }
+}
+
+/// `total * share / total_share`, rounded down: tenant `share`'s part of
+/// `total` served accesses. Exact for any `total`: the product is taken in
+/// `u64` and redone in `u128` only when it overflows. The result never
+/// exceeds `total`, because `share <= total_share`.
+fn share_of(total: u64, share: u32, total_share: u64) -> u64 {
+    match total.checked_mul(u64::from(share)) {
+        Some(product) => product / total_share,
+        None => {
+            let wide = u128::from(total) * u128::from(share) / u128::from(total_share);
+            u64::try_from(wide).unwrap_or(total)
+        }
     }
 }
 
@@ -347,6 +362,45 @@ mod tests {
         banks: &'a BankTable,
     ) -> SchedContext<'a> {
         SchedContext::new(0, channel, read_q, write_q, banks, false, 16)
+    }
+
+    /// The `u64` product with its `u128` fallback gives the wide quotient
+    /// for every total, including ones whose product with `u32::MAX`
+    /// overflows `u64`, and the preference order follows the deficits.
+    #[test]
+    fn share_targets_are_exact_past_the_u64_product() {
+        let edge = u64::MAX / u64::from(u32::MAX);
+        let wide = |total: u64, share: u32, total_share: u64| {
+            (u128::from(total) * u128::from(share) / u128::from(total_share)) as u64
+        };
+        for total in [0, 1, edge - 1, edge, edge + 1, u64::MAX / 2, u64::MAX] {
+            for (share, total_share) in [
+                (u32::MAX, u64::from(u32::MAX) + 1),
+                (u32::MAX, u64::from(u32::MAX)),
+                (1, u64::from(u32::MAX) * 4),
+                (3, 7),
+            ] {
+                assert_eq!(
+                    share_of(total, share, total_share),
+                    wide(total, share, total_share),
+                    "{total} * {share} / {total_share}"
+                );
+            }
+        }
+        let mut arbiter = QosArbiter::new(QosConfig {
+            share: [u32::MAX, 1, u32::MAX, 0],
+            tenants: 3,
+            ..two_tenant_cfg(QosPolicyKind::StaticPartition)
+        });
+        arbiter.total_served = edge + 5;
+        arbiter.served = [0, 0, 3, 0];
+        // Tenants 0 and 2 are owed about half of the total each (3 less
+        // for tenant 2); tenant 1's target rounds down to 0.
+        let (order, n) = arbiter.preference_order();
+        assert_eq!(&order[..n], &[0, 2]);
+        arbiter.served = [4, 0, 0, 0];
+        let (order, n) = arbiter.preference_order();
+        assert_eq!(&order[..n], &[2, 0]);
     }
 
     #[test]

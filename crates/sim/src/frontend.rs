@@ -82,7 +82,7 @@ use rand::{Rng, SeedableRng};
 
 use cloudmc_cpu::{CacheStats, CoreStats, InOrderCore, SharedL2};
 use cloudmc_workloads::{
-    TenantId, TraceRecord, TraceStream, TraceWriter, WorkloadSource, WorkloadStreams,
+    GeneratorWork, TenantId, TraceRecord, TraceStream, TraceWriter, WorkloadSource, WorkloadStreams,
 };
 
 use cloudmc_snap::{snap_fields, SnapError, SnapReader};
@@ -598,6 +598,11 @@ impl Frontend {
         let position = resume + self.cores[core].run_ahead(limit - resume, || stream.next_op());
         self.positions[core] = position;
         self.next_action[core] = self.cores[core].next_due(position);
+    }
+
+    /// The workload generators' host-side work counts so far.
+    pub(crate) fn generator_work(&self) -> GeneratorWork {
+        self.streams.work()
     }
 
     /// L2 hits completed in place so far (see [`Frontend::run_core`]).

@@ -805,10 +805,14 @@ impl System {
     pub fn kernel_profile(&self) -> Option<KernelProfile> {
         let profiler = self.telemetry.as_deref()?.profiler.as_ref()?;
         let work = self.backend.pick_work();
+        let generated = self.frontend.generator_work();
         Some(KernelProfile {
             pick_entries_read: work.entries_read,
             pick_keys_read: work.keys_read,
             pick_legality_checks: work.legality_checks,
+            ops_generated: generated.ops_generated,
+            interval_draws: generated.interval_draws,
+            exact_draws: generated.exact_draws,
             ..profiler.finish(self.clock.cpu_cycle(), self.clock.dram_cycle())
         })
     }

@@ -90,6 +90,9 @@ impl KernelProfiler {
             pick_entries_read: 0,
             pick_keys_read: 0,
             pick_legality_checks: 0,
+            ops_generated: 0,
+            interval_draws: 0,
+            exact_draws: 0,
             cpu_cycles,
             dram_cycles,
         }
@@ -136,6 +139,14 @@ pub struct KernelProfile {
     pub pick_keys_read: u64,
     /// DRAM command legality evaluations the picks made.
     pub pick_legality_checks: u64,
+    /// Ops the workload generators produced (compute gaps and memory
+    /// accesses; 0 under trace replay). Host-side, like the pick counts.
+    pub ops_generated: u64,
+    /// Exponential intervals the generators drew.
+    pub interval_draws: u64,
+    /// Interval draws that took the exact `ln` path instead of a lookup
+    /// table.
+    pub exact_draws: u64,
     /// Final simulated CPU-clock reading.
     pub cpu_cycles: u64,
     /// Final simulated DRAM-clock reading.
@@ -179,6 +190,7 @@ impl KernelProfile {
                 "\"ticked_channel_cycles\":{},\"skipped_channel_cycles\":{},",
                 "\"pick_entries_read\":{},\"pick_keys_read\":{},",
                 "\"pick_legality_checks\":{},",
+                "\"ops_generated\":{},\"interval_draws\":{},\"exact_draws\":{},",
                 "\"cpu_cycles\":{},\"dram_cycles\":{}}}"
             ),
             self.frontend_nanos,
@@ -192,6 +204,9 @@ impl KernelProfile {
             self.pick_entries_read,
             self.pick_keys_read,
             self.pick_legality_checks,
+            self.ops_generated,
+            self.interval_draws,
+            self.exact_draws,
             self.cpu_cycles,
             self.dram_cycles,
         )
@@ -259,6 +274,9 @@ mod tests {
             "pick_entries_read",
             "pick_keys_read",
             "pick_legality_checks",
+            "ops_generated",
+            "interval_draws",
+            "exact_draws",
             "cpu_cycles",
             "dram_cycles",
         ] {

@@ -1,6 +1,8 @@
 //! Statistical per-core instruction/access stream generator.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,6 +44,154 @@ impl Layout {
         private_stride: 0x1000_0000, // 256 MiB per core
         hot_stride: 0x0000_4000,     // 16 KiB hot region per core
     };
+}
+
+/// Equal buckets of the uniform draw in an [`IntervalTable`].
+const TABLE_BUCKETS: usize = 2048;
+
+/// The interval [`Interval::draw`] gives for the uniform draw `u`: an
+/// exponential variate of mean `mean`, rounded, at least one instruction.
+fn exact_interval(mean: f64, u: f64) -> u64 {
+    (-mean * u.ln()).round().max(1.0) as u64
+}
+
+/// [`exact_interval`] at one mean, precomputed per bucket of `u`.
+///
+/// With `N = TABLE_BUCKETS`, entry `i` covers every `u` in `[i/N, (i+1)/N)`.
+/// The interval falls as `u` rises, and rounding and the clamp to 1 are
+/// monotone. So a run of buckets holds one interval `v` when the top of its
+/// lowest bucket, `mean·(−ln(i/N))`, widened by `2^-40` of itself plus
+/// `1e-9`, still rounds to `v`, and the run stops where `-mean·ln u` comes
+/// within the same margin of the rounding boundary `v - 0.5`. That margin
+/// (some 4,000 ulps) is far beyond any libm error in the bounds or in a
+/// draw. Every other entry — a bucket holding a boundary, or an interval
+/// beyond `u16` — is 0, and the draw takes the exact path, which is always
+/// correct. A table is deterministic config-derived data: it changes no
+/// draw and no RNG state.
+struct IntervalTable([u16; TABLE_BUCKETS]);
+
+impl IntervalTable {
+    /// Builds the table of `mean`, or `None` when fewer than three buckets
+    /// in four would hold a value (a mean in the hundreds: most draws would
+    /// take the exact path anyway, after paying for the lookup).
+    ///
+    /// Every snapshot restore builds its tables again, so the build costs
+    /// one `ln` and one `exp` per run of equal entries, not an `ln` per
+    /// bucket, and a gated-out mean stops early.
+    fn build(mean: f64) -> Option<Self> {
+        const MARGIN_PER_UNIT: f64 = 1.0 / (1u64 << 40) as f64;
+        let most_missing = TABLE_BUCKETS / 4;
+        let n = TABLE_BUCKETS as f64;
+        let widen = |x: f64| x + x * MARGIN_PER_UNIT + 1e-9;
+        // Bucket 0 reaches `u = 0`, where the interval is unbounded, and the
+        // buckets below `1/(e^(1/mean) - 1)` span more than one interval, so
+        // each holds a rounding boundary.
+        let mut i = (1.0 / (1.0 / mean).exp_m1()).max(0.0) as usize + 1;
+        let mut missing = i;
+        if missing > most_missing {
+            return None;
+        }
+        let mut entries = [0u16; TABLE_BUCKETS];
+        while i < TABLE_BUCKETS {
+            // No `u` from bucket `i` up draws more than `value` ...
+            let value = widen(mean * -(i as f64 / n).ln()).round().max(1.0);
+            // ... and none below bucket coordinate `end` draws less.
+            let end = if value > 1.0 {
+                (-widen(value - 0.5) / mean).exp() * n
+            } else {
+                n
+            };
+            let end = (end as usize).min(TABLE_BUCKETS);
+            if end > i && value <= f64::from(u16::MAX) {
+                entries[i..end].fill(value as u16);
+                i = end;
+            }
+            // Bucket `i` holds the boundary (or ends on it): leave it empty.
+            if i < TABLE_BUCKETS {
+                missing += 1;
+                if missing > most_missing {
+                    return None;
+                }
+                i += 1;
+            }
+        }
+        Some(Self(entries))
+    }
+
+    /// The interval every `u` of `u`'s bucket gives, if the table holds one.
+    fn lookup(&self, u: f64) -> Option<u64> {
+        let entry = *self.0.get((u * TABLE_BUCKETS as f64) as usize)?;
+        (entry != 0).then_some(u64::from(entry))
+    }
+}
+
+impl fmt::Debug for IntervalTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let held = self.0.iter().filter(|&&e| e != 0).count();
+        write!(f, "IntervalTable({held} of {TABLE_BUCKETS} buckets held)")
+    }
+}
+
+/// The mean of one exponential interval a stream draws, with the lookup
+/// table of that mean when one was kept.
+#[derive(Debug, Clone)]
+struct Interval {
+    mean: f64,
+    table: Option<Arc<IntervalTable>>,
+}
+
+impl Interval {
+    /// An interval drawn by the exact formula only.
+    fn exact(mean: f64) -> Self {
+        Self { mean, table: None }
+    }
+
+    /// An interval with its lookup table, if the table pays.
+    fn tabled(mean: f64) -> Self {
+        let table = if mean.is_finite() {
+            IntervalTable::build(mean).map(Arc::new)
+        } else {
+            None
+        };
+        Self { mean, table }
+    }
+
+    /// Draws one interval (one uniform draw from `rng`), counting the draw
+    /// and whether it took the exact path in `work`.
+    fn draw(&self, rng: &mut StdRng, work: &mut GeneratorWork) -> u64 {
+        if !self.mean.is_finite() {
+            return u64::MAX / 4;
+        }
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        work.interval_draws += 1;
+        if let Some(interval) = self.table.as_ref().and_then(|t| t.lookup(u)) {
+            debug_assert_eq!(interval, exact_interval(self.mean, u), "u = {u:e}");
+            return interval;
+        }
+        work.exact_draws += 1;
+        exact_interval(self.mean, u)
+    }
+}
+
+/// Host-side work counts of the op generator, summed over streams. They
+/// are in no snapshot and not part of any statistic: a restored stream
+/// keeps counting from what it had.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GeneratorWork {
+    /// Ops (compute gaps and memory accesses) generated.
+    pub ops_generated: u64,
+    /// Exponential intervals drawn (data, fetch and hot countdowns).
+    pub interval_draws: u64,
+    /// Interval draws that took the exact `ln` path rather than a table.
+    pub exact_draws: u64,
+}
+
+impl std::ops::AddAssign for GeneratorWork {
+    fn add_assign(&mut self, rhs: Self) {
+        self.ops_generated += rhs.ops_generated;
+        self.interval_draws += rhs.interval_draws;
+        self.exact_draws += rhs.exact_draws;
+    }
 }
 
 /// Generates the instruction stream of one core of one workload.
@@ -88,13 +238,13 @@ pub struct CoreStream {
     /// from `phase_hot` (the next hot/quiet boundary; `u64::MAX` for a spec
     /// without phases). Restores reset it to 0, which checks on the next op.
     next_phase_check: u64,
-    /// Mean instructions between off-chip data events in the quiet and the
-    /// hot phase, indexed by `phase_hot` (fixed by the spec and the core).
-    data_interval: [f64; 2],
-    /// Mean instructions between instruction fetches (fixed by the spec).
-    ifetch_interval: f64,
-    /// Mean instructions between hot accesses (fixed by the spec).
-    hot_interval: f64,
+    /// Instructions between off-chip data events in the quiet and the hot
+    /// phase, indexed by `phase_hot` (fixed by the spec and the core).
+    data_interval: [Interval; 2],
+    /// Instructions between instruction fetches (fixed by the spec).
+    ifetch_interval: Interval,
+    /// Instructions between hot accesses (fixed by the spec).
+    hot_interval: Interval,
     /// Instructions until the next off-chip data event.
     until_data: u64,
     /// Instructions until the next instruction-fetch event.
@@ -105,6 +255,8 @@ pub struct CoreStream {
     instructions_planned: u64,
     data_events: u64,
     data_accesses: u64,
+    /// Host-side work counts.
+    work: GeneratorWork,
 }
 
 impl CoreStream {
@@ -116,24 +268,42 @@ impl CoreStream {
     #[must_use]
     pub fn new(spec: WorkloadSpec, core: usize, seed: u64) -> Self {
         let code_offset = spec.code_footprint_bytes * core as u64;
-        Self::placed(spec, core, core, code_offset, seed)
+        let shared = Self::shared_intervals(&spec);
+        Self::placed(spec, core, core, code_offset, seed, shared)
+    }
+
+    /// The fetch and hot intervals of `spec`, with their tables: they do
+    /// not depend on the core, so the streams of one tenant share them.
+    fn shared_intervals(spec: &WorkloadSpec) -> [Interval; 2] {
+        let ifetch = if spec.ifetch_mpki <= 0.0 {
+            f64::INFINITY
+        } else {
+            1000.0 / spec.ifetch_mpki
+        };
+        let hot = if spec.hot_access_rate <= 0.0 {
+            f64::INFINITY
+        } else {
+            1.0 / spec.hot_access_rate
+        };
+        [Interval::tabled(ifetch), Interval::tabled(hot)]
     }
 
     /// Creates the stream for local `core` of one tenant of a mix, placed at
     /// global core slot `layout_core` with its code region at `code_offset`
-    /// bytes into the code area. [`CoreStream::new`] is the single-tenant
-    /// case where both indices coincide.
+    /// bytes into the code area, drawing from the tenant's
+    /// [`CoreStream::shared_intervals`]. [`CoreStream::new`] is the
+    /// single-tenant case where both indices coincide.
     ///
     /// # Panics
     ///
     /// Panics if the spec does not validate or `core` is out of range.
-    #[must_use]
-    pub fn placed(
+    fn placed(
         spec: WorkloadSpec,
         core: usize,
         layout_core: usize,
         code_offset: u64,
         seed: u64,
+        [ifetch_interval, hot_interval]: [Interval; 2],
     ) -> Self {
         #[expect(
             clippy::expect_used,
@@ -145,18 +315,9 @@ impl CoreStream {
             "core {core} out of range ({} cores)",
             spec.cores
         );
-        let ifetch_interval = if spec.ifetch_mpki <= 0.0 {
-            f64::INFINITY
-        } else {
-            1000.0 / spec.ifetch_mpki
-        };
-        let hot_interval = if spec.hot_access_rate <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / spec.hot_access_rate
-        };
         let mut stream = Self {
-            data_interval: [false, true].map(|hot| Self::mean_data_interval(&spec, core, hot)),
+            data_interval: [false, true]
+                .map(|hot| Interval::exact(Self::mean_data_interval(&spec, core, hot))),
             ifetch_interval,
             hot_interval,
             spec,
@@ -177,10 +338,13 @@ impl CoreStream {
             instructions_planned: 0,
             data_events: 0,
             data_accesses: 0,
+            work: GeneratorWork::default(),
         };
-        stream.until_data = stream.sample_interval(stream.data_interval());
-        stream.until_ifetch = stream.sample_interval(stream.ifetch_interval);
-        stream.until_hot = stream.sample_interval(stream.hot_interval);
+        stream.until_data = stream.draw_data_interval();
+        stream.until_ifetch = stream
+            .ifetch_interval
+            .draw(&mut stream.rng, &mut stream.work);
+        stream.until_hot = stream.hot_interval.draw(&mut stream.rng, &mut stream.work);
         stream
     }
 
@@ -233,6 +397,12 @@ impl CoreStream {
         self.instructions_planned
     }
 
+    /// The generator's host-side work counts so far.
+    #[must_use]
+    pub fn work(&self) -> GeneratorWork {
+        self.work
+    }
+
     /// Length of a high-intensity phase in instructions.
     const HOT_PHASE_INSTR: u64 = 6_000;
     /// Length of one hot + quiet cycle of the phase schedule in instructions.
@@ -267,9 +437,9 @@ impl CoreStream {
         1000.0 * accesses_per_event / mpki
     }
 
-    /// Mean data-event interval of the current phase.
-    fn data_interval(&self) -> f64 {
-        self.data_interval[usize::from(self.phase_hot)]
+    /// Draws the data-event interval of the current phase.
+    fn draw_data_interval(&mut self) -> u64 {
+        self.data_interval[usize::from(self.phase_hot)].draw(&mut self.rng, &mut self.work)
     }
 
     /// Accounts for executed instructions in the phase machine; on a phase
@@ -301,18 +471,8 @@ impl CoreStream {
         self.next_phase_check = (self.instructions_planned - into_period).saturating_add(boundary);
         if scheduled != self.phase_hot {
             self.phase_hot = scheduled;
-            self.until_data = self.sample_interval(self.data_interval());
+            self.until_data = self.draw_data_interval();
         }
-    }
-
-    /// Samples an exponentially distributed interval with the given mean,
-    /// clamped to at least one instruction.
-    fn sample_interval(&mut self, mean: f64) -> u64 {
-        if !mean.is_finite() {
-            return u64::MAX / 4;
-        }
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        (-mean * u.ln()).round().max(1.0) as u64
     }
 
     fn private_region(&self) -> (u64, u64) {
@@ -385,7 +545,7 @@ impl CoreStream {
         // they spread over all L2 sets instead of aliasing onto the same ones
         // (the per-core stride would otherwise be a multiple of the set span).
         let base = self.layout.code_base + self.code_offset;
-        let blocks = (self.spec.code_footprint_bytes / BLOCK_BYTES).max(1);
+        let blocks = self.code_blocks();
         // Cyclic sequential walk through the code with very occasional jumps
         // (calls, branches): the instruction working set is touched within a
         // few thousand instructions and then lives in the shared L2, which is
@@ -394,7 +554,10 @@ impl CoreStream {
         if self.rng.gen_bool(1.0 / 512.0) {
             self.ifetch_cursor = self.rng.gen_range(0..blocks);
         } else {
-            self.ifetch_cursor = (self.ifetch_cursor + 1) % blocks;
+            self.ifetch_cursor += 1;
+            if self.ifetch_cursor == blocks {
+                self.ifetch_cursor = 0;
+            }
         }
         MemOp {
             kind: OpKind::Ifetch,
@@ -421,11 +584,24 @@ impl CoreStream {
         }
     }
 
-    /// A row burst never exceeds one DRAM row's worth of blocks. The phase
-    /// check point is not in the image: the next op re-derives it.
+    /// Blocks in this core's code region (the fetch walk's period).
+    fn code_blocks(&self) -> u64 {
+        (self.spec.code_footprint_bytes / BLOCK_BYTES).max(1)
+    }
+
+    /// A row burst never exceeds one DRAM row's worth of blocks, and the
+    /// fetch cursor stays inside the code region. The phase check point is
+    /// not in the image: the next op re-derives it.
     fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
         if self.burst.len() as u64 > ROW_BYTES / BLOCK_BYTES {
             return Err(r.bad_value(format!("burst length {} exceeds one row", self.burst.len())));
+        }
+        if self.ifetch_cursor >= self.code_blocks() {
+            return Err(r.bad_value(format!(
+                "fetch cursor {} outside the {}-block code region",
+                self.ifetch_cursor,
+                self.code_blocks()
+            )));
         }
         self.next_phase_check = 0;
         Ok(())
@@ -443,6 +619,7 @@ impl CoreStream {
 
     /// Produces the next instruction-stream slot.
     pub fn next_op(&mut self) -> CoreOp {
+        self.work.ops_generated += 1;
         // Burst continuation: back-to-back accesses within the open row.
         if let Some(addr) = self.burst.pop_front() {
             self.instructions_planned += 1;
@@ -464,19 +641,19 @@ impl CoreStream {
         self.instructions_planned += 1;
         self.consume_instructions();
         if self.until_data <= 1 {
-            self.until_data = self.sample_interval(self.data_interval());
+            self.until_data = self.draw_data_interval();
             self.until_ifetch = self.until_ifetch.saturating_sub(1).max(1);
             self.until_hot = self.until_hot.saturating_sub(1).max(1);
             let op = self.start_data_event();
             CoreOp::Mem(op)
         } else if self.until_ifetch <= 1 {
-            self.until_ifetch = self.sample_interval(self.ifetch_interval);
+            self.until_ifetch = self.ifetch_interval.draw(&mut self.rng, &mut self.work);
             self.until_data = self.until_data.saturating_sub(1).max(1);
             self.until_hot = self.until_hot.saturating_sub(1).max(1);
             let op = self.ifetch_op();
             CoreOp::Mem(op)
         } else {
-            self.until_hot = self.sample_interval(self.hot_interval);
+            self.until_hot = self.hot_interval.draw(&mut self.rng, &mut self.work);
             self.until_data = self.until_data.saturating_sub(1).max(1);
             self.until_ifetch = self.until_ifetch.saturating_sub(1).max(1);
             let op = self.hot_op();
@@ -532,6 +709,7 @@ impl WorkloadStreams {
         let mut layout_core = 0usize;
         let mut code_offset = 0u64;
         for tenant in mix.tenants() {
+            let shared = CoreStream::shared_intervals(&tenant.workload);
             for core in 0..tenant.workload.cores {
                 streams.push(CoreStream::placed(
                     tenant.workload,
@@ -539,6 +717,7 @@ impl WorkloadStreams {
                     layout_core,
                     code_offset,
                     seed,
+                    shared.clone(),
                 ));
                 layout_core += 1;
                 code_offset += tenant.workload.code_footprint_bytes;
@@ -594,6 +773,16 @@ impl WorkloadStreams {
         &self.streams[core]
     }
 
+    /// The generator's host-side work counts, summed over every stream.
+    #[must_use]
+    pub fn work(&self) -> GeneratorWork {
+        let mut sum = GeneratorWork::default();
+        for stream in &self.streams {
+            sum += stream.work();
+        }
+        sum
+    }
+
     /// DMA/IO requests to inject per kilo CPU cycles, summed over tenants.
     #[must_use]
     pub fn dma_per_kcycle(&self) -> f64 {
@@ -633,6 +822,7 @@ snap_fields! {
             data_interval: "config-derived",
             ifetch_interval: "config-derived",
             hot_interval: "config-derived",
+            work: "host-side work counts, not simulated state",
         },
         after_load: Self::check_restored,
     }
@@ -942,6 +1132,113 @@ mod tests {
         }
         assert_eq!(original.instructions_planned, restored.instructions_planned);
         assert_eq!(original.data_events, restored.data_events);
+    }
+
+    /// The fetch and hot means of every workload at the intensities the
+    /// sweeps and benchmarks use.
+    fn shared_means() -> Vec<(String, f64)> {
+        let mut means = Vec::new();
+        for w in Workload::all() {
+            for intensity in [0.02, 0.1, 0.25, 0.5, 1.0, 2.0] {
+                let spec = w.spec().with_intensity(intensity);
+                for (name, interval) in ["ifetch", "hot"]
+                    .into_iter()
+                    .zip(CoreStream::shared_intervals(&spec))
+                {
+                    means.push((format!("{w}@{intensity} {name}"), interval.mean));
+                }
+            }
+        }
+        means
+    }
+
+    /// Every table entry equals the exact formula at both edge doubles of
+    /// its bucket and one ulp inside each, and 100,000 draws through the
+    /// stream's own uniform range agree with the formula per mean.
+    #[test]
+    fn table_draws_equal_the_exact_formula() {
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let next_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut tables = 0;
+        for (name, mean) in shared_means() {
+            let Some(table) = IntervalTable::build(mean) else {
+                continue;
+            };
+            tables += 1;
+            let n = TABLE_BUCKETS as f64;
+            for i in 0..TABLE_BUCKETS {
+                let first = (i as f64 / n).max(f64::EPSILON);
+                let last = next_down((i + 1) as f64 / n);
+                for u in [first, next_up(first), next_down(last), last] {
+                    assert_eq!((u * n) as usize, i, "{name}: u = {u:e} leaves bucket {i}");
+                    if let Some(interval) = table.lookup(u) {
+                        assert_eq!(interval, exact_interval(mean, u), "{name}: u = {u:e}");
+                    }
+                }
+            }
+            let interval = Interval {
+                mean,
+                table: Some(Arc::new(table)),
+            };
+            let mut rng = StdRng::seed_from_u64(mean.to_bits());
+            let mut work = GeneratorWork::default();
+            for _ in 0..100_000 {
+                let mut twin = rng.clone();
+                let u: f64 = twin.gen_range(f64::EPSILON..1.0);
+                assert_eq!(
+                    interval.draw(&mut rng, &mut work),
+                    exact_interval(mean, u),
+                    "{name}: u = {u:e}"
+                );
+                assert_eq!(rng.state(), twin.state(), "{name}: one uniform per draw");
+            }
+            assert_eq!(work.interval_draws, 100_000);
+            assert!(work.exact_draws < 25_000, "{name}: {work:?}");
+        }
+        assert!(tables >= 100, "only {tables} tables kept");
+    }
+
+    /// A table is kept only where three buckets in four hold a value: Web
+    /// Search keeps both at full intensity and neither at 2%, where the
+    /// means are in the hundreds. The streams of one tenant share them.
+    #[test]
+    fn tables_are_gated_and_shared_per_tenant() {
+        let kept = |spec: &WorkloadSpec| {
+            CoreStream::shared_intervals(spec).map(|interval| interval.table.is_some())
+        };
+        let spec = Workload::WebSearch.spec();
+        assert_eq!(kept(&spec), [true, true]);
+        assert_eq!(kept(&spec.with_intensity(0.02)), [false, false]);
+        let streams = WorkloadStreams::new(Workload::WebSearch, 1);
+        let table = |core: usize| streams.stream(core).ifetch_interval.table.clone().unwrap();
+        assert!(Arc::ptr_eq(&table(0), &table(15)));
+    }
+
+    /// A restored fetch cursor must lie inside the code region: an image
+    /// whose cursor was rewritten past the code footprint is rejected with
+    /// a typed error instead of wrapping silently.
+    #[test]
+    fn restore_rejects_a_fetch_cursor_past_the_code_region() {
+        use cloudmc_snap::{Snap, SnapWriter};
+        let spec = Workload::WebSearch.spec();
+        let image = |cursor: u64| {
+            let mut stream = CoreStream::new(spec, 1, 5);
+            stream.ifetch_cursor = cursor;
+            let mut w = SnapWriter::new(0);
+            stream.save(&mut w);
+            w.finish()
+        };
+        let blocks = spec.code_footprint_bytes / BLOCK_BYTES;
+        for (cursor, accepted) in [(blocks - 1, true), (blocks, false), (u64::MAX, false)] {
+            let mut restored = CoreStream::new(spec, 1, 5);
+            let bytes = image(cursor);
+            let mut r = SnapReader::new(&bytes, 0).unwrap();
+            let result = restored.load(&mut r);
+            assert_eq!(result.is_ok(), accepted, "cursor {cursor}: {result:?}");
+            if let Err(e) = result {
+                assert!(e.to_string().contains("fetch cursor"), "{e}");
+            }
+        }
     }
 
     #[test]

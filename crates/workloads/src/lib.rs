@@ -33,7 +33,7 @@ pub mod mix;
 pub mod spec;
 pub mod trace;
 
-pub use generator::{CoreStream, WorkloadStreams, BLOCK_BYTES, ROW_BYTES};
+pub use generator::{CoreStream, GeneratorWork, WorkloadStreams, BLOCK_BYTES, ROW_BYTES};
 pub use mix::{MixSpec, TenantId, TenantSpec, MAX_TENANTS};
 pub use spec::{Category, Workload, WorkloadSpec};
 pub use trace::{TraceReader, TraceRecord, TraceStream, TraceWriter, WorkloadSource};

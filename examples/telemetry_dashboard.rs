@@ -145,6 +145,13 @@ fn main() -> Result<(), String> {
             profile.skipped_channel_cycles,
             100.0 * profile.ticked_channel_cycles as f64 / channel_cycles.max(1) as f64,
         );
+        println!(
+            "{} ops generated, {} interval draws, {} exact (ln) draws ({:.1}%)",
+            profile.ops_generated,
+            profile.interval_draws,
+            profile.exact_draws,
+            100.0 * profile.exact_draws as f64 / profile.interval_draws.max(1) as f64,
+        );
     }
     Ok(())
 }
