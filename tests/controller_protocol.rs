@@ -6,29 +6,14 @@
 
 #[path = "../crates/dram/tests/protocol/mod.rs"]
 mod protocol;
+mod support;
 
 use cloudmc_dram::{Command, CommandKind, Location, LogEvent};
 use cloudmc_memctrl::{
     AccessKind, FaultConfig, McConfig, MemoryController, MemoryRequest, PagePolicyKind,
     PowerPolicyKind, SchedulerKind, UncorrectablePolicy,
 };
-
-/// SplitMix64: a seeded request stream without a dependency.
-struct Stream(u64);
-
-impl Stream {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use support::SplitMix;
 
 /// The busy windows of a run, `[start, end)` in DRAM cycles. The gaps let
 /// ranks power down; the last gap outlasts the idle timer's self-refresh
@@ -48,7 +33,7 @@ const BUSY: [(u64, u64); 5] = [
 fn run(cfg: McConfig, seed: u64) -> MemoryController {
     let mut mc = MemoryController::new(cfg).expect("valid configuration");
     mc.record_commands();
-    let mut rng = Stream(seed);
+    let mut rng = SplitMix(seed);
     let mut streams: Vec<u64> = (0..8).map(|_| rng.below(1 << 22) << 12).collect();
     let mut done = Vec::new();
     let mut refused: Option<MemoryRequest> = None;

@@ -10,14 +10,11 @@
 //!   tenant's read latency on a contended mix, and the batch tenant pays,
 //!   keeping total completions conserved.
 
+mod support;
+
 use cloudmc::memctrl::{QosPolicyKind, MAX_TENANTS};
 use cloudmc::sim::{run_system, SimStats, System, SystemConfig};
-use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
-
-fn lc_batch_mix() -> MixSpec {
-    MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
-        .and(TenantSpec::batch(Workload::TpchQ6, 8))
-}
+use support::lc_batch_mix;
 
 fn small_mixed(qos: QosPolicyKind, seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::mixed(lc_batch_mix());

@@ -2,26 +2,29 @@
 //! restore the image onto a freshly built system, run to the end of the
 //! measurement — and every statistic must be *bit-identical* to the
 //! uninterrupted run — of the event kernel and of the per-cycle reference
-//! loop. Exercised on single- and four-channel backends, a mixed
-//! latency-critical/batch tenancy, and a fault-injection configuration with
-//! patrol scrub and row retirement active. Only event-driven systems can be
-//! checkpointed: a reference-driven one refuses with a typed error.
+//! loop. Held at the end of warm-up on the checked rows of
+//! `tests/answers.rs` that the tests below name (single- and four-channel
+//! backends, tenant mixes, fault injection, every scheduler, page and power
+//! policy), and here at cycle 0, after many odd chunks and across a
+//! re-seeded fork. Only event-driven systems can be checkpointed: a
+//! reference-driven one refuses with a typed error.
 //!
 //! These tests are the contract that lets the experiment executor warm up
 //! once and fork every measured replicate from the warm image: any mutable
 //! field missing from the snapshot shows up here as a diverging counter.
 
-use cloudmc::memctrl::{
-    FaultConfig, PagePolicyKind, PowerPolicyKind, SchedulerKind, UncorrectablePolicy,
-};
-use cloudmc::sim::{SimError, SimStats, Simulator, SystemConfig};
-use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
+mod support;
 
+use cloudmc::memctrl::{PagePolicyKind, PowerPolicyKind, SchedulerKind};
+use cloudmc::sim::{SimError, SimStats, Simulator, SystemConfig};
+use cloudmc::workloads::Workload;
+use support::corpus::covers;
+use support::lc_batch_mix;
+
+/// The shared `small` configuration, measured for 40k cycles.
 fn small(workload: Workload, seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::baseline(workload);
-    cfg.warmup_cpu_cycles = 10_000;
+    let mut cfg = support::small(workload, seed);
     cfg.measure_cpu_cycles = 40_000;
-    cfg.seed = seed;
     cfg
 }
 
@@ -53,47 +56,6 @@ fn interrupted_at(cfg: &SystemConfig, at: u64) -> SimStats {
     assert_eq!(image, again, "restore → snapshot must be the identity");
     second.system_mut().run_cycles(cfg.warmup_cpu_cycles - at);
     second.run_measurement().expect("resumed run")
-}
-
-/// Snapshot/restore at the warm-up boundary and mid-warm-up, for one config.
-fn assert_restartable(cfg: SystemConfig, label: &str) -> SimStats {
-    let reference = uninterrupted(&cfg);
-    for at in [cfg.warmup_cpu_cycles / 2, cfg.warmup_cpu_cycles] {
-        let resumed = interrupted_at(&cfg, at);
-        assert_eq!(
-            resumed, reference,
-            "{label}: run resumed from a cycle-{at} snapshot diverged"
-        );
-        assert_eq!(
-            format!("{resumed:?}"),
-            format!("{reference:?}"),
-            "{label}: debug renderings must be byte-identical"
-        );
-    }
-    reference
-}
-
-/// Acceptance test: a resumed event-kernel run equals the uninterrupted
-/// run of both kernels, on a single-channel and a four-channel backend (the
-/// image carries every channel's controller state and cached due bound).
-#[test]
-fn every_kernel_resumes_bit_identically() {
-    let mut four = small(Workload::TpchQ6, 11);
-    four.num_channels = 4;
-    for (cfg, label) in [
-        (small(Workload::DataServing, 7), "1 channel"),
-        (four, "4 channels"),
-    ] {
-        let stats = assert_restartable(cfg.clone(), label);
-        assert!(stats.user_instructions > 0, "{label} must commit work");
-        let mut oracle = Simulator::reference(cfg).expect("valid config");
-        oracle.run_warmup();
-        assert_eq!(
-            oracle.run_measurement().expect("reference run"),
-            stats,
-            "{label}: reference loop diverged from the resumed event run"
-        );
-    }
 }
 
 /// A restore builds its system without the functional prewarm, so the image
@@ -160,9 +122,7 @@ fn reference_driven_system_refuses_to_snapshot() {
 /// the uninterrupted run does.
 #[test]
 fn snapshots_after_many_odd_chunks_resume_bit_identically() {
-    let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
-        .and(TenantSpec::batch(Workload::TpchQ6, 8));
-    let mut mixed = SystemConfig::mixed(mix);
+    let mut mixed = SystemConfig::mixed(lc_batch_mix());
     mixed.seed = 5;
     for (mut cfg, label) in [(small(Workload::WebSearch, 9), "baseline"), (mixed, "mix")] {
         cfg.warmup_cpu_cycles = 25_000;
@@ -220,40 +180,33 @@ fn reseeded_fork_matches_reseeded_warm_run() {
     }
 }
 
-/// Acceptance test: a latency-critical + batch tenant mix (with the
-/// DMA-driven web frontend so injector credit is in the image) resumes
-/// bit-identically, including every per-tenant statistic.
+/// A resumed event-kernel run equals the uninterrupted run of both kernels
+/// (a checked row also holds the reference loop to the event kernel), on
+/// a single-channel and a four-channel backend: the image carries every
+/// channel's controller state and cached due bound.
 #[test]
-fn tenant_mix_resumes_bit_identically() {
-    let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebFrontend, 8))
-        .and(TenantSpec::batch(Workload::TpchQ6, 8));
-    let mut cfg = SystemConfig::mixed(mix);
-    cfg.warmup_cpu_cycles = 10_000;
-    cfg.measure_cpu_cycles = 40_000;
-    cfg.seed = 5;
-    let stats = assert_restartable(cfg, "tenant mix");
-    assert_eq!(stats.tenants, 2);
-    assert!(stats.instructions_per_tenant.iter().all(|&n| n > 0));
+fn every_kernel_resumes_bit_identically() {
+    covers(&[60, 180], &["resumed"], &["1ch", "4ch"]);
 }
 
-/// Acceptance test: a fault-enabled configuration — transient injection,
-/// stuck rows, patrol scrub, demand retries, row retirement and poisoning all
-/// active — resumes bit-identically, ledger and all.
+/// Tenant mixes resume with every per-tenant statistic, the DMA-driven Web
+/// Frontend's injector credit included.
+#[test]
+fn tenant_mix_resumes_bit_identically() {
+    let each = ["resumed", "every tenant of a mix served"];
+    covers(&[20, 90], &each, &["DMA reads"]);
+}
+
+/// Fault-enabled configurations (transient injection, stuck rows, patrol
+/// scrub, demand retries, row retirement and poisoning) resume
+/// bit-identically, ledger and all.
 #[test]
 fn fault_injection_resumes_bit_identically() {
-    let mut fc = FaultConfig::baseline();
-    fc.seed = 3;
-    fc.transient_rate_fp = FaultConfig::rate_per_million_reads(20_000);
-    fc.uncorrectable_permille = 100;
-    fc.scrub_interval = 300;
-    fc.stuck_rows_per_rank = 2;
-    fc.retire_threshold = 2;
-    fc.on_uncorrectable = UncorrectablePolicy::PoisonAndContinue;
-    let mut cfg = small(Workload::TpchQ6, 3);
-    cfg.mc.fault_model = Some(fc);
-    let stats = assert_restartable(cfg, "fault model");
-    assert!(stats.faults_injected > 0, "fault model never fired");
-    assert!(stats.scrub_reads_issued > 0);
+    covers(
+        &[170, 195],
+        &["resumed", "faults and scrub reads"],
+        &["1ch", "4ch"],
+    );
 }
 
 /// Stateful schedulers carry private clockwork (ATLAS quanta, PAR-BS
@@ -261,33 +214,19 @@ fn fault_injection_resumes_bit_identically() {
 /// the round trip.
 #[test]
 fn stateful_schedulers_resume_bit_identically() {
-    for scheduler in SchedulerKind::paper_set() {
-        let mut cfg = small(Workload::WebSearch, 3);
-        cfg.mc.scheduler = scheduler;
-        assert_restartable(cfg, scheduler.label());
-    }
+    let schedulers = SchedulerKind::all().map(|s| s.label());
+    covers(&[60, 85, 180, 245, 260, 285], &["resumed"], &schedulers);
 }
 
 /// Stateful page and power policies carry per-bank or per-rank clockwork
 /// (RBPP's and ABPP's row histories and current activations, the idle-timer
 /// page policy's last access per bank, the power-down timers' last demand
-/// per rank) that must survive the round trip. Every page policy runs with
-/// one of the power policies in turn, then every power policy runs alone.
+/// per rank) that must survive the round trip.
 #[test]
 fn stateful_page_and_power_policies_resume_bit_identically() {
-    let power = PowerPolicyKind::all();
-    for (i, page) in PagePolicyKind::all().into_iter().enumerate() {
-        let mut cfg = small(Workload::MediaStreaming, 4);
-        cfg.mc.page_policy = page;
-        cfg.mc.power_policy = power[i % power.len()];
-        let label = format!("{page} + {}", cfg.mc.power_policy);
-        assert_restartable(cfg, &label);
-    }
-    for policy in power {
-        let mut cfg = small(Workload::WebSearch, 4);
-        cfg.mc.power_policy = policy;
-        assert_restartable(cfg, &policy.to_string());
-    }
+    let mut policies = PagePolicyKind::all().map(|p| p.to_string()).to_vec();
+    policies.extend(PowerPolicyKind::all().map(|p| p.to_string()));
+    covers(&[60, 85, 180, 235, 245, 285, 295], &["resumed"], &policies);
 }
 
 /// Restoring under any differing configuration is a typed error, not a

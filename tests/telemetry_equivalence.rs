@@ -8,23 +8,21 @@
 //! 2. **On ⇒ reproducible.** The interval time series and the sampled span
 //!    trace are element-for-element identical between the event kernel and
 //!    the per-cycle reference loop, for any seed — because samples land on
-//!    exact cycle boundaries and span ids are minted in arrival order.
+//!    exact cycle boundaries and span ids are minted in arrival order. The
+//!    telemetry rows of `tests/answers.rs` also check this on generated
+//!    configurations.
+
+mod support;
 
 use cloudmc::memctrl::{PowerPolicyKind, SchedulerKind};
-use cloudmc::sim::{SimStats, Simulator, SystemConfig};
+use cloudmc::sim::{Simulator, SystemConfig};
 use cloudmc::telemetry::{SpanRecord, TelemetryConfig, TelemetrySample};
-use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
+use cloudmc::workloads::Workload;
+use support::corpus::{covers, observe, Observed};
+use support::{lc_batch_mix, small};
 
 const INTERVAL: u64 = 7_000; // deliberately not a divisor of the run length
 const SPAN_EVERY: u64 = 16;
-
-fn small(workload: Workload, seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::baseline(workload);
-    cfg.warmup_cpu_cycles = 10_000;
-    cfg.measure_cpu_cycles = 60_000;
-    cfg.seed = seed;
-    cfg
-}
 
 fn with_telemetry(mut cfg: SystemConfig) -> SystemConfig {
     cfg.telemetry = TelemetryConfig {
@@ -35,28 +33,15 @@ fn with_telemetry(mut cfg: SystemConfig) -> SystemConfig {
     cfg
 }
 
-type Observed = (SimStats, Vec<TelemetrySample>, Vec<SpanRecord>);
-
-/// Runs `sim` to completion and returns the stats plus collected telemetry.
-fn observe(mut sim: Simulator) -> Observed {
-    sim.run_warmup();
-    let stats = sim.run_measurement().expect("measurement");
-    (
-        stats,
-        sim.system().telemetry_series().to_vec(),
-        sim.system().telemetry_spans().to_vec(),
-    )
-}
-
 /// Runs `cfg` on the event kernel.
 fn run_telemetry(cfg: &SystemConfig) -> Observed {
-    observe(Simulator::new(cfg.clone()).expect("valid config"))
+    observe(Simulator::new(cfg.clone())).expect("valid config")
 }
 
 /// Runs `cfg` on the reference loop and on the event kernel and demands
 /// identical stats, series and spans.
 fn assert_telemetry_equivalent(cfg: SystemConfig, label: &str) -> Observed {
-    let reference = observe(Simulator::reference(cfg.clone()).expect("valid config"));
+    let reference = observe(Simulator::reference(cfg.clone())).expect("valid config");
     let event = run_telemetry(&cfg);
     assert_eq!(
         event, reference,
@@ -102,38 +87,13 @@ fn telemetry_never_perturbs_stats() {
     }
 }
 
-/// Invariant 2 on single-tenant streams: identical series and spans under
-/// the reference loop and the event kernel for several seeds, with
-/// exact-cycle sample boundaries.
+/// Invariant 2 on generated rows: identical series and spans under the
+/// reference loop and the event kernel, samples on exact interval
+/// boundaries and spans sampled by id (every telemetry row of the corpus
+/// checks the last two), a DMA-driven Web Frontend among them.
 #[test]
 fn series_and_spans_are_identical_across_kernels_and_threads() {
-    for workload in [Workload::TpchQ6, Workload::WebFrontend] {
-        for seed in [1u64, 13] {
-            let cfg = with_telemetry(small(workload, seed));
-            let total = cfg.warmup_cpu_cycles + cfg.measure_cpu_cycles;
-            let (stats, series, spans) =
-                assert_telemetry_equivalent(cfg, &format!("{workload:?} seed {seed}"));
-            assert!(stats.user_instructions > 0);
-            assert_eq!(
-                series.len() as u64,
-                total / INTERVAL,
-                "one sample per full interval"
-            );
-            for (i, s) in series.iter().enumerate() {
-                assert_eq!(
-                    s.cycle,
-                    (i as u64 + 1) * INTERVAL,
-                    "samples must land on exact interval boundaries"
-                );
-                assert!(s.bandwidth_share.is_empty(), "single-tenant share is empty");
-            }
-            assert!(!spans.is_empty(), "span trace must sample something");
-            for s in &spans {
-                assert_eq!(s.id % SPAN_EVERY, 0, "span sampling is id-deterministic");
-                assert!(s.enqueue <= s.issue && s.issue <= s.completion);
-            }
-        }
-    }
+    covers(&[95, 220], &["telemetry series and spans"], &["DMA reads"]);
 }
 
 /// Invariant 2 where it is hardest: a two-channel backend, a
@@ -141,9 +101,7 @@ fn series_and_spans_are_identical_across_kernels_and_threads() {
 /// bandwidth shares must agree across both kernels too.
 #[test]
 fn two_channel_tenant_mix_series_are_identical() {
-    let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
-        .and(TenantSpec::batch(Workload::TpchQ6, 8));
-    let mut cfg = SystemConfig::mixed(mix);
+    let mut cfg = SystemConfig::mixed(lc_batch_mix());
     cfg.warmup_cpu_cycles = 10_000;
     cfg.measure_cpu_cycles = 60_000;
     cfg.seed = 5;

@@ -7,12 +7,17 @@
 //! This is the contract that makes traces a sound experiment medium: any
 //! divergence between the generated op stream and its text round trip, any
 //! replay-side reordering, or any event-kernel bug specific to trace-fed cores
-//! shows up here as a diverging field.
+//! shows up here as a diverging field. The solo and mix equivalences are held
+//! on the traced rows of `tests/answers.rs` named below.
+
+mod support;
 
 use std::path::PathBuf;
 
-use cloudmc::sim::{run_system, SimError, SimStats, Simulator, SystemConfig, WorkloadSource};
-use cloudmc::workloads::{MixSpec, TenantSpec, Workload};
+use cloudmc::sim::{run_system, SimError, Simulator, SystemConfig, WorkloadSource};
+use cloudmc::workloads::Workload;
+use support::corpus::covers;
+use support::small;
 
 /// A collision-free scratch path for one test's trace file.
 fn temp_trace(name: &str) -> PathBuf {
@@ -27,85 +32,21 @@ fn trace_error(cfg: SystemConfig) -> String {
     }
 }
 
-fn small(workload: Workload, seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::baseline(workload);
-    cfg.warmup_cpu_cycles = 10_000;
-    cfg.measure_cpu_cycles = 60_000;
-    cfg.seed = seed;
-    cfg
-}
-
-fn small_mix(seed: u64) -> SystemConfig {
-    let mix = MixSpec::new(TenantSpec::latency_critical(Workload::WebSearch, 8))
-        .and(TenantSpec::batch(Workload::TpchQ6, 8));
-    let mut cfg = SystemConfig::mixed(mix);
-    cfg.warmup_cpu_cycles = 10_000;
-    cfg.measure_cpu_cycles = 60_000;
-    cfg.seed = seed;
-    cfg
-}
-
-/// Records `cfg`, then replays the trace on the event kernel and on the
-/// reference loop, demanding byte-identical statistics each time.
-fn assert_record_replay_equivalent(cfg: &SystemConfig, name: &str) -> SimStats {
-    let path = temp_trace(name);
-    let mut record_cfg = cfg.clone();
-    record_cfg.trace_record = Some(path.clone());
-    let recorded = run_system(record_cfg).expect("record run");
-    let mut replay_cfg = cfg.clone();
-    replay_cfg.source = WorkloadSource::Trace(path.clone());
-    for (kernel, replayed) in [
-        ("event", run_system(replay_cfg.clone()).expect("replay run")),
-        (
-            "reference",
-            Simulator::reference(replay_cfg)
-                .expect("valid config")
-                .try_run()
-                .unwrap(),
-        ),
-    ] {
-        assert_eq!(
-            recorded, replayed,
-            "{name}: {kernel} replay diverged from the recording"
-        );
-        assert_eq!(
-            format!("{recorded:?}"),
-            format!("{replayed:?}"),
-            "{name}: debug renderings must be byte-identical"
-        );
-    }
-    std::fs::remove_file(&path).ok();
-    recorded
-}
-
-/// Acceptance test: two solo workloads x two seeds, plus the DMA-driven
-/// Web Frontend whose injector traffic is regenerated (not traced) and must
-/// line up cycle for cycle.
+/// Solo workloads replay bit-identically on the event kernel and on the
+/// reference loop.
 #[test]
 fn solo_workloads_record_replay_bit_identical() {
-    for workload in [Workload::WebSearch, Workload::TpchQ6] {
-        for seed in [1u64, 7] {
-            let stats = assert_record_replay_equivalent(
-                &small(workload, seed),
-                &format!("{workload:?}_s{seed}"),
-            );
-            assert!(stats.user_instructions > 0);
-            assert!(stats.reads_completed > 0);
-        }
-    }
-    assert_record_replay_equivalent(&small(Workload::WebFrontend, 3), "WebFrontend_s3");
+    covers(&[175, 210, 220], &["replay", "solo"], &["demand reads"]);
 }
 
-/// Acceptance test: a latency-critical + batch tenant mix replays with
-/// every per-tenant statistic intact, across two seeds.
+/// Tenant mixes replay with every per-tenant statistic intact.
 #[test]
 fn multi_tenant_mix_record_replay_bit_identical() {
-    for seed in [5u64, 9] {
-        let stats = assert_record_replay_equivalent(&small_mix(seed), &format!("mix_s{seed}"));
-        assert_eq!(stats.tenants, 2);
-        assert!(stats.instructions_per_tenant.iter().all(|&n| n > 0));
-        assert!(stats.reads_completed_per_tenant.iter().all(|&r| r > 0));
-    }
+    covers(
+        &[135],
+        &["replay", "every tenant of a mix served"],
+        &["qos:none"],
+    );
 }
 
 /// Capture is observation only: recording must not perturb the run, and the
