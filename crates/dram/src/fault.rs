@@ -395,8 +395,7 @@ impl FaultModel {
     }
 
     /// Whether `(rank, bank, row)` hosts a planted (stuck or hard) site.
-    #[must_use]
-    pub fn is_planted(&self, rank: usize, bank: usize, row: u64) -> bool {
+    fn is_planted(&self, rank: usize, bank: usize, row: u64) -> bool {
         let key = (rank, bank, row);
         self.stuck.contains(&key) || self.hard.contains(&key)
     }
@@ -406,7 +405,7 @@ impl FaultModel {
         if let Some(key) = self
             .discovered
             .iter()
-            .find(|key| !self.stuck.contains(key) && !self.hard.contains(key))
+            .find(|&&(rank, bank, row)| !self.is_planted(rank, bank, row))
         {
             return Err(r.bad_value(format!(
                 "discovered site {key:?} is not planted in this configuration"

@@ -1,1201 +1,17 @@
-//! The memory controller proper: per-channel command generation combining a
-//! scheduling algorithm, a page-management policy, write draining and
-//! refresh handling.
+//! The memory controller: one `ChannelController` per channel behind the
+//! address decode, with the whole-controller readers (statistics, device
+//! counters, the reliability ledgers) and the per-cycle and event-driven
+//! drives.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use cloudmc_dram::{ChannelStats, DramCycles, FaultLedger, LogEvent};
+use cloudmc_snap::snap_fields;
 
-use cloudmc_dram::{
-    ChannelStats, Command, DramChannel, DramConfig, DramCycles, FaultConfig, FaultLedger,
-    FaultModel, IssueOutcome, Location, LogEvent, PowerDownMode, ReadFault, UncorrectablePolicy,
-};
-use cloudmc_snap::{snap_fields, SnapError, SnapReader};
-
-use crate::bank_table::BankTable;
-use crate::mapping::{AddressMapping, DecodedAddress};
-use crate::page::{PagePolicy, PagePolicyKind, PolicyView};
-use crate::power::{PowerAction, PowerPolicy, PowerPolicyKind};
-use crate::qos::{QosArbiter, QosConfig};
-use crate::queue::RequestQueue;
-use crate::request::{
-    AccessKind, CompletedRequest, MemoryRequest, RequestId, RowBufferOutcome, MAX_TENANTS,
-};
-use crate::sched::{PickWork, SchedContext, SchedDecision, Scheduler, SchedulerKind};
+use crate::channel_ctl::ChannelController;
+use crate::config::McConfig;
+use crate::mapping::DecodedAddress;
+use crate::request::{AccessKind, CompletedRequest, MemoryRequest, MAX_TENANTS};
+use crate::sched::PickWork;
 use crate::stats::McStats;
-
-/// Id bit marking controller-generated patrol-scrub reads. Demand request
-/// ids are assigned sequentially by the frontend and never reach this range.
-pub const SCRUB_ID_BIT: u64 = 1 << 63;
-
-/// Whether a request id denotes a controller-generated patrol-scrub read.
-#[must_use]
-pub fn is_scrub_id(id: RequestId) -> bool {
-    id & SCRUB_ID_BIT != 0
-}
-
-/// Configuration of a complete memory controller (all channels).
-///
-/// Defaults reproduce the paper's baseline (Table 2): FR-FCFS scheduling,
-/// open-adaptive page policy, no power management, one channel, `RoRaBaCoCh`
-/// address mapping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct McConfig {
-    /// DRAM organization and timing.
-    pub dram: DramConfig,
-    /// Address interleaving scheme.
-    pub mapping: AddressMapping,
-    /// Memory scheduling algorithm.
-    pub scheduler: SchedulerKind,
-    /// Page-management policy.
-    pub page_policy: PagePolicyKind,
-    /// Rank power-management policy.
-    pub power_policy: PowerPolicyKind,
-    /// Multi-tenant QoS policy and tenant metadata (tenancy disabled by
-    /// default; the full-system simulator overwrites the tenant metadata
-    /// from the workload mix, see [`QosConfig`]).
-    pub qos: QosConfig,
-    /// Number of cores sharing the controller. Matters only for a standalone
-    /// controller: the full-system simulator overwrites it with the mix's
-    /// core count.
-    pub num_cores: usize,
-    /// Per-channel read queue capacity.
-    pub read_queue_capacity: usize,
-    /// Per-channel write queue capacity.
-    pub write_queue_capacity: usize,
-    /// Write-queue occupancy at which the controller switches to write drain.
-    pub write_drain_high: usize,
-    /// Write-queue occupancy at which the controller resumes serving reads.
-    pub write_drain_low: usize,
-    /// Optional DRAM reliability model: seeded fault injection, SEC-DED ECC
-    /// accounting, demand retries, patrol scrub and row retirement. `None`
-    /// (the default) leaves the controller's behavior and statistics
-    /// bit-identical to a controller built without the subsystem.
-    pub fault_model: Option<FaultConfig>,
-}
-
-impl McConfig {
-    /// Largest read or write queue capacity that validates. Each queue is
-    /// allocated at its capacity when the controller is built, so the
-    /// capacity must be bounded before anything is sized from it.
-    pub const MAX_QUEUE_CAPACITY: usize = 4096;
-
-    /// The paper's baseline configuration.
-    #[must_use]
-    pub fn baseline() -> Self {
-        Self {
-            dram: DramConfig::baseline(),
-            mapping: AddressMapping::RoRaBaCoCh,
-            scheduler: SchedulerKind::FrFcfs,
-            page_policy: PagePolicyKind::OpenAdaptive,
-            power_policy: PowerPolicyKind::None,
-            qos: QosConfig::none(),
-            num_cores: 16,
-            read_queue_capacity: 64,
-            write_queue_capacity: 64,
-            write_drain_high: 32,
-            write_drain_low: 8,
-            fault_model: None,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency found.
-    pub fn validate(&self) -> Result<(), String> {
-        self.dram.validate()?;
-        self.qos.validate()?;
-        self.scheduler.validate()?;
-        if self.num_cores == 0 {
-            return Err("num_cores must be non-zero".to_owned());
-        }
-        if self.read_queue_capacity == 0 || self.write_queue_capacity == 0 {
-            return Err("queue capacities must be non-zero".to_owned());
-        }
-        for (name, capacity) in [
-            ("read_queue_capacity", self.read_queue_capacity),
-            ("write_queue_capacity", self.write_queue_capacity),
-        ] {
-            if capacity > Self::MAX_QUEUE_CAPACITY {
-                return Err(format!(
-                    "{name} ({capacity}) exceeds {}",
-                    Self::MAX_QUEUE_CAPACITY
-                ));
-            }
-        }
-        if self.write_drain_low >= self.write_drain_high {
-            return Err(format!(
-                "write_drain_low ({}) must be below write_drain_high ({})",
-                self.write_drain_low, self.write_drain_high
-            ));
-        }
-        if self.write_drain_high > self.write_queue_capacity {
-            return Err(format!(
-                "write_drain_high ({}) must not exceed write_queue_capacity ({})",
-                self.write_drain_high, self.write_queue_capacity
-            ));
-        }
-        if let Some(fault) = &self.fault_model {
-            fault.validate(self.dram.banks_per_rank, self.dram.rows_per_bank)?;
-        }
-        Ok(())
-    }
-}
-
-impl Default for McConfig {
-    fn default() -> Self {
-        Self::baseline()
-    }
-}
-
-/// A request whose column access has issued and whose data completes at a
-/// known cycle.
-#[derive(Debug, Clone, Copy, Default)]
-struct InFlight {
-    completion: DramCycles,
-    done: CompletedRequest,
-}
-
-/// Per-channel reliability state: the device fault model plus the
-/// controller-side ECC machinery (demand retries, patrol scrub, row
-/// retirement, line poisoning).
-///
-/// All bookkeeping uses ordered collections and closed-form decisions so the
-/// subsystem is bit-identical under fast-forward and for any worker-thread
-/// count.
-#[derive(Debug)]
-struct FaultState {
-    cfg: FaultConfig,
-    model: FaultModel,
-    /// DRAM geometry for the patrol cursor.
-    ranks: usize,
-    banks_per_rank: usize,
-    rows_per_bank: u64,
-    /// Corrected demand reads parked for a bounded-backoff retry:
-    /// due cycle -> FIFO of (request, location, next attempt number).
-    retry_pending: BTreeMap<DramCycles, VecDeque<(MemoryRequest, Location, u32)>>,
-    retry_len: usize,
-    /// Attempt number for demand reads currently re-enqueued as retries.
-    attempts: BTreeMap<RequestId, u32>,
-    /// Next cycle at which the patrol scrubber wants to emit a read
-    /// (`DramCycles::MAX` when scrubbing is disabled).
-    next_scrub_at: DramCycles,
-    /// Patrol position: next (rank, bank, row) granule to scrub.
-    scrub_cursor: (usize, usize, u64),
-    scrub_seq: u64,
-    /// Scrub reads currently occupying the read queue or in flight; excluded
-    /// from demand `pending()` accounting.
-    scrub_live: usize,
-    /// Detected error counts per row, feeding repeat-offender retirement.
-    row_errors: BTreeMap<(usize, usize, u64), u32>,
-    /// Retired rows: the remap table. Reads to retired rows are served from
-    /// the healthy spare, so they never fault again.
-    retired: BTreeSet<(usize, usize, u64)>,
-    rows_retired_per_rank: Vec<u64>,
-    /// Poisoned lines (rank, bank, row, column) under poison-and-continue.
-    poisoned: BTreeSet<(usize, usize, u64, u64)>,
-    /// First uncorrectable error seen under fail-stop; surfaced by the
-    /// simulator as a typed error once the run finishes — never a panic.
-    error: Option<String>,
-}
-
-impl FaultState {
-    fn new(mut cfg: FaultConfig, channel: usize, dram: &DramConfig) -> Self {
-        // Decorrelate the channels: with a shared seed every channel would
-        // plant stuck/hard rows at identical coordinates and flip the same
-        // transient bits, which is not how independent DIMMs fail. The
-        // offset is a pure function of the channel index, so runs stay
-        // deterministic.
-        cfg.seed = cfg
-            .seed
-            .wrapping_add((channel as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let model = FaultModel::new(
-            cfg,
-            dram.ranks_per_channel,
-            dram.banks_per_rank,
-            dram.rows_per_bank,
-        );
-        Self {
-            cfg,
-            model,
-            ranks: dram.ranks_per_channel,
-            banks_per_rank: dram.banks_per_rank,
-            rows_per_bank: dram.rows_per_bank,
-            retry_pending: BTreeMap::new(),
-            retry_len: 0,
-            attempts: BTreeMap::new(),
-            next_scrub_at: if cfg.scrub_interval > 0 {
-                cfg.scrub_interval
-            } else {
-                DramCycles::MAX
-            },
-            scrub_cursor: (0, 0, 0),
-            scrub_seq: 0,
-            scrub_live: 0,
-            row_errors: BTreeMap::new(),
-            retired: BTreeSet::new(),
-            rows_retired_per_rank: vec![0; dram.ranks_per_channel],
-            poisoned: BTreeSet::new(),
-            error: None,
-        }
-    }
-
-    /// Advances the patrol cursor one row granule, wrapping row -> bank ->
-    /// rank.
-    fn advance_scrub_cursor(&mut self) {
-        let (rank, bank, row) = self.scrub_cursor;
-        self.scrub_cursor = if row + 1 < self.rows_per_bank {
-            (rank, bank, row + 1)
-        } else if bank + 1 < self.banks_per_rank {
-            (rank, bank + 1, 0)
-        } else {
-            ((rank + 1) % self.ranks, 0, 0)
-        };
-    }
-
-    /// Records a detected error on a row and retires it once it crosses the
-    /// repeat-offender threshold. Returns `true` if the row was retired now.
-    fn note_row_error(&mut self, rank: usize, bank: usize, row: u64) -> bool {
-        let key = (rank, bank, row);
-        if self.retired.contains(&key) {
-            return false;
-        }
-        let count = self.row_errors.entry(key).or_insert(0);
-        *count += 1;
-        if *count >= self.cfg.retire_threshold {
-            self.row_errors.remove(&key);
-            self.retired.insert(key);
-            self.rows_retired_per_rank[rank] += 1;
-            return true;
-        }
-        false
-    }
-
-    /// Recomputes the parked-retry count from the restored buckets and
-    /// rejects a patrol cursor outside the geometry.
-    fn finish_restore(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
-        self.retry_len = self.retry_pending.values().map(VecDeque::len).sum();
-        let (rank, bank, row) = self.scrub_cursor;
-        if rank >= self.ranks || bank >= self.banks_per_rank || row >= self.rows_per_bank {
-            return Err(r.bad_value(format!(
-                "scrub cursor ({rank}, {bank}, {row}) outside geometry \
-                 ({} ranks, {} banks, {} rows)",
-                self.ranks, self.banks_per_rank, self.rows_per_bank
-            )));
-        }
-        Ok(())
-    }
-
-    /// Classifies a read against the fault model, honoring the remap table:
-    /// retired rows are served from healthy spares and never fault.
-    fn classify(
-        &mut self,
-        id: RequestId,
-        attempt: u32,
-        loc: &Location,
-        residency: &cloudmc_dram::PowerResidency,
-    ) -> ReadFault {
-        if self.retired.contains(&(loc.rank, loc.bank, loc.row)) {
-            return ReadFault::None;
-        }
-        self.model
-            .classify_read(id, attempt, loc.rank, loc.bank, loc.row, residency)
-    }
-}
-
-/// Controller state for one memory channel.
-#[derive(Debug)]
-struct ChannelController {
-    index: usize,
-    channel: DramChannel,
-    read_q: RequestQueue,
-    write_q: RequestQueue,
-    scheduler: Scheduler,
-    policy: PagePolicy,
-    power_policy: PowerPolicy,
-    qos: QosArbiter,
-    write_mode: bool,
-    inflight: Vec<InFlight>,
-    /// Per flat-bank flag: a conflict-induced precharge has been issued and
-    /// the next activation of that bank serves a row-conflict request.
-    conflict_pending: Vec<bool>,
-    /// Per flat-bank flag: the currently open row was activated after a
-    /// conflict-induced precharge.
-    activated_after_conflict: Vec<bool>,
-    stats: McStats,
-    write_drain_high: usize,
-    write_drain_low: usize,
-    num_cores: usize,
-    /// Reliability subsystem; `None` keeps the controller bit-identical to a
-    /// build without it (no extra work on any hot path).
-    fault: Option<Box<FaultState>>,
-    /// Per-bank demand of both queues against the open rows, kept by
-    /// [`Self::enqueue`], [`Self::execute`] and [`Self::issue`].
-    banks: BankTable,
-    /// What this channel's picks read and checked, summed over its ticks.
-    work: PickWork,
-    /// This channel's cached next-due cycle (the contract is stated in
-    /// `cloudmc-sim`'s `kernel` module): [`Self::tick_due`] stores the one
-    /// each [`Self::tick`] reports and [`Self::enqueue`] pulls it back
-    /// to the arrival cycle. The every-channel [`MemoryController::tick`]
-    /// neither reads nor refreshes it, so one controller is driven by one of
-    /// the two for life.
-    next_due: DramCycles,
-}
-
-impl ChannelController {
-    fn new(index: usize, cfg: &McConfig) -> Self {
-        let total_banks = cfg.dram.banks_per_channel();
-        Self {
-            index,
-            channel: DramChannel::new(&cfg.dram),
-            read_q: RequestQueue::new(cfg.read_queue_capacity),
-            write_q: RequestQueue::new(cfg.write_queue_capacity),
-            scheduler: cfg.scheduler.build(cfg.num_cores),
-            policy: cfg
-                .page_policy
-                .build(cfg.dram.ranks_per_channel, cfg.dram.banks_per_rank),
-            power_policy: cfg.power_policy.build(cfg.dram.ranks_per_channel),
-            qos: QosArbiter::new(cfg.qos),
-            write_mode: false,
-            inflight: Vec::new(),
-            conflict_pending: vec![false; total_banks],
-            activated_after_conflict: vec![false; total_banks],
-            stats: McStats::new(),
-            write_drain_high: cfg.write_drain_high,
-            write_drain_low: cfg.write_drain_low,
-            num_cores: cfg.num_cores,
-            fault: cfg
-                .fault_model
-                .map(|fc| Box::new(FaultState::new(fc, index, &cfg.dram))),
-            next_due: 0,
-            banks: BankTable::new(cfg.dram.banks_per_rank),
-            work: PickWork::default(),
-        }
-    }
-
-    fn can_accept(&self, kind: AccessKind) -> bool {
-        match kind {
-            AccessKind::Read => !self.read_q.is_full(),
-            AccessKind::Write => !self.write_q.is_full(),
-        }
-    }
-
-    /// Bounds every restored request record — queued, in flight or parked
-    /// for an ECC retry — against this channel's geometry and core count:
-    /// the device model asserts on a location outside the geometry, and the
-    /// per-core scheduler and statistics tables are indexed by the core.
-    /// The live-scrub counter must equal the scrub reads actually queued or
-    /// in flight, or the demand-pending accounting underflows. Then
-    /// rebuilds the bank table from the restored queues and rows.
-    fn check_restored(&mut self, r: &SnapReader<'_>) -> Result<(), SnapError> {
-        let queued = self
-            .read_q
-            .iter()
-            .chain(self.write_q.iter())
-            .map(|e| (&e.request, &e.location));
-        let inflight = self
-            .inflight
-            .iter()
-            .map(|i| (&i.done.request, &i.done.location));
-        let parked = self.fault.iter().flat_map(|f| {
-            f.retry_pending
-                .values()
-                .flatten()
-                .map(|(request, location, _)| (request, location))
-        });
-        let mut scrubs = 0;
-        for (request, location) in queued.chain(inflight).chain(parked) {
-            request.check_core(r, self.num_cores)?;
-            if !self.channel.contains(location) {
-                return Err(r.bad_value(format!(
-                    "request {} at {location:?} outside the channel geometry",
-                    request.id
-                )));
-            }
-            scrubs += usize::from(is_scrub_id(request.id));
-        }
-        let scrub_live = self.fault.as_ref().map_or(0, |f| f.scrub_live);
-        if scrubs != scrub_live {
-            return Err(r.bad_value(format!(
-                "{scrub_live} live scrub reads recorded, {scrubs} queued or in flight"
-            )));
-        }
-        self.banks = BankTable::scan(&self.channel, &self.read_q, &self.write_q);
-        Ok(())
-    }
-
-    /// Demand requests queued, in flight or parked for retry. Patrol-scrub
-    /// reads physically occupy the queues but are controller-generated, so
-    /// they are excluded here: the frontend must not stall its exit condition
-    /// on background scrub traffic.
-    fn pending(&self) -> usize {
-        let base = self.read_q.len() + self.write_q.len() + self.inflight.len();
-        match &self.fault {
-            Some(f) => base + f.retry_len - f.scrub_live,
-            None => base,
-        }
-    }
-
-    /// Pending demand requests (queued, in flight or parked for retry) per
-    /// tenant. Scrub reads carry tenant 0 but are not demand traffic.
-    fn pending_per_tenant(&self) -> [u64; MAX_TENANTS] {
-        let mut out = [0u64; MAX_TENANTS];
-        for (slot, (&r, &w)) in out.iter_mut().zip(
-            self.read_q
-                .tenant_lens()
-                .iter()
-                .zip(self.write_q.tenant_lens().iter()),
-        ) {
-            *slot = (r + w) as u64;
-        }
-        for inflight in &self.inflight {
-            out[inflight.done.request.tenant.min(MAX_TENANTS - 1)] += 1;
-        }
-        if let Some(f) = &self.fault {
-            out[0] -= f.scrub_live as u64;
-            for bucket in f.retry_pending.values() {
-                for (request, _, _) in bucket {
-                    out[request.tenant.min(MAX_TENANTS - 1)] += 1;
-                }
-            }
-        }
-        out
-    }
-
-    fn enqueue(
-        &mut self,
-        request: MemoryRequest,
-        location: Location,
-        now: DramCycles,
-    ) -> Result<(), MemoryRequest> {
-        let queue = match request.kind {
-            AccessKind::Read => &mut self.read_q,
-            AccessKind::Write => &mut self.write_q,
-        };
-        queue.push(request, location, now)?;
-        self.banks.push(request.kind, &location);
-        // New work: the channel may have something to do this very cycle.
-        self.next_due = self.next_due.min(now);
-        // Demand arrival wakes a powered-down rank immediately: the exit
-        // latency (tXP/tXPDLL/tXS) becomes part of the request's observed
-        // latency, which is exactly the cost side of the power tradeoff.
-        self.power_policy.on_activity(location.rank, now);
-        if self.channel.power_state(location.rank).is_powered_down() {
-            self.channel.wake_rank(location.rank, now);
-            self.stats.power_wakes += 1;
-        }
-        Ok(())
-    }
-
-    fn update_write_mode(&mut self) {
-        if self.scheduler.manages_write_drain() {
-            self.write_mode = false;
-            return;
-        }
-        if self.write_q.len() >= self.write_drain_high {
-            self.write_mode = true;
-        } else if self.write_mode
-            && (self.write_q.len() <= self.write_drain_low || self.write_q.is_empty())
-        {
-            self.write_mode = false;
-        }
-        // Opportunistic switches when one side is empty.
-        if self.read_q.is_empty() && !self.write_q.is_empty() {
-            self.write_mode = true;
-        } else if self.write_q.is_empty() {
-            self.write_mode = false;
-        }
-    }
-
-    fn flat_bank(&self, loc: &Location) -> usize {
-        loc.flat_bank(self.channel.banks_per_rank())
-    }
-
-    /// Classifies the row-buffer outcome of a column access issued to `loc`,
-    /// given how many accesses the open row had already served.
-    ///
-    /// The first access after an activation pays the activation (and possibly
-    /// precharge) latency — a miss or conflict; subsequent accesses to the
-    /// open row are row-buffer hits.
-    fn classify_access(&self, loc: &Location, accesses_before: u64) -> RowBufferOutcome {
-        if accesses_before >= 1 {
-            RowBufferOutcome::Hit
-        } else if self.activated_after_conflict[self.flat_bank(loc)] {
-            RowBufferOutcome::Conflict
-        } else {
-            RowBufferOutcome::Miss
-        }
-    }
-
-    /// Closes the row currently open in (`rank`, `bank`) for bookkeeping
-    /// purposes, recording the activation-reuse histogram and notifying the
-    /// page policy.
-    fn note_row_closed(&mut self, rank: usize, bank: usize, accesses: u64) {
-        if let Some(row) = self.channel.open_row(rank, bank) {
-            self.stats.record_activation_closed(accesses);
-            self.policy.on_row_closed(rank, bank, row, accesses);
-        }
-    }
-
-    /// The precharge that closes the row open in (`rank`, `bank`), if any.
-    fn open_row_precharge(&self, rank: usize, bank: usize) -> Option<Command> {
-        let row = self.channel.open_row(rank, bank)?;
-        Some(Command::precharge(Location::new(rank, bank, row, 0)))
-    }
-
-    /// Earliest legal cycle of [`Self::open_row_precharge`]; `u64::MAX`
-    /// when no row is open.
-    fn earliest_precharge(&self, rank: usize, bank: usize) -> DramCycles {
-        self.open_row_precharge(rank, bank)
-            .and_then(|pre| self.channel.earliest_legal(&pre))
-            .unwrap_or(DramCycles::MAX)
-    }
-
-    /// Issues a policy precharge to the open row of (`rank`, `bank`) if one
-    /// is open and the command is legal at `now`, with the row-close
-    /// bookkeeping. Returns `true` if the precharge issued.
-    fn try_precharge(&mut self, rank: usize, bank: usize, now: DramCycles) -> bool {
-        let Some(pre) = self.open_row_precharge(rank, bank) else {
-            return false;
-        };
-        if !self.channel.can_issue(&pre, now) {
-            return false;
-        }
-        let accesses = self.channel.accesses_since_activate(rank, bank);
-        self.note_row_closed(rank, bank, accesses);
-        self.issue(&pre, now);
-        true
-    }
-
-    /// The cycle from which an overdue refresh of `rank` is no longer
-    /// postponed: once it is two intervals behind (one `t_refi` past due),
-    /// the controller force-closes the rank's open rows so the REF can
-    /// issue. The one statement of the postponement rule, used by
-    /// [`Self::handle_refresh`] and the event horizon.
-    fn refresh_forced_at(&self, rank: usize) -> DramCycles {
-        self.channel
-            .rank(rank)
-            .next_refresh_due()
-            .saturating_add(self.channel.timing().t_refi)
-    }
-
-    /// When the forced refresh of `rank` can next close a row: the later of
-    /// [`Self::refresh_forced_at`] and the rank's earliest legal precharge.
-    /// The first bank whose precharge is legal by the forced cycle settles
-    /// it, so only a rank whose every open row is fenced past that cycle is
-    /// scanned in full. `u64::MAX` with no row open.
-    fn forced_refresh_bound(&self, rank: usize) -> DramCycles {
-        let forced = self.refresh_forced_at(rank);
-        let mut earliest = DramCycles::MAX;
-        for bank in 0..self.channel.banks_per_rank() {
-            let pre = self.earliest_precharge(rank, bank);
-            if pre <= forced {
-                return forced;
-            }
-            earliest = earliest.min(pre);
-        }
-        earliest
-    }
-
-    /// Attempts to make progress on refresh; returns `true` if a command was
-    /// issued this cycle.
-    fn handle_refresh(&mut self, now: DramCycles) -> bool {
-        let Some(rank) = self.channel.refresh_due(now) else {
-            return false;
-        };
-        // A rank that slept past its refresh deadline (fast/slow power-down;
-        // self-refresh never comes due) is woken first. CKE is a dedicated
-        // pin, so the wake does not occupy the command bus: fall through and
-        // let this cycle still issue a command (the REF itself only becomes
-        // legal once the exit latency has elapsed).
-        if self.channel.power_state(rank).is_powered_down() {
-            self.channel.wake_rank(rank, now);
-            self.stats.power_wakes += 1;
-        }
-        let refresh = Command::refresh(rank);
-        if self.channel.can_issue(&refresh, now) {
-            self.issue(&refresh, now);
-            return true;
-        }
-        // Postpone lightly-loaded refreshes; force bank closure once the
-        // postponement runs out.
-        if now >= self.refresh_forced_at(rank) {
-            for bank in 0..self.channel.banks_per_rank() {
-                if self.try_precharge(rank, bank, now) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Issues `cmd` on the channel and accounts it in the bank table: every
-    /// command the controller issues goes through here.
-    fn issue(&mut self, cmd: &Command, now: DramCycles) -> IssueOutcome {
-        let outcome = self.channel.issue(cmd, now);
-        self.banks.apply(cmd, &self.read_q, &self.write_q);
-        outcome
-    }
-
-    /// Executes a scheduler decision.
-    fn execute(&mut self, decision: SchedDecision, now: DramCycles) {
-        let loc = decision.command.loc;
-        self.power_policy.on_activity(loc.rank, now);
-        match decision.request_id {
-            Some(id) => {
-                // Column access completing a request: apply the page policy's
-                // auto-precharge decision, then issue. The served entry is
-                // still queued here, so it counts as a pending hit of its
-                // own row.
-                let auto_precharge = self.policy.auto_precharge(&self.view(now), &loc);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "scheduler only returns ids it was shown from the queues"
-                )]
-                let entry = self
-                    .read_q
-                    .remove(id)
-                    .or_else(|| self.write_q.remove(id))
-                    .expect("scheduled request must be queued");
-                self.banks.remove(entry.request.kind, &entry.location);
-                // Every data transfer is charged to its tenant, whether the
-                // scheduler or the QoS arbiter picked it — the partition
-                // accounting must see the whole delivered bandwidth.
-                self.qos.on_issue(entry.request.tenant);
-                let command = match entry.request.kind {
-                    AccessKind::Read => Command::read(loc, auto_precharge),
-                    AccessKind::Write => Command::write(loc, auto_precharge),
-                };
-                debug_assert!(self.channel.can_issue(&command, now));
-                let accesses_before = self.channel.accesses_since_activate(loc.rank, loc.bank);
-                let outcome = self.classify_access(&loc, accesses_before);
-                let issue = self.issue(&command, now);
-                self.policy
-                    .on_column_access(loc.rank, loc.bank, loc.row, now);
-                if auto_precharge {
-                    self.stats.record_activation_closed(accesses_before + 1);
-                    self.policy
-                        .on_row_closed(loc.rank, loc.bank, loc.row, accesses_before + 1);
-                }
-                self.inflight.push(InFlight {
-                    completion: issue.completion_cycle,
-                    done: CompletedRequest {
-                        request: entry.request,
-                        channel: self.index,
-                        location: loc,
-                        issue: now,
-                        completion: issue.completion_cycle,
-                        outcome,
-                        retries: 0,
-                    },
-                });
-            }
-            None => {
-                debug_assert!(self.channel.can_issue(&decision.command, now));
-                let flat = self.flat_bank(&loc);
-                match decision.command.kind {
-                    cloudmc_dram::CommandKind::Activate => {
-                        self.issue(&decision.command, now);
-                        self.policy.on_activate(loc.rank, loc.bank, loc.row, now);
-                        self.activated_after_conflict[flat] = self.conflict_pending[flat];
-                        self.conflict_pending[flat] = false;
-                    }
-                    cloudmc_dram::CommandKind::Precharge => {
-                        let accesses = self.channel.accesses_since_activate(loc.rank, loc.bank);
-                        self.note_row_closed(loc.rank, loc.bank, accesses);
-                        // A scheduler-issued precharge is conflict-induced:
-                        // some pending request needs a different row.
-                        self.conflict_pending[flat] = true;
-                        self.issue(&decision.command, now);
-                    }
-                    _ => {
-                        self.issue(&decision.command, now);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Advances the controller by one DRAM cycle, appending the requests
-    /// whose data completed this cycle to `finished` (the caller owns and
-    /// reuses the buffer, keeping the per-cycle hot path allocation-free).
-    ///
-    /// Returns the channel's next due cycle: `now + 1` after a cycle that
-    /// issued a command or applied a power action, otherwise
-    /// [`Self::idle_next_due`] over what this tick already evaluated.
-    ///
-    /// Debug builds check the bank table against a fresh
-    /// [`BankTable::scan`] after every tick.
-    fn tick(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> DramCycles {
-        let next = self.step(now, finished);
-        debug_assert_eq!(
-            self.banks,
-            BankTable::scan(&self.channel, &self.read_q, &self.write_q),
-            "channel {} bank table diverged from its queues at cycle {now}",
-            self.index
-        );
-        next
-    }
-
-    /// The body of [`Self::tick`].
-    fn step(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> DramCycles {
-        // 0. Reliability pre-work (no-op unless a fault model is configured):
-        // release demand retries whose backoff elapsed and emit patrol-scrub
-        // reads into the ordinary queues.
-        if self.fault.is_some() {
-            self.fault_pre_tick(now);
-        }
-
-        // 1. Retire completed transfers.
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].completion <= now {
-                let inflight = self.inflight.swap_remove(i);
-                if self.fault.is_some() {
-                    self.retire_with_ecc(inflight, now, finished);
-                } else {
-                    self.stats.record_completion(&inflight.done);
-                    self.scheduler.on_complete(&inflight.done);
-                    finished.push(inflight.done);
-                }
-            } else {
-                i += 1;
-            }
-        }
-
-        // 2. Sample queue occupancies for Figures 5 and 6, plus the
-        // per-tenant read-queue breakdown for the QoS analysis.
-        self.stats
-            .sample_queues(self.read_q.len(), self.write_q.len());
-        self.stats
-            .sample_tenant_reads_n(&self.read_q.tenant_lens(), 1);
-
-        // 3. Scheduler per-cycle bookkeeping (quantum boundaries, etc.).
-        self.scheduler.on_cycle(&SchedContext::new(
-            now,
-            &self.channel,
-            &self.read_q,
-            &self.write_q,
-            &self.banks,
-            self.write_mode,
-            self.num_cores,
-        ));
-
-        // 4. Read/write phase decision.
-        self.update_write_mode();
-
-        // 5. Refresh takes priority when due and issuable.
-        if self.handle_refresh(now) {
-            return now + 1;
-        }
-
-        // 6–7. The QoS arbiter gets first claim on the command slot: it may
-        // issue for a tenant its policy privileges (work-conserving — it
-        // declines whenever those tenants have nothing ready), composing
-        // with whichever scheduling algorithm is configured; otherwise the
-        // scheduler picks. Both share one context, so its wait bound covers
-        // every candidate either evaluated.
-        let ctx = SchedContext::new(
-            now,
-            &self.channel,
-            &self.read_q,
-            &self.write_q,
-            &self.banks,
-            self.write_mode,
-            self.num_cores,
-        );
-        let decision = self.qos.pick(&ctx).or_else(|| self.scheduler.pick(&ctx));
-        let wait = ctx.wait.get();
-        self.work += ctx.work.get();
-        if let Some(decision) = decision {
-            self.execute(decision, now);
-            return now + 1;
-        }
-
-        // 8. Otherwise let the page policy close an idle row proactively.
-        let page = self.policy.propose_precharge(&self.view(now));
-        if let Some((rank, bank)) = page {
-            if self.try_precharge(rank, bank, now) {
-                return now + 1;
-            }
-        }
-
-        // 9. Last priority: let the power policy park a quiescent rank.
-        let power = self.power_policy.propose(&self.view(now));
-        if self.power_step(power, now) {
-            return now + 1;
-        }
-        self.idle_next_due(now, wait, page, power)
-    }
-
-    /// Reliability work at the head of a cycle: re-enqueue demand retries
-    /// whose backoff elapsed and emit the next patrol-scrub read when the
-    /// scrub interval has elapsed.
-    ///
-    /// Both paths go through the ordinary [`Self::enqueue`]: retries and
-    /// scrub reads occupy real queue slots, wake powered-down ranks, and
-    /// contend with demand traffic in the scheduler and the QoS arbiter.
-    fn fault_pre_tick(&mut self, now: DramCycles) {
-        // Release due retries, oldest deadline first, while the read queue
-        // has room. A retried request keeps its original arrival cycle, so
-        // its observed latency includes every retry round trip.
-        loop {
-            if self.read_q.is_full() {
-                break;
-            }
-            let Some(f) = self.fault.as_deref_mut() else {
-                break;
-            };
-            let Some((&due, _)) = f.retry_pending.iter().next() else {
-                break;
-            };
-            if due > now {
-                break;
-            }
-            let mut bucket = f.retry_pending.remove(&due).unwrap_or_default();
-            let Some((request, location, attempt)) = bucket.pop_front() else {
-                continue;
-            };
-            if !bucket.is_empty() {
-                f.retry_pending.insert(due, bucket);
-            }
-            f.retry_len -= 1;
-            f.attempts.insert(request.id, attempt);
-            // Queue room was checked above; `enqueue` only fails when full.
-            let _ = self.enqueue(request, location, now);
-        }
-        // Emit the next patrol-scrub read. If the read queue is full the
-        // emission stays due and is retried next cycle — deterministically,
-        // since `next_scrub_at` only advances on success.
-        let scrub = match self.fault.as_deref_mut() {
-            Some(f) if now >= f.next_scrub_at && !self.read_q.is_full() => {
-                let (rank, bank, row) = f.scrub_cursor;
-                let location = Location::new(rank, bank, row, 0);
-                // Scrub reads never leave their channel, so its own patrol
-                // sequence is all the id has to distinguish.
-                let id = SCRUB_ID_BIT | f.scrub_seq;
-                let request = MemoryRequest::new(id, AccessKind::Read, 0, 0, now);
-                f.scrub_seq += 1;
-                f.scrub_live += 1;
-                f.advance_scrub_cursor();
-                f.next_scrub_at = f.next_scrub_at.saturating_add(f.cfg.scrub_interval);
-                Some((request, location))
-            }
-            _ => None,
-        };
-        if let Some((request, location)) = scrub {
-            self.stats.scrub_reads_issued += 1;
-            // Room was checked while deciding to emit.
-            let _ = self.enqueue(request, location, now);
-        }
-    }
-
-    /// Retires one completed transfer through the ECC layer: classifies
-    /// reads against the fault model, schedules demand retries for corrected
-    /// glitches, feeds repeat-offender retirement, and applies the
-    /// uncorrectable-error policy (fail-stop latches a typed error; poison
-    /// marks the line). Scrub completions are consumed internally.
-    fn retire_with_ecc(
-        &mut self,
-        inflight: InFlight,
-        now: DramCycles,
-        finished: &mut Vec<CompletedRequest>,
-    ) {
-        let mut done = inflight.done;
-        let req = done.request;
-        let loc = done.location;
-        let Some(f) = self.fault.as_deref_mut() else {
-            // Unreachable by construction (the caller checked); complete
-            // normally rather than panic.
-            self.stats.record_completion(&done);
-            self.scheduler.on_complete(&done);
-            finished.push(done);
-            return;
-        };
-        // Every service completion — demand, scrub, or a read about to be
-        // retried — feeds the scheduler's bookkeeping: exactly one
-        // on_complete per service.
-        self.scheduler.on_complete(&done);
-        if is_scrub_id(req.id) {
-            f.scrub_live -= 1;
-            self.stats.scrub_reads_completed += 1;
-            let residency = self.channel.rank(loc.rank).residency_at(now);
-            match f.classify(req.id, 0, &loc, &residency) {
-                ReadFault::None => {}
-                ReadFault::Corrected => {
-                    self.stats.scrub_corrected += 1;
-                    if f.note_row_error(loc.rank, loc.bank, loc.row) {
-                        self.stats.rows_retired += 1;
-                    }
-                }
-                ReadFault::Uncorrectable { miscorrected: true } => {
-                    // Aliased to a valid codeword: the scrubber sees clean
-                    // data and learns nothing.
-                    self.stats.ecc_miscorrects += 1;
-                }
-                ReadFault::Uncorrectable {
-                    miscorrected: false,
-                } => {
-                    self.stats.scrub_uncorrectable += 1;
-                    if f.note_row_error(loc.rank, loc.bank, loc.row) {
-                        self.stats.rows_retired += 1;
-                    }
-                    match f.cfg.on_uncorrectable {
-                        UncorrectablePolicy::FailStop => {
-                            f.error.get_or_insert_with(|| {
-                                format!(
-                                    "uncorrectable memory error found by patrol scrub: \
-                                     channel {} rank {} bank {} row {} (cycle {now})",
-                                    done.channel, loc.rank, loc.bank, loc.row
-                                )
-                            });
-                        }
-                        UncorrectablePolicy::PoisonAndContinue => {
-                            if f.poisoned.insert((loc.rank, loc.bank, loc.row, loc.column)) {
-                                self.stats.lines_poisoned += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            // Scrub completions never reach the frontend: they are not
-            // pushed to `finished` and stay out of the demand statistics.
-            return;
-        }
-        if req.kind == AccessKind::Write {
-            // A write lands fresh, ECC-clean data, clearing any poison.
-            f.poisoned
-                .remove(&(loc.rank, loc.bank, loc.row, loc.column));
-            self.stats.record_completion(&done);
-            finished.push(done);
-            return;
-        }
-        // Demand read: check poison, then classify against the fault model.
-        let attempt = f.attempts.get(&req.id).copied().unwrap_or(0);
-        // Tag the completion with the retries that preceded it, for span
-        // traces and any other lifecycle consumer downstream.
-        done.retries = attempt;
-        if f.poisoned
-            .contains(&(loc.rank, loc.bank, loc.row, loc.column))
-        {
-            // The line carries a poison marker from an earlier uncorrectable
-            // error; the read completes and the consumption is accounted.
-            self.stats.poisoned_reads += 1;
-            f.attempts.remove(&req.id);
-            self.stats.record_completion(&done);
-            finished.push(done);
-            return;
-        }
-        let residency = self.channel.rank(loc.rank).residency_at(now);
-        match f.classify(req.id, attempt, &loc, &residency) {
-            ReadFault::None => {
-                f.attempts.remove(&req.id);
-                self.stats.record_completion(&done);
-                finished.push(done);
-            }
-            ReadFault::Corrected => {
-                self.stats.ecc_corrected += 1;
-                if f.note_row_error(loc.rank, loc.bank, loc.row) {
-                    self.stats.rows_retired += 1;
-                }
-                if attempt < f.cfg.max_demand_retries {
-                    // Park the request for a bounded-backoff re-read. The
-                    // backoff doubles per attempt; the request is NOT
-                    // completed until a retry returns (or retries exhaust).
-                    self.stats.demand_retries += 1;
-                    let backoff = f
-                        .cfg
-                        .retry_backoff
-                        .checked_shl(attempt)
-                        .unwrap_or(DramCycles::MAX);
-                    let due = now.saturating_add(backoff.max(1));
-                    f.retry_pending
-                        .entry(due)
-                        .or_default()
-                        .push_back((req, loc, attempt + 1));
-                    f.retry_len += 1;
-                    f.attempts.remove(&req.id);
-                } else {
-                    // Retries exhausted: accept the corrected data.
-                    f.attempts.remove(&req.id);
-                    self.stats.record_completion(&done);
-                    finished.push(done);
-                }
-            }
-            ReadFault::Uncorrectable { miscorrected: true } => {
-                // ECC silently "corrected" to the wrong word: undetected, so
-                // the request completes normally and no retirement evidence
-                // accrues — only the counter (and the model's ledger) know.
-                self.stats.ecc_miscorrects += 1;
-                f.attempts.remove(&req.id);
-                self.stats.record_completion(&done);
-                finished.push(done);
-            }
-            ReadFault::Uncorrectable {
-                miscorrected: false,
-            } => {
-                self.stats.ecc_detected_uncorrectable += 1;
-                if f.note_row_error(loc.rank, loc.bank, loc.row) {
-                    self.stats.rows_retired += 1;
-                }
-                match f.cfg.on_uncorrectable {
-                    UncorrectablePolicy::FailStop => {
-                        f.error.get_or_insert_with(|| {
-                            format!(
-                                "uncorrectable memory error: channel {} rank {} bank {} \
-                                 row {} (request {}, cycle {now})",
-                                done.channel, loc.rank, loc.bank, loc.row, req.id
-                            )
-                        });
-                    }
-                    UncorrectablePolicy::PoisonAndContinue => {
-                        if f.poisoned.insert((loc.rank, loc.bank, loc.row, loc.column)) {
-                            self.stats.lines_poisoned += 1;
-                        }
-                    }
-                }
-                // The request still completes under both policies (fail-stop
-                // surfaces the latched error when the run finishes), so
-                // request conservation holds.
-                f.attempts.remove(&req.id);
-                self.stats.record_completion(&done);
-                finished.push(done);
-            }
-        }
-    }
-
-    /// Applies the power policy's proposal, if any. Runs only on cycles
-    /// where nothing else issued, mirroring the page-policy slot. Returns
-    /// `true` if an action was applied.
-    fn power_step(&mut self, action: Option<PowerAction>, now: DramCycles) -> bool {
-        match action {
-            // Proposals are required to be legal already; the guard keeps an
-            // ill-behaved policy from panicking the device.
-            Some(PowerAction::PowerDown { rank, mode })
-                if self.channel.can_enter_power_down(rank, mode, now) =>
-            {
-                self.channel.enter_power_down(rank, mode, now);
-                match mode {
-                    PowerDownMode::SelfRefresh => self.stats.self_refreshes += 1,
-                    PowerDownMode::Fast | PowerDownMode::Slow => self.stats.power_downs += 1,
-                }
-                true
-            }
-            Some(PowerAction::Precharge { rank, bank }) => {
-                let issued = self.try_precharge(rank, bank, now);
-                if issued {
-                    self.stats.power_precharges += 1;
-                }
-                issued
-            }
-            _ => false,
-        }
-    }
-
-    /// The page and power policies' read-only view of this channel.
-    fn view(&self, now: DramCycles) -> PolicyView<'_> {
-        PolicyView {
-            now,
-            channel: &self.channel,
-            banks: &self.banks,
-        }
-    }
-
-    /// Accounts for `cycles` DRAM cycles the kernel has proven eventless for
-    /// this channel: the only per-cycle side effect of an eventless tick is
-    /// the queue-occupancy sample, applied here in bulk.
-    fn skip_cycles(&mut self, cycles: u64) {
-        self.stats
-            .sample_queues_n(self.read_q.len(), self.write_q.len(), cycles);
-        self.stats
-            .sample_tenant_reads_n(&self.read_q.tenant_lens(), cycles);
-    }
-
-    /// Event-driven tick: runs [`Self::tick`] only if the channel is due at
-    /// `now`, storing the next due cycle it reports — for a busy channel
-    /// and a drained one alike: a pick that issues nothing bounds when any
-    /// candidate it evaluated becomes legal — and otherwise accounts the
-    /// cycle as a skip, keeping the queue-occupancy sample counts identical
-    /// to ticking every cycle. Returns whether the tick ran.
-    fn tick_due(&mut self, now: DramCycles, finished: &mut Vec<CompletedRequest>) -> bool {
-        if self.next_due > now {
-            self.skip_cycles(1);
-            return false;
-        }
-        self.next_due = self.tick(now, finished);
-        true
-    }
-
-    /// This channel's next due cycle after a tick at `now` that issued
-    /// nothing (see the next-due contract in `cloudmc-sim`'s `kernel`
-    /// module), combined from what the tick already evaluated: `wait`, the
-    /// cycle a candidate of the scheduler or the QoS arbiter becomes legal;
-    /// the standing page- and power-policy proposals (`page`, `power`)
-    /// becoming legal, or with none standing the cycle a policy timer could
-    /// flip one; plus the earliest transfer retirement, refresh step,
-    /// scheduler time boundary and reliability deadline. Until then, with no
-    /// enqueue (which pulls the bound back), every tick would do nothing.
-    fn idle_next_due(
-        &self,
-        now: DramCycles,
-        wait: DramCycles,
-        page: Option<(usize, usize)>,
-        power: Option<PowerAction>,
-    ) -> DramCycles {
-        let view = self.view(now);
-        let mut next = wait.min(self.scheduler.next_due());
-        next = next.min(match page {
-            Some((rank, bank)) => self.earliest_precharge(rank, bank),
-            None => self.policy.next_due(&view),
-        });
-        next = next.min(match power {
-            Some(PowerAction::PowerDown { .. }) => now + 1,
-            Some(PowerAction::Precharge { rank, bank }) => self.earliest_precharge(rank, bank),
-            None => self.power_policy.next_due(&view),
-        });
-        // Pending data transfers retire at their completion cycle.
-        for inflight in &self.inflight {
-            next = next.min(inflight.completion);
-        }
-        // Refresh: a powered-down rank is woken at its due cycle; an awake
-        // one issues the REF at its due cycle once the REF is legal; with
-        // rows open, the controller force-precharges them from
-        // `refresh_forced_at`. A rank in self-refresh maintains itself and
-        // contributes no event. Only the first due rank is served, so the
-        // ranks after one due by the next cycle wait for its REF.
-        if self.channel.refresh_enabled() {
-            for r in 0..self.channel.rank_count() {
-                let rank = self.channel.rank(r);
-                if rank.in_self_refresh() {
-                    continue;
-                }
-                let due = rank.next_refresh_due();
-                next = next.min(if rank.powered_down() {
-                    due
-                } else if let Some(legal) = self.channel.earliest_legal(&Command::refresh(r)) {
-                    due.max(legal)
-                } else {
-                    self.forced_refresh_bound(r)
-                });
-                if due <= now + 1 {
-                    break;
-                }
-            }
-        }
-        // Reliability deadlines: the next patrol-scrub emission and the
-        // earliest parked demand retry.
-        if let Some(f) = &self.fault {
-            if f.cfg.scrub_interval > 0 {
-                next = next.min(f.next_scrub_at);
-            }
-            if let Some((&due, _)) = f.retry_pending.iter().next() {
-                next = next.min(due);
-            }
-        }
-        next.max(now + 1)
-    }
-}
 
 /// A complete multi-channel memory controller.
 ///
@@ -1418,10 +234,8 @@ impl MemoryController {
     #[must_use]
     pub fn fault_ledger(&self) -> FaultLedger {
         let mut total = FaultLedger::default();
-        for channel in &self.channels {
-            if let Some(f) = &channel.fault {
-                total.merge(&f.model.ledger());
-            }
+        for fault in self.channels.iter().filter_map(|c| c.fault.as_deref()) {
+            total.merge(&fault.ledger());
         }
         total
     }
@@ -1433,7 +247,7 @@ impl MemoryController {
     pub fn fault_error(&self) -> Option<&str> {
         self.channels
             .iter()
-            .find_map(|c| c.fault.as_ref().and_then(|f| f.error.as_deref()))
+            .find_map(|c| c.fault.as_deref()?.error())
     }
 
     /// Rows retired per rank, flattened channel-major (channel 0 rank 0,
@@ -1444,78 +258,12 @@ impl MemoryController {
         let ranks = self.cfg.dram.ranks_per_channel;
         let mut out = Vec::with_capacity(self.channels.len() * ranks);
         for channel in &self.channels {
-            match &channel.fault {
-                Some(f) => out.extend_from_slice(&f.rows_retired_per_rank),
+            match channel.fault.as_deref() {
+                Some(fault) => out.extend_from_slice(fault.rows_retired_per_rank()),
                 None => out.extend(std::iter::repeat_n(0, ranks)),
             }
         }
         out
-    }
-}
-
-snap_fields! {
-    InFlight {
-        saved: { completion, done },
-        skipped: {},
-    }
-}
-
-snap_fields! {
-    FaultState {
-        section: "fault-state",
-        saved: {
-            model,
-            retry_pending,
-            attempts,
-            next_scrub_at,
-            scrub_cursor,
-            scrub_seq,
-            scrub_live,
-            row_errors,
-            retired,
-            rows_retired_per_rank: fixed,
-            poisoned,
-            error,
-        },
-        skipped: {
-            cfg: "config-derived",
-            ranks: "config-derived",
-            banks_per_rank: "config-derived",
-            rows_per_bank: "config-derived",
-            retry_len: "derived: sum of retry_pending bucket lengths; rebuilt by finish_restore",
-        },
-        after_load: Self::finish_restore,
-    }
-}
-
-snap_fields! {
-    ChannelController {
-        section: "channel",
-        saved: {
-            channel,
-            read_q,
-            write_q,
-            scheduler,
-            policy,
-            power_policy,
-            qos,
-            write_mode,
-            inflight,
-            conflict_pending: fixed,
-            activated_after_conflict: fixed,
-            stats,
-            fault: fixed,
-            next_due,
-        },
-        skipped: {
-            index: "config-derived",
-            banks: "derived from the queues and open rows; rebuilt by check_restored",
-            work: "host-side work count, not simulated state",
-            write_drain_high: "config-derived",
-            write_drain_low: "config-derived",
-            num_cores: "config-derived",
-        },
-        after_load: Self::check_restored,
     }
 }
 
@@ -1530,60 +278,13 @@ snap_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::AddressMapping;
     use crate::page::PagePolicyKind;
+    use crate::power::PowerPolicyKind;
+    use crate::qos::QosConfig;
+    use crate::request::RowBufferOutcome;
     use crate::sched::SchedulerKind;
-
-    /// The early-exit forced-refresh bound equals the all-banks scan it
-    /// replaced (the later of `refresh_forced_at` and the rank's earliest
-    /// legal precharge) over random row states and refresh backlogs.
-    #[test]
-    fn forced_refresh_bound_matches_the_all_banks_scan() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(0x4EF);
-        // [no row open, settled by the forced cycle, every row fenced past it]
-        let mut cases = [0usize; 3];
-        for _ in 0..400 {
-            let mut cc = ChannelController::new(0, &McConfig::baseline());
-            let t_refi = cc.channel.timing().t_refi;
-            let mut now = rng.gen_range(0..3 * t_refi);
-            for _ in 0..rng.gen_range(0..24usize) {
-                now += rng.gen_range(0..12u64);
-                let loc = Location::new(
-                    rng.gen_range(0..2usize),
-                    rng.gen_range(0..8usize),
-                    rng.gen_range(0..3u64),
-                    0,
-                );
-                let cmd = match cc.channel.open_row(loc.rank, loc.bank) {
-                    Some(row) if row == loc.row => Command::read(loc, false),
-                    Some(_) => Command::precharge(loc),
-                    None => Command::activate(loc),
-                };
-                if cc.channel.can_issue(&cmd, now) {
-                    cc.channel.issue(&cmd, now);
-                }
-            }
-            for rank in 0..2 {
-                let forced = cc.refresh_forced_at(rank);
-                let reference = (0..cc.channel.banks_per_rank())
-                    .map(|b| cc.earliest_precharge(rank, b))
-                    .min()
-                    .map_or(DramCycles::MAX, |pre| forced.max(pre));
-                assert_eq!(cc.forced_refresh_bound(rank), reference);
-                cases[match reference {
-                    DramCycles::MAX => 0,
-                    bound if bound == forced => 1,
-                    _ => 2,
-                }] += 1;
-            }
-        }
-        assert!(
-            cases.iter().all(|&n| n > 0),
-            "a case never arose: {cases:?}"
-        );
-    }
+    use cloudmc_dram::{FaultConfig, UncorrectablePolicy};
 
     fn drain(mc: &mut MemoryController, cycles: u64) -> Vec<CompletedRequest> {
         let mut done = Vec::new();
@@ -1591,19 +292,6 @@ mod tests {
             mc.tick(c, &mut done);
         }
         done
-    }
-
-    #[test]
-    fn config_validation_catches_bad_watermarks() {
-        let mut cfg = McConfig::baseline();
-        cfg.write_drain_low = cfg.write_drain_high;
-        assert!(cfg.validate().is_err());
-        cfg = McConfig::baseline();
-        cfg.write_drain_high = cfg.write_queue_capacity + 1;
-        assert!(cfg.validate().is_err());
-        cfg = McConfig::baseline();
-        cfg.num_cores = 0;
-        assert!(MemoryController::new(cfg).is_err());
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! from the configuration values [`SchedulerKind`], [`PagePolicyKind`] and
 //! [`PowerPolicyKind`].
 //!
+//! The controller is one module per concern: [`config`] holds
+//! [`McConfig`]; [`controller`] holds [`MemoryController`], the channels
+//! behind the address decode; the private `channel_ctl` module holds the
+//! per-channel tick (scheduling, page policy, write drain, refresh, power);
+//! and [`reliability`] holds the fault-injection extension (ECC accounting,
+//! demand retries, patrol scrub, row retirement, line poisoning), which a
+//! channel with a fault model calls once per tick phase.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -51,24 +59,29 @@
 #![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 pub mod bank_table;
+mod channel_ctl;
+pub mod config;
 pub mod controller;
 pub mod mapping;
 pub mod page;
 pub mod power;
 pub mod qos;
 pub mod queue;
+pub mod reliability;
 pub mod request;
 pub mod sched;
 pub mod stats;
 
 pub use bank_table::BankTable;
 pub use cloudmc_dram::{FaultConfig, FaultLedger, FaultModel, ReadFault, UncorrectablePolicy};
-pub use controller::{is_scrub_id, McConfig, MemoryController, SCRUB_ID_BIT};
+pub use config::McConfig;
+pub use controller::MemoryController;
 pub use mapping::{AddressMapping, DecodedAddress};
 pub use page::{BankDemand, HistoryPredictor, PagePolicy, PagePolicyKind, PolicyView, TimerPolicy};
 pub use power::{PowerAction, PowerPolicy, PowerPolicyKind, PowerTimeouts, TimeoutPowerDown};
 pub use qos::{QosArbiter, QosConfig, QosPolicyKind};
 pub use queue::{bank_row_key, key_bank, key_rank, key_row, QueueEntry, RequestQueue};
+pub use reliability::{is_scrub_id, SCRUB_ID_BIT};
 pub use request::{
     AccessKind, CompletedRequest, MemoryRequest, RequestId, RowBufferOutcome, TenantId, MAX_TENANTS,
 };

@@ -91,16 +91,6 @@ impl AddressMapping {
         }
     }
 
-    /// Number of address bits consumed by the mapping (excluding the block
-    /// offset).
-    #[must_use]
-    pub fn mapped_bits(self, cfg: &DramConfig) -> u32 {
-        self.fields()
-            .iter()
-            .map(|f| Self::field_bits(*f, cfg))
-            .sum()
-    }
-
     /// Decodes physical byte address `addr` into DRAM coordinates.
     ///
     /// Address bits above the mapped capacity wrap around (they are simply
@@ -253,11 +243,18 @@ mod tests {
         }
     }
 
+    /// The address bits every field of `m` consumes (the block offset
+    /// excluded) address the whole capacity.
     #[test]
     fn mapped_bits_cover_capacity() {
         let cfg = cfg4();
         for m in AddressMapping::all() {
-            let total_bits = m.mapped_bits(&cfg) + cfg.column_bytes.trailing_zeros();
+            let mapped: u32 = m
+                .fields()
+                .iter()
+                .map(|&f| AddressMapping::field_bits(f, &cfg))
+                .sum();
+            let total_bits = mapped + cfg.column_bytes.trailing_zeros();
             assert_eq!(1u64 << total_bits, cfg.capacity_bytes());
         }
     }

@@ -506,9 +506,13 @@ impl Frontend {
         }
     }
 
-    fn inject_dma(&mut self, events: &mut Vec<FrontendEvent>) {
+    /// Accrues `cycles` cycles of DMA credit on every injector, firing one
+    /// beat per whole `DMA_FP_ONE` accrued: the one accrual of the eager
+    /// tick and the lazy mode alike. The sums are fixed-point integers, so
+    /// accruing a span at once equals accruing it cycle by cycle.
+    fn accrue_dma(&mut self, cycles: u64, events: &mut Vec<FrontendEvent>) {
         for i in 0..self.dma.len() {
-            self.dma[i].acc_fp += self.dma[i].rate_fp;
+            self.dma[i].acc_fp += self.dma[i].rate_fp * cycles;
             while self.dma[i].acc_fp >= DMA_FP_ONE {
                 self.dma[i].acc_fp -= DMA_FP_ONE;
                 self.fire_dma_beat(i, events);
@@ -635,25 +639,21 @@ impl Frontend {
 
     /// Lazy mode: accrues DMA credit for all cycles below `upto`, firing any
     /// beats that come due (the caller guarantees at most the current cycle's
-    /// beats do).
+    /// beats do). Every [`Frontend::advance_to`] calls it, so it is inlined
+    /// there.
+    #[inline]
     fn advance_dma(&mut self, upto: u64, events: &mut Vec<FrontendEvent>) {
         let cycles = upto.saturating_sub(self.dma_pos);
         if cycles == 0 {
             return;
         }
         self.dma_pos = upto;
-        for i in 0..self.dma.len() {
-            let inj = &mut self.dma[i];
-            inj.acc_fp += inj.rate_fp * cycles;
-            while self.dma[i].acc_fp >= DMA_FP_ONE {
-                self.dma[i].acc_fp -= DMA_FP_ONE;
-                self.fire_dma_beat(i, events);
-            }
-        }
+        self.accrue_dma(cycles, events);
     }
 
-    /// Emits one DMA beat for injector `i` (the rate-independent half of
-    /// [`Frontend::inject_dma`]'s loop body, shared with the lazy mode).
+    /// Emits one DMA beat for injector `i`. Cold: a beat is rare next to the
+    /// accrual every frontend step runs, which stays small enough to inline.
+    #[cold]
     fn fire_dma_beat(&mut self, i: usize, events: &mut Vec<FrontendEvent>) {
         let inj = &mut self.dma[i];
         let core = inj.core_lo + self.rng.gen_range(0..inj.core_len);
@@ -698,17 +698,9 @@ impl Frontend {
                 self.positions[core] = end;
             }
         }
-        let cycles = end.saturating_sub(self.dma_pos);
-        if cycles > 0 {
-            self.dma_pos = end;
-            for inj in &mut self.dma {
-                inj.acc_fp += inj.rate_fp * cycles;
-                debug_assert!(
-                    inj.acc_fp < DMA_FP_ONE,
-                    "sync of {cycles} cycles crossed a DMA beat"
-                );
-            }
-        }
+        let mut beats = Vec::new();
+        self.advance_dma(end, &mut beats);
+        debug_assert!(beats.is_empty(), "sync to {end} crossed a DMA beat");
     }
 }
 
@@ -729,7 +721,7 @@ impl Tick for Frontend {
         for core_idx in 0..self.cores.len() {
             self.tick_core(core_idx, events);
         }
-        self.inject_dma(events);
+        self.accrue_dma(1, events);
     }
 }
 

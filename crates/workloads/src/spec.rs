@@ -401,13 +401,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Expected fraction of row activations that serve exactly one access
-    /// under an idealized open policy (used for calibration checks).
-    #[must_use]
-    pub fn expected_single_access_fraction(&self) -> f64 {
-        1.0 - self.row_burst_prob
-    }
-
     /// Per-core intensity multiplier implementing [`Self::core_imbalance`].
     ///
     /// Cores are split into four groups with intensities spread around 1.0;
@@ -586,10 +579,13 @@ mod tests {
         assert!((10.0..20.0).contains(&dspw));
     }
 
+    /// The expected fraction of row activations that serve exactly one
+    /// access under an idealized open policy is the share of accesses that
+    /// start no row burst.
     #[test]
     fn single_access_fraction_is_in_papers_range() {
         for w in Workload::all() {
-            let f = w.spec().expected_single_access_fraction();
+            let f = 1.0 - w.spec().row_burst_prob;
             assert!(
                 (0.75..=0.92).contains(&f),
                 "{w}: single-access fraction {f} outside 75%-92%"

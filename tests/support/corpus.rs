@@ -227,19 +227,27 @@ fn shrunk(what: &str, cfg: &SystemConfig, fails: impl Fn(&SystemConfig) -> bool)
     format!("{what}; shrunk, it still fails at {at}").into()
 }
 
-/// Every request sent is completed or still in flight.
+/// Every request sent is completed or still in flight, and no patrol-scrub
+/// read completed that was not issued (whole-run counters, never reset).
 fn conserved(sim: &Simulator) -> Result<(), String> {
     let system = sim.system();
     let sent = system.memory_reads_sent() + system.memory_writes_sent();
-    let completed = system.controller_stats().completed();
+    let run = system.controller_stats();
+    let completed = run.completed();
     let in_flight = system.requests_in_flight();
-    if sent == completed + in_flight {
-        return Ok(());
-    }
     let at = system.cpu_cycle();
-    Err(format!(
-        "cycle {at}: {sent} sent, {completed} completed + {in_flight} in flight"
-    ))
+    if sent != completed + in_flight {
+        return Err(format!(
+            "cycle {at}: {sent} sent, {completed} completed + {in_flight} in flight"
+        ));
+    }
+    let (issued, scrubbed) = (run.scrub_reads_issued, run.scrub_reads_completed);
+    match scrubbed <= issued {
+        true => Ok(()),
+        false => Err(format!(
+            "cycle {at}: {scrubbed} scrub reads completed, {issued} issued"
+        )),
+    }
 }
 
 /// The fault ledger balances; without a fault model every reliability

@@ -21,7 +21,9 @@ use cloudmc::workloads::Workload;
 use support::corpus::{covers, observe, Observed};
 use support::{lc_batch_mix, small};
 
-const INTERVAL: u64 = 7_000; // deliberately not a divisor of the run length
+/// Not a divisor of the 70,000-cycle runs here (10k warm-up + 60k measured),
+/// so every run ends inside a sampling window.
+const INTERVAL: u64 = 6_500;
 const SPAN_EVERY: u64 = 16;
 
 fn with_telemetry(mut cfg: SystemConfig) -> SystemConfig {
